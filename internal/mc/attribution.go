@@ -1,11 +1,8 @@
 package mc
 
 import (
-	"fmt"
 	"sort"
-	"strings"
 
-	"sdnavail/internal/analytic"
 	"sdnavail/internal/telemetry"
 )
 
@@ -16,29 +13,6 @@ import (
 // the processes it carries), and the ledger splits each unavailable
 // interval's duration equally among them. Mode keys match the testbed's:
 // "process:<name>" (aggregated across nodes), "rack:/host:/vm:<name>".
-
-// hostPlane names the per-host DP ledger plane, matching the testbed.
-func hostPlane(i int) string { return fmt.Sprintf("dp:compute%d", i) }
-
-// modeName maps an entity to its failure-mode key.
-func (s *Sim) modeName(ent int) string {
-	e := &s.entities[ent]
-	switch e.kind {
-	case kindRack:
-		return "rack:" + e.name
-	case kindHost:
-		return "host:" + e.name
-	case kindVM:
-		return "vm:" + e.name
-	case kindLink:
-		return "link:" + e.name
-	}
-	name := e.name
-	if i := strings.LastIndex(name, "/"); i >= 0 {
-		name = name[:i] // strip the node/host suffix: aggregate per process
-	}
-	return "process:" + name
-}
 
 // nodeBlames adds the failure modes keeping the group's placement on one
 // node from serving: its down hardware (rack > host > vm precedence), or
@@ -54,7 +28,7 @@ func (s *Sim) nodeBlames(gn *groupNode, set map[string]bool) {
 		hwDown = gn.vmEnt
 	}
 	if hwDown >= 0 {
-		set[s.modeName(hwDown)] = true
+		set[s.entities[hwDown].mode] = true
 		return
 	}
 	if gn.connNode >= 0 && !s.conn.Reachable(gn.connNode) {
@@ -62,17 +36,17 @@ func (s *Sim) nodeBlames(gn *groupNode, set map[string]bool) {
 		// sever it (its edge path on tree fabrics).
 		for _, le := range gn.pathLinkEnts {
 			if !s.entities[le].up {
-				set[s.modeName(le)] = true
+				set[s.entities[le].mode] = true
 			}
 		}
 		return
 	}
-	if s.cfg.Scenario == analytic.SupervisorRequired && gn.supEnt >= 0 && !s.entities[gn.supEnt].up {
-		set[s.modeName(gn.supEnt)] = true
+	if s.supRequired && gn.supEnt >= 0 && !s.entities[gn.supEnt].up {
+		set[s.entities[gn.supEnt].mode] = true
 	}
 	for _, pe := range gn.memberEnts {
 		if !s.entities[pe].up {
-			set[s.modeName(pe)] = true
+			set[s.entities[pe].mode] = true
 		}
 	}
 }
@@ -82,13 +56,7 @@ func (s *Sim) nodeBlames(gn *groupNode, set map[string]bool) {
 func (s *Sim) groupBlames(groups []simGroup, set map[string]bool) {
 	for gi := range groups {
 		g := &groups[gi]
-		count := 0
-		for ni := range g.nodes {
-			if s.nodeUp(&g.nodes[ni]) {
-				count++
-			}
-		}
-		if count >= g.need {
+		if int(s.quorum.groupUp[g.id]) >= g.need {
 			continue
 		}
 		for ni := range g.nodes {
@@ -111,13 +79,13 @@ func (s *Sim) cpBlames() []string {
 func (s *Sim) hostBlames(i int) []string {
 	set := map[string]bool{}
 	ch := &s.hosts[i]
-	if !s.localUp(ch) {
-		if s.cfg.Scenario == analytic.SupervisorRequired && ch.supEnt >= 0 && !s.entities[ch.supEnt].up {
-			set[s.modeName(ch.supEnt)] = true
+	if s.quorum.hostDown[i] != 0 {
+		if s.supRequired && ch.supEnt >= 0 && !s.entities[ch.supEnt].up {
+			set[s.entities[ch.supEnt].mode] = true
 		}
 		for _, pe := range ch.procEnts {
 			if !s.entities[pe].up {
-				set[s.modeName(pe)] = true
+				set[s.entities[pe].mode] = true
 			}
 		}
 	}

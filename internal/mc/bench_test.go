@@ -12,7 +12,7 @@ import (
 // topology at degraded parameters with a short horizon, so 10^4
 // replications fit in a benchmark iteration while still exercising every
 // event class (process, VM, host, rack, supervisor semantics).
-func benchConfig(b *testing.B) Config {
+func benchConfig(b testing.TB) Config {
 	b.Helper()
 	prof := profile.OpenContrail3x()
 	topo, err := topology.ByKind(topology.Small, prof.ClusterRoles, 3)
@@ -58,6 +58,51 @@ func BenchmarkReplication(b *testing.B) {
 		}
 		if res := s.Run(); res.Events == 0 {
 			b.Fatal("no events")
+		}
+	}
+}
+
+// TestReplicationAllocs pins the allocations of one replication on a
+// warmed, reused Sim — what Session.Replicate runs, and the number DESIGN.md
+// quotes — so it cannot drift silently. The heap, the RNG and the quorum
+// counters allocate nothing once warm; what is left is the per-replication
+// ledger, its blame sets and the result maps. The Sim is reused directly
+// rather than through the Session's sync.Pool, which under -race drops
+// pooled objects at random and would count rebuilds.
+func TestReplicationAllocs(t *testing.T) {
+	crews := benchConfig(t)
+	// Hardware poor enough that failures queue for the one crew: the queue
+	// must keep its backing array across dequeues and replications (a
+	// dequeue that advances the slice head instead measures 279 here).
+	crews.VMMTBF, crews.HostMTBF = 150, 300
+	crews.RepairCrews = 1
+	cases := []struct {
+		name    string
+		cfg     Config
+		ceiling float64
+	}{
+		{"bench", benchConfig(t), 125},
+		{"repair-crews", crews, 255},
+	}
+	for _, c := range cases {
+		if err := c.cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		s := newSim(c.cfg)
+		const warm, runs = 64, 256
+		for rep := 0; rep < warm; rep++ {
+			s.reset(rep)
+			s.Run()
+		}
+		rep := warm
+		got := testing.AllocsPerRun(runs, func() {
+			s.reset(rep)
+			s.Run()
+			rep++
+		})
+		t.Logf("%s: %.1f allocs per replication", c.name, got)
+		if got > c.ceiling {
+			t.Errorf("%s: %.1f allocs per replication, ceiling %.0f", c.name, got, c.ceiling)
 		}
 	}
 }

@@ -393,7 +393,7 @@ func (s *Sim) accumulateRare(dt float64) {
 // outage, and an open interval cannot be shared across branches.
 func (s *Sim) refreshRare() {
 	r := s.rare
-	cp := s.groupsSatisfied(s.cpGroups)
+	cp := s.quorum.unsat[planeCP] == 0
 	if cp != s.cpUp {
 		if !cp {
 			s.cpStart = s.now
@@ -404,7 +404,7 @@ func (s *Sim) refreshRare() {
 		}
 		s.cpUp = cp
 	}
-	sdp := s.groupsSatisfied(s.dpGroups)
+	sdp := s.quorum.unsat[planeDP] == 0
 	if sdp != s.sdpUp {
 		if !sdp && s.cfg.HeadlessHold > 0 {
 			s.sdpDownAt = s.now
@@ -414,7 +414,7 @@ func (s *Sim) refreshRare() {
 	}
 	headless := !s.sdpUp && s.cfg.HeadlessHold > 0 && s.now-s.sdpDownAt < s.cfg.HeadlessHold
 	for i := range s.hosts {
-		up := (s.sdpUp || headless) && s.localUp(&s.hosts[i])
+		up := (s.sdpUp || headless) && s.quorum.hostDown[i] == 0
 		if up != s.hostUp[i] {
 			if !up {
 				r.hostBlame[i] = s.hostBlames(i)
@@ -456,7 +456,8 @@ func (s *Sim) snapshotRarePath(rngState uint64, lvl, createLvl int) rarePathSnap
 }
 
 // restoreRarePath pops the most recent pending branch and resumes it.
-// Connectivity is rebuilt from the restored link entity states.
+// Connectivity is rebuilt from the restored link entity states, and the
+// quorum counters from the restored entity states and that reachability.
 func (s *Sim) restoreRarePath() {
 	r := s.rare
 	snap := r.stack[len(r.stack)-1]
@@ -488,6 +489,10 @@ func (s *Sim) restoreRarePath() {
 				s.conn.SetLink(e.link, false)
 			}
 		}
+	}
+	s.recount()
+	if s.probe != nil {
+		s.probe(s)
 	}
 }
 
@@ -561,22 +566,14 @@ func (s *Sim) runRareCancel(done <-chan struct{}) (Result, bool) {
 			s.accumulateRare(ev.at - s.now)
 			s.now = ev.at
 			if ev.entity >= 0 {
+				s.flip(ev.entity, ev.up)
 				e := &s.entities[ev.entity]
-				e.up = ev.up
-				if e.kind == kindLink {
-					s.conn.SetLink(e.link, ev.up)
-				}
 				if ev.up {
 					r.downCount--
 					r.hazUp += r.hazRate[ev.entity]
 					s.schedule(s.now+s.exp(e.mtbf/r.bias[ev.entity]), ev.entity, false)
 					if e.kind != kindProcess && e.kind != kindLink && s.cfg.RepairCrews > 0 {
-						s.crewsBusy--
-						if len(s.crewQueue) > 0 {
-							next := s.crewQueue[0]
-							s.crewQueue = s.crewQueue[1:]
-							s.startRepair(next)
-						}
+						s.releaseCrew()
 					}
 				} else {
 					r.downCount++
@@ -594,6 +591,9 @@ func (s *Sim) runRareCancel(done <-chan struct{}) (Result, bool) {
 				}
 			}
 			s.refreshRare()
+			if s.probe != nil {
+				s.probe(s)
+			}
 			s.nEvents++
 			if r.checkLevels(s) {
 				died = true

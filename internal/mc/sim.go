@@ -33,9 +33,12 @@ const (
 type entity struct {
 	kind  entityKind
 	class procClass // processes only
-	name  string
-	up    bool
-	mtbf  float64
+	// mode is the failure-mode key downtime is attributed to: "rack:",
+	// "host:", "vm:" or "link:" plus the unit's name, and "process:<name>"
+	// aggregated across nodes. Fixed at build time.
+	mode string
+	up   bool
+	mtbf float64
 	// repair is the per-entity mean repair time for kindLink entities
 	// (links carry individual MTTRs); other kinds use the Config times.
 	repair float64
@@ -53,6 +56,8 @@ type entity struct {
 // placement-map and process-name-map lookups the simulator used to pay on
 // every event.
 type groupNode struct {
+	// id is the node's flat index into the quorum counters.
+	id                              int
 	rackEnt, hostEnt, vmEnt, supEnt int
 	memberEnts                      []int
 	// connNode is the placement host's network-graph node, or -1 when the
@@ -69,6 +74,8 @@ type groupNode struct {
 // satisfied when at least need nodes have every member process (and their
 // hardware, and in scenario 2 their supervisor) up.
 type simGroup struct {
+	// id is the group's flat index into the quorum counters.
+	id    int
 	role  profile.Role
 	name  string
 	need  int
@@ -79,6 +86,9 @@ type simGroup struct {
 type computeHost struct {
 	procEnts []int
 	supEnt   int
+	// plane names the host's DP ledger plane ("dp:compute<i>", matching
+	// the testbed).
+	plane string
 }
 
 // Sim is a single-replication simulator. Create with New, run with Run.
@@ -96,8 +106,12 @@ type Sim struct {
 	cpGroups []simGroup
 	dpGroups []simGroup
 	hosts    []computeHost
-	// supRequired caches Scenario == SupervisorRequired for the hot path.
+	// supRequired caches Scenario == SupervisorRequired: whether a down
+	// supervisor stops the processes it owns from counting.
 	supRequired bool
+	// quorum answers "is every group satisfied" from counters the entity
+	// flips maintain, instead of rescanning the groups per event.
+	quorum quorumIndex
 	// raft is the leadership mirror, nil unless Config.RaftElectionMax > 0.
 	raft *simRaft
 	// conn tracks edge reachability over the network graph, nil unless
@@ -108,6 +122,10 @@ type Sim struct {
 	// Config.Rare is enabled. A nil rare leaves the unbiased event loop
 	// byte-for-byte untouched.
 	rare *rareRun
+	// probe, when set, runs after every event's refresh and after every
+	// rare-path restore. Tests use it to hold derived state against a full
+	// scan; it is nil everywhere else.
+	probe func(*Sim)
 
 	// running indicators
 	cpUp      bool
@@ -284,6 +302,7 @@ func (s *Sim) reset(replication int) {
 	if s.conn != nil {
 		s.conn.Reset()
 	}
+	s.recount()
 }
 
 // addEntity appends an entity and returns its index.
@@ -311,11 +330,11 @@ func (s *Sim) build() {
 	}
 	vmOf := map[topology.Placement]vmLoc{}
 	for _, rack := range cfg.Topology.Racks {
-		re := s.addEntity(entity{kind: kindRack, name: rack.Name, mtbf: cfg.RackMTBF, supEnt: -1})
+		re := s.addEntity(entity{kind: kindRack, mode: "rack:" + rack.Name, mtbf: cfg.RackMTBF, supEnt: -1})
 		for _, host := range rack.Hosts {
-			he := s.addEntity(entity{kind: kindHost, name: host.Name, mtbf: cfg.HostMTBF, supEnt: -1})
+			he := s.addEntity(entity{kind: kindHost, mode: "host:" + host.Name, mtbf: cfg.HostMTBF, supEnt: -1})
 			for _, vm := range host.VMs {
-				ve := s.addEntity(entity{kind: kindVM, name: vm.Name, mtbf: cfg.VMMTBF, supEnt: -1})
+				ve := s.addEntity(entity{kind: kindVM, mode: "vm:" + vm.Name, mtbf: cfg.VMMTBF, supEnt: -1})
 				for _, pl := range vm.Placements {
 					vmOf[pl] = vmLoc{rackEnt: re, hostEnt: he, vmEnt: ve, hostName: host.Name}
 				}
@@ -342,7 +361,7 @@ func (s *Sim) build() {
 			if sup, ok := cfg.Profile.SupervisorOf(role); ok {
 				inst.supEnt = s.addEntity(entity{
 					kind: kindProcess, class: procSupervisor,
-					name: fmt.Sprintf("%s/%d", sup.Name, node),
+					mode: "process:" + sup.Name,
 					mtbf: cfg.ProcessMTBF, supEnt: -1,
 				})
 			}
@@ -356,7 +375,7 @@ func (s *Sim) build() {
 				}
 				idx := s.addEntity(entity{
 					kind: kindProcess, class: class,
-					name: fmt.Sprintf("%s/%d", proc.Name, node),
+					mode: "process:" + proc.Name,
 					mtbf: cfg.ProcessMTBF, supEnt: inst.supEnt,
 				})
 				inst.procs[proc.Name] = idx
@@ -376,11 +395,11 @@ func (s *Sim) build() {
 
 	// Compute hosts carrying the local vRouter processes.
 	for h := 0; h < cfg.ComputeHosts; h++ {
-		ch := computeHost{supEnt: -1}
+		ch := computeHost{supEnt: -1, plane: fmt.Sprintf("dp:compute%d", h)}
 		if sup, ok := cfg.Profile.SupervisorOf(cfg.Profile.HostRole); ok {
 			ch.supEnt = s.addEntity(entity{
 				kind: kindProcess, class: procSupervisor,
-				name: fmt.Sprintf("%s/compute%d", sup.Name, h),
+				mode: "process:" + sup.Name,
 				mtbf: cfg.ProcessMTBF, supEnt: -1,
 			})
 		}
@@ -394,7 +413,7 @@ func (s *Sim) build() {
 			}
 			idx := s.addEntity(entity{
 				kind: kindProcess, class: class,
-				name: fmt.Sprintf("%s/compute%d", proc.Name, h),
+				mode: "process:" + proc.Name,
 				mtbf: cfg.ProcessMTBF, supEnt: ch.supEnt,
 			})
 			ch.procEnts = append(ch.procEnts, idx)
@@ -403,6 +422,7 @@ func (s *Sim) build() {
 	}
 	s.hostUp = make([]bool, len(s.hosts))
 	s.hostTime = make([]float64, len(s.hosts))
+	s.buildQuorumIndex()
 }
 
 // buildLinks compiles the network graph, creates one entity per fallible
@@ -422,7 +442,7 @@ func (s *Sim) buildLinks() (connNode map[string]int, pathEnts map[string][]int) 
 	for _, li := range g.FallibleLinks() {
 		l := g.Links[li]
 		linkEnt[li] = s.addEntity(entity{
-			kind: kindLink, name: l.ID(),
+			kind: kindLink, mode: "link:" + l.ID(),
 			mtbf: l.MTBF, repair: l.MTTR, supEnt: -1, link: li,
 		})
 	}
@@ -522,7 +542,7 @@ func (s *Sim) repairTime(e *entity) float64 {
 	}
 	switch e.class {
 	case procSupervisor:
-		if s.cfg.Scenario == analytic.SupervisorRequired {
+		if s.supRequired {
 			return s.exp(s.cfg.ManualRestart)
 		}
 		// Scenario 1: the supervisor waits for the next maintenance
@@ -540,66 +560,9 @@ func (s *Sim) repairTime(e *entity) float64 {
 	}
 }
 
-// nodeUp reports whether the group's placement on one node serves: its
-// hardware chain (and supervisor, in scenario 2) is up and every member
-// process is running.
-func (s *Sim) nodeUp(gn *groupNode) bool {
-	ents := s.entities
-	if !ents[gn.rackEnt].up || !ents[gn.hostEnt].up || !ents[gn.vmEnt].up {
-		return false
-	}
-	if gn.connNode >= 0 && !s.conn.Reachable(gn.connNode) {
-		return false
-	}
-	if s.supRequired && gn.supEnt >= 0 && !ents[gn.supEnt].up {
-		return false
-	}
-	for _, pe := range gn.memberEnts {
-		if !ents[pe].up {
-			return false
-		}
-	}
-	return true
-}
-
-// groupsSatisfied reports whether every group has at least need nodes with
-// a fully working instance.
-func (s *Sim) groupsSatisfied(groups []simGroup) bool {
-	for gi := range groups {
-		g := &groups[gi]
-		count := 0
-		for ni := range g.nodes {
-			if s.nodeUp(&g.nodes[ni]) {
-				count++
-				if count >= g.need {
-					break
-				}
-			}
-		}
-		if count < g.need {
-			return false
-		}
-	}
-	return true
-}
-
-// localUp reports whether a compute host's vRouter processes (and
-// supervisor, in scenario 2) are up.
-func (s *Sim) localUp(ch *computeHost) bool {
-	if s.supRequired && ch.supEnt >= 0 && !s.entities[ch.supEnt].up {
-		return false
-	}
-	for _, pe := range ch.procEnts {
-		if !s.entities[pe].up {
-			return false
-		}
-	}
-	return true
-}
-
 // refresh recomputes the plane indicators, tracking CP outage statistics.
 func (s *Sim) refresh() {
-	sat := s.groupsSatisfied(s.cpGroups)
+	sat := s.quorum.unsat[planeCP] == 0
 	cp := sat
 	if s.raft != nil {
 		s.raft.satUp = sat
@@ -623,7 +586,7 @@ func (s *Sim) refresh() {
 		}
 		s.cpUp = cp
 	}
-	sdp := s.groupsSatisfied(s.dpGroups)
+	sdp := s.quorum.unsat[planeDP] == 0
 	if sdp != s.sdpUp {
 		if !sdp && s.cfg.HeadlessHold > 0 {
 			// Headless window opens. Schedule a timer event at its expiry
@@ -640,12 +603,12 @@ func (s *Sim) refresh() {
 	// the testbed's vRouter headless mode.
 	headless := !s.sdpUp && s.cfg.HeadlessHold > 0 && s.now-s.sdpDownAt < s.cfg.HeadlessHold
 	for i := range s.hosts {
-		up := (s.sdpUp || headless) && s.localUp(&s.hosts[i])
+		up := (s.sdpUp || headless) && s.quorum.hostDown[i] == 0
 		if up != s.hostUp[i] {
 			if !up {
-				s.ledger.PlaneDown(hostPlane(i), s.now, s.hostBlames(i))
+				s.ledger.PlaneDown(s.hosts[i].plane, s.now, s.hostBlames(i))
 			} else {
-				s.ledger.PlaneUp(hostPlane(i), s.now)
+				s.ledger.PlaneUp(s.hosts[i].plane, s.now)
 			}
 			s.hostUp[i] = up
 		}
@@ -731,23 +694,12 @@ func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
 		if s.raft != nil && ev.entity <= raftElectionEntity {
 			s.raft.handle(s, ev)
 		} else if ev.entity >= 0 {
+			s.flip(ev.entity, ev.up)
 			e := &s.entities[ev.entity]
-			e.up = ev.up
-			if e.kind == kindLink {
-				// Mirror the flip into the incremental reachability
-				// tracker; refresh() below re-evaluates the quorum groups
-				// against the new dirty component.
-				s.conn.SetLink(e.link, ev.up)
-			}
 			if ev.up {
 				s.schedule(s.now+s.exp(e.mtbf), ev.entity, false)
 				if e.kind != kindProcess && e.kind != kindLink && s.cfg.RepairCrews > 0 {
-					s.crewsBusy--
-					if len(s.crewQueue) > 0 {
-						next := s.crewQueue[0]
-						s.crewQueue = s.crewQueue[1:]
-						s.startRepair(next)
-					}
+					s.releaseCrew()
 				}
 			} else {
 				// Link repairs are never crew-limited: the crews model
@@ -765,6 +717,9 @@ func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
 			}
 		}
 		s.refresh()
+		if s.probe != nil {
+			s.probe(s)
+		}
 		s.nEvents++
 	}
 	s.accumulate(horizon - s.now)
@@ -817,7 +772,7 @@ func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
 	res.CPDowntimeByMode = modeMap(s.ledger.Attribution("cp", horizon))
 	dpParts := make([]telemetry.Attribution, len(s.hosts))
 	for i := range s.hosts {
-		dpParts[i] = s.ledger.Attribution(hostPlane(i), horizon)
+		dpParts[i] = s.ledger.Attribution(s.hosts[i].plane, horizon)
 	}
 	res.DPDowntimeByMode = modeMap(telemetry.Merge("dp", dpParts...))
 	return res, true
@@ -827,6 +782,20 @@ func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
 func (s *Sim) startRepair(entity int) {
 	s.crewsBusy++
 	s.schedule(s.now+s.repairTime(&s.entities[entity]), entity, true)
+}
+
+// releaseCrew frees the crew of a completed hardware repair and hands it
+// the longest-waiting failed entity, if any. The queue is dequeued by
+// copy-down so its backing array survives for the pooled Sim's next
+// replications (advancing the slice head would shed one slot of capacity
+// per dequeue).
+func (s *Sim) releaseCrew() {
+	s.crewsBusy--
+	if len(s.crewQueue) > 0 {
+		next := s.crewQueue[0]
+		s.crewQueue = s.crewQueue[:copy(s.crewQueue, s.crewQueue[1:])]
+		s.startRepair(next)
+	}
 }
 
 // addWindowDowntime attributes dt of downtime starting at time from to the
