@@ -4,9 +4,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
-	"sync"
-	"sync/atomic"
 
 	"sdnavail/internal/stats"
 )
@@ -103,21 +100,12 @@ type Estimate struct {
 	Results []Result
 }
 
-// repResult carries one replication's result to the reducer.
-type repResult struct {
-	rep int
-	res Result
-}
-
 // Run executes the given number of independent replications and returns
-// confidence-interval estimates at the given level. A fixed pool of
-// workers (one per CPU, never more than the replication count) pulls
-// replication indices from a shared counter and streams results into the
-// accumulators, so 10^5 replications cost 10^5 goroutine *tasks*, not
-// 10^5 goroutines parked on a semaphore. Each replication keeps its own
-// deterministic seed derived from cfg.Seed, and the reducer folds results
-// in replication order, so the estimate is bit-identical whatever the
-// worker count.
+// confidence-interval estimates at the given level: validate, open a
+// Session, replicate [0, replications) through Session.Range on one worker
+// per CPU, and fold. Each replication keeps its own deterministic seed
+// derived from cfg.Seed and Range emits in replication order, so the
+// estimate is bit-identical whatever the worker count.
 func Run(cfg Config, replications int, level float64) (Estimate, error) {
 	return runWorkers(cfg, replications, level, runtime.GOMAXPROCS(0))
 }
@@ -139,200 +127,21 @@ func runWorkers(cfg Config, replications int, level float64, workers int) (Estim
 	return runWorkersContext(context.Background(), cfg, replications, level, workers)
 }
 
-// runWorkersContext is the shared engine behind Run and RunContext.
+// runWorkersContext is the shared caller behind Run and RunContext.
+// Validation happens once here; pooled replications cannot fail
+// individually.
 func runWorkersContext(ctx context.Context, cfg Config, replications int, level float64, workers int) (Estimate, error) {
-	// Validation happens once here; pooled replications cannot fail
-	// individually, so there is no per-replication error slice to collect —
-	// the first (and only) error site is this one.
 	if err := cfg.Validate(); err != nil {
 		return Estimate{}, err
 	}
 	if replications < 1 {
 		return Estimate{}, fmt.Errorf("mc: replications = %d", replications)
 	}
-	if workers > replications {
-		workers = replications
+	f := NewFold(cfg.KeepResults, replications)
+	n := newSessionValidated(cfg).Range(ctx, 0, replications, workers,
+		func(_ int, res Result) { f.Add(res) })
+	if n == 0 {
+		return Estimate{Truncated: true}, ctx.Err()
 	}
-	if workers < 1 {
-		workers = 1
-	}
-
-	ss := newSessionValidated(cfg)
-	done := ctx.Done()
-	out := make(chan repResult, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				r := int(next.Add(1)) - 1
-				if r >= replications {
-					return
-				}
-				res, ok := ss.replicateCancel(done, r)
-				if !ok {
-					return
-				}
-				// The reducer always drains until close, but guarding the
-				// send on done means an abandoning caller never strands a
-				// worker mid-handoff — workers exit, wg falls, out closes.
-				select {
-				case out <- repResult{rep: r, res: res}:
-				case <-done:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
-
-	// Fold strictly in replication order: workers finish out of order, so
-	// early arrivals wait in pending until their turn. Welford updates and
-	// the per-mode sums are floating-point, hence order-sensitive — the
-	// ordered fold is what makes the estimate independent of the worker
-	// count. pending holds at most ~workers entries.
-	var cp, sdp, dp, elec, wrongRead stats.Accumulator
-	var cpU stats.WeightedAccumulator
-	cpModes, dpModes := map[string]float64{}, map[string]float64{}
-	elections, electionHours := 0, 0.0
-	rarePaths, rareSplits, rareKills := 0, 0, 0
-	sumW, hitW := 0.0, 0.0
-	var results []Result
-	if cfg.KeepResults {
-		results = make([]Result, replications)
-	}
-	folded := 0
-	var foldedReps []int // replication indices folded, for truncated compaction
-	fold := func(rep int, res Result) {
-		folded++
-		if results != nil {
-			foldedReps = append(foldedReps, rep)
-		}
-		cp.Add(res.CPAvailability)
-		sdp.Add(res.SharedDPAvailability)
-		dp.Add(res.HostDPAvailability)
-		// The weighted fold: each replication's unavailability estimate is
-		// unbiased on its own, so the estimator is the plain mean of the
-		// samples; feeding (U/W, W) keeps that mean exact while letting the
-		// terminal weights drive the effective-sample-size diagnostic. An
-		// unbiased run has W = 1 everywhere and degrades to the plain fold.
-		w := res.RareTotalWeight
-		if w <= 0 {
-			w = 1
-		}
-		cpU.Add(res.CPUnavailability/w, w)
-		sumW += w
-		hitW += res.RareHitWeight
-		rarePaths += res.RarePaths
-		rareSplits += res.RareSplits
-		rareKills += res.RareKills
-		elec.Add(res.CPElectionDowntime / res.Hours)
-		wrongRead.Add(res.CPWrongReadDowntime / res.Hours)
-		elections += res.LeaderElections
-		electionHours += res.ElectionHoursTotal
-		for m, h := range res.CPDowntimeByMode {
-			cpModes[m] += h / float64(replications)
-		}
-		for m, h := range res.DPDowntimeByMode {
-			dpModes[m] += h / float64(replications)
-		}
-	}
-	pending := make(map[int]Result, workers)
-	nextFold := 0
-	for rr := range out {
-		if results != nil {
-			results[rr.rep] = rr.res
-		}
-		pending[rr.rep] = rr.res
-		for {
-			res, ok := pending[nextFold]
-			if !ok {
-				break
-			}
-			delete(pending, nextFold)
-			fold(nextFold, res)
-			nextFold++
-		}
-	}
-	// A cancelled run leaves gaps: replications past the cancellation point
-	// never completed, so completed results above a gap sit in pending.
-	// Fold them in ascending replication order — still deterministic for a
-	// given set of completed replications.
-	if len(pending) > 0 {
-		rest := make([]int, 0, len(pending))
-		for rep := range pending {
-			rest = append(rest, rep)
-		}
-		sort.Ints(rest)
-		for _, rep := range rest {
-			fold(rep, pending[rep])
-		}
-	}
-	truncated := folded < replications
-	if truncated {
-		if folded == 0 {
-			return Estimate{Truncated: true}, ctx.Err()
-		}
-		// The mode sums divided by the requested count during the fold (the
-		// bit-compatible full-run arithmetic); rescale to the partial count
-		// so a truncated estimate still means "mean hours per replication".
-		scale := float64(replications) / float64(folded)
-		for m := range cpModes {
-			cpModes[m] *= scale
-		}
-		for m := range dpModes {
-			dpModes[m] *= scale
-		}
-		if results != nil {
-			// foldedReps is ascending: the contiguous prefix folds first and
-			// the post-close remainder all lies above it, sorted.
-			compact := make([]Result, 0, folded)
-			for _, rep := range foldedReps {
-				compact = append(compact, results[rep])
-			}
-			results = compact
-		}
-	}
-	est := Estimate{
-		CP:                        cp.ConfidenceInterval(level),
-		SharedDP:                  sdp.ConfidenceInterval(level),
-		HostDP:                    dp.ConfidenceInterval(level),
-		CPUnavailability:          cpU.ConfidenceInterval(level),
-		RareESS:                   cpU.ESS(),
-		RareHitProb:               hitProb(hitW, sumW),
-		RarePaths:                 rarePaths,
-		RareSplits:                rareSplits,
-		RareKills:                 rareKills,
-		CPDowntimeByMode:          cpModes,
-		DPDowntimeByMode:          dpModes,
-		CPElectionUnavailability:  elec.ConfidenceInterval(level),
-		CPWrongReadUnavailability: wrongRead.ConfidenceInterval(level),
-		Elections:                 elections,
-		Replications:              folded,
-		Truncated:                 truncated,
-		Results:                   results,
-	}
-	if elections > 0 {
-		est.MeanElectionHours = electionHours / float64(elections)
-	}
-	return est, nil
-}
-
-// hitProb folds the weighted hit indicator into the self-normalized hit
-// probability (0 when nothing folded).
-func hitProb(hitW, sumW float64) float64 {
-	if sumW <= 0 {
-		return 0
-	}
-	return hitW / sumW
+	return f.Estimate(level, n < replications), nil
 }

@@ -3,6 +3,7 @@ package mc
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 )
 
 // Session amortizes simulator construction across many replications of one
@@ -82,6 +83,124 @@ func (ss *Session) replicateCancel(done <-chan struct{}, replication int) (Resul
 	}
 	ss.pool.Put(s)
 	return res, ok
+}
+
+// Hand-off sizing for Range. A replication can cost under a microsecond
+// (a rare-mode tail run averages two events), so workers hand results over
+// in blocks: about blocksPerWorker per worker across the range, so the end
+// of a round stays balanced, and at most maxBlock replications — larger
+// blocks buy no throughput, and the buffered Results are what a
+// memory-flat run holds.
+const (
+	blocksPerWorker = 8
+	maxBlock        = 128
+	blocksAhead     = 4
+)
+
+// Range is the local replication source: it runs replications [lo, hi) on
+// up to `workers` goroutines (one worker replicates inline) and hands each
+// Result to emit on the caller's goroutine in ascending replication index.
+// It returns how many it emitted; fewer than hi−lo means ctx expired — the
+// replications that did complete are all emitted, still ascending but
+// possibly with gaps, and every worker has exited when Range returns.
+//
+// A worker may claim a block only while fewer than blocksAhead·workers
+// blocks are claimed and not yet emitted (a token taken before the claim,
+// given back at the emit), so one slow replication at the emit cursor
+// stalls the pool instead of letting it buffer the rest of the range. The
+// lowest unemitted block is always claimed and running, so the tokens
+// cannot deadlock.
+func (ss *Session) Range(ctx context.Context, lo, hi, workers int, emit func(rep int, res Result)) int {
+	return orderedRange(ctx.Done(), lo, hi, workers, ss.replicateCancel, emit)
+}
+
+// orderedRange is Range over an arbitrary replicate function, split out so
+// the ordered hand-off can be tested against a stub that stalls.
+func orderedRange(done <-chan struct{}, lo, hi, workers int,
+	replicate func(done <-chan struct{}, rep int) (Result, bool), emit func(rep int, res Result)) int {
+	if workers = min(workers, hi-lo); workers <= 1 {
+		for rep := lo; rep < hi; rep++ {
+			res, ok := replicate(done, rep)
+			if !ok {
+				return rep - lo
+			}
+			emit(rep, res)
+		}
+		return hi - lo
+	}
+	size := max(1, min(maxBlock, (hi-lo)/(workers*blocksPerWorker)))
+	blocks := (hi - lo + size - 1) / size
+	ahead := blocksAhead * workers
+
+	type block struct {
+		k   int
+		res []Result // shorter than the block when ctx expired inside it
+	}
+	tokens := make(chan struct{}, ahead)
+	// Sized to the tokens: every block in flight holds one, so a send never
+	// blocks and a cancelled run cannot park a worker on the hand-off.
+	out := make(chan block, ahead)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				case tokens <- struct{}{}:
+				}
+				k := int(next.Add(1)) - 1
+				if k >= blocks {
+					return
+				}
+				from := lo + k*size
+				to := min(from+size, hi)
+				res := make([]Result, 0, to-from)
+				for rep := from; rep < to; rep++ {
+					r, ok := replicate(done, rep)
+					if !ok {
+						break
+					}
+					res = append(res, r)
+				}
+				if len(res) > 0 {
+					out <- block{k, res}
+				}
+			}
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(out)
+	}()
+
+	// Claimed and unemitted blocks lie in [cursor, cursor+ahead), so a ring
+	// of `ahead` slots is the whole reorder buffer.
+	ring := make([][]Result, ahead)
+	cursor, emitted := 0, 0
+	flush := func(k int) {
+		for i, r := range ring[k%ahead] {
+			emit(lo+k*size+i, r)
+		}
+		emitted += len(ring[k%ahead])
+		ring[k%ahead] = nil
+	}
+	for b := range out {
+		ring[b.k%ahead] = b.res
+		for ; ring[cursor%ahead] != nil; cursor++ {
+			flush(cursor)
+			<-tokens
+		}
+	}
+	// Only a cancelled run leaves blocks behind the cursor: whatever
+	// completed above the gap is still a sample, emitted in order.
+	for k := cursor; k < cursor+ahead; k++ {
+		flush(k)
+	}
+	return emitted
 }
 
 // Config returns the session's configuration.

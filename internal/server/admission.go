@@ -8,7 +8,7 @@ import (
 	"sdnavail/internal/telemetry"
 )
 
-// Bounded admission for simulation work. A what-if MC sweep holds a CPU
+// Bounded admission for simulation work. A what-if MC sweep holds CPU
 // for its whole deadline, so unbounded concurrency means every request
 // degrades together — the failure mode MORPH warns control planes about.
 // The gate holds a fixed number of execution slots plus a bounded wait

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"runtime"
 	"strconv"
 	"sync"
 	"time"
@@ -60,7 +61,7 @@ func (e *shardError) Error() string {
 // shardResponse is a worker's answer: the samples for [RepLo, RepHi),
 // tagged with the worker's own view of the config digest. Truncated means
 // the worker's deadline cut the range short; Samples then holds the
-// completed prefix.
+// replications that completed.
 type shardResponse struct {
 	Digest    string            `json:"digest"`
 	RepLo     int               `json:"rep_lo"`
@@ -117,14 +118,10 @@ func (s *Server) handleMCShard(w http.ResponseWriter, r *http.Request) {
 		RepHi:   sr.Hi,
 		Samples: make([]sweep.RepSample, 0, sr.Hi-sr.Lo),
 	}
-	for rep := sr.Lo; rep < sr.Hi; rep++ {
-		res, ok := ss.ReplicateContext(ctx, rep)
-		if !ok {
-			resp.Truncated = true
-			break
-		}
+	n := ss.Range(ctx, sr.Lo, sr.Hi, runtime.GOMAXPROCS(0), func(rep int, res mc.Result) {
 		resp.Samples = append(resp.Samples, sweep.RepSample{Rep: rep, Res: res})
-	}
+	})
+	resp.Truncated = n < sr.Hi-sr.Lo
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -5,114 +5,13 @@ import (
 	"sdnavail/internal/stats"
 )
 
-// pointFold is the single fold shared by every execution path — in-process
-// (runPoint), sharded (RunRemote), and any future transport. Bit-identical
-// merging across those paths depends on all of them adding replications to
-// the same accumulators in the same ascending-index order with the same
-// arithmetic, so the fold lives here once instead of being re-derived per
-// path.
-type pointFold struct {
-	cp, sdp, dp stats.Accumulator
-	cpU         stats.WeightedAccumulator
-	cpModes     map[string]float64
-	dpModes     map[string]float64
-	rarePaths   int
-	rareSplits  int
-	rareKills   int
-	sumW, hitW  float64
-	results     []mc.Result
-	n           int
-}
-
-// newPointFold builds a fold. keep retains per-replication Results (the
-// KeepResults contract); capHint pre-sizes that slice.
-func newPointFold(keep bool, capHint int) *pointFold {
-	f := &pointFold{
-		cpModes: map[string]float64{},
-		dpModes: map[string]float64{},
-	}
-	if keep {
-		f.results = make([]mc.Result, 0, capHint)
-	}
-	return f
-}
-
-// add folds one replication result. Callers must add replications in
-// ascending global index order: the Welford updates are order-sensitive,
-// and ascending order is what makes a sharded merge bit-identical to the
-// single-process fold.
-func (f *pointFold) add(res mc.Result) {
-	f.n++
-	f.cp.Add(res.CPAvailability)
-	f.sdp.Add(res.SharedDPAvailability)
-	f.dp.Add(res.HostDPAvailability)
-	w := res.RareTotalWeight
-	if w <= 0 {
-		w = 1
-	}
-	f.cpU.Add(res.CPUnavailability/w, w)
-	f.sumW += w
-	f.hitW += res.RareHitWeight
-	f.rarePaths += res.RarePaths
-	f.rareSplits += res.RareSplits
-	f.rareKills += res.RareKills
-	for m, h := range res.CPDowntimeByMode {
-		f.cpModes[m] += h
-	}
-	for m, h := range res.DPDowntimeByMode {
-		f.dpModes[m] += h
-	}
-	if f.results != nil {
-		f.results = append(f.results, res)
-	}
-}
-
-// met evaluates the sequential-stopping rule at a checkpoint.
-func (f *pointFold) met(o Options) bool {
-	ciOK := o.CITarget == 0 ||
-		f.cp.ConfidenceInterval(o.Confidence).HalfWide <= o.CITarget
+// met evaluates the sequential-stopping rule on a checkpoint estimate.
+func met(est mc.Estimate, o Options) bool {
+	ciOK := o.CITarget == 0 || est.CP.HalfWide <= o.CITarget
 	relOK := o.RelTarget == 0 ||
-		(stats.RelativeError(f.cpU.ConfidenceInterval(o.Confidence)) <= o.RelTarget &&
-			f.cpU.ESS() >= float64(o.MinReps))
+		(stats.RelativeError(est.CPUnavailability) <= o.RelTarget &&
+			est.RareESS >= float64(o.MinReps))
 	return ciOK && relOK
-}
-
-// result snapshots the fold into a point Result. It is non-destructive —
-// the per-mode maps are copied before the divide-by-n normalization — so
-// progress snapshots can be emitted mid-run and the fold keeps going.
-func (f *pointFold) result(p Point, o Options, converged, truncated bool) Result {
-	cpModes := make(map[string]float64, len(f.cpModes))
-	dpModes := make(map[string]float64, len(f.dpModes))
-	if f.n > 0 {
-		for m, h := range f.cpModes {
-			cpModes[m] = h / float64(f.n)
-		}
-		for m, h := range f.dpModes {
-			dpModes[m] = h / float64(f.n)
-		}
-	}
-	return Result{
-		Point: p,
-		Estimate: mc.Estimate{
-			CP:               f.cp.ConfidenceInterval(o.Confidence),
-			SharedDP:         f.sdp.ConfidenceInterval(o.Confidence),
-			HostDP:           f.dp.ConfidenceInterval(o.Confidence),
-			CPUnavailability: f.cpU.ConfidenceInterval(o.Confidence),
-			RareESS:          f.cpU.ESS(),
-			RareHitProb:      hitProb(f.hitW, f.sumW),
-			RarePaths:        f.rarePaths,
-			RareSplits:       f.rareSplits,
-			RareKills:        f.rareKills,
-			CPDowntimeByMode: cpModes,
-			DPDowntimeByMode: dpModes,
-			Results:          f.results,
-			Replications:     f.n,
-			Truncated:        truncated,
-		},
-		Replications: f.n,
-		Converged:    converged,
-		Truncated:    truncated,
-	}
 }
 
 // firstSnapshot picks the replication count for the first progress

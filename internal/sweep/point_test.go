@@ -1,0 +1,118 @@
+package sweep
+
+import (
+	"context"
+	"reflect"
+	"testing"
+	"time"
+
+	"sdnavail/internal/mc"
+)
+
+// TestWithinPointWorkerIndependence: a single point replicates on its whole
+// share of Options.Workers, and the result — and every progress snapshot on
+// the way — must not depend on how many goroutines that is, nor on whether
+// anyone is watching.
+func TestWithinPointWorkerIndependence(t *testing.T) {
+	rareCfg := quorumConfig(2, 120)
+	rareCfg.Rare = AutoRare(rareCfg)
+	cases := []struct {
+		name string
+		cfg  mc.Config
+		opt  Options
+	}{
+		{"fixed", testConfig(t, 7), Options{MaxReps: 96}},
+		{"adaptive", testConfig(t, 7), Options{CITarget: 1e-3, MinReps: 8, MaxReps: 256, Batch: 16}},
+		{"rare", rareCfg, Options{Confidence: 0.95, RelTarget: 0.3, MinReps: 64, MaxReps: 1 << 15, Batch: 4096}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pts := []Point{{ID: tc.name, Config: tc.cfg}}
+			var base []Result
+			var baseSnaps []Result
+			for _, workers := range []int{1, 2, 3, 7} {
+				for _, watch := range []bool{false, true} {
+					opt := tc.opt
+					opt.Workers = workers
+					var snaps []Result
+					if watch {
+						opt.Progress = func(_ int, partial Result) { snaps = append(snaps, partial) }
+					}
+					got, err := Run(pts, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if base == nil {
+						base = got
+					} else if !reflect.DeepEqual(got, base) {
+						t.Errorf("workers=%d progress=%v: result differs from workers=1\ngot  %+v\nwant %+v",
+							workers, watch, got[0].Estimate, base[0].Estimate)
+					}
+					if !watch {
+						continue
+					}
+					if len(snaps) == 0 {
+						t.Fatalf("workers=%d: no progress snapshots", workers)
+					}
+					if baseSnaps == nil {
+						baseSnaps = snaps
+					} else if !reflect.DeepEqual(snaps, baseSnaps) {
+						t.Errorf("workers=%d: snapshot sequence differs from workers=1", workers)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestTruncatedPartialIsHonest: a deadline landing mid-range ends a local
+// and a remote run alike with exactly the replications that were folded —
+// re-folding the kept Results reproduces the estimate bit for bit.
+func TestTruncatedPartialIsHonest(t *testing.T) {
+	cfg := testConfig(t, 2)
+	cfg.KeepResults = true
+	p := Point{ID: "deadline", Config: cfg}
+	opt := Options{MaxReps: 1 << 15, Workers: 3}
+	ss, err := mc.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := func(ctx context.Context, lo, hi int) ([]RepSample, error) {
+		var out []RepSample
+		ss.Range(ctx, lo, hi, 2, func(rep int, res mc.Result) { out = append(out, RepSample{rep, res}) })
+		return out, nil
+	}
+	runs := map[string]func(context.Context) (Result, error){
+		"local": func(ctx context.Context) (Result, error) {
+			res, err := RunContext(ctx, []Point{p}, opt)
+			if err != nil {
+				return Result{}, err
+			}
+			return res[0], nil
+		},
+		"remote": func(ctx context.Context) (Result, error) { return RunRemote(ctx, p, opt, exec, nil) },
+	}
+	for name, run := range runs {
+		ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+		got, err := run(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !got.Truncated || got.Converged || got.Replications == 0 || got.Replications >= opt.MaxReps {
+			t.Fatalf("%s: Truncated=%v Converged=%v Replications=%d; want a partial run",
+				name, got.Truncated, got.Converged, got.Replications)
+		}
+		if len(got.Estimate.Results) != got.Replications || got.Estimate.Replications != got.Replications {
+			t.Fatalf("%s: kept %d results, estimate counts %d, point counts %d",
+				name, len(got.Estimate.Results), got.Estimate.Replications, got.Replications)
+		}
+		f := mc.NewFold(true, got.Replications)
+		for _, res := range got.Estimate.Results {
+			f.Add(res)
+		}
+		if want := f.Estimate(0.99, true); !reflect.DeepEqual(got.Estimate, want) {
+			t.Errorf("%s: truncated estimate is not the fold of its own results", name)
+		}
+	}
+}

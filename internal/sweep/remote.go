@@ -8,7 +8,7 @@
 // or what ran before. A worker handed the global index range [lo, hi)
 // therefore produces exactly the float64 samples a single process would
 // have produced for those indices, and folding all samples in ascending
-// global order through the shared pointFold reproduces the single-process
+// global order through the one mc.Fold reproduces the single-process
 // Welford states bit for bit — whatever the shard count.
 package sweep
 
@@ -44,10 +44,10 @@ type ShardExec func(ctx context.Context, lo, hi int) ([]RepSample, error)
 var ErrNoReplications = errors.New("sweep: no replications completed")
 
 // RunRemote runs one point's adaptive loop with replications produced by
-// exec instead of a local session. The stopping rule, checkpoint schedule
-// (MinReps, then every Batch) and fold are the exact code the in-process
-// path uses, so a remote run — fixed-count or adaptive — stops at the
-// same replication count and returns a bit-identical Estimate.
+// exec instead of a local session. The round loop, stopping rule and fold
+// are the code the in-process path runs, so a remote run — fixed-count or
+// adaptive — stops at the same replication count and returns a
+// bit-identical Estimate.
 //
 // progress, when non-nil, receives a partial Result at the same snapshot
 // schedule Options.Progress uses (first snapshot by min(MinReps,
@@ -62,63 +62,33 @@ func RunRemote(ctx context.Context, p Point, opt Options, exec ShardExec, progre
 	if exec == nil {
 		return Result{}, fmt.Errorf("sweep: RunRemote needs a shard executor")
 	}
-	f := newPointFold(false, 0)
-	adaptive := opt.CITarget > 0 || opt.RelTarget > 0
-	snap := 0
-	if progress != nil {
-		snap = firstSnapshot(opt)
-	}
-	n, converged, truncated := 0, false, false
-	for !truncated {
-		target := opt.MaxReps
-		if adaptive {
-			if n == 0 {
-				target = opt.MinReps
-			} else if target = n + opt.Batch; target > opt.MaxReps {
-				target = opt.MaxReps
-			}
-		}
-		for n < target && !truncated {
-			bound := target
-			if progress != nil && snap > n && snap < target {
-				bound = snap
-			}
-			if err := ctx.Err(); err != nil {
-				// Deadline between rounds: fold nothing more, report the
-				// partial rather than racing exec into a doomed fetch.
-				truncated = true
-				break
-			}
-			samples, err := exec(ctx, n, bound)
-			if err != nil {
-				return Result{}, err
-			}
-			sort.Slice(samples, func(i, j int) bool { return samples[i].Rep < samples[j].Rep })
-			for _, s := range samples {
-				f.add(s.Res)
-			}
-			if len(samples) < bound-n {
-				truncated = true
-			}
-			n += len(samples)
-			if !truncated && progress != nil && n >= snap {
-				progress(f.result(p, opt, false, false))
-				snap = nextSnapshot(snap, n, opt)
-			}
-		}
-		if truncated || !adaptive || f.met(opt) {
-			converged = !truncated && (!adaptive || f.met(opt))
-			break
-		}
-		if n >= opt.MaxReps {
-			break
+	res, err := runRounds(ctx, p, opt, remoteSource(exec), progress)
+	if err == nil && res.Replications == 0 {
+		// Nothing folded: there is no honest partial to return.
+		if err = ctx.Err(); err == nil {
+			err = ErrNoReplications
 		}
 	}
-	if truncated && f.n == 0 {
-		if err := ctx.Err(); err != nil {
-			return Result{}, err
+	return res, err
+}
+
+// remoteSource adapts a shard executor to the source shape: fetch, sort
+// into ascending global index, emit.
+func remoteSource(exec ShardExec) source {
+	return func(ctx context.Context, lo, hi int, emit func(int, mc.Result)) (int, error) {
+		if ctx.Err() != nil {
+			// Deadline between rounds: report the partial rather than
+			// racing exec into a doomed fetch.
+			return 0, nil
 		}
-		return Result{}, ErrNoReplications
+		samples, err := exec(ctx, lo, hi)
+		if err != nil {
+			return 0, err
+		}
+		sort.Slice(samples, func(i, j int) bool { return samples[i].Rep < samples[j].Rep })
+		for _, s := range samples {
+			emit(s.Rep, s.Res)
+		}
+		return len(samples), nil
 	}
-	return f.result(p, opt, converged, truncated), nil
 }

@@ -6,12 +6,13 @@
 // variance) run on to the ceiling, so a whole figure costs what its
 // hardest series demands instead of every point paying the worst case.
 //
-// Determinism: replications within a point always run in index order
-// through one pooled mc.Session, the stopping rule is checked only at
-// fixed replication counts (MinReps, then every Batch), and each point's
-// fold is self-contained — so the output is bit-identical whatever the
-// worker count or scheduling, and re-running a sweep reproduces it
-// exactly.
+// Determinism: replication r of a point is seeded from (Seed, r) alone and
+// a point's replications are folded in index order through one mc.Fold,
+// however many goroutines of the point's share of Options.Workers
+// replicated them; the stopping rule is checked only at fixed replication
+// counts (MinReps, then every Batch), and each point's fold is
+// self-contained — so the output is bit-identical whatever the worker
+// count or scheduling, and re-running a sweep reproduces it exactly.
 package sweep
 
 import (
@@ -54,8 +55,11 @@ type Options struct {
 	// Batch is the replication count between stopping checks after the
 	// floor (default 32).
 	Batch int
-	// Workers sizes the shared pool that sweep points fan out across
-	// (default GOMAXPROCS, never more than the point count).
+	// Workers is the sweep's replicating-goroutine budget (default
+	// GOMAXPROCS). Points fan out across it, and each point replicates on
+	// max(1, Workers/len(points)) goroutines: a figure with at least
+	// Workers points runs one goroutine per point, a single point uses the
+	// whole budget. Results never depend on it.
 	Workers int
 	// Progress, when non-nil, observes the run mid-flight: it is called
 	// with the point's index and a partial Result at a geometric schedule
@@ -63,7 +67,7 @@ type Options struct {
 	// of MaxReps, whichever is earlier). Snapshots are taken between
 	// replications and never alter the fold, so a run with Progress set is
 	// bit-identical to one without. The callback runs on the point's
-	// worker goroutine; callbacks for different points may be concurrent.
+	// folding goroutine; callbacks for different points may be concurrent.
 	Progress func(point int, partial Result) `json:"-"`
 }
 
@@ -182,6 +186,9 @@ func RunContext(ctx context.Context, points []Point, opt Options) ([]Result, err
 	if workers < 1 {
 		workers = 1
 	}
+	// Each point replicates on its share of the pool: one goroutine when
+	// the points fill it, all of it for a single point.
+	share := opt.Workers / len(points)
 	results := make([]Result, len(points))
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -194,7 +201,12 @@ func RunContext(ctx context.Context, points []Point, opt Options) ([]Result, err
 				if i >= len(points) {
 					return
 				}
-				results[i] = runPoint(ctx, i, points[i], sessions[i], opt)
+				var progress func(Result)
+				if opt.Progress != nil {
+					progress = func(partial Result) { opt.Progress(i, partial) }
+				}
+				// The local source has no fatal error.
+				results[i], _ = runRounds(ctx, points[i], opt, localSource(sessions[i], share), progress)
 			}
 		}()
 	}
@@ -202,20 +214,39 @@ func RunContext(ctx context.Context, points []Point, opt Options) ([]Result, err
 	return results, nil
 }
 
-// runPoint replicates one point until the stopping rule fires. The fold
-// mirrors mc.Run's: Welford accumulators for the three planes, summed
-// per-mode downtime; replication r uses the same derived seed it would
-// under mc.Run, so a converged sweep point is a prefix of the fixed-count
-// run at the same configuration.
-func runPoint(ctx context.Context, idx int, p Point, ss *mc.Session, o Options) Result {
-	f := newPointFold(p.Config.KeepResults, o.MinReps)
+// source produces replications [lo, hi) and hands them to emit in
+// ascending global index on the caller's goroutine. It returns how many it
+// emitted — fewer than hi−lo (a deadline, lost shards) ends the run as a
+// truncated partial — or a fatal error. There are two: a local mc.Session
+// (localSource) and shard workers (remoteSource).
+type source func(ctx context.Context, lo, hi int, emit func(rep int, res mc.Result)) (int, error)
+
+// localSource replicates through the session on the given goroutine count.
+func localSource(ss *mc.Session, workers int) source {
+	return func(ctx context.Context, lo, hi int, emit func(int, mc.Result)) (int, error) {
+		return ss.Range(ctx, lo, hi, workers, emit), nil
+	}
+}
+
+// runRounds is the one adaptive round loop: replicate to MinReps, then
+// Batch more at a time, until the stopping rule fires or MaxReps is spent
+// (with no target, one round of MaxReps). Replication r uses the seed it
+// would under mc.Run and everything src emits goes through one mc.Fold, so
+// a converged point is a prefix of the fixed-count run. A snapshot boundary
+// inside a round splits the request to src, never the fold.
+func runRounds(ctx context.Context, p Point, o Options, src source, progress func(Result)) (Result, error) {
+	f := mc.NewFold(p.Config.KeepResults, o.MinReps)
+	result := func(converged, truncated bool) Result {
+		return Result{Point: p, Estimate: f.Estimate(o.Confidence, truncated),
+			Replications: f.N(), Converged: converged, Truncated: truncated}
+	}
+	add := func(_ int, res mc.Result) { f.Add(res) }
 	adaptive := o.CITarget > 0 || o.RelTarget > 0
 	snap := 0
-	if o.Progress != nil {
+	if progress != nil {
 		snap = firstSnapshot(o)
 	}
-	n, converged, truncated := 0, false, false
-	for {
+	for n := 0; ; {
 		target := o.MaxReps
 		if adaptive {
 			if n == 0 {
@@ -224,49 +255,30 @@ func runPoint(ctx context.Context, idx int, p Point, ss *mc.Session, o Options) 
 				target = o.MaxReps
 			}
 		}
-		for n < target && !truncated {
-			// Pause at the next snapshot boundary if one lands inside this
-			// batch; the boundary only splits the loop, never the fold.
+		for n < target {
 			bound := target
-			if o.Progress != nil && snap > n && snap < target {
+			if progress != nil && snap > n && snap < target {
 				bound = snap
 			}
-			for ; n < bound; n++ {
-				res, ok := ss.ReplicateContext(ctx, n)
-				if !ok {
-					truncated = true
-					break
-				}
-				f.add(res)
+			got, err := src(ctx, n, bound, add)
+			if err != nil {
+				return Result{}, err
 			}
-			if !truncated && o.Progress != nil && n >= snap {
-				o.Progress(idx, f.result(p, o, false, false))
+			if got < bound-n {
+				return result(false, true), nil
+			}
+			n = bound
+			if progress != nil && n >= snap {
+				progress(result(false, false))
 				snap = nextSnapshot(snap, n, o)
 			}
 		}
-		if truncated {
-			break
-		}
-		if !adaptive {
-			converged = true // fixed-count run: the contract is the count
-			break
-		}
-		if f.met(o) {
-			converged = true
-			break
+		// A fixed-count run converges by contract: the count is the target.
+		if res := result(true, false); !adaptive || met(res.Estimate, o) {
+			return res, nil
 		}
 		if n >= o.MaxReps {
-			break
+			return result(false, false), nil
 		}
 	}
-	return f.result(p, o, converged, truncated)
-}
-
-// hitProb folds the weighted hit indicator into the self-normalized hit
-// probability (0 when nothing folded).
-func hitProb(hitW, sumW float64) float64 {
-	if sumW <= 0 {
-		return 0
-	}
-	return hitW / sumW
 }

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"context"
-	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -32,32 +31,35 @@ func testConfig(t testing.TB, seed int64) mc.Config {
 	return cfg
 }
 
-// TestFixedCountMatchesMCRun pins the sweep fold to the engine's: with
-// adaptation disabled, a point's intervals must be bit-identical to
-// mc.Run at the same replication count (same session, same seeds, same
-// Welford order). The mode means divide once at the end instead of per
-// replication, so they carry FP slack.
+// TestFixedCountMatchesMCRun pins the sweep to the engine: both are thin
+// callers of one fold and one local source, so with adaptation disabled a
+// point's whole Estimate — intervals, per-mode hours, RAFT and rare fields
+// alike — must equal mc.Run's at the same replication count.
 func TestFixedCountMatchesMCRun(t *testing.T) {
-	cfg := testConfig(t, 1)
-	const reps = 50
-	res, err := Run([]Point{{ID: "fixed", Config: cfg}}, Options{MaxReps: reps})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := mc.Run(cfg, reps, 0.99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := res[0]
-	if got.Replications != reps || !got.Converged {
-		t.Fatalf("fixed-count point ran %d reps, converged %v; want %d, true", got.Replications, got.Converged, reps)
-	}
-	if got.Estimate.CP != want.CP || got.Estimate.SharedDP != want.SharedDP || got.Estimate.HostDP != want.HostDP {
-		t.Errorf("sweep intervals diverge from mc.Run:\nsweep: %+v\nmc:    %+v", got.Estimate.CP, want.CP)
-	}
-	for m, h := range want.CPDowntimeByMode {
-		if g := got.Estimate.CPDowntimeByMode[m]; math.Abs(g-h) > 1e-9*(1+math.Abs(h)) {
-			t.Errorf("mode %s: sweep %g, mc.Run %g", m, g, h)
+	raft := testConfig(t, 1)
+	raft.RaftElectionMin, raft.RaftElectionMax = 0.04, 0.08
+	raft.GrayLeaderMTBF, raft.GrayDetect = 500, 0.05
+	rare := quorumConfig(2, 120)
+	rare.Rare = AutoRare(rare)
+	for name, cfg := range map[string]mc.Config{"plain": testConfig(t, 1), "raft": raft, "rare": rare} {
+		const reps = 50
+		res, err := Run([]Point{{ID: "fixed", Config: cfg}}, Options{MaxReps: reps})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := mc.Run(cfg, reps, 0.99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := res[0]
+		if got.Replications != reps || !got.Converged {
+			t.Fatalf("%s: fixed-count point ran %d reps, converged %v; want %d, true", name, got.Replications, got.Converged, reps)
+		}
+		if !reflect.DeepEqual(got.Estimate, want) {
+			t.Errorf("%s: sweep estimate diverges from mc.Run:\nsweep: %+v\nmc:    %+v", name, got.Estimate, want)
+		}
+		if name == "raft" && (got.Estimate.Elections == 0 || got.Estimate.CPElectionUnavailability.Mean == 0) {
+			t.Errorf("raft: no elections folded: %+v", got.Estimate)
 		}
 	}
 }
