@@ -1,18 +1,18 @@
 package mc
 
-import (
-	"sort"
+import "sort"
 
-	"sdnavail/internal/telemetry"
-)
-
-// Downtime attribution inside the simulator. The Sim drives the same
+// Downtime attribution inside the simulator follows the rule of the
 // telemetry.Ledger the live testbed uses: on every plane down-transition
-// it names the failure modes active at that instant (the down entities of
-// the unsatisfied quorum requirements, hardware taking precedence over
-// the processes it carries), and the ledger splits each unavailable
-// interval's duration equally among them. Mode keys match the testbed's:
-// "process:<name>" (aggregated across nodes), "rack:/host:/vm:<name>".
+// the Sim names the failure modes active at that instant (the down entities
+// of the unsatisfied quorum requirements, hardware taking precedence over
+// the processes it carries) and freezes them for the outage, and
+// Sim.accumulate splits the downtime equally among them as it accrues —
+// per interval rather than at the outage's close, because splitting
+// branches diverge mid outage and cannot share an open interval. The
+// ledger itself is the reference the attribution tests replay into. Mode
+// keys match the testbed's: "process:<name>" (aggregated across nodes),
+// "rack:/host:/vm:<name>".
 
 // nodeBlames adds the failure modes keeping the group's placement on one
 // node from serving: its down hardware (rack > host > vm precedence), or
@@ -93,15 +93,6 @@ func (s *Sim) hostBlames(i int) []string {
 		s.groupBlames(s.dpGroups, set)
 	}
 	return sortedModes(set)
-}
-
-// modeMap flattens an attribution's per-mode hours into a map.
-func modeMap(a telemetry.Attribution) map[string]float64 {
-	out := map[string]float64{}
-	for _, m := range a.Modes {
-		out[m.Mode] = m.Hours
-	}
-	return out
 }
 
 func sortedModes(set map[string]bool) []string {

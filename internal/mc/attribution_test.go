@@ -2,11 +2,13 @@ package mc
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"sdnavail/internal/analytic"
+	"sdnavail/internal/telemetry"
 	"sdnavail/internal/topology"
 )
 
@@ -38,13 +40,37 @@ func TestSeedStabilityByteIdentical(t *testing.T) {
 	}
 }
 
-// TestAttributionConservation: the ledger mirror must account every
-// downtime hour — the per-mode sums equal the plane downtimes implied by
-// the availability integrals, for both planes and both scenarios.
+// attributionConfigs are the inputs of the two attribution tests below:
+// the plain Small tree under both scenarios, the RAFT mirror with gray
+// leaders (outages only the raft layer explains), and the Large topology
+// with fallible links, a headless hold and a crew limit (link blames, host
+// outages that open at a timer, repairs that queue).
+func attributionConfigs(t *testing.T) map[string]Config {
+	t.Helper()
+	plain1 := testConfig(t, topology.Small, analytic.SupervisorNotRequired)
+	plain1.Horizon = 1e5
+	plain2 := testConfig(t, topology.Small, analytic.SupervisorRequired)
+	plain2.Horizon = 1e5
+	raft := raftConfig(t)
+	raft.GrayLeaderMTBF, raft.GrayDetect = 500, 0.5
+	raft.Horizon = 5e4
+	links := linkedConfig(t, topology.Large, analytic.SupervisorRequired)
+	links.HeadlessHold = 3
+	links.RepairCrews = 2
+	links.Horizon = 2e5
+	return map[string]Config{
+		"small/sup-not-required": plain1,
+		"small/sup-required":     plain2,
+		"raft-gray":              raft,
+		"large-links-headless":   links,
+	}
+}
+
+// TestAttributionConservation: attribution must account every downtime
+// hour — the per-mode sums equal the plane downtimes implied by the
+// availability integrals, for both planes.
 func TestAttributionConservation(t *testing.T) {
-	for _, sc := range []analytic.Scenario{analytic.SupervisorNotRequired, analytic.SupervisorRequired} {
-		cfg := testConfig(t, topology.Small, sc)
-		cfg.Horizon = 1e5
+	for name, cfg := range attributionConfigs(t) {
 		s, err := New(cfg, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -57,7 +83,7 @@ func TestAttributionConservation(t *testing.T) {
 		}
 		cpWant := (1 - res.CPAvailability) * res.Hours
 		if math.Abs(cpSum-cpWant) > 1e-6*res.Hours {
-			t.Errorf("%v: attributed CP downtime %.6f h != measured %.6f h", sc, cpSum, cpWant)
+			t.Errorf("%s: attributed CP downtime %.6f h != measured %.6f h", name, cpSum, cpWant)
 		}
 
 		dpSum := 0.0
@@ -66,14 +92,101 @@ func TestAttributionConservation(t *testing.T) {
 		}
 		dpWant := (1 - res.HostDPAvailability) * res.Hours * float64(cfg.ComputeHosts)
 		if math.Abs(dpSum-dpWant) > 1e-6*res.Hours {
-			t.Errorf("%v: attributed DP downtime %.6f h != measured %.6f h over %d hosts", sc, dpSum, dpWant, cfg.ComputeHosts)
+			t.Errorf("%s: attributed DP downtime %.6f h != measured %.6f h over %d hosts", name, dpSum, dpWant, cfg.ComputeHosts)
+		}
+		if cpSum == 0 || dpSum == 0 {
+			t.Errorf("%s: no downtime to conserve (cp %.3g h, dp %.3g h)", name, cpSum, dpSum)
+		}
+	}
+}
+
+// TestAttributionMatchesLedger holds the simulator's incremental per-mode
+// accrual to the testbed's telemetry.Ledger, the reference for the
+// blame-at-open / equal-split rule. The probe replays every CP and
+// per-host transition, with the blame set the simulator froze at that
+// instant, into a ledger on the simulated timeline; after the run both
+// tables must name the same modes with the same hours. They differ only in
+// arithmetic — the ledger divides an outage's whole duration once, the
+// simulator divides each inter-event slice of it — hence a relative
+// tolerance and not bit equality.
+//
+// The key comparison also settles the empty blame set. The ledger books an
+// outage nobody is blamed for under ModeUnattributed; the simulator has no
+// such fallback, because no validated configuration opens one: a plane
+// goes down only when a group is short of serving nodes (Need never
+// exceeds the cluster size, so some node is not serving) or a host-local
+// dependency is down, every non-serving node has a down dependency, and
+// nodeBlames/hostBlames name at least one of them — while an outage with
+// the quorum intact is the raft layer's, which always names itself. Should
+// that ever stop holding, ModeUnattributed shows up on the ledger's side
+// only and this test fails.
+func TestAttributionMatchesLedger(t *testing.T) {
+	for name, cfg := range attributionConfigs(t) {
+		if err := cfg.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		s := newSim(cfg)
+		s.reset(0)
+		planes := make([]string, len(s.hosts))
+		for i := range planes {
+			planes[i] = fmt.Sprintf("dp:compute%d", i)
+		}
+		ledger := telemetry.NewLedger()
+		cpUp, hostUp := true, make([]bool, len(s.hosts))
+		for i := range hostUp {
+			hostUp[i] = true
+		}
+		replay := func(plane string, was *bool, up bool, blames []string) {
+			switch {
+			case *was && !up:
+				ledger.PlaneDown(plane, s.now, blames)
+			case !*was && up:
+				ledger.PlaneUp(plane, s.now)
+			}
+			*was = up
+		}
+		s.probe = func(s *Sim) {
+			replay("cp", &cpUp, s.cpUp, s.path.cpBlame)
+			for i := range s.hosts {
+				replay(planes[i], &hostUp[i], s.hostUp[i], s.path.hostBlame[i])
+			}
+		}
+		res := s.Run()
+		ledger.CloseAll(cfg.Horizon)
+
+		parts := make([]telemetry.Attribution, len(planes))
+		for i, pl := range planes {
+			parts[i] = ledger.Attribution(pl, cfg.Horizon)
+		}
+		for _, c := range []struct {
+			plane string
+			got   map[string]float64
+			want  telemetry.Attribution
+		}{
+			{"cp", res.CPDowntimeByMode, ledger.Attribution("cp", cfg.Horizon)},
+			{"dp", res.DPDowntimeByMode, telemetry.Merge("dp", parts...)},
+		} {
+			if c.want.Intervals < 3 {
+				t.Errorf("%s %s: only %d outages replayed", name, c.plane, c.want.Intervals)
+			}
+			if len(c.got) != len(c.want.Modes) {
+				t.Errorf("%s %s: simulator names %d modes, ledger %d", name, c.plane, len(c.got), len(c.want.Modes))
+			}
+			for _, m := range c.want.Modes {
+				got, ok := c.got[m.Mode]
+				if !ok {
+					t.Errorf("%s %s: ledger mode %q missing from the simulator's table", name, c.plane, m.Mode)
+				} else if math.Abs(got-m.Hours) > 1e-9*m.Hours {
+					t.Errorf("%s %s %s: simulator %.17g h, ledger %.17g h", name, c.plane, m.Mode, got, m.Hours)
+				}
+			}
 		}
 	}
 }
 
 // TestAttributionModeKeys: every blamed mode uses a key from the shared
-// taxonomy, so the ledger mirror lines up with the testbed's and the
-// analytic contributions'.
+// taxonomy, so the simulator's tables line up with the testbed's ledger and
+// the analytic contributions.
 func TestAttributionModeKeys(t *testing.T) {
 	cfg := testConfig(t, topology.Small, analytic.SupervisorRequired)
 	cfg.Horizon = 1e5

@@ -101,8 +101,9 @@ type Config struct {
 	RepairCrews int
 	// Rare configures the rare-event acceleration layer (forced-failure
 	// biasing and multilevel importance splitting with exact
-	// likelihood-ratio correction). The zero value disables it and
-	// reproduces the unbiased engine bit-for-bit; see RareEventConfig.
+	// likelihood-ratio correction). The zero value disables it: the event
+	// loop then runs one branch of weight 1, the unbiased simulation; see
+	// RareEventConfig.
 	Rare RareEventConfig
 	// Seed seeds the deterministic random source; replication r uses
 	// Seed+r.

@@ -76,3 +76,34 @@ func TestOutageFrequencyMatchesAnalytic(t *testing.T) {
 		})
 	}
 }
+
+// TestOutageFreeReplicationHasNoDowntime: unavailability is accrued
+// directly, so a replication whose control plane never went down reports
+// exactly zero of it and does not count toward the hit probability. (Taking
+// it as horizon minus a float sum of hundreds of up intervals reported a
+// few ulps of downtime — or of negative downtime — on about 1% of the
+// outage-free replications below.)
+func TestOutageFreeReplicationHasNoDowntime(t *testing.T) {
+	cfg := goldenConfig(t)
+	cfg.Horizon = 200
+	s := newSim(cfg)
+	clean := 0
+	for rep := 0; rep < 20000; rep++ {
+		s.reset(rep)
+		res := s.Run()
+		if res.CPUnavailability < 0 {
+			t.Errorf("replication %d: CPUnavailability = %g is negative", rep, res.CPUnavailability)
+		}
+		if res.CPOutages > 0 {
+			continue
+		}
+		clean++
+		if res.CPUnavailability != 0 || res.RareHitWeight != 0 {
+			t.Errorf("replication %d saw no outage but reports CPUnavailability = %g, RareHitWeight = %g",
+				rep, res.CPUnavailability, res.RareHitWeight)
+		}
+	}
+	if clean < 10000 {
+		t.Fatalf("only %d outage-free replications; the horizon no longer isolates them", clean)
+	}
+}

@@ -3,7 +3,7 @@ package mc
 // Incremental quorum evaluation. "Does every quorum group still have need
 // serving nodes?" is asked after every failure and repair, but one flip can
 // only change the answer for the group-nodes it is incident to. build()
-// resolves that incidence once per Sim, and the event loops keep three
+// resolves that incidence once per Sim, and the event loop keeps three
 // levels of counters current from it — down dependencies per group-node,
 // serving nodes per group, unsatisfied groups per plane — plus the down
 // local dependencies of each compute host, so refresh reads its verdicts in
@@ -16,7 +16,7 @@ package mc
 // Dependencies are numbered by entity index, with graph node n following
 // the entities at len(entities)+n, so one table serves both.
 
-// Ledger planes, indexing quorumIndex.unsat.
+// Planes, indexing quorumIndex.unsat.
 const (
 	planeCP = iota
 	planeDP

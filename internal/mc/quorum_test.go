@@ -11,7 +11,7 @@ import (
 
 // The quorum counters must be observationally indistinguishable from the
 // full scan they replaced. The scan lives on here as the reference: after
-// EVERY event of both event loops, and after every rare-path restore, the
+// EVERY event of the event loop, and after every rare-path restore, the
 // probe below re-derives each group-node's verdict, each group's serving
 // count, both plane verdicts and every compute host's local verdict from
 // the entity table and the reachability set, and demands the counters (and
@@ -194,7 +194,7 @@ func meshLinks(t *testing.T, topo *topology.Topology, mtbf, mttr float64) {
 }
 
 // TestIncrementalQuorumEquivalence is the incidence-index invariant check:
-// counters == full scan after every event of both event loops, over every
+// counters == full scan after every event, weighted and unweighted, over every
 // reference topology, both scenarios, tree and cyclic fabrics, and every
 // engine feature that schedules, reorders or replays events.
 func TestIncrementalQuorumEquivalence(t *testing.T) {

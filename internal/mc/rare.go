@@ -40,9 +40,13 @@ import (
 // downtime is accrued per inter-event interval in closed form — the
 // weight grows as e^{h·τ} within an interval of constant hazard surplus
 // h, so the interval's contribution is W₀·(e^{h·dt}−1)/h, with no
-// mid-interval approximation. When the configuration is zeroed the
-// engine is bypassed entirely and the simulator is bit-identical to the
-// unbiased event loop.
+// mid-interval approximation.
+//
+// None of this is a second engine. Every Sim carries the path state below
+// and runs the one event loop in sim.go; a zeroed configuration is its
+// degenerate case — every bias 1, so ln B and the hazard surplus are 0 and
+// the weight stays exactly 1; no levels, so the root branch runs alone —
+// and reproduces the plain unbiased simulation draw for draw.
 
 // RareConfigError reports an invalid RareEventConfig field. Validation
 // returns typed errors (never panics) so callers — and the fuzz harness —
@@ -59,8 +63,8 @@ func (e *RareConfigError) Error() string {
 }
 
 // RareEventConfig parameterizes the rare-event acceleration layer. The
-// zero value disables it entirely: the simulator then runs the unbiased
-// event loop, bit-identical to a build without this file.
+// zero value disables it: the event loop then runs a single branch of
+// weight 1, which is the unbiased simulation.
 type RareEventConfig struct {
 	// ProcessBias accelerates every controller/vRouter process failure
 	// draw by this factor (time to failure ~ Exp(mean/ProcessBias)),
@@ -192,9 +196,9 @@ type rarePathSnap struct {
 	hostBlame      [][]string
 }
 
-// rareRun holds the per-entity biasing tables (immutable per Sim) and the
-// running rare-event state of the current replication.
-type rareRun struct {
+// pathState holds the per-entity biasing tables (immutable per Sim) and the
+// running estimator state of the current replication.
+type pathState struct {
 	cfg RareEventConfig
 	// bias, lnBias and hazRate are per-entity: the acceleration factor B
 	// (1 when unbiased), ln B, and the hazard surplus (B−1)/MTBF the
@@ -242,10 +246,10 @@ type rareRun struct {
 	hitW float64
 }
 
-// newRareRun builds the biasing tables for a constructed entity set.
-func newRareRun(s *Sim) *rareRun {
+// init builds the biasing tables for a constructed entity set.
+func (r *pathState) init(s *Sim) {
 	rc := s.cfg.Rare
-	r := &rareRun{cfg: rc}
+	r.cfg = rc
 	n := len(s.entities)
 	r.bias = make([]float64, n)
 	r.lnBias = make([]float64, n)
@@ -280,17 +284,16 @@ func newRareRun(s *Sim) *rareRun {
 	}
 	r.hostDownW = make([]float64, len(s.hosts))
 	r.hostBlame = make([][]string, len(s.hosts))
-	return r
 }
 
-// reset rewinds the rare state for a fresh replication. The attribution
+// reset rewinds the path state for a fresh replication. The attribution
 // maps are allocated anew because the previous replication's Result owns
 // the old ones.
-func (r *rareRun) reset(s *Sim) {
+func (r *pathState) reset() {
 	r.logW = 0
 	r.hazUp = 0
-	for i := range s.entities {
-		r.hazUp += r.hazRate[i]
+	for _, h := range r.hazRate {
+		r.hazUp += h
 	}
 	r.downCount = 0
 	r.lvl, r.createLvl = 0, 0
@@ -314,7 +317,7 @@ func (r *rareRun) reset(s *Sim) {
 
 // pathWeight returns the path's instantaneous estimator weight: the
 // RESTART level weight times the likelihood ratio accumulated so far.
-func (r *rareRun) pathWeight() float64 {
+func (r *pathState) pathWeight() float64 {
 	return r.invPow[r.lvl] * math.Exp(r.logW)
 }
 
@@ -328,107 +331,9 @@ func mixSeed(state, ordinal uint64) uint64 {
 	return z ^ (z >> 31)
 }
 
-// accumulateRare is the rare-mode accumulate: it credits every down
-// indicator with the exact time-integral of the evolving path weight over
-// the interval, then advances the hazard integral. Within an interval no
-// entity flips, so the weight is W₀·e^{h·τ} and the integral is
-// W₀·(e^{h·dt}−1)/h in closed form — this is what keeps the downtime
-// estimator strictly unbiased rather than first-order accurate.
-func (s *Sim) accumulateRare(dt float64) {
-	if dt <= 0 {
-		return
-	}
-	r := s.rare
-	anyDown := !s.cpUp || !s.sdpUp
-	if !anyDown {
-		for _, up := range s.hostUp {
-			if !up {
-				anyDown = true
-				break
-			}
-		}
-	}
-	if anyDown {
-		w0 := r.pathWeight()
-		var integ float64
-		if r.hazUp == 0 {
-			integ = dt
-		} else {
-			integ = math.Expm1(r.hazUp*dt) / r.hazUp
-		}
-		wdt := w0 * integ
-		if !s.cpUp {
-			r.cpEverDown = true
-			r.cpDownW += wdt
-			if n := len(r.cpBlame); n > 0 {
-				share := wdt / float64(n)
-				for _, m := range r.cpBlame {
-					r.cpModes[m] += share
-				}
-			}
-		}
-		if !s.sdpUp {
-			r.sdpDownW += wdt
-		}
-		for i, up := range s.hostUp {
-			if up {
-				continue
-			}
-			r.hostDownW[i] += wdt
-			if n := len(r.hostBlame[i]); n > 0 {
-				share := wdt / float64(n)
-				for _, m := range r.hostBlame[i] {
-					r.dpModes[m] += share
-				}
-			}
-		}
-	}
-	r.logW += r.hazUp * dt
-}
-
-// refreshRare recomputes the plane indicators in rare mode. It mirrors
-// refresh but captures blame sets into the path-local rare state instead
-// of driving the (interval-based) telemetry ledger: weighted attribution
-// must accrue incrementally because splitting branches diverge mid
-// outage, and an open interval cannot be shared across branches.
-func (s *Sim) refreshRare() {
-	r := s.rare
-	cp := s.quorum.unsat[planeCP] == 0
-	if cp != s.cpUp {
-		if !cp {
-			s.cpStart = s.now
-			r.cpBlame = s.cpBlames()
-		} else {
-			s.cpOutages++
-			r.cpBlame = nil
-		}
-		s.cpUp = cp
-	}
-	sdp := s.quorum.unsat[planeDP] == 0
-	if sdp != s.sdpUp {
-		if !sdp && s.cfg.HeadlessHold > 0 {
-			s.sdpDownAt = s.now
-			s.schedule(s.now+s.cfg.HeadlessHold, timerEntity, false)
-		}
-		s.sdpUp = sdp
-	}
-	headless := !s.sdpUp && s.cfg.HeadlessHold > 0 && s.now-s.sdpDownAt < s.cfg.HeadlessHold
-	for i := range s.hosts {
-		up := (s.sdpUp || headless) && s.quorum.hostDown[i] == 0
-		if up != s.hostUp[i] {
-			if !up {
-				r.hostBlame[i] = s.hostBlames(i)
-			} else {
-				r.hostBlame[i] = nil
-			}
-			s.hostUp[i] = up
-		}
-	}
-}
-
 // snapshotRarePath freezes the simulator as a pending splitting branch.
 func (s *Sim) snapshotRarePath(rngState uint64, lvl, createLvl int) rarePathSnap {
-	r := s.rare
+	r := &s.path
 	snap := rarePathSnap{
 		seq: s.seq, now: s.now, rngState: rngState,
 		cpUp: s.cpUp, sdpUp: s.sdpUp,
@@ -459,7 +364,7 @@ func (s *Sim) snapshotRarePath(rngState uint64, lvl, createLvl int) rarePathSnap
 // Connectivity is rebuilt from the restored link entity states, and the
 // quorum counters from the restored entity states and that reachability.
 func (s *Sim) restoreRarePath() {
-	r := s.rare
+	r := &s.path
 	snap := r.stack[len(r.stack)-1]
 	r.stack = r.stack[:len(r.stack)-1]
 	for i := range s.entities {
@@ -503,7 +408,7 @@ func (s *Sim) restoreRarePath() {
 // path (if it was created at that level) or restores its weight (the
 // surviving branch re-absorbs the killed clones' share). It reports
 // whether the current path died.
-func (r *rareRun) checkLevels(s *Sim) bool {
+func (r *pathState) checkLevels(s *Sim) bool {
 	levels := r.cfg.SplitLevels
 	if len(levels) == 0 {
 		return false
@@ -531,115 +436,4 @@ func (r *rareRun) checkLevels(s *Sim) bool {
 		r.lvl--
 	}
 	return false
-}
-
-// runRareCancel is the rare-mode event loop: the biased, split,
-// LR-corrected counterpart of runCancel. It is a separate loop so the
-// unbiased engine stays byte-for-byte untouched when the rare config is
-// zeroed. Each splitting branch runs depth-first to the horizon (or its
-// kill threshold); weighted downtime accrues across the whole tree.
-func (s *Sim) runRareCancel(done <-chan struct{}) (Result, bool) {
-	r := s.rare
-	for i := range s.entities {
-		s.schedule(s.exp(s.entities[i].mtbf/r.bias[i]), i, false)
-	}
-	s.cpUp, s.sdpUp = true, true
-	for i := range s.hostUp {
-		s.hostUp[i] = true
-	}
-
-	horizon := s.cfg.Horizon
-	for {
-		died := false
-		for s.events.len() > 0 {
-			if done != nil && s.nEvents&cancelCheckMask == cancelCheckMask {
-				select {
-				case <-done:
-					return Result{}, false
-				default:
-				}
-			}
-			ev := s.events.pop()
-			if ev.at >= horizon {
-				break
-			}
-			s.accumulateRare(ev.at - s.now)
-			s.now = ev.at
-			if ev.entity >= 0 {
-				s.flip(ev.entity, ev.up)
-				e := &s.entities[ev.entity]
-				if ev.up {
-					r.downCount--
-					r.hazUp += r.hazRate[ev.entity]
-					s.schedule(s.now+s.exp(e.mtbf/r.bias[ev.entity]), ev.entity, false)
-					if e.kind != kindProcess && e.kind != kindLink && s.cfg.RepairCrews > 0 {
-						s.releaseCrew()
-					}
-				} else {
-					r.downCount++
-					r.hazUp -= r.hazRate[ev.entity]
-					r.logW -= r.lnBias[ev.entity]
-					if e.kind != kindProcess && e.kind != kindLink && s.cfg.RepairCrews > 0 {
-						if s.crewsBusy >= s.cfg.RepairCrews {
-							s.crewQueue = append(s.crewQueue, ev.entity)
-						} else {
-							s.startRepair(ev.entity)
-						}
-					} else {
-						s.schedule(s.now+s.repairTime(e), ev.entity, true)
-					}
-				}
-			}
-			s.refreshRare()
-			if s.probe != nil {
-				s.probe(s)
-			}
-			s.nEvents++
-			if r.checkLevels(s) {
-				died = true
-				break
-			}
-		}
-		if !died {
-			s.accumulateRare(horizon - s.now)
-			s.now = horizon
-			w := r.pathWeight()
-			r.totalW += w
-			if r.cpEverDown {
-				r.hitW += w
-			}
-			r.paths++
-			if !s.cpUp {
-				s.cpOutages++
-			}
-		}
-		if len(r.stack) == 0 {
-			break
-		}
-		s.restoreRarePath()
-	}
-
-	res := Result{
-		Hours:            horizon,
-		Events:           s.nEvents,
-		CPUnavailability: r.cpDownW / horizon,
-		CPOutages:        s.cpOutages,
-		RareTotalWeight:  r.totalW,
-		RareHitWeight:    r.hitW,
-		RarePaths:        r.paths,
-		RareSplits:       r.splits,
-		RareKills:        r.kills,
-		CPDowntimeByMode: r.cpModes,
-		DPDowntimeByMode: r.dpModes,
-	}
-	res.CPAvailability = 1 - res.CPUnavailability
-	res.SharedDPAvailability = 1 - r.sdpDownW/horizon
-	if len(s.hosts) > 0 {
-		sum := 0.0
-		for _, d := range r.hostDownW {
-			sum += d
-		}
-		res.HostDPAvailability = 1 - sum/(float64(len(s.hosts))*horizon)
-	}
-	return res, true
 }

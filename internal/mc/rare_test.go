@@ -190,11 +190,12 @@ func TestRareAgreesWithBruteForce(t *testing.T) {
 	}
 }
 
-// TestRareDisabledBitIdentity pins the bypass contract: a config whose
-// rare settings are the explicit identity (biases of exactly 1) takes the
-// unbiased engine path and produces a byte-identical estimate — including
-// per-replication results and attribution ledgers — to the zero-value
-// default at the same seeds.
+// TestRareDisabledBitIdentity: a config whose rare settings are the
+// explicit identity (biases of exactly 1) counts as disabled — it builds the
+// same all-ones bias tables as the zero value, runs the same single
+// weight-1 branch through the event loop and takes the same Result
+// assembly — so it produces a byte-identical estimate, per-replication
+// results and attribution included, at the same seeds.
 func TestRareDisabledBitIdentity(t *testing.T) {
 	base := goldenConfig(t)
 	ident := goldenConfig(t)
@@ -219,6 +220,62 @@ func TestRareDisabledBitIdentity(t *testing.T) {
 	for i := range a.Results {
 		if !reflect.DeepEqual(a.Results[i].CPDowntimeByMode, b.Results[i].CPDowntimeByMode) {
 			t.Errorf("replication %d: attribution ledgers diverged", i)
+		}
+	}
+}
+
+// TestRareDegenerateIsSameTrajectory: an unbiased run is the weight-1,
+// no-split case of the one event loop, not a separate engine. A split
+// threshold that is never reached enables Config.Rare without biasing a
+// draw or splitting a branch, so the run replays the plain trajectory and
+// differs only in taking the weighted Result assembly: event and outage
+// counts, the directly accrued unavailability and both attribution tables
+// must match bit for bit, the availabilities (1 − U against up-time sums)
+// to rounding, and the one branch must end with weight exactly 1.
+func TestRareDegenerateIsSameTrajectory(t *testing.T) {
+	plain := goldenConfig(t)
+	degenerate := goldenConfig(t)
+	degenerate.Rare = RareEventConfig{SplitLevels: []int{1 << 20}, SplitFactor: 2}
+	if !degenerate.Rare.Enabled() {
+		t.Fatal("a split level must enable the weighted Result assembly")
+	}
+	for rep := 0; rep < 20; rep++ {
+		sa, err := New(plain, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, err := New(degenerate, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, b := sa.Run(), sb.Run()
+		if a.Events != b.Events || a.CPOutages != b.CPOutages {
+			t.Fatalf("replication %d: %d events / %d outages vs %d / %d", rep, a.Events, a.CPOutages, b.Events, b.CPOutages)
+		}
+		if a.CPOutages == 0 {
+			t.Fatalf("replication %d: no outage to compare", rep)
+		}
+		if a.CPUnavailability != b.CPUnavailability {
+			t.Errorf("replication %d: CPUnavailability %.17g vs %.17g", rep, a.CPUnavailability, b.CPUnavailability)
+		}
+		if !reflect.DeepEqual(a.CPDowntimeByMode, b.CPDowntimeByMode) || !reflect.DeepEqual(a.DPDowntimeByMode, b.DPDowntimeByMode) {
+			t.Errorf("replication %d: attribution tables diverged", rep)
+		}
+		for _, c := range []struct {
+			name string
+			a, b float64
+		}{
+			{"CPAvailability", a.CPAvailability, b.CPAvailability},
+			{"SharedDPAvailability", a.SharedDPAvailability, b.SharedDPAvailability},
+			{"HostDPAvailability", a.HostDPAvailability, b.HostDPAvailability},
+		} {
+			if math.Abs(c.a-c.b) > 1e-12 {
+				t.Errorf("replication %d: %s %.17g vs %.17g", rep, c.name, c.a, c.b)
+			}
+		}
+		if b.RareTotalWeight != 1 || b.RarePaths != 1 || b.RareHitWeight != a.RareHitWeight {
+			t.Errorf("replication %d: degenerate run ended with weight %g on %d paths, hit weight %g vs %g",
+				rep, b.RareTotalWeight, b.RarePaths, b.RareHitWeight, a.RareHitWeight)
 		}
 	}
 }

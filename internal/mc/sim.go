@@ -2,10 +2,10 @@ package mc
 
 import (
 	"fmt"
+	"math"
 
 	"sdnavail/internal/analytic"
 	"sdnavail/internal/profile"
-	"sdnavail/internal/telemetry"
 	"sdnavail/internal/topology"
 )
 
@@ -86,9 +86,6 @@ type simGroup struct {
 type computeHost struct {
 	procEnts []int
 	supEnt   int
-	// plane names the host's DP ledger plane ("dp:compute<i>", matching
-	// the testbed).
-	plane string
 }
 
 // Sim is a single-replication simulator. Create with New, run with Run.
@@ -118,12 +115,14 @@ type Sim struct {
 	// the topology declares fallible links. Each Sim owns its own tracker
 	// (Connectivity is single-consumer).
 	conn *topology.Connectivity
-	// rare is the rare-event acceleration state, nil unless
-	// Config.Rare is enabled. A nil rare leaves the unbiased event loop
-	// byte-for-byte untouched.
-	rare *rareRun
+	// path is the estimator state of the trajectory being simulated: its
+	// likelihood-ratio weight, splitting level and frozen blame sets, plus
+	// the weighted downtime accrued over the replication's whole branch
+	// tree. With Config.Rare zeroed it is the degenerate case — one branch
+	// of weight exactly 1 — of the same event loop.
+	path pathState
 	// probe, when set, runs after every event's refresh and after every
-	// rare-path restore. Tests use it to hold derived state against a full
+	// path restore. Tests use it to hold derived state against a full
 	// scan; it is nil everywhere else.
 	probe func(*Sim)
 
@@ -133,10 +132,6 @@ type Sim struct {
 	hostUp    []bool
 	cpStart   float64 // start of current CP outage, valid when !cpUp
 	sdpDownAt float64 // start of current shared-DP outage, valid when !sdpUp
-
-	// ledger mirrors the testbed's downtime-attribution ledger on the
-	// simulated timeline ("cp" plus one "dp:compute<i>" plane per host).
-	ledger *telemetry.Ledger
 
 	// accumulators
 	cpTime     float64
@@ -159,11 +154,12 @@ type Result struct {
 	Events int
 	// CPAvailability is the fraction of time the SDN control plane was up.
 	CPAvailability float64
-	// CPUnavailability is the control-plane unavailability, computed
-	// directly (not as 1−CPAvailability, which loses every digit past the
-	// float mantissa in deep tails). In rare mode it is the
-	// likelihood-ratio-weighted estimate; unbiased for the true
-	// unavailability either way.
+	// CPUnavailability is the control-plane unavailability, accrued
+	// directly as weighted downtime over the horizon (not as
+	// 1−CPAvailability, which loses every digit past the float mantissa in
+	// deep tails): exactly 0 for a replication with no outage, the
+	// likelihood-ratio-weighted estimate under Config.Rare, unbiased for
+	// the true unavailability either way.
 	CPUnavailability float64
 	// CPOutages counts distinct control-plane outages.
 	CPOutages int
@@ -183,8 +179,8 @@ type Result struct {
 	// fixed window when Config.WindowHours is positive.
 	CPWindowDowntimes []float64
 	// CPDowntimeByMode attributes the control-plane downtime (hours) to
-	// failure-mode keys ("process:<name>", "rack:/host:/vm:<name>"), the
-	// simulator-side mirror of the testbed's attribution ledger.
+	// failure-mode keys ("process:<name>", "rack:/host:/vm:<name>") by the
+	// rule of the testbed's attribution ledger: blame at open, equal split.
 	CPDowntimeByMode map[string]float64
 	// DPDowntimeByMode attributes the per-host data-plane downtime
 	// (hours, summed across compute hosts) the same way.
@@ -221,9 +217,8 @@ type Result struct {
 	// trajectory saw any CP downtime: an unbiased estimate of the
 	// probability that a NAIVE replication would observe an outage at all,
 	// which is what sizes the naive replication count a deep tail costs.
-	// The unbiased engine sets it to the plain indicator (1 when the
-	// replication accrued CP downtime, else 0) so the estimate folds
-	// uniformly.
+	// Without Config.Rare the one branch has weight 1, so it is the plain
+	// indicator (1 when the replication accrued CP downtime, else 0).
 	RareHitWeight float64
 	// RarePaths counts splitting branches that reached the horizon,
 	// RareSplits threshold crossings that split, and RareKills branches
@@ -252,9 +247,7 @@ func newSim(cfg Config) *Sim {
 	if cfg.RaftElectionMax > 0 {
 		s.raft = newSimRaft(s)
 	}
-	if cfg.Rare.Enabled() {
-		s.rare = newRareRun(s)
-	}
+	s.path.init(s)
 	return s
 }
 
@@ -262,7 +255,8 @@ func newSim(cfg Config) *Sim {
 // every entity up, the event queue empty, the stream re-seeded with the
 // same derivation New always used, and all accumulators zeroed. Scratch
 // slices keep their backing arrays, so a warmed-up Sim replays a fresh
-// replication without rebuilding or reallocating anything but the ledger.
+// replication without rebuilding or reallocating anything but the two
+// per-mode result maps.
 func (s *Sim) reset(replication int) {
 	s.rng.seed(ReplicationSeed(s.cfg.Seed, replication))
 	s.events.reset()
@@ -276,15 +270,7 @@ func (s *Sim) reset(replication int) {
 		s.hostUp[i] = true
 	}
 	s.cpStart, s.sdpDownAt = 0, 0
-	if s.rare != nil {
-		// Rare mode attributes weighted downtime incrementally in its own
-		// maps (branches diverge mid outage, so the ledger's open-interval
-		// model cannot apply); the ledger stays nil.
-		s.ledger = nil
-		s.rare.reset(s)
-	} else {
-		s.ledger = telemetry.NewLedger()
-	}
+	s.path.reset()
 	s.cpTime, s.sdpTime = 0, 0
 	for i := range s.hostTime {
 		s.hostTime[i] = 0
@@ -395,7 +381,7 @@ func (s *Sim) build() {
 
 	// Compute hosts carrying the local vRouter processes.
 	for h := 0; h < cfg.ComputeHosts; h++ {
-		ch := computeHost{supEnt: -1, plane: fmt.Sprintf("dp:compute%d", h)}
+		ch := computeHost{supEnt: -1}
 		if sup, ok := cfg.Profile.SupervisorOf(cfg.Profile.HostRole); ok {
 			ch.supEnt = s.addEntity(entity{
 				kind: kindProcess, class: procSupervisor,
@@ -560,8 +546,12 @@ func (s *Sim) repairTime(e *entity) float64 {
 	}
 }
 
-// refresh recomputes the plane indicators, tracking CP outage statistics.
+// refresh recomputes the plane indicators from the quorum counters,
+// tracking CP outage statistics. A down-transition freezes the failure
+// modes active at that instant into the path state; accumulate splits the
+// outage's downtime among them as it accrues.
 func (s *Sim) refresh() {
+	p := &s.path
 	sat := s.quorum.unsat[planeCP] == 0
 	cp := sat
 	if s.raft != nil {
@@ -572,17 +562,15 @@ func (s *Sim) refresh() {
 	if cp != s.cpUp {
 		if !cp {
 			s.cpStart = s.now
-			blames := s.cpBlames()
-			if s.raft != nil && sat {
+			if sat {
 				// Quorum holds: only the raft layer explains the outage.
-				blames = s.raft.blames()
+				p.cpBlame = s.raft.blames()
+			} else {
+				p.cpBlame = s.cpBlames()
 			}
-			s.ledger.PlaneDown("cp", s.now, blames)
 		} else {
-			s.cpOutages++
-			s.cpDowntime += s.now - s.cpStart
-			s.durations = append(s.durations, s.now-s.cpStart)
-			s.ledger.PlaneUp("cp", s.now)
+			s.closeOutage()
+			p.cpBlame = nil
 		}
 		s.cpUp = cp
 	}
@@ -606,29 +594,37 @@ func (s *Sim) refresh() {
 		up := (s.sdpUp || headless) && s.quorum.hostDown[i] == 0
 		if up != s.hostUp[i] {
 			if !up {
-				s.ledger.PlaneDown(s.hosts[i].plane, s.now, s.hostBlames(i))
+				p.hostBlame[i] = s.hostBlames(i)
 			} else {
-				s.ledger.PlaneUp(s.hosts[i].plane, s.now)
+				p.hostBlame[i] = nil
 			}
 			s.hostUp[i] = up
 		}
 	}
 }
 
-// accumulate credits dt of wall time to every indicator that is up.
+// closeOutage records the CP outage that ends now.
+func (s *Sim) closeOutage() {
+	s.cpOutages++
+	s.cpDowntime += s.now - s.cpStart
+	s.durations = append(s.durations, s.now-s.cpStart)
+}
+
+// accumulate advances every integral across dt of simulated time in which
+// nothing flips. Up indicators collect plain up time. Down indicators
+// collect the exact time-integral of the path weight, W₀·(e^{h·dt}−1)/h at
+// hazard surplus h — closed form, which is what keeps the weighted
+// estimator strictly unbiased rather than first-order accurate — and each
+// down plane's share goes to its frozen blame set in equal parts. An
+// unbiased path has W₀ = 1 and h = 0, and the integral is dt itself.
 func (s *Sim) accumulate(dt float64) {
 	if dt <= 0 {
 		return
 	}
+	p := &s.path
+	anyDown := !s.cpUp || !s.sdpUp
 	if s.cpUp {
 		s.cpTime += dt
-	} else {
-		if s.cfg.WindowHours > 0 {
-			s.addWindowDowntime(s.now, dt)
-		}
-		if s.raft != nil {
-			s.raft.accrue(dt)
-		}
 	}
 	if s.sdpUp {
 		s.sdpTime += dt
@@ -636,7 +632,47 @@ func (s *Sim) accumulate(dt float64) {
 	for i, up := range s.hostUp {
 		if up {
 			s.hostTime[i] += dt
+		} else {
+			anyDown = true
 		}
+	}
+	if anyDown {
+		integ := dt
+		if p.hazUp != 0 {
+			integ = math.Expm1(p.hazUp*dt) / p.hazUp
+		}
+		wdt := p.pathWeight() * integ
+		if !s.cpUp {
+			p.cpEverDown = true
+			p.cpDownW += wdt
+			blame(p.cpModes, p.cpBlame, wdt)
+			if s.cfg.WindowHours > 0 {
+				s.addWindowDowntime(s.now, dt)
+			}
+			if s.raft != nil {
+				s.raft.accrue(dt)
+			}
+		}
+		if !s.sdpUp {
+			p.sdpDownW += wdt
+		}
+		for i, up := range s.hostUp {
+			if !up {
+				p.hostDownW[i] += wdt
+				blame(p.dpModes, p.hostBlame[i], wdt)
+			}
+		}
+	}
+	p.logW += p.hazUp * dt
+}
+
+// blame splits wdt hours of downtime equally among the blamed modes. (No
+// validated configuration takes a plane down with nothing to blame;
+// TestAttributionMatchesLedger says why.)
+func blame(hours map[string]float64, modes []string, wdt float64) {
+	share := wdt / float64(len(modes))
+	for _, m := range modes {
+		hours[m] += share
 	}
 }
 
@@ -659,89 +695,131 @@ const cancelCheckMask = 4095
 // the replication is abandoned mid-flight and runCancel reports false with
 // a zero Result (a partial replication is a biased sample, never folded).
 // A nil done compiles to the plain uncancellable run.
+//
+// This is the one event loop. Failure draws are accelerated by the
+// per-entity bias and paid for in the path's log weight; checkLevels
+// splits and kills branches, each run depth-first to the horizon or its
+// kill threshold. With Config.Rare zeroed every bias is 1, the weight stays
+// exactly 1, there are no levels, and the loop runs the root branch alone.
 func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
-	if s.rare != nil {
-		return s.runRareCancel(done)
-	}
+	p := &s.path
 	// Initial failure schedule: everything starts up.
 	for i := range s.entities {
-		s.schedule(s.exp(s.entities[i].mtbf), i, false)
+		s.schedule(s.exp(s.entities[i].mtbf/p.bias[i]), i, false)
 	}
 	if s.raft != nil {
 		s.raft.start(s)
 	}
-	s.cpUp = true
-	s.sdpUp = true
-	for i := range s.hostUp {
-		s.hostUp[i] = true
-	}
 
 	horizon := s.cfg.Horizon
-	for s.events.len() > 0 {
-		if done != nil && s.nEvents&cancelCheckMask == cancelCheckMask {
-			select {
-			case <-done:
-				return Result{}, false
-			default:
-			}
-		}
-		ev := s.events.pop()
-		if ev.at >= horizon {
-			break
-		}
-		s.accumulate(ev.at - s.now)
-		s.now = ev.at
-		if s.raft != nil && ev.entity <= raftElectionEntity {
-			s.raft.handle(s, ev)
-		} else if ev.entity >= 0 {
-			s.flip(ev.entity, ev.up)
-			e := &s.entities[ev.entity]
-			if ev.up {
-				s.schedule(s.now+s.exp(e.mtbf), ev.entity, false)
-				if e.kind != kindProcess && e.kind != kindLink && s.cfg.RepairCrews > 0 {
-					s.releaseCrew()
+	for {
+		died := false
+		for s.events.len() > 0 {
+			if done != nil && s.nEvents&cancelCheckMask == cancelCheckMask {
+				select {
+				case <-done:
+					return Result{}, false
+				default:
 				}
-			} else {
+			}
+			ev := s.events.pop()
+			if ev.at >= horizon {
+				break
+			}
+			s.accumulate(ev.at - s.now)
+			s.now = ev.at
+			if s.raft != nil && ev.entity <= raftElectionEntity {
+				s.raft.handle(s, ev)
+			} else if ev.entity >= 0 {
+				s.flip(ev.entity, ev.up)
+				e := &s.entities[ev.entity]
 				// Link repairs are never crew-limited: the crews model
 				// rack/host/VM hardware technicians, while link faults are
 				// cleared by the (independent) network operations team.
-				if e.kind != kindProcess && e.kind != kindLink && s.cfg.RepairCrews > 0 {
-					if s.crewsBusy >= s.cfg.RepairCrews {
-						s.crewQueue = append(s.crewQueue, ev.entity)
-					} else {
-						s.startRepair(ev.entity)
+				crewed := e.kind != kindProcess && e.kind != kindLink && s.cfg.RepairCrews > 0
+				if ev.up {
+					p.downCount--
+					p.hazUp += p.hazRate[ev.entity]
+					s.schedule(s.now+s.exp(e.mtbf/p.bias[ev.entity]), ev.entity, false)
+					if crewed {
+						s.releaseCrew()
 					}
 				} else {
-					s.schedule(s.now+s.repairTime(e), ev.entity, true)
+					p.downCount++
+					p.hazUp -= p.hazRate[ev.entity]
+					p.logW -= p.lnBias[ev.entity]
+					switch {
+					case !crewed:
+						s.schedule(s.now+s.repairTime(e), ev.entity, true)
+					case s.crewsBusy >= s.cfg.RepairCrews:
+						s.crewQueue = append(s.crewQueue, ev.entity)
+					default:
+						s.startRepair(ev.entity)
+					}
 				}
 			}
+			s.refresh()
+			if s.probe != nil {
+				s.probe(s)
+			}
+			s.nEvents++
+			if p.checkLevels(s) {
+				died = true
+				break
+			}
 		}
-		s.refresh()
-		if s.probe != nil {
-			s.probe(s)
+		if !died {
+			s.accumulate(horizon - s.now)
+			s.now = horizon
+			if !s.cpUp { // close an open outage at the horizon
+				s.closeOutage()
+			}
+			w := p.pathWeight()
+			p.totalW += w
+			if p.cpEverDown {
+				p.hitW += w
+			}
+			p.paths++
 		}
-		s.nEvents++
+		if len(p.stack) == 0 {
+			break
+		}
+		s.restoreRarePath()
 	}
-	s.accumulate(horizon - s.now)
-	s.now = horizon
-	if !s.cpUp { // close an open outage at the horizon
-		s.cpOutages++
-		s.cpDowntime += s.now - s.cpStart
-		s.durations = append(s.durations, s.now-s.cpStart)
-	}
-	s.ledger.CloseAll(horizon)
 
 	res := Result{
-		Hours:                horizon,
-		Events:               s.nEvents,
-		CPAvailability:       s.cpTime / horizon,
-		CPUnavailability:     (horizon - s.cpTime) / horizon,
-		CPOutages:            s.cpOutages,
-		SharedDPAvailability: s.sdpTime / horizon,
+		Hours:            horizon,
+		Events:           s.nEvents,
+		CPUnavailability: p.cpDownW / horizon,
+		CPOutages:        s.cpOutages,
+		RareHitWeight:    p.hitW,
+		CPDowntimeByMode: p.cpModes,
+		DPDowntimeByMode: p.dpModes,
 	}
-	if s.cpTime < horizon {
-		res.RareHitWeight = 1
+	if s.cfg.Rare.Enabled() {
+		// A weighted run estimates every availability as 1 − U from the
+		// weighted downtime. The trajectory statistics (outage durations,
+		// mean outage) have no weighted meaning across a branch tree and
+		// stay zero.
+		res.CPAvailability = 1 - res.CPUnavailability
+		res.SharedDPAvailability = 1 - p.sdpDownW/horizon
+		if len(s.hosts) > 0 {
+			sum := 0.0
+			for _, d := range p.hostDownW {
+				sum += d
+			}
+			res.HostDPAvailability = 1 - sum/(float64(len(s.hosts))*horizon)
+		}
+		res.RareTotalWeight = p.totalW
+		res.RarePaths, res.RareSplits, res.RareKills = p.paths, p.splits, p.kills
+		return res, true
 	}
+	// A weight-1 run reports availability from the plain up-time sums (the
+	// fixed-seed goldens pin their bits), adds the trajectory statistics,
+	// and leaves the Rare* diagnostics zero (the fold reads a zero total
+	// weight as 1).
+	res.CPAvailability = s.cpTime / horizon
+	res.SharedDPAvailability = s.sdpTime / horizon
 	if s.cpOutages > 0 {
 		res.CPMeanOutageHours = s.cpDowntime / float64(s.cpOutages)
 	}
@@ -769,12 +847,6 @@ func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
 		res.GrayCycles = s.raft.grayCycles
 		res.ElectionDurations = s.raft.electionDurs
 	}
-	res.CPDowntimeByMode = modeMap(s.ledger.Attribution("cp", horizon))
-	dpParts := make([]telemetry.Attribution, len(s.hosts))
-	for i := range s.hosts {
-		dpParts[i] = s.ledger.Attribution(s.hosts[i].plane, horizon)
-	}
-	res.DPDowntimeByMode = modeMap(telemetry.Merge("dp", dpParts...))
 	return res, true
 }
 
