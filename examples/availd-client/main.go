@@ -55,38 +55,9 @@ func run(args []string, out io.Writer) error {
 		timeout    = flag.Duration("timeout", 15*time.Second, "client-side budget per request (set above the server deadline)")
 		retries    = flag.Int("retries", 3, "retry attempts after a 429 shed")
 		expectShed = flag.Bool("expect-shed", false, "fail unless the burst saw at least one 429 (smoke mode: prove the gate engages)")
-
-		bench        = flag.Bool("bench", false, "run the closed-loop benchmark instead of the demo/smoke sequence")
-		benchOut     = flag.String("bench-out", "BENCH_availd.json", "benchmark artifact path")
-		shardBase    = flag.String("shard-base", "", "sharding-coordinator availd base URL (bench: skipped when empty)")
-		storeBase    = flag.String("store-base", "", "store-enabled availd base URL (bench: skipped when empty)")
-		benchReqs    = flag.Int("bench-requests", 16, "requests per benchmark phase")
-		benchClients = flag.Int("bench-clients", 2, "concurrent closed-loop clients per benchmark phase")
-		benchReps    = flag.Int("bench-reps", 256, "MC replications per benchmark request")
-		benchHorizon = flag.Int("bench-horizon", 20000, "MC horizon hours per benchmark request")
-		benchStreams = flag.Int("bench-streams", 3, "SSE streams in the time-to-first-estimate phase")
-		benchSLOMs   = flag.Float64("bench-slo-ms", 0, "p99 latency SLO in ms recorded per phase (0 = off)")
 	)
 	if err := flag.Parse(args); err != nil {
 		return err
-	}
-	if *bench {
-		if *benchReqs < 1 || *benchClients < 1 || *benchStreams < 0 {
-			return fmt.Errorf("-bench-requests and -bench-clients must be >= 1, -bench-streams >= 0")
-		}
-		return runBench(benchConfig{
-			base:      *base,
-			shardBase: *shardBase,
-			storeBase: *storeBase,
-			out:       *benchOut,
-			requests:  *benchReqs,
-			clients:   *benchClients,
-			reps:      *benchReps,
-			horizon:   *benchHorizon,
-			streams:   *benchStreams,
-			sloMS:     *benchSLOMs,
-			timeout:   *timeout,
-		}, out)
 	}
 	if *burst < 1 || *retries < 0 {
 		return fmt.Errorf("-burst must be >= 1 and -retries >= 0")

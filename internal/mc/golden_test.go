@@ -32,7 +32,9 @@ func goldenConfig(t *testing.T) Config {
 // values. Any change to the event queue, the RNG stream, the seed
 // derivation, the worker pool, or the reduction order that alters results
 // in the slightest fails here — the estimates must stay bit-identical, not
-// merely statistically close.
+// merely statistically close. A change that means to move them re-records
+// the goldens and bumps EngineVersion in the same commit, so no store
+// entry or shard worker of the old engine is taken for the new one.
 func TestGoldenEstimates(t *testing.T) {
 	est, err := Run(goldenConfig(t), 500, 0.99)
 	if err != nil {
@@ -51,7 +53,8 @@ func TestGoldenEstimates(t *testing.T) {
 	}
 	for _, g := range golden {
 		if g.got != g.want {
-			t.Errorf("%s = %.17g, golden %.17g (diff %g)", g.name, g.got, g.want, math.Abs(g.got-g.want))
+			t.Errorf("%s = %.17g, golden %.17g (diff %g); if intended, re-record the golden and bump EngineVersion (now %d)",
+				g.name, g.got, g.want, math.Abs(g.got-g.want), EngineVersion)
 		}
 	}
 	if len(est.CPDowntimeByMode) != 23 {

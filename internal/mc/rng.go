@@ -18,6 +18,15 @@ type rng struct {
 // seed resets the stream. Identical seeds replay identical draws.
 func (r *rng) seed(s int64) { r.state = uint64(s) }
 
+// EngineVersion names the physics this package computes: two builds with
+// the same EngineVersion answer the same Config, seed and replication
+// index with the same bits. Anything that keeps answers across builds or
+// merges them across processes (availd's result store and shard protocol)
+// puts it in the content address, so an answer from another engine is
+// never mistaken for this one's. Bump it whenever TestGoldenEstimates'
+// goldens are re-recorded.
+const EngineVersion = 1
+
 // ReplicationSeed derives the RNG seed for one replication of a run
 // configured with base seed. The derivation is a pure function of the
 // base seed and the global replication index — never of which process or

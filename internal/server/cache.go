@@ -2,109 +2,158 @@ package server
 
 import (
 	"container/list"
+	"context"
+	"errors"
 	"sync"
 
 	"sdnavail/internal/telemetry"
 )
 
-// Memoization for analytic evaluations: a bounded LRU in front of a
-// singleflight gate. Closed-form evaluation is cheap but not free (the
-// large-topology literal quadruple sum), and the "millions of users"
-// workload asks the same (profile, topology, params) keys over and over —
-// so the hot path is a map hit under a mutex, a thundering herd on a cold
-// key collapses to one evaluation, and memory stays bounded whatever the
-// key cardinality.
+// One answer cache for every endpoint. Do looks an answer up, else
+// computes it at most once per key at a time, else keeps it — and obeys
+// one sharing rule in flight, in memory and on disk: only a complete
+// answer is ever shared or kept. An answer cut short by the deadline of
+// the caller that computed it, or an error, belongs to that caller alone;
+// everyone else gets the answer their own deadline allows.
+//
+// Two tiers, either of which may be off: a bounded in-memory LRU (the
+// analytic endpoint: the hot path is one map hit under one mutex, and
+// memory stays bounded whatever the key cardinality) and the persistent
+// disk store (the MC endpoint with -store; see store.go). With both off
+// nothing is kept and only the in-flight collapse remains.
 
-// memoEntry is one cached value in the LRU list.
-type memoEntry struct {
-	key string
-	val any
+// flightCall is one in-flight computation; latecomers wait on done.
+type flightCall[T any] struct {
+	done   chan struct{}
+	val    T
+	cached bool
+	err    error
 }
 
-// memoCache is a singleflight-fronted bounded LRU.
-type memoCache struct {
+// memoEntry is one kept answer in the LRU list.
+type memoEntry[T any] struct {
+	key string
+	val T
+}
+
+type answerCache[T any] struct {
+	complete func(T) bool // which answers may be shared and kept
+	disk     resultStore[T]
+
 	mu      sync.Mutex
-	max     int
+	calls   map[string]*flightCall[T]
+	max     int                      // LRU bound; 0 turns the memory tier off
 	ll      *list.List               // front = most recent
-	entries map[string]*list.Element // key -> *memoEntry element
-	flight  flightGroup
+	entries map[string]*list.Element // key -> *memoEntry[T] element
 
 	hits      *telemetry.Counter
 	misses    *telemetry.Counter
-	evictions *telemetry.Counter
+	evictions *telemetry.Counter // nil without a memory tier
 }
 
-// newMemoCache returns a cache bounded to max entries (min 1).
-func newMemoCache(max int, reg *telemetry.Registry) *memoCache {
-	if max < 1 {
-		max = 1
+// newAnswerCache returns a cache keeping up to max answers in memory and
+// every complete answer in disk when that is on. Its counters are <series>_hits_total,
+// <series>_misses_total and, with a memory tier, <series>_evictions_total.
+func newAnswerCache[T any](reg *telemetry.Registry, series string, max int, disk resultStore[T], complete func(T) bool) *answerCache[T] {
+	c := &answerCache[T]{
+		complete: complete,
+		disk:     disk,
+		calls:    map[string]*flightCall[T]{},
+		max:      max,
+		ll:       list.New(),
+		entries:  map[string]*list.Element{},
+		hits:     reg.Counter(series + "_hits_total"),
+		misses:   reg.Counter(series + "_misses_total"),
 	}
-	return &memoCache{
-		max:       max,
-		ll:        list.New(),
-		entries:   map[string]*list.Element{},
-		hits:      reg.Counter("cache_hits_total"),
-		misses:    reg.Counter("cache_misses_total"),
-		evictions: reg.Counter("cache_evictions_total"),
+	if max > 0 {
+		c.evictions = reg.Counter(series + "_evictions_total")
 	}
+	return c
 }
 
-// Do returns the cached value for key, or computes it with fn — at most
-// once concurrently per key; concurrent callers of a cold key share the
-// single computation's result. cached reports whether the value came from
-// the LRU without running (or waiting on) fn. Errors are not cached: a
-// failed computation leaves the key cold. If fn panics, waiters are
-// released with the panic re-raised in the computing goroutine only —
-// the per-request recovery middleware turns it into that request's 500.
-func (c *memoCache) Do(key string, fn func() (any, error)) (val any, cached bool, err error) {
-	if val, ok := c.lookup(key); ok {
-		c.hits.Inc()
-		return val, true, nil
-	}
-	val, _, err = c.flight.Do(key, func() (any, error) {
-		c.misses.Inc()
-		v, err := fn()
-		if err == nil {
-			c.store(key, v)
+// Do returns the kept answer for key, or computes it with fn — at most
+// once at a time per key. cached reports that the answer came out of a
+// tier rather than out of fn. A caller that finds the key in flight waits
+// for the leader or for its own ctx, whichever ends first; if the leader's
+// answer turns out incomplete or failed, the waiter does not take it but
+// goes round again and computes under its own ctx. If fn panics, the panic
+// propagates in the computing goroutine only (the per-request recovery
+// middleware turns it into that request's 500), waiters are released with
+// errPanicked, and the key stays cold.
+func (c *answerCache[T]) Do(ctx context.Context, key string, fn func() (T, error)) (val T, cached bool, err error) {
+	for {
+		c.mu.Lock()
+		if el, ok := c.entries[key]; ok {
+			c.ll.MoveToFront(el)
+			val = el.Value.(*memoEntry[T]).val
+			c.mu.Unlock()
+			c.hits.Inc()
+			return val, true, nil
 		}
-		return v, err
-	})
+		call, inFlight := c.calls[key]
+		if !inFlight {
+			call = &flightCall[T]{done: make(chan struct{})}
+			c.calls[key] = call
+		}
+		c.mu.Unlock()
+		if !inFlight {
+			return c.lead(key, call, fn)
+		}
+		select {
+		case <-call.done:
+		case <-ctx.Done():
+			return val, false, ctx.Err()
+		}
+		switch {
+		case errors.Is(call.err, errPanicked):
+			return val, false, call.err
+		case call.err == nil && c.complete(call.val):
+			return call.val, call.cached, nil
+		}
+	}
+}
+
+// lead answers key as the one caller computing it: disk, else fn, keeping
+// a complete answer before the waiters are released.
+func (c *answerCache[T]) lead(key string, call *flightCall[T], fn func() (T, error)) (T, bool, error) {
+	call.err = errPanicked // what waiters see unless fn returns
+	defer func() {
+		c.mu.Lock()
+		delete(c.calls, key)
+		c.mu.Unlock()
+		close(call.done)
+	}()
+	if call.val, call.cached = c.disk.get(key); call.cached {
+		c.hits.Inc()
+		call.err = nil
+		return call.val, true, nil
+	}
+	c.misses.Inc()
+	val, err := fn()
+	if err == nil && c.complete(val) {
+		c.keep(key, val)
+	}
+	call.val, call.err = val, err
 	return val, false, err
 }
 
-// lookup checks the LRU, promoting a hit to most-recent.
-func (c *memoCache) lookup(key string) (any, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*memoEntry).val, true
-}
-
-// store inserts a computed value, evicting from the cold end past max.
-func (c *memoCache) store(key string, val any) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*memoEntry).val = val
-		c.ll.MoveToFront(el)
+// keep puts a complete answer in every tier that is on, evicting from the
+// cold end of the LRU past max.
+func (c *answerCache[T]) keep(key string, val T) {
+	c.disk.put(key, val)
+	if c.max == 0 {
 		return
 	}
-	c.entries[key] = c.ll.PushFront(&memoEntry{key: key, val: val})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries[key] = c.ll.PushFront(&memoEntry[T]{key: key, val: val})
 	for c.ll.Len() > c.max {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
-		delete(c.entries, oldest.Value.(*memoEntry).key)
+		delete(c.entries, oldest.Value.(*memoEntry[T]).key)
 		c.evictions.Inc()
 	}
 }
 
-// Len returns the number of cached entries.
-func (c *memoCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+// errPanicked is the error waiters on a panicked computation observe.
+var errPanicked = errors.New("server: evaluation panicked")

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"sdnavail/internal/analytic"
+	"sdnavail/internal/mc"
 )
 
 // Canonical request encoding. A decoded request is re-encoded as a sorted
@@ -15,10 +16,11 @@ import (
 // shortest round-trip form, booleans normalized — so every spelling of
 // the same computation ("0.9950" vs "0.995", permuted parameter order,
 // explicit defaults vs omitted) collapses to one string. That string is
-// the memoization key, the persistent-store key (via its SHA-256 digest),
-// and the exact query a shard coordinator forwards to workers: a worker
-// that decodes it and re-canonicalizes must reproduce the same digest, or
-// the coordinator and worker disagree about what is being computed.
+// the analytic cache key, the MC cache and persistent-store key (via
+// mcDigest), and the exact query a shard coordinator forwards to workers:
+// a worker that decodes it and re-canonicalizes must reproduce the same
+// digest, or the coordinator and worker disagree about what is being
+// computed.
 
 // canonicalFloat formats v in the shortest decimal form that parses back
 // to the identical float64.
@@ -92,10 +94,13 @@ func mcCanonical(r mcRequest) string {
 	return r.canonicalValues().Encode()
 }
 
-// mcDigest is the content address of an MC computation: the SHA-256 of
-// the canonical query string, in hex. Keys the persistent result store
-// and guards the shard protocol against configuration drift.
+// mcDigest is the content address of an MC computation: the SHA-256, in
+// hex, of the engine version followed by the canonical query string —
+// what is computed and by which physics. Keys the answer cache and its
+// persistent store, and guards the shard protocol against configuration
+// and engine drift. The version stays out of mcCanonical, which must
+// round-trip through decodeMC.
 func mcDigest(r mcRequest) string {
-	sum := sha256.Sum256([]byte(mcCanonical(r)))
+	sum := sha256.Sum256([]byte("engine=" + strconv.Itoa(mc.EngineVersion) + "\n" + mcCanonical(r)))
 	return hex.EncodeToString(sum[:])
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -52,9 +53,11 @@ func TestChaosOverloadSheds(t *testing.T) {
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
-		go func() {
+		go func(seed int) {
 			defer wg.Done()
-			resp, err := http.Get(ts.URL + "/api/v1/mc?reps=8")
+			// Distinct seeds: identical queries would collapse to one
+			// compute in the answer cache and never fill the gate.
+			resp, err := http.Get(fmt.Sprintf("%s/api/v1/mc?reps=8&seed=%d", ts.URL, seed))
 			if err != nil {
 				other.Add(1)
 				return
@@ -71,7 +74,7 @@ func TestChaosOverloadSheds(t *testing.T) {
 			default:
 				other.Add(1)
 			}
-		}()
+		}(i)
 	}
 	wg.Wait()
 
@@ -151,7 +154,8 @@ func TestChaosPanicIsolated(t *testing.T) {
 // 500), releases singleflight waiters with an error, and leaves the key
 // cold so a retry succeeds.
 func TestChaosPanicInCachedPath(t *testing.T) {
-	c := newMemoCache(8, telemetry.NewRegistry())
+	c := newAnswerCache(telemetry.NewRegistry(), "cache", 8, resultStore[int]{}, func(int) bool { return true })
+	ctx := context.Background()
 
 	computing := make(chan struct{})
 	waited := make(chan error, 1)
@@ -161,7 +165,7 @@ func TestChaosPanicInCachedPath(t *testing.T) {
 			recover()
 			close(panicked)
 		}()
-		c.Do("k", func() (any, error) {
+		c.Do(ctx, "k", func() (int, error) {
 			close(computing)
 			// A waiter joins the flight before we blow up.
 			time.Sleep(50 * time.Millisecond)
@@ -170,7 +174,7 @@ func TestChaosPanicInCachedPath(t *testing.T) {
 	}()
 	<-computing
 	go func() {
-		_, _, err := c.Do("k", func() (any, error) { return 0, nil })
+		_, _, err := c.Do(ctx, "k", func() (int, error) { return 0, nil })
 		waited <- err
 	}()
 	<-panicked
@@ -184,11 +188,11 @@ func TestChaosPanicInCachedPath(t *testing.T) {
 	}
 
 	// Key is cold again: the next computation runs and is cached.
-	val, cached, err := c.Do("k", func() (any, error) { return 42, nil })
-	if err != nil || cached || val.(int) != 42 {
+	val, cached, err := c.Do(ctx, "k", func() (int, error) { return 42, nil })
+	if err != nil || cached || val != 42 {
 		t.Errorf("retry after panic: val=%v cached=%v err=%v, want 42/false/nil", val, cached, err)
 	}
-	if _, cached, _ := c.Do("k", func() (any, error) { return 0, nil }); !cached {
+	if _, cached, _ := c.Do(ctx, "k", func() (int, error) { return 0, nil }); !cached {
 		t.Error("recomputed value not cached")
 	}
 }
@@ -218,14 +222,15 @@ func TestChaosDrainUnderLoad(t *testing.T) {
 
 	responses := make(chan *http.Response, 2)
 	for i := 0; i < 2; i++ {
-		go func() {
-			resp, err := http.Get("http://" + s.Addr() + "/api/v1/mc?reps=8")
+		go func(seed int) {
+			// Distinct seeds, so each request holds a slot of its own.
+			resp, err := http.Get(fmt.Sprintf("http://%s/api/v1/mc?reps=8&seed=%d", s.Addr(), seed))
 			if err != nil {
 				responses <- nil
 				return
 			}
 			responses <- resp
-		}()
+		}(i)
 	}
 	time.Sleep(100 * time.Millisecond) // both requests holding slots
 

@@ -305,38 +305,39 @@ func decodeMC(q url.Values) (mcRequest, error) {
 	return decodeMCValues(q)
 }
 
-// shardRange addresses one worker's slice of a sharded run: the global
-// replication index range [Lo, Hi) plus the coordinator's view of the
-// canonical request digest, which the worker must reproduce.
-type shardRange struct {
+// shardRequest addresses one worker's slice of a sharded run: the full MC
+// request, the global replication index range [Lo, Hi), and the
+// coordinator's view of the request digest, which the worker must
+// reproduce.
+type shardRequest struct {
+	MC     mcRequest
 	Lo, Hi int
 	Digest string
 }
 
-// decodeMCShard parses a coordinator-to-worker shard request: a full MC
-// request plus the replication range and expected digest.
-func decodeMCShard(q url.Values) (mcRequest, shardRange, error) {
+// decodeMCShard parses a coordinator-to-worker shard request.
+func decodeMCShard(q url.Values) (shardRequest, error) {
 	if err := rejectUnknown(q, shardParams); err != nil {
-		return mcRequest{}, shardRange{}, err
+		return shardRequest{}, err
 	}
 	r, err := decodeMCValues(q)
 	if err != nil {
-		return r, shardRange{}, err
+		return shardRequest{}, err
 	}
 	if q.Get("rep_lo") == "" || q.Get("rep_hi") == "" {
-		return r, shardRange{}, badf("shard request needs rep_lo and rep_hi")
+		return shardRequest{}, badf("shard request needs rep_lo and rep_hi")
 	}
-	sr := shardRange{Digest: q.Get("digest")}
+	sr := shardRequest{MC: r, Digest: q.Get("digest")}
 	if sr.Lo, err = parseIntRange(q, "rep_lo", 0, 0, 1<<20); err != nil {
-		return r, sr, err
+		return sr, err
 	}
 	if sr.Hi, err = parseIntRange(q, "rep_hi", 0, 1, 1<<20); err != nil {
-		return r, sr, err
+		return sr, err
 	}
 	if sr.Hi <= sr.Lo {
-		return r, sr, badf("parameter \"rep_hi\": %d must exceed rep_lo %d", sr.Hi, sr.Lo)
+		return sr, badf("parameter \"rep_hi\": %d must exceed rep_lo %d", sr.Hi, sr.Lo)
 	}
-	return r, sr, nil
+	return sr, nil
 }
 
 // decodeMCValues parses the MC parameters proper (the caller has already

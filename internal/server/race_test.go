@@ -69,7 +69,10 @@ func TestConcurrentClients(t *testing.T) {
 	if inflight := s.Telemetry().Metrics.Gauge("mc_inflight").Value(); inflight != 0 {
 		t.Errorf("mc_inflight %g after quiesce, want 0 (leaked slot)", inflight)
 	}
-	if n := s.cache.Len(); n > 16 {
+	s.analytic.mu.Lock()
+	n := s.analytic.ll.Len()
+	s.analytic.mu.Unlock()
+	if n > 16 {
 		t.Errorf("cache grew to %d entries, bound is 16", n)
 	}
 	if hits := s.Telemetry().Metrics.Counter("cache_hits_total").Value(); hits == 0 {

@@ -4,20 +4,27 @@
 // and live virtual-time soaks — designed robustness-first, the same
 // discipline the underlying models preach.
 //
-// The request path is admission → deadline → singleflight → evaluate →
-// respond:
+// There is one way to answer. Every simulation endpoint is decode →
+// deadline → answer cache → admission → evaluate → respond, and a stream
+// endpoint is the plain one with a responder that also shows snapshots:
 //
-//   - Bounded admission: simulation work (MC sweeps, soaks) passes a
-//     semaphore gate with a bounded wait queue; excess load is shed with
-//     an explicit 429 and Retry-After instead of queueing invisibly,
-//     with queue-depth and shed-count metrics.
 //   - Deadlines: every request runs under a context deadline (server
 //     default, overridable per request with ?timeout=), threaded through
 //     the MC engine, sweep loop and soak — a deadlined sweep returns its
 //     partial estimate with the honest CI half-width and truncated=true
 //     rather than nothing.
-//   - Singleflight + bounded-LRU memoization of analytic evaluations
-//     keyed on (profile, topology, cluster, scenario, params).
+//   - One answer cache (cache.go), instantiated for analytic evaluations
+//     (bounded LRU keyed on the canonical model) and for MC what-ifs
+//     (keyed on the engine-versioned request digest; kept on disk when
+//     -store is set): look up, else compute at most once per key at a
+//     time, else keep. Only a complete answer is ever shared or kept, in
+//     flight as on disk — a caller waiting on an identical query leaves
+//     at its own deadline, and never takes an answer truncated by someone
+//     else's.
+//   - Bounded admission: simulation work (MC sweeps, soaks) passes a
+//     semaphore gate with a bounded wait queue; excess load is shed with
+//     an explicit 429 and Retry-After instead of queueing invisibly,
+//     with queue-depth and shed-count metrics.
 //   - Per-request panic isolation: a panicking evaluation answers 500 and
 //     increments a counter; the server survives and keeps serving.
 //   - Observability: /metrics exposes the telemetry registry in
@@ -83,9 +90,9 @@ type Config struct {
 	// into a bit-identical estimate (see shard.go). Empty means compute
 	// in-process.
 	ShardWorkers []string
-	// StoreDir enables the persistent result store: a content-addressed
-	// on-disk cache of completed MC responses keyed by the canonical
-	// request digest (see store.go). Empty disables it.
+	// StoreDir enables the persistent result store: the MC answer cache
+	// keeps completed responses on disk under the engine-versioned
+	// request digest (see store.go). Empty: nothing is kept.
 	StoreDir string
 	// Telemetry receives the server's metrics (request counts, latencies,
 	// shed/panic counters, cache hit rates). Nil creates a private
@@ -145,19 +152,15 @@ func (c Config) Validate() error {
 
 // Server is the resident availability service.
 type Server struct {
-	cfg    Config
-	tel    *telemetry.Telemetry
-	gate   *gate
-	cache  *memoCache
-	store  *resultStore // nil unless Config.StoreDir is set
-	shards *shardClient // nil unless Config.ShardWorkers is set
-	mux    *http.ServeMux
-	http   *http.Server
-	ln     net.Listener
-
-	// mcFlight collapses concurrent identical MC requests to one compute
-	// when the persistent store is on (misses hit disk once, not N times).
-	mcFlight flightGroup
+	cfg       Config
+	tel       *telemetry.Telemetry
+	gate      *gate
+	analytic  *answerCache[analyticResponse]
+	mcAnswers *answerCache[mcResponse]
+	shards    *shardClient // nil unless Config.ShardWorkers is set
+	mux       *http.ServeMux
+	http      *http.Server
+	ln        net.Listener
 
 	draining atomic.Bool
 	// baseCancel cancels every in-flight request's context (set by Serve).
@@ -185,11 +188,18 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	reg := cfg.Telemetry.Metrics
+	store, err := openStore[mcResponse](cfg.StoreDir, reg)
+	if err != nil {
+		return nil, err
+	}
 	s := &Server{
-		cfg:      cfg,
-		tel:      cfg.Telemetry,
-		gate:     newGate(cfg.MaxConcurrent, cfg.MaxQueue, reg),
-		cache:    newMemoCache(cfg.CacheSize, reg),
+		cfg:  cfg,
+		tel:  cfg.Telemetry,
+		gate: newGate(cfg.MaxConcurrent, cfg.MaxQueue, reg),
+		analytic: newAnswerCache(reg, "cache", cfg.CacheSize, resultStore[analyticResponse]{},
+			func(analyticResponse) bool { return true }),
+		mcAnswers: newAnswerCache(reg, "availd_store", 0, store,
+			func(r mcResponse) bool { return !r.Truncated }),
 		mux:      http.NewServeMux(),
 		requests: reg.Counter("http_requests_total"),
 		panics:   reg.Counter("http_panics_total"),
@@ -202,33 +212,22 @@ func New(cfg Config) (*Server, error) {
 		mcRun:              sweep.RunContext,
 		soakRun:            chaos.RunSoakContext,
 	}
-	// Shard/store counters register unconditionally so /metrics surfaces
-	// them (at zero) even on instances with the features off.
+	// Shard counters register unconditionally so /metrics surfaces them
+	// (at zero) even on instances that coordinate nothing.
 	reg.Counter("availd_shard_merges_total")
 	reg.Counter("availd_shard_reassigns_total")
-	reg.Counter("availd_store_hits_total")
-	reg.Counter("availd_store_misses_total")
-	reg.Counter("availd_store_writes_total")
-	reg.Counter("availd_store_corrupt_total")
 	if len(cfg.ShardWorkers) > 0 {
 		s.shards = newShardClient(cfg.ShardWorkers, reg)
-	}
-	if cfg.StoreDir != "" {
-		store, err := newResultStore(cfg.StoreDir, reg)
-		if err != nil {
-			return nil, err
-		}
-		s.store = store
 	}
 	s.mux.Handle("/healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.Handle("/readyz", s.instrument("readyz", s.handleReadyz))
 	s.mux.Handle("/metrics", s.instrument("metrics", s.handleMetrics))
 	s.mux.Handle("/api/v1/analytic", s.instrument("analytic", s.handleAnalytic))
-	s.mux.Handle("/api/v1/mc", s.instrument("mc", s.handleMC))
-	s.mux.Handle("/api/v1/mc/shard", s.instrument("mc_shard", s.handleMCShard))
-	s.mux.Handle("/api/v1/mc/stream", s.instrument("mc_stream", s.handleMCStream))
-	s.mux.Handle("/api/v1/soak", s.instrument("soak", s.handleSoak))
-	s.mux.Handle("/api/v1/soak/stream", s.instrument("soak_stream", s.handleSoakStream))
+	s.mux.Handle("/api/v1/mc", s.instrument("mc", endpoint(s, decodeMC, plainJSON, s.serveMC)))
+	s.mux.Handle("/api/v1/mc/shard", s.instrument("mc_shard", endpoint(s, decodeMCShard, plainJSON, s.serveMCShard)))
+	s.mux.Handle("/api/v1/mc/stream", s.instrument("mc_stream", endpoint(s, decodeMC, eventStream, s.serveMC)))
+	s.mux.Handle("/api/v1/soak", s.instrument("soak", endpoint(s, decodeSoak, plainJSON, s.serveSoak)))
+	s.mux.Handle("/api/v1/soak/stream", s.instrument("soak_stream", endpoint(s, decodeSoak, eventStream, s.serveSoak)))
 	s.http = &http.Server{Handler: s.mux}
 	return s, nil
 }
@@ -334,6 +333,36 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.Handler {
 	})
 }
 
+// endpoint builds a simulation endpoint's handler, the one prelude they
+// all share: decode the query, resolve the deadline (?timeout= over the
+// server default), open the responder, and serve under the deadline. A
+// request refused before serve runs is answered as plain JSON, whatever
+// the responder.
+func endpoint[T any](s *Server, decode func(url.Values) (T, error), open openResponder,
+	serve func(ctx context.Context, req T, out responder)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		req, err := decode(q)
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		timeout, err := parseTimeout(q, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		out, err := open(s, w, r)
+		if err != nil {
+			s.fail(w, err)
+			return
+		}
+		ctx, cancel := context.WithTimeout(r.Context(), timeout)
+		defer cancel()
+		serve(ctx, req, out)
+	}
+}
+
 // writeJSON encodes v with status code.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -351,16 +380,21 @@ type errorBody struct {
 }
 
 // fail maps an error to its HTTP status: bad requests 400, shed 429 with
-// Retry-After, shard coordination failures 502, everything else 500.
+// Retry-After, a shard worker's digest refusal 409, shard coordination
+// failures 502, everything else 500.
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	var bad *badRequestError
+	var dm *digestMismatchError
 	var se *shardError
 	switch {
 	case errors.As(err, &bad):
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: bad.msg})
+	case errors.As(err, &dm):
+		writeJSON(w, http.StatusConflict, errorBody{Error: dm.Error(), Code: codeDigestMismatch})
 	case errors.Is(err, errShed), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		// Shed outright, or deadline spent waiting in the admission queue:
-		// either way the work never ran and a retry later can succeed.
+		// Shed outright, or deadline spent waiting in the admission queue
+		// or on an identical query in flight: either way the work never
+		// ran for this caller and a retry later can succeed.
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
 	case errors.As(err, &se):
@@ -407,20 +441,22 @@ type analyticResponse struct {
 	Cached            bool    `json:"cached"`
 }
 
-// handleAnalytic evaluates the SW-centric closed forms, memoized through
-// the singleflight LRU.
+// handleAnalytic evaluates the SW-centric closed forms through the
+// analytic answer cache. It is ungated and has no deadline of its own: a
+// caller waiting on an identical evaluation waits as long as its
+// connection lives.
 func (s *Server) handleAnalytic(w http.ResponseWriter, r *http.Request) {
 	req, err := decodeAnalytic(r.URL.Query())
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
-	val, cached, err := s.cache.Do(req.Key(), func() (any, error) {
+	resp, cached, err := s.analytic.Do(r.Context(), req.Key(), func() (analyticResponse, error) {
 		model := analytic.NewModel(req.Profile, analytic.Option{Kind: req.Kind, Scenario: req.Scenario})
 		model.Params = req.Params
 		model.ClusterSize = req.Cluster
 		if err := model.Validate(); err != nil {
-			return nil, badf("invalid model: %v", err)
+			return analyticResponse{}, badf("invalid model: %v", err)
 		}
 		cp, dp := model.Evaluate()
 		return analyticResponse{
@@ -438,7 +474,6 @@ func (s *Server) handleAnalytic(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	resp := val.(analyticResponse)
 	resp.Cached = cached
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -525,11 +560,11 @@ func mcPlan(req mcRequest) (mc.Config, sweep.Options, error) {
 	return cfg, opt, nil
 }
 
-// computeMC is the full MC evaluation path behind both the plain and the
-// streaming endpoint: admission, planning, execution (in-process or
-// fanned out across shard workers), response assembly. emit, when
-// non-nil, observes partial results on the progressive-snapshot schedule.
-func (s *Server) computeMC(ctx context.Context, req mcRequest, emit func(sweep.Result)) (mcResponse, error) {
+// computeMC is the MC evaluation behind the answer cache: admission,
+// planning, execution (in-process or fanned out across shard workers),
+// response assembly. snap, when non-nil, is sent a streamSnapshot of each
+// partial result on the progressive-snapshot schedule.
+func (s *Server) computeMC(ctx context.Context, req mcRequest, snap func(v any)) (mcResponse, error) {
 	if err := s.gate.acquire(ctx); err != nil {
 		return mcResponse{}, err
 	}
@@ -540,6 +575,20 @@ func (s *Server) computeMC(ctx context.Context, req mcRequest, emit func(sweep.R
 		return mcResponse{}, err
 	}
 	start := time.Now()
+	var emit func(sweep.Result)
+	if snap != nil {
+		emit = func(partial sweep.Result) {
+			body := buildMCResponse(req, partial, start)
+			snap(streamSnapshot{
+				Replications:     body.Replications,
+				TargetReps:       opt.MaxReps,
+				CP:               body.CP,
+				ElapsedMS:        body.ElapsedMS,
+				CPUnavailability: body.CPUnavailability,
+				RareESS:          body.RareESS,
+			})
+		}
+	}
 	var res sweep.Result
 	var info shardRunInfo
 	if s.shards != nil {
@@ -596,56 +645,22 @@ func buildMCResponse(req mcRequest, res sweep.Result, start time.Time) mcRespons
 	return resp
 }
 
-// handleMC runs an adaptive Monte Carlo sweep under the request deadline,
-// gated by bounded admission. A deadlined sweep answers 200 with the
-// partial estimate and truncated=true. With the persistent store on, the
-// request digest is checked on disk first and concurrent identical misses
-// collapse to one compute via singleflight; completed (non-truncated)
-// answers are persisted.
-func (s *Server) handleMC(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	req, err := decodeMC(q)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	timeout, err := parseTimeout(q, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	if s.store == nil {
-		resp, err := s.computeMC(ctx, req, nil)
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	digest := mcDigest(req)
-	val, _, err := s.mcFlight.Do(digest, func() (any, error) {
-		if resp, ok := s.store.get(digest); ok {
-			resp.Stored = true
-			return resp, nil
-		}
-		resp, err := s.computeMC(ctx, req, nil)
-		if err != nil {
-			return mcResponse{}, err
-		}
-		if !resp.Truncated {
-			s.store.put(digest, resp)
-		}
-		return resp, nil
+// serveMC answers an MC what-if, plain or streamed, through the MC answer
+// cache: a kept answer, else the answer of an identical query already in
+// flight if that completes within this request's deadline, else an
+// adaptive sweep under this request's own deadline, gated by bounded
+// admission. A deadlined sweep answers 200 with the partial estimate and
+// truncated=true — to this caller only.
+func (s *Server) serveMC(ctx context.Context, req mcRequest, out responder) {
+	resp, stored, err := s.mcAnswers.Do(ctx, mcDigest(req), func() (mcResponse, error) {
+		return s.computeMC(ctx, req, out.snapshots())
 	})
 	if err != nil {
-		s.fail(w, err)
+		out.fail(err)
 		return
 	}
-	writeJSON(w, http.StatusOK, val.(mcResponse))
+	resp.Stored = stored
+	out.result(resp)
 }
 
 // soakResponse is the live-soak result.
@@ -659,25 +674,12 @@ type soakResponse struct {
 	ElapsedMS        int64   `json:"elapsed_ms"`
 }
 
-// handleSoak runs a fake-clocked live soak under the request deadline,
-// gated like MC work. A deadlined soak answers its partial horizon.
-func (s *Server) handleSoak(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	req, err := decodeSoak(q)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	timeout, err := parseTimeout(q, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
+// serveSoak runs a fake-clocked live soak, plain or streamed, under the
+// request deadline, gated like MC work. A deadlined soak answers its
+// partial horizon. Soaks are not cached: nobody asks the same one twice.
+func (s *Server) serveSoak(ctx context.Context, req soakRequest, out responder) {
 	if err := s.gate.acquire(ctx); err != nil {
-		s.fail(w, err)
+		out.fail(err)
 		return
 	}
 	defer s.gate.release()
@@ -687,19 +689,30 @@ func (s *Server) handleSoak(w http.ResponseWriter, r *http.Request) {
 		ProcessMTBF: req.MTBF, ComputeHosts: req.Hosts,
 	}
 	if err := sc.Validate(); err != nil {
-		s.fail(w, badf("invalid soak: %v", err))
+		out.fail(badf("invalid soak: %v", err))
 		return
 	}
 	start := time.Now()
+	if snap := out.snapshots(); snap != nil {
+		sc.ProgressEveryHours = req.Hours / 20
+		sc.Progress = func(hoursDone float64, failures int) {
+			snap(soakSnapshot{
+				Hours:     hoursDone,
+				TargetHrs: req.Hours,
+				Failures:  failures,
+				ElapsedMS: time.Since(start).Milliseconds(),
+			})
+		}
+	}
 	res, err := s.soakRun(ctx, sc)
 	if err != nil {
-		s.fail(w, err)
+		out.fail(err)
 		return
 	}
 	if res.Truncated {
 		s.timeouts.Inc()
 	}
-	writeJSON(w, http.StatusOK, soakResponse{
+	out.result(soakResponse{
 		Hours:            res.Hours,
 		Failures:         res.Failures,
 		OperatorRestarts: res.OperatorRestarts,

@@ -58,6 +58,15 @@ func (e *shardError) Error() string {
 	return fmt.Sprintf("server: shard worker %s: %s (%s)", e.Worker, e.Msg, e.Code)
 }
 
+// digestMismatchError is a worker refusing a request whose digest it
+// cannot reproduce: it decoded a different computation, or computes with a
+// different engine, than the coordinator meant. The handler answers 409.
+type digestMismatchError struct{ sent, decoded string }
+
+func (e *digestMismatchError) Error() string {
+	return fmt.Sprintf("config digest mismatch: coordinator sent %s, worker decoded %s", e.sent, e.decoded)
+}
+
 // shardResponse is a worker's answer: the samples for [RepLo, RepHi),
 // tagged with the worker's own view of the config digest. Truncated means
 // the worker's deadline cut the range short; Samples then holds the
@@ -70,46 +79,31 @@ type shardResponse struct {
 	Samples   []sweep.RepSample `json:"samples"`
 }
 
-// handleMCShard is the worker side: replicate the requested global index
+// serveMCShard is the worker side: replicate the requested global index
 // range and return raw samples. Every availd serves it — any instance can
 // be a worker.
-func (s *Server) handleMCShard(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	req, sr, err := decodeMCShard(q)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	timeout, err := parseTimeout(q, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
+func (s *Server) serveMCShard(ctx context.Context, sr shardRequest, out responder) {
+	req := sr.MC
 	digest := mcDigest(req)
 	if sr.Digest != "" && sr.Digest != digest {
 		s.shardDigestRejects.Inc()
-		writeJSON(w, http.StatusConflict, errorBody{
-			Error: fmt.Sprintf("config digest mismatch: coordinator sent %s, worker decoded %s", sr.Digest, digest),
-			Code:  codeDigestMismatch,
-		})
+		out.fail(&digestMismatchError{sent: sr.Digest, decoded: digest})
 		return
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
 	if err := s.gate.acquire(ctx); err != nil {
-		s.fail(w, err)
+		out.fail(err)
 		return
 	}
 	defer s.gate.release()
 
 	cfg, _, err := mcPlan(req)
 	if err != nil {
-		s.fail(w, err)
+		out.fail(err)
 		return
 	}
 	ss, err := mc.NewSession(cfg)
 	if err != nil {
-		s.fail(w, err)
+		out.fail(err)
 		return
 	}
 	resp := shardResponse{
@@ -122,7 +116,7 @@ func (s *Server) handleMCShard(w http.ResponseWriter, r *http.Request) {
 		resp.Samples = append(resp.Samples, sweep.RepSample{Rep: rep, Res: res})
 	})
 	resp.Truncated = n < sr.Hi-sr.Lo
-	writeJSON(w, http.StatusOK, resp)
+	out.result(resp)
 }
 
 // shardClient is the coordinator side: the configured worker set plus the

@@ -8,100 +8,111 @@ import (
 	"os"
 	"path/filepath"
 
+	"sdnavail/internal/mc"
 	"sdnavail/internal/telemetry"
 )
 
-// Persistent result store: a content-addressed on-disk cache in front of
-// the MC path. The address is the SHA-256 of the canonical request
-// encoding (mcDigest), so every spelling of the same what-if hits the
-// same entry across process restarts; the stored value is the full
-// mcResponse — estimate, CI metadata, convergence flags — wrapped in a
-// checksummed envelope. Integrity failures are self-healing: a bad
-// checksum or unparsable payload deletes the entry and the request
-// recomputes; nothing ever crashes on a corrupt file. Truncated partials
-// are never stored — a deadline-shaped answer must not masquerade as the
-// converged one for a later, more patient caller.
+// Persistent result store: the answer cache's disk tier, a
+// content-addressed directory in front of the MC path. The address is
+// the SHA-256 of the engine version and the canonical request encoding
+// (mcDigest), so every spelling of the same what-if hits the same entry
+// across process restarts; the stored value is the full mcResponse —
+// estimate, CI metadata, convergence flags — wrapped in a checksummed,
+// versioned envelope. Integrity failures are self-healing: a bad
+// checksum, an unparsable payload or another engine's version deletes
+// the entry and the request recomputes; nothing ever crashes on a
+// corrupt file. What is stored is the cache's decision (only complete
+// answers — see cache.go), not the store's.
 
-// storeEnvelope is the on-disk format: the payload bytes plus their
-// SHA-256, verified on every read.
+// storeEnvelope is the on-disk format: the engine version that computed
+// the payload, and the payload bytes plus their SHA-256, all verified on
+// every read.
 type storeEnvelope struct {
+	Engine  int             `json:"engine"`
 	SHA256  string          `json:"sha256"`
 	Payload json.RawMessage `json:"payload"`
 }
 
-type resultStore struct {
-	dir string
+// resultStore is one store directory. The zero value is a store that is
+// off: it finds nothing and keeps nothing.
+type resultStore[T any] struct {
+	dir     string
+	version int // mc.EngineVersion; a field so a test can age the entries
 
-	hits    *telemetry.Counter
-	misses  *telemetry.Counter
 	writes  *telemetry.Counter
 	corrupt *telemetry.Counter
 }
 
-// newResultStore opens (creating if needed) the store rooted at dir.
-func newResultStore(dir string, reg *telemetry.Registry) (*resultStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("server: result store: %w", err)
+// openStore opens (creating if needed) the store rooted at dir; an empty
+// dir leaves it off. Either way its counters register, so /metrics shows
+// them at zero on an instance without -store.
+func openStore[T any](dir string, reg *telemetry.Registry) (resultStore[T], error) {
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return resultStore[T]{}, fmt.Errorf("server: result store: %w", err)
+		}
 	}
-	return &resultStore{
+	return resultStore[T]{
 		dir:     dir,
-		hits:    reg.Counter("availd_store_hits_total"),
-		misses:  reg.Counter("availd_store_misses_total"),
+		version: mc.EngineVersion,
 		writes:  reg.Counter("availd_store_writes_total"),
 		corrupt: reg.Counter("availd_store_corrupt_total"),
 	}, nil
 }
 
 // path shards entries across 256 subdirectories by digest prefix.
-func (st *resultStore) path(digest string) string {
+func (st resultStore[T]) path(digest string) string {
 	return filepath.Join(st.dir, digest[:2], digest+".json")
 }
 
-// get loads the stored response for digest. A missing entry is a miss; a
-// corrupt one (bad checksum, unparsable) is deleted, counted, and
-// reported as a miss so the caller recomputes.
-func (st *resultStore) get(digest string) (mcResponse, bool) {
+// get loads the stored answer for digest. A missing entry is a miss; a
+// corrupt one (bad checksum, unparsable, written by another engine
+// version) is deleted, counted, and reported as a miss so the caller
+// recomputes.
+func (st resultStore[T]) get(digest string) (val T, ok bool) {
+	if st.dir == "" {
+		return val, false
+	}
 	raw, err := os.ReadFile(st.path(digest))
 	if err != nil {
-		st.misses.Inc()
-		return mcResponse{}, false
+		return val, false
 	}
 	var env storeEnvelope
-	if err := json.Unmarshal(raw, &env); err != nil {
+	if err := json.Unmarshal(raw, &env); err != nil || env.Engine != st.version {
 		return st.drop(digest)
 	}
 	sum := sha256.Sum256(env.Payload)
 	if hex.EncodeToString(sum[:]) != env.SHA256 {
 		return st.drop(digest)
 	}
-	var resp mcResponse
-	if err := json.Unmarshal(env.Payload, &resp); err != nil {
+	if err := json.Unmarshal(env.Payload, &val); err != nil {
 		return st.drop(digest)
 	}
-	st.hits.Inc()
-	return resp, true
+	return val, true
 }
 
 // drop removes a corrupt entry and reports a miss.
-func (st *resultStore) drop(digest string) (mcResponse, bool) {
+func (st resultStore[T]) drop(digest string) (zero T, ok bool) {
 	st.corrupt.Inc()
 	_ = os.Remove(st.path(digest))
-	st.misses.Inc()
-	return mcResponse{}, false
+	return zero, false
 }
 
-// put persists resp under digest atomically: temp file in the final
+// put persists val under digest atomically: temp file in the final
 // directory, fsync-free write, rename. A half-written file can never be
 // observed at the final path, and concurrent writers of the same digest
 // race benignly (identical content). Write failures are silent — the
 // store is a cache, not a system of record.
-func (st *resultStore) put(digest string, resp mcResponse) {
-	payload, err := json.Marshal(resp)
+func (st resultStore[T]) put(digest string, val T) {
+	if st.dir == "" {
+		return
+	}
+	payload, err := json.Marshal(val)
 	if err != nil {
 		return
 	}
 	sum := sha256.Sum256(payload)
-	raw, err := json.Marshal(storeEnvelope{SHA256: hex.EncodeToString(sum[:]), Payload: payload})
+	raw, err := json.Marshal(storeEnvelope{Engine: st.version, SHA256: hex.EncodeToString(sum[:]), Payload: payload})
 	if err != nil {
 		return
 	}

@@ -1,54 +1,120 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"time"
-
-	"sdnavail/internal/chaos"
-	"sdnavail/internal/sweep"
 )
 
-// Progressive result streaming: Server-Sent Events endpoints that emit
-// CI-narrowing snapshots while a run converges, so a client watching a
-// long sweep sees p̂ ± half-width tighten live instead of staring at a
-// blank connection. Snapshots ride the sweep layer's Progress schedule
-// (first snapshot by min(MinReps, MaxReps/20) replications — under 10%
-// of any non-trivial budget) and never perturb the fold: a streamed run
-// answers bit-identically to a plain one. Closing the client connection
-// cancels the request context, which threads through mc/sweep/chaos
-// cancellation points and stops the compute.
+// Progressive result streaming: a stream endpoint is the plain endpoint
+// with a different responder. Where the plain one answers a single JSON
+// body, the Server-Sent Events one also emits CI-narrowing snapshots while
+// the run converges, so a client watching a long sweep sees p̂ ± half-width
+// tighten live instead of staring at a blank connection. Snapshots ride
+// the sweep layer's Progress schedule (first snapshot by min(MinReps,
+// MaxReps/20) replications — under 10% of any non-trivial budget) and
+// never perturb the fold: a streamed run answers bit-identically to a
+// plain one. Closing the client connection cancels the request context,
+// which threads through mc/sweep/chaos cancellation points and stops the
+// compute.
 
-// sseWriter serializes events onto one response connection.
-type sseWriter struct {
-	w http.ResponseWriter
-	f http.Flusher
+// responder hides the wire format an answer leaves in. Exactly one of
+// result and fail ends every request.
+type responder interface {
+	// snapshots returns where mid-run observations go, or nil when nobody
+	// would see them and the run should not take any.
+	snapshots() func(v any)
+	result(v any)
+	fail(err error)
 }
 
-// startSSE switches the response to an event stream. Call before any
-// event; decode errors must be answered as plain JSON before this.
-func startSSE(w http.ResponseWriter) (*sseWriter, error) {
+// openResponder builds an endpoint's responder for one request.
+type openResponder func(*Server, http.ResponseWriter, *http.Request) (responder, error)
+
+// jsonResponder answers one JSON body: 200 with the result, or the
+// error's status (see Server.fail).
+type jsonResponder struct {
+	s *Server
+	w http.ResponseWriter
+}
+
+func plainJSON(s *Server, w http.ResponseWriter, _ *http.Request) (responder, error) {
+	return jsonResponder{s, w}, nil
+}
+
+func (o jsonResponder) snapshots() func(any) { return nil }
+func (o jsonResponder) result(v any)         { writeJSON(o.w, http.StatusOK, v) }
+func (o jsonResponder) fail(err error)       { o.s.fail(o.w, err) }
+
+// sseResponder answers an event stream: zero or more "snapshot" events,
+// then one terminal "result" (the exact body the plain endpoint would
+// answer) or "error". The stream starts with its first event, so a request
+// that fails before producing one — shed at the gate, an invalid model —
+// is still answered as plain JSON with a real status code.
+type sseResponder struct {
+	jsonResponder
+	r       *http.Request
+	f       http.Flusher
+	started bool
+}
+
+func eventStream(s *Server, w http.ResponseWriter, r *http.Request) (responder, error) {
 	f, ok := w.(http.Flusher)
 	if !ok {
 		return nil, fmt.Errorf("server: connection does not support streaming")
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	return &sseWriter{w: w, f: f}, nil
+	return &sseResponder{jsonResponder: jsonResponder{s, w}, r: r, f: f}, nil
 }
 
 // event emits one named SSE event with a JSON payload.
-func (s *sseWriter) event(name string, v any) {
+func (o *sseResponder) event(name string, v any) {
 	data, err := json.Marshal(v)
 	if err != nil {
 		return
 	}
-	fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", name, data)
-	s.f.Flush()
+	if !o.started {
+		o.started = true
+		o.w.Header().Set("Content-Type", "text/event-stream")
+		o.w.Header().Set("Cache-Control", "no-cache")
+		o.w.Header().Set("Connection", "keep-alive")
+		o.w.WriteHeader(http.StatusOK)
+	}
+	fmt.Fprintf(o.w, "event: %s\ndata: %s\n\n", name, data)
+	o.f.Flush()
+}
+
+func (o *sseResponder) snapshots() func(any) {
+	return func(v any) {
+		o.event("snapshot", v)
+		o.s.streamSnapshots.Inc()
+	}
+}
+
+// hungUp accounts a stream that ends with its client gone: the
+// cancellation tore through the run.
+func (o *sseResponder) hungUp() bool {
+	if o.r.Context().Err() == nil {
+		return false
+	}
+	o.s.streamCancels.Inc()
+	return true
+}
+
+// result still writes to a client that hung up, in case anyone reads it.
+func (o *sseResponder) result(v any) {
+	o.hungUp()
+	o.event("result", v)
+}
+
+func (o *sseResponder) fail(err error) {
+	if o.hungUp() {
+		return
+	}
+	if !o.started {
+		o.jsonResponder.fail(err)
+		return
+	}
+	o.event("error", errorBody{Error: err.Error()})
 }
 
 // streamSnapshot is one mid-run MC observation.
@@ -62,171 +128,10 @@ type streamSnapshot struct {
 	RareESS          float64       `json:"rare_ess,omitempty"`
 }
 
-// handleMCStream runs the MC what-if as an SSE stream: zero or more
-// "snapshot" events, then one terminal "result" (the exact mcResponse the
-// plain endpoint would answer) or "error" event.
-func (s *Server) handleMCStream(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	req, err := decodeMC(q)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	timeout, err := parseTimeout(q, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	digest := mcDigest(req)
-	if s.store != nil {
-		if resp, ok := s.store.get(digest); ok {
-			resp.Stored = true
-			sse, err := startSSE(w)
-			if err != nil {
-				s.fail(w, err)
-				return
-			}
-			sse.event("result", resp)
-			return
-		}
-	}
-
-	sse, err := startSSE(w)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	target := streamTargetReps(req)
-	start := time.Now()
-	emit := func(partial sweep.Result) {
-		snap := streamSnapshot{
-			Replications: partial.Replications,
-			TargetReps:   target,
-			CP: intervalJSON{Mean: partial.Estimate.CP.Mean,
-				HalfWidth: partial.Estimate.CP.HalfWide, Level: partial.Estimate.CP.Level},
-			ElapsedMS: time.Since(start).Milliseconds(),
-		}
-		if req.Rare {
-			snap.CPUnavailability = &intervalJSON{
-				Mean:      partial.Estimate.CPUnavailability.Mean,
-				HalfWidth: partial.Estimate.CPUnavailability.HalfWide,
-				Level:     partial.Estimate.CPUnavailability.Level,
-			}
-			snap.RareESS = partial.Estimate.RareESS
-		}
-		sse.event("snapshot", snap)
-		s.streamSnapshots.Inc()
-	}
-	resp, err := s.computeMC(ctx, req, emit)
-	if err != nil {
-		if r.Context().Err() != nil {
-			s.streamCancels.Inc()
-			return
-		}
-		sse.event("error", errorBody{Error: err.Error()})
-		return
-	}
-	if resp.Truncated && r.Context().Err() != nil {
-		// The client hung up and the cancellation tore through the run:
-		// account it, and still write the partial in case anyone reads it.
-		s.streamCancels.Inc()
-	}
-	if s.store != nil && !resp.Truncated {
-		s.store.put(digest, resp)
-	}
-	sse.event("result", resp)
-}
-
-// streamTargetReps resolves the replication ceiling a stream's snapshots
-// report progress against — the same resolution computeMC applies.
-func streamTargetReps(req mcRequest) int {
-	if !req.Rare && req.CITarget == 0 {
-		return req.Reps
-	}
-	return req.MaxReps
-}
-
 // soakSnapshot is one mid-run soak observation.
 type soakSnapshot struct {
 	Hours     float64 `json:"hours"`
 	TargetHrs float64 `json:"target_hours"`
 	Failures  int     `json:"failures"`
 	ElapsedMS int64   `json:"elapsed_ms"`
-}
-
-// handleSoakStream runs the live soak as an SSE stream: periodic
-// "snapshot" events with the virtual hours covered and failures injected
-// so far, then a terminal "result" (the plain soakResponse) or "error".
-func (s *Server) handleSoakStream(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	req, err := decodeSoak(q)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	timeout, err := parseTimeout(q, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	if err := s.gate.acquire(ctx); err != nil {
-		s.fail(w, err)
-		return
-	}
-	defer s.gate.release()
-
-	sc := chaos.SoakConfig{
-		Hours: req.Hours, Seed: req.Seed,
-		ProcessMTBF: req.MTBF, ComputeHosts: req.Hosts,
-	}
-	if err := sc.Validate(); err != nil {
-		s.fail(w, badf("invalid soak: %v", err))
-		return
-	}
-	sse, err := startSSE(w)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	start := time.Now()
-	sc.ProgressEveryHours = req.Hours / 20
-	sc.Progress = func(hoursDone float64, failures int) {
-		sse.event("snapshot", soakSnapshot{
-			Hours:     hoursDone,
-			TargetHrs: req.Hours,
-			Failures:  failures,
-			ElapsedMS: time.Since(start).Milliseconds(),
-		})
-		s.streamSnapshots.Inc()
-	}
-	res, err := s.soakRun(ctx, sc)
-	if err != nil {
-		if r.Context().Err() != nil {
-			s.streamCancels.Inc()
-			return
-		}
-		sse.event("error", errorBody{Error: err.Error()})
-		return
-	}
-	if res.Truncated {
-		s.timeouts.Inc()
-		if r.Context().Err() != nil {
-			s.streamCancels.Inc()
-		}
-	}
-	sse.event("result", soakResponse{
-		Hours:            res.Hours,
-		Failures:         res.Failures,
-		OperatorRestarts: res.OperatorRestarts,
-		CPAvailability:   res.Report.CPAvailability,
-		DPAvailability:   res.Report.DPAvailability,
-		Truncated:        res.Truncated,
-		ElapsedMS:        time.Since(start).Milliseconds(),
-	})
 }
