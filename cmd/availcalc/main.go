@@ -68,7 +68,7 @@ func run(args []string, out io.Writer) error {
 		}
 		prof, err = profile.FromJSON(data)
 	} else {
-		prof, err = profileByName(*profName)
+		prof, err = profile.ByName(*profName)
 	}
 	if err != nil {
 		return err
@@ -123,7 +123,7 @@ func run(args []string, out io.Writer) error {
 		return nil
 	}
 
-	kind, err := kindByName(*topoName)
+	kind, err := topology.ParseKind(*topoName)
 	if err != nil {
 		return err
 	}
@@ -158,30 +158,4 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "  local  DP          A_LDP = %.8f\n", m.LocalDP())
 	fmt.Fprintf(out, "  host data plane    A_DP = %.8f  (%.1f min/year downtime)\n", dp, relmath.DowntimeMinutesPerYear(dp))
 	return nil
-}
-
-func profileByName(name string) (*profile.Profile, error) {
-	switch name {
-	case "opencontrail":
-		return profile.OpenContrail3x(), nil
-	case "odl":
-		return profile.ODLLike(), nil
-	case "onos":
-		return profile.ONOSLike(), nil
-	default:
-		return nil, fmt.Errorf("unknown profile %q (want opencontrail, odl or onos)", name)
-	}
-}
-
-func kindByName(name string) (topology.Kind, error) {
-	switch name {
-	case "small":
-		return topology.Small, nil
-	case "medium":
-		return topology.Medium, nil
-	case "large":
-		return topology.Large, nil
-	default:
-		return topology.Custom, fmt.Errorf("unknown topology %q (want small, medium or large)", name)
-	}
 }

@@ -111,6 +111,19 @@ func TestProfileFromFile(t *testing.T) {
 	if err := run([]string{"-profile-file", "/nonexistent.json"}, &sb); err == nil {
 		t.Error("missing profile file accepted")
 	}
+
+	// A DP block mixing needs used to pass FromJSON and panic in the
+	// derivation; it must come back as an error naming the block.
+	mixed := strings.Replace(doc, `"cp": "majority", "dp": "one"}`,
+		`"cp": "majority", "dp": "one", "dpGroup": "blk"},
+	    {"name": "side", "role": "Core", "restart": "auto", "dp": "majority", "dpGroup": "blk"}`, 1)
+	if err := os.WriteFile(path, []byte(mixed), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err := run([]string{"-profile-file", path, "-tables"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), `DP group "blk" mixes DP needs`) {
+		t.Errorf("mixed-need DP block: got %v, want a validation error", err)
+	}
 }
 
 func TestTopologyFromFile(t *testing.T) {

@@ -143,16 +143,9 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	var kind topology.Kind
-	switch *topoName {
-	case "small":
-		kind = topology.Small
-	case "medium":
-		kind = topology.Medium
-	case "large":
-		kind = topology.Large
-	default:
-		return fmt.Errorf("unknown topology %q", *topoName)
+	kind, err := topology.ParseKind(*topoName)
+	if err != nil {
+		return err
 	}
 	sc := analytic.SupervisorNotRequired
 	if *scenario == 2 {

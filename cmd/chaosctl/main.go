@@ -108,7 +108,7 @@ func run(args []string, out io.Writer) error {
 func runContext(ctx context.Context, args []string, out io.Writer) error {
 	flag := flag.NewFlagSet("chaosctl", flag.ContinueOnError)
 	var (
-		topoName = flag.String("topology", "small", "deployment topology: small or large")
+		topoName = flag.String("topology", "small", "deployment topology: small, medium or large")
 		hosts    = flag.Int("hosts", 3, "vRouter compute hosts")
 		scenario = flag.String("scenario", "section3", "scenario: section3, dbquorum, rack, partition, asymlink, graphlink, crashloop, flapping, headless, staleread, leadercrash, grayleader, staleleader, ackdrop or campaign")
 		specFile = flag.String("scenario-file", "", "run a declarative JSON scenario from this file instead of -scenario")
@@ -179,14 +179,13 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 	}
 
 	prof := profile.OpenContrail3x()
-	var topo *topology.Topology
-	switch *topoName {
-	case "small":
-		topo = topology.NewSmall(prof.ClusterRoles, 3)
-	case "large":
-		topo = topology.NewLarge(prof.ClusterRoles, 3)
-	default:
-		return fmt.Errorf("unknown topology %q", *topoName)
+	kind, err := topology.ParseKind(*topoName)
+	if err != nil {
+		return err
+	}
+	topo, err := topology.ByKind(kind, prof.ClusterRoles, 3)
+	if err != nil {
+		return err
 	}
 	// The graphlink scenario cuts declared network links; give the
 	// topology its default fabric (uplinks, rack core links, edge

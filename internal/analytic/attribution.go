@@ -58,44 +58,15 @@ func (c contribs) finish() []ModeContribution {
 	return out
 }
 
-// groupMembers resolves a quorum group's member process names, the same
-// expansion the testbed and simulator use.
-func groupMembers(p *profile.Profile, role profile.Role, pl profile.Plane, group string) []string {
-	var members []string
-	for _, proc := range p.RoleProcesses(role, false) {
-		if proc.PerHost {
-			continue
-		}
-		isMember := proc.Name == group
-		if pl == profile.DataPlane && proc.DPGroup != "" {
-			isMember = proc.DPGroup == group
-		}
-		if isMember {
-			members = append(members, proc.Name)
-		}
-	}
-	return members
-}
-
 // planeContributions accumulates every shared quorum requirement's
 // first-order unavailability for the plane, split evenly over member
 // processes.
 func planeContributions(p *profile.Profile, n int, params Params, pl profile.Plane, c contribs) {
-	for _, role := range p.ClusterRoles {
-		for _, g := range profile.QuorumGroups(p, role, pl) {
-			need := g.Need.Count(n)
-			if need == 0 {
-				continue
-			}
-			alpha := g.InstanceAvailability(params.A, params.AS)
-			u := relmath.KofNComplement(need, n, alpha) * float64(g.Count)
-			members := groupMembers(p, role, pl, g.Name)
-			if len(members) == 0 {
-				continue
-			}
-			for _, m := range members {
-				c.add("process:"+m, u/float64(len(members)))
-			}
+	for _, g := range profile.QuorumGroups(p, pl) {
+		alpha := g.InstanceAvailability(params.A, params.AS)
+		u := relmath.KofNComplement(g.Need.Count(n), n, alpha) * float64(g.Count)
+		for _, m := range g.Members {
+			c.add("process:"+m, u/float64(len(g.Members)))
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"sdnavail/internal/profile"
-	"sdnavail/internal/relmath"
 	"sdnavail/internal/topology"
 )
 
@@ -236,7 +235,7 @@ func (e *ExactModel) planeAvailability(pl profile.Plane) (float64, error) {
 		return 0, err
 	}
 	n := e.Topology.ClusterSize
-	groups := profile.AllQuorumGroups(e.Profile, pl)
+	groups := roleGroups(e.Profile, pl)
 	// Quorum-group per-instance availabilities are shared across nodes.
 	model := &Model{Profile: e.Profile, Params: e.Params, ClusterSize: n}
 
@@ -255,8 +254,8 @@ func (e *ExactModel) planeAvailability(pl profile.Plane) (float64, error) {
 			continue
 		}
 		prod := 1.0
-		for _, role := range e.Profile.ClusterRoles {
-			if len(groups[role]) == 0 {
+		for ri, role := range e.Profile.ClusterRoles {
+			if len(groups[ri]) == 0 {
 				continue
 			}
 			// Per-node functional probability under this state.
@@ -281,7 +280,7 @@ func (e *ExactModel) planeAvailability(pl profile.Plane) (float64, error) {
 				}
 				qs = append(qs, q)
 			}
-			prod *= roleAvailHeterogeneous(model, qs, groups[role])
+			prod *= roleAvailHeterogeneous(model, qs, groups[ri])
 			if prod == 0 {
 				break
 			}
@@ -329,14 +328,7 @@ func (e *ExactModel) SharedDP() (float64, error) {
 // the closed-form model: the vRouter processes live on compute hosts, not
 // in the controller topology).
 func (e *ExactModel) LocalDP() float64 {
-	auto, manual := profile.LocalDPProcesses(e.Profile)
-	a := relmath.PowInt(e.Params.A, auto) * relmath.PowInt(e.Params.AS, manual)
-	if e.Scenario == SupervisorRequired {
-		if _, ok := e.Profile.SupervisorOf(e.Profile.HostRole); ok {
-			a *= e.Params.AS
-		}
-	}
-	return a
+	return (&Model{Profile: e.Profile, Params: e.Params, Option: Option{Scenario: e.Scenario}}).LocalDP()
 }
 
 // DataPlane returns the exact total per-host data-plane availability.

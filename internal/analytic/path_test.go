@@ -84,7 +84,7 @@ func bruteForce(t *testing.T, e *ExactModel, pl profile.Plane) float64 {
 		t.Fatalf("brute force would enumerate 2^%d states", len(elems))
 	}
 	n := e.Topology.ClusterSize
-	groups := profile.AllQuorumGroups(e.Profile, pl)
+	groups := roleGroups(e.Profile, pl)
 	model := &Model{Profile: e.Profile, Params: e.Params, ClusterSize: n}
 	total := 0.0
 	for state := 0; state < 1<<len(elems); state++ {
@@ -100,8 +100,8 @@ func bruteForce(t *testing.T, e *ExactModel, pl profile.Plane) float64 {
 			continue
 		}
 		prod := 1.0
-		for _, role := range e.Profile.ClusterRoles {
-			if len(groups[role]) == 0 {
+		for ri, role := range e.Profile.ClusterRoles {
+			if len(groups[ri]) == 0 {
 				continue
 			}
 			qs := make([]float64, 0, n)
@@ -120,7 +120,7 @@ func bruteForce(t *testing.T, e *ExactModel, pl profile.Plane) float64 {
 				}
 				qs = append(qs, q)
 			}
-			prod *= roleAvailHeterogeneous(model, qs, groups[role])
+			prod *= roleAvailHeterogeneous(model, qs, groups[ri])
 			if prod == 0 {
 				break
 			}

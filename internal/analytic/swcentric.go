@@ -211,19 +211,35 @@ func (m *Model) roleAvailability(x int, rho float64, groups []profile.QuorumGrou
 	return sum
 }
 
+// roleGroups cuts the plane's role-ordered quorum groups into one run per
+// cluster role, indexed as Profile.ClusterRoles (empty for a role the plane
+// does not depend on).
+func roleGroups(p *profile.Profile, pl profile.Plane) [][]profile.QuorumGroup {
+	groups := profile.QuorumGroups(p, pl)
+	out := make([][]profile.QuorumGroup, len(p.ClusterRoles))
+	for i, role := range p.ClusterRoles {
+		n := 0
+		for n < len(groups) && groups[n].Role == role {
+			n++
+		}
+		out[i], groups = groups[:n], groups[n:]
+	}
+	return out
+}
+
 // planeAvailability evaluates the shared (cluster) contribution for a
 // plane.
 func (m *Model) planeAvailability(pl profile.Plane) float64 {
 	states, rho, series := m.structure()
-	groups := profile.AllQuorumGroups(m.Profile, pl)
+	groups := roleGroups(m.Profile, pl)
 	total := 0.0
 	for _, st := range states {
 		if st.weight == 0 {
 			continue
 		}
 		prod := 1.0
-		for _, role := range m.Profile.ClusterRoles {
-			prod *= m.roleAvailability(st.candidates, rho, groups[role])
+		for _, g := range groups {
+			prod *= m.roleAvailability(st.candidates, rho, g)
 			if prod == 0 {
 				break
 			}
@@ -278,11 +294,10 @@ func (m *Model) Evaluate() (cp, dp float64) {
 // factorized implementation and is exercised by tests only; the exported
 // API always uses the factorized form.
 func (m *Model) literalQuadrupleSum(pl profile.Plane, x int, rho float64) float64 {
-	roles := m.Profile.ClusterRoles
-	if len(roles) != 4 {
+	groups := roleGroups(m.Profile, pl)
+	if len(groups) != 4 {
 		panic("analytic: literalQuadrupleSum requires exactly four roles")
 	}
-	groups := profile.AllQuorumGroups(m.Profile, pl)
 	weights := binomialWeights(x, rho)
 	total := 0.0
 	for g := 0; g <= x; g++ {
@@ -293,10 +308,10 @@ func (m *Model) literalQuadrupleSum(pl profile.Plane, x int, rho float64) float6
 					if w == 0 {
 						continue
 					}
-					avail := m.groupsProduct(g, groups[roles[0]]) *
-						m.groupsProduct(c, groups[roles[1]]) *
-						m.groupsProduct(a, groups[roles[2]]) *
-						m.groupsProduct(d, groups[roles[3]])
+					avail := m.groupsProduct(g, groups[0]) *
+						m.groupsProduct(c, groups[1]) *
+						m.groupsProduct(a, groups[2]) *
+						m.groupsProduct(d, groups[3])
 					total += w * avail
 				}
 			}

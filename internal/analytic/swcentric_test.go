@@ -249,13 +249,13 @@ func TestLocalDPComposition(t *testing.T) {
 func TestQuadrupleSumFactorizes(t *testing.T) {
 	m := newPaperModel(t, Option2S)
 	for _, pl := range []profile.Plane{profile.ControlPlane, profile.DataPlane} {
-		groups := profile.AllQuorumGroups(m.Profile, pl)
+		groups := roleGroups(m.Profile, pl)
 		for x := 0; x <= 3; x++ {
 			for _, rho := range []float64{0.5, m.Params.AS, 0.99} {
 				want := m.literalQuadrupleSum(pl, x, rho)
 				got := 1.0
-				for _, role := range m.Profile.ClusterRoles {
-					got *= m.roleAvailability(x, rho, groups[role])
+				for _, g := range groups {
+					got *= m.roleAvailability(x, rho, g)
 				}
 				if math.Abs(got-want) > 1e-12 {
 					t.Errorf("%v x=%d ρ=%g: factorized %.15f vs literal %.15f", pl, x, rho, got, want)

@@ -69,7 +69,7 @@ func (a *vRouterAgent) start() {
 		for ticker.Wait(a.c.stopAll) {
 			a.c.mu.Lock()
 			// Process/hardware liveness changes always flow through
-			// recomputeLocked, which runs the full telemetry scan; the
+			// recomputeLocked, which ends in the telemetry scan; the
 			// maintenance pass itself only moves flush/headless state, so
 			// the agent-granularity scan is needed (and paid for) only
 			// when one of those actually flipped.

@@ -104,10 +104,11 @@ type Cluster struct {
 	// hardware, reachability) may have changed since the last recompute;
 	// every mutation path marks what it touched and recomputeLocked then
 	// re-derives only the affected stores, controls and telemetry rows.
-	// dirtyAll requests a full rescan (Start, partition changes — where
+	// dirtyAll marks every process (Start, partition changes — where
 	// reachability shifts for every controller process at once).
-	// forceFull is a test knob: it pins the full-scan path so the
-	// equivalence test can diff incremental against full after every op.
+	// forceFull is a test knob: it marks every process on every recompute
+	// so the equivalence test can diff the marked set against everything
+	// after every op.
 	dirty     map[procKey]struct{}
 	dirtyAll  bool
 	forceFull bool
@@ -478,7 +479,7 @@ func (c *Cluster) markDirtyLocked(k procKey) {
 	c.dirty[k] = struct{}{}
 }
 
-// markAllDirtyLocked requests a full rescan on the next recompute.
+// markAllDirtyLocked marks every process for the next recompute.
 func (c *Cluster) markAllDirtyLocked() {
 	c.dirtyAll = true
 }
@@ -486,18 +487,16 @@ func (c *Cluster) markAllDirtyLocked() {
 // recomputeLocked re-derives the state downstream of process/hardware
 // liveness — quorum-store replica membership, redis cache loss, control
 // config/route loss and resync — and refreshes the telemetry mirror. It
-// consumes the dirty set: normally only the marked processes (and the
-// quorum groups and planes they feed) are re-examined; a dirtyAll mark or
-// the forceFull test knob falls back to scanning everything, which is also
-// the invariant the equivalence test pins: both paths must leave identical
-// state behind.
+// consumes the dirty set: only the marked processes (and the quorum groups
+// and planes they feed) are re-examined. A dirtyAll mark or the forceFull
+// test knob marks every process, which is also the invariant the
+// equivalence test pins: the marks every mutation path leaves must be
+// complete, so both runs leave identical state behind.
 func (c *Cluster) recomputeLocked() {
-	if c.dirtyAll || c.forceFull {
-		c.recomputeFullLocked()
-		c.telemetryScanLocked()
-	} else if len(c.dirty) > 0 {
-		dirty := c.sortedDirtyLocked()
-		c.recomputeProcsLocked(dirty)
+	if dirty := c.sortedDirtyLocked(); len(dirty) > 0 {
+		for _, k := range dirty {
+			c.recomputeProcLocked(k)
+		}
 		c.telemetryScanDirtyLocked(dirty)
 	} else {
 		// Nothing marked (a supervisor pass that restarted nothing, say):
@@ -512,10 +511,17 @@ func (c *Cluster) recomputeLocked() {
 }
 
 // sortedDirtyLocked flattens the dirty set ordered by (role, node, name) —
-// the telemetry mirror's sort order — so the incremental path replays
-// store updates, control resyncs and trace events in exactly the sequence
-// the full scan would.
+// the order of c.order and of the telemetry mirror — so store updates,
+// control resyncs and trace events replay in one sequence however many
+// processes were marked. Everything is dirty under dirtyAll or forceFull.
 func (c *Cluster) sortedDirtyLocked() []procKey {
+	if c.dirtyAll || c.forceFull {
+		out := make([]procKey, len(c.order))
+		for i := range c.order {
+			out[i] = c.order[i].k
+		}
+		return out
+	}
 	out := make([]procKey, 0, len(c.dirty))
 	for k := range c.dirty {
 		out = append(out, k)
@@ -567,14 +573,6 @@ func (c *Cluster) recomputeProcLocked(k procKey) {
 	}
 }
 
-// recomputeProcsLocked is the incremental path: only the dirty processes'
-// backend state is re-derived.
-func (c *Cluster) recomputeProcsLocked(dirty []procKey) {
-	for _, k := range dirty {
-		c.recomputeProcLocked(k)
-	}
-}
-
 // recomputeControlLocked applies one control process's liveness
 // transitions. A crashed control loses its configuration and routing
 // state; a restarting one re-syncs from an alive BGP mesh peer. A control
@@ -597,29 +595,6 @@ func (c *Cluster) recomputeControlLocked(ctl *controlNode) {
 		ctl.resyncLocked()
 	}
 	ctl.wasUsable = usable
-}
-
-// recomputeFullLocked rescans every node's stores and every control.
-func (c *Cluster) recomputeFullLocked() {
-	db := string(profile.Database)
-	an := string(profile.Analytics)
-	for node := 0; node < c.cfg.Topology.ClusterSize; node++ {
-		c.setStoreAliveLocked(c.configStore, node, c.usableLocked(procKey{role: db, node: node, name: "cassandra-db (Config)"}))
-		c.setStoreAliveLocked(c.analyticsStore, node, c.usableLocked(procKey{role: db, node: node, name: "cassandra-db (Analytics)"}))
-		c.seq.SetAlive(node, c.usableLocked(procKey{role: db, node: node, name: "zookeeper"}))
-		c.log.SetAlive(node, c.usableLocked(procKey{role: db, node: node, name: "kafka"}))
-
-		// A crashed redis loses its in-memory cache. (Isolation does not:
-		// the process keeps running with its cache intact.)
-		redisUp := c.aliveLocked(procKey{role: an, node: node, name: "redis"})
-		if !redisUp && c.redisAlive[node] {
-			c.redis[node] = map[string]string{}
-		}
-		c.redisAlive[node] = redisUp
-	}
-	for _, ctl := range c.controls {
-		c.recomputeControlLocked(ctl)
-	}
 }
 
 // catchUpKey names one replica of one quorum store for deferred catch-up

@@ -13,15 +13,17 @@ import (
 	"sdnavail/internal/vclock"
 )
 
-// The incremental recompute must be observationally indistinguishable from
-// the full scan it replaced. This test drives two identical fake-clocked
-// clusters — one pinned to the full-scan path via the forceFull knob, one
-// on the dirty-set path — through the same randomized chaos sequence and
-// demands identical snapshots, health reports, telemetry metrics, trace
-// event streams, and ledger attribution after EVERY op. Neither cluster is
-// Started, so there are no background supervisor or control loops: each op
-// and its recompute run synchronously and the comparison is exact, not
-// racy. Run it under -race to also cover the locking in the new paths.
+// The dirty marks every mutation path leaves must be complete: recomputing
+// only what was marked must be observationally indistinguishable from
+// recomputing everything. This test drives two identical fake-clocked
+// clusters — one with every process marked on every recompute via the
+// forceFull knob, one on its own marks — through the same randomized chaos
+// sequence and demands identical snapshots, health reports, telemetry
+// metrics, trace event streams, and ledger attribution after EVERY op.
+// Neither cluster is Started, so there are no background supervisor or
+// control loops: each op and its recompute run synchronously and the
+// comparison is exact, not racy. Run it under -race to also cover the
+// locking in the new paths.
 
 // equivCluster builds one member of the comparison pair.
 func equivCluster(t *testing.T, forceFull bool) (*Cluster, *telemetry.Telemetry, *vclock.Fake) {

@@ -24,8 +24,8 @@ import (
 // on those nodes are marked dirty. That is sufficient because a
 // process's usability depends on no other host's reachability, which is
 // the same locality argument the dirty-set engine already relies on for
-// hardware columns (and the graph equivalence test pins against the
-// full-scan path).
+// hardware columns (and the graph equivalence test pins against
+// recomputing every process).
 //
 // Link-free topologies never build the mirror: c.net stays nil, every
 // reachability check short-circuits true, and the testbed is

@@ -189,11 +189,11 @@ func equivGraphOps(c *Cluster, rng *rand.Rand) []equivOp {
 	}
 }
 
-// TestGraphLinkRecomputeEquivalence extends the incremental-vs-full
+// TestGraphLinkRecomputeEquivalence extends the marks-are-complete
 // invariant to the graph layer: with a fallible fabric declared and
-// graph-link cuts mixed into the chaos pool, the dirty-set path (which
-// marks only the processes on hosts whose reachability flipped) must be
-// observationally identical to the full rescan after every op.
+// graph-link cuts mixed into the chaos pool, marking only the processes on
+// hosts whose reachability flipped must be observationally identical to
+// marking every process after every op.
 func TestGraphLinkRecomputeEquivalence(t *testing.T) {
 	const ops = 400
 	build := func(forceFull bool) (*Cluster, *telemetry.Telemetry, *vclock.Fake) {

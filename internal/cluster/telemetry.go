@@ -19,10 +19,10 @@ import (
 //
 // Two scan granularities keep the enabled path cheap:
 //
-//   - telemetryScanLocked runs at the end of recomputeLocked, the single
-//     point where process/hardware/reachability state propagates. It
-//     covers processes, quorum groups, the CP plane and the host DP
-//     planes.
+//   - telemetryScanDirtyLocked runs at the end of recomputeLocked, the
+//     single point where process/hardware/reachability state propagates.
+//     It covers the dirty processes, the quorum groups they feed, the CP
+//     plane and the host DP planes.
 //   - telemetryScanAgentsLocked runs after each agent maintenance pass
 //     (where forwarding-table flushes and headless transitions happen,
 //     without a recompute) and covers only the per-host DP/headless
@@ -139,35 +139,15 @@ func (c *Cluster) attachTelemetryLocked(t *telemetry.Telemetry) {
 	c.telState = ts
 }
 
-// telGroups resolves the profile's quorum groups for the plane into
-// member-name lists, mirroring the MC simulator's resolveGroups.
+// telGroups mirrors the profile's quorum groups for the plane, all
+// satisfied.
 func (c *Cluster) telGroups(pl profile.Plane) []*telGroup {
 	var out []*telGroup
-	n := c.cfg.Topology.ClusterSize
-	for _, role := range c.cfg.Profile.ClusterRoles {
-		for _, g := range profile.QuorumGroups(c.cfg.Profile, role, pl) {
-			need := g.Need.Count(n)
-			if need == 0 {
-				continue
-			}
-			var members []string
-			for _, proc := range c.cfg.Profile.RoleProcesses(role, false) {
-				if proc.PerHost {
-					continue
-				}
-				isMember := proc.Name == g.Name
-				if pl == profile.DataPlane && proc.DPGroup != "" {
-					isMember = proc.DPGroup == g.Name
-				}
-				if isMember {
-					members = append(members, proc.Name)
-				}
-			}
-			out = append(out, &telGroup{
-				role: string(role), name: g.Name, need: need,
-				members: members, satisfied: true,
-			})
-		}
+	for _, g := range profile.QuorumGroups(c.cfg.Profile, pl) {
+		out = append(out, &telGroup{
+			role: string(g.Role), name: g.Name, need: g.Need.Count(c.cfg.Topology.ClusterSize),
+			members: g.Members, satisfied: true,
+		})
 	}
 	return out
 }
@@ -219,7 +199,8 @@ func (c *Cluster) modeKeyLocked(k procKey) string {
 }
 
 // telGroupSatisfiedLocked reports whether at least need nodes have every
-// member process usable — the cluster-side twin of mc.groupsSatisfied.
+// member process usable — the predicate the MC simulator's quorum counters
+// maintain incrementally.
 func (c *Cluster) telGroupSatisfiedLocked(g *telGroup) bool {
 	n := c.cfg.Topology.ClusterSize
 	count := 0
@@ -347,39 +328,14 @@ func (c *Cluster) telCPPlaneLocked(now time.Time, h float64) {
 	}
 }
 
-// telemetryScanLocked diffs the full structural mirror: every process,
-// every quorum group, the CP plane and the per-host DP planes. Called from
-// the full-rescan recompute path. Callers hold c.mu.
-func (c *Cluster) telemetryScanLocked() {
-	ts := c.telState
-	if ts == nil {
-		return
-	}
-	now := c.clk.Now()
-	h := ts.hours(now)
-
-	for _, tp := range ts.procs {
-		c.telProcDiffLocked(tp, now, h)
-	}
-	ts.gProcsDown.Set(float64(ts.procsDown))
-
-	for _, groups := range [][]*telGroup{ts.cpGroups, ts.dpGroups} {
-		for _, g := range groups {
-			c.telGroupDiffLocked(g, now, h)
-		}
-	}
-	c.telCPPlaneLocked(now, h)
-	c.telemetryScanAgentsLocked(now, h)
-}
-
-// telemetryScanDirtyLocked is the incremental twin of telemetryScanLocked:
-// it diffs only the dirty processes (already sorted in the mirror's order,
-// so trace events come out in the same sequence a full scan would emit)
-// and re-evaluates only the quorum groups a dirty process feeds. Group
+// telemetryScanDirtyLocked diffs the structural mirror: the dirty
+// processes (already sorted in the mirror's order, so trace events come
+// out in one sequence however many were marked), the quorum groups a dirty
+// process feeds, the CP plane and the per-host DP planes. Group
 // satisfaction depends solely on member usability, and every usability
 // change marks the member dirty — so untouched groups cannot have flipped.
-// The plane fold and the agent scan run as in the full path (both are
-// O(groups + hosts), not O(processes)). Callers hold c.mu.
+// The plane fold and the agent scan are O(groups + hosts), not
+// O(processes), and always run. Callers hold c.mu.
 func (c *Cluster) telemetryScanDirtyLocked(dirty []procKey) {
 	ts := c.telState
 	if ts == nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -238,5 +239,53 @@ func TestTelemetryTraceDeterministic(t *testing.T) {
 	}
 	if len(e1) == 0 {
 		t.Error("script produced no trace events")
+	}
+}
+
+// TestQuorumGroupMembersAgree pins the testbed's half of the cross-engine
+// agreement (the simulator's and the closed form's are the test of the same
+// name in internal/mc): per plane, the telemetry mirror's groups are the
+// one derivation's — same order, role, name, need and member list.
+func TestQuorumGroupMembersAgree(t *testing.T) {
+	block := &profile.Profile{
+		Name:         "Block",
+		ClusterRoles: []profile.Role{"Brain", "Store"},
+		HostRole:     "Switch",
+		Processes: []profile.Process{
+			{Name: "sup-brain", Role: "Brain", Supervisor: true},
+			{Name: "api", Role: "Brain", CP: profile.OneOf, DP: profile.Majority, DPGroup: "fwd-block"},
+			{Name: "ui", Role: "Brain", CP: profile.OneOf},
+			{Name: "sync", Role: "Brain", Restart: profile.ManualRestart, CP: profile.Majority, DP: profile.Majority, DPGroup: "fwd-block"},
+			{Name: "replica", Role: "Store", Restart: profile.ManualRestart, CP: profile.Majority, DP: profile.OneOf},
+			{Name: "fwd", Role: "Switch", DP: profile.OneOf, PerHost: true},
+		},
+	}
+	for _, prof := range []*profile.Profile{
+		profile.OpenContrail3x(), profile.ODLLike(), profile.ONOSLike(), block,
+	} {
+		c, err := New(Config{
+			Profile: prof, Topology: topology.NewSmall(prof.ClusterRoles, 3), ComputeHosts: 1,
+			Clock: vclock.NewFake(time.Time{}), Telemetry: telemetry.New(),
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", prof.Name, err)
+		}
+		for pl, mirror := range map[profile.Plane][]*telGroup{
+			profile.ControlPlane: c.telState.cpGroups,
+			profile.DataPlane:    c.telState.dpGroups,
+		} {
+			groups := profile.QuorumGroups(prof, pl)
+			if len(mirror) != len(groups) {
+				t.Fatalf("%s %v: mirror has %d groups, derivation %d", prof.Name, pl, len(mirror), len(groups))
+			}
+			for i, g := range groups {
+				tg := mirror[i]
+				if tg.role != string(g.Role) || tg.name != g.Name || tg.need != g.Need.Count(3) ||
+					len(g.Members) == 0 || !slices.Equal(tg.members, g.Members) {
+					t.Errorf("%s %v: mirror group %d is %s/%s need %d members %v, derivation %s/%s %v members %v",
+						prof.Name, pl, i, tg.role, tg.name, tg.need, tg.members, g.Role, g.Name, g.Need, g.Members)
+				}
+			}
+		}
 	}
 }

@@ -461,50 +461,28 @@ func (s *Sim) buildLinks() (connNode map[string]int, pathEnts map[string][]int) 
 	return connNode, pathEnts
 }
 
-// resolveGroups expands the profile's quorum groups for the plane into
+// resolveGroups maps the profile's quorum groups for the plane onto
 // per-node flat entity-index lists.
 func (s *Sim) resolveGroups(pl profile.Plane, byPlace map[topology.Placement]instanceLoc, connNode map[string]int, pathEnts map[string][]int) []simGroup {
 	var out []simGroup
-	for _, role := range s.cfg.Profile.ClusterRoles {
-		for _, g := range profile.QuorumGroups(s.cfg.Profile, role, pl) {
-			need := g.Need.Count(s.cfg.Topology.ClusterSize)
-			if need == 0 {
-				continue
+	for _, g := range profile.QuorumGroups(s.cfg.Profile, pl) {
+		sg := simGroup{role: g.Role, name: g.Name, need: g.Need.Count(s.cfg.Topology.ClusterSize)}
+		for node := 0; node < s.cfg.Topology.ClusterSize; node++ {
+			inst := byPlace[topology.Placement{Role: g.Role, Node: node}]
+			gn := groupNode{
+				rackEnt: inst.rackEnt, hostEnt: inst.hostEnt,
+				vmEnt: inst.vmEnt, supEnt: inst.supEnt, connNode: -1,
 			}
-			var members []string
-			for _, proc := range s.cfg.Profile.RoleProcesses(role, false) {
-				if proc.PerHost {
-					continue
-				}
-				isMember := proc.Name == g.Name
-				if pl == profile.DataPlane && proc.DPGroup != "" {
-					isMember = proc.DPGroup == g.Name
-				}
-				if isMember {
-					members = append(members, proc.Name)
-				}
+			if s.conn != nil {
+				gn.connNode = connNode[inst.hostName]
+				gn.pathLinkEnts = pathEnts[inst.hostName]
 			}
-			if len(members) == 0 {
-				panic(fmt.Sprintf("mc: group %s of role %s has no members", g.Name, role))
+			for _, m := range g.Members {
+				gn.memberEnts = append(gn.memberEnts, inst.procs[m])
 			}
-			sg := simGroup{role: role, name: g.Name, need: need}
-			for node := 0; node < s.cfg.Topology.ClusterSize; node++ {
-				inst := byPlace[topology.Placement{Role: role, Node: node}]
-				gn := groupNode{
-					rackEnt: inst.rackEnt, hostEnt: inst.hostEnt,
-					vmEnt: inst.vmEnt, supEnt: inst.supEnt, connNode: -1,
-				}
-				if s.conn != nil {
-					gn.connNode = connNode[inst.hostName]
-					gn.pathLinkEnts = pathEnts[inst.hostName]
-				}
-				for _, m := range members {
-					gn.memberEnts = append(gn.memberEnts, inst.procs[m])
-				}
-				sg.nodes = append(sg.nodes, gn)
-			}
-			out = append(out, sg)
+			sg.nodes = append(sg.nodes, gn)
 		}
+		out = append(out, sg)
 	}
 	return out
 }

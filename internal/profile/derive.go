@@ -1,7 +1,5 @@
 package profile
 
-import "fmt"
-
 // Plane selects which service the quorum requirements protect.
 type Plane int
 
@@ -64,14 +62,15 @@ type QuorumCounts struct {
 // TableIII derives the paper's Table III for the given plane.
 func TableIII(p *Profile, pl Plane) []QuorumCounts {
 	out := make([]QuorumCounts, 0, len(p.ClusterRoles))
+	groups := QuorumGroups(p, pl)
 	for _, role := range p.ClusterRoles {
 		qc := QuorumCounts{Role: role}
-		for _, g := range QuorumGroups(p, role, pl) {
-			switch g.Need {
+		for ; len(groups) > 0 && groups[0].Role == role; groups = groups[1:] {
+			switch groups[0].Need {
 			case Majority:
-				qc.M += g.Count
+				qc.M += groups[0].Count
 			case OneOf:
-				qc.N += g.Count
+				qc.N += groups[0].Count
 			}
 		}
 		out = append(out, qc)
@@ -88,13 +87,13 @@ func SumQuorum(p *Profile, pl Plane) (m, n int) {
 	return m, n
 }
 
-// QuorumGroup is the analytic model's unit of requirement: Count identical,
-// independent "1 of n" or "quorum of n" blocks within a role, where each
-// block instance (one per controller node) is up iff its AutoMembers
-// auto-restart processes and ManualMembers manual-restart processes on that
-// node are all up. A plain process is a group with a single member; the
-// {control+dns+named} DP block is a single group with AutoMembers = 3,
-// giving the paper's per-instance availability A³.
+// QuorumGroup is the unit of requirement every engine reads: Count
+// identical, independent "1 of n" or "quorum of n" blocks within a role,
+// where each block instance (one per controller node) is up iff the Members
+// processes on that node are all up. A plain process is a group with a
+// single member; the {control+dns+named} DP block is a single group with
+// three auto-restart members, giving the paper's per-instance availability
+// A³.
 type QuorumGroup struct {
 	// Name identifies the group: the process name, or the DPGroup label.
 	Name string
@@ -104,7 +103,10 @@ type QuorumGroup struct {
 	Need Need
 	// Count is the number of identical such groups in the role.
 	Count int
-	// AutoMembers and ManualMembers give the per-node composition.
+	// Members names the processes that must all be up on a node for that
+	// node's instance to count, in declaration order.
+	Members []string
+	// AutoMembers and ManualMembers split Members by restart mode.
 	AutoMembers   int
 	ManualMembers int
 }
@@ -123,65 +125,51 @@ func (g QuorumGroup) InstanceAvailability(a, aS float64) float64 {
 	return v
 }
 
-// QuorumGroups derives the quorum groups of a role for a plane. Processes
-// with Need == NotRequired for the plane are dropped; processes sharing a
+// QuorumGroups derives the plane's quorum groups — Table III with its
+// members — in role order; within a role, plain processes in declaration
+// order, then DP blocks in order of first appearance. Processes with
+// Need == NotRequired for the plane are dropped; processes sharing a
 // DPGroup are merged into one group when deriving the data plane. Per-host
 // processes are never part of the shared (cluster) requirement and are
 // excluded; see Profile.HostProcessCount for the local DP contribution.
-func QuorumGroups(p *Profile, role Role, pl Plane) []QuorumGroup {
+// The profile must be valid: Validate guarantees that a block's members
+// agree on the need taken here from the first.
+func QuorumGroups(p *Profile, pl Plane) []QuorumGroup {
 	var out []QuorumGroup
-	grouped := map[string]*QuorumGroup{}
-	var order []string
-
-	for _, proc := range p.RoleProcesses(role, false) {
-		if proc.PerHost {
-			continue
-		}
-		need := proc.CP
-		if pl == DataPlane {
-			need = proc.DP
-		}
-		if need == NotRequired {
-			continue
-		}
-		if pl == DataPlane && proc.DPGroup != "" {
-			g, ok := grouped[proc.DPGroup]
-			if !ok {
-				g = &QuorumGroup{Name: proc.DPGroup, Role: role, Need: need, Count: 1}
-				grouped[proc.DPGroup] = g
-				order = append(order, proc.DPGroup)
+	for _, role := range p.ClusterRoles {
+		var blocks []QuorumGroup
+		for _, proc := range p.RoleProcesses(role, false) {
+			need := proc.CP
+			if pl == DataPlane {
+				need = proc.DP
 			}
-			if g.Need != need {
-				panic(fmt.Sprintf("profile: DP group %q mixes needs %v and %v", proc.DPGroup, g.Need, need))
+			if proc.PerHost || need == NotRequired {
+				continue
 			}
+			var g *QuorumGroup
+			if pl == DataPlane && proc.DPGroup != "" {
+				for i := range blocks {
+					if blocks[i].Name == proc.DPGroup {
+						g = &blocks[i]
+					}
+				}
+				if g == nil {
+					blocks = append(blocks, QuorumGroup{Name: proc.DPGroup, Role: role, Need: need, Count: 1})
+					g = &blocks[len(blocks)-1]
+				}
+			} else {
+				out = append(out, QuorumGroup{Name: proc.Name, Role: role, Need: need, Count: 1})
+				g = &out[len(out)-1]
+			}
+			g.Members = append(g.Members, proc.Name)
 			switch proc.Restart {
 			case AutoRestart:
 				g.AutoMembers++
 			case ManualRestart:
 				g.ManualMembers++
 			}
-			continue
 		}
-		g := QuorumGroup{Name: proc.Name, Role: role, Need: need, Count: 1}
-		switch proc.Restart {
-		case AutoRestart:
-			g.AutoMembers = 1
-		case ManualRestart:
-			g.ManualMembers = 1
-		}
-		out = append(out, g)
-	}
-	for _, name := range order {
-		out = append(out, *grouped[name])
-	}
-	return out
-}
-
-// AllQuorumGroups returns every role's groups for the plane, in role order.
-func AllQuorumGroups(p *Profile, pl Plane) map[Role][]QuorumGroup {
-	out := make(map[Role][]QuorumGroup, len(p.ClusterRoles))
-	for _, role := range p.ClusterRoles {
-		out[role] = QuorumGroups(p, role, pl)
+		out = append(out, blocks...)
 	}
 	return out
 }

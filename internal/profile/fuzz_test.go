@@ -9,7 +9,8 @@ import (
 // round-trip invariant: any input that parses into a valid profile must
 // survive ToJSON -> FromJSON with the derived quorum tables intact and a
 // canonical encoding that is a fixed point (encode(decode(encode(p))) ==
-// encode(p)).
+// encode(p)), and deriving its quorum groups for either plane must not
+// panic.
 func FuzzProfileJSON(f *testing.F) {
 	// Seed with a compact profile rather than the multi-kilobyte built-ins:
 	// the engine minimizes every coverage-expanding input (60 s budget per
@@ -30,12 +31,24 @@ func FuzzProfileJSON(f *testing.F) {
 	}
 	f.Add(data)
 	f.Add([]byte(`{"name":"x","clusterRoles":["A"],"processes":[{"name":"p","role":"A","restart":"auto","cp":"quorum"}]}`))
+	// DP blocks the derivation cannot resolve to one group: mixed needs
+	// (once a panic in QuorumGroups) and a member the DP does not require.
+	f.Add([]byte(`{"name":"x","clusterRoles":["A"],"processes":[{"name":"p","role":"A","dp":"one","dpGroup":"b"},{"name":"q","role":"A","dp":"majority","dpGroup":"b"}]}`))
+	f.Add([]byte(`{"name":"x","clusterRoles":["A"],"processes":[{"name":"p","role":"A","dp":"one","dpGroup":"b"},{"name":"q","role":"A","cp":"one","dpGroup":"b"}]}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := FromJSON(data)
 		if err != nil {
 			return // malformed or invalid input must error, not panic
+		}
+		for _, pl := range []Plane{ControlPlane, DataPlane} {
+			for _, g := range QuorumGroups(p, pl) {
+				if len(g.Members) == 0 || len(g.Members) != g.AutoMembers+g.ManualMembers {
+					t.Fatalf("%v group %s/%s: members %v, %d auto + %d manual",
+						pl, g.Role, g.Name, g.Members, g.AutoMembers, g.ManualMembers)
+				}
+			}
 		}
 		enc, err := ToJSON(p)
 		if err != nil {

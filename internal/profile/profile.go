@@ -157,6 +157,21 @@ type Profile struct {
 	Processes []Process
 }
 
+// ByName returns the built-in profile with the given lower-case name, as
+// its constructor builds it: fresh and validated.
+func ByName(name string) (*Profile, error) {
+	switch name {
+	case "opencontrail":
+		return OpenContrail3x(), nil
+	case "odl":
+		return ODLLike(), nil
+	case "onos":
+		return ONOSLike(), nil
+	default:
+		return nil, fmt.Errorf("unknown profile %q (opencontrail, odl, onos)", name)
+	}
+}
+
 // Validate checks structural invariants of the profile. It returns the
 // first problem found, or nil if the profile is well formed.
 func (p *Profile) Validate() error {
@@ -213,17 +228,33 @@ func (p *Profile) Validate() error {
 			return fmt.Errorf("profile %s: role %s has %d supervisors", p.Name, r, supers[r])
 		}
 	}
-	// Every DP group must have at least one member requiring the DP, and
-	// all members must live in the same role.
-	groupRole := make(map[string]Role)
-	for _, proc := range p.Processes {
+	// A DP block stands for one requirement over one node-role: its
+	// members must live in the same role and require the DP to the same
+	// degree, or QuorumGroups has no single group to resolve it to.
+	first := make(map[string]int) // block -> index of its first member
+	for i, proc := range p.Processes {
 		if proc.DPGroup == "" {
 			continue
 		}
-		if r, ok := groupRole[proc.DPGroup]; ok && r != proc.Role {
-			return fmt.Errorf("profile %s: DP group %q spans roles %s and %s", p.Name, proc.DPGroup, r, proc.Role)
+		fi, ok := first[proc.DPGroup]
+		if !ok {
+			first[proc.DPGroup] = i
+			continue
 		}
-		groupRole[proc.DPGroup] = proc.Role
+		f := p.Processes[fi]
+		if f.Role != proc.Role {
+			return fmt.Errorf("profile %s: DP group %q spans roles %s and %s", p.Name, proc.DPGroup, f.Role, proc.Role)
+		}
+		if f.DP != proc.DP {
+			return fmt.Errorf("profile %s: DP group %q mixes DP needs: %q is %v but %q is %v", p.Name, proc.DPGroup, f.Name, f.DP, proc.Name, proc.DP)
+		}
+	}
+	// The members agree, so a member the DP does not require means a block
+	// nobody requires.
+	for _, proc := range p.Processes {
+		if proc.DPGroup != "" && proc.DP == NotRequired {
+			return fmt.Errorf("profile %s: DP group %q is not required by the DP (%q is %v)", p.Name, proc.DPGroup, proc.Name, proc.DP)
+		}
 	}
 	return nil
 }

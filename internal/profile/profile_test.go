@@ -156,11 +156,22 @@ func TestTableIIIDP(t *testing.T) {
 	}
 }
 
+// roleGroups filters the plane's derivation down to one role.
+func roleGroups(p *Profile, role Role, pl Plane) []QuorumGroup {
+	var out []QuorumGroup
+	for _, g := range QuorumGroups(p, pl) {
+		if g.Role == role {
+			out = append(out, g)
+		}
+	}
+	return out
+}
+
 // TestControlBlockDegree checks the DP control block is modeled as a single
 // 1-of-n group with three auto members (per-instance availability A³).
 func TestControlBlockDegree(t *testing.T) {
 	p := OpenContrail3x()
-	groups := QuorumGroups(p, Control, DataPlane)
+	groups := roleGroups(p, Control, DataPlane)
 	if len(groups) != 1 {
 		t.Fatalf("Control DP groups = %d, want 1 (the control block)", len(groups))
 	}
@@ -180,7 +191,7 @@ func TestQuorumGroupsCPNoGrouping(t *testing.T) {
 	// On the CP side dns and named are 0-of-3, so the Control role has
 	// exactly one group (control itself) and no block merging.
 	p := OpenContrail3x()
-	groups := QuorumGroups(p, Control, ControlPlane)
+	groups := roleGroups(p, Control, ControlPlane)
 	if len(groups) != 1 || groups[0].Name != "control" || groups[0].AutoMembers != 1 {
 		t.Fatalf("Control CP groups = %+v, want just control", groups)
 	}
@@ -188,7 +199,7 @@ func TestQuorumGroupsCPNoGrouping(t *testing.T) {
 
 func TestDatabaseGroupsAreManualMajority(t *testing.T) {
 	p := OpenContrail3x()
-	groups := QuorumGroups(p, Database, ControlPlane)
+	groups := roleGroups(p, Database, ControlPlane)
 	if len(groups) != 4 {
 		t.Fatalf("Database CP groups = %d, want 4", len(groups))
 	}
@@ -328,6 +339,39 @@ func TestValidateRejectsBadProfiles(t *testing.T) {
 	if p.Validate() == nil {
 		t.Error("empty process name accepted")
 	}
+
+	// DP blocks QuorumGroups cannot resolve to one group: the closed form
+	// used to count such a block's requiring members only while the
+	// simulator and the testbed counted all of them, and mixed needs
+	// panicked inside the derivation.
+	for _, tc := range []struct {
+		what   string
+		b1, b2 Need
+	}{
+		{"mixed needs", OneOf, Majority},
+		{"a member the DP does not require", OneOf, NotRequired},
+		{"a first member the DP does not require", NotRequired, Majority},
+	} {
+		p = base()
+		p.Processes = append(p.Processes,
+			Process{Name: "b1", Role: "R", DP: tc.b1, DPGroup: "blk"},
+			Process{Name: "b2", Role: "R", DP: tc.b2, DPGroup: "blk"})
+		err := p.Validate()
+		if err == nil {
+			t.Errorf("DP block with %s accepted", tc.what)
+			continue
+		}
+		for _, want := range []string{`"blk"`, `"b1"`, `"b2"`} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("DP block with %s: error %q does not name %s", tc.what, err, want)
+			}
+		}
+	}
+	p = base()
+	p.Processes = append(p.Processes, Process{Name: "b1", Role: "R", CP: OneOf, DPGroup: "blk"})
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), `"blk"`) || !strings.Contains(err.Error(), `"b1"`) {
+		t.Errorf("DP block nobody requires: got %v, want an error naming the block and its member", err)
+	}
 }
 
 func TestAlternateProfilesValidate(t *testing.T) {
@@ -435,7 +479,7 @@ func TestQuorumGroupsGeneralization(t *testing.T) {
 	// The same profile must generalize to a 5-node (N=2) cluster: quorum
 	// groups report Majority, and Need.Count(5) = 3.
 	p := OpenContrail3x()
-	for _, g := range QuorumGroups(p, Database, ControlPlane) {
+	for _, g := range roleGroups(p, Database, ControlPlane) {
 		if g.Need.Count(5) != 3 {
 			t.Errorf("%s: majority of 5 = %d, want 3", g.Name, g.Need.Count(5))
 		}

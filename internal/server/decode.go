@@ -225,28 +225,15 @@ func decodeModel(q url.Values) (modelRequest, error) {
 	if s := q.Get("profile"); s != "" {
 		m.ProfileName = strings.ToLower(s)
 	}
-	switch m.ProfileName {
-	case "opencontrail":
-		m.Profile = profile.OpenContrail3x()
-	case "odl":
-		m.Profile = profile.ODLLike()
-	case "onos":
-		m.Profile = profile.ONOSLike()
-	default:
-		return m, badf("parameter \"profile\": unknown profile %q (opencontrail, odl, onos)", m.ProfileName)
+	var err error
+	if m.Profile, err = profile.ByName(m.ProfileName); err != nil {
+		return m, badf("parameter \"profile\": %v", err)
 	}
 	if s := q.Get("topology"); s != "" {
 		m.TopoName = strings.ToLower(s)
 	}
-	switch m.TopoName {
-	case "small":
-		m.Kind = topology.Small
-	case "medium":
-		m.Kind = topology.Medium
-	case "large":
-		m.Kind = topology.Large
-	default:
-		return m, badf("parameter \"topology\": unknown topology %q (small, medium, large)", m.TopoName)
+	if m.Kind, err = topology.ParseKind(m.TopoName); err != nil {
+		return m, badf("parameter \"topology\": %v", err)
 	}
 	cluster, err := parseIntRange(q, "cluster", 3, 1, 9)
 	if err != nil {

@@ -35,19 +35,13 @@ func AutoRare(cfg mc.Config) mc.RareEventConfig {
 
 	nProc := 0
 	minCut := math.MaxInt32
-	for _, role := range cfg.Profile.ClusterRoles {
-		for _, g := range profile.QuorumGroups(cfg.Profile, role, profile.ControlPlane) {
-			need := g.Need.Count(cfg.Topology.ClusterSize)
-			if need == 0 {
-				continue
-			}
-			members := g.AutoMembers + g.ManualMembers
-			nProc += g.Count * members * cfg.Topology.ClusterSize
-			// Losing (ClusterSize − need + 1) node instances of this group
-			// takes the plane down; one process failure suffices per node.
-			if cut := cfg.Topology.ClusterSize - need + 1; cut < minCut {
-				minCut = cut
-			}
+	n := cfg.Topology.ClusterSize
+	for _, g := range profile.QuorumGroups(cfg.Profile, profile.ControlPlane) {
+		nProc += g.Count * len(g.Members) * n
+		// Losing (ClusterSize − need + 1) node instances of this group
+		// takes the plane down; one process failure suffices per node.
+		if cut := n - g.Need.Count(n) + 1; cut < minCut {
+			minCut = cut
 		}
 	}
 	if nProc > 0 && cfg.ProcessMTBF > 0 {

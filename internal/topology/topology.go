@@ -35,6 +35,20 @@ const (
 	Large
 )
 
+// ParseKind resolves a reference topology's lower-case name.
+func ParseKind(name string) (Kind, error) {
+	switch name {
+	case "small":
+		return Small, nil
+	case "medium":
+		return Medium, nil
+	case "large":
+		return Large, nil
+	default:
+		return Custom, fmt.Errorf("unknown topology %q (small, medium, large)", name)
+	}
+}
+
 // roleLetter returns the single-letter VM prefix for a role, following the
 // paper's convention: "G" for confiG (to avoid colliding with Control's
 // "C"), otherwise the role's first letter.
