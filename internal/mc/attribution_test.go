@@ -136,10 +136,16 @@ func TestAttributionMatchesLedger(t *testing.T) {
 		for i := range hostUp {
 			hostUp[i] = true
 		}
-		replay := func(plane string, was *bool, up bool, blames []string) {
+		// The engine freezes blame sets as interned mode ids; the ledger
+		// speaks names.
+		replay := func(plane string, was *bool, up bool, blames []int32) {
 			switch {
 			case *was && !up:
-				ledger.PlaneDown(plane, s.now, blames)
+				names := make([]string, len(blames))
+				for i, m := range blames {
+					names[i] = s.modeNames[m]
+				}
+				ledger.PlaneDown(plane, s.now, names)
 			case !*was && up:
 				ledger.PlaneUp(plane, s.now)
 			}

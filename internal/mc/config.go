@@ -17,6 +17,7 @@ package mc
 
 import (
 	"fmt"
+	"math"
 
 	"sdnavail/internal/analytic"
 	"sdnavail/internal/profile"
@@ -191,6 +192,25 @@ func (c Config) Validate() error {
 		{"HostMTBF", c.HostMTBF}, {"HostRepair", c.HostRepair},
 		{"RackMTBF", c.RackMTBF}, {"RackRepair", c.RackRepair},
 		{"Horizon", c.Horizon},
+	}
+	// NaN fails no comparison and +Inf passes every "positive" one, yet the
+	// event loop ends only at a finite Horizon and the queue's (at, seq)
+	// order is total only over finite times: refuse both by name first.
+	finite := append(positive, []struct {
+		name string
+		v    float64
+	}{
+		{"HeadlessHold", c.HeadlessHold},
+		{"WindowHours", c.WindowHours},
+		{"RaftElectionMin", c.RaftElectionMin},
+		{"RaftElectionMax", c.RaftElectionMax},
+		{"GrayLeaderMTBF", c.GrayLeaderMTBF},
+		{"GrayDetect", c.GrayDetect},
+	}...)
+	for _, p := range finite {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("mc: %s = %g must be finite", p.name, p.v)
+		}
 	}
 	for _, p := range positive {
 		if p.v <= 0 {

@@ -14,7 +14,10 @@ type event struct {
 // headless-hold expiry so the host-DP accumulator sees the boundary.
 const timerEntity = -1
 
-// before orders events by (at, seq).
+// before orders events by (at, seq). The order is strict and total only
+// over finite times — a NaN compares false both ways and would sit
+// anywhere — which is why Config.Validate rejects every non-finite
+// duration before an event is ever drawn from it.
 func (e event) before(o event) bool {
 	if e.at != o.at {
 		return e.at < o.at
@@ -23,59 +26,123 @@ func (e event) before(o event) bool {
 }
 
 // eventHeap is a flat, type-specialized binary min-heap of events ordered
-// by (at, seq). Unlike container/heap it moves events by value through
-// monomorphic code: no interface boxing on Push/Pop (which allocated one
-// 32-byte event per schedule call — the dominant allocation of a
-// replication) and no dynamic dispatch per sift comparison. The backing
-// slice is retained across replications via reset, so a warmed-up
-// simulator schedules with zero allocations.
+// by (at, seq), with pop and the reschedule that follows it fused. Nearly
+// every pop is an entity transition whose next event (the repair after a
+// failure, the next failure after a repair) is pushed before the loop pops
+// again, so pop does not repair the heap: it returns the root and leaves a
+// hole there. The next push drops its event into the hole and sifts it down
+// — one sift per transition where a pop and a push paid two, and a short
+// one when the new event is near now, as a repair is. A push with no hole
+// open is the ordinary sift-up; a pop that finds the hole still open (a
+// failure queued for a repair crew, a no-op headless timer, a stale RAFT
+// sentinel) closes it with the tail element first. Sifts move the hole and
+// write the event once instead of swapping 32-byte events level by level.
+//
+// There is no entity-keyed index: nothing here ever decreases or cancels a
+// key, crew-queued entities have no pending event and timers and RAFT
+// sentinels have several, so an index would need side slots the hole does
+// not. Events are moved by value through monomorphic code (no boxing, no
+// dynamic dispatch per comparison) and the backing slice is retained
+// across replications via reset, so a warmed-up simulator schedules with
+// zero allocations.
 type eventHeap struct {
 	ev []event
+	// hole reports that ev[0] is vacant: pop returned it and no push has
+	// filled it yet. ev[1:] is then a heap missing only its root.
+	hole bool
 }
 
-func (h *eventHeap) len() int { return len(h.ev) }
+// len returns the number of pending events.
+func (h *eventHeap) len() int {
+	if h.hole {
+		return len(h.ev) - 1
+	}
+	return len(h.ev)
+}
 
 // reset empties the heap, keeping the backing array for reuse.
-func (h *eventHeap) reset() { h.ev = h.ev[:0] }
+func (h *eventHeap) reset() {
+	h.ev = h.ev[:0]
+	h.hole = false
+}
 
-// push adds an event and sifts it up to its heap position.
+// push adds an event: into the open hole if there is one, else at the tail.
 func (h *eventHeap) push(e event) {
+	if h.hole {
+		h.hole = false
+		h.siftDown(e)
+		return
+	}
 	h.ev = append(h.ev, e)
-	i := len(h.ev) - 1
+	ev := h.ev
+	i := len(ev) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.ev[i].before(h.ev[parent]) {
+		if !e.before(ev[parent]) {
 			break
 		}
-		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
+		ev[i] = ev[parent]
 		i = parent
+	}
+	ev[i] = e
+}
+
+// pop returns the earliest event and leaves a hole at the root. The heap
+// must be non-empty (len() > 0).
+func (h *eventHeap) pop() event {
+	h.settle()
+	h.hole = true
+	return h.ev[0]
+}
+
+// settle closes an open hole with the tail element, leaving ev a plain
+// heap of exactly the pending events.
+func (h *eventHeap) settle() {
+	if !h.hole {
+		return
+	}
+	h.hole = false
+	n := len(h.ev) - 1
+	tail := h.ev[n]
+	h.ev = h.ev[:n]
+	if n > 0 {
+		h.siftDown(tail)
 	}
 }
 
-// pop removes and returns the earliest event. The heap must be non-empty.
-func (h *eventHeap) pop() event {
-	top := h.ev[0]
-	n := len(h.ev) - 1
-	h.ev[0] = h.ev[n]
-	h.ev = h.ev[:n]
-	// Sift the displaced tail element down.
+// siftDown places e at the vacant root, moving the hole down past every
+// child that orders before e.
+func (h *eventHeap) siftDown(e event) {
+	ev := h.ev
+	n := len(ev)
 	i := 0
 	for {
-		left := 2*i + 1
-		if left >= n {
+		child := 2*i + 1
+		if child >= n {
 			break
 		}
-		least := left
-		if right := left + 1; right < n && h.ev[right].before(h.ev[left]) {
-			least = right
+		if right := child + 1; right < n && ev[right].before(ev[child]) {
+			child = right
 		}
-		if !h.ev[least].before(h.ev[i]) {
+		if !ev[child].before(e) {
 			break
 		}
-		h.ev[i], h.ev[least] = h.ev[least], h.ev[i]
-		i = least
+		ev[i] = ev[child]
+		i = child
 	}
-	return top
+	ev[i] = e
+}
+
+// snapshot returns a copy of the pending events as a plain heap.
+func (h *eventHeap) snapshot() []event {
+	h.settle()
+	return append([]event(nil), h.ev...)
+}
+
+// restore replaces the heap's contents with a snapshot's.
+func (h *eventHeap) restore(snap []event) {
+	h.ev = append(h.ev[:0], snap...)
+	h.hole = false
 }
 
 // schedule pushes an event onto the heap.

@@ -20,6 +20,13 @@ const (
 	grayDetectEntity   = -4 // the gray-failure detector deposes the leader
 )
 
+// The failure-mode keys of the two outage classes only the raft layer
+// explains.
+const (
+	raftElectionMode   = "raft:election"
+	raftGrayLeaderMode = "raft:gray-leader"
+)
+
 // raftGroupName is the CP quorum group whose leadership is simulated: the
 // config-store Cassandra ring, matching the live cluster's
 // "cassandra-config" store.
@@ -28,6 +35,8 @@ const raftGroupName = "cassandra-db (Config)"
 // simRaft is the leadership state machine layered over one quorum group.
 type simRaft struct {
 	group *simGroup
+	// electionMode and grayMode are the interned ids of the two raft modes.
+	electionMode, grayMode int32
 
 	leader          int // node index in group.nodes, -1 while electing
 	electionStartAt float64
@@ -54,7 +63,12 @@ type simRaft struct {
 func newSimRaft(s *Sim) *simRaft {
 	for gi := range s.cpGroups {
 		if s.cpGroups[gi].name == raftGroupName {
-			return &simRaft{group: &s.cpGroups[gi], leader: 0, satUp: true}
+			return &simRaft{
+				group:        &s.cpGroups[gi],
+				electionMode: s.modeID(raftElectionMode),
+				grayMode:     s.modeID(raftGrayLeaderMode),
+				leader:       0, satUp: true,
+			}
 		}
 	}
 	panic(fmt.Sprintf("mc: raft mirror enabled but profile has no CP group %q", raftGroupName))
@@ -149,13 +163,13 @@ func (r *simRaft) handle(s *Sim, ev event) {
 // non-gray leader.
 func (r *simRaft) cpUp() bool { return r.leader >= 0 && !r.grayActive }
 
-// blames names the raft failure mode opening a marginal CP outage (quorum
-// held, leadership did not).
-func (r *simRaft) blames() []string {
+// blameMode names the raft failure mode opening a marginal CP outage
+// (quorum held, leadership did not).
+func (r *simRaft) blameMode() int32 {
 	if r.grayActive {
-		return []string{"raft:gray-leader"}
+		return r.grayMode
 	}
-	return []string{"raft:election"}
+	return r.electionMode
 }
 
 // accrue attributes dt of CP downtime that only the raft layer explains.

@@ -192,8 +192,8 @@ type rarePathSnap struct {
 	downCount      int
 	lvl, createLvl int
 	cpEverDown     bool
-	cpBlame        []string
-	hostBlame      [][]string
+	cpBlame        []int32
+	hostBlame      [][]int32
 }
 
 // pathState holds the per-entity biasing tables (immutable per Sim) and the
@@ -228,9 +228,11 @@ type pathState struct {
 	// estimator.
 	cpEverDown bool
 	// cpBlame and hostBlame freeze the failure modes named when the
-	// respective plane went down, for weighted attribution.
-	cpBlame   []string
-	hostBlame [][]string
+	// respective plane went down, for weighted attribution: ascending mode
+	// ids, each in a buffer its plane reuses outage after outage (emptied,
+	// not dropped, when the plane comes back).
+	cpBlame   []int32
+	hostBlame [][]int32
 
 	// Replication-global accumulators (across every branch of the tree).
 	stack                []rarePathSnap
@@ -238,7 +240,7 @@ type pathState struct {
 	paths, splits, kills int
 	cpDownW, sdpDownW    float64
 	hostDownW            []float64
-	cpModes, dpModes     map[string]float64
+	cpModes, dpModes     modeHours
 	totalW               float64
 	// hitW sums terminal path weights over paths whose trajectory saw any
 	// CP downtime: an unbiased estimate of P_naive(replication observes an
@@ -283,12 +285,12 @@ func (r *pathState) init(s *Sim) {
 		r.invPow[l] = r.invPow[l-1] / float64(rc.SplitFactor)
 	}
 	r.hostDownW = make([]float64, len(s.hosts))
-	r.hostBlame = make([][]string, len(s.hosts))
+	r.hostBlame = make([][]int32, len(s.hosts))
+	r.cpModes.init(len(s.modeNames))
+	r.dpModes.init(len(s.modeNames))
 }
 
-// reset rewinds the path state for a fresh replication. The attribution
-// maps are allocated anew because the previous replication's Result owns
-// the old ones.
+// reset rewinds the path state for a fresh replication.
 func (r *pathState) reset() {
 	r.logW = 0
 	r.hazUp = 0
@@ -298,9 +300,9 @@ func (r *pathState) reset() {
 	r.downCount = 0
 	r.lvl, r.createLvl = 0, 0
 	r.cpEverDown = false
-	r.cpBlame = nil
+	r.cpBlame = r.cpBlame[:0]
 	for i := range r.hostBlame {
-		r.hostBlame[i] = nil
+		r.hostBlame[i] = r.hostBlame[i][:0]
 	}
 	r.stack = r.stack[:0]
 	r.splitSeq = 0
@@ -309,8 +311,8 @@ func (r *pathState) reset() {
 	for i := range r.hostDownW {
 		r.hostDownW[i] = 0
 	}
-	r.cpModes = map[string]float64{}
-	r.dpModes = map[string]float64{}
+	r.cpModes.reset()
+	r.dpModes.reset()
 	r.totalW = 0
 	r.hitW = 0
 }
@@ -347,14 +349,14 @@ func (s *Sim) snapshotRarePath(rngState uint64, lvl, createLvl int) rarePathSnap
 	for i := range s.entities {
 		snap.entUp[i] = s.entities[i].up
 	}
-	snap.events = append([]event(nil), s.events.ev...)
+	snap.events = s.events.snapshot()
 	snap.hostUp = append([]bool(nil), s.hostUp...)
 	snap.crewQueue = append([]int(nil), s.crewQueue...)
-	snap.cpBlame = append([]string(nil), r.cpBlame...)
+	snap.cpBlame = append([]int32(nil), r.cpBlame...)
 	if len(s.hosts) > 0 {
-		snap.hostBlame = make([][]string, len(s.hosts))
+		snap.hostBlame = make([][]int32, len(s.hosts))
 		for i, b := range r.hostBlame {
-			snap.hostBlame[i] = append([]string(nil), b...)
+			snap.hostBlame[i] = append([]int32(nil), b...)
 		}
 	}
 	return snap
@@ -370,7 +372,7 @@ func (s *Sim) restoreRarePath() {
 	for i := range s.entities {
 		s.entities[i].up = snap.entUp[i]
 	}
-	s.events.ev = append(s.events.ev[:0], snap.events...)
+	s.events.restore(snap.events)
 	s.seq = snap.seq
 	s.now = snap.now
 	s.rng.state = snap.rngState
@@ -382,9 +384,9 @@ func (s *Sim) restoreRarePath() {
 	r.logW, r.hazUp = snap.logW, snap.hazUp
 	r.downCount, r.lvl, r.createLvl = snap.downCount, snap.lvl, snap.createLvl
 	r.cpEverDown = snap.cpEverDown
-	r.cpBlame = snap.cpBlame
-	if snap.hostBlame != nil {
-		copy(r.hostBlame, snap.hostBlame)
+	r.cpBlame = append(r.cpBlame[:0], snap.cpBlame...)
+	for i, b := range snap.hostBlame {
+		r.hostBlame[i] = append(r.hostBlame[i][:0], b...)
 	}
 	if s.conn != nil {
 		s.conn.Reset()

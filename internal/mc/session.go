@@ -109,7 +109,8 @@ const (
 // given back at the emit), so one slow replication at the emit cursor
 // stalls the pool instead of letting it buffer the rest of the range. The
 // lowest unemitted block is always claimed and running, so the tokens
-// cannot deadlock.
+// cannot deadlock. The tokens are the block buffers themselves: a range
+// allocates at most that many, however long it is.
 func (ss *Session) Range(ctx context.Context, lo, hi, workers int, emit func(rep int, res Result)) int {
 	return orderedRange(ctx.Done(), lo, hi, workers, ss.replicateCancel, emit)
 }
@@ -136,7 +137,12 @@ func orderedRange(done <-chan struct{}, lo, hi, workers int,
 		k   int
 		res []Result // shorter than the block when ctx expired inside it
 	}
-	tokens := make(chan struct{}, ahead)
+	// A token is the block buffer it entitles its holder to fill; the
+	// emitter hands both back together.
+	tokens := make(chan []Result, ahead)
+	for i := 0; i < ahead; i++ {
+		tokens <- nil
+	}
 	// Sized to the tokens: every block in flight holds one, so a send never
 	// blocks and a cancelled run cannot park a worker on the hand-off.
 	out := make(chan block, ahead)
@@ -147,10 +153,11 @@ func orderedRange(done <-chan struct{}, lo, hi, workers int,
 		go func() {
 			defer wg.Done()
 			for {
+				var res []Result
 				select {
 				case <-done:
 					return
-				case tokens <- struct{}{}:
+				case res = <-tokens:
 				}
 				k := int(next.Add(1)) - 1
 				if k >= blocks {
@@ -158,7 +165,9 @@ func orderedRange(done <-chan struct{}, lo, hi, workers int,
 				}
 				from := lo + k*size
 				to := min(from+size, hi)
-				res := make([]Result, 0, to-from)
+				if cap(res) < to-from {
+					res = make([]Result, 0, to-from)
+				}
 				for rep := from; rep < to; rep++ {
 					r, ok := replicate(done, rep)
 					if !ok {
@@ -181,18 +190,21 @@ func orderedRange(done <-chan struct{}, lo, hi, workers int,
 	// of `ahead` slots is the whole reorder buffer.
 	ring := make([][]Result, ahead)
 	cursor, emitted := 0, 0
-	flush := func(k int) {
-		for i, r := range ring[k%ahead] {
+	flush := func(k int) []Result {
+		res := ring[k%ahead]
+		for i, r := range res {
 			emit(lo+k*size+i, r)
 		}
-		emitted += len(ring[k%ahead])
+		emitted += len(res)
 		ring[k%ahead] = nil
+		return res
 	}
 	for b := range out {
 		ring[b.k%ahead] = b.res
 		for ; ring[cursor%ahead] != nil; cursor++ {
-			flush(cursor)
-			<-tokens
+			res := flush(cursor)
+			clear(res) // the emitted Results' maps and slices are the consumer's now
+			tokens <- res[:0]
 		}
 	}
 	// Only a cancelled run leaves blocks behind the cursor: whatever

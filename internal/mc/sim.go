@@ -35,10 +35,12 @@ type entity struct {
 	class procClass // processes only
 	// mode is the failure-mode key downtime is attributed to: "rack:",
 	// "host:", "vm:" or "link:" plus the unit's name, and "process:<name>"
-	// aggregated across nodes. Fixed at build time.
-	mode string
-	up   bool
-	mtbf float64
+	// aggregated across nodes. Fixed at build time; modeID is its interned
+	// id (internModes), which is all the event loop touches.
+	mode   string
+	modeID int32
+	up     bool
+	mtbf   float64
 	// repair is the per-entity mean repair time for kindLink entities
 	// (links carry individual MTTRs); other kinds use the Config times.
 	repair float64
@@ -103,6 +105,11 @@ type Sim struct {
 	cpGroups []simGroup
 	dpGroups []simGroup
 	hosts    []computeHost
+	// modeNames lists the distinct failure-mode keys, sorted; a mode's id
+	// is its index. inBlame marks the ids already in the blame set being
+	// collected (all false between collections).
+	modeNames []string
+	inBlame   []bool
 	// supRequired caches Scenario == SupervisorRequired: whether a down
 	// supervisor stops the processes it owns from counting.
 	supRequired bool
@@ -181,9 +188,10 @@ type Result struct {
 	// CPDowntimeByMode attributes the control-plane downtime (hours) to
 	// failure-mode keys ("process:<name>", "rack:/host:/vm:<name>") by the
 	// rule of the testbed's attribution ledger: blame at open, equal split.
+	// Nil when the replication had no control-plane downtime to attribute.
 	CPDowntimeByMode map[string]float64
 	// DPDowntimeByMode attributes the per-host data-plane downtime
-	// (hours, summed across compute hosts) the same way.
+	// (hours, summed across compute hosts) the same way, nil likewise.
 	DPDowntimeByMode map[string]float64
 
 	// RAFT mirror measurements, zero unless Config.RaftElectionMax > 0.
@@ -255,8 +263,9 @@ func newSim(cfg Config) *Sim {
 // every entity up, the event queue empty, the stream re-seeded with the
 // same derivation New always used, and all accumulators zeroed. Scratch
 // slices keep their backing arrays, so a warmed-up Sim replays a fresh
-// replication without rebuilding or reallocating anything but the two
-// per-mode result maps.
+// replication without rebuilding or reallocating anything; the run ends by
+// building the two per-mode maps its Result takes away, if it blamed
+// anything.
 func (s *Sim) reset(replication int) {
 	s.rng.seed(ReplicationSeed(s.cfg.Seed, replication))
 	s.events.reset()
@@ -408,6 +417,7 @@ func (s *Sim) build() {
 	}
 	s.hostUp = make([]bool, len(s.hosts))
 	s.hostTime = make([]float64, len(s.hosts))
+	s.internModes()
 	s.buildQuorumIndex()
 }
 
@@ -542,13 +552,13 @@ func (s *Sim) refresh() {
 			s.cpStart = s.now
 			if sat {
 				// Quorum holds: only the raft layer explains the outage.
-				p.cpBlame = s.raft.blames()
+				p.cpBlame = append(p.cpBlame[:0], s.raft.blameMode())
 			} else {
-				p.cpBlame = s.cpBlames()
+				p.cpBlame = s.cpBlames(p.cpBlame)
 			}
 		} else {
 			s.closeOutage()
-			p.cpBlame = nil
+			p.cpBlame = p.cpBlame[:0]
 		}
 		s.cpUp = cp
 	}
@@ -572,9 +582,9 @@ func (s *Sim) refresh() {
 		up := (s.sdpUp || headless) && s.quorum.hostDown[i] == 0
 		if up != s.hostUp[i] {
 			if !up {
-				p.hostBlame[i] = s.hostBlames(i)
+				p.hostBlame[i] = s.hostBlames(i, p.hostBlame[i])
 			} else {
-				p.hostBlame[i] = nil
+				p.hostBlame[i] = p.hostBlame[i][:0]
 			}
 			s.hostUp[i] = up
 		}
@@ -623,7 +633,7 @@ func (s *Sim) accumulate(dt float64) {
 		if !s.cpUp {
 			p.cpEverDown = true
 			p.cpDownW += wdt
-			blame(p.cpModes, p.cpBlame, wdt)
+			p.cpModes.blame(p.cpBlame, wdt)
 			if s.cfg.WindowHours > 0 {
 				s.addWindowDowntime(s.now, dt)
 			}
@@ -637,21 +647,11 @@ func (s *Sim) accumulate(dt float64) {
 		for i, up := range s.hostUp {
 			if !up {
 				p.hostDownW[i] += wdt
-				blame(p.dpModes, p.hostBlame[i], wdt)
+				p.dpModes.blame(p.hostBlame[i], wdt)
 			}
 		}
 	}
 	p.logW += p.hazUp * dt
-}
-
-// blame splits wdt hours of downtime equally among the blamed modes. (No
-// validated configuration takes a plane down with nothing to blame;
-// TestAttributionMatchesLedger says why.)
-func blame(hours map[string]float64, modes []string, wdt float64) {
-	share := wdt / float64(len(modes))
-	for _, m := range modes {
-		hours[m] += share
-	}
 }
 
 // Run executes the replication to the configured horizon and returns the
@@ -771,8 +771,8 @@ func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
 		CPUnavailability: p.cpDownW / horizon,
 		CPOutages:        s.cpOutages,
 		RareHitWeight:    p.hitW,
-		CPDowntimeByMode: p.cpModes,
-		DPDowntimeByMode: p.dpModes,
+		CPDowntimeByMode: p.cpModes.result(s.modeNames),
+		DPDowntimeByMode: p.dpModes.result(s.modeNames),
 	}
 	if s.cfg.Rare.Enabled() {
 		// A weighted run estimates every availability as 1 − U from the

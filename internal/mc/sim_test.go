@@ -2,6 +2,8 @@ package mc
 
 import (
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"sdnavail/internal/analytic"
@@ -263,6 +265,38 @@ func TestConfigValidate(t *testing.T) {
 		if cfg.Validate() == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+
+	// Non-finite values: NaN fails no comparison and +Inf is positive, so
+	// every float field Validate looks at is refused by name. A NaN or
+	// infinite Horizon used to pass and then never reach the loop's exit.
+	// The base has the RAFT mirror on, so its fields are in play too.
+	raft := raftConfig(t)
+	raft.GrayLeaderMTBF, raft.GrayDetect = 500, 0.5
+	if err := raft.Validate(); err != nil {
+		t.Fatalf("good raft config invalid: %v", err)
+	}
+	for _, name := range []string{
+		"ProcessMTBF", "AutoRestart", "ManualRestart", "MaintenanceWindow",
+		"VMMTBF", "VMRepair", "HostMTBF", "HostRepair", "RackMTBF", "RackRepair",
+		"Horizon", "HeadlessHold", "WindowHours",
+		"RaftElectionMin", "RaftElectionMax", "GrayLeaderMTBF", "GrayDetect",
+	} {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := raft
+			reflect.ValueOf(&cfg).Elem().FieldByName(name).SetFloat(v)
+			err := cfg.Validate()
+			if err == nil {
+				t.Errorf("%s = %g accepted", name, v)
+			} else if !strings.Contains(err.Error(), name) {
+				t.Errorf("%s = %g: error %q does not name the field", name, v, err)
+			}
+		}
+	}
+	nan := good
+	nan.Horizon = math.NaN()
+	if _, err := Run(nan, 2, 0.99); err == nil {
+		t.Error("Run with Horizon = NaN returned no error")
 	}
 }
 

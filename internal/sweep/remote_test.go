@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"sdnavail/internal/mc"
@@ -98,6 +99,53 @@ func TestRunRemoteBitIdentical(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunRemoteOutageFreeModes: a replication that blamed nothing carries
+// nil per-mode maps, which cross the shard wire as JSON null and come back
+// nil. The fold reads both as "no modes", so a sharded run of outage-free
+// replications still equals the local one, with empty attribution tables.
+func TestRunRemoteOutageFreeModes(t *testing.T) {
+	cfg := testConfig(t, 7)
+	cfg.Horizon = 1 // an hour: nothing fails in any of the replications below
+	ss, err := mc.NewSession(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := ss.Replicate(0)
+	if res.CPDowntimeByMode != nil || res.DPDowntimeByMode != nil {
+		t.Fatalf("outage-free replication carries mode maps: CP %v, DP %v", res.CPDowntimeByMode, res.DPDowntimeByMode)
+	}
+	raw, err := json.Marshal(RepSample{Rep: 0, Res: res})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"CPDowntimeByMode":null`, `"DPDowntimeByMode":null`} {
+		if !strings.Contains(string(raw), want) {
+			t.Errorf("wire sample lacks %s: %s", want, raw)
+		}
+	}
+
+	p := Point{ID: "outage-free", Config: cfg}
+	opt := Options{MaxReps: 8}
+	local, err := Run([]Point{p}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote, err := RunRemote(context.Background(), p, opt, shardedExec(t, cfg, 2), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(remote, local[0]) {
+		t.Errorf("remote result diverges from local\nremote: %+v\nlocal:  %+v", remote.Estimate, local[0].Estimate)
+	}
+	for name, m := range map[string]map[string]float64{
+		"CP": remote.Estimate.CPDowntimeByMode, "DP": remote.Estimate.DPDowntimeByMode,
+	} {
+		if m == nil || len(m) != 0 {
+			t.Errorf("%s attribution of an outage-free run = %v, want an empty, non-nil map", name, m)
+		}
 	}
 }
 
