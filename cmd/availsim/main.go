@@ -62,8 +62,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"sdnavail/internal/analytic"
@@ -209,11 +207,16 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 	opt := analytic.Option{Kind: kind, Scenario: sc}
 
 	if *rare {
-		rc, err := parseRareSchedule(*rareBias, *rareHW, *rareLink, *rareLevels, *rareFactor)
-		if err != nil {
-			return err
+		// The explicit rare-event schedule. Its zero value means
+		// "auto-select": TailStudy applies sweep.AutoRare. Setting any flag
+		// switches to a fully manual schedule — kinds left at zero simply
+		// stay unbiased.
+		cfg.Rare = mc.RareEventConfig{ProcessBias: *rareBias, HardwareBias: *rareHW, LinkBias: *rareLink, SplitFactor: *rareFactor}
+		if *rareLevels != "" {
+			if err := cfg.Rare.ParseSplitLevels(*rareLevels); err != nil {
+				return fmt.Errorf("-rare-split-levels: %v", err)
+			}
 		}
-		cfg.Rare = rc
 		ropts := sweep.Options{RelTarget: *relTarget, MinReps: *minReps, MaxReps: *maxReps, Batch: *minReps}
 		// The fixed-count defaults are sized for the plain comparison run;
 		// deep tails need a real ESS floor before relative-error stopping is
@@ -319,7 +322,7 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		[]string{"monte carlo", "analytic"},
 		[]map[string]float64{
 			mc.ModeShares(est.CPDowntimeByMode),
-			contributionShares(analytic.CPContributions(prof, n, model.Params)),
+			analytic.Shares(analytic.CPContributions(prof, n, model.Params)),
 		})
 	fmt.Fprint(out, cpCmp.Text())
 	dpCmp := report.AttributionComparisonTable(
@@ -327,33 +330,10 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		[]string{"monte carlo", "analytic"},
 		[]map[string]float64{
 			mc.ModeShares(est.DPDowntimeByMode),
-			contributionShares(analytic.DPContributions(prof, n, model.Params)),
+			analytic.Shares(analytic.DPContributions(prof, n, model.Params)),
 		})
 	fmt.Fprint(out, dpCmp.Text())
 	return nil
-}
-
-// parseRareSchedule builds the explicit rare-event schedule from the
-// -rare-* flags. The zero value means "auto-select": TailStudy applies
-// sweep.AutoRare. Setting any flag switches to a fully manual schedule —
-// kinds left at zero simply stay unbiased.
-func parseRareSchedule(pb, hb, lb float64, levels string, factor int) (mc.RareEventConfig, error) {
-	var rc mc.RareEventConfig
-	rc.ProcessBias, rc.HardwareBias, rc.LinkBias = pb, hb, lb
-	if levels != "" {
-		for _, tok := range strings.Split(levels, ",") {
-			lv, err := strconv.Atoi(strings.TrimSpace(tok))
-			if err != nil {
-				return rc, fmt.Errorf("-rare-split-levels: %q is not an integer", tok)
-			}
-			rc.SplitLevels = append(rc.SplitLevels, lv)
-		}
-		if factor == 0 {
-			factor = 3
-		}
-	}
-	rc.SplitFactor = factor
-	return rc, nil
 }
 
 // flagWasSet reports whether the named flag appeared on the command line.
@@ -495,13 +475,4 @@ func grayCyclesOf(est mc.Estimate) int {
 		total += r.GrayCycles
 	}
 	return total
-}
-
-// contributionShares flattens analytic contributions into mode → share.
-func contributionShares(contribs []analytic.ModeContribution) map[string]float64 {
-	out := map[string]float64{}
-	for _, c := range contribs {
-		out[c.Mode] = c.Share
-	}
-	return out
 }

@@ -111,3 +111,12 @@ func Share(contribs []ModeContribution, mode string) float64 {
 	}
 	return 0
 }
+
+// Shares flattens a contribution list into mode → share.
+func Shares(contribs []ModeContribution) map[string]float64 {
+	out := make(map[string]float64, len(contribs))
+	for _, c := range contribs {
+		out[c.Mode] = c.Share
+	}
+	return out
+}

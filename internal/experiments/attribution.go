@@ -54,15 +54,6 @@ func shareMap(a telemetry.Attribution) map[string]float64 {
 	return out
 }
 
-// contributionShares flattens analytic contributions into mode → share.
-func contributionShares(contribs []analytic.ModeContribution) map[string]float64 {
-	out := map[string]float64{}
-	for _, c := range contribs {
-		out[c.Mode] = c.Share
-	}
-	return out
-}
-
 // ShareAgreement returns the maximum absolute share discrepancy between
 // two sources over the modes whose reference share is at least floor —
 // small reference modes are dominated by sampling noise and excluded.
@@ -121,13 +112,13 @@ func SoakWithAttributionContext(ctx context.Context, sc chaos.SoakConfig, replic
 		Plane:    "cp",
 		Soak:     shareMap(res.CPAttribution),
 		Sim:      mc.ModeShares(est.CPDowntimeByMode),
-		Analytic: contributionShares(analytic.CPContributions(res.Config.Profile, n, params)),
+		Analytic: analytic.Shares(analytic.CPContributions(res.Config.Profile, n, params)),
 	}
 	out.DP = AttributionComparison{
 		Plane:    "dp",
 		Soak:     shareMap(res.DPAttribution),
 		Sim:      mc.ModeShares(est.DPDowntimeByMode),
-		Analytic: contributionShares(analytic.DPContributions(res.Config.Profile, n, params)),
+		Analytic: analytic.Shares(analytic.DPContributions(res.Config.Profile, n, params)),
 	}
 	out.CP.Table = report.AttributionComparisonTable(
 		"Control-plane downtime shares by failure mode — live soak vs Monte Carlo vs analytic",

@@ -3,6 +3,8 @@ package mc
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 )
 
 // Rare-event acceleration: forced-failure biasing and multilevel
@@ -111,6 +113,24 @@ func (rc RareEventConfig) maxPaths() int {
 		return rc.MaxPaths
 	}
 	return defaultRareMaxPaths
+}
+
+// ParseSplitLevels sets SplitLevels from the comma-separated spelling the
+// front ends share ("2,3"; blanks around a level are ignored). Levels
+// given while SplitFactor is still 0 imply the default factor 3, so set an
+// explicit factor first.
+func (rc *RareEventConfig) ParseSplitLevels(list string) error {
+	for _, tok := range strings.Split(list, ",") {
+		lv, err := strconv.Atoi(strings.TrimSpace(tok))
+		if err != nil {
+			return fmt.Errorf("%q is not an integer", tok)
+		}
+		rc.SplitLevels = append(rc.SplitLevels, lv)
+	}
+	if rc.SplitFactor == 0 {
+		rc.SplitFactor = 3
+	}
+	return nil
 }
 
 // Validate reports the first problem with the configuration as a typed

@@ -60,40 +60,44 @@ func TestAnalyticKeyCanonical(t *testing.T) {
 	}
 }
 
-// TestMCCanonicalRoundTrip: decoding a request's canonical encoding must
-// reproduce the same computation — identical canonical form (a fixpoint),
-// identical digest, identical resolved rare schedule — which is what lets
-// a shard worker reproduce the coordinator's digest from the forwarded
-// query string. The decoded struct may differ in normalized fields (an
-// implied split factor becomes explicit), so the comparison is over the
-// canonical form, not the raw struct.
-func TestMCCanonicalRoundTrip(t *testing.T) {
-	queries := []string{
-		"topology=small&horizon=200&reps=32&seed=7",
-		"topology=large&ci_target=0.001&min_reps=16&max_reps=512&headless=0.25",
-		"profile=onos&cluster=5&scenario=1&horizon=5000&seed=-3",
-		"topology=small&scenario=1&rare=true&rare_bias=8&min_reps=8&max_reps=64",
-		"topology=small&scenario=1&rare=true&rare_bias=4&rare_split_levels=1,2&rel_target=0.2",
+// checkRoundTrip: decoding a request's canonical encoding must reproduce
+// the same computation — identical canonical form (a fixpoint), identical
+// digest, identical resolved rare schedule — which is what lets a shard
+// worker reproduce the coordinator's digest from the forwarded query
+// string, and what makes the digest invariant under query re-spelling.
+func checkRoundTrip(t *testing.T, qs string, req mcRequest) {
+	t.Helper()
+	canon := mcCanonical(req)
+	again, err := decodeMC(mustValues(t, canon))
+	if err != nil {
+		t.Fatalf("canonical form of %q does not decode: %v\n%s", qs, err, canon)
 	}
-	for _, qs := range queries {
+	if got := mcCanonical(again); got != canon {
+		t.Errorf("%q: canonical form is not a fixpoint\nfirst:  %s\nsecond: %s", qs, canon, got)
+	}
+	if mcDigest(again) != mcDigest(req) {
+		t.Errorf("%q: digest not stable across the round trip", qs)
+	}
+	if !reflect.DeepEqual(again.Schedule, req.Schedule) {
+		t.Errorf("%q: resolved rare schedule changed across the round trip", qs)
+	}
+}
+
+// TestMCCanonicalRoundTrip applies checkRoundTrip to every query of the
+// wire golden list that decodes; FuzzDecodeQuery applies it to generated
+// ones.
+func TestMCCanonicalRoundTrip(t *testing.T) {
+	decoded := 0
+	for _, qs := range wireQueries {
 		req, err := decodeMC(mustValues(t, qs))
 		if err != nil {
-			t.Fatalf("%s: %v", qs, err)
+			continue
 		}
-		canon := mcCanonical(req)
-		again, err := decodeMC(mustValues(t, canon))
-		if err != nil {
-			t.Fatalf("canonical form of %q does not decode: %v\n%s", qs, err, canon)
-		}
-		if got := mcCanonical(again); got != canon {
-			t.Errorf("%q: canonical form is not a fixpoint\nfirst:  %s\nsecond: %s", qs, canon, got)
-		}
-		if mcDigest(again) != mcDigest(req) {
-			t.Errorf("%q: digest not stable across the round trip", qs)
-		}
-		if !reflect.DeepEqual(again.rareSchedule(), req.rareSchedule()) {
-			t.Errorf("%q: resolved rare schedule changed across the round trip", qs)
-		}
+		decoded++
+		checkRoundTrip(t, qs, req)
+	}
+	if decoded < 50 {
+		t.Errorf("only %d of %d golden queries decode as MC requests; the round trip is barely exercised", decoded, len(wireQueries))
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -14,12 +15,20 @@ import (
 	"sdnavail/internal/topology"
 )
 
-// Query-parameter decoding for the what-if endpoints. Every parameter is
-// validated strictly — NaN, infinities, negative rates and out-of-range
+// Query-parameter decoding for the what-if endpoints, read off one
+// parameter table per request type. A row is everything the service knows
+// about one wire parameter: its name, how a value is parsed, range-checked
+// and stored, and how the stored value is spelled in the canonical
+// encoding (canonical.go). Endpoint allowlists, 400 texts, cache key, store
+// digest and the README reference all derive from the rows, so a new
+// parameter is one struct field and one row — and if it changes what is
+// computed, the row has a get.
+//
+// Validation is strict — NaN, infinities, negative rates and out-of-range
 // probabilities are 400s, never panics and never values smuggled into the
-// models (the fuzz harness drives this file with arbitrary query
-// strings). Unknown parameters are 400s too, so a typo'd knob fails loud
-// instead of silently evaluating the default.
+// models (the fuzz harness drives this file with arbitrary query strings).
+// Unknown, repeated and empty parameters are 400s too, so a typo'd knob
+// fails loud instead of silently evaluating the default.
 
 // badRequestError marks a decoding failure the handler answers with 400.
 type badRequestError struct{ msg string }
@@ -32,7 +41,8 @@ func badf(format string, args ...any) error {
 }
 
 // modelRequest is the decoded (profile, topology, scenario, params) tuple
-// every endpoint shares — also the memoization key domain.
+// every endpoint shares — also the memoization key domain. Profile and
+// Kind are resolved from their names once the rows have run.
 type modelRequest struct {
 	ProfileName string
 	Profile     *profile.Profile
@@ -57,351 +67,326 @@ type mcRequest struct {
 
 	// Rare switches the run to the rare-event engine (forced failures +
 	// importance splitting with likelihood-ratio correction) and
-	// relative-error stopping on the CP unavailability. The schedule
-	// fields are the explicit biasing knobs; all zero means auto-select.
-	Rare            bool
-	RareBias        float64
-	RareHWBias      float64
-	RareLinkBias    float64
-	RareSplitLevels []int
-	RareSplitFactor int
-	RelTarget       float64
-}
+	// relative-error stopping on the CP unavailability. Schedule holds the
+	// explicit biasing knobs; its zero value means auto-select.
+	Rare      bool
+	Schedule  mc.RareEventConfig
+	RelTarget float64
 
-// rareSchedule builds the explicit rare-event schedule from the decoded
-// knobs. The zero value (nothing set) means "auto-select".
-func (r mcRequest) rareSchedule() mc.RareEventConfig {
-	rc := mc.RareEventConfig{
-		ProcessBias:  r.RareBias,
-		HardwareBias: r.RareHWBias,
-		LinkBias:     r.RareLinkBias,
-		SplitLevels:  r.RareSplitLevels,
-		SplitFactor:  r.RareSplitFactor,
-	}
-	if len(rc.SplitLevels) > 0 && rc.SplitFactor == 0 {
-		rc.SplitFactor = 3
-	}
-	return rc
+	// Timeout is the ?timeout= deadline override, 0 when absent.
+	Timeout time.Duration
+
+	// Lo, Hi and Digest address one worker's slice of a sharded run (shard
+	// endpoint only): the global replication index range [Lo, Hi) and the
+	// coordinator's view of the request digest, which the worker must
+	// reproduce.
+	Lo, Hi int
+	Digest string
 }
 
 // soakRequest parameterizes a live virtual-time soak.
 type soakRequest struct {
-	Hours float64
-	MTBF  float64
-	Seed  int64
-	Hosts int
+	Hours   float64
+	MTBF    float64
+	Seed    int64
+	Hosts   int
+	Timeout time.Duration
 }
 
-// knownParams guards against typo'd query keys per endpoint.
+func (r mcRequest) timeout() time.Duration   { return r.Timeout }
+func (r soakRequest) timeout() time.Duration { return r.Timeout }
+
+// param is one wire parameter of request type R.
+type param[R any] struct {
+	name string
+	// rng is the admissible range in one phrase, built from the bounds the
+	// 400 texts use; the README parameter reference prints it.
+	rng string
+	// set parses s, range-checks it and stores it in r. It is the only
+	// place a 400 text about this parameter alone is written.
+	set func(r *R, s string) error
+	// get is the canonical spelling of the stored value. nil marks a
+	// parameter that bounds or addresses the computation without being
+	// part of its key (timeout, rep_lo, rep_hi, digest).
+	get func(r *R) string
+	// when, if set, keys the parameter only on requests it holds for.
+	when func(r *R) bool
+}
+
+// noted appends a remark to the range phrase.
+func (p param[R]) noted(remark string) param[R] {
+	p.rng += "; " + remark
+	return p
+}
+
+// unkeyed drops the parameter from the canonical encoding.
+func (p param[R]) unkeyed() param[R] {
+	p.get = nil
+	return p
+}
+
+// floatRange is the admissible set of a float parameter: an interval
+// with open or closed ends, and what is wrong with a value beyond each.
+type floatRange struct {
+	rng            string
+	lo, hi         float64
+	loOpen, hiOpen bool
+	low, high      string
+}
+
 var (
-	modelParams = []string{"profile", "topology", "cluster", "scenario", "compute",
-		"ac", "av", "ah", "ar", "a", "as", "timeout"}
-	mcParams = append([]string{"horizon", "reps", "ci_target", "min_reps", "max_reps", "seed", "headless",
-		"rare", "rare_bias", "rare_hw_bias", "rare_link_bias",
-		"rare_split_levels", "rare_split_factor", "rel_target"}, modelParams...)
-	shardParams = append([]string{"rep_lo", "rep_hi", "digest"}, mcParams...)
-	soakParams  = []string{"hours", "mtbf", "seed", "hosts", "timeout"}
+	probability = floatRange{"in (0, 1)", 0, 1, true, true, "outside (0, 1)", "outside (0, 1)"}
+	positive    = floatRange{"> 0", 0, math.Inf(1), true, false, "must be positive", ""}
+	nonNegative = floatRange{">= 0", 0, math.Inf(1), false, false, "must not be negative", ""}
 )
 
-// rejectUnknown 400s on any query key outside the allowed set.
-func rejectUnknown(q url.Values, allowed []string) error {
-	for k := range q {
-		ok := false
-		for _, a := range allowed {
-			if k == a {
-				ok = true
-				break
+// upTo caps the range at max, spelled the way the 400 text and the
+// reference print it ("1e9 simulated hours").
+func (fr floatRange) upTo(max float64, spelled string) floatRange {
+	fr.rng, fr.hi, fr.high = fr.rng+", at most "+spelled, max, "exceeds "+spelled
+	return fr
+}
+
+// floatParam is a finite float within fr.
+func floatParam[R any](name string, fr floatRange, field func(*R) *float64) param[R] {
+	return param[R]{
+		name: name,
+		rng:  fr.rng,
+		set: func(r *R, s string) error {
+			v, err := strconv.ParseFloat(s, 64)
+			switch {
+			case err != nil || math.IsNaN(v) || math.IsInf(v, 0):
+				return badf("parameter %q: %q is not a finite number", name, s)
+			case v < fr.lo || v == fr.lo && fr.loOpen:
+				return badf("parameter %q: %g %s", name, v, fr.low)
+			case v > fr.hi || v == fr.hi && fr.hiOpen:
+				return badf("parameter %q: %g %s", name, v, fr.high)
 			}
-		}
-		if !ok {
+			*field(r) = v
+			return nil
+		},
+		get: func(r *R) string { return canonicalFloat(*field(r)) },
+	}
+}
+
+// intParam is an integer within [lo, hi].
+func intParam[R any, I ~int | ~int64](name string, lo, hi int64, field func(*R) *I) param[R] {
+	return param[R]{
+		name: name,
+		rng:  fmt.Sprintf("integer in [%d, %d]", lo, hi),
+		set: func(r *R, s string) error {
+			v, err := strconv.ParseInt(s, 10, 64)
+			if err != nil {
+				return badf("parameter %q: %q is not an integer", name, s)
+			}
+			if v < lo || v > hi {
+				return badf("parameter %q: %d outside [%d, %d]", name, v, lo, hi)
+			}
+			*field(r) = I(v)
+			return nil
+		},
+		get: func(r *R) string { return strconv.FormatInt(int64(*field(r)), 10) },
+	}
+}
+
+// seedParam is the random seed: any int64.
+func seedParam[R any](field func(*R) *int64) param[R] {
+	p := intParam("seed", math.MinInt64, math.MaxInt64, field)
+	p.rng = "any 64-bit integer"
+	return p
+}
+
+// timeoutParam is the per-request deadline override. It bounds how long we
+// compute, not what we compute, so it has no get: two requests differing
+// only in deadline share cache and store entries.
+func timeoutParam[R any](field func(*R) *time.Duration) param[R] {
+	return param[R]{
+		name: "timeout",
+		rng:  "positive duration (500ms, 2s); capped at -max-timeout, absent = -timeout",
+		set: func(r *R, s string) error {
+			d, err := time.ParseDuration(s)
+			if err != nil {
+				return badf("parameter \"timeout\": %q is not a duration (e.g. 500ms, 2s)", s)
+			}
+			if d <= 0 {
+				return badf("parameter \"timeout\": %v must be positive", d)
+			}
+			*field(r) = d
+			return nil
+		},
+	}
+}
+
+// nameParam is a case-insensitive built-in name, stored lower-case; which
+// names exist is decided where the name is resolved (decodeRequest).
+func nameParam(name, rng string, field func(*mcRequest) *string) param[mcRequest] {
+	return param[mcRequest]{
+		name: name,
+		rng:  rng,
+		set: func(r *mcRequest, s string) error {
+			*field(r) = strings.ToLower(s)
+			return nil
+		},
+		get: func(r *mcRequest) string { return *field(r) },
+	}
+}
+
+// whenRare keys a parameter under rare=true only, where alone it may be
+// non-zero (decodeRequest refuses it otherwise).
+func whenRare(p param[mcRequest]) param[mcRequest] {
+	p.when = func(r *mcRequest) bool { return r.Rare }
+	return p.noted("needs rare=true")
+}
+
+// The Monte Carlo family's tables nest: the analytic endpoint takes the
+// model block, the MC endpoints add the run, the shard endpoint adds the
+// addressing.
+var (
+	modelTable = []param[mcRequest]{
+		nameParam("profile", "opencontrail, odl or onos (any case)", func(r *mcRequest) *string { return &r.Model.ProfileName }),
+		nameParam("topology", "small, medium or large (any case)", func(r *mcRequest) *string { return &r.Model.TopoName }),
+		intParam("cluster", 1, 9, func(r *mcRequest) *int { return &r.Model.Cluster }).noted("odd (2N+1 quorum)"),
+		intParam("scenario", 1, 2, func(r *mcRequest) *analytic.Scenario { return &r.Model.Scenario }),
+		intParam("compute", 0, 4096, func(r *mcRequest) *int { return &r.Model.Compute }),
+		floatParam("ac", probability, func(r *mcRequest) *float64 { return &r.Model.Params.AC }),
+		floatParam("av", probability, func(r *mcRequest) *float64 { return &r.Model.Params.AV }),
+		floatParam("ah", probability, func(r *mcRequest) *float64 { return &r.Model.Params.AH }),
+		floatParam("ar", probability, func(r *mcRequest) *float64 { return &r.Model.Params.AR }),
+		floatParam("a", probability, func(r *mcRequest) *float64 { return &r.Model.Params.A }),
+		floatParam("as", probability, func(r *mcRequest) *float64 { return &r.Model.Params.AS }),
+		timeoutParam(func(r *mcRequest) *time.Duration { return &r.Timeout }),
+	}
+
+	mcTable = slices.Concat(modelTable, []param[mcRequest]{
+		floatParam("horizon", positive.upTo(1e9, "1e9 simulated hours"), func(r *mcRequest) *float64 { return &r.Horizon }),
+		intParam("reps", 2, 1<<20, func(r *mcRequest) *int { return &r.Reps }),
+		floatParam("ci_target", nonNegative, func(r *mcRequest) *float64 { return &r.CITarget }).noted("0 = run exactly reps"),
+		intParam("min_reps", 2, 1<<20, func(r *mcRequest) *int { return &r.MinReps }),
+		intParam("max_reps", 0, 1<<20, func(r *mcRequest) *int { return &r.MaxReps }).noted("0 = max(reps, min_reps), else at least min_reps"),
+		seedParam(func(r *mcRequest) *int64 { return &r.Seed }),
+		floatParam("headless", nonNegative.upTo(1e6, "1e6 hours"), func(r *mcRequest) *float64 { return &r.Headless }),
+		{
+			name: "rare",
+			rng:  "boolean",
+			set: func(r *mcRequest, s string) (err error) {
+				if r.Rare, err = strconv.ParseBool(s); err != nil {
+					return badf("parameter \"rare\": %q is not a boolean", s)
+				}
+				return nil
+			},
+			get: func(r *mcRequest) string { return strconv.FormatBool(r.Rare) },
+		},
+		whenRare(floatParam("rare_bias", nonNegative, func(r *mcRequest) *float64 { return &r.Schedule.ProcessBias }).noted("0 = off, else >= 1")),
+		whenRare(floatParam("rare_hw_bias", nonNegative, func(r *mcRequest) *float64 { return &r.Schedule.HardwareBias }).noted("0 = off, else >= 1")),
+		whenRare(floatParam("rare_link_bias", nonNegative, func(r *mcRequest) *float64 { return &r.Schedule.LinkBias }).noted("0 = off, else >= 1")),
+		// The factor row precedes the levels row: levels imply a factor
+		// only while none has been set (mc.ParseSplitLevels).
+		whenRare(intParam("rare_split_factor", 0, 64, func(r *mcRequest) *int { return &r.Schedule.SplitFactor }).noted("0 = 3 when levels are given")),
+		{
+			name: "rare_split_levels",
+			rng:  "comma-separated strictly increasing integers >= 1, at most 32; needs rare=true",
+			set: func(r *mcRequest, s string) error {
+				if err := r.Schedule.ParseSplitLevels(s); err != nil {
+					return badf("parameter \"rare_split_levels\": %v", err)
+				}
+				return nil
+			},
+			get: func(r *mcRequest) string {
+				levels := make([]string, len(r.Schedule.SplitLevels))
+				for i, lv := range r.Schedule.SplitLevels {
+					levels[i] = strconv.Itoa(lv)
+				}
+				return strings.Join(levels, ",")
+			},
+			when: func(r *mcRequest) bool { return r.Rare && len(r.Schedule.SplitLevels) > 0 },
+		},
+		whenRare(floatParam("rel_target", nonNegative, func(r *mcRequest) *float64 { return &r.RelTarget }).noted("below 1, 0 = 0.10")),
+	})
+
+	shardTable = slices.Concat(mcTable, []param[mcRequest]{
+		intParam("rep_lo", 0, 1<<20, func(r *mcRequest) *int { return &r.Lo }).unkeyed().noted("required"),
+		intParam("rep_hi", 1, 1<<20, func(r *mcRequest) *int { return &r.Hi }).unkeyed().noted("required, above rep_lo"),
+		{
+			name: "digest",
+			rng:  "the coordinator's request digest; a worker that decodes another answers 409",
+			set: func(r *mcRequest, s string) error {
+				r.Digest = s
+				return nil
+			},
+		},
+	})
+
+	soakTable = []param[soakRequest]{
+		floatParam("hours", positive.upTo(1e5, "1e5 simulated hours"), func(r *soakRequest) *float64 { return &r.Hours }),
+		floatParam("mtbf", positive, func(r *soakRequest) *float64 { return &r.MTBF }).noted("at least 10 h"),
+		seedParam(func(r *soakRequest) *int64 { return &r.Seed }),
+		intParam("hosts", 1, 64, func(r *soakRequest) *int { return &r.Hosts }),
+		timeoutParam(func(r *soakRequest) *time.Duration { return &r.Timeout }),
+	}
+)
+
+// mcDefaults is what an empty query means to the Monte Carlo family.
+func mcDefaults() mcRequest {
+	return mcRequest{
+		Model: modelRequest{
+			ProfileName: "opencontrail", TopoName: "small", Cluster: 3,
+			Scenario: analytic.SupervisorRequired, Compute: 4,
+			Params: analytic.Params{AC: 0.995, AV: 0.9995, AH: 0.999, AR: 0.998, A: 0.999, AS: 0.995},
+		},
+		Horizon: 1e5, Reps: 64, MinReps: 8, Seed: 1,
+	}
+}
+
+// decodeParams decodes q through table into r, which holds the defaults:
+// any key outside the table is a 400, then every parameter present is set
+// in table order. A key given twice or given empty is a 400 as well — only
+// one value could be honoured, and the digest would not say which.
+func decodeParams[R any](q url.Values, table []param[R], r *R) error {
+	for k := range q {
+		if !slices.ContainsFunc(table, func(p param[R]) bool { return p.name == k }) {
 			return badf("unknown parameter %q", k)
+		}
+	}
+	for i := range table {
+		p := &table[i]
+		vs, ok := q[p.name]
+		if !ok {
+			continue
+		}
+		if len(vs) != 1 || vs[0] == "" {
+			return badf("parameter %q: want one non-empty value, got %q", p.name, vs)
+		}
+		if err := p.set(r, vs[0]); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// parseProb parses a probability parameter: finite and strictly inside
-// (0, 1). Absent uses def.
-func parseProb(q url.Values, name string, def float64) (float64, error) {
-	s := q.Get(name)
-	if s == "" {
-		return def, nil
+// decodeRequest decodes the Monte Carlo family's query through table — a
+// prefix of shardTable — and applies the rules that span parameters; the
+// parameters beyond a shorter table sit at defaults that pass every rule.
+func decodeRequest(q url.Values, table []param[mcRequest]) (mcRequest, error) {
+	r := mcDefaults()
+	if err := decodeParams(q, table, &r); err != nil {
+		return r, err
 	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, badf("parameter %q: %q is not a finite number", name, s)
-	}
-	if v <= 0 || v >= 1 {
-		return 0, badf("parameter %q: %g outside (0, 1)", name, v)
-	}
-	return v, nil
-}
-
-// parsePositiveFloat parses a strictly positive finite float.
-func parsePositiveFloat(q url.Values, name string, def float64) (float64, error) {
-	s := q.Get(name)
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, badf("parameter %q: %q is not a finite number", name, s)
-	}
-	if v <= 0 {
-		return 0, badf("parameter %q: %g must be positive", name, v)
-	}
-	return v, nil
-}
-
-// parseNonNegFloat parses a finite float >= 0.
-func parseNonNegFloat(q url.Values, name string, def float64) (float64, error) {
-	s := q.Get(name)
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseFloat(s, 64)
-	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return 0, badf("parameter %q: %q is not a finite number", name, s)
-	}
-	if v < 0 {
-		return 0, badf("parameter %q: %g must not be negative", name, v)
-	}
-	return v, nil
-}
-
-// parseIntRange parses an integer within [lo, hi].
-func parseIntRange(q url.Values, name string, def, lo, hi int) (int, error) {
-	s := q.Get(name)
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, badf("parameter %q: %q is not an integer", name, s)
-	}
-	if v < lo || v > hi {
-		return 0, badf("parameter %q: %d outside [%d, %d]", name, v, lo, hi)
-	}
-	return v, nil
-}
-
-// parseSeed parses the random seed (any int64).
-func parseSeed(q url.Values, def int64) (int64, error) {
-	s := q.Get("seed")
-	if s == "" {
-		return def, nil
-	}
-	v, err := strconv.ParseInt(s, 10, 64)
-	if err != nil {
-		return 0, badf("parameter \"seed\": %q is not an integer", s)
-	}
-	return v, nil
-}
-
-// parseTimeout parses the per-request deadline override, bounded to
-// (0, max]. Absent uses def.
-func parseTimeout(q url.Values, def, max time.Duration) (time.Duration, error) {
-	s := q.Get("timeout")
-	if s == "" {
-		return def, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil {
-		return 0, badf("parameter \"timeout\": %q is not a duration (e.g. 500ms, 2s)", s)
-	}
-	if d <= 0 {
-		return 0, badf("parameter \"timeout\": %v must be positive", d)
-	}
-	if d > max {
-		d = max
-	}
-	return d, nil
-}
-
-// decodeModel parses the shared (profile, topology, scenario, params)
-// block.
-func decodeModel(q url.Values) (modelRequest, error) {
-	m := modelRequest{ProfileName: "opencontrail", TopoName: "small", Cluster: 3}
-	if s := q.Get("profile"); s != "" {
-		m.ProfileName = strings.ToLower(s)
-	}
+	m := &r.Model
 	var err error
 	if m.Profile, err = profile.ByName(m.ProfileName); err != nil {
-		return m, badf("parameter \"profile\": %v", err)
-	}
-	if s := q.Get("topology"); s != "" {
-		m.TopoName = strings.ToLower(s)
+		return r, badf("parameter \"profile\": %v", err)
 	}
 	if m.Kind, err = topology.ParseKind(m.TopoName); err != nil {
-		return m, badf("parameter \"topology\": %v", err)
+		return r, badf("parameter \"topology\": %v", err)
 	}
-	cluster, err := parseIntRange(q, "cluster", 3, 1, 9)
-	if err != nil {
-		return m, err
-	}
-	if cluster%2 == 0 {
-		return m, badf("parameter \"cluster\": %d must be odd (2N+1 quorum)", cluster)
-	}
-	m.Cluster = cluster
-	scen, err := parseIntRange(q, "scenario", 2, 1, 2)
-	if err != nil {
-		return m, err
-	}
-	m.Scenario = analytic.SupervisorNotRequired
-	if scen == 2 {
-		m.Scenario = analytic.SupervisorRequired
-	}
-	if m.Compute, err = parseIntRange(q, "compute", 4, 0, 4096); err != nil {
-		return m, err
-	}
-
-	p := analytic.Params{}
-	for _, f := range []struct {
-		name string
-		dst  *float64
-		def  float64
-	}{
-		{"ac", &p.AC, 0.995},
-		{"av", &p.AV, 0.9995},
-		{"ah", &p.AH, 0.999},
-		{"ar", &p.AR, 0.998},
-		{"a", &p.A, 0.999},
-		{"as", &p.AS, 0.995},
-	} {
-		if *f.dst, err = parseProb(q, f.name, f.def); err != nil {
-			return m, err
-		}
-	}
-	m.Params = p
-	return m, nil
-}
-
-// decodeAnalytic parses an analytic-evaluation request.
-func decodeAnalytic(q url.Values) (modelRequest, error) {
-	if err := rejectUnknown(q, modelParams); err != nil {
-		return modelRequest{}, err
-	}
-	return decodeModel(q)
-}
-
-// decodeMC parses a Monte Carlo what-if request.
-func decodeMC(q url.Values) (mcRequest, error) {
-	if err := rejectUnknown(q, mcParams); err != nil {
-		return mcRequest{}, err
-	}
-	return decodeMCValues(q)
-}
-
-// shardRequest addresses one worker's slice of a sharded run: the full MC
-// request, the global replication index range [Lo, Hi), and the
-// coordinator's view of the request digest, which the worker must
-// reproduce.
-type shardRequest struct {
-	MC     mcRequest
-	Lo, Hi int
-	Digest string
-}
-
-// decodeMCShard parses a coordinator-to-worker shard request.
-func decodeMCShard(q url.Values) (shardRequest, error) {
-	if err := rejectUnknown(q, shardParams); err != nil {
-		return shardRequest{}, err
-	}
-	r, err := decodeMCValues(q)
-	if err != nil {
-		return shardRequest{}, err
-	}
-	if q.Get("rep_lo") == "" || q.Get("rep_hi") == "" {
-		return shardRequest{}, badf("shard request needs rep_lo and rep_hi")
-	}
-	sr := shardRequest{MC: r, Digest: q.Get("digest")}
-	if sr.Lo, err = parseIntRange(q, "rep_lo", 0, 0, 1<<20); err != nil {
-		return sr, err
-	}
-	if sr.Hi, err = parseIntRange(q, "rep_hi", 0, 1, 1<<20); err != nil {
-		return sr, err
-	}
-	if sr.Hi <= sr.Lo {
-		return sr, badf("parameter \"rep_hi\": %d must exceed rep_lo %d", sr.Hi, sr.Lo)
-	}
-	return sr, nil
-}
-
-// decodeMCValues parses the MC parameters proper (the caller has already
-// vetted the key set against its endpoint's allowlist).
-func decodeMCValues(q url.Values) (mcRequest, error) {
-	m, err := decodeModel(q)
-	if err != nil {
-		return mcRequest{}, err
-	}
-	r := mcRequest{Model: m}
-	if r.Horizon, err = parsePositiveFloat(q, "horizon", 1e5); err != nil {
-		return r, err
-	}
-	if r.Horizon > 1e9 {
-		return r, badf("parameter \"horizon\": %g exceeds 1e9 simulated hours", r.Horizon)
-	}
-	if r.Reps, err = parseIntRange(q, "reps", 64, 2, 1<<20); err != nil {
-		return r, err
-	}
-	if r.CITarget, err = parseNonNegFloat(q, "ci_target", 0); err != nil {
-		return r, err
-	}
-	if r.MinReps, err = parseIntRange(q, "min_reps", 8, 2, 1<<20); err != nil {
-		return r, err
-	}
-	if r.MaxReps, err = parseIntRange(q, "max_reps", 0, 0, 1<<20); err != nil {
-		return r, err
+	if m.Cluster%2 == 0 {
+		return r, badf("parameter \"cluster\": %d must be odd (2N+1 quorum)", m.Cluster)
 	}
 	if r.MaxReps == 0 {
-		r.MaxReps = r.Reps
-		if r.MaxReps < r.MinReps {
-			r.MaxReps = r.MinReps
-		}
+		r.MaxReps = max(r.Reps, r.MinReps)
 	}
 	if r.MaxReps < r.MinReps {
 		return r, badf("parameter \"max_reps\": %d below min_reps %d", r.MaxReps, r.MinReps)
-	}
-	if r.Seed, err = parseSeed(q, 1); err != nil {
-		return r, err
-	}
-	if r.Headless, err = parseNonNegFloat(q, "headless", 0); err != nil {
-		return r, err
-	}
-	if r.Headless > 1e6 {
-		return r, badf("parameter \"headless\": %g exceeds 1e6 hours", r.Headless)
-	}
-
-	if s := q.Get("rare"); s != "" {
-		v, perr := strconv.ParseBool(s)
-		if perr != nil {
-			return r, badf("parameter \"rare\": %q is not a boolean", s)
-		}
-		r.Rare = v
-	}
-	if r.RareBias, err = parseNonNegFloat(q, "rare_bias", 0); err != nil {
-		return r, err
-	}
-	if r.RareHWBias, err = parseNonNegFloat(q, "rare_hw_bias", 0); err != nil {
-		return r, err
-	}
-	if r.RareLinkBias, err = parseNonNegFloat(q, "rare_link_bias", 0); err != nil {
-		return r, err
-	}
-	if s := q.Get("rare_split_levels"); s != "" {
-		for _, tok := range strings.Split(s, ",") {
-			lv, perr := strconv.Atoi(strings.TrimSpace(tok))
-			if perr != nil {
-				return r, badf("parameter \"rare_split_levels\": %q is not an integer", tok)
-			}
-			r.RareSplitLevels = append(r.RareSplitLevels, lv)
-		}
-	}
-	if r.RareSplitFactor, err = parseIntRange(q, "rare_split_factor", 0, 0, 64); err != nil {
-		return r, err
-	}
-	if r.RelTarget, err = parseNonNegFloat(q, "rel_target", 0); err != nil {
-		return r, err
 	}
 	if r.RelTarget >= 1 {
 		return r, badf("parameter \"rel_target\": %g must be below 1 (it is a relative error)", r.RelTarget)
@@ -409,38 +394,48 @@ func decodeMCValues(q url.Values) (mcRequest, error) {
 	if !r.Rare {
 		// Rare knobs without rare=true would silently do nothing — fail
 		// loud, same policy as unknown parameters.
-		if r.RareBias != 0 || r.RareHWBias != 0 || r.RareLinkBias != 0 ||
-			len(r.RareSplitLevels) > 0 || r.RareSplitFactor != 0 || r.RelTarget != 0 {
+		if s := r.Schedule; s.ProcessBias != 0 || s.HardwareBias != 0 || s.LinkBias != 0 ||
+			len(s.SplitLevels) > 0 || s.SplitFactor != 0 || r.RelTarget != 0 {
 			return r, badf("rare_* and rel_target parameters require rare=true")
 		}
-	} else if verr := r.rareSchedule().Validate(); verr != nil {
+	} else if err = r.Schedule.Validate(); err != nil {
 		// The explicit schedule is validated at decode time so a bad bias
 		// factor is a 400, not a simulator error surfaced as a 500.
-		return r, badf("rare schedule: %v", verr)
+		return r, badf("rare schedule: %v", err)
+	}
+	return r, nil
+}
+
+// decodeAnalytic parses an analytic-evaluation request.
+func decodeAnalytic(q url.Values) (modelRequest, error) {
+	r, err := decodeRequest(q, modelTable)
+	return r.Model, err
+}
+
+// decodeMC parses a Monte Carlo what-if request.
+func decodeMC(q url.Values) (mcRequest, error) {
+	return decodeRequest(q, mcTable)
+}
+
+// decodeMCShard parses a coordinator-to-worker shard request.
+func decodeMCShard(q url.Values) (mcRequest, error) {
+	r, err := decodeRequest(q, shardTable)
+	if err != nil {
+		return r, err
+	}
+	if !q.Has("rep_lo") || !q.Has("rep_hi") {
+		return r, badf("shard request needs rep_lo and rep_hi")
+	}
+	if r.Hi <= r.Lo {
+		return r, badf("parameter \"rep_hi\": %d must exceed rep_lo %d", r.Hi, r.Lo)
 	}
 	return r, nil
 }
 
 // decodeSoak parses a live-soak request.
 func decodeSoak(q url.Values) (soakRequest, error) {
-	if err := rejectUnknown(q, soakParams); err != nil {
-		return soakRequest{}, err
-	}
-	r := soakRequest{}
-	var err error
-	if r.Hours, err = parsePositiveFloat(q, "hours", 200); err != nil {
-		return r, err
-	}
-	if r.Hours > 1e5 {
-		return r, badf("parameter \"hours\": %g exceeds 1e5 simulated hours", r.Hours)
-	}
-	if r.MTBF, err = parsePositiveFloat(q, "mtbf", 100); err != nil {
-		return r, err
-	}
-	if r.Seed, err = parseSeed(q, 1); err != nil {
-		return r, err
-	}
-	if r.Hosts, err = parseIntRange(q, "hosts", 3, 1, 64); err != nil {
+	r := soakRequest{Hours: 200, MTBF: 100, Seed: 1, Hosts: 3}
+	if err := decodeParams(q, soakTable, &r); err != nil {
 		return r, err
 	}
 	if r.MTBF < 10 {

@@ -35,7 +35,8 @@ func checkFinite(t *testing.T, qs string, name string, v float64) {
 	}
 }
 
-// FuzzDecodeQuery drives all three decoders with arbitrary query strings.
+// FuzzDecodeQuery drives all three decoders with arbitrary query strings,
+// and every MC request that decodes through the canonical round trip.
 func FuzzDecodeQuery(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -67,6 +68,10 @@ func FuzzDecodeQuery(f *testing.F) {
 		"%zz=%zz",
 		"a=0.999&a=0.001",
 		"profile=OPENCONTRAIL&topology=Small",
+		"rare=true&rare_split_levels=1,2&rel_target=0.2",
+		"rare=1&rare_bias=8&rare_split_levels=2, 3&rare_split_factor=0",
+		"seed=",
+		"ci_target=-0&headless=1e-320&seed=%2B7",
 	} {
 		f.Add(seed)
 	}
@@ -98,6 +103,7 @@ func FuzzDecodeQuery(f *testing.F) {
 			if r.Horizon <= 0 || r.Reps < 2 || r.MinReps < 2 || r.MaxReps < r.MinReps {
 				t.Errorf("query %q: mc bounds escaped validation: %+v", qs, r)
 			}
+			checkRoundTrip(t, qs, r)
 		} else {
 			checkDecodeErr(t, qs, err)
 		}

@@ -334,23 +334,21 @@ func (s *Server) instrument(name string, h http.HandlerFunc) http.Handler {
 }
 
 // endpoint builds a simulation endpoint's handler, the one prelude they
-// all share: decode the query, resolve the deadline (?timeout= over the
-// server default), open the responder, and serve under the deadline. A
-// request refused before serve runs is answered as plain JSON, whatever
-// the responder.
-func endpoint[T any](s *Server, decode func(url.Values) (T, error), open openResponder,
+// all share: decode the query, resolve the deadline (?timeout=, capped at
+// the server's maximum, over the server default), open the responder, and
+// serve under the deadline. A request refused before serve runs is
+// answered as plain JSON, whatever the responder.
+func endpoint[T interface{ timeout() time.Duration }](s *Server, decode func(url.Values) (T, error), open openResponder,
 	serve func(ctx context.Context, req T, out responder)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		req, err := decode(q)
+		req, err := decode(r.URL.Query())
 		if err != nil {
 			s.fail(w, err)
 			return
 		}
-		timeout, err := parseTimeout(q, s.cfg.DefaultTimeout, s.cfg.MaxTimeout)
-		if err != nil {
-			s.fail(w, err)
-			return
+		timeout := s.cfg.DefaultTimeout
+		if d := req.timeout(); d > 0 {
+			timeout = min(d, s.cfg.MaxTimeout)
 		}
 		out, err := open(s, w, r)
 		if err != nil {
@@ -542,7 +540,7 @@ func mcPlan(req mcRequest) (mc.Config, sweep.Options, error) {
 		// Rare mode: the biasing schedule (explicit, else auto-selected
 		// from the configuration) plus relative-error stopping on the CP
 		// unavailability; max_reps bounds the spend.
-		rc := req.rareSchedule()
+		rc := req.Schedule
 		if !rc.Enabled() {
 			rc = sweep.AutoRare(cfg)
 		}

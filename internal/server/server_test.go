@@ -108,10 +108,14 @@ func TestAnalyticRejectsBadInput(t *testing.T) {
 		"?av=Inf",
 		"?profile=nonexistent",
 		"?topology=galactic",
-		"?cluster=4",    // even: no quorum
-		"?cluster=99",   // out of range
-		"?scenario=3",   // unknown scenario
-		"?bogus_knob=1", // unknown parameter fails loud
+		"?cluster=4",       // even: no quorum
+		"?cluster=99",      // out of range
+		"?scenario=3",      // unknown scenario
+		"?bogus_knob=1",    // unknown parameter fails loud
+		"?a=0.999&a=0.5",   // repeated: only one value could be honoured
+		"?a=",              // empty: not the default in disguise
+		"?timeout=garbage", // validated even though no deadline is imposed here
+		"?timeout=-1s",
 	}
 	for _, qs := range cases {
 		var body errorBody
@@ -192,6 +196,10 @@ func TestMCEndpointRare(t *testing.T) {
 		"?rare=maybe",                     // not a boolean
 		"?rare_bias=4",                    // rare knob without rare=true
 		"?rare=true&rel_target=1.5",       // relative error ≥ 1
+		"?seed=1&seed=2",                  // repeated: the digest would be blind to one
+		"?seed=",                          // empty: not the default in disguise
+		"?rare=true&rare_split_levels=",   // empty levels are not "no levels"
+		"?timeout=garbage",                // malformed deadline
 	} {
 		var body errorBody
 		if code := getJSON(t, ts.URL+"/api/v1/mc"+qs, &body); code != http.StatusBadRequest {

@@ -82,12 +82,11 @@ type shardResponse struct {
 // serveMCShard is the worker side: replicate the requested global index
 // range and return raw samples. Every availd serves it — any instance can
 // be a worker.
-func (s *Server) serveMCShard(ctx context.Context, sr shardRequest, out responder) {
-	req := sr.MC
+func (s *Server) serveMCShard(ctx context.Context, req mcRequest, out responder) {
 	digest := mcDigest(req)
-	if sr.Digest != "" && sr.Digest != digest {
+	if req.Digest != "" && req.Digest != digest {
 		s.shardDigestRejects.Inc()
-		out.fail(&digestMismatchError{sent: sr.Digest, decoded: digest})
+		out.fail(&digestMismatchError{sent: req.Digest, decoded: digest})
 		return
 	}
 	if err := s.gate.acquire(ctx); err != nil {
@@ -108,14 +107,14 @@ func (s *Server) serveMCShard(ctx context.Context, sr shardRequest, out responde
 	}
 	resp := shardResponse{
 		Digest:  digest,
-		RepLo:   sr.Lo,
-		RepHi:   sr.Hi,
-		Samples: make([]sweep.RepSample, 0, sr.Hi-sr.Lo),
+		RepLo:   req.Lo,
+		RepHi:   req.Hi,
+		Samples: make([]sweep.RepSample, 0, req.Hi-req.Lo),
 	}
-	n := ss.Range(ctx, sr.Lo, sr.Hi, runtime.GOMAXPROCS(0), func(rep int, res mc.Result) {
+	n := ss.Range(ctx, req.Lo, req.Hi, runtime.GOMAXPROCS(0), func(rep int, res mc.Result) {
 		resp.Samples = append(resp.Samples, sweep.RepSample{Rep: rep, Res: res})
 	})
-	resp.Truncated = n < sr.Hi-sr.Lo
+	resp.Truncated = n < req.Hi-req.Lo
 	out.result(resp)
 }
 
