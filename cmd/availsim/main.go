@@ -71,6 +71,7 @@ import (
 	"sdnavail/internal/profile"
 	"sdnavail/internal/relmath"
 	"sdnavail/internal/report"
+	"sdnavail/internal/stats"
 	"sdnavail/internal/sweep"
 	"sdnavail/internal/topology"
 )
@@ -165,7 +166,7 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "soaking the live testbed: %s topology, %.0f simulated hours (seed %d), %d MC replications\n",
 			topo.Name, *soakHours, *seed, *reps)
-		oc, err := experiments.SoakWithAttributionContext(ctx, sc, *reps)
+		oc, err := experiments.SoakWithAttribution(ctx, sc, *reps)
 		if err != nil {
 			return err
 		}
@@ -174,24 +175,18 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 				oc.Soak.Hours, *soakHours)
 		}
 		fmt.Fprintf(out, "%d failures injected, %d operator restarts\n\n", oc.Row.Failures, oc.Row.OperatorRestarts)
-		fmt.Fprint(out, oc.AvailabilityTable.Text())
-		fmt.Fprintln(out)
-		fmt.Fprint(out, oc.CP.Table.Text())
-		fmt.Fprintln(out)
-		fmt.Fprint(out, oc.DP.Table.Text())
+		fmt.Fprint(out, oc.Text())
 		return nil
 	}
 	params := analytic.Params{AC: 0.995, AV: *av, AH: *ah, AR: *ar, A: *a, AS: *as}
 
 	if *placement {
-		return runPlacement(ctx, out, placementArgs{
-			profile: prof, scenario: sc, params: params,
-			controllers: *controllers, racks: *racks, hostsPerRack: *hostsPerRack,
-			candidates: *candidates, top: *top,
-			linkMTBF: *linkMTBF, linkMTTR: *linkMTTR,
-			horizon: *horizon, compute: *compute, seed: *seed,
-			ciTarget: *ciTarget, minReps: *minReps, maxReps: *maxReps,
-		})
+		return runPlacement(ctx, out, sweep.PlacementSpec{
+			Profile: prof, Scenario: sc, Params: params,
+			Controllers: *controllers, Racks: *racks, HostsPerRack: *hostsPerRack,
+			LinkMTBF: *linkMTBF, LinkMTTR: *linkMTTR, MaxCandidates: *candidates,
+			Horizon: *horizon, ComputeHosts: *compute, Seed: *seed,
+		}, sweep.Options{CITarget: *ciTarget, MinReps: *minReps, MaxReps: *maxReps, Batch: *minReps}, *top)
 	}
 
 	cfg := mc.NewConfig(prof, topo, sc, params)
@@ -230,64 +225,59 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		return runRare(ctx, out, opt, cfg, ropts)
 	}
 
-	var est mc.Estimate
-	if *ciTarget > 0 {
+	// One sweep call for both modes: a fixed count is the round loop's
+	// no-target case. 0 would mean "the default ceiling" there and 1 gives
+	// a zero-width interval, so the count is checked here by name.
+	adaptive := *ciTarget > 0
+	sopt := sweep.Options{MaxReps: *reps}
+	if adaptive {
+		sopt = sweep.Options{CITarget: *ciTarget, MinReps: *minReps, MaxReps: *maxReps, Batch: *minReps}
 		fmt.Fprintf(out, "simulating option %s: adaptive, CP half-width target %g (%d-%d replications × %.0f hours, seed %d)\n",
 			opt.Label(), *ciTarget, *minReps, *maxReps, *horizon, *seed)
-		res, err := sweep.RunContext(ctx, []sweep.Point{{ID: opt.Label(), Config: cfg}}, sweep.Options{
-			CITarget: *ciTarget, MinReps: *minReps, MaxReps: *maxReps, Batch: *minReps,
-		})
-		if err != nil {
-			return err
-		}
-		est = res[0].Estimate
-		if res[0].Truncated {
-			fmt.Fprintf(out, "interrupted after %d replications; the comparison below uses the partial estimate\n",
-				res[0].Replications)
-		} else if res[0].Converged {
-			fmt.Fprintf(out, "converged after %d replications\n", res[0].Replications)
-		} else {
-			fmt.Fprintf(out, "ceiling: %d replications without meeting the target (half-width %.6f)\n",
-				res[0].Replications, est.CP.HalfWide)
-		}
 	} else {
+		if *reps < 2 {
+			return fmt.Errorf("-reps %d: a confidence interval needs at least 2 replications", *reps)
+		}
 		fmt.Fprintf(out, "simulating option %s: %d replications × %.0f hours (seed %d)\n",
 			opt.Label(), *reps, *horizon, *seed)
-		var err error
-		est, err = mc.RunContext(ctx, cfg, *reps, 0.99)
-		if err != nil {
-			return err
-		}
-		if est.Truncated {
-			fmt.Fprintf(out, "interrupted after %d of %d replications; the comparison below uses the partial estimate\n",
-				est.Replications, *reps)
-		}
+	}
+	res, err := sweep.RunContext(ctx, []sweep.Point{{ID: opt.Label(), Config: cfg}}, sopt)
+	if err != nil {
+		return err
+	}
+	r, est := res[0], res[0].Estimate
+	switch {
+	case r.Truncated && adaptive:
+		fmt.Fprintf(out, "interrupted after %d replications; the comparison below uses the partial estimate\n",
+			r.Replications)
+	case r.Truncated:
+		fmt.Fprintf(out, "interrupted after %d of %d replications; the comparison below uses the partial estimate\n",
+			r.Replications, *reps)
+	case !adaptive:
+	case r.Converged:
+		fmt.Fprintf(out, "converged after %d replications\n", r.Replications)
+	default:
+		fmt.Fprintf(out, "ceiling: %d replications without meeting the target (half-width %.6f)\n",
+			r.Replications, est.CP.HalfWide)
 	}
 
-	model := analytic.NewModel(prof, opt)
-	model.Params = cfg.Params()
-	cp, dp := model.Evaluate()
+	cp, sharedDP, dp, err := experiments.ClosedForm(cfg)
+	if err != nil {
+		return err
+	}
 	dpLabel := "host DP A_DP"
 	if *headless > 0 {
-		rt := analytic.RepairTimes{
-			Auto: cfg.AutoRestart, Manual: cfg.ManualRestart,
-			VM: cfg.VMRepair, Host: cfg.HostRepair, Rack: cfg.RackRepair,
-		}
-		dp, err = model.HeadlessDataPlane(*headless, rt)
-		if err != nil {
-			return err
-		}
 		dpLabel = fmt.Sprintf("host DP (hold %gh)", *headless)
 	}
 
 	fmt.Fprintf(out, "\n%-22s %-14s %-24s %s\n", "metric", "analytic", "simulated (99% CI)", "agree")
-	row := func(name string, analyticV float64, ci interface{ Contains(float64) bool }, mean, half float64) {
-		agree := mean-half-4e-4 <= analyticV && analyticV <= mean+half+4e-4
-		fmt.Fprintf(out, "%-22s %-14.6f %.6f ± %.6f      %v\n", name, analyticV, mean, half, agree)
+	row := func(name string, analyticV float64, ci stats.Interval) {
+		fmt.Fprintf(out, "%-22s %-14.6f %.6f ± %.6f      %v\n", name, analyticV, ci.Mean, ci.HalfWide,
+			experiments.Agrees(analyticV, ci, experiments.CPSlack))
 	}
-	row("control plane A_CP", cp, est.CP, est.CP.Mean, est.CP.HalfWide)
-	row("shared DP A_SDP", model.SharedDP(), est.SharedDP, est.SharedDP.Mean, est.SharedDP.HalfWide)
-	row(dpLabel, dp, est.HostDP, est.HostDP.Mean, est.HostDP.HalfWide)
+	row("control plane A_CP", cp, est.CP)
+	row("shared DP A_SDP", sharedDP, est.SharedDP)
+	row(dpLabel, dp, est.HostDP)
 
 	var events int
 	var outages int
@@ -322,7 +312,7 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		[]string{"monte carlo", "analytic"},
 		[]map[string]float64{
 			mc.ModeShares(est.CPDowntimeByMode),
-			analytic.Shares(analytic.CPContributions(prof, n, model.Params)),
+			analytic.Shares(analytic.CPContributions(prof, n, cfg.Params())),
 		})
 	fmt.Fprint(out, cpCmp.Text())
 	dpCmp := report.AttributionComparisonTable(
@@ -330,7 +320,7 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		[]string{"monte carlo", "analytic"},
 		[]map[string]float64{
 			mc.ModeShares(est.DPDowntimeByMode),
-			analytic.Shares(analytic.DPContributions(prof, n, model.Params)),
+			analytic.Shares(analytic.DPContributions(prof, n, cfg.Params())),
 		})
 	fmt.Fprint(out, dpCmp.Text())
 	return nil
@@ -354,7 +344,7 @@ func flagWasSet(fs *flag.FlagSet, name string) bool {
 func runRare(ctx context.Context, out io.Writer, opt analytic.Option, cfg mc.Config, ropts sweep.Options) error {
 	fmt.Fprintf(out, "rare-event mode, option %s: relative-error target %.0f%% (%d-%d replications × %.0f hours, seed %d)\n",
 		opt.Label(), ropts.RelTarget*100, ropts.MinReps, ropts.MaxReps, cfg.Horizon, cfg.Seed)
-	results, table, err := experiments.TailStudyContext(ctx, []experiments.TailPoint{
+	results, table, err := experiments.TailStudy(ctx, []experiments.TailPoint{
 		{Label: opt.Label(), Config: cfg},
 	}, ropts)
 	if err != nil {
@@ -374,9 +364,10 @@ func runRare(ctx context.Context, out io.Writer, opt analytic.Option, cfg mc.Con
 		fmt.Fprintf(out, "ceiling: %d replications without meeting the relative-error target (ESS %.0f)\n",
 			r.Replications, r.Estimate.RareESS)
 	}
-	model := analytic.NewModel(cfg.Profile, opt)
-	model.Params = cfg.Params()
-	cp, _ := model.Evaluate()
+	cp, _, _, err := experiments.ClosedForm(cfg)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(out, "analytic CP unavailability at these parameters: %.3e\n\n", 1-cp)
 	fmt.Fprint(out, table.Text())
 	return nil
@@ -390,39 +381,15 @@ func effectiveBias(b float64) float64 {
 	return b
 }
 
-// placementArgs carries the parsed -placement flags.
-type placementArgs struct {
-	profile             *profile.Profile
-	scenario            analytic.Scenario
-	params              analytic.Params
-	controllers         int
-	racks, hostsPerRack int
-	candidates, top     int
-	linkMTBF, linkMTTR  float64
-	horizon             float64
-	compute             int
-	seed                int64
-	ciTarget            float64
-	minReps, maxReps    int
-}
-
 // runPlacement executes the controller-placement sweep and prints the
-// ranking with an analytic-vs-MC agreement summary.
-func runPlacement(ctx context.Context, out io.Writer, a placementArgs) error {
-	spec := sweep.PlacementSpec{
-		Profile: a.profile, Scenario: a.scenario, Params: a.params,
-		Controllers: a.controllers, Racks: a.racks, HostsPerRack: a.hostsPerRack,
-		LinkMTBF: a.linkMTBF, LinkMTTR: a.linkMTTR, MaxCandidates: a.candidates,
-		Horizon: a.horizon, ComputeHosts: a.compute, Seed: a.seed,
-	}
+// study's ranking with an analytic-vs-MC agreement summary.
+func runPlacement(ctx context.Context, out io.Writer, spec sweep.PlacementSpec, opt sweep.Options, top int) error {
 	if err := spec.Validate(); err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "placement sweep: %d controllers over a %dx%d slot grid, scenario %v\n",
-		a.controllers, a.racks, a.hostsPerRack, a.scenario)
-	sw, err := sweep.RunPlacementContext(ctx, spec, sweep.Options{
-		CITarget: a.ciTarget, MinReps: a.minReps, MaxReps: a.maxReps, Batch: a.minReps,
-	})
+		spec.Controllers, spec.Racks, spec.HostsPerRack, spec.Scenario)
+	sw, table, err := experiments.PlacementStudy(ctx, spec, opt, top)
 	if err != nil {
 		return err
 	}
@@ -431,35 +398,14 @@ func runPlacement(ctx context.Context, out io.Writer, a placementArgs) error {
 
 	agree, truncated := 0, 0
 	for _, r := range sw.Results {
-		mean, half := r.MC.Estimate.CP.Mean, r.MC.Estimate.CP.HalfWide
-		if mean-half-4e-4 <= r.AnalyticCP && r.AnalyticCP <= mean+half+4e-4 {
+		if experiments.Agrees(r.AnalyticCP, r.MC.Estimate.CP, experiments.CPSlack) {
 			agree++
 		}
 		if r.MC.Truncated {
 			truncated++
 		}
 	}
-
-	rows := sw.Results
-	if a.top > 0 && a.top < len(rows) {
-		rows = rows[:a.top]
-	}
-	tableRows := make([]report.PlacementRow, len(rows))
-	for i, r := range rows {
-		tableRows[i] = report.PlacementRow{
-			Label:            r.Candidate.Label(),
-			Racks:            r.Candidate.RacksUsed,
-			QuorumSharesRack: r.Candidate.QuorumSharesRack,
-			AnalyticCP:       r.AnalyticCP,
-			MCCP:             r.MC.Estimate.CP.Mean,
-			MCHalfWidth:      r.MC.Estimate.CP.HalfWide,
-			Replications:     r.MC.Replications,
-			Converged:        r.MC.Converged,
-		}
-	}
-	title := fmt.Sprintf("Controller placement ranking — top %d of %d (analytic CP, MC cross-check)",
-		len(rows), evaluated)
-	fmt.Fprint(out, report.PlacementTable(title, tableRows).Text())
+	fmt.Fprint(out, table.Text())
 	fmt.Fprintf(out, "\nanalytic-vs-MC agreement: %d/%d candidates inside the CI band (+4e-4)\n", agree, evaluated)
 	if truncated > 0 {
 		fmt.Fprintf(out, "interrupted: %d candidates report partial MC estimates\n", truncated)

@@ -35,8 +35,10 @@ func TestSimulationErrors(t *testing.T) {
 	if err := run([]string{"-scenario", "3"}, &sb); err == nil {
 		t.Error("bad scenario accepted")
 	}
-	if err := run([]string{"-reps", "0"}, &sb); err == nil {
-		t.Error("zero reps accepted")
+	for _, reps := range []string{"0", "1"} {
+		if err := run([]string{"-reps", reps}, &sb); err == nil || !strings.Contains(err.Error(), "-reps "+reps) {
+			t.Errorf("-reps %s: error %v, want one naming the value", reps, err)
+		}
 	}
 	if err := run([]string{"-wat"}, &sb); err == nil {
 		t.Error("bad flag accepted")

@@ -200,7 +200,7 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 			Hours: *soakHours, Seed: *seed, ProcessMTBF: *soakMTBF,
 		}
 		start := time.Now()
-		oc, err := experiments.SoakWithAttributionContext(ctx, sc, 16)
+		oc, err := experiments.SoakWithAttribution(ctx, sc, 16)
 		if err != nil {
 			return err
 		}
@@ -211,11 +211,7 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		}
 		fmt.Fprintf(out, "soak: %.0f simulated hours on %s topology in %v wall (%d failures injected, %d operator restarts)\n\n",
 			row.Hours, topo.Name, time.Since(start).Round(time.Millisecond), row.Failures, row.OperatorRestarts)
-		fmt.Fprint(out, oc.AvailabilityTable.Text())
-		fmt.Fprintln(out)
-		fmt.Fprint(out, oc.CP.Table.Text())
-		fmt.Fprintln(out)
-		fmt.Fprint(out, oc.DP.Table.Text())
+		fmt.Fprint(out, oc.Text())
 		return exportTelemetry(oc.Soak.Telemetry, *tracePath, *metricsPath)
 	}
 

@@ -25,10 +25,13 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"syscall"
 
 	"sdnavail/internal/experiments"
 	"sdnavail/internal/profile"
@@ -37,7 +40,12 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
+	// Ctrl-C or SIGTERM cancels the run's context: the simulated study in
+	// flight prints the table of what it completed instead of dying
+	// mid-row, and the run ends there.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := runContext(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
@@ -45,6 +53,11 @@ func main() {
 
 // run parses args and writes the requested figures and tables to out.
 func run(args []string, out io.Writer) error {
+	return runContext(context.Background(), args, out)
+}
+
+// runContext is run under a cancellable context (the signal path).
+func runContext(ctx context.Context, args []string, out io.Writer) error {
 	flag := flag.NewFlagSet("figures", flag.ContinueOnError)
 	var (
 		fig        = flag.String("fig", "", "figure to regenerate: 3, 4, 5 or all")
@@ -125,17 +138,34 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	if *validate {
-		var t report.Table
-		if *ciTarget > 0 {
-			_, t = experiments.AdaptiveValidation(sweep.Options{
-				CITarget: *ciTarget, MinReps: *minReps, MaxReps: *maxReps,
-			}, *horizon, *seed)
-		} else {
-			_, t = experiments.Validation(*reps, *horizon, *seed)
+	// study prints a simulated study's table — of what completed, if the
+	// run was interrupted — and then reports the interruption, so no
+	// further study starts on a cancelled context.
+	study := func(t report.Table, err error) error {
+		if err != nil {
+			return err
 		}
 		fmt.Fprintln(out, t.Text())
-		fmt.Fprintln(out, experiments.DowntimeDistributionTable(*reps, *horizon, *seed).Text())
+		return ctx.Err()
+	}
+
+	if *validate {
+		// A fixed count of 0 would mean "the default ceiling" to the sweep
+		// engine and 1 gives a zero-width interval: refuse both by name.
+		if *reps < 2 {
+			return fmt.Errorf("-reps %d: a confidence interval needs at least 2 replications", *reps)
+		}
+		vopt := sweep.Options{MaxReps: *reps}
+		if *ciTarget > 0 {
+			vopt = sweep.Options{CITarget: *ciTarget, MinReps: *minReps, MaxReps: *maxReps}
+		}
+		_, t, err := experiments.Validation(ctx, vopt, *horizon, *seed)
+		if err := study(t, err); err != nil {
+			return err
+		}
+		if err := study(experiments.DowntimeDistributionTable(ctx, *reps, *horizon, *seed)); err != nil {
+			return err
+		}
 	}
 
 	if *placement {
@@ -147,8 +177,10 @@ func run(args []string, out io.Writer) error {
 		if *ciTarget == 0 {
 			popt = sweep.Options{CITarget: 2e-3, MinReps: 8, MaxReps: 32, Batch: 8}
 		}
-		_, t := experiments.PlacementStudy(spec, popt, *top)
-		fmt.Fprintln(out, t.Text())
+		_, t, err := experiments.PlacementStudy(ctx, spec, popt, *top)
+		if err := study(t, err); err != nil {
+			return err
+		}
 	}
 	return nil
 }

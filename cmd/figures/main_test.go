@@ -1,6 +1,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -80,5 +82,45 @@ func TestUnknownFigure(t *testing.T) {
 	}
 	if err := run([]string{"-nope"}, &sb); err == nil {
 		t.Error("unknown flag accepted")
+	}
+}
+
+// TestFlagValuesAreErrors: a flag value the study builders refuse comes
+// back as an error naming it, never as a panic.
+func TestFlagValuesAreErrors(t *testing.T) {
+	for _, c := range []struct{ args, want string }{
+		{"-placement -controllers 4", "odd controller count, got 4"},
+		{"-validate -reps 0", "-reps 0"},
+		{"-validate -reps 1", "-reps 1"},
+		{"-validate -horizon -5", "Horizon = -5"},
+		{"-validate -ci-target 1e-3 -min-reps 10 -max-reps 5", "MaxReps 5 < MinReps 10"},
+	} {
+		var sb strings.Builder
+		err := run(strings.Fields(c.args), &sb)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("figures %s: error %v, want one naming %q", c.args, err, c.want)
+		}
+	}
+}
+
+// TestInterruptedStudy: a cancelled context (the SIGINT path) still prints
+// the table of the study in flight, then stops instead of starting the
+// next one.
+func TestInterruptedStudy(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var sb strings.Builder
+	err := runContext(ctx, []string{"-validate", "-placement"}, &sb)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+	}
+	out := sb.String()
+	if !strings.Contains(out, "Validation") {
+		t.Errorf("in-flight study's table missing in:\n%s", out)
+	}
+	for _, later := range []string{"outage durations", "placement ranking"} {
+		if strings.Contains(out, later) {
+			t.Errorf("study %q started after the interrupt:\n%s", later, out)
+		}
 	}
 }

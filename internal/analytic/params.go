@@ -48,6 +48,14 @@ func Defaults() Params {
 	}
 }
 
+// Degraded returns the parameter set every simulated study and availd's
+// Monte Carlo defaults share: one to two orders of magnitude more downtime
+// than Defaults, so the simulator resolves each option's availability at
+// laptop-scale horizons.
+func Degraded() Params {
+	return Params{AC: 0.995, AV: 0.9995, AH: 0.999, AR: 0.998, A: 0.999, AS: 0.995}
+}
+
 // ProcessParams derives A and AS from a process mean time between failures
 // and the auto/manual mean restart times (hours), per §VI.A:
 // A = F/(F+R), A_S = F/(F+R_S).

@@ -34,8 +34,7 @@ type AttributionComparison struct {
 // SoakOutcome bundles one soak's availability validation and downtime
 // attribution.
 type SoakOutcome struct {
-	// Row and AvailabilityTable are the three-way availability comparison,
-	// as from SoakValidation.
+	// Row and AvailabilityTable are the three-way availability comparison.
 	Row               SoakRow
 	AvailabilityTable report.Table
 	// Soak is the live run, including its telemetry aggregate.
@@ -43,6 +42,12 @@ type SoakOutcome struct {
 	// CP and DP compare the per-failure-mode downtime shares.
 	CP AttributionComparison
 	DP AttributionComparison
+}
+
+// Text renders the availability table and the two attribution tables, a
+// blank line between them — what both soak front ends print.
+func (oc SoakOutcome) Text() string {
+	return oc.AvailabilityTable.Text() + "\n" + oc.CP.Table.Text() + "\n" + oc.DP.Table.Text()
 }
 
 // shareMap flattens a ledger attribution into mode → share.
@@ -63,7 +68,7 @@ func ShareAgreement(ref, got map[string]float64, floor float64) float64 {
 		if r < floor {
 			continue
 		}
-		if d := abs(r - got[mode]); d > worst {
+		if d := math.Abs(r - got[mode]); d > worst {
 			worst = d
 		}
 	}
@@ -72,19 +77,15 @@ func ShareAgreement(ref, got map[string]float64, floor float64) float64 {
 
 // SoakWithAttribution runs one live soak and one mirrored Monte Carlo
 // estimate, evaluates the closed forms, and returns the availability
-// validation plus the per-plane attribution comparisons. It costs one
-// soak — use it instead of calling SoakValidation and re-soaking.
-func SoakWithAttribution(sc chaos.SoakConfig, replications int) (SoakOutcome, error) {
-	return SoakWithAttributionContext(context.Background(), sc, replications)
-}
-
-// SoakWithAttributionContext is SoakWithAttribution with cancellation. A
-// cancelled context truncates the live soak cleanly (partial horizon,
-// telemetry finalized); the Monte Carlo mirror then runs over the hours
-// actually soaked — on a fresh context, since the mirror at a truncated
-// horizon is sub-second work — so the three-way comparison stays
-// like-for-like and the partial output is still a validation, not noise.
-func SoakWithAttributionContext(ctx context.Context, sc chaos.SoakConfig, replications int) (SoakOutcome, error) {
+// validation plus the per-plane attribution comparisons — the paper's
+// deferred validation ("simulating the topologies to validate the
+// conclusions") closed on real running processes. A cancelled context
+// truncates the live soak cleanly (partial horizon, telemetry finalized);
+// the Monte Carlo mirror then runs over the hours actually soaked — on a
+// fresh context, since the mirror at a truncated horizon is sub-second
+// work — so the three-way comparison stays like-for-like and the partial
+// output is still a validation, not noise.
+func SoakWithAttribution(ctx context.Context, sc chaos.SoakConfig, replications int) (SoakOutcome, error) {
 	if replications < 2 {
 		replications = 16
 	}
@@ -102,7 +103,10 @@ func SoakWithAttributionContext(ctx context.Context, sc chaos.SoakConfig, replic
 	if err != nil {
 		return SoakOutcome{}, err
 	}
-	row, table := soakRowFrom(res, est, replications)
+	row, table, err := soakRowFrom(res, cfg, est, replications)
+	if err != nil {
+		return SoakOutcome{}, err
+	}
 
 	params := cfg.Params()
 	n := res.Config.Topology.ClusterSize

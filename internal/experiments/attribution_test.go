@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -53,7 +54,7 @@ func TestDifferentialAttribution(t *testing.T) {
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	oc, err := SoakWithAttribution(sc, 8)
+	oc, err := SoakWithAttribution(context.Background(), sc, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

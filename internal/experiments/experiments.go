@@ -5,13 +5,16 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
+	"math"
 
 	"sdnavail/internal/analytic"
 	"sdnavail/internal/mc"
 	"sdnavail/internal/profile"
 	"sdnavail/internal/relmath"
 	"sdnavail/internal/report"
+	"sdnavail/internal/stats"
 	"sdnavail/internal/sweep"
 	"sdnavail/internal/topology"
 )
@@ -175,114 +178,117 @@ type ValidationRow struct {
 	AgreementCP bool
 	AgreementDP bool
 	// Converged is false when an adaptive run hit its replication ceiling
-	// before meeting the CI target (always true for fixed-count runs).
+	// before meeting the CI target, or the run was cancelled.
 	Converged bool
 }
 
-// Validation runs the paper's future-work experiment: Monte Carlo
-// simulation of each option versus the closed forms, at degraded
-// availabilities so the simulation converges quickly. It returns the rows
-// and a rendered table.
-func Validation(replications int, horizon float64, seed int64) ([]ValidationRow, report.Table) {
-	p := analytic.Params{AC: 0.995, AV: 0.9995, AH: 0.999, AR: 0.998, A: 0.999, AS: 0.995}
-	prof := profile.OpenContrail3x()
-	t := report.Table{
-		Title:   "Validation — Monte Carlo simulation vs closed-form models (degraded parameters)",
-		Columns: []string{"Option", "analytic A_CP", "simulated A_CP", "±", "analytic A_DP", "simulated A_DP", "±", "agree"},
-	}
-	var rows []ValidationRow
-	for _, opt := range analytic.Options() {
-		topo, err := topology.ByKind(opt.Kind, prof.ClusterRoles, 3)
-		if err != nil {
-			panic(err)
-		}
-		cfg := mc.NewConfig(prof, topo, opt.Scenario, p)
-		cfg.Horizon = horizon
-		cfg.Seed = seed
-		est, err := mc.Run(cfg, replications, 0.99)
-		if err != nil {
-			panic(err)
-		}
-		model := analytic.NewModel(prof, opt)
-		model.Params = cfg.Params()
-		cp, dp := model.Evaluate()
-		row := ValidationRow{
-			Option:     opt,
-			AnalyticCP: cp, SimCP: est.CP.Mean, SimCPHalf: est.CP.HalfWide,
-			AnalyticDP: dp, SimDP: est.HostDP.Mean, SimDPHalf: est.HostDP.HalfWide,
-			Replicates: replications, SimHours: horizon, Converged: true,
-		}
-		row.AgreementCP = abs(cp-est.CP.Mean) <= est.CP.HalfWide+4e-4
-		row.AgreementDP = abs(dp-est.HostDP.Mean) <= est.HostDP.HalfWide+6e-4
-		rows = append(rows, row)
-		t.AddRow(opt.Label(),
-			fmt.Sprintf("%.6f", cp), fmt.Sprintf("%.6f", est.CP.Mean), fmt.Sprintf("%.6f", est.CP.HalfWide),
-			fmt.Sprintf("%.6f", dp), fmt.Sprintf("%.6f", est.HostDP.Mean), fmt.Sprintf("%.6f", est.HostDP.HalfWide),
-			fmt.Sprintf("%v/%v", row.AgreementCP, row.AgreementDP))
-	}
-	return rows, t
+// CPSlack and DPSlack are what Agrees allows a closed form beyond the
+// simulated confidence interval, per plane. DESIGN.md ("Paper-claim
+// tolerance policy") says where the two values come from.
+const (
+	CPSlack = 4e-4
+	DPSlack = 6e-4
+)
+
+// Agrees is the simulated-vs-closed-form verdict every study prints: the
+// closed form lies within the interval's half-width plus slack of the
+// simulated mean.
+func Agrees(closedForm float64, ci stats.Interval, slack float64) bool {
+	return math.Abs(closedForm-ci.Mean) <= ci.HalfWide+slack
 }
 
-// AdaptiveValidation is Validation on the sequential-stopping sweep
-// engine: the four options fan out across the shared worker pool and each
-// stops replicating as soon as its CP confidence half-width meets
-// opt.CITarget (bounded by opt.MinReps/opt.MaxReps), instead of every
-// option paying a fixed replication count. The "reps" column reports what
-// each option actually cost; a trailing "!" marks an option that hit the
-// ceiling without converging.
-func AdaptiveValidation(opt sweep.Options, horizon float64, seed int64) ([]ValidationRow, report.Table) {
-	p := analytic.Params{AC: 0.995, AV: 0.9995, AH: 0.999, AR: 0.998, A: 0.999, AS: 0.995}
-	prof := profile.OpenContrail3x()
-	t := report.Table{
-		Title:   "Validation — Monte Carlo simulation vs closed-form models (adaptive replication)",
-		Columns: []string{"Option", "analytic A_CP", "simulated A_CP", "±", "analytic A_DP", "simulated A_DP", "±", "agree", "reps"},
+// ClosedForm evaluates the closed-form mirror of a simulator
+// configuration: the SW-centric model of the configuration's topology kind
+// and scenario at the availabilities its MTBF/repair pairs imply. hostDP
+// is the headless uplift at the configuration's own repair times when
+// cfg.HeadlessHold is set, the strict closed form otherwise.
+func ClosedForm(cfg mc.Config) (cp, sharedDP, hostDP float64, err error) {
+	m := analytic.NewModel(cfg.Profile, analytic.Option{Kind: cfg.Topology.Kind, Scenario: cfg.Scenario})
+	m.Params = cfg.Params()
+	cp, hostDP = m.Evaluate()
+	if cfg.HeadlessHold > 0 {
+		hostDP, err = m.HeadlessDataPlane(cfg.HeadlessHold, cfg.RepairTimes())
 	}
+	return cp, m.SharedDP(), hostDP, err
+}
+
+// optionPoints builds one sweep point per analysis option (1S, 2S, 1L,
+// 2L) at the degraded parameters, so the simulated studies converge at
+// laptop-scale horizons.
+func optionPoints(horizon float64, seed int64) ([]sweep.Point, error) {
+	prof := profile.OpenContrail3x()
 	var points []sweep.Point
 	for _, o := range analytic.Options() {
 		topo, err := topology.ByKind(o.Kind, prof.ClusterRoles, 3)
 		if err != nil {
-			panic(err)
+			return nil, err
 		}
-		cfg := mc.NewConfig(prof, topo, o.Scenario, p)
+		cfg := mc.NewConfig(prof, topo, o.Scenario, analytic.Degraded())
 		cfg.Horizon = horizon
 		cfg.Seed = seed
-		cfg.KeepResults = false // memory-flat: the table needs intervals only
 		points = append(points, sweep.Point{ID: o.Label(), Config: cfg})
 	}
-	res, err := sweep.Run(points, opt)
-	if err != nil {
-		panic(err) // reference configurations always validate
+	return points, nil
+}
+
+// Validation runs the paper's future-work experiment: Monte Carlo
+// simulation of each option versus the closed forms, at degraded
+// availabilities so the simulation converges quickly. The four options fan
+// out across the sweep engine's worker pool. sweep.Options{MaxReps: n} is
+// the fixed-count run; with opt.CITarget set each option stops as soon as
+// its CP confidence half-width meets the target (bounded by
+// opt.MinReps/opt.MaxReps), and a "reps" column reports what each option
+// actually cost — a trailing "!" marks one that hit the ceiling without
+// converging. A cancelled ctx tabulates the replications that completed.
+func Validation(ctx context.Context, opt sweep.Options, horizon float64, seed int64) ([]ValidationRow, report.Table, error) {
+	t := report.Table{
+		Title:   "Validation — Monte Carlo simulation vs closed-form models (degraded parameters)",
+		Columns: []string{"Option", "analytic A_CP", "simulated A_CP", "±", "analytic A_DP", "simulated A_DP", "±", "agree"},
 	}
+	adaptive := opt.CITarget > 0
+	if adaptive {
+		t.Title = "Validation — Monte Carlo simulation vs closed-form models (adaptive replication)"
+		t.Columns = append(t.Columns, "reps")
+	}
+	points, err := optionPoints(horizon, seed)
+	if err != nil {
+		return nil, report.Table{}, err
+	}
+	for i := range points {
+		points[i].Config.KeepResults = false // memory-flat: the table needs intervals only
+	}
+	res, err := sweep.RunContext(ctx, points, opt)
+	if err != nil {
+		return nil, report.Table{}, err
+	}
+	f := func(v float64) string { return fmt.Sprintf("%.6f", v) }
 	var rows []ValidationRow
 	for i, o := range analytic.Options() {
 		est := res[i].Estimate
-		model := analytic.NewModel(prof, o)
-		model.Params = points[i].Config.Params()
-		cp, dp := model.Evaluate()
+		cp, _, dp, err := ClosedForm(points[i].Config)
+		if err != nil {
+			return nil, report.Table{}, err
+		}
 		row := ValidationRow{
 			Option:     o,
 			AnalyticCP: cp, SimCP: est.CP.Mean, SimCPHalf: est.CP.HalfWide,
 			AnalyticDP: dp, SimDP: est.HostDP.Mean, SimDPHalf: est.HostDP.HalfWide,
 			Replicates: res[i].Replications, SimHours: horizon, Converged: res[i].Converged,
+			AgreementCP: Agrees(cp, est.CP, CPSlack),
+			AgreementDP: Agrees(dp, est.HostDP, DPSlack),
 		}
-		row.AgreementCP = abs(cp-est.CP.Mean) <= est.CP.HalfWide+4e-4
-		row.AgreementDP = abs(dp-est.HostDP.Mean) <= est.HostDP.HalfWide+6e-4
 		rows = append(rows, row)
-		reps := fmt.Sprintf("%d", row.Replicates)
-		if !row.Converged {
-			reps += "!"
+		cells := []any{o.Label(),
+			f(cp), f(row.SimCP), f(row.SimCPHalf), f(dp), f(row.SimDP), f(row.SimDPHalf),
+			fmt.Sprintf("%v/%v", row.AgreementCP, row.AgreementDP)}
+		if adaptive {
+			reps := fmt.Sprintf("%d", row.Replicates)
+			if !row.Converged {
+				reps += "!"
+			}
+			cells = append(cells, reps)
 		}
-		t.AddRow(o.Label(),
-			fmt.Sprintf("%.6f", cp), fmt.Sprintf("%.6f", est.CP.Mean), fmt.Sprintf("%.6f", est.CP.HalfWide),
-			fmt.Sprintf("%.6f", dp), fmt.Sprintf("%.6f", est.HostDP.Mean), fmt.Sprintf("%.6f", est.HostDP.HalfWide),
-			fmt.Sprintf("%v/%v", row.AgreementCP, row.AgreementDP), reps)
+		t.AddRow(cells...)
 	}
-	return rows, t
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
+	return rows, t, nil
 }

@@ -1,12 +1,14 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"sdnavail/internal/profile"
 	"sdnavail/internal/relmath"
+	"sdnavail/internal/sweep"
 )
 
 func TestFig3SeriesShape(t *testing.T) {
@@ -135,7 +137,10 @@ func TestValidationAgreement(t *testing.T) {
 	if testing.Short() {
 		t.Skip("validation experiment skipped in -short mode")
 	}
-	rows, table := Validation(6, 3e5, 11)
+	rows, table, err := Validation(context.Background(), sweep.Options{MaxReps: 6}, 3e5, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(rows) != 4 {
 		t.Fatalf("validation rows = %d, want 4", len(rows))
 	}
@@ -217,7 +222,10 @@ func TestDowntimeDistributionTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulated distribution skipped in -short mode")
 	}
-	tb := DowntimeDistributionTable(3, 2e5, 5)
+	tb, err := DowntimeDistributionTable(context.Background(), 3, 2e5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(tb.Rows) != 4 {
 		t.Fatalf("rows = %d, want 4", len(tb.Rows))
 	}

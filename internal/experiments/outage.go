@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -8,7 +9,7 @@ import (
 	"sdnavail/internal/mc"
 	"sdnavail/internal/profile"
 	"sdnavail/internal/report"
-	"sdnavail/internal/topology"
+	"sdnavail/internal/sweep"
 )
 
 // This file holds the frequency-duration and weak-link experiments that
@@ -153,36 +154,37 @@ func SiteRiskTable() report.Table {
 // probability of missing a monthly downtime SLA, per option. The
 // simulation uses degraded parameters (like Validation) so that the
 // distributions populate quickly; the *shape* conclusion — Small topology
-// outages are rarer but far longer — is the paper's §V.D narrative.
-func DowntimeDistributionTable(replications int, horizon float64, seed int64) report.Table {
+// outages are rarer but far longer — is the paper's §V.D narrative. A
+// cancelled ctx tabulates the options that completed a replication.
+func DowntimeDistributionTable(ctx context.Context, replications int, horizon float64, seed int64) (report.Table, error) {
 	t := report.Table{
 		Title:   "Extension — simulated CP outage durations and monthly SLA risk (degraded parameters)",
 		Columns: []string{"Option", "Outages", "P50 h", "P90 h", "P99 h", "Max h", "P[month > 1h down]"},
 	}
-	p := analytic.Params{AC: 0.995, AV: 0.9995, AH: 0.999, AR: 0.998, A: 0.999, AS: 0.995}
-	prof := profile.OpenContrail3x()
-	for _, opt := range analytic.Options() {
-		topo, err := topology.ByKind(opt.Kind, prof.ClusterRoles, 3)
-		if err != nil {
-			panic(err)
+	points, err := optionPoints(horizon, seed)
+	if err != nil {
+		return report.Table{}, err
+	}
+	for i := range points {
+		points[i].Config.WindowHours = 720
+	}
+	res, err := sweep.RunContext(ctx, points, sweep.Options{MaxReps: replications})
+	if err != nil {
+		return report.Table{}, err
+	}
+	for _, r := range res {
+		if r.Truncated && r.Replications == 0 {
+			continue
 		}
-		cfg := mc.NewConfig(prof, topo, opt.Scenario, p)
-		cfg.Horizon = horizon
-		cfg.Seed = seed
-		cfg.WindowHours = 720
-		est, err := mc.Run(cfg, replications, 0.95)
+		sum := mc.OutageDurationSummary(r.Estimate.Results)
+		miss, err := mc.SLAMissProbability(r.Estimate.Results, 60)
 		if err != nil {
-			panic(err)
+			return report.Table{}, err
 		}
-		sum := mc.OutageDurationSummary(est.Results)
-		miss, err := mc.SLAMissProbability(est.Results, 60)
-		if err != nil {
-			panic(err)
-		}
-		t.AddRow(opt.Label(), sum.N,
+		t.AddRow(r.Point.ID, sum.N,
 			fmt.Sprintf("%.2f", sum.P50), fmt.Sprintf("%.2f", sum.P90),
 			fmt.Sprintf("%.2f", sum.P99), fmt.Sprintf("%.2f", sum.Max),
 			fmt.Sprintf("%.3f", miss))
 	}
-	return t
+	return t, nil
 }

@@ -19,7 +19,7 @@ func DefaultPlacementSpec(controllers int, horizon float64, seed int64) sweep.Pl
 	return sweep.PlacementSpec{
 		Profile:     profile.OpenContrail3x(),
 		Scenario:    analytic.SupervisorRequired,
-		Params:      analytic.Params{AC: 0.995, AV: 0.9995, AH: 0.999, AR: 0.998, A: 0.999, AS: 0.995},
+		Params:      analytic.Degraded(),
 		Controllers: controllers,
 		LinkMTBF:    10_000,
 		LinkMTTR:    4,
@@ -31,16 +31,12 @@ func DefaultPlacementSpec(controllers int, horizon float64, seed int64) sweep.Pl
 // PlacementStudy runs a controller-placement sweep and renders the
 // paper-style ranking of the top candidates: analytic downtime minutes
 // per year next to the adaptive Monte Carlo cross-check, with the
-// quorum-shares-rack hazard flagged.
-func PlacementStudy(spec sweep.PlacementSpec, opt sweep.Options, top int) (*sweep.PlacementSweep, report.Table) {
-	return PlacementStudyContext(context.Background(), spec, opt, top)
-}
-
-// PlacementStudyContext is PlacementStudy under a cancellable context.
-func PlacementStudyContext(ctx context.Context, spec sweep.PlacementSpec, opt sweep.Options, top int) (*sweep.PlacementSweep, report.Table) {
+// quorum-shares-rack hazard flagged. A cancelled ctx keeps every analytic
+// score and the replications that completed.
+func PlacementStudy(ctx context.Context, spec sweep.PlacementSpec, opt sweep.Options, top int) (*sweep.PlacementSweep, report.Table, error) {
 	sw, err := sweep.RunPlacementContext(ctx, spec, opt)
 	if err != nil {
-		panic(err) // reference specs always validate
+		return nil, report.Table{}, err
 	}
 	results := sw.Results
 	if top > 0 && top < len(results) {
@@ -62,5 +58,5 @@ func PlacementStudyContext(ctx context.Context, spec sweep.PlacementSpec, opt sw
 	title := fmt.Sprintf(
 		"Controller placement ranking — %d controllers, top %d of %d candidates (analytic CP, MC cross-check)",
 		sw.Spec.Controllers, len(rows), len(sw.Results))
-	return sw, report.PlacementTable(title, rows)
+	return sw, report.PlacementTable(title, rows), nil
 }

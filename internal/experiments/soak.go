@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"sdnavail/internal/analytic"
 	"sdnavail/internal/chaos"
 	"sdnavail/internal/mc"
 	"sdnavail/internal/report"
@@ -40,36 +39,14 @@ type SoakRow struct {
 // quantized by up to one probe period.
 const soakAllowance = 5e-4
 
-// SoakValidation runs the live soak and the mirrored Monte Carlo
-// configuration, evaluates the closed forms, and reports the three-way
-// comparison — the paper's deferred validation ("simulating the topologies
-// to validate the conclusions") closed on real running processes.
-func SoakValidation(sc chaos.SoakConfig, replications int) (SoakRow, report.Table, error) {
-	if replications < 2 {
-		replications = 16
-	}
-	res, err := chaos.RunSoak(sc)
-	if err != nil {
-		return SoakRow{}, report.Table{}, err
-	}
-	cfg := res.Config.SimConfig()
-	est, err := mc.Run(cfg, replications, 0.99)
-	if err != nil {
-		return SoakRow{}, report.Table{}, err
-	}
-	row, t := soakRowFrom(res, est, replications)
-	return row, t, nil
-}
-
 // soakRowFrom builds the three-way availability comparison from an
-// already-run soak and Monte Carlo estimate.
-func soakRowFrom(res chaos.SoakResult, est mc.Estimate, replications int) (SoakRow, report.Table) {
-	cfg := res.Config.SimConfig()
-	model := analytic.NewModel(res.Config.Profile, analytic.Option{
-		Kind: res.Config.Topology.Kind, Scenario: analytic.SupervisorNotRequired,
-	})
-	model.Params = cfg.Params()
-	cp, dp := model.Evaluate()
+// already-run soak, its mirrored simulator configuration and Monte Carlo
+// estimate.
+func soakRowFrom(res chaos.SoakResult, cfg mc.Config, est mc.Estimate, replications int) (SoakRow, report.Table, error) {
+	cp, _, dp, err := ClosedForm(cfg)
+	if err != nil {
+		return SoakRow{}, report.Table{}, err
+	}
 
 	row := SoakRow{
 		Hours:            res.Hours,
@@ -88,8 +65,8 @@ func soakRowFrom(res chaos.SoakResult, est mc.Estimate, replications int) (SoakR
 	// ~1.2× the ideal band across repeated runs, never beyond).
 	cpBand := 1.5*est.CP.HalfWide*math.Sqrt(float64(replications)) + soakAllowance
 	dpBand := 1.5*est.HostDP.HalfWide*math.Sqrt(float64(replications)) + soakAllowance
-	row.AgreeCP = abs(row.LiveCP-row.SimCP) <= cpBand
-	row.AgreeDP = abs(row.LiveDP-row.SimDP) <= dpBand
+	row.AgreeCP = math.Abs(row.LiveCP-row.SimCP) <= cpBand
+	row.AgreeDP = math.Abs(row.LiveDP-row.SimDP) <= dpBand
 
 	t := report.Table{
 		Title:   "Soak validation — live fake-clocked cluster vs Monte Carlo vs closed forms",
@@ -98,5 +75,5 @@ func soakRowFrom(res chaos.SoakResult, est mc.Estimate, replications int) (SoakR
 	f := func(v float64) string { return fmt.Sprintf("%.6f", v) }
 	t.AddRow("control plane A_CP", f(row.LiveCP), f(row.SimCP), f(row.SimCPHalf), f(row.AnalyticCP), row.AgreeCP)
 	t.AddRow("host DP A_DP", f(row.LiveDP), f(row.SimDP), f(row.SimDPHalf), f(row.AnalyticDP), row.AgreeDP)
-	return row, t
+	return row, t, nil
 }

@@ -26,20 +26,13 @@ type TailPoint struct {
 // rare-event engine and renders the nine-nines tail table: LR-weighted
 // unavailability with its nines, relative error, effective sample size,
 // and the extrapolated replication-count speedup over naive Monte Carlo
-// at the same precision. Points without an explicit biasing schedule get
-// sweep.AutoRare; an Options with zero RelTarget gets the 10%
-// relative-error stopping rule the table quotes precision against.
-func TailStudy(points []TailPoint, opt sweep.Options) ([]sweep.Result, report.Table, error) {
-	return TailStudyContext(context.Background(), points, opt)
-}
-
-// TailStudyContext is TailStudy under a cancellable context.
-func TailStudyContext(ctx context.Context, points []TailPoint, opt sweep.Options) ([]sweep.Result, report.Table, error) {
+// at the same precision. Points without an explicit biasing schedule and
+// an Options with zero RelTarget get sweep.RareDefaults — AutoRare's
+// schedule and the 10% relative-error stopping rule the table quotes
+// precision against.
+func TailStudy(ctx context.Context, points []TailPoint, opt sweep.Options) ([]sweep.Result, report.Table, error) {
 	if len(points) == 0 {
 		return nil, report.Table{}, fmt.Errorf("experiments: tail study needs at least one point")
-	}
-	if opt.RelTarget == 0 {
-		opt.RelTarget = 0.10
 	}
 	if opt.Confidence == 0 {
 		opt.Confidence = 0.99
@@ -47,9 +40,7 @@ func TailStudyContext(ctx context.Context, points []TailPoint, opt sweep.Options
 	sweepPoints := make([]sweep.Point, len(points))
 	for i, p := range points {
 		cfg := p.Config
-		if !cfg.Rare.Enabled() {
-			cfg.Rare = sweep.AutoRare(cfg)
-		}
+		sweep.RareDefaults(&cfg, &opt)
 		sweepPoints[i] = sweep.Point{ID: p.Label, X: float64(i), Config: cfg}
 	}
 	results, err := sweep.RunContext(ctx, sweepPoints, opt)

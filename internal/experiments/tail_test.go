@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -42,7 +43,7 @@ func TestTailStudySmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	results, table, err := TailStudy(points, sweep.Options{
+	results, table, err := TailStudy(context.Background(), points, sweep.Options{
 		MinReps: 16, MaxReps: 96, Batch: 16, Workers: 2,
 	})
 	if err != nil {
@@ -78,7 +79,7 @@ func TestTailStudySmoke(t *testing.T) {
 }
 
 func TestTailStudyRejectsEmpty(t *testing.T) {
-	if _, _, err := TailStudy(nil, sweep.Options{}); err == nil {
+	if _, _, err := TailStudy(context.Background(), nil, sweep.Options{}); err == nil {
 		t.Fatal("want error for zero points")
 	}
 }

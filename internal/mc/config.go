@@ -117,17 +117,13 @@ type Config struct {
 	KeepResults bool
 }
 
-// DefaultRepairTimes returns the repair-time assumptions used to translate
-// the paper's availability parameters into failure rates: VM 1 h, host 4 h
-// (Same Day maintenance), rack 48 h (§V.D's two-day rerack example).
-func DefaultRepairTimes() (vm, host, rack float64) { return 1, 4, 48 }
-
 // NewConfig derives a simulation configuration from the analytic
 // parameters, the standard process times (F = 5000 h, R = 0.1 h,
 // R_S = 1 h scaled so that A = F/(F+R) and A_S = F/(F+R_S) match p), and
-// the default repair-time assumptions.
+// analytic.DefaultRepairTimes' hardware repair assumptions: VM 1 h, host
+// 4 h (Same Day maintenance), rack 48 h (§V.D's two-day rerack example).
 func NewConfig(prof *profile.Profile, topo *topology.Topology, sc analytic.Scenario, p analytic.Params) Config {
-	vmR, hostR, rackR := DefaultRepairTimes()
+	rt := analytic.DefaultRepairTimes()
 	const f = 5000
 	return Config{
 		Profile:           prof,
@@ -137,12 +133,12 @@ func NewConfig(prof *profile.Profile, topo *topology.Topology, sc analytic.Scena
 		AutoRestart:       f * (1 - p.A) / p.A, // R such that F/(F+R) = A
 		ManualRestart:     f * (1 - p.AS) / p.AS,
 		MaintenanceWindow: 10,
-		VMMTBF:            relmath.MTBFForAvailability(p.AV, vmR),
-		VMRepair:          vmR,
-		HostMTBF:          relmath.MTBFForAvailability(p.AH, hostR),
-		HostRepair:        hostR,
-		RackMTBF:          relmath.MTBFForAvailability(p.AR, rackR),
-		RackRepair:        rackR,
+		VMMTBF:            relmath.MTBFForAvailability(p.AV, rt.VM),
+		VMRepair:          rt.VM,
+		HostMTBF:          relmath.MTBFForAvailability(p.AH, rt.Host),
+		HostRepair:        rt.Host,
+		RackMTBF:          relmath.MTBFForAvailability(p.AR, rt.Rack),
+		RackRepair:        rt.Rack,
 		ComputeHosts:      4,
 		Horizon:           2e6,
 		Seed:              1,
@@ -160,6 +156,15 @@ func (c Config) Params() analytic.Params {
 		AR: relmath.Availability(c.RackMTBF, c.RackRepair),
 		A:  relmath.Availability(c.ProcessMTBF, c.AutoRestart),
 		AS: relmath.Availability(c.ProcessMTBF, c.ManualRestart),
+	}
+}
+
+// RepairTimes returns the configuration's own mean restore times in the
+// closed forms' shape, for the frequency-duration and headless models.
+func (c Config) RepairTimes() analytic.RepairTimes {
+	return analytic.RepairTimes{
+		Auto: c.AutoRestart, Manual: c.ManualRestart,
+		VM: c.VMRepair, Host: c.HostRepair, Rack: c.RackRepair,
 	}
 }
 

@@ -331,7 +331,7 @@ func mcDefaults() mcRequest {
 		Model: modelRequest{
 			ProfileName: "opencontrail", TopoName: "small", Cluster: 3,
 			Scenario: analytic.SupervisorRequired, Compute: 4,
-			Params: analytic.Params{AC: 0.995, AV: 0.9995, AH: 0.999, AR: 0.998, A: 0.999, AS: 0.995},
+			Params: analytic.Degraded(),
 		},
 		Horizon: 1e5, Reps: 64, MinReps: 8, Seed: 1,
 	}

@@ -540,15 +540,9 @@ func mcPlan(req mcRequest) (mc.Config, sweep.Options, error) {
 		// Rare mode: the biasing schedule (explicit, else auto-selected
 		// from the configuration) plus relative-error stopping on the CP
 		// unavailability; max_reps bounds the spend.
-		rc := req.Schedule
-		if !rc.Enabled() {
-			rc = sweep.AutoRare(cfg)
-		}
-		cfg.Rare = rc
+		cfg.Rare = req.Schedule
 		opt.RelTarget = req.RelTarget
-		if opt.RelTarget == 0 {
-			opt.RelTarget = 0.10
-		}
+		sweep.RareDefaults(&cfg, &opt)
 	case req.CITarget == 0:
 		opt.MaxReps = req.Reps
 		if opt.MinReps > opt.MaxReps {

@@ -101,6 +101,19 @@ func AutoRare(cfg mc.Config) mc.RareEventConfig {
 	return rc
 }
 
+// RareDefaults fills in what a rare-event request left unsaid, the same
+// way for every front end: a configuration without an enabled schedule
+// gets AutoRare's, and a zero RelTarget becomes the 10% relative-error
+// stopping rule.
+func RareDefaults(cfg *mc.Config, opt *Options) {
+	if !cfg.Rare.Enabled() {
+		cfg.Rare = AutoRare(*cfg)
+	}
+	if opt.RelTarget == 0 {
+		opt.RelTarget = 0.10
+	}
+}
+
 // driftBoundedBias returns the largest bias factor B ≥ 1 such that n
 // entities of the given MTBF accumulate at most budget nats of expected
 // log-likelihood drift over the horizon: n·(B·ln B − B + 1)/MTBF·H ≤

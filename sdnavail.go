@@ -13,17 +13,19 @@ import (
 	"sdnavail/internal/profile"
 	"sdnavail/internal/relmath"
 	"sdnavail/internal/report"
-	"sdnavail/internal/server"
-	"sdnavail/internal/stats"
 	"sdnavail/internal/sweep"
-	"sdnavail/internal/telemetry"
 	"sdnavail/internal/topology"
 	"sdnavail/internal/vclock"
 )
 
-// The public API re-exports the library's core types as aliases so that
-// downstream users import a single package. The internal packages remain
-// the implementation; this file is the stable surface.
+// The root package re-exports the internal packages' core types and entry
+// points under one import, for the examples/ programs, the package tests
+// and the README/DESIGN/EXPERIMENTS snippets. The module path is not
+// importable from outside this repository, so the rule is mechanical: a
+// function, constant or variable is here iff another file spells
+// sdnavail.<Name>, a type alias iff it is so named or sits in a surviving
+// signature (TestFacadeReExportsOnlyWhatIsNamed). The CLIs and availd
+// reach the internal packages directly.
 
 // ---- controller software description (paper Tables I-III) ----
 
@@ -37,15 +39,6 @@ type Process = profile.Process
 // Role identifies a controller node type.
 type Role = profile.Role
 
-// RestartMode is Auto or Manual (Table II).
-type RestartMode = profile.RestartMode
-
-// Need is a quorum requirement class (Table III).
-type Need = profile.Need
-
-// Plane selects the SDN control plane or the host data plane.
-type Plane = profile.Plane
-
 // Re-exported enumeration values.
 const (
 	AutoRestart   = profile.AutoRestart
@@ -54,9 +47,6 @@ const (
 	NotRequired = profile.NotRequired
 	OneOf       = profile.OneOf
 	Majority    = profile.Majority
-
-	ControlPlane = profile.ControlPlane
-	DataPlane    = profile.DataPlane
 )
 
 // OpenContrail3x returns the paper's reference controller profile.
@@ -118,13 +108,11 @@ type MaintenanceLevel = analytic.MaintenanceLevel
 var (
 	Option1S = analytic.Option1S
 	Option2S = analytic.Option2S
-	Option1L = analytic.Option1L
 	Option2L = analytic.Option2L
 )
 
 const (
-	SupervisorNotRequired = analytic.SupervisorNotRequired
-	SupervisorRequired    = analytic.SupervisorRequired
+	SupervisorRequired = analytic.SupervisorRequired
 
 	SameDay         = analytic.SameDay
 	NextDay         = analytic.NextDay
@@ -183,14 +171,8 @@ func Replicate(need, n int, child *Block) *Block {
 // SimConfig parameterizes the discrete-event availability simulator.
 type SimConfig = mc.Config
 
-// SimResult is one replication's measurements.
-type SimResult = mc.Result
-
 // SimEstimate aggregates replications with confidence intervals.
 type SimEstimate = mc.Estimate
-
-// Interval is a confidence interval.
-type Interval = stats.Interval
 
 // NewSimConfig derives a simulator configuration from analytic parameters.
 func NewSimConfig(prof *Profile, topo *Topology, sc Scenario, p Params) SimConfig {
@@ -211,35 +193,6 @@ type Cluster = cluster.Cluster
 // ClusterConfig assembles a testbed.
 type ClusterConfig = cluster.Config
 
-// ClusterTiming holds the testbed's scaled operational delays.
-type ClusterTiming = cluster.Timing
-
-// ClusterSupervision configures the supervisors' restart policy: retry
-// budget, exponential backoff, quick-fail window, and flapping detection
-// (supervisord semantics, scaled like ClusterTiming).
-type ClusterSupervision = cluster.Supervision
-
-// ClusterDegradation configures the testbed's graceful-degradation knobs:
-// the vRouter headless hold and per-route staleness bound, and the revived
-// store replica catch-up latency. The zero value keeps the strict
-// flush-immediately / reconcile-instantly behaviour.
-type ClusterDegradation = cluster.Degradation
-
-// ClusterHealth is the coarse cluster health level (Healthy, Degraded or
-// Critical).
-type ClusterHealth = cluster.Health
-
-// ClusterHealthReport is a point-in-time per-subsystem health snapshot
-// from Cluster.Health().
-type ClusterHealthReport = cluster.HealthReport
-
-// Cluster health levels.
-const (
-	ClusterHealthy  = cluster.Healthy
-	ClusterDegraded = cluster.Degraded
-	ClusterCritical = cluster.Critical
-)
-
 // NewCluster assembles a testbed cluster (call Start, defer Stop).
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return cluster.New(cfg) }
 
@@ -248,9 +201,6 @@ type ChaosAction = chaos.Action
 
 // ChaosReport summarizes an experiment's observed availability.
 type ChaosReport = chaos.Report
-
-// ChaosCampaign is a randomized fault-injection experiment.
-type ChaosCampaign = chaos.Campaign
 
 // ChaosStep constructs a scripted action.
 func ChaosStep(after time.Duration, name string, do func(c *Cluster) error) ChaosAction {
@@ -266,113 +216,15 @@ func RunScenario(c *Cluster, actions []ChaosAction, settle, probeEvery, probeTim
 // narrative as a scripted scenario.
 func SectionIIIScenario(step time.Duration) []ChaosAction { return chaos.SectionIII(step) }
 
-// FlakyProcess is a fault injector that crash-loops one process, driving
-// the supervision ladder (backoff, retry budget, FATAL).
-type FlakyProcess = chaos.FlakyProcess
-
-// CrashLoopScenario crash-loops a supervised process until its supervisor
-// gives up (FATAL), then recovers it with a manual restart.
-func CrashLoopScenario(role string, node int, name string, step time.Duration) []ChaosAction {
-	return chaos.CrashLoop(role, node, name, step)
-}
-
-// HeadlessScenario exercises the headless vRouter hold: a total control
-// outage shorter than the hold is ridden out on stale forwarding state, a
-// longer one flushes. Build the cluster with ClusterDegradation
-// .HeadlessHold between step and 3*step.
-func HeadlessScenario(step time.Duration) []ChaosAction { return chaos.Headless(step) }
-
-// StaleReadScenario exercises the deferred replica catch-up window after a
-// Cassandra (Config) replica revival. Build the cluster with
-// ClusterDegradation.ReplicaCatchUp > 0.
-func StaleReadScenario(step time.Duration) []ChaosAction { return chaos.StaleRead(step) }
-
-// ---- RAFT leadership, gray failures and the scenario DSL ----
-
-// ClusterRaft tunes the quorum stores' RAFT leadership behaviour via
-// ClusterConfig.Raft: randomized election timeouts, the heartbeat period
-// and the gray-leader detection budget. The zero value keeps instant
-// (synchronous) leadership.
-type ClusterRaft = cluster.RaftConfig
-
-// RaftEvent is one leadership transition recorded by a quorum store
-// (leader lost, split vote, elected, gray leader detected).
-type RaftEvent = cluster.RaftEvent
-
-// LeaderCrashScenario crashes the config-store RAFT leader replica and
-// lets it rejoin through the catch-up window.
-func LeaderCrashScenario(step time.Duration) []ChaosAction { return chaos.LeaderCrash(step) }
-
-// GrayLeaderScenario injects a gray failure: the config-store leader
-// keeps its lease but serves corrupted reads until the detector deposes
-// it (timed mode with ClusterRaft.GrayDetect) or the flags are cleared.
-func GrayLeaderScenario(step time.Duration) []ChaosAction { return chaos.GrayLeader(step) }
-
-// StaleLeaderLeaseScenario partitions the config-store leader away from
-// the majority so it holds a lease it can no longer honor, then heals.
-func StaleLeaderLeaseScenario(step time.Duration) []ChaosAction {
-	return chaos.StaleLeaderLease(step)
-}
-
-// AckDropWritesScenario arms Byzantine followers that acknowledge writes
-// without persisting them, then kills the honest leader: acknowledged
-// data is silently lost — downtime the binary up/down model cannot see.
-func AckDropWritesScenario(step time.Duration) []ChaosAction { return chaos.AckDropWrites(step) }
-
-// ScenarioSpec is a declarative chaos scenario parsed from JSON: named,
-// schema-validated steps compiled into executable actions. (The name
-// avoids colliding with Scenario, the analytic supervisor mode.)
-type ScenarioSpec = chaos.ScenarioSpec
-
-// ScenarioStepSpec is one declarative step of a ScenarioSpec.
-type ScenarioStepSpec = chaos.StepSpec
-
-// ScenarioValidationError pinpoints the step and field of an invalid
-// scenario document.
-type ScenarioValidationError = chaos.ValidationError
-
-// ParseScenarioSpec parses and validates a declarative JSON scenario.
-func ParseScenarioSpec(data []byte) (*ScenarioSpec, error) { return chaos.ParseScenarioSpec(data) }
-
-// RunScenarioSpec compiles a declarative scenario and executes it against
-// the cluster while probing.
-func RunScenarioSpec(c *Cluster, spec *ScenarioSpec, probeEvery, probeTimeout time.Duration) (ChaosReport, error) {
-	return chaos.RunSpec(c, spec, probeEvery, probeTimeout)
-}
-
 // ---- frequency-duration and weak-link analysis (extensions) ----
 
 // RepairTimes carries mean-time-to-restore assumptions for turning
 // availabilities into failure rates.
 type RepairTimes = analytic.RepairTimes
 
-// OutageEstimate is the frequency-duration view of a plane: how often
-// outages begin and how long they last, not just the downtime total.
-type OutageEstimate = analytic.OutageEstimate
-
-// ImportanceEntry ranks a parameter class as a weak link (Birnbaum
-// importance, downtime share, improvement potential).
-type ImportanceEntry = analytic.ImportanceEntry
-
-// PlaneMetric selects the plane for importance analysis.
-type PlaneMetric = analytic.PlaneMetric
-
-// Plane metrics for Model.Importance.
-const (
-	CPMetric = analytic.CPMetric
-	DPMetric = analytic.DPMetric
-)
-
 // DefaultRepairTimes returns the paper-aligned repair times (R = 0.1 h,
 // R_S = 1 h, VM 1 h, host 4 h, rack 48 h).
 func DefaultRepairTimes() RepairTimes { return analytic.DefaultRepairTimes() }
-
-// ControlFailoverImpact quantifies the transient data-plane impact of
-// simultaneous control-process failures that the paper's §III analysis
-// assumes negligible. See analytic.ControlFailoverImpact.
-func ControlFailoverImpact(p Params, clusterSize int, mttr, rediscoverHours float64) (addedUnavailability, eventsPerYear float64, err error) {
-	return analytic.ControlFailoverImpact(p, clusterSize, mttr, rediscoverHours)
-}
 
 // KofNRepairable solves the repairable k-of-n birth-death chain exactly:
 // steady-state availability, outage frequency per hour, and mean outage
@@ -381,29 +233,6 @@ func ControlFailoverImpact(p Params, clusterSize int, mttr, rediscoverHours floa
 func KofNRepairable(m, n int, lambda, mu float64) (avail, freqPerHour, meanDownHours float64, err error) {
 	return markov.KofNAvailability(m, n, lambda, mu)
 }
-
-// KofNMissionReliability returns the probability that a repairable k-of-n
-// group, starting all-up, suffers no availability loss during t hours —
-// the "no outage this year" view the steady-state models cannot express.
-func KofNMissionReliability(m, n int, lambda, mu, t float64) (float64, error) {
-	return markov.KofNMissionReliability(m, n, lambda, mu, t)
-}
-
-// SLAMissProbability estimates, from simulation results run with
-// SimConfig.WindowHours set, the probability that a window's control-plane
-// downtime exceeds the threshold in minutes.
-func SLAMissProbability(results []SimResult, thresholdMinutes float64) (float64, error) {
-	return mc.SLAMissProbability(results, thresholdMinutes)
-}
-
-// OutageDurationSummary aggregates every simulated control-plane outage
-// into order statistics (hours).
-func OutageDurationSummary(results []SimResult) stats.Summary {
-	return mc.OutageDurationSummary(results)
-}
-
-// Summary holds order statistics of a sample set.
-type Summary = stats.Summary
 
 // ExactModel evaluates the SW-centric availability of an arbitrary custom
 // topology by exact shared-hardware state enumeration — placements the
@@ -437,32 +266,6 @@ func ProfileFromJSON(data []byte) (*Profile, error) { return profile.FromJSON(da
 func TopologyToJSON(t *Topology) ([]byte, error)      { return topology.ToJSON(t) }
 func TopologyFromJSON(data []byte) (*Topology, error) { return topology.FromJSON(data) }
 
-// ---- failure-aware network graph ----
-
-// NetworkLink is one failure-prone edge of a topology's network graph:
-// a host uplink, a rack-to-core fabric link, or the service-edge
-// adjacency. MTBF == 0 declares the link perfect; a topology with no
-// links at all keeps the original containment-tree semantics exactly.
-type NetworkLink = topology.Link
-
-// NetworkLinkKind types a link by its role in the fabric.
-type NetworkLinkKind = topology.LinkKind
-
-// Re-exported link kinds.
-const (
-	UplinkLink    = topology.Uplink
-	FabricLink    = topology.FabricLink
-	AdjacencyLink = topology.Adjacency
-)
-
-// DefaultNetworkLinks builds the canonical fabric for a containment
-// tree: one uplink per host ("up:<host>"), one fabric link per rack
-// ("fab:<rack>") and one edge adjacency ("adj:edge"), all with the same
-// MTBF/MTTR hours.
-func DefaultNetworkLinks(t *Topology, mtbf, mttr float64) []NetworkLink {
-	return topology.DefaultLinks(t, mtbf, mttr)
-}
-
 // ---- controller-placement sweeps ----
 
 // SweepOptions tunes the adaptive sequential-stopping Monte Carlo
@@ -475,14 +278,6 @@ type SweepOptions = sweep.Options
 // a candidate cap applied by deterministic subsampling.
 type PlacementSpec = sweep.PlacementSpec
 
-// PlacementCandidate is one enumerated placement with its materialized
-// topology.
-type PlacementCandidate = sweep.Candidate
-
-// PlacementResult scores one candidate: closed-form exact-model plane
-// availabilities plus the adaptive Monte Carlo cross-check.
-type PlacementResult = sweep.PlacementResult
-
 // PlacementSweep is a completed sweep, ranked best-first by analytic
 // control-plane availability.
 type PlacementSweep = sweep.PlacementSweep
@@ -494,13 +289,6 @@ func RunPlacement(spec PlacementSpec, opt SweepOptions) (*PlacementSweep, error)
 	return sweep.RunPlacement(spec, opt)
 }
 
-// RunPlacementContext is RunPlacement with a deadline: when ctx expires
-// every candidate keeps its analytic score and reports the Monte Carlo
-// replications that completed, flagged Truncated.
-func RunPlacementContext(ctx context.Context, spec PlacementSpec, opt SweepOptions) (*PlacementSweep, error) {
-	return sweep.RunPlacementContext(ctx, spec, opt)
-}
-
 // Operator is the remediation automation of the paper's §VII: it watches
 // the live testbed and manually restarts processes that stay failed past
 // its response time.
@@ -510,17 +298,7 @@ type Operator = chaos.Operator
 // Start with a running cluster and Stop when done.
 func NewOperator(responseTime time.Duration) *Operator { return chaos.NewOperator(responseTime) }
 
-// ---- virtual time and long-horizon soak validation ----
-
-// Clock abstracts time for the testbed and chaos harness. The default
-// RealClock passes through to the runtime; a FakeClock makes every
-// scenario deterministic and lets simulated months run in wall-clock
-// seconds. The Monte Carlo simulator is unaffected: it keeps its own
-// discrete-event clock and never sleeps.
-type Clock = vclock.Clock
-
-// RealClock is the pass-through wall clock (the ClusterConfig default).
-type RealClock = vclock.Real
+// ---- virtual time ----
 
 // FakeClock is a deterministic virtual clock: it advances to the next
 // pending deadline whenever every registered goroutine is parked in a
@@ -529,62 +307,6 @@ type FakeClock = vclock.Fake
 
 // NewFakeClock returns a FakeClock starting at the given instant.
 func NewFakeClock(start time.Time) *FakeClock { return vclock.NewFake(start) }
-
-// SoakConfig parameterizes a long-horizon soak of the live testbed under
-// virtual time: simulated hours of MTBF/MTTR-driven process failures with
-// supervisors and an operator model performing the repairs.
-type SoakConfig = chaos.SoakConfig
-
-// SoakResult carries the soak's observed availability report and fault
-// counts, plus the resolved configuration for mirroring into the
-// simulator and closed forms.
-type SoakResult = chaos.SoakResult
-
-// RunSoak executes a fake-clocked soak of the live cluster.
-func RunSoak(sc SoakConfig) (SoakResult, error) { return chaos.RunSoak(sc) }
-
-// ---- telemetry: metrics, trace and downtime attribution ----
-
-// Telemetry aggregates the observability layer the testbed, chaos harness
-// and Monte Carlo simulator share: a metrics registry, a structured trace
-// of state-transition events, and the downtime-attribution ledger. Attach
-// one via ClusterConfig.Telemetry or SoakConfig.Telemetry; a nil aggregate
-// disables collection at the cost of one nil check per state change.
-type Telemetry = telemetry.Telemetry
-
-// NewTelemetry returns an enabled telemetry aggregate.
-func NewTelemetry() *Telemetry { return telemetry.New() }
-
-// TraceEvent is one state-transition record in the telemetry trace.
-type TraceEvent = telemetry.Event
-
-// Attribution is one plane's per-failure-mode downtime table in the
-// paper's Section IV style: total downtime split across the failure modes
-// blamed for each unavailable interval.
-type Attribution = telemetry.Attribution
-
-// ModeShare is one failure mode's slice of a plane's downtime.
-type ModeShare = telemetry.ModeShare
-
-// RecoveryTracker collects recovery-time samples by kind (elections,
-// replica catch-ups, gray-leader detections); reports render the
-// distributions next to availability via Telemetry.Recovery.
-type RecoveryTracker = telemetry.Recovery
-
-// SimulateContext is Simulate with a deadline: when ctx expires, the run
-// stops at its next cancellation check and returns the partial estimate
-// with honest confidence intervals, flagged SimEstimate.Truncated —
-// a deadlined what-if query gets its partial answer, not an error.
-func SimulateContext(ctx context.Context, cfg SimConfig, replications int, level float64) (SimEstimate, error) {
-	return mc.RunContext(ctx, cfg, replications, level)
-}
-
-// RunSoakContext is RunSoak with a deadline: a cancelled soak finalizes
-// every aggregate at the virtual hours actually covered and reports
-// SoakResult.Truncated — a clean partial result, not a torn one.
-func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
-	return chaos.RunSoakContext(ctx, sc)
-}
 
 // ---- rare-event acceleration (deep availability tails) ----
 
@@ -596,58 +318,8 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 // event loop.
 type RareEventConfig = mc.RareEventConfig
 
-// RareConfigError is the typed validation error for rare-event
-// configurations.
-type RareConfigError = mc.RareConfigError
-
-// WeightedAccumulator folds likelihood-ratio-weighted samples: weighted
-// mean, Kish effective sample size, and confidence intervals over the
-// per-replication estimates.
-type WeightedAccumulator = stats.WeightedAccumulator
-
-// RelativeError returns HalfWide/|Mean| of an interval — the scale-free
-// precision measure rare-event stopping rules use (+Inf at mean zero).
-func RelativeError(ci Interval) float64 { return stats.RelativeError(ci) }
-
-// AutoRareSchedule selects a biasing schedule for the configuration:
-// forcing factors sized to the horizon's likelihood-ratio drift budget
-// and splitting levels derived from the quorum min-cut. Configurations
-// whose tail is easy come back with weaker factors, degrading gracefully
-// toward the identity (a disabled schedule).
-func AutoRareSchedule(cfg SimConfig) RareEventConfig { return sweep.AutoRare(cfg) }
-
-// KofNExpectedDownTime solves the repairable k-of-n birth-death chain's
-// expected downtime over [0, t] exactly (uniformization), starting
-// all-up — the transient anchor the rare-event estimator is proven
-// unbiased against.
-func KofNExpectedDownTime(m, n int, lambda, mu, t float64) (float64, error) {
-	return markov.KofNExpectedDownTime(m, n, lambda, mu, t)
-}
-
 // ReportTable is a rendered result table (Text, CSV, Markdown).
 type ReportTable = report.Table
-
-// TailRow is one deep-tail estimate in a tail-availability table.
-type TailRow = report.TailRow
-
-// TailAvailabilityTable renders deep-tail rows: unavailability with its
-// nines, relative error, effective sample size, and the extrapolated
-// replication-count speedup over naive Monte Carlo.
-func TailAvailabilityTable(title string, rows []TailRow) ReportTable {
-	return report.TailTable(title, rows)
-}
-
-// UnavailabilityNines converts an unavailability into nines of
-// availability (1e-9 → 9).
-func UnavailabilityNines(u float64) float64 { return report.Nines(u) }
-
-// NaiveTailReplications extrapolates the replication count naive Monte
-// Carlo would need for relative error relErr at normal quantile z, given
-// the probability hitProb that one naive replication observes any
-// downtime (SimEstimate.RareHitProb).
-func NaiveTailReplications(hitProb, relErr, z float64) float64 {
-	return report.NaiveReplications(hitProb, relErr, z)
-}
 
 // TailPoint is one labelled deep-tail configuration for RunTailStudy.
 type TailPoint = experiments.TailPoint
@@ -660,12 +332,7 @@ type TailSweepResult = sweep.Result
 // without one), stopping at the options' relative-error target, and
 // renders the tail-availability table with the naive-MC speedup.
 func RunTailStudy(points []TailPoint, opt SweepOptions) ([]TailSweepResult, ReportTable, error) {
-	return experiments.TailStudy(points, opt)
-}
-
-// RunTailStudyContext is RunTailStudy under a cancellable context.
-func RunTailStudyContext(ctx context.Context, points []TailPoint, opt SweepOptions) ([]TailSweepResult, ReportTable, error) {
-	return experiments.TailStudyContext(ctx, points, opt)
+	return experiments.TailStudy(context.Background(), points, opt)
 }
 
 // DeepTailPlacementPoints builds the nine-nines placement comparison:
@@ -674,20 +341,3 @@ func RunTailStudyContext(ctx context.Context, points []TailPoint, opt SweepOptio
 func DeepTailPlacementPoints(controllers int, horizon float64, seed int64) ([]TailPoint, error) {
 	return experiments.DeepTailPlacementPoints(controllers, horizon, seed)
 }
-
-// ---- resident availability service (availd) ----
-
-// Server is the resident availability service behind cmd/availd: analytic
-// evaluation, Monte Carlo what-ifs and live soaks as HTTP endpoints, with
-// bounded admission (explicit 429 load shedding), per-request deadlines
-// answering truncated partial estimates, per-request panic isolation,
-// memoized analytic evaluation, Prometheus-format metrics, and graceful
-// drain. Embed it via ServerConfig + NewServer, or mount
-// Server.Handler() on an existing mux.
-type Server = server.Server
-
-// ServerConfig parameterizes the service; zero fields select defaults.
-type ServerConfig = server.Config
-
-// NewServer builds a service (call Listen then Serve, or mount Handler).
-func NewServer(cfg ServerConfig) (*Server, error) { return server.New(cfg) }
