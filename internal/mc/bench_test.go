@@ -1,6 +1,8 @@
 package mc
 
 import (
+	"context"
+	"runtime"
 	"testing"
 
 	"sdnavail/internal/analytic"
@@ -46,6 +48,35 @@ func BenchmarkMCRun(b *testing.B) {
 	}
 }
 
+// rareTailConfig is the rare_tail workload's model: the 2-of-3
+// manual-restart tail (horizon 50 h against 5000-hour processes and
+// infallible hardware, failures forced x30, one splitting level [2]x3).
+func rareTailConfig() Config {
+	cfg := kofnConfig(profile.Majority, 3, 1, 50)
+	cfg.Rare = RareEventConfig{ProcessBias: 30, SplitLevels: []int{2}, SplitFactor: 3}
+	return cfg
+}
+
+// BenchmarkRareTailRun is the profiling target for the rare_tail workload
+// of `go run ./bench`, as BenchmarkMCRun is for mc_run: 2^16 replications
+// of under two events each through Session.Range, where the fixed cost of
+// a replication is nearly everything.
+func BenchmarkRareTailRun(b *testing.B) {
+	ss, err := NewSession(rareTailConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := NewFold(false, 0)
+		ss.Range(context.Background(), 0, 1<<16, runtime.GOMAXPROCS(0), func(_ int, res *Result) { f.Add(res) })
+		if f.N() != 1<<16 {
+			b.Fatal("short range")
+		}
+	}
+}
+
 // BenchmarkReplication measures a single replication including simulator
 // construction — the unit of work the pool amortizes.
 func BenchmarkReplication(b *testing.B) {
@@ -70,9 +101,13 @@ func BenchmarkReplication(b *testing.B) {
 // reuses) and the per-mode accrual (tables indexed by id) allocate nothing
 // once warm; what is left is the two per-mode maps the Result takes away,
 // built once at the end and pre-sized from the modes blamed: 4 here, 6 with
-// the repair crew. Ceilings are the measured values plus five. The Sim is
-// reused directly rather than through the Session's sync.Pool, which under
-// -race drops pooled objects at random and would count rebuilds.
+// the repair crew. Ceilings are the measured values plus five — except on
+// the rare tail, which fires under two events per replication and allocates
+// only in the few replications that split or accrue downtime (under 0.1 a
+// replication, which AllocsPerRun rounds down to 0): its ceiling is 0, so
+// one allocation per replication for handing the Result over would show.
+// The Sim is reused directly rather than through the Session's sync.Pool,
+// which under -race drops pooled objects at random and would count rebuilds.
 func TestReplicationAllocs(t *testing.T) {
 	crews := benchConfig(t)
 	// Hardware poor enough that failures queue for the one crew: the queue
@@ -87,6 +122,7 @@ func TestReplicationAllocs(t *testing.T) {
 	}{
 		{"bench", benchConfig(t), 9},
 		{"repair-crews", crews, 11},
+		{"rare-tail", rareTailConfig(), 0},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); err != nil {

@@ -30,7 +30,8 @@ func NewFold(keep bool, capHint int) *Fold {
 }
 
 // Add folds one replication. Callers add in ascending replication index.
-func (f *Fold) Add(res Result) {
+// res is only read, and copied when the fold keeps Results.
+func (f *Fold) Add(res *Result) {
 	f.cp.Add(res.CPAvailability)
 	f.sdp.Add(res.SharedDPAvailability)
 	f.dp.Add(res.HostDPAvailability)
@@ -59,7 +60,7 @@ func (f *Fold) Add(res Result) {
 		f.dpModes[m] += h
 	}
 	if f.results != nil {
-		f.results = append(f.results, res)
+		f.results = append(f.results, *res)
 	}
 }
 

@@ -108,7 +108,7 @@ func TestOutageFreeReplicationHasNoDowntime(t *testing.T) {
 			t.Errorf("replication %d saw no outage but carries a CP mode map %v", rep, res.CPDowntimeByMode)
 		}
 		if res.DPDowntimeByMode == nil { // a host-DP outage needs no CP outage
-			fold.Add(res)
+			fold.Add(&res)
 		}
 	}
 	if clean < 10000 {

@@ -45,6 +45,21 @@ type quorumIndex struct {
 	groupUp  []int32  // serving nodes per group
 	hostDown []int32  // down local dependencies per compute host
 	unsat    [2]int32 // groups with groupUp < groupNeed, per plane
+
+	// allUp is what recount made of groupUp and unsat with every
+	// dependency up, taken once at build: where every replication starts.
+	allUp struct {
+		groupUp []int32
+		unsat   [2]int32
+	}
+}
+
+// rewind sets the counters to the all-up start of a replication.
+func (q *quorumIndex) rewind() {
+	clear(q.nodeDown)
+	clear(q.hostDown)
+	copy(q.groupUp, q.allUp.groupUp)
+	q.unsat = q.allUp.unsat
 }
 
 // nodeDeps appends the dependencies of one group-node to buf.
@@ -126,10 +141,13 @@ func (s *Sim) buildQuorumIndex() {
 	}
 	q.nodeDown = make([]int32, len(q.nodeGroup))
 	q.groupUp = make([]int32, len(q.groupNeed))
+	s.recount()
+	q.allUp.groupUp = append([]int32(nil), q.groupUp...)
+	q.allUp.unsat = q.unsat
 }
 
 // recount rebuilds every counter from the current entity states and
-// reachability set: at reset (everything up, but a group may need more
+// reachability set: once at build (everything up, but a group may need more
 // nodes than it has) and after a rare-path restore. The counters are
 // derived state, so a splitting snapshot does not carry them.
 func (s *Sim) recount() {

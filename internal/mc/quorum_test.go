@@ -172,7 +172,7 @@ func (p *quorumProbe) run(s *Sim, reps int) {
 		s.reset(rep)
 		p.prevAt = 0
 		p.counters(s) // the reset state, before any event has bumped it
-		if _, ok := s.runCancel(nil); !ok {
+		if !s.runCancel(nil, new(Result)) {
 			p.t.Fatalf("replication %d abandoned", rep)
 		}
 	}

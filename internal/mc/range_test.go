@@ -20,10 +20,11 @@ func TestOrderedRangeBoundsRunAhead(t *testing.T) {
 	release := make(chan struct{})
 	stalled := make(chan struct{}) // closed when every claimable replication but block 0's has run
 	var ran, highest atomic.Int64
-	replicate := func(_ <-chan struct{}, rep int) (Result, bool) {
+	replicate := func(_ <-chan struct{}, rep int, res *Result) bool {
+		*res = Result{Events: rep}
 		if rep == 0 {
 			<-release
-			return Result{Events: rep}, true
+			return true
 		}
 		for {
 			h := highest.Load()
@@ -34,12 +35,12 @@ func TestOrderedRangeBoundsRunAhead(t *testing.T) {
 		if ran.Add(1) == ceiling-size {
 			close(stalled)
 		}
-		return Result{Events: rep}, true
+		return true
 	}
 	var order []int
 	done := make(chan int)
 	go func() {
-		done <- orderedRange(nil, 0, n, workers, replicate, func(rep int, res Result) {
+		done <- orderedRange(nil, 0, n, workers, replicate, func(rep int, res *Result) {
 			if res.Events != rep {
 				t.Errorf("emit(%d) carries replication %d's result", rep, res.Events)
 			}
@@ -74,12 +75,13 @@ func TestOrderedRangeBoundsRunAhead(t *testing.T) {
 // strictly ascending, the return value counts them, and every worker has
 // exited when orderedRange returns — none parked on the hand-off.
 func TestOrderedRangeCancelMidRange(t *testing.T) {
-	replicate := func(done <-chan struct{}, rep int) (Result, bool) {
+	replicate := func(done <-chan struct{}, rep int, res *Result) bool {
 		select {
 		case <-done:
-			return Result{}, false
+			return false
 		default:
-			return Result{Events: rep}, true
+			*res = Result{Events: rep}
+			return true
 		}
 	}
 	before := runtime.NumGoroutine()
@@ -87,7 +89,7 @@ func TestOrderedRangeCancelMidRange(t *testing.T) {
 		for round := 0; round < 8; round++ {
 			ctx, cancel := context.WithCancel(context.Background())
 			last, count := -1, 0
-			got := orderedRange(ctx.Done(), 100, 100+1<<14, workers, replicate, func(rep int, _ Result) {
+			got := orderedRange(ctx.Done(), 100, 100+1<<14, workers, replicate, func(rep int, _ *Result) {
 				if rep <= last {
 					t.Errorf("workers=%d: emit %d after %d: not ascending", workers, rep, last)
 				}
@@ -132,8 +134,8 @@ func TestRunContextTruncatedIsHonest(t *testing.T) {
 		t.Fatalf("kept %d results for %d folded replications", len(est.Results), est.Replications)
 	}
 	f := NewFold(true, len(est.Results))
-	for _, res := range est.Results {
-		f.Add(res)
+	for i := range est.Results {
+		f.Add(&est.Results[i])
 	}
 	if want := f.Estimate(0.99, true); !reflect.DeepEqual(est, want) {
 		t.Errorf("truncated estimate is not the fold of its own results:\ngot  %+v\nwant %+v", est.CPDowntimeByMode, want.CPDowntimeByMode)

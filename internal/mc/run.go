@@ -139,7 +139,7 @@ func runWorkersContext(ctx context.Context, cfg Config, replications int, level 
 	}
 	f := NewFold(cfg.KeepResults, replications)
 	n := newSessionValidated(cfg).Range(ctx, 0, replications, workers,
-		func(_ int, res Result) { f.Add(res) })
+		func(_ int, res *Result) { f.Add(res) })
 	if n == 0 {
 		return Estimate{Truncated: true}, ctx.Err()
 	}

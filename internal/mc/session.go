@@ -42,7 +42,8 @@ func newSessionValidated(cfg Config) *Session {
 // are copied out of the pooled simulator's scratch buffers so the Result
 // stays valid after the Sim is reused.
 func (ss *Session) Replicate(replication int) Result {
-	res, _ := ss.replicateCancel(nil, replication)
+	var res Result
+	ss.replicateCancel(nil, replication, &res)
 	return res
 }
 
@@ -51,25 +52,27 @@ func (ss *Session) Replicate(replication int) Result {
 // Result is not a sample). The abandoned simulator returns to the pool —
 // reset fully rewinds it, so a later replication reuses it safely.
 func (ss *Session) ReplicateContext(ctx context.Context, replication int) (Result, bool) {
-	return ss.replicateCancel(ctx.Done(), replication)
+	var res Result
+	ok := ss.replicateCancel(ctx.Done(), replication, &res)
+	return res, ok
 }
 
-// replicateCancel runs one replication, abandoning it when done becomes
-// ready. A nil done never cancels. The boundary check below makes every
+// replicateCancel runs one replication into *res, abandoning it when done
+// becomes ready. A nil done never cancels. The boundary check below makes every
 // replication start a cancellation point: short-horizon replications can
 // finish under the in-loop check granularity, and a caller iterating a
 // huge replication count must still stop at its deadline.
-func (ss *Session) replicateCancel(done <-chan struct{}, replication int) (Result, bool) {
+func (ss *Session) replicateCancel(done <-chan struct{}, replication int, res *Result) bool {
 	if done != nil {
 		select {
 		case <-done:
-			return Result{}, false
+			return false
 		default:
 		}
 	}
 	s := ss.pool.Get().(*Sim)
 	s.reset(replication)
-	res, ok := s.runCancel(done)
+	ok := s.runCancel(done, res)
 	if ok {
 		if ss.cfg.KeepResults {
 			res.CPOutageDurations = append([]float64(nil), res.CPOutageDurations...)
@@ -82,7 +85,7 @@ func (ss *Session) replicateCancel(done <-chan struct{}, replication int) (Resul
 		}
 	}
 	ss.pool.Put(s)
-	return res, ok
+	return ok
 }
 
 // Hand-off sizing for Range. A replication can cost under a microsecond
@@ -100,6 +103,8 @@ const (
 // Range is the local replication source: it runs replications [lo, hi) on
 // up to `workers` goroutines (one worker replicates inline) and hands each
 // Result to emit on the caller's goroutine in ascending replication index.
+// The Result is borrowed: it sits in a buffer the next replications
+// overwrite, so emit copies what it keeps past its return.
 // It returns how many it emitted; fewer than hi−lo means ctx expired — the
 // replications that did complete are all emitted, still ascending but
 // possibly with gaps, and every worker has exited when Range returns.
@@ -111,21 +116,21 @@ const (
 // lowest unemitted block is always claimed and running, so the tokens
 // cannot deadlock. The tokens are the block buffers themselves: a range
 // allocates at most that many, however long it is.
-func (ss *Session) Range(ctx context.Context, lo, hi, workers int, emit func(rep int, res Result)) int {
+func (ss *Session) Range(ctx context.Context, lo, hi, workers int, emit func(rep int, res *Result)) int {
 	return orderedRange(ctx.Done(), lo, hi, workers, ss.replicateCancel, emit)
 }
 
 // orderedRange is Range over an arbitrary replicate function, split out so
 // the ordered hand-off can be tested against a stub that stalls.
 func orderedRange(done <-chan struct{}, lo, hi, workers int,
-	replicate func(done <-chan struct{}, rep int) (Result, bool), emit func(rep int, res Result)) int {
+	replicate func(done <-chan struct{}, rep int, res *Result) bool, emit func(rep int, res *Result)) int {
 	if workers = min(workers, hi-lo); workers <= 1 {
+		var res Result
 		for rep := lo; rep < hi; rep++ {
-			res, ok := replicate(done, rep)
-			if !ok {
+			if !replicate(done, rep, &res) {
 				return rep - lo
 			}
-			emit(rep, res)
+			emit(rep, &res)
 		}
 		return hi - lo
 	}
@@ -166,17 +171,15 @@ func orderedRange(done <-chan struct{}, lo, hi, workers int,
 				from := lo + k*size
 				to := min(from+size, hi)
 				if cap(res) < to-from {
-					res = make([]Result, 0, to-from)
+					res = make([]Result, to-from)
 				}
-				for rep := from; rep < to; rep++ {
-					r, ok := replicate(done, rep)
-					if !ok {
-						break
-					}
-					res = append(res, r)
+				res = res[:to-from]
+				n := 0
+				for n < len(res) && replicate(done, from+n, &res[n]) {
+					n++
 				}
-				if len(res) > 0 {
-					out <- block{k, res}
+				if n > 0 {
+					out <- block{k, res[:n]}
 				}
 			}
 		}()
@@ -192,8 +195,8 @@ func orderedRange(done <-chan struct{}, lo, hi, workers int,
 	cursor, emitted := 0, 0
 	flush := func(k int) []Result {
 		res := ring[k%ahead]
-		for i, r := range res {
-			emit(lo+k*size+i, r)
+		for i := range res {
+			emit(lo+k*size+i, &res[i])
 		}
 		emitted += len(res)
 		ring[k%ahead] = nil
@@ -202,9 +205,7 @@ func orderedRange(done <-chan struct{}, lo, hi, workers int,
 	for b := range out {
 		ring[b.k%ahead] = b.res
 		for ; ring[cursor%ahead] != nil; cursor++ {
-			res := flush(cursor)
-			clear(res) // the emitted Results' maps and slices are the consumer's now
-			tokens <- res[:0]
+			tokens <- flush(cursor)
 		}
 	}
 	// Only a cancelled run leaves blocks behind the cursor: whatever

@@ -297,7 +297,7 @@ func (s *Sim) reset(replication int) {
 	if s.conn != nil {
 		s.conn.Reset()
 	}
-	s.recount()
+	s.quorum.rewind()
 }
 
 // addEntity appends an entity and returns its index.
@@ -659,7 +659,8 @@ func (s *Sim) accumulate(dt float64) {
 // alias the simulator's scratch buffers; they stay valid until the Sim is
 // reset (Session.Replicate copies them when Config.KeepResults is set).
 func (s *Sim) Run() Result {
-	res, _ := s.runCancel(nil)
+	var res Result
+	s.runCancel(nil, &res)
 	return res
 }
 
@@ -669,21 +670,30 @@ func (s *Sim) Run() Result {
 // honoring a deadline within a sliver of its firing.
 const cancelCheckMask = 4095
 
-// runCancel is Run with a cancellation channel: when done becomes ready
-// the replication is abandoned mid-flight and runCancel reports false with
-// a zero Result (a partial replication is a biased sample, never folded).
-// A nil done compiles to the plain uncancellable run.
+// runCancel is Run into a Result the caller owns, with a cancellation
+// channel: when done becomes ready the replication is abandoned mid-flight
+// and runCancel reports false, leaving *res zero (a partial replication is
+// a biased sample, never folded). A nil done compiles to the plain
+// uncancellable run.
 //
 // This is the one event loop. Failure draws are accelerated by the
 // per-entity bias and paid for in the path's log weight; checkLevels
 // splits and kills branches, each run depth-first to the horizon or its
 // kill threshold. With Config.Rare zeroed every bias is 1, the weight stays
 // exactly 1, there are no levels, and the loop runs the root branch alone.
-func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
+func (s *Sim) runCancel(done <-chan struct{}, res *Result) bool {
+	*res = Result{}
 	p := &s.path
-	// Initial failure schedule: everything starts up.
+	// Initial failure schedule: everything starts up. A draw at or above the
+	// entity's cut lands past the horizon (horizonCut), where the loop would
+	// pop it only to stop: it pays for neither the logarithm nor the queue,
+	// only for its place in the stream and in the tie-break order.
 	for i := range s.entities {
-		s.schedule(s.exp(s.entities[i].mtbf/p.bias[i]), i, false)
+		if u := s.rng.Float64(); u < p.cut[i] {
+			s.schedule(-math.Log(1-u)*p.mttf[i], i, false)
+		} else {
+			s.seq++
+		}
 	}
 	if s.raft != nil {
 		s.raft.start(s)
@@ -696,7 +706,7 @@ func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
 			if done != nil && s.nEvents&cancelCheckMask == cancelCheckMask {
 				select {
 				case <-done:
-					return Result{}, false
+					return false
 				default:
 				}
 			}
@@ -718,7 +728,7 @@ func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
 				if ev.up {
 					p.downCount--
 					p.hazUp += p.hazRate[ev.entity]
-					s.schedule(s.now+s.exp(e.mtbf/p.bias[ev.entity]), ev.entity, false)
+					s.schedule(s.now+s.exp(p.mttf[ev.entity]), ev.entity, false)
 					if crewed {
 						s.releaseCrew()
 					}
@@ -765,15 +775,13 @@ func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
 		s.restoreRarePath()
 	}
 
-	res := Result{
-		Hours:            horizon,
-		Events:           s.nEvents,
-		CPUnavailability: p.cpDownW / horizon,
-		CPOutages:        s.cpOutages,
-		RareHitWeight:    p.hitW,
-		CPDowntimeByMode: p.cpModes.result(s.modeNames),
-		DPDowntimeByMode: p.dpModes.result(s.modeNames),
-	}
+	res.Hours = horizon
+	res.Events = s.nEvents
+	res.CPUnavailability = p.cpDownW / horizon
+	res.CPOutages = s.cpOutages
+	res.RareHitWeight = p.hitW
+	res.CPDowntimeByMode = p.cpModes.result(s.modeNames)
+	res.DPDowntimeByMode = p.dpModes.result(s.modeNames)
 	if s.cfg.Rare.Enabled() {
 		// A weighted run estimates every availability as 1 − U from the
 		// weighted downtime. The trajectory statistics (outage durations,
@@ -790,7 +798,7 @@ func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
 		}
 		res.RareTotalWeight = p.totalW
 		res.RarePaths, res.RareSplits, res.RareKills = p.paths, p.splits, p.kills
-		return res, true
+		return true
 	}
 	// A weight-1 run reports availability from the plain up-time sums (the
 	// fixed-seed goldens pin their bits), adds the trajectory statistics,
@@ -825,7 +833,7 @@ func (s *Sim) runCancel(done <-chan struct{}) (Result, bool) {
 		res.GrayCycles = s.raft.grayCycles
 		res.ElectionDurations = s.raft.electionDurs
 	}
-	return res, true
+	return true
 }
 
 // startRepair dispatches a crew to a failed hardware entity.

@@ -111,8 +111,8 @@ func (s *Server) serveMCShard(ctx context.Context, req mcRequest, out responder)
 		RepHi:   req.Hi,
 		Samples: make([]sweep.RepSample, 0, req.Hi-req.Lo),
 	}
-	n := ss.Range(ctx, req.Lo, req.Hi, runtime.GOMAXPROCS(0), func(rep int, res mc.Result) {
-		resp.Samples = append(resp.Samples, sweep.RepSample{Rep: rep, Res: res})
+	n := ss.Range(ctx, req.Lo, req.Hi, runtime.GOMAXPROCS(0), func(rep int, res *mc.Result) {
+		resp.Samples = append(resp.Samples, sweep.RepSample{Rep: rep, Res: *res})
 	})
 	resp.Truncated = n < req.Hi-req.Lo
 	out.result(resp)

@@ -79,7 +79,7 @@ func TestTruncatedPartialIsHonest(t *testing.T) {
 	}
 	exec := func(ctx context.Context, lo, hi int) ([]RepSample, error) {
 		var out []RepSample
-		ss.Range(ctx, lo, hi, 2, func(rep int, res mc.Result) { out = append(out, RepSample{rep, res}) })
+		ss.Range(ctx, lo, hi, 2, func(rep int, res *mc.Result) { out = append(out, RepSample{rep, *res}) })
 		return out, nil
 	}
 	runs := map[string]func(context.Context) (Result, error){
@@ -108,8 +108,8 @@ func TestTruncatedPartialIsHonest(t *testing.T) {
 				name, len(got.Estimate.Results), got.Estimate.Replications, got.Replications)
 		}
 		f := mc.NewFold(true, got.Replications)
-		for _, res := range got.Estimate.Results {
-			f.Add(res)
+		for i := range got.Estimate.Results {
+			f.Add(&got.Estimate.Results[i])
 		}
 		if want := f.Estimate(0.99, true); !reflect.DeepEqual(got.Estimate, want) {
 			t.Errorf("%s: truncated estimate is not the fold of its own results", name)

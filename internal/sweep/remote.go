@@ -75,7 +75,7 @@ func RunRemote(ctx context.Context, p Point, opt Options, exec ShardExec, progre
 // remoteSource adapts a shard executor to the source shape: fetch, sort
 // into ascending global index, emit.
 func remoteSource(exec ShardExec) source {
-	return func(ctx context.Context, lo, hi int, emit func(int, mc.Result)) (int, error) {
+	return func(ctx context.Context, lo, hi int, emit func(int, *mc.Result)) (int, error) {
 		if ctx.Err() != nil {
 			// Deadline between rounds: report the partial rather than
 			// racing exec into a doomed fetch.
@@ -86,8 +86,8 @@ func remoteSource(exec ShardExec) source {
 			return 0, err
 		}
 		sort.Slice(samples, func(i, j int) bool { return samples[i].Rep < samples[j].Rep })
-		for _, s := range samples {
-			emit(s.Rep, s.Res)
+		for i := range samples {
+			emit(samples[i].Rep, &samples[i].Res)
 		}
 		return len(samples), nil
 	}

@@ -219,11 +219,11 @@ func RunContext(ctx context.Context, points []Point, opt Options) ([]Result, err
 // emitted — fewer than hi−lo (a deadline, lost shards) ends the run as a
 // truncated partial — or a fatal error. There are two: a local mc.Session
 // (localSource) and shard workers (remoteSource).
-type source func(ctx context.Context, lo, hi int, emit func(rep int, res mc.Result)) (int, error)
+type source func(ctx context.Context, lo, hi int, emit func(rep int, res *mc.Result)) (int, error)
 
 // localSource replicates through the session on the given goroutine count.
 func localSource(ss *mc.Session, workers int) source {
-	return func(ctx context.Context, lo, hi int, emit func(int, mc.Result)) (int, error) {
+	return func(ctx context.Context, lo, hi int, emit func(int, *mc.Result)) (int, error) {
 		return ss.Range(ctx, lo, hi, workers, emit), nil
 	}
 }
@@ -240,7 +240,7 @@ func runRounds(ctx context.Context, p Point, o Options, src source, progress fun
 		return Result{Point: p, Estimate: f.Estimate(o.Confidence, truncated),
 			Replications: f.N(), Converged: converged, Truncated: truncated}
 	}
-	add := func(_ int, res mc.Result) { f.Add(res) }
+	add := func(_ int, res *mc.Result) { f.Add(res) }
 	adaptive := o.CITarget > 0 || o.RelTarget > 0
 	snap := 0
 	if progress != nil {
