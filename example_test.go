@@ -46,9 +46,13 @@ func ExampleNewHWModel() {
 func ExampleReplicate() {
 	node := sdnavail.InSeries(sdnavail.Unit("role"), sdnavail.Unit("vm"), sdnavail.Unit("host"))
 	system := sdnavail.InSeries(sdnavail.Replicate(2, 3, node), sdnavail.Unit("rack"))
-	a := system.MustEval(sdnavail.Env{
+	a, err := system.Eval(sdnavail.Env{
 		"role": 0.9995, "vm": 0.99995, "host": 0.9999, "rack": 0.99999,
 	})
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	fmt.Printf("%.6f\n", a)
 	// Output:
 	// 0.999989

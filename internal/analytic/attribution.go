@@ -101,17 +101,6 @@ func DPContributions(p *profile.Profile, n int, params Params) []ModeContributio
 	return c.finish()
 }
 
-// Share returns the named mode's share from a contribution list (0 when
-// absent).
-func Share(contribs []ModeContribution, mode string) float64 {
-	for _, c := range contribs {
-		if c.Mode == mode {
-			return c.Share
-		}
-	}
-	return 0
-}
-
 // Shares flattens a contribution list into mode → share.
 func Shares(contribs []ModeContribution) map[string]float64 {
 	out := make(map[string]float64, len(contribs))

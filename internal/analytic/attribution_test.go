@@ -124,11 +124,11 @@ func TestModelAvailabilityProperties(t *testing.T) {
 }
 
 func TestShareLookup(t *testing.T) {
-	list := []ModeContribution{{Mode: "process:a", Share: 0.75}, {Mode: "process:b", Share: 0.25}}
-	if got := Share(list, "process:a"); got != 0.75 {
-		t.Errorf("Share = %v, want 0.75", got)
+	shares := Shares([]ModeContribution{{Mode: "process:a", Share: 0.75}, {Mode: "process:b", Share: 0.25}})
+	if got := shares["process:a"]; got != 0.75 {
+		t.Errorf("share = %v, want 0.75", got)
 	}
-	if got := Share(list, "process:missing"); got != 0 {
+	if got := shares["process:missing"]; got != 0 {
 		t.Errorf("missing mode share = %v, want 0", got)
 	}
 }

@@ -216,7 +216,7 @@ func TestExactFiveNodes(t *testing.T) {
 	if want := closed.ControlPlane(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("5-node CP: exact %.15f vs closed %.15f", got, want)
 	}
-	if got < relmath.AvailabilityForNines(7) {
+	if relmath.Nines(got) < 7 {
 		t.Errorf("5-node Large CP %.10f should exceed seven nines", got)
 	}
 }

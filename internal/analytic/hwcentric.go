@@ -149,56 +149,3 @@ func (m HWModel) Approx(k topology.Kind, p Params) (float64, error) {
 		return 0, fmt.Errorf("analytic: no approximation for kind %v", k)
 	}
 }
-
-// The paper's printed closed forms for the 3-node reference configuration,
-// kept verbatim for cross-checking the generalized decompositions above.
-
-// SmallPaper evaluates eq. (3) exactly as printed:
-//
-//	A_S = [A_{1/3}³A_{2/3}·A_V·A_H + 3A_{1/2}³A_{2/2}(1−A_V·A_H)]·A_V²A_H²A_R
-//
-// with α = A_C.
-func SmallPaper(p Params) float64 {
-	a13 := relmath.KofN(1, 3, p.AC)
-	a23 := relmath.KofN(2, 3, p.AC)
-	a12 := relmath.KofN(1, 2, p.AC)
-	a22 := relmath.KofN(2, 2, p.AC)
-	vh := p.AV * p.AH
-	return (a13*a13*a13*a23*vh + 3*a12*a12*a12*a22*(1-vh)) * p.AV * p.AV * p.AH * p.AH * p.AR
-}
-
-// MediumPaper evaluates the paper's eq. (6) with one correction:
-//
-//	A_M = [A_{1/3}³A_{2/3}·A_H·A_R + A_{1/2}³A_{2/2}(4−3A_H−A_R)]·A_H²A_R
-//
-// with α = A_C·A_V. The equation as printed omits the A_R factor in the
-// first bracket term; taken literally it evaluates to 0.999996 at the
-// default parameters, contradicting the paper's own Fig. 3 claim that
-// A_M = 0.999989 ≈ A_S. Restoring the A_R (which the derivation via eq. (4)
-// requires: the three-hosts-up path needs both racks up, weight A_R²)
-// reproduces Fig. 3. The remaining difference from the exact conditional
-// decomposition (HWModel.Medium) is 3(1−A_R)(1−A_H)·A_{1/2}³A_{2/2}·A_H²A_R
-// minus the rack-2-only recovery path — second-order terms around 3e-9 at
-// the default parameters.
-func MediumPaper(p Params) float64 {
-	alpha := p.AC * p.AV
-	a13 := relmath.KofN(1, 3, alpha)
-	a23 := relmath.KofN(2, 3, alpha)
-	a12 := relmath.KofN(1, 2, alpha)
-	a22 := relmath.KofN(2, 2, alpha)
-	return (a13*a13*a13*a23*p.AH*p.AR + a12*a12*a12*a22*(4-3*p.AH-p.AR)) * p.AH * p.AH * p.AR
-}
-
-// LargePaper evaluates eq. (8) exactly as printed:
-//
-//	A_L = [A_{1/3}³A_{2/3}·A_R + 3A_{1/2}³A_{2/2}(1−A_R)]·A_R²
-//
-// with α = A_C·A_V·A_H.
-func LargePaper(p Params) float64 {
-	alpha := p.AC * p.AV * p.AH
-	a13 := relmath.KofN(1, 3, alpha)
-	a23 := relmath.KofN(2, 3, alpha)
-	a12 := relmath.KofN(1, 2, alpha)
-	a22 := relmath.KofN(2, 2, alpha)
-	return (a13*a13*a13*a23*p.AR + 3*a12*a12*a12*a22*(1-p.AR)) * p.AR * p.AR
-}

@@ -8,29 +8,6 @@ import (
 	"sdnavail/internal/topology"
 )
 
-// TestPathAvailabilitySeries: the per-host path availability is the
-// series product of the three default-fabric links.
-func TestPathAvailabilitySeries(t *testing.T) {
-	const mtbf, mttr = 10_000.0, 4.0
-	topo := topology.NewMedium(profile.OpenContrail3x().ClusterRoles, 3).WithDefaultLinks(mtbf, mttr)
-	a, err := PathAvailability(topo, "H1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	al := mtbf / (mtbf + mttr)
-	if want := al * al * al; math.Abs(a-want) > 1e-15 {
-		t.Fatalf("path availability %g, want %g", a, want)
-	}
-	// Link-free topologies connect for free.
-	bare := topology.NewMedium(profile.OpenContrail3x().ClusterRoles, 3)
-	if a, err := PathAvailability(bare, "H1"); err != nil || a != 1 {
-		t.Fatalf("link-free path availability = %g, %v; want 1, nil", a, err)
-	}
-	if _, err := PathAvailability(topo, "H9"); err == nil {
-		t.Fatal("unknown host accepted")
-	}
-}
-
 // bruteForce enumerates EVERY element — racks, hosts, VMs and fallible
 // links — with no shared/exclusive split and no merging, as an
 // independent oracle for the exact evaluator. Exponential in the total

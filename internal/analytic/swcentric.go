@@ -58,9 +58,6 @@ var (
 	Option2S = Option{Kind: topology.Small, Scenario: SupervisorRequired}
 	Option1L = Option{Kind: topology.Large, Scenario: SupervisorNotRequired}
 	Option2L = Option{Kind: topology.Large, Scenario: SupervisorRequired}
-	// Option1M and Option2M extend the analysis to the Medium topology.
-	Option1M = Option{Kind: topology.Medium, Scenario: SupervisorNotRequired}
-	Option2M = Option{Kind: topology.Medium, Scenario: SupervisorRequired}
 )
 
 // Options lists the paper's four analysis options in presentation order.

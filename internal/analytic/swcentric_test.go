@@ -370,7 +370,8 @@ func TestModelValidate(t *testing.T) {
 func TestOptionLabels(t *testing.T) {
 	want := map[Option]string{
 		Option1S: "1S", Option2S: "2S", Option1L: "1L", Option2L: "2L",
-		Option1M: "1M", Option2M: "2M",
+		{Kind: topology.Medium, Scenario: SupervisorNotRequired}: "1M",
+		{Kind: topology.Medium, Scenario: SupervisorRequired}:    "2M",
 	}
 	for opt, label := range want {
 		if got := opt.Label(); got != label {

@@ -280,12 +280,19 @@ func TestCampaignDeterministicInjection(t *testing.T) {
 	}
 }
 
-// TestMinorityPartitionScenario: the CP never goes down during a one-node
-// partition, and the tail is green.
+// TestMinorityPartitionScenario: the CP never goes down while one
+// controller node is isolated (a rack-uplink style incident) and healed
+// again, and the tail is green. Nothing crashes: the control plane rides
+// through on the reachable quorum.
 func TestMinorityPartitionScenario(t *testing.T) {
 	c := newTestCluster(t)
-	const step = 150 * time.Millisecond
-	rep, err := RunScenario(c, MinorityPartition(1, step), step, 4*time.Millisecond, 60*time.Millisecond)
+	spec, err := ParseScenarioSpec([]byte(`{"name": "minority-partition", "settle": "150ms", "steps": [
+		{"op": "isolate", "nodes": [1]},
+		{"after": "150ms", "op": "heal-partition"}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunSpec(c, spec, 4*time.Millisecond, 60*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}

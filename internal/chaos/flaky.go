@@ -121,121 +121,3 @@ func (f *FlakyProcess) Crashes() int {
 	defer f.mu.Unlock()
 	return f.crashes
 }
-
-// FlakyLink is an MTBF/MTTR-driven fault injector for one topology
-// network link: it alternates exponential up-times (mean MTBF) with
-// exponential repair times (mean MTTR), cutting and restoring the graph
-// link on the cluster clock — the flaky optic or oversubscribed fabric
-// port of operational lore. Unlike processes, links have no supervisor:
-// the injector owns the repair, so stopping it mid-outage restores the
-// link before returning.
-type FlakyLink struct {
-	// Link is the topology link ID ("up:H1", "fab:R1", "adj:edge").
-	Link string
-	// MTBF is the mean up-time between cuts. Defaults to 20 ms.
-	MTBF time.Duration
-	// MTTR is the mean repair time. Defaults to 2 ms.
-	MTTR time.Duration
-	// Seed makes the outage sequence reproducible.
-	Seed int64
-	// MaxCuts stops the injector after that many cuts (0 = run until
-	// Stop).
-	MaxCuts int
-
-	mu   sync.Mutex
-	cuts int
-	stop chan struct{}
-	done chan struct{}
-}
-
-// Start begins injecting link outages. It validates the link against the
-// cluster's declared graph and errors if the injector is already running.
-func (f *FlakyLink) Start(c *cluster.Cluster) error {
-	found := false
-	for _, id := range c.GraphLinks() {
-		if id == f.Link {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("chaos: no graph link %q to make flaky", f.Link)
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.stop != nil {
-		return fmt.Errorf("chaos: flaky injector for link %q already running", f.Link)
-	}
-	if f.MTBF <= 0 {
-		f.MTBF = 20 * time.Millisecond
-	}
-	if f.MTTR <= 0 {
-		f.MTTR = 2 * time.Millisecond
-	}
-	f.stop = make(chan struct{})
-	f.done = make(chan struct{})
-	c.Clock().Register()
-	go f.run(c, f.stop, f.done)
-	return nil
-}
-
-func (f *FlakyLink) run(c *cluster.Cluster, stop, done chan struct{}) {
-	clk := c.Clock()
-	defer close(done)
-	defer clk.Unregister()
-	rng := rand.New(rand.NewSource(f.Seed))
-	draw := func(mean time.Duration) time.Duration {
-		wait := time.Duration(rng.ExpFloat64() * float64(mean))
-		if wait < 100*time.Microsecond {
-			wait = 100 * time.Microsecond
-		}
-		return wait
-	}
-	for {
-		if !clk.SleepOr(draw(f.MTBF), stop) {
-			return
-		}
-		// Respect outages injected by someone else: wait for the link to
-		// come back before scheduling our own failure.
-		if c.GraphLinkDown(f.Link) {
-			continue
-		}
-		if err := c.CutGraphLink(f.Link); err != nil {
-			continue
-		}
-		f.mu.Lock()
-		f.cuts++
-		hit := f.MaxCuts > 0 && f.cuts >= f.MaxCuts
-		f.mu.Unlock()
-		if !clk.SleepOr(draw(f.MTTR), stop) {
-			c.RestoreGraphLink(f.Link) //nolint:errcheck // repair on the way out
-			return
-		}
-		c.RestoreGraphLink(f.Link) //nolint:errcheck // validated in Start
-		if hit {
-			return
-		}
-	}
-}
-
-// Stop halts the injector (restoring the link if it is mid-outage) and
-// returns the number of cuts it caused. Stopping a stopped injector is a
-// no-op.
-func (f *FlakyLink) Stop() int {
-	f.mu.Lock()
-	stop, done := f.stop, f.done
-	f.stop, f.done = nil, nil
-	f.mu.Unlock()
-	if stop != nil {
-		close(stop)
-		<-done
-	}
-	return f.Cuts()
-}
-
-// Cuts returns the number of link cuts injected so far.
-func (f *FlakyLink) Cuts() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.cuts
-}

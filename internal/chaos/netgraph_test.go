@@ -163,42 +163,3 @@ func TestGraphLinkDSL(t *testing.T) {
 		t.Error("unknown op accepted")
 	}
 }
-
-// TestFlakyLinkVirtual drives the MTBF/MTTR link injector inside a
-// virtual-clock scenario: the edge adjacency flaps for one long step,
-// producing repeated CP outages, then the injector stops and repairs the
-// link on the way out.
-func TestFlakyLinkVirtual(t *testing.T) {
-	c, _ := newFakeLinkedCluster(t)
-	flaky := &FlakyLink{Link: "adj:edge", MTBF: 20 * time.Millisecond, MTTR: 10 * time.Millisecond, Seed: 7}
-	actions := []Action{
-		Step(0, "start flaky link injector on adj:edge", func(c *cluster.Cluster) error {
-			return flaky.Start(c)
-		}),
-		Step(400*time.Millisecond, "stop flaky link injector", func(c *cluster.Cluster) error {
-			flaky.Stop()
-			return nil
-		}),
-	}
-	rep, err := RunScenario(c, actions, 50*time.Millisecond, 7*time.Millisecond, 30*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flaky.Cuts() < 3 {
-		t.Errorf("flaky link produced only %d cuts over 400ms of MTBF=20ms flapping", flaky.Cuts())
-	}
-	if c.GraphLinkDown("adj:edge") {
-		t.Error("injector left the link down after Stop")
-	}
-	if rep.CPAvailability >= 1 {
-		t.Error("flapping edge adjacency produced no observed CP downtime")
-	}
-	if rep.CPAvailability == 0 {
-		t.Error("CP never observed up despite MTTR << MTBF")
-	}
-	// Validation errors surface at Start.
-	bad := &FlakyLink{Link: "up:H9"}
-	if err := bad.Start(c); err == nil {
-		t.Error("unknown link accepted by FlakyLink.Start")
-	}
-}

@@ -81,22 +81,6 @@ func RackOutage(rack string, nodes []int, step time.Duration) []Action {
 	}
 }
 
-// MinorityPartition returns a scenario that isolates one controller node
-// (a rack-uplink style incident), lets the cluster re-converge, then heals
-// the partition. Nothing crashes: the control plane must ride through on
-// the reachable quorum and the isolated node must catch up afterwards.
-func MinorityPartition(node int, step time.Duration) []Action {
-	return []Action{
-		Step(0, "isolate controller node", func(c *cluster.Cluster) error {
-			return c.IsolateNodes(node)
-		}),
-		Step(step, "heal partition", func(c *cluster.Cluster) error {
-			c.HealPartition()
-			return nil
-		}),
-	}
-}
-
 // CrashLoop returns a scenario that crash-loops one supervised process
 // until its supervisor exhausts the restart budget and marks it FATAL
 // (supervisord semantics): a flaky injector fires rapid crashes, each

@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"time"
@@ -27,7 +28,8 @@ import (
 // availability numbers that must agree.
 //
 // One simulated hour is one hour of virtual time; under the fake clock a
-// thousand-hour soak costs seconds of wall time (see BENCH_vclock.json).
+// thousand-hour soak costs seconds of wall time (the 36 s scenario of
+// BenchmarkScenarioRealClock runs in ≈ 16 ms as BenchmarkScenarioFakeClock).
 
 // SoakConfig parameterizes a soak run. Mean times are in simulated hours,
 // mirroring the mc and analytic conventions. The zero value of any field
@@ -67,7 +69,7 @@ type SoakConfig struct {
 	ProbeTimeoutHours float64
 
 	// Telemetry, when non-nil, is attached to the soaked cluster instead
-	// of the aggregate RunSoak creates itself — callers that want the raw
+	// of the aggregate RunSoakContext creates itself — callers that want the raw
 	// trace or registry can supply their own and keep a handle on it.
 	Telemetry *telemetry.Telemetry
 
@@ -121,6 +123,24 @@ func (sc SoakConfig) withDefaults() SoakConfig {
 // Validate reports the first problem with the configuration.
 func (sc SoakConfig) Validate() error {
 	sc = sc.withDefaults()
+	// NaN fails no comparison below and +Inf passes every one of them, yet
+	// each field becomes a virtual-clock duration: refuse both by name.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"Hours", sc.Hours},
+		{"ProcessMTBF", sc.ProcessMTBF},
+		{"AutoRestart", sc.AutoRestart},
+		{"OperatorResponse", sc.OperatorResponse},
+		{"ProbeEveryHours", sc.ProbeEveryHours},
+		{"ProbeTimeoutHours", sc.ProbeTimeoutHours},
+		{"ProgressEveryHours", sc.ProgressEveryHours},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("chaos: %s = %g must be finite", f.name, f.v)
+		}
+	}
 	if sc.Hours < 0 || sc.ProcessMTBF < 0 || sc.AutoRestart < 0 || sc.OperatorResponse < 0 {
 		return fmt.Errorf("chaos: soak times must be positive: %+v", sc)
 	}
@@ -233,19 +253,14 @@ type SoakResult struct {
 	Truncated bool
 }
 
-// RunSoak boots a fake-clocked cluster and lives through the configured
-// horizon of MTBF/MTTR cycles, returning the observed availability. The
-// entire run executes in virtual time; wall cost is proportional to the
-// number of timer fires, not the horizon.
-func RunSoak(sc SoakConfig) (SoakResult, error) {
-	return RunSoakContext(context.Background(), sc)
-}
-
-// RunSoakContext is RunSoak with cancellation: SIGINT-style aborts (a
-// cancelled context) stop injecting faults, halt the prober, close the
-// attribution ledger at the hours actually soaked, and return the partial
-// result flagged Truncated — so a long soak dies cleanly mid-horizon with
-// its telemetry intact instead of being lost mid-write.
+// RunSoakContext boots a fake-clocked cluster and lives through the
+// configured horizon of MTBF/MTTR cycles, returning the observed
+// availability. The entire run executes in virtual time; wall cost is
+// proportional to the number of timer fires, not the horizon. SIGINT-style
+// aborts (a cancelled context) stop injecting faults, halt the prober,
+// close the attribution ledger at the hours actually soaked, and return
+// the partial result flagged Truncated — so a long soak dies cleanly
+// mid-horizon with its telemetry intact instead of being lost mid-write.
 func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 	sc = sc.withDefaults()
 	if err := sc.Validate(); err != nil {

@@ -3,6 +3,7 @@ package chaos
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // configured MTBF, and show the operator handling the manual-restart
 // share.
 func TestSoakShortRun(t *testing.T) {
-	res, err := RunSoak(SoakConfig{Hours: 150, Seed: 7})
+	res, err := RunSoakContext(context.Background(), SoakConfig{Hours: 150, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestSoakShortRun(t *testing.T) {
 func TestSoakValidatesAgainstMC(t *testing.T) {
 	const reps = 16
 	wallStart := time.Now()
-	res, err := RunSoak(SoakConfig{})
+	res, err := RunSoakContext(context.Background(), SoakConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,6 +107,27 @@ func TestSoakConfigValidate(t *testing.T) {
 	if err := (SoakConfig{Hours: 2e6}).Validate(); err != nil {
 		t.Errorf("2e6 h horizon is representable, got: %v", err)
 	}
+	// NaN used to pass every comparison above: Hours NaN "ran" a zero-hour
+	// soak, ProcessMTBF NaN injected failures at no rate anyone asked for,
+	// ProbeEveryHours NaN panicked in the virtual clock's ticker.
+	nan, inf := math.NaN(), math.Inf(1)
+	for field, sc := range map[string]SoakConfig{
+		"Hours":              {Hours: nan},
+		"ProcessMTBF":        {ProcessMTBF: nan},
+		"AutoRestart":        {AutoRestart: nan},
+		"OperatorResponse":   {OperatorResponse: nan},
+		"ProbeEveryHours":    {ProbeEveryHours: inf},
+		"ProbeTimeoutHours":  {ProbeTimeoutHours: nan},
+		"ProgressEveryHours": {ProgressEveryHours: inf},
+	} {
+		err := sc.Validate()
+		if err == nil || !strings.Contains(err.Error(), "chaos: "+field+" = ") || !strings.Contains(err.Error(), "must be finite") {
+			t.Errorf("%s non-finite: got %v, want it refused by name", field, err)
+		}
+	}
+	if _, err := RunSoakContext(context.Background(), SoakConfig{Hours: nan}); err == nil {
+		t.Error("a NaN-hour soak ran")
+	}
 }
 
 // TestSoakWatchedMatchesUnwatched pins the Progress contract: observation
@@ -118,7 +140,7 @@ func TestSoakConfigValidate(t *testing.T) {
 // between two answers for the same configuration.
 func TestSoakWatchedMatchesUnwatched(t *testing.T) {
 	base := SoakConfig{Hours: 50, ProcessMTBF: 25, Seed: 3}
-	plain, err := RunSoak(base)
+	plain, err := RunSoakContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +150,7 @@ func TestSoakWatchedMatchesUnwatched(t *testing.T) {
 	watched.ProgressEveryHours = 2.5
 	calls := 0
 	watched.Progress = func(hoursDone float64, failures int) { calls++ }
-	w, err := RunSoak(watched)
+	w, err := RunSoakContext(context.Background(), watched)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,11 +23,10 @@ type vRouterAgent struct {
 	host   string
 	prefix string
 
-	conns    [2]int // connected control node indices, -1 when empty
-	routes   map[string]string
-	policies map[string]bool
-	flushed  bool
-	rrNext   int // round-robin cursor for rediscovery
+	conns   [2]int // connected control node indices, -1 when empty
+	routes  map[string]string
+	flushed bool
+	rrNext  int // round-robin cursor for rediscovery
 
 	routeSeen     map[string]time.Time // last download refresh per prefix
 	headless      bool                 // forwarding on stale state, no control connection
@@ -41,7 +40,6 @@ func newAgent(c *Cluster, idx int, host string) *vRouterAgent {
 		host:      host,
 		prefix:    fmt.Sprintf("10.1.%d.0/24", idx),
 		routes:    map[string]string{},
-		policies:  map[string]bool{},
 		routeSeen: map[string]time.Time{},
 		rrNext:    idx, // spread initial connections round-robin across hosts
 	}
@@ -186,13 +184,11 @@ func (a *vRouterAgent) disconnectedLocked(now time.Time) {
 }
 
 // downloadLocked rebuilds the forwarding state from the attached control
-// nodes: the new table is exactly the union of their routes and policies,
-// so prefixes a control has withdrawn disappear instead of lingering
+// nodes: the new table is exactly the union of their routes, so prefixes a control has withdrawn disappear instead of lingering
 // forever, and every surviving route's staleness clock is reset. Callers
 // hold c.mu.
 func (a *vRouterAgent) downloadLocked(now time.Time) {
 	routes := map[string]string{}
-	policies := map[string]bool{}
 	for _, node := range a.conns {
 		if node < 0 {
 			continue
@@ -210,9 +206,6 @@ func (a *vRouterAgent) downloadLocked(now time.Time) {
 				break
 			}
 		}
-		for prefix, allow := range ctl.policies {
-			policies[prefix] = allow
-		}
 	}
 	for prefix := range routes {
 		a.routeSeen[prefix] = now
@@ -223,7 +216,6 @@ func (a *vRouterAgent) downloadLocked(now time.Time) {
 		}
 	}
 	a.routes = routes
-	a.policies = policies
 }
 
 // headlessActiveLocked reports whether the agent is currently riding out a
@@ -256,16 +248,6 @@ func (c *Cluster) AgentConnections(h int) ([]int, error) {
 	return c.agents[h].connections(), nil
 }
 
-// HostPrefix returns the overlay prefix owned by compute host h.
-func (c *Cluster) HostPrefix(h int) (string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if h < 0 || h >= len(c.agents) {
-		return "", fmt.Errorf("cluster: no compute host %d", h)
-	}
-	return c.agents[h].prefix, nil
-}
-
 // Forward attempts to forward a packet from compute host h to the given
 // destination prefix: the host's vrouter-agent and vrouter-dpdk must be
 // alive and the forwarding table must hold the route (i.e. not flushed).
@@ -287,9 +269,6 @@ func (c *Cluster) Forward(h int, dstPrefix string) error {
 	}
 	if _, ok := a.routes[dstPrefix]; !ok {
 		return fmt.Errorf("cluster: host %s: no route to %s", a.host, dstPrefix)
-	}
-	if allow, ok := a.policies[dstPrefix]; ok && !allow {
-		return fmt.Errorf("cluster: host %s: policy denies traffic to %s", a.host, dstPrefix)
 	}
 	return nil
 }

@@ -126,10 +126,7 @@ func TestHeadlessRouteAging(t *testing.T) {
 		t.Fatal("DP not up initially")
 	}
 	killAllControls(t, c)
-	prefix, err := c.HostPrefix(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	prefix := hostPrefix(c, 1)
 	var fwdErr error
 	if !c.WaitUntil(waitLong, func() bool { fwdErr = c.Forward(0, prefix); return fwdErr != nil }) {
 		t.Fatal("route did not age out during the headless hold")
@@ -201,7 +198,7 @@ func TestBothConnectionsCutRediscoversSurvivor(t *testing.T) {
 		got, _ := c.AgentConnections(0)
 		t.Fatalf("agent 0 connections = %v, want exactly [%d]", got, survivor)
 	}
-	if !c.WaitUntil(waitLong, func() bool { return c.Forward(0, mustPrefix(t, c, 1)) == nil }) {
+	if !c.WaitUntil(waitLong, func() bool { return c.Forward(0, hostPrefix(c, 1)) == nil }) {
 		t.Fatal("forwarding did not recover on the surviving control")
 	}
 }
@@ -261,12 +258,29 @@ func TestReconnectAfterHealKeepsSurvivingConnection(t *testing.T) {
 	}
 }
 
-// mustPrefix fetches host h's prefix or fails the test.
-func mustPrefix(t *testing.T, c *Cluster, h int) string {
-	t.Helper()
-	p, err := c.HostPrefix(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+// The cluster's own bookkeeping, read under its lock: observation hooks
+// for this package's tests, which nothing outside them asks for.
+
+func hostPrefix(c *Cluster, h int) string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.agents[h].prefix
+}
+
+func isolated(c *Cluster, node int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.isolated[node]
+}
+
+func linkCut(c *Cluster, a, b int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.linkCutLocked(a, b)
+}
+
+func hostReachable(c *Cluster, host string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.hostReachableLocked(host)
 }

@@ -49,10 +49,8 @@ type Bus struct {
 // Subscription receives messages for one topic.
 type Subscription struct {
 	bus     *Bus
-	topic   string
 	name    string
 	ch      chan Message
-	closed  bool
 	dropped uint64 // messages this subscription lost to overflow
 }
 
@@ -81,7 +79,7 @@ func (b *Bus) Subscribe(topic, name string, depth int) (*Subscription, error) {
 	if b.closed {
 		return nil, fmt.Errorf("bus: closed")
 	}
-	s := &Subscription{bus: b, topic: topic, name: name, ch: make(chan Message, depth)}
+	s := &Subscription{bus: b, name: name, ch: make(chan Message, depth)}
 	b.subs[topic] = append(b.subs[topic], s)
 	return s, nil
 }
@@ -96,9 +94,6 @@ func (b *Bus) Publish(m Message) {
 	}
 	b.published++
 	for _, s := range b.subs[m.Topic] {
-		if s.closed {
-			continue
-		}
 		for {
 			select {
 			case s.ch <- m:
@@ -140,9 +135,8 @@ type SubscriptionStats struct {
 	Dropped uint64
 }
 
-// SubscriptionStats returns per-subscription drop counts for every live
-// subscription, sorted by topic then consumer name. Canceled subscriptions
-// are not reported (their drops remain in the bus-wide Stats total).
+// SubscriptionStats returns per-subscription drop counts, sorted by topic
+// then consumer name.
 func (b *Bus) SubscriptionStats() []SubscriptionStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -172,10 +166,7 @@ func (b *Bus) Close() {
 	b.closed = true
 	for _, subs := range b.subs {
 		for _, s := range subs {
-			if !s.closed {
-				s.closed = true
-				close(s.ch)
-			}
+			close(s.ch)
 		}
 	}
 }
@@ -193,23 +184,5 @@ func (s *Subscription) Done() {
 	s.bus.mu.Unlock()
 	if clk != nil {
 		clk.DoneWork()
-	}
-}
-
-// Cancel removes the subscription from the bus and closes its channel.
-func (s *Subscription) Cancel() {
-	s.bus.mu.Lock()
-	defer s.bus.mu.Unlock()
-	if s.closed {
-		return
-	}
-	s.closed = true
-	close(s.ch)
-	list := s.bus.subs[s.topic]
-	for i, other := range list {
-		if other == s {
-			s.bus.subs[s.topic] = append(list[:i], list[i+1:]...)
-			break
-		}
 	}
 }

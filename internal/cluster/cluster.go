@@ -584,7 +584,6 @@ func (c *Cluster) recomputeControlLocked(ctl *controlNode) {
 	case !alive && ctl.wasAlive:
 		ctl.cfgVersion = 0
 		ctl.routes = map[string]map[string]bool{}
-		ctl.policies = map[string]bool{}
 	case alive && !ctl.wasAlive:
 		ctl.resyncLocked()
 	}
@@ -873,28 +872,6 @@ func statusLess(a, b ProcStatus) bool {
 		return a.Node < b.Node
 	}
 	return a.Name < b.Name
-}
-
-// StatusVisibility reports whether process state of the node-role is being
-// fed to analytics: its nodemgr and at least one collector must be alive.
-// Per the paper, losing it does not impair the node-role's function.
-func (c *Cluster) StatusVisibility(role string, node int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	mgrName := ""
-	for _, proc := range c.cfg.Profile.RoleProcesses(profile.Role(role), true) {
-		if proc.NodeManager {
-			mgrName = proc.Name
-			break
-		}
-	}
-	if mgrName == "" {
-		return false
-	}
-	if !c.aliveLocked(procKey{role: role, node: node, name: mgrName}) {
-		return false
-	}
-	return c.anyAliveLocked(string(profile.Analytics), "collector") >= 0
 }
 
 // WaitUntil blocks until cond returns true or the timeout expires,

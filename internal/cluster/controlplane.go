@@ -20,11 +20,8 @@ const ifmapTopic = "ifmap"
 // configUpdate is the low-level object pushed southbound to control nodes.
 type configUpdate struct {
 	ID      uint64
-	Kind    string // "network" or "policy"
 	Name    string
 	Payload string
-	Prefix  string // policy target prefix
-	Allow   bool   // policy verdict
 }
 
 // controlNode is the per-node control process state: the applied
@@ -36,16 +33,14 @@ type controlNode struct {
 
 	cfgVersion uint64
 	routes     map[string]map[string]bool
-	policies   map[string]bool // security policy per destination prefix (absent = allow)
-	wasAlive   bool            // tracks crash/restart transitions for state loss and BGP resync
-	wasUsable  bool            // tracks partition transitions for mesh catch-up
+	wasAlive   bool // tracks crash/restart transitions for state loss and BGP resync
+	wasUsable  bool // tracks partition transitions for mesh catch-up
 }
 
 func newControlNode(c *Cluster, node int) *controlNode {
 	return &controlNode{
 		c: c, node: node,
 		routes:   map[string]map[string]bool{},
-		policies: map[string]bool{},
 		wasAlive: true, wasUsable: true,
 	}
 }
@@ -87,9 +82,6 @@ func (ctl *controlNode) start() error {
 				// configuration; it catches up from a BGP peer later.
 				if ctl.c.usableLocked(ctl.key()) && upd.ID > ctl.cfgVersion {
 					ctl.cfgVersion = upd.ID
-					if upd.Kind == "policy" {
-						ctl.policies[upd.Prefix] = upd.Allow
-					}
 					ctl.c.notifyLocked()
 				}
 				ctl.c.mu.Unlock()
@@ -107,9 +99,9 @@ func (ctl *controlNode) key() procKey {
 	return procKey{role: string(profile.Control), node: ctl.node, name: "control"}
 }
 
-// resyncLocked merges configuration version, routes and policies from
-// every alive peer control on the same side of any partition — the BGP
-// refresh a restarting or rejoining control performs. Merging from all
+// resyncLocked merges configuration version and routes from every alive
+// peer control on the same side of any partition — the BGP refresh a
+// restarting or rejoining control performs. Merging from all
 // reachable peers (not just the first) matters when the peers themselves
 // are still converging: configuration consumption is asynchronous, so at
 // any instant one peer may hold updates another has not applied yet.
@@ -134,9 +126,6 @@ func (ctl *controlNode) resyncLocked() {
 			for h := range hops {
 				dst[h] = true
 			}
-		}
-		for prefix, allow := range peer.policies {
-			ctl.policies[prefix] = allow
 		}
 	}
 }
@@ -218,49 +207,7 @@ func (c *Cluster) CreateNetwork(name, subnet string) (uint64, error) {
 		return 0, fmt.Errorf("cluster: no ifmap server alive")
 	}
 	c.mu.Unlock()
-	c.bus.Publish(Message{Topic: ifmapTopic, From: "ifmap", Payload: configUpdate{ID: id, Kind: "network", Name: name, Payload: low}})
-	return id, nil
-}
-
-// SetPolicy installs a security policy verdict for traffic toward the
-// given destination prefix through the full northbound path: config-api,
-// unique ID, Cassandra quorum persistence, schema transformation, IF-MAP
-// southbound push. Control nodes apply it and vRouter agents download it
-// with their routes; forwarding then enforces it (the vRouter agent
-// "performs all policy evaluation", §II). Absent a policy, traffic is
-// allowed.
-func (c *Cluster) SetPolicy(dstPrefix string, allow bool) (uint64, error) {
-	c.mu.Lock()
-	cfgRole := string(profile.Config)
-	if c.anyAliveLocked(cfgRole, "config-api") < 0 {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("cluster: no config-api instance alive")
-	}
-	id, err := c.seq.Next()
-	if err != nil {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("cluster: allocating policy ID: %w", err)
-	}
-	verdict := "deny"
-	if allow {
-		verdict = "allow"
-	}
-	if err := c.configStore.Put("policy/"+dstPrefix, verdict); err != nil {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("cluster: persisting policy: %w", err)
-	}
-	if c.anyAliveLocked(cfgRole, "schema") < 0 {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("cluster: no schema transformer alive")
-	}
-	if c.anyAliveLocked(cfgRole, "ifmap") < 0 {
-		c.mu.Unlock()
-		return 0, fmt.Errorf("cluster: no ifmap server alive")
-	}
-	c.mu.Unlock()
-	c.bus.Publish(Message{Topic: ifmapTopic, From: "ifmap", Payload: configUpdate{
-		ID: id, Kind: "policy", Name: "policy:" + dstPrefix, Prefix: dstPrefix, Allow: allow,
-	}})
+	c.bus.Publish(Message{Topic: ifmapTopic, From: "ifmap", Payload: configUpdate{ID: id, Name: name, Payload: low}})
 	return id, nil
 }
 

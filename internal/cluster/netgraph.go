@@ -69,14 +69,6 @@ func (c *Cluster) hostReachableLocked(host string) bool {
 	return c.net.Reachable(node)
 }
 
-// HostReachable reports whether the named topology host currently has a
-// live network path to the edge.
-func (c *Cluster) HostReachable(host string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hostReachableLocked(host)
-}
-
 // controlHostReachableLocked reports whether the controller node's
 // Control host is reachable over the graph.
 func (c *Cluster) controlHostReachableLocked(node int) bool {
@@ -161,17 +153,6 @@ func (c *Cluster) HealGraphLinks() {
 			c.setGraphLinkLocked(li, true)
 		}
 	}
-}
-
-// GraphLinks returns the declared network link IDs in graph order (nil
-// for link-free topologies).
-func (c *Cluster) GraphLinks() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.net == nil {
-		return nil
-	}
-	return c.net.Graph().LinkIDs()
 }
 
 // GraphLinkDown reports whether the named network link is currently cut

@@ -50,7 +50,7 @@ func TestGraphLinkCutEffects(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc.Advance(10 * time.Minute)
-	if c.HostReachable(host0) {
+	if hostReachable(c, host0) {
 		t.Fatalf("host %s still reachable with %s cut", host0, up0)
 	}
 	if !c.GraphLinkDown(up0) {
@@ -171,7 +171,7 @@ func TestGraphLinkErrors(t *testing.T) {
 		t.Error("link-free topology accepted a graph cut")
 	}
 	bare.HealGraphLinks() // must be a no-op, not a panic
-	if !bare.HostReachable("H1") {
+	if !hostReachable(bare, "H1") {
 		t.Error("link-free topology host not reachable")
 	}
 }
@@ -180,8 +180,8 @@ func TestGraphLinkErrors(t *testing.T) {
 // Both clusters' pools draw targets from equally-seeded rngs, so the
 // lockstep property of the base pool carries over.
 func equivGraphOps(c *Cluster, rng *rand.Rand) []equivOp {
-	ids := c.net.Graph().LinkIDs()
-	pick := func() string { return ids[rng.Intn(len(ids))] }
+	links := c.net.Graph().Links
+	pick := func() string { return links[rng.Intn(len(links))].ID() }
 	return []equivOp{
 		{"cut-graph-link", func(c *Cluster) error { return c.CutGraphLink(pick()) }},
 		{"restore-graph-link", func(c *Cluster) error { return c.RestoreGraphLink(pick()) }},

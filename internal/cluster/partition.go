@@ -62,14 +62,6 @@ func (c *Cluster) HealPartition() {
 	c.recomputeLocked()
 }
 
-// Isolated reports whether the controller node is currently partitioned
-// away.
-func (c *Cluster) Isolated(node int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.isolated[node]
-}
-
 // link names a severed controller-pair mesh link, normalized a < b.
 type link struct{ a, b int }
 
@@ -152,14 +144,6 @@ func (c *Cluster) HealLinks() {
 	c.meshRefreshLocked()
 	c.markAllDirtyLocked()
 	c.recomputeLocked()
-}
-
-// LinkCut reports whether the mesh link between the two controller nodes
-// is currently severed.
-func (c *Cluster) LinkCut(a, b int) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.linkCutLocked(a, b)
 }
 
 func (c *Cluster) linkCutLocked(a, b int) bool {

@@ -16,7 +16,7 @@ func TestMinorityIsolationKeepsCPUp(t *testing.T) {
 	if err := c.IsolateNodes(0); err != nil {
 		t.Fatal(err)
 	}
-	if !c.Isolated(0) || c.Isolated(1) {
+	if !isolated(c, 0) || isolated(c, 1) {
 		t.Fatal("isolation bookkeeping wrong")
 	}
 	if err := c.ProbeCP(waitLong); err != nil {
@@ -154,11 +154,11 @@ func TestIsolateNodesEmptyArgsError(t *testing.T) {
 	if err := c.IsolateNodes(); err == nil {
 		t.Fatal("empty IsolateNodes call accepted")
 	}
-	if !c.Isolated(1) {
+	if !isolated(c, 1) {
 		t.Fatal("empty IsolateNodes call healed the existing partition")
 	}
 	c.HealPartition()
-	if c.Isolated(1) {
+	if isolated(c, 1) {
 		t.Fatal("HealPartition did not clear isolation")
 	}
 }
@@ -180,16 +180,16 @@ func TestCutLinkValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The cut is symmetric and normalized.
-	if !c.LinkCut(0, 2) || !c.LinkCut(2, 0) {
+	if !linkCut(c, 0, 2) || !linkCut(c, 2, 0) {
 		t.Error("link cut not symmetric")
 	}
-	if c.LinkCut(0, 1) {
+	if linkCut(c, 0, 1) {
 		t.Error("uncut link reported cut")
 	}
 	if err := c.RestoreLink(0, 2); err != nil {
 		t.Fatal(err)
 	}
-	if c.LinkCut(0, 2) {
+	if linkCut(c, 0, 2) {
 		t.Error("restored link still reported cut")
 	}
 }
@@ -272,73 +272,10 @@ func TestAsymmetricLinkCutDegradesWithoutOutage(t *testing.T) {
 	}
 }
 
-// TestPolicyPropagation: a deny policy installed through the northbound
-// API must reach the vRouter agents and stop forwarding; flipping it back
-// to allow restores traffic.
-func TestPolicyPropagation(t *testing.T) {
-	c := newTestCluster(t, topology.Small)
-	dst, err := c.HostPrefix(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Forward(0, dst); err != nil {
-		t.Fatalf("forwarding should start allowed: %v", err)
-	}
-	if _, err := c.SetPolicy(dst, false); err != nil {
-		t.Fatal(err)
-	}
-	if !c.WaitUntil(waitLong, func() bool { return c.Forward(0, dst) != nil }) {
-		t.Fatal("deny policy did not reach the agent")
-	}
-	// Other destinations are unaffected.
-	other, _ := c.HostPrefix(2)
-	if err := c.Forward(0, other); err != nil {
-		t.Errorf("unrelated destination should still forward: %v", err)
-	}
-	if _, err := c.SetPolicy(dst, true); err != nil {
-		t.Fatal(err)
-	}
-	if !c.WaitUntil(waitLong, func() bool { return c.Forward(0, dst) == nil }) {
-		t.Fatal("allow policy did not restore forwarding")
-	}
-}
-
-// TestPolicySurvivesControlFailover: a policy must keep being enforced
-// after the control node that delivered it dies and the agent fails over.
-func TestPolicySurvivesControlFailover(t *testing.T) {
-	c := newTestCluster(t, topology.Small)
-	dst, _ := c.HostPrefix(1)
-	if _, err := c.SetPolicy(dst, false); err != nil {
-		t.Fatal(err)
-	}
-	if !c.WaitUntil(waitLong, func() bool { return c.Forward(0, dst) != nil }) {
-		t.Fatal("deny policy did not propagate")
-	}
-	killControlSupervisors(t, c)
-	conns, _ := c.AgentConnections(0)
-	for _, node := range conns {
-		if err := c.KillProcess("Control", node, "control"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// The agent fails over to the remaining control, which learned the
-	// policy via the mesh; the deny must persist.
-	ok := c.WaitUntil(waitLong, func() bool {
-		cs, _ := c.AgentConnections(0)
-		return len(cs) >= 1
-	})
-	if !ok {
-		t.Fatal("agent did not fail over")
-	}
-	if err := c.Forward(0, dst); err == nil {
-		t.Error("policy lost across control failover")
-	}
-}
-
-// TestPolicyRequiresConfigPath: with every ifmap server down, a policy
-// change cannot propagate — but existing forwarding state keeps working
-// (eventual consistency, not fate sharing).
-func TestPolicyRequiresConfigPath(t *testing.T) {
+// TestConfigPushRequiresConfigPath: with every ifmap server down, a
+// configuration change cannot propagate — but existing forwarding state
+// keeps working (eventual consistency, not fate sharing).
+func TestConfigPushRequiresConfigPath(t *testing.T) {
 	c := newTestCluster(t, topology.Small)
 	for node := 0; node < 3; node++ {
 		if err := c.KillProcess("Config", node, "supervisor-config"); err != nil {
@@ -348,11 +285,10 @@ func TestPolicyRequiresConfigPath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dst, _ := c.HostPrefix(1)
-	if _, err := c.SetPolicy(dst, false); err == nil {
-		t.Fatal("SetPolicy should fail with no ifmap server")
+	if _, err := c.CreateNetwork("late", "10.9.0.0/24"); err == nil {
+		t.Fatal("CreateNetwork should fail with no ifmap server")
 	}
-	if err := c.Forward(0, dst); err != nil {
+	if err := c.Forward(0, hostPrefix(c, 1)); err != nil {
 		t.Errorf("existing forwarding should survive a config-path outage: %v", err)
 	}
 }

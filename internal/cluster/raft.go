@@ -8,18 +8,11 @@ import (
 	"sdnavail/internal/vclock"
 )
 
-// RAFT-style leadership for the QuorumStore: per-replica roles, terms,
+// RAFT-style leadership for the QuorumStore: a leader, terms,
 // randomized election timeouts, heartbeat-refreshed deadlines, vote
 // counting with majority-of-total quorum, and the gray-leader detector.
 // Everything is driven by the injected vclock through Tick, so elections
 // are deterministic under FakeClock.
-
-// Replica roles.
-const (
-	RoleFollower  = "follower"
-	RoleCandidate = "candidate"
-	RoleLeader    = "leader"
-)
 
 // Raft event kinds, drained by the cluster and surfaced as telemetry.
 const (
@@ -72,7 +65,6 @@ type raftState struct {
 
 	leader int // -1 while an election is pending
 	term   uint64
-	roles  []string
 
 	votedFor []int    // vote cast by replica i ...
 	voteTerm []uint64 // ... at this term
@@ -93,13 +85,6 @@ func (r *raftState) init(n int) {
 		r.leader = -1
 	}
 	r.term = 1
-	r.roles = make([]string, n)
-	for i := range r.roles {
-		r.roles[i] = RoleFollower
-	}
-	if n > 0 {
-		r.roles[0] = RoleLeader
-	}
 	r.votedFor = make([]int, n)
 	r.voteTerm = make([]uint64, n)
 	r.deadline = make([]time.Time, n)
@@ -149,16 +134,6 @@ func (s *QuorumStore) Leader() (int, uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.raft.leader, s.raft.term
-}
-
-// Role returns replica i's current role.
-func (s *QuorumStore) Role(i int) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i < 0 || i >= len(s.raft.roles) {
-		return ""
-	}
-	return s.raft.roles[i]
 }
 
 // TakeEvents drains and returns the accumulated leadership events.
@@ -267,9 +242,6 @@ func (s *QuorumStore) leaderLostLocked(now time.Time) {
 	s.raft.leader = -1
 	s.raft.leaderLostAt = now
 	s.raft.graySince = time.Time{}
-	if old >= 0 {
-		s.raft.roles[old] = RoleFollower
-	}
 	s.recordEventLocked(RaftEvent{Kind: RaftLeaderLost, Node: old, Term: s.raft.term, At: now})
 }
 
@@ -293,10 +265,6 @@ func (s *QuorumStore) electInstantLocked(now time.Time) {
 func (s *QuorumStore) becomeLeaderLocked(i int, now time.Time) {
 	s.raft.term++
 	s.raft.leader = i
-	for j := range s.raft.roles {
-		s.raft.roles[j] = RoleFollower
-	}
-	s.raft.roles[i] = RoleLeader
 	if s.raft.wrongReads[i] {
 		s.raft.graySince = now
 	}
@@ -363,7 +331,6 @@ func (s *QuorumStore) electionRoundLocked(now time.Time) {
 	s.raft.term++
 	votes := make(map[int]int, len(candidates))
 	for _, c := range candidates {
-		s.raft.roles[c] = RoleCandidate
 		s.raft.votedFor[c] = c
 		s.raft.voteTerm[c] = s.raft.term
 		votes[c]++

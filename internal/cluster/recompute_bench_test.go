@@ -31,7 +31,8 @@ func newRecomputeBenchCluster(b *testing.B) *Cluster {
 
 // BenchmarkRecompute measures one fault/recovery cycle — two recomputes —
 // through the public mutation API, the path every chaos op and supervisor
-// restart pays. Before/after numbers are recorded in BENCH_mc.json.
+// restart pays (PR 5's dirty-set recompute: 40.2 → 5.4 µs/op, 1 vCPU;
+// go test -run '^$' -bench Recompute ./internal/cluster).
 func BenchmarkRecompute(b *testing.B) {
 	c := newRecomputeBenchCluster(b)
 	b.ReportAllocs()

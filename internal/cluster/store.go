@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -32,7 +31,6 @@ type versioned struct {
 // logEntry is one committed operation in the replicated log.
 type logEntry struct {
 	term  uint64
-	del   bool
 	key   string
 	value string
 }
@@ -99,9 +97,6 @@ func NewQuorumStore(name string, n int) *QuorumStore {
 	return s
 }
 
-// Name returns the store name.
-func (s *QuorumStore) Name() string { return s.name }
-
 // Replicas returns the replica count.
 func (s *QuorumStore) Replicas() int { return len(s.replicas) }
 
@@ -167,35 +162,18 @@ func (s *QuorumStore) CatchingUp(i int) bool {
 	return i >= 0 && i < len(s.catching) && s.catching[i]
 }
 
-// CatchingCount returns the number of replicas still reconciling.
-func (s *QuorumStore) CatchingCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, c := range s.catching {
-		if c {
-			n++
-		}
-	}
-	return n
-}
-
 // replayLocked replays log[applied[i]:commit] onto replica i and clears
 // its catch-up state. Replay is idempotent and ordered, so it composes
 // with the direct writes a catching replica keeps receiving: a put
-// applies only when the replica's copy is older than the entry, a delete
-// only when the copy is not newer. An ack-drop replica has already
+// applies only when the replica's copy is older than the entry. An
+// ack-drop replica has already
 // "acknowledged" the whole log, so replay rehydrates nothing — the lie
 // persists, which is the point of the fault. Callers hold mu.
 func (s *QuorumStore) replayLocked(i int) {
 	for idx := s.applied[i]; idx < s.commit; idx++ {
 		e := s.log[idx]
 		ver := uint64(idx + 1)
-		if e.del {
-			if v, ok := s.replicas[i][e.key]; ok && v.version <= ver {
-				delete(s.replicas[i], e.key)
-			}
-		} else if v, ok := s.replicas[i][e.key]; !ok || v.version < ver {
+		if v, ok := s.replicas[i][e.key]; !ok || v.version < ver {
 			s.replicas[i][e.key] = versioned{value: e.value, version: ver}
 		}
 	}
@@ -243,13 +221,6 @@ func (s *QuorumStore) readQuorumErrLocked() error {
 	return fmt.Errorf("%w: %s has %d/%d replicas", ErrNoQuorum, s.name, s.aliveCountLocked(), len(s.replicas))
 }
 
-// HasQuorum reports whether a majority of replicas is alive.
-func (s *QuorumStore) HasQuorum() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.aliveCountLocked() >= len(s.replicas)/2+1
-}
-
 // writeQuorumErrLocked reports why a write cannot commit: no alive
 // majority, or — in timed mode — no elected leader. Callers hold mu.
 func (s *QuorumStore) writeQuorumErrLocked() error {
@@ -282,11 +253,7 @@ func (s *QuorumStore) appendLocked(e logEntry) {
 			s.applied[i] = s.commit
 			continue
 		}
-		if e.del {
-			delete(s.replicas[i], e.key)
-		} else {
-			s.replicas[i][e.key] = versioned{value: e.value, version: ver}
-		}
+		s.replicas[i][e.key] = versioned{value: e.value, version: ver}
 		if !s.catching[i] {
 			s.applied[i] = s.commit
 		}
@@ -342,59 +309,6 @@ func (s *QuorumStore) Get(key string) (string, bool, error) {
 	return best.value, true, nil
 }
 
-// Delete removes a key through the replicated log; it fails without an
-// alive majority (and without a leader in timed mode).
-func (s *QuorumStore) Delete(key string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.writeQuorumErrLocked(); err != nil {
-		return err
-	}
-	s.appendLocked(logEntry{del: true, key: key})
-	return nil
-}
-
-// Keys returns the sorted union of keys across fresh replicas; it fails
-// without a read majority.
-func (s *QuorumStore) Keys() ([]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.freshCountLocked() < len(s.replicas)/2+1 {
-		return nil, s.readQuorumErrLocked()
-	}
-	set := map[string]bool{}
-	for i, alive := range s.alive {
-		if alive && !s.catching[i] && !s.raft.suspect[i] {
-			for k := range s.replicas[i] {
-				set[k] = true
-			}
-		}
-	}
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys, nil
-}
-
-// CommitIndex returns the committed log length.
-func (s *QuorumStore) CommitIndex() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.commit
-}
-
-// AppliedIndex returns the log prefix replica i has acknowledged.
-func (s *QuorumStore) AppliedIndex(i int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if i < 0 || i >= len(s.applied) {
-		return 0
-	}
-	return s.applied[i]
-}
-
 // Sequencer allocates unique, monotonically increasing IDs with a majority
 // of live voters — the testbed's Zookeeper.
 type Sequencer struct {
@@ -421,13 +335,6 @@ func (q *Sequencer) SetAlive(i int, alive bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.alive[i] = alive
-}
-
-// HasQuorum reports whether a majority of voters is alive.
-func (q *Sequencer) HasQuorum() bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.aliveCountLocked() >= len(q.alive)/2+1
 }
 
 func (q *Sequencer) aliveCountLocked() int {
@@ -484,13 +391,6 @@ func (l *EventLog) SetAlive(i int, alive bool) {
 	l.alive[i] = alive
 }
 
-// HasQuorum reports whether a majority of replicas is alive.
-func (l *EventLog) HasQuorum() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.aliveCountLocked() >= len(l.alive)/2+1
-}
-
 func (l *EventLog) aliveCountLocked() int {
 	n := 0
 	for _, a := range l.alive {
@@ -526,11 +426,4 @@ func (l *EventLog) ReadFrom(offset int) ([]string, error) {
 	out := make([]string, len(l.entries)-offset)
 	copy(out, l.entries[offset:])
 	return out, nil
-}
-
-// Len returns the committed length.
-func (l *EventLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
 }

@@ -68,14 +68,12 @@ func TestBusDropsOldestOnOverflow(t *testing.T) {
 func TestBusCancelAndClose(t *testing.T) {
 	b := NewBus()
 	sub, _ := b.Subscribe("t", "c", 2)
-	sub.Cancel()
-	sub.Cancel() // idempotent
-	b.Publish(Message{Topic: "t", Payload: 1})
-	if _, ok := <-sub.C(); ok {
-		t.Error("canceled subscription received a message")
-	}
 	b.Close()
 	b.Close() // idempotent
+	b.Publish(Message{Topic: "t", Payload: 1})
+	if _, ok := <-sub.C(); ok {
+		t.Error("subscription of a closed bus received a message")
+	}
 	if _, err := b.Subscribe("t", "late", 2); err == nil {
 		t.Error("subscribe after close accepted")
 	}
@@ -142,9 +140,6 @@ func TestQuorumStoreSurvivesMinorityLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetAlive(0, false)
-	if !s.HasQuorum() {
-		t.Fatal("2 of 3 should have quorum")
-	}
 	if err := s.Put("k", "v2"); err != nil {
 		t.Fatalf("write with 2/3 replicas: %v", err)
 	}
@@ -157,20 +152,11 @@ func TestQuorumStoreLosesQuorum(t *testing.T) {
 	s := NewQuorumStore("test", 3)
 	s.SetAlive(0, false)
 	s.SetAlive(1, false)
-	if s.HasQuorum() {
-		t.Fatal("1 of 3 should not have quorum")
-	}
 	if err := s.Put("k", "v"); !errors.Is(err, ErrNoQuorum) {
 		t.Errorf("Put error = %v, want ErrNoQuorum", err)
 	}
 	if _, _, err := s.Get("k"); !errors.Is(err, ErrNoQuorum) {
 		t.Errorf("Get error = %v, want ErrNoQuorum", err)
-	}
-	if err := s.Delete("k"); !errors.Is(err, ErrNoQuorum) {
-		t.Errorf("Delete error = %v, want ErrNoQuorum", err)
-	}
-	if _, err := s.Keys(); !errors.Is(err, ErrNoQuorum) {
-		t.Errorf("Keys error = %v, want ErrNoQuorum", err)
 	}
 }
 
@@ -192,22 +178,6 @@ func TestQuorumStoreReadRepair(t *testing.T) {
 	v, _, err = s.Get("k")
 	if err != nil || v != "new" {
 		t.Fatalf("repaired replica read = %q, %v; want new", v, err)
-	}
-}
-
-func TestQuorumStoreDeleteAndKeys(t *testing.T) {
-	s := NewQuorumStore("test", 3)
-	s.Put("b", "2")
-	s.Put("a", "1")
-	keys, err := s.Keys()
-	if err != nil || len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
-		t.Fatalf("Keys = %v, %v", keys, err)
-	}
-	if err := s.Delete("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok, _ := s.Get("a"); ok {
-		t.Error("deleted key still present")
 	}
 }
 
@@ -281,9 +251,6 @@ func TestSequencerQuorumLoss(t *testing.T) {
 	q := NewSequencer(3)
 	q.SetAlive(0, false)
 	q.SetAlive(1, false)
-	if q.HasQuorum() {
-		t.Error("1 of 3 voters should not be a quorum")
-	}
 	if _, err := q.Next(); !errors.Is(err, ErrNoQuorum) {
 		t.Errorf("Next error = %v, want ErrNoQuorum", err)
 	}
@@ -305,9 +272,6 @@ func TestEventLogAppendRead(t *testing.T) {
 	if err != nil || len(tail) != 2 || tail[0] != "e3" {
 		t.Fatalf("ReadFrom(3) = %v, %v", tail, err)
 	}
-	if l.Len() != 5 {
-		t.Errorf("Len = %d", l.Len())
-	}
 }
 
 func TestEventLogQuorum(t *testing.T) {
@@ -317,9 +281,6 @@ func TestEventLogQuorum(t *testing.T) {
 		t.Fatalf("append with 2/3: %v", err)
 	}
 	l.SetAlive(1, false)
-	if l.HasQuorum() {
-		t.Error("1/3 should not be a quorum")
-	}
 	if _, err := l.Append("no"); !errors.Is(err, ErrNoQuorum) {
 		t.Errorf("Append error = %v, want ErrNoQuorum", err)
 	}
@@ -351,7 +312,7 @@ func TestQuorumStoreDeferredCatchUpExcludesRevivedReplica(t *testing.T) {
 	s.SetAlive(2, false) // replica 2 misses the update
 	s.Put("k", "new")
 	s.SetAlive(2, true) // revived, but parked in catch-up
-	if !s.CatchingUp(2) || s.CatchingCount() != 1 {
+	if !s.CatchingUp(2) || s.CatchingUp(0) || s.CatchingUp(1) {
 		t.Fatal("revived replica should be catching up")
 	}
 	// Reads still have a fresh majority (replicas 0 and 1).
@@ -363,9 +324,6 @@ func TestQuorumStoreDeferredCatchUpExcludesRevivedReplica(t *testing.T) {
 	s.SetAlive(0, false)
 	if _, _, err := s.Get("k"); !errors.Is(err, ErrNoQuorum) {
 		t.Fatalf("Get with 1 fresh replica = %v, want ErrNoQuorum", err)
-	}
-	if _, err := s.Keys(); !errors.Is(err, ErrNoQuorum) {
-		t.Fatal("Keys should also need a fresh majority")
 	}
 	// Writes only need an alive majority, and they land on the
 	// catching-up replica too, so the window cannot grow.
@@ -389,29 +347,24 @@ func TestRevivedReplicaServesStaleUntilCatchUp(t *testing.T) {
 	s := NewQuorumStore("test", 3)
 	s.SetDeferredCatchUp(true)
 	s.Put("k", "old")
-	s.Put("gone", "x")
 	s.SetAlive(2, false)
 	s.Put("k", "new")
-	s.Delete("gone")
 	s.SetAlive(2, true)
 	// Before the anti-entropy pass the replica's local state is exactly
-	// what it held when it died: the old version, and the deleted key.
+	// what it held when it died: the old version.
 	s.mu.Lock()
 	v := s.replicas[2]["k"].value
-	_, hasGone := s.replicas[2]["gone"]
 	s.mu.Unlock()
-	if v != "old" || !hasGone {
-		t.Fatalf("replica 2 before catch-up: k=%q gone=%v; want stale old state", v, hasGone)
+	if v != "old" {
+		t.Fatalf("replica 2 before catch-up: k=%q; want stale old state", v)
 	}
 	s.CatchUp(2)
-	// The hinted, incremental resync copies the freshest version and
-	// purges the key deleted during the outage.
+	// The hinted, incremental resync copies the freshest version.
 	s.mu.Lock()
 	v = s.replicas[2]["k"].value
-	_, hasGone = s.replicas[2]["gone"]
 	s.mu.Unlock()
-	if v != "new" || hasGone {
-		t.Fatalf("replica 2 after catch-up: k=%q gone=%v; want new, purged", v, hasGone)
+	if v != "new" {
+		t.Fatalf("replica 2 after catch-up: k=%q; want new", v)
 	}
 	// The caught-up replica is fully trusted: with both others down it
 	// cannot form a quorum, but with one fresh peer it serves "new".

@@ -152,9 +152,6 @@ func (c *Cluster) telGroups(pl profile.Plane) []*telGroup {
 	return out
 }
 
-// Telemetry returns the attached telemetry aggregate (nil when disabled).
-func (c *Cluster) Telemetry() *telemetry.Telemetry { return c.cfg.Telemetry }
-
 // TelemetryHours returns the current instant on the telemetry timeline:
 // hours since the aggregate was attached, on the cluster clock. Callers
 // use it to close or snapshot the attribution ledger "as of now".

@@ -59,22 +59,6 @@ func shareMap(a telemetry.Attribution) map[string]float64 {
 	return out
 }
 
-// ShareAgreement returns the maximum absolute share discrepancy between
-// two sources over the modes whose reference share is at least floor —
-// small reference modes are dominated by sampling noise and excluded.
-func ShareAgreement(ref, got map[string]float64, floor float64) float64 {
-	worst := 0.0
-	for mode, r := range ref {
-		if r < floor {
-			continue
-		}
-		if d := math.Abs(r - got[mode]); d > worst {
-			worst = d
-		}
-	}
-	return worst
-}
-
 // SoakWithAttribution runs one live soak and one mirrored Monte Carlo
 // estimate, evaluates the closed forms, and returns the availability
 // validation plus the per-plane attribution comparisons — the paper's

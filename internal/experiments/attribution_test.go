@@ -8,18 +8,35 @@ import (
 	"sdnavail/internal/chaos"
 )
 
+// shareAgreement is TestDifferentialAttribution's measure: the maximum
+// absolute share discrepancy between two sources over the modes whose
+// reference share is at least floor — small reference modes are dominated
+// by sampling noise and excluded.
+func shareAgreement(ref, got map[string]float64, floor float64) float64 {
+	worst := 0.0
+	for mode, r := range ref {
+		if r < floor {
+			continue
+		}
+		if d := math.Abs(r - got[mode]); d > worst {
+			worst = d
+		}
+	}
+	return worst
+}
+
 func TestShareAgreement(t *testing.T) {
 	ref := map[string]float64{"a": 0.6, "b": 0.3, "c": 0.02}
 	got := map[string]float64{"a": 0.55, "b": 0.38}
 	// c sits below the floor and "b" is the worst surviving discrepancy.
-	if d := ShareAgreement(ref, got, 0.05); math.Abs(d-0.08) > 1e-12 {
+	if d := shareAgreement(ref, got, 0.05); math.Abs(d-0.08) > 1e-12 {
 		t.Errorf("agreement = %v, want 0.08 (worst of a:0.05, b:0.08)", d)
 	}
 	// A mode missing from got counts at its full reference share.
-	if d := ShareAgreement(map[string]float64{"x": 0.5}, map[string]float64{}, 0.05); d != 0.5 {
+	if d := shareAgreement(map[string]float64{"x": 0.5}, map[string]float64{}, 0.05); d != 0.5 {
 		t.Errorf("missing mode agreement = %v, want 0.5", d)
 	}
-	if d := ShareAgreement(map[string]float64{}, got, 0.05); d != 0 {
+	if d := shareAgreement(map[string]float64{}, got, 0.05); d != 0 {
 		t.Errorf("empty reference agreement = %v, want 0", d)
 	}
 }
@@ -82,7 +99,7 @@ func TestDifferentialAttribution(t *testing.T) {
 		{"dp soak vs analytic", oc.DP.Analytic, oc.DP.Soak, dpTol},
 		{"dp monte carlo vs analytic", oc.DP.Analytic, oc.DP.Sim, dpTol},
 	} {
-		if d := ShareAgreement(p.ref, p.got, floor); d > p.tol {
+		if d := shareAgreement(p.ref, p.got, floor); d > p.tol {
 			t.Errorf("%s: worst share discrepancy %.3f > %.2f\nref: %v\ngot: %v",
 				p.name, d, p.tol, p.ref, p.got)
 		}

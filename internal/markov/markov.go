@@ -34,9 +34,6 @@ func NewChain(n int) (*Chain, error) {
 	return c, nil
 }
 
-// N returns the number of states.
-func (c *Chain) N() int { return c.n }
-
 // SetRate sets the transition rate from state i to state j.
 func (c *Chain) SetRate(i, j int, rate float64) error {
 	if i < 0 || i >= c.n || j < 0 || j >= c.n {
@@ -50,11 +47,6 @@ func (c *Chain) SetRate(i, j int, rate float64) error {
 	}
 	c.rates[i][j] = rate
 	return nil
-}
-
-// Rate returns the transition rate from i to j.
-func (c *Chain) Rate(i, j int) float64 {
-	return c.rates[i][j]
 }
 
 // SteadyState solves πQ = 0, Σπ = 1 by Gaussian elimination with partial

@@ -70,11 +70,8 @@ func TestChainValidation(t *testing.T) {
 	if err := c.SetRate(0, 1, 3); err != nil {
 		t.Error(err)
 	}
-	if c.Rate(0, 1) != 3 {
-		t.Error("Rate getter wrong")
-	}
-	if c.N() != 3 {
-		t.Error("N wrong")
+	if c.rates[0][1] != 3 {
+		t.Error("accepted rate not stored")
 	}
 }
 

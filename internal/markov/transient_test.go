@@ -1,6 +1,7 @@
 package markov
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -229,4 +230,164 @@ func TestMissionReliabilityValidation(t *testing.T) {
 	if _, err := KofNMissionReliability(2, 3, 0, 1, 1); err == nil {
 		t.Error("λ=0 accepted")
 	}
+}
+
+// Parked: the state distribution at time t and the mission reliability
+// built on it (the probability of surviving a whole year with no outage at
+// all — the paper's "no rack downtime for many years followed by a
+// highly-publicized extended outage" in distributional form). No non-test
+// file reads either, so they left the package; they wait here with the
+// tests that hold them to their closed forms until the model-level chain
+// (ROADMAP, "The Markov solver reads the derivation") gives them a reader,
+// or a PR with room to delete those tests removes both.
+
+// Transient returns the state distribution at time t starting from p0,
+// computed by uniformization: with q ≥ max total outflow rate, the DTMC
+// P = I + Q/q is iterated under Poisson(qt) weights. The truncation error
+// is below 1e-12.
+func (c *Chain) Transient(p0 []float64, t float64) ([]float64, error) {
+	n := c.n
+	if len(p0) != n {
+		return nil, fmt.Errorf("markov: initial distribution has %d states, chain has %d", len(p0), n)
+	}
+	sum := 0.0
+	for _, p := range p0 {
+		if p < 0 {
+			return nil, fmt.Errorf("markov: negative initial probability %g", p)
+		}
+		sum += p
+	}
+	if math.Abs(sum-1) > 1e-9 {
+		return nil, fmt.Errorf("markov: initial distribution sums to %g", sum)
+	}
+	if t < 0 {
+		return nil, fmt.Errorf("markov: negative time %g", t)
+	}
+	// Uniformization rate: the fastest state's total outflow.
+	q := 0.0
+	outflow := make([]float64, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				outflow[i] += c.rates[i][j]
+			}
+		}
+		if outflow[i] > q {
+			q = outflow[i]
+		}
+	}
+	if q == 0 || t == 0 {
+		out := make([]float64, n)
+		copy(out, p0)
+		return out, nil
+	}
+
+	// step applies the uniformized DTMC: v' = v(I + Q/q).
+	step := func(v []float64) []float64 {
+		out := make([]float64, n)
+		for i := 0; i < n; i++ {
+			if v[i] == 0 {
+				continue
+			}
+			out[i] += v[i] * (1 - outflow[i]/q)
+			for j := 0; j < n; j++ {
+				if i != j && c.rates[i][j] > 0 {
+					out[j] += v[i] * c.rates[i][j] / q
+				}
+			}
+		}
+		return out
+	}
+
+	qt := q * t
+	// Accumulate Σ_k Poisson(qt; k) · p0·P^k until the Poisson tail is
+	// negligible.
+	result := make([]float64, n)
+	term := make([]float64, n)
+	copy(term, p0)
+	logW := -qt // log of Poisson weight, k = 0
+	accumulated := 0.0
+	maxK := int(qt + 12*math.Sqrt(qt+1) + 60)
+	for k := 0; ; k++ {
+		w := math.Exp(logW)
+		for i := 0; i < n; i++ {
+			result[i] += w * term[i]
+		}
+		accumulated += w
+		if accumulated > 1-1e-12 || k >= maxK {
+			break
+		}
+		term = step(term)
+		logW += math.Log(qt) - math.Log(float64(k+1))
+	}
+	// Normalize away the truncated tail.
+	total := 0.0
+	for _, p := range result {
+		total += p
+	}
+	for i := range result {
+		result[i] /= total
+	}
+	return result, nil
+}
+
+// absorbing returns a copy of the chain where every state marked down has
+// no outgoing transitions, so probability that reaches it stays there.
+func (c *Chain) absorbing(down func(int) bool) *Chain {
+	a, err := NewChain(c.n)
+	if err != nil {
+		panic(err) // c.n ≥ 1 by construction
+	}
+	for i := 0; i < c.n; i++ {
+		if down(i) {
+			continue
+		}
+		for j := 0; j < c.n; j++ {
+			if i != j {
+				a.rates[i][j] = c.rates[i][j]
+			}
+		}
+	}
+	return a
+}
+
+// SurvivalProbability returns the probability that the chain, started from
+// p0, never enters a state where down(state) is true during [0, t]: the
+// mission reliability. It is computed on the chain with down states made
+// absorbing.
+func (c *Chain) SurvivalProbability(p0 []float64, t float64, down func(int) bool) (float64, error) {
+	abs := c.absorbing(down)
+	pt, err := abs.Transient(p0, t)
+	if err != nil {
+		return 0, err
+	}
+	up := 0.0
+	for i, p := range pt {
+		if !down(i) {
+			up += p
+		}
+	}
+	if up > 1 {
+		up = 1
+	}
+	return up, nil
+}
+
+// KofNMissionReliability returns the probability that a repairable k-of-n
+// group, starting with all components up, suffers no availability loss
+// (never fewer than m components up) during t time units.
+func KofNMissionReliability(m, n int, lambda, mu, t float64) (float64, error) {
+	if m < 0 || m > n {
+		return 0, fmt.Errorf("markov: m=%d out of range for n=%d", m, n)
+	}
+	if m == 0 {
+		return 1, nil
+	}
+	c, err := BirthDeath(n, lambda, mu)
+	if err != nil {
+		return 0, err
+	}
+	p0 := make([]float64, n+1)
+	p0[n] = 1
+	return c.SurvivalProbability(p0, t, func(state int) bool { return state < m })
 }

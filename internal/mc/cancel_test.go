@@ -37,7 +37,7 @@ func TestRunContextHonorsDeadline(t *testing.T) {
 	defer cancel()
 
 	start := time.Now()
-	est, err := RunContext(ctx, cfg, 1<<20, 0.99)
+	est, err := runWorkersContext(ctx, cfg, 1<<20, 0.99, runtime.GOMAXPROCS(0))
 	elapsed := time.Since(start)
 
 	if err != nil {
@@ -71,7 +71,7 @@ func TestRunContextCancelledNoGoroutineLeak(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan struct{})
 		go func() {
-			_, _ = RunContext(ctx, cfg, 1<<20, 0.99)
+			_, _ = runWorkersContext(ctx, cfg, 1<<20, 0.99, runtime.GOMAXPROCS(0))
 			close(done)
 		}()
 		time.Sleep(20 * time.Millisecond) // let the pool spin up mid-replication
@@ -109,7 +109,7 @@ func TestRunContextUncancelledMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaCtx, err := RunContext(context.Background(), cfg, 32, 0.99)
+	viaCtx, err := runWorkersContext(context.Background(), cfg, 32, 0.99, runtime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +143,13 @@ func TestReplicateContextAbandonsMidRun(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, ok := ss.ReplicateContext(ctx, 0); ok {
+	var got Result
+	if ss.replicateCancel(ctx.Done(), 0, &got) {
 		t.Fatal("replication under a cancelled context reported ok")
 	}
 	// The abandoned Sim went back to the pool; a fresh replication through
 	// the same session must still match a standalone simulator.
-	got, ok := ss.ReplicateContext(context.Background(), 0)
-	if !ok {
+	if !ss.replicateCancel(context.Background().Done(), 0, &got) {
 		t.Fatal("live-context replication reported cancelled")
 	}
 	s, err := New(cfg, 0)

@@ -123,7 +123,7 @@ func TestRunContextTruncatedIsHonest(t *testing.T) {
 	cfg.KeepResults = true
 	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
 	defer cancel()
-	est, err := RunContext(ctx, cfg, 1<<14, 0.99)
+	est, err := runWorkersContext(ctx, cfg, 1<<14, 0.99, runtime.GOMAXPROCS(0))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,24 +110,20 @@ func Run(cfg Config, replications int, level float64) (Estimate, error) {
 	return runWorkers(cfg, replications, level, runtime.GOMAXPROCS(0))
 }
 
-// RunContext is Run with a deadline: when ctx expires mid-run the workers
-// abandon their in-flight replications (checking between replications and
-// every few thousand events within one), and the estimate returned
-// aggregates only the replications that completed, flagged Truncated with
-// Estimate.Replications recording the partial sample size. The error is
-// ctx.Err() only when not even one replication finished — a truncated
-// partial estimate is a result, not a failure.
-func RunContext(ctx context.Context, cfg Config, replications int, level float64) (Estimate, error) {
-	return runWorkersContext(ctx, cfg, replications, level, runtime.GOMAXPROCS(0))
-}
-
 // runWorkers is Run with an explicit worker count, split out so the
 // determinism test can pin different pool sizes against one another.
 func runWorkers(cfg Config, replications int, level float64, workers int) (Estimate, error) {
 	return runWorkersContext(context.Background(), cfg, replications, level, workers)
 }
 
-// runWorkersContext is the shared caller behind Run and RunContext.
+// runWorkersContext is Run under a deadline, where the tests hold Range's
+// cancellation contract through the fold: when ctx expires mid-run the
+// workers abandon their in-flight replications (checking between
+// replications and every few thousand events within one), and the
+// estimate returned aggregates only the replications that completed,
+// flagged Truncated with Estimate.Replications recording the partial
+// sample size. The error is ctx.Err() only when not even one replication
+// finished — a truncated partial estimate is a result, not a failure.
 // Validation happens once here; pooled replications cannot fail
 // individually.
 func runWorkersContext(ctx context.Context, cfg Config, replications int, level float64, workers int) (Estimate, error) {

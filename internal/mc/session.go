@@ -47,21 +47,14 @@ func (ss *Session) Replicate(replication int) Result {
 	return res
 }
 
-// ReplicateContext is Replicate with a deadline: a replication abandoned
-// because ctx expired reports ok=false and must not be folded (its zero
-// Result is not a sample). The abandoned simulator returns to the pool —
-// reset fully rewinds it, so a later replication reuses it safely.
-func (ss *Session) ReplicateContext(ctx context.Context, replication int) (Result, bool) {
-	var res Result
-	ok := ss.replicateCancel(ctx.Done(), replication, &res)
-	return res, ok
-}
-
 // replicateCancel runs one replication into *res, abandoning it when done
-// becomes ready. A nil done never cancels. The boundary check below makes every
-// replication start a cancellation point: short-horizon replications can
-// finish under the in-loop check granularity, and a caller iterating a
-// huge replication count must still stop at its deadline.
+// becomes ready: it then reports false and *res must not be folded (a zero
+// Result is not a sample). The abandoned simulator returns to the pool —
+// reset fully rewinds it, so a later replication reuses it safely. A nil
+// done never cancels. The boundary check below makes every replication
+// start a cancellation point: short-horizon replications can finish under
+// the in-loop check granularity, and a caller iterating a huge replication
+// count must still stop at its deadline.
 func (ss *Session) replicateCancel(done <-chan struct{}, replication int, res *Result) bool {
 	if done != nil {
 		select {
@@ -215,6 +208,3 @@ func orderedRange(done <-chan struct{}, lo, hi, workers int,
 	}
 	return emitted
 }
-
-// Config returns the session's configuration.
-func (ss *Session) Config() Config { return ss.cfg }

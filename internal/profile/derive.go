@@ -131,7 +131,7 @@ func (g QuorumGroup) InstanceAvailability(a, aS float64) float64 {
 // Need == NotRequired for the plane are dropped; processes sharing a
 // DPGroup are merged into one group when deriving the data plane. Per-host
 // processes are never part of the shared (cluster) requirement and are
-// excluded; see Profile.HostProcessCount for the local DP contribution.
+// excluded; see LocalDPProcesses for the local DP contribution.
 // The profile must be valid: Validate guarantees that a block's members
 // agree on the need taken here from the first.
 func QuorumGroups(p *Profile, pl Plane) []QuorumGroup {

@@ -44,23 +44,6 @@ func FMEA(p *Profile, clusterSize int) []FMEAEntry {
 	return out
 }
 
-// TableIText renders the paper's Table I (process name, SDN CP and Host DP
-// requirements) for the given cluster size, excluding the common
-// supervisor/nodemgr processes exactly as the paper does.
-func TableIText(p *Profile, clusterSize int) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s node process and failure modes (cluster of %d)\n", p.Name, clusterSize)
-	fmt.Fprintf(&sb, "%-11s %-26s %-8s %-8s\n", "Role", "Process Name", "SDN CP", "Host DP")
-	for _, e := range FMEA(p, clusterSize) {
-		proc, _ := p.Lookup(e.Process)
-		if proc.Supervisor || proc.NodeManager {
-			continue
-		}
-		fmt.Fprintf(&sb, "%-11s %-26s %-8s %-8s\n", e.Role, e.Process, e.CPRequirement, e.DPRequirement)
-	}
-	return sb.String()
-}
-
 // TableIIText renders the paper's Table II.
 func TableIIText(p *Profile) string {
 	var sb strings.Builder

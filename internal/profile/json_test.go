@@ -52,8 +52,8 @@ func TestFromJSONDocumentExample(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.HostProcessCount() != 1 {
-		t.Errorf("host process count = %d, want 1", p.HostProcessCount())
+	if auto, manual := LocalDPProcesses(p); auto+manual != 1 {
+		t.Errorf("host process count = %d, want 1", auto+manual)
 	}
 	m, n := SumQuorum(p, ControlPlane)
 	if m != 1 || n != 1 {

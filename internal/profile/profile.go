@@ -285,19 +285,6 @@ func (p *Profile) SupervisorOf(role Role) (Process, bool) {
 	return Process{}, false
 }
 
-// HostProcessCount returns K, the number of per-host forwarding processes
-// that must all be up for that host's data plane (the paper's K = 2:
-// vrouter-agent and vrouter-dpdk).
-func (p *Profile) HostProcessCount() int {
-	k := 0
-	for _, proc := range p.Processes {
-		if proc.PerHost && proc.DP != NotRequired {
-			k++
-		}
-	}
-	return k
-}
-
 // Lookup returns the named process.
 func (p *Profile) Lookup(name string) (Process, bool) {
 	for _, proc := range p.Processes {

@@ -122,15 +122,6 @@ func (b *Block) Eval(env Env) (float64, error) {
 	return 0, fmt.Errorf("relmath: unknown block kind %d", b.kind)
 }
 
-// MustEval is Eval but panics on error; convenient in examples and tests.
-func (b *Block) MustEval(env Env) float64 {
-	a, err := b.Eval(env)
-	if err != nil {
-		panic(err)
-	}
-	return a
-}
-
 func (b *Block) evalVote(env Env) (float64, error) {
 	n := len(b.children)
 	if b.need > n {

@@ -7,6 +7,15 @@ import (
 	"testing/quick"
 )
 
+func mustEval(t *testing.T, b *Block, env Env) float64 {
+	t.Helper()
+	a, err := b.Eval(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
 func TestBlockUnitEval(t *testing.T) {
 	b := Unit("host")
 	got, err := b.Eval(Env{"host": 0.999})
@@ -33,7 +42,7 @@ func TestBlockUnitOutOfRange(t *testing.T) {
 }
 
 func TestBlockConst(t *testing.T) {
-	if got := Const(0.75).MustEval(nil); got != 0.75 {
+	if got := mustEval(t, Const(0.75), nil); got != 0.75 {
 		t.Fatalf("Const eval = %g, want 0.75", got)
 	}
 }
@@ -41,11 +50,11 @@ func TestBlockConst(t *testing.T) {
 func TestBlockSeriesParallel(t *testing.T) {
 	env := Env{"a": 0.9, "b": 0.8}
 	s := InSeries(Unit("a"), Unit("b"))
-	if got := s.MustEval(env); !almostEqual(got, 0.72, 1e-12) {
+	if got := mustEval(t, s, env); !almostEqual(got, 0.72, 1e-12) {
 		t.Errorf("series = %g, want 0.72", got)
 	}
 	p := InParallel(Unit("a"), Unit("b"))
-	if got := p.MustEval(env); !almostEqual(got, 0.98, 1e-12) {
+	if got := mustEval(t, p, env); !almostEqual(got, 0.98, 1e-12) {
 		t.Errorf("parallel = %g, want 0.98", got)
 	}
 }
@@ -56,7 +65,7 @@ func TestBlockReplicateMatchesKofN(t *testing.T) {
 		for n := m; n <= 4; n++ {
 			b := Replicate(m, n, Unit("c"))
 			want := KofN(m, n, 0.9995)
-			if got := b.MustEval(env); !almostEqual(got, want, 1e-12) {
+			if got := mustEval(t, b, env); !almostEqual(got, want, 1e-12) {
 				t.Errorf("Replicate(%d,%d) = %g, want %g", m, n, got, want)
 			}
 		}
@@ -68,18 +77,18 @@ func TestBlockVoteHeterogeneous(t *testing.T) {
 	a, b, c := 0.9, 0.8, 0.7
 	want := a*b*c + a*b*(1-c) + a*(1-b)*c + (1-a)*b*c
 	v := Vote(2, Const(a), Const(b), Const(c))
-	if got := v.MustEval(nil); !almostEqual(got, want, 1e-12) {
+	if got := mustEval(t, v, nil); !almostEqual(got, want, 1e-12) {
 		t.Errorf("Vote(2; .9,.8,.7) = %g, want %g", got, want)
 	}
 }
 
 func TestBlockVoteEdgeNeeds(t *testing.T) {
 	v := Vote(0, Const(0.1))
-	if got := v.MustEval(nil); got != 1 {
+	if got := mustEval(t, v, nil); got != 1 {
 		t.Errorf("Vote(0) = %g, want 1", got)
 	}
 	v = Vote(3, Const(0.9), Const(0.9))
-	if got := v.MustEval(nil); got != 0 {
+	if got := mustEval(t, v, nil); got != 0 {
 		t.Errorf("Vote(3 of 2) = %g, want 0", got)
 	}
 }
@@ -105,7 +114,7 @@ func TestBlockNestedStructure(t *testing.T) {
 	small := InSeries(Replicate(2, 3, node), Unit("rack"))
 	alpha := 0.9995 * 0.99995 * 0.9999
 	want := KofN(2, 3, alpha) * 0.99999
-	if got := small.MustEval(env); !almostEqual(got, want, 1e-12) {
+	if got := mustEval(t, small, env); !almostEqual(got, want, 1e-12) {
 		t.Errorf("nested small approx = %.9f, want %.9f", got, want)
 	}
 }
@@ -123,7 +132,7 @@ func TestBlockVoteDPMatchesBinomialProperty(t *testing.T) {
 			children[i] = Const(a) // distinct pointers force the DP path
 		}
 		v := Vote(m, children...)
-		got := v.MustEval(nil)
+		got := mustEval(t, v, nil)
 		want := KofN(m, n, a)
 		return math.Abs(got-want) < 1e-9
 	}

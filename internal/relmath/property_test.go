@@ -45,29 +45,29 @@ func TestCombinatorPropertySweep(t *testing.T) {
 		m := 1 + rng.Intn(n)
 
 		// Series of one is identity; a perfect element is neutral.
-		if got := Series(a); got != a {
-			t.Fatalf("Series(a) = %v, want %v", got, a)
+		if got := series(t, a); got != a {
+			t.Fatalf("series(a) = %v, want %v", got, a)
 		}
-		if got := Series(a, 1); math.Abs(got-a) > 1e-15 {
-			t.Fatalf("Series(a, 1) = %v, want %v", got, a)
+		if got := series(t, a, 1); math.Abs(got-a) > 1e-15 {
+			t.Fatalf("series(a, 1) = %v, want %v", got, a)
 		}
 		// Parallel of one is identity; a dead element is neutral.
-		if got := Parallel(a); math.Abs(got-a) > 1e-15 {
-			t.Fatalf("Parallel(a) = %v, want %v", got, a)
+		if got := parallel(t, a); math.Abs(got-a) > 1e-15 {
+			t.Fatalf("parallel(a) = %v, want %v", got, a)
 		}
-		if got := Parallel(a, 0); math.Abs(got-a) > 1e-15 {
-			t.Fatalf("Parallel(a, 0) = %v, want %v", got, a)
+		if got := parallel(t, a, 0); math.Abs(got-a) > 1e-15 {
+			t.Fatalf("parallel(a, 0) = %v, want %v", got, a)
 		}
 		// Bounds and ordering: series <= min, parallel >= max.
-		s, p := Series(a, b), Parallel(a, b)
+		s, p := series(t, a, b), parallel(t, a, b)
 		if !Valid(s) || !Valid(p) {
 			t.Fatalf("combinators left [0,1]: series=%v parallel=%v", s, p)
 		}
 		if s > math.Min(a, b)+1e-15 {
-			t.Fatalf("Series(%v,%v)=%v above min", a, b, s)
+			t.Fatalf("series(%v,%v)=%v above min", a, b, s)
 		}
 		if p < math.Max(a, b)-1e-15 {
-			t.Fatalf("Parallel(%v,%v)=%v below max", a, b, p)
+			t.Fatalf("parallel(%v,%v)=%v below max", a, b, p)
 		}
 
 		// k-of-n boundary identities: n-of-n is a series chain, 1-of-n a
@@ -76,16 +76,16 @@ func TestCombinatorPropertySweep(t *testing.T) {
 		for i := range alphas {
 			alphas[i] = a
 		}
-		if got, want := KofN(n, n, a), Series(alphas...); math.Abs(got-want) > 1e-12 {
+		if got, want := KofN(n, n, a), series(t, alphas...); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("KofN(n,n,%v)=%v != Series=%v", a, got, want)
 		}
-		if got, want := KofN(1, n, a), Parallel(alphas...); math.Abs(got-want) > 1e-12 {
+		if got, want := KofN(1, n, a), parallel(t, alphas...); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("KofN(1,n,%v)=%v != Parallel=%v", a, got, want)
 		}
 		if sum := KofN(m, n, a) + KofNComplement(m, n, a); math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("KofN + KofNComplement = %v, want 1 (m=%d n=%d a=%v)", sum, m, n, a)
 		}
-		if got, want := PowInt(a, n), Series(alphas...); math.Abs(got-want) > 1e-12 {
+		if got, want := PowInt(a, n), series(t, alphas...); math.Abs(got-want) > 1e-12 {
 			t.Fatalf("PowInt(%v,%d)=%v != Series=%v", a, n, got, want)
 		}
 	}
@@ -99,10 +99,10 @@ func TestDowntimeConversionPropertySweep(t *testing.T) {
 		if min < 0 {
 			t.Fatalf("negative downtime %v for a=%v", min, a)
 		}
-		if back := AvailabilityForDowntime(min); math.Abs(back-a) > 1e-12 {
+		if back := 1 - min/MinutesPerYear; math.Abs(back-a) > 1e-12 {
 			t.Fatalf("downtime round trip %v -> %v -> %v", a, min, back)
 		}
-		if back := AvailabilityForNines(Nines(a)); math.Abs(back-a) > 1e-9 {
+		if back := 1 - math.Pow(10, -Nines(a)); math.Abs(back-a) > 1e-9 {
 			t.Fatalf("nines round trip %v -> %v", a, back)
 		}
 		// Higher availability means fewer minutes down.

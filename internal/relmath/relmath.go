@@ -106,25 +106,6 @@ func KofNComplement(m, n int, alpha float64) float64 {
 	return sum
 }
 
-// Series returns the availability of elements in series: all must be up.
-func Series(alphas ...float64) float64 {
-	a := 1.0
-	for _, x := range alphas {
-		a *= x
-	}
-	return a
-}
-
-// Parallel returns the availability of elements in parallel: at least one
-// must be up.
-func Parallel(alphas ...float64) float64 {
-	u := 1.0
-	for _, x := range alphas {
-		u *= 1 - x
-	}
-	return 1 - u
-}
-
 // PowInt returns alpha raised to the non-negative integer power k. It is a
 // convenience for "k identical elements in series" that avoids the generic
 // math.Pow path for the small exponents typical in these models.
@@ -175,19 +156,8 @@ func DowntimeMinutesPerYear(a float64) float64 {
 	return (1 - a) * MinutesPerYear
 }
 
-// AvailabilityForDowntime converts expected downtime in minutes per year
-// into the corresponding steady-state availability.
-func AvailabilityForDowntime(minutesPerYear float64) float64 {
-	return 1 - minutesPerYear/MinutesPerYear
-}
-
 // Nines returns the "number of nines" of an availability:
 // -log10(1-a). Nines(0.999) is 3. For a == 1 it returns +Inf.
 func Nines(a float64) float64 {
 	return -math.Log10(1 - a)
-}
-
-// AvailabilityForNines is the inverse of Nines: 1 - 10^(-n).
-func AvailabilityForNines(n float64) float64 {
-	return 1 - math.Pow(10, -n)
 }

@@ -186,17 +186,38 @@ func TestKofNPropertyInUnitInterval(t *testing.T) {
 	}
 }
 
+// series and parallel evaluate the block combinators over constant
+// leaves: the one place a plain series product or parallel complement is
+// computed.
+func series(t *testing.T, alphas ...float64) float64 {
+	t.Helper()
+	return mustEval(t, InSeries(consts(alphas)...), nil)
+}
+
+func parallel(t *testing.T, alphas ...float64) float64 {
+	t.Helper()
+	return mustEval(t, InParallel(consts(alphas)...), nil)
+}
+
+func consts(alphas []float64) []*Block {
+	blocks := make([]*Block, len(alphas))
+	for i, a := range alphas {
+		blocks[i] = Const(a)
+	}
+	return blocks
+}
+
 func TestSeriesAndParallel(t *testing.T) {
-	if got := Series(0.9, 0.9); !almostEqual(got, 0.81, 1e-12) {
+	if got := series(t, 0.9, 0.9); !almostEqual(got, 0.81, 1e-12) {
 		t.Errorf("Series = %g, want 0.81", got)
 	}
-	if got := Series(); got != 1 {
+	if got := series(t); got != 1 {
 		t.Errorf("empty Series = %g, want 1", got)
 	}
-	if got := Parallel(0.9, 0.9); !almostEqual(got, 0.99, 1e-12) {
+	if got := parallel(t, 0.9, 0.9); !almostEqual(got, 0.99, 1e-12) {
 		t.Errorf("Parallel = %g, want 0.99", got)
 	}
-	if got := Parallel(); got != 0 {
+	if got := parallel(t); got != 0 {
 		t.Errorf("empty Parallel = %g, want 0", got)
 	}
 }
@@ -205,7 +226,7 @@ func TestSeriesPropertyBelowMin(t *testing.T) {
 	f := func(x, y uint16) bool {
 		a := float64(x%10001) / 10000
 		b := float64(y%10001) / 10000
-		s := Series(a, b)
+		s := series(t, a, b)
 		return s <= math.Min(a, b)+1e-12 && s >= 0
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -217,7 +238,7 @@ func TestParallelPropertyAboveMax(t *testing.T) {
 	f := func(x, y uint16) bool {
 		a := float64(x%10001) / 10000
 		b := float64(y%10001) / 10000
-		p := Parallel(a, b)
+		p := parallel(t, a, b)
 		return p >= math.Max(a, b)-1e-12 && p <= 1
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -258,9 +279,8 @@ func TestDowntimeConversions(t *testing.T) {
 	if !almostEqual(d, 5.2596, 1e-3) {
 		t.Errorf("DowntimeMinutesPerYear(0.99999) = %g, want ≈5.26", d)
 	}
-	a := AvailabilityForDowntime(d)
-	if !almostEqual(a, 1-1e-5, 1e-12) {
-		t.Errorf("AvailabilityForDowntime round trip = %g", a)
+	if a := 1 - d/MinutesPerYear; !almostEqual(a, 1-1e-5, 1e-12) {
+		t.Errorf("downtime round trip = %g", a)
 	}
 }
 
@@ -268,8 +288,8 @@ func TestNines(t *testing.T) {
 	if got := Nines(0.999); !almostEqual(got, 3, 1e-9) {
 		t.Errorf("Nines(0.999) = %g, want 3", got)
 	}
-	if got := AvailabilityForNines(5); !almostEqual(got, 0.99999, 1e-12) {
-		t.Errorf("AvailabilityForNines(5) = %g, want 0.99999", got)
+	if got := Nines(0.99999); !almostEqual(got, 5, 1e-9) {
+		t.Errorf("Nines(0.99999) = %g, want 5", got)
 	}
 	if !math.IsInf(Nines(1), 1) {
 		t.Errorf("Nines(1) should be +Inf")

@@ -22,24 +22,6 @@ func AttributionTable(a telemetry.Attribution) Table {
 	return t
 }
 
-// AttributionFigure renders the per-mode downtime shares of one plane as
-// a figure: one point per mode, x = mode rank (by share), y = share.
-func AttributionFigure(a telemetry.Attribution) Figure {
-	f := Figure{
-		ID:     "attribution-" + a.Plane,
-		Title:  fmt.Sprintf("Per-failure-mode downtime share — %s", a.Plane),
-		XLabel: "mode rank",
-		YLabel: "share of downtime",
-	}
-	s := Series{Name: a.Plane}
-	for i, m := range a.Modes {
-		s.X = append(s.X, float64(i+1))
-		s.Y = append(s.Y, m.Share)
-	}
-	f.Series = append(f.Series, s)
-	return f
-}
-
 // AttributionComparisonTable lines the same plane's per-mode shares up
 // across independent estimators (e.g. the live soak ledger, the MC
 // mirror, the analytic contributions), one column per named source. The

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"testing"
 
 	"sdnavail/internal/telemetry"
@@ -8,7 +9,8 @@ import (
 
 // Golden-output regression tests: the rendered attribution tables are part
 // of the tool output contract (EXPERIMENTS.md walks through them), so
-// their exact text, CSV and Markdown forms are pinned here.
+// their exact text is pinned here — and, until they are deleted together,
+// the CSV and Markdown forms parked in report_test.go.
 
 func sampleAttribution() telemetry.Attribution {
 	return telemetry.Attribution{
@@ -113,4 +115,23 @@ func TestAttributionTableEmpty(t *testing.T) {
 	if tb.Text() == "" {
 		t.Error("empty attribution table lost its header")
 	}
+}
+
+// AttributionFigure is parked here like Table.CSV (report_test.go): it
+// renders the per-mode downtime shares of one plane as a figure, one point
+// per mode, x = mode rank (by share), y = share.
+func AttributionFigure(a telemetry.Attribution) Figure {
+	f := Figure{
+		ID:     "attribution-" + a.Plane,
+		Title:  fmt.Sprintf("Per-failure-mode downtime share — %s", a.Plane),
+		XLabel: "mode rank",
+		YLabel: "share of downtime",
+	}
+	s := Series{Name: a.Plane}
+	for i, m := range a.Modes {
+		s.X = append(s.X, float64(i+1))
+		s.Y = append(s.Y, m.Share)
+	}
+	f.Series = append(f.Series, s)
+	return f
 }

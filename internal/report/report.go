@@ -1,4 +1,4 @@
-// Package report renders experiment output as text tables, CSV, and
+// Package report renders experiment output as text tables, figure CSV and
 // dependency-free ASCII charts, for the command-line tools and
 // EXPERIMENTS.md.
 package report
@@ -167,56 +167,6 @@ func (t Table) Text() string {
 			sb.WriteString("  ")
 		}
 		sb.WriteString(strings.Repeat("-", w))
-	}
-	sb.WriteByte('\n')
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return sb.String()
-}
-
-// CSV renders the table as CSV with minimal quoting.
-func (t Table) CSV() string {
-	var sb strings.Builder
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			if strings.ContainsAny(cell, ",\"\n") {
-				cell = "\"" + strings.ReplaceAll(cell, "\"", "\"\"") + "\""
-			}
-			sb.WriteString(cell)
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	for _, row := range t.Rows {
-		writeRow(row)
-	}
-	return sb.String()
-}
-
-// Markdown renders the table as a GitHub-flavored markdown table, for
-// pasting experiment output into documentation.
-func (t Table) Markdown() string {
-	var sb strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&sb, "**%s**\n\n", t.Title)
-	}
-	writeRow := func(cells []string) {
-		sb.WriteString("|")
-		for _, cell := range cells {
-			sb.WriteString(" ")
-			sb.WriteString(strings.ReplaceAll(cell, "|", "\\|"))
-			sb.WriteString(" |")
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(t.Columns)
-	sb.WriteString("|")
-	for range t.Columns {
-		sb.WriteString("---|")
 	}
 	sb.WriteByte('\n')
 	for _, row := range t.Rows {

@@ -1,6 +1,7 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -93,4 +94,59 @@ func TestTableMarkdown(t *testing.T) {
 			t.Errorf("Markdown missing %q in:\n%s", want, md)
 		}
 	}
+}
+
+// Parked renderers: no non-test file calls a Table's CSV or Markdown form
+// (the CLIs print Text, and figures -csv prints Figure.CSV), so they left
+// the package and wait here beside the tests that pin their output; they
+// go for good when a PR has room to delete those tests with them.
+
+// CSV renders the table as CSV with minimal quoting.
+func (t Table) CSV() string {
+	var sb strings.Builder
+	writeRow := func(cells []string) {
+		for i, cell := range cells {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			if strings.ContainsAny(cell, ",\"\n") {
+				cell = "\"" + strings.ReplaceAll(cell, "\"", "\"\"") + "\""
+			}
+			sb.WriteString(cell)
+		}
+		sb.WriteByte('\n')
+	}
+	writeRow(t.Columns)
+	for _, row := range t.Rows {
+		writeRow(row)
+	}
+	return sb.String()
+}
+
+// Markdown renders the table as a GitHub-flavored markdown table, for
+// pasting experiment output into documentation.
+func (t Table) Markdown() string {
+	var sb strings.Builder
+	if t.Title != "" {
+		fmt.Fprintf(&sb, "**%s**\n\n", t.Title)
+	}
+	writeRow := func(cells []string) {
+		sb.WriteString("|")
+		for _, cell := range cells {
+			sb.WriteString(" ")
+			sb.WriteString(strings.ReplaceAll(cell, "|", "\\|"))
+			sb.WriteString(" |")
+		}
+		sb.WriteByte('\n')
+	}
+	writeRow(t.Columns)
+	sb.WriteString("|")
+	for range t.Columns {
+		sb.WriteString("---|")
+	}
+	sb.WriteByte('\n')
+	for _, row := range t.Rows {
+		writeRow(row)
+	}
+	return sb.String()
 }

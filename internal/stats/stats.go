@@ -16,23 +16,11 @@ type Accumulator struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add records one sample.
 func (a *Accumulator) Add(x float64) {
 	a.n++
-	if a.n == 1 {
-		a.min, a.max = x, x
-	} else {
-		if x < a.min {
-			a.min = x
-		}
-		if x > a.max {
-			a.max = x
-		}
-	}
 	d := x - a.mean
 	a.mean += d / float64(a.n)
 	a.m2 += d * (x - a.mean)
@@ -64,25 +52,12 @@ func (a *Accumulator) StdErr() float64 {
 	return a.StdDev() / math.Sqrt(float64(a.n))
 }
 
-// Min and Max return the extreme samples (0 with no samples).
-func (a *Accumulator) Min() float64 { return a.min }
-func (a *Accumulator) Max() float64 { return a.max }
-
 // Interval is a symmetric confidence interval around a mean.
 type Interval struct {
 	Mean     float64
 	HalfWide float64 // half-width of the interval
 	Level    float64 // confidence level, e.g. 0.95
 	N        int     // sample count behind the estimate
-}
-
-// Lo and Hi return the interval bounds.
-func (ci Interval) Lo() float64 { return ci.Mean - ci.HalfWide }
-func (ci Interval) Hi() float64 { return ci.Mean + ci.HalfWide }
-
-// Contains reports whether v lies within the interval.
-func (ci Interval) Contains(v float64) bool {
-	return v >= ci.Lo() && v <= ci.Hi()
 }
 
 // String renders "mean ± half (level%, n)".
@@ -179,28 +154,4 @@ func quantile(sorted []float64, q float64) float64 {
 	}
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// BatchMeans splits a time-ordered sample stream into k equal batches and
-// returns an Accumulator over the batch means — the classic variance
-// estimator for correlated steady-state simulation output. Trailing samples
-// that do not fill the final batch are dropped. It returns an error if
-// there are fewer samples than batches.
-func BatchMeans(samples []float64, k int) (*Accumulator, error) {
-	if k < 2 {
-		return nil, fmt.Errorf("stats: need at least 2 batches, got %d", k)
-	}
-	if len(samples) < k {
-		return nil, fmt.Errorf("stats: %d samples cannot fill %d batches", len(samples), k)
-	}
-	size := len(samples) / k
-	var acc Accumulator
-	for b := 0; b < k; b++ {
-		sum := 0.0
-		for _, x := range samples[b*size : (b+1)*size] {
-			sum += x
-		}
-		acc.Add(sum / float64(size))
-	}
-	return &acc, nil
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,9 +22,6 @@ func TestAccumulatorBasics(t *testing.T) {
 	// Population variance of this classic set is 4; sample variance 32/7.
 	if want := 32.0 / 7.0; math.Abs(a.Variance()-want) > 1e-12 {
 		t.Errorf("Variance = %g, want %g", a.Variance(), want)
-	}
-	if a.Min() != 2 || a.Max() != 9 {
-		t.Errorf("Min/Max = %g/%g, want 2/9", a.Min(), a.Max())
 	}
 }
 
@@ -65,6 +63,8 @@ func TestAccumulatorMatchesDirectComputation(t *testing.T) {
 	}
 }
 
+func contains(ci Interval, v float64) bool { return math.Abs(v-ci.Mean) <= ci.HalfWide }
+
 func TestConfidenceInterval(t *testing.T) {
 	var a Accumulator
 	r := rand.New(rand.NewSource(1))
@@ -72,10 +72,10 @@ func TestConfidenceInterval(t *testing.T) {
 		a.Add(r.NormFloat64())
 	}
 	ci := a.ConfidenceInterval(0.95)
-	if !ci.Contains(0) {
+	if !contains(ci, 0) {
 		t.Errorf("95%% CI %v should contain the true mean 0", ci)
 	}
-	if ci.Lo() >= ci.Hi() {
+	if ci.HalfWide <= 0 {
 		t.Error("degenerate interval")
 	}
 	if ci.N != 1000 || ci.Level != 0.95 {
@@ -97,7 +97,7 @@ func TestConfidenceIntervalCoverage(t *testing.T) {
 		for i := 0; i < 50; i++ {
 			a.Add(r.NormFloat64()*2 + 1)
 		}
-		if a.ConfidenceInterval(0.95).Contains(1) {
+		if contains(a.ConfidenceInterval(0.95), 1) {
 			covered++
 		}
 	}
@@ -145,6 +145,35 @@ func TestSummarizeDoesNotMutateInput(t *testing.T) {
 	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
 		t.Error("Summarize mutated its input")
 	}
+}
+
+// Parked: nothing outside these tests computes batch means (every
+// estimate here is over independent replications), so the function left
+// the package and waits beside its tests until a PR has room to delete
+// them together.
+//
+// BatchMeans splits a time-ordered sample stream into k equal batches and
+// returns an Accumulator over the batch means — the classic variance
+// estimator for correlated steady-state simulation output. Trailing samples
+// that do not fill the final batch are dropped. It returns an error if
+// there are fewer samples than batches.
+func BatchMeans(samples []float64, k int) (*Accumulator, error) {
+	if k < 2 {
+		return nil, fmt.Errorf("stats: need at least 2 batches, got %d", k)
+	}
+	if len(samples) < k {
+		return nil, fmt.Errorf("stats: %d samples cannot fill %d batches", len(samples), k)
+	}
+	size := len(samples) / k
+	var acc Accumulator
+	for b := 0; b < k; b++ {
+		sum := 0.0
+		for _, x := range samples[b*size : (b+1)*size] {
+			sum += x
+		}
+		acc.Add(sum / float64(size))
+	}
+	return &acc, nil
 }
 
 func TestBatchMeans(t *testing.T) {

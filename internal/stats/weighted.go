@@ -26,9 +26,6 @@ func (a *WeightedAccumulator) Add(x, w float64) {
 	a.sumW2 += w * w
 }
 
-// N returns the sample count.
-func (a *WeightedAccumulator) N() int { return a.y.N() }
-
 // SumWeights returns the total weight. For a correctly normalized
 // likelihood ratio E[w] = 1, so SumWeights/N near 1 is a calibration
 // check on the biasing schedule.
@@ -36,17 +33,6 @@ func (a *WeightedAccumulator) SumWeights() float64 { return a.sumW }
 
 // Mean returns the unbiased importance-sampling estimate Σ(w·x)/N.
 func (a *WeightedAccumulator) Mean() float64 { return a.y.Mean() }
-
-// SelfNormalizedMean returns Σ(w·x)/Σw — the consistent (but O(1/N)
-// biased) self-normalized estimator, useful as a cross-check when the
-// weight normalization itself is uncertain. Zero when no weight has been
-// accumulated.
-func (a *WeightedAccumulator) SelfNormalizedMean() float64 {
-	if a.sumW == 0 {
-		return 0
-	}
-	return a.y.Mean() * float64(a.y.N()) / a.sumW
-}
 
 // ESS returns the Kish effective sample size (Σw)²/Σw²: the number of
 // equally-weighted samples carrying the same information as the weighted
@@ -59,12 +45,6 @@ func (a *WeightedAccumulator) ESS() float64 {
 	return a.sumW * a.sumW / a.sumW2
 }
 
-// StdErr returns the standard error of the importance-sampling mean.
-func (a *WeightedAccumulator) StdErr() float64 { return a.y.StdErr() }
-
-// Variance returns the unbiased sample variance of the products w·x.
-func (a *WeightedAccumulator) Variance() float64 { return a.y.Variance() }
-
 // ConfidenceInterval returns a normal-approximation interval for the
 // importance-sampling mean at the given level. The half-width uses the
 // iid variance of the products w·x (each an unbiased draw), which is the
@@ -76,18 +56,11 @@ func (a *WeightedAccumulator) ConfidenceInterval(level float64) Interval {
 	return a.y.ConfidenceInterval(level)
 }
 
-// RelativeError returns the confidence interval's half-width divided by
-// the absolute mean at the given level — the convergence measure used by
-// rare-event stopping rules, where an absolute half-width target is
-// meaningless across nine orders of magnitude of unavailability. +Inf
-// when the mean is zero.
-func (a *WeightedAccumulator) RelativeError(level float64) float64 {
-	return RelativeError(a.ConfidenceInterval(level))
-}
-
-// RelativeError returns HalfWide/|Mean| of an interval, the scale-free
-// precision measure for rare-event estimates. +Inf when the mean is zero
-// (no event observed yet: the estimate has no precision at all).
+// RelativeError returns HalfWide/|Mean| of an interval — the convergence
+// measure of rare-event stopping rules, where an absolute half-width
+// target is meaningless across nine orders of magnitude of
+// unavailability. +Inf when the mean is zero (no event observed yet: the
+// estimate has no precision at all).
 func RelativeError(ci Interval) float64 {
 	if ci.Mean == 0 {
 		return math.Inf(1)

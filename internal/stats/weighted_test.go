@@ -27,9 +27,6 @@ func TestWeightedEqualWeightsReduceToPlain(t *testing.T) {
 	if got := wa.ESS(); math.Abs(got-1000) > 1e-9 {
 		t.Errorf("ESS = %v with equal weights, want 1000", got)
 	}
-	if got := wa.SelfNormalizedMean(); math.Abs(got-plain.Mean()) > 1e-12 {
-		t.Errorf("self-normalized mean %v != plain mean %v", got, plain.Mean())
-	}
 }
 
 // TestWeightedESSFormula checks the Kish formula on a hand-computable
@@ -97,12 +94,6 @@ func TestBernoulliTailUnbiased(t *testing.T) {
 				t.Errorf("grand mean %.3e vs exact %.3e: |Δ| = %.3e > 4·SE = %.3e",
 					grand.Mean(), c.p, d, 4*se)
 			}
-			// The self-normalized estimator must agree with the unbiased one
-			// to within its own O(1/n) bias at this sample size.
-			wa := bernoulliTail(rng, c.p, c.q, 20000)
-			if sn := wa.SelfNormalizedMean(); math.Abs(sn-wa.Mean()) > 0.2*wa.Mean() {
-				t.Errorf("self-normalized %.3e drifted from unbiased %.3e", sn, wa.Mean())
-			}
 		})
 	}
 }
@@ -125,7 +116,7 @@ func TestBernoulliTailCICoverage(t *testing.T) {
 	covered := 0
 	for trial := 0; trial < trials; trial++ {
 		wa := bernoulliTail(rng, p, q, n)
-		if wa.ConfidenceInterval(0.95).Contains(p) {
+		if contains(wa.ConfidenceInterval(0.95), p) {
 			covered++
 		}
 		if ess := wa.ESS(); ess <= 0 || ess > float64(n)+1e-9 {
@@ -174,7 +165,7 @@ func TestBernoulliTailPropertyRandomSchedules(t *testing.T) {
 		for trial := 0; trial < trials; trial++ {
 			wa := bernoulliTail(rng, p, q, n)
 			grand.Add(wa.Mean())
-			if mw := wa.SumWeights() / float64(wa.N()); math.Abs(mw-1) > 0.2 {
+			if mw := wa.SumWeights() / n; math.Abs(mw-1) > 0.2 {
 				t.Fatalf("p=%.2e q=%.2e: mean weight %v drifted from 1", p, q, mw)
 			}
 		}
@@ -194,13 +185,5 @@ func TestRelativeError(t *testing.T) {
 	}
 	if re := RelativeError(Interval{Mean: 2e-7, HalfWide: 1e-8}); math.Abs(re-0.05) > 1e-12 {
 		t.Errorf("relative error = %v, want 0.05", re)
-	}
-	var wa WeightedAccumulator
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 100; i++ {
-		wa.Add(rng.Float64(), 1)
-	}
-	if got, want := wa.RelativeError(0.95), RelativeError(wa.ConfidenceInterval(0.95)); got != want {
-		t.Errorf("method %v != helper %v", got, want)
 	}
 }

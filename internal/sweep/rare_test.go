@@ -8,6 +8,7 @@ import (
 	"sdnavail/internal/markov"
 	"sdnavail/internal/mc"
 	"sdnavail/internal/profile"
+	"sdnavail/internal/report"
 	"sdnavail/internal/stats"
 	"sdnavail/internal/topology"
 )
@@ -101,6 +102,57 @@ func TestRelTargetStopping(t *testing.T) {
 	got := p.Estimate.CPUnavailability
 	if d := math.Abs(got.Mean - exact); d > 2*got.HalfWide+0.05*exact {
 		t.Errorf("converged estimate %.4e ± %.1e vs exact %.4e", got.Mean, got.HalfWide, exact)
+	}
+}
+
+// TestRareTailSpeedupFloor holds the rare-event engine's replication-count
+// speed-up over naive Monte Carlo on the 2-of-3 reduction (per-process
+// MTBF 5000 h, repair 1 h, horizon 50 h: two down at once sits near
+// 1.2e-7, which naive MC at this horizon almost never observes). The
+// naive cost is the hit-probability extrapolation z²·(1/p−1)/ε², a floor
+// on the true one, so the speed-up is conservative. Everything here is a
+// seeded count, not a timing: the run converges after exactly 200 768
+// replications, 277× under the naive floor.
+func TestRareTailSpeedupFloor(t *testing.T) {
+	cfg := quorumConfig(1, 50)
+	cfg.Rare = mc.RareEventConfig{ProcessBias: 30, SplitLevels: []int{2}, SplitFactor: 3}
+	opt := Options{Confidence: 0.99, RelTarget: 0.10, MinReps: 64, MaxReps: 1 << 19, Batch: 4096}
+	results, err := Run([]Point{{ID: "kofn-2of3", Config: cfg}}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := results[0]
+	est, ci := r.Estimate, r.Estimate.CPUnavailability
+	if !r.Converged {
+		t.Fatalf("did not reach %.0f%% relative error within %d replications (rel err %.1f%%)",
+			opt.RelTarget*100, opt.MaxReps, stats.RelativeError(ci)*100)
+	}
+	if r.Replications != 200768 {
+		t.Errorf("converged after %d replications, want the seeded 200768", r.Replications)
+	}
+
+	exactDown, err := markov.KofNExpectedDownTime(2, 3, 1/cfg.ProcessMTBF, 1/cfg.ManualRestart, cfg.Horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exact := exactDown / cfg.Horizon
+	if math.Abs(ci.Mean-exact) > 4*ci.HalfWide {
+		t.Fatalf("estimate %.4e disagrees with exact %.4e beyond 4 half-widths (±%.1e)",
+			ci.Mean, exact, ci.HalfWide)
+	}
+
+	naive := report.NaiveReplications(est.RareHitProb, stats.RelativeError(ci), stats.Z(opt.Confidence))
+	if naive <= 0 {
+		t.Fatal("no naive baseline estimable: hit probability is zero")
+	}
+	speedup := naive / float64(r.Replications)
+	t.Logf("estimate %.3e ± %.1e vs exact %.3e; %d replications, ESS %.0f, hit probability %.2e; naive floor %.3g replications -> %.0fx",
+		ci.Mean, ci.HalfWide, exact, r.Replications, est.RareESS, est.RareHitProb, naive, speedup)
+	if speedup < 50 {
+		t.Fatalf("replication-count speedup %.1fx below the 50x floor", speedup)
+	}
+	if math.Round(speedup) != 277 {
+		t.Errorf("speedup %.1fx, want the seeded 277x", speedup)
 	}
 }
 

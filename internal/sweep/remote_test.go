@@ -41,11 +41,10 @@ func shardedExec(t testing.TB, cfg mc.Config, k int) ShardExec {
 				size++
 			}
 			for rep := cur; rep < cur+size; rep++ {
-				res, ok := sessions[w].ReplicateContext(ctx, rep)
-				if !ok {
-					return nil, ctx.Err()
+				if err := ctx.Err(); err != nil {
+					return nil, err
 				}
-				raw, err := json.Marshal(RepSample{Rep: rep, Res: res})
+				raw, err := json.Marshal(RepSample{Rep: rep, Res: sessions[w].Replicate(rep)})
 				if err != nil {
 					return nil, err
 				}

@@ -247,16 +247,6 @@ func (l *Ledger) Attributions(nowHours float64) []Attribution {
 	return out
 }
 
-// Planes returns the plane names in registration order.
-func (l *Ledger) Planes() []string {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]string(nil), l.order...)
-}
-
 // MergedPrefix merges every plane whose name starts with prefix into one
 // table under the given label, as of nowHours — e.g.
 // MergedPrefix("dp", "dp:", now) rolls the per-host data planes up.

@@ -25,13 +25,6 @@ func (c *Counter) Inc() {
 	}
 }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) {
-	if c != nil {
-		c.v.Add(n)
-	}
-}
-
 // Value returns the current count (0 on a nil counter).
 func (c *Counter) Value() uint64 {
 	if c == nil {

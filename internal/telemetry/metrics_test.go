@@ -11,9 +11,9 @@ func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("events")
 	c.Inc()
-	c.Add(4)
-	if got := c.Value(); got != 5 {
-		t.Errorf("counter = %d, want 5", got)
+	c.Inc()
+	if got := c.Value(); got != 2 {
+		t.Errorf("counter = %d, want 2", got)
 	}
 	if r.Counter("events") != c {
 		t.Error("second Counter call returned a different handle")
@@ -65,7 +65,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	g := r.Gauge("x")
 	h := r.Histogram("x", []float64{1})
 	c.Inc()
-	c.Add(3)
 	g.Set(1)
 	g.Add(1)
 	h.Observe(1)
@@ -79,7 +78,7 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 
 	var tr *Trace
 	tr.Record(Event{Kind: EventProcessDown})
-	if tr.Len() != 0 || tr.Events() != nil {
+	if tr.Events() != nil {
 		t.Error("nil trace must drop events")
 	}
 
@@ -92,9 +91,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	}
 
 	var tel *Telemetry
-	if tel.Enabled() {
-		t.Error("nil telemetry reports enabled")
-	}
 	if tel.Summarize(1) != nil {
 		t.Error("nil telemetry must summarize to nil")
 	}
@@ -136,7 +132,7 @@ func TestRegistryConcurrentUpdates(t *testing.T) {
 func TestSnapshotSortedAndJSONStable(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("zeta").Inc()
-	r.Counter("alpha").Add(2)
+	r.Counter("alpha").Inc()
 	r.Gauge("mid").Set(1)
 	snap := r.Snapshot()
 	if snap.Counters[0].Name != "alpha" || snap.Counters[1].Name != "zeta" {
@@ -157,7 +153,7 @@ func TestSnapshotSortedAndJSONStable(t *testing.T) {
 
 func TestSummarize(t *testing.T) {
 	tel := New()
-	tel.Metrics.Counter("kills").Add(3)
+	tel.Metrics.Counter("kills").Inc()
 	tel.Metrics.Gauge("down").Set(2)
 	tel.Ledger.PlaneDown("cp", 1, []string{"process:control"})
 	tel.Ledger.PlaneUp("cp", 1.5)
@@ -165,7 +161,7 @@ func TestSummarize(t *testing.T) {
 	if s == nil {
 		t.Fatal("enabled telemetry summarized to nil")
 	}
-	if s.Counters["kills"] != 3 || s.Gauges["down"] != 2 {
+	if s.Counters["kills"] != 1 || s.Gauges["down"] != 2 {
 		t.Errorf("summary metrics wrong: %+v", s)
 	}
 	if got := s.PlaneDowntimeHours["cp"]; math.Abs(got-0.5) > 1e-12 {

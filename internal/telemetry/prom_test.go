@@ -10,7 +10,9 @@ import (
 // histogram buckets summing to the count.
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("requests").Add(7)
+	for i := 0; i < 7; i++ {
+		r.Counter("requests").Inc()
+	}
 	r.Counter("sheds_total").Inc() // already suffixed: must not double
 	r.Gauge("queue-depth").Set(3.5)
 	h := r.Histogram("latency_seconds", []float64{0.1, 1})

@@ -33,9 +33,6 @@ func New() *Telemetry {
 	return &Telemetry{Metrics: NewRegistry(), Trace: NewTrace(), Ledger: NewLedger(), Recovery: NewRecovery()}
 }
 
-// Enabled reports whether the aggregate collects anything.
-func (t *Telemetry) Enabled() bool { return t != nil }
-
 // Summary is a lightweight point-in-time digest of the telemetry state,
 // suitable for embedding in a health report: counter values plus total
 // attributed downtime per plane (open intervals closed provisionally at

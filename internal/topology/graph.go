@@ -2,7 +2,6 @@ package topology
 
 import (
 	"fmt"
-	"sort"
 )
 
 // The network graph generalizes the containment tree: racks and hosts stay
@@ -286,15 +285,6 @@ func (g *Graph) LinkIndex(id string) (int, bool) {
 // and rack nodes.
 func (g *Graph) HostName(node int) string { return g.hostOf[node] }
 
-// LinkIDs returns the link identifiers in declaration order.
-func (g *Graph) LinkIDs() []string {
-	ids := make([]string, len(g.Links))
-	for i, l := range g.Links {
-		ids[i] = l.ID()
-	}
-	return ids
-}
-
 // FallibleLinks returns the indices of links with MTBF > 0, in
 // declaration order.
 func (g *Graph) FallibleLinks() []int {
@@ -498,21 +488,4 @@ func (c *Connectivity) recomputeFull() {
 			c.queue = append(c.queue, he.to)
 		}
 	}
-}
-
-// RecomputeFull recomputes reachability from scratch at the current link
-// states (the naive per-event baseline the benchmark compares against).
-func (c *Connectivity) RecomputeFull() { c.recomputeFull() }
-
-// Snapshot returns the sorted indices of currently reachable nodes, for
-// tests comparing incremental state against the naive baseline.
-func (c *Connectivity) Snapshot() []int {
-	var up []int
-	for n, r := range c.reach {
-		if r {
-			up = append(up, n)
-		}
-	}
-	sort.Ints(up)
-	return up
 }

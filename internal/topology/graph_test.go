@@ -14,7 +14,7 @@ func mustLink(t *testing.T, g *Graph, id string) int {
 	t.Helper()
 	i, ok := g.LinkIndex(id)
 	if !ok {
-		t.Fatalf("link %q not in graph (have %v)", id, g.LinkIDs())
+		t.Fatalf("link %q not in graph (have %v)", id, g.Links)
 	}
 	return i
 }
@@ -163,7 +163,7 @@ func TestConnectivityMatchesNaive(t *testing.T) {
 		fast.SetLink(li, up)
 		slow.linkDown[li] = !up
 		slow.recomputeFull()
-		if got, want := fast.Snapshot(), slow.Snapshot(); !reflect.DeepEqual(got, want) {
+		if got, want := fast.reach, slow.reach; !reflect.DeepEqual(got, want) {
 			t.Fatalf("event %d (link %s up=%v): incremental %v != naive %v",
 				i, g.Links[li].ID(), up, got, want)
 		}
@@ -191,7 +191,7 @@ func TestConnectivityMatchesNaiveTree(t *testing.T) {
 		fast.SetLink(li, up)
 		slow.linkDown[li] = !up
 		slow.recomputeFull()
-		if got, want := fast.Snapshot(), slow.Snapshot(); !reflect.DeepEqual(got, want) {
+		if got, want := fast.reach, slow.reach; !reflect.DeepEqual(got, want) {
 			t.Fatalf("event %d (link %s up=%v): incremental %v != naive %v",
 				i, g.Links[li].ID(), up, got, want)
 		}

@@ -202,13 +202,6 @@ func (f *Fake) DoneWork() {
 	}
 }
 
-// Work returns the number of outstanding deliveries.
-func (f *Fake) Work() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.work
-}
-
 // Park marks the calling registered goroutine as blocked outside the
 // clock. The returned function unparks it.
 func (f *Fake) Park() func() {
@@ -246,28 +239,6 @@ func (f *Fake) Advance(d time.Duration) {
 		}
 	}
 	f.now = target
-}
-
-// Registered returns the number of currently registered goroutines.
-func (f *Fake) Registered() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.registered
-}
-
-// Parked returns the number of currently park-counted goroutines.
-func (f *Fake) Parked() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.parked
-}
-
-// Pending returns the number of armed deadlines (sleepers, timers and
-// tickers).
-func (f *Fake) Pending() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.waiters)
 }
 
 // ---- internals (callers hold f.mu unless noted) ----

@@ -418,3 +418,35 @@ func waitFor(t *testing.T, cond func() bool) {
 		time.Sleep(100 * time.Microsecond)
 	}
 }
+
+// The fake clock's quiescence bookkeeping, read under its lock: observation
+// hooks for the tests above; nothing else asks.
+
+// Work returns the number of outstanding deliveries.
+func (f *Fake) Work() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.work
+}
+
+// Registered returns the number of currently registered goroutines.
+func (f *Fake) Registered() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.registered
+}
+
+// Parked returns the number of currently park-counted goroutines.
+func (f *Fake) Parked() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.parked
+}
+
+// Pending returns the number of armed deadlines (sleepers, timers and
+// tickers).
+func (f *Fake) Pending() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.waiters)
+}

@@ -318,7 +318,7 @@ func NewFakeClock(start time.Time) *FakeClock { return vclock.NewFake(start) }
 // event loop.
 type RareEventConfig = mc.RareEventConfig
 
-// ReportTable is a rendered result table (Text, CSV, Markdown).
+// ReportTable is a rendered result table (see its Text method).
 type ReportTable = report.Table
 
 // TailPoint is one labelled deep-tail configuration for RunTailStudy.

@@ -53,12 +53,12 @@ func TestPublicAPIBlocks(t *testing.T) {
 		t.Errorf("block eval = %.9f, want %.9f", a, want)
 	}
 	p := sdnavail.InParallel(sdnavail.Const(0.9), sdnavail.Const(0.9))
-	if v := p.MustEval(nil); math.Abs(v-0.99) > 1e-12 {
-		t.Errorf("parallel = %g", v)
+	if v, err := p.Eval(nil); err != nil || math.Abs(v-0.99) > 1e-12 {
+		t.Errorf("parallel = %g, %v", v, err)
 	}
 	v3 := sdnavail.Vote(1, sdnavail.Const(0.5), sdnavail.Const(0.5))
-	if v := v3.MustEval(nil); math.Abs(v-0.75) > 1e-12 {
-		t.Errorf("vote = %g", v)
+	if v, err := v3.Eval(nil); err != nil || math.Abs(v-0.75) > 1e-12 {
+		t.Errorf("vote = %g, %v", v, err)
 	}
 }
 
