@@ -107,7 +107,7 @@ func (s *Sim) nodeBlames(gn *groupNode, set []int32) []int32 {
 func (s *Sim) groupBlames(groups []simGroup, set []int32) []int32 {
 	for gi := range groups {
 		g := &groups[gi]
-		if int(s.quorum.groupUp[g.id]) >= g.need {
+		if int(s.quorum.groups[g.id].up) >= g.need {
 			continue
 		}
 		for ni := range g.nodes {

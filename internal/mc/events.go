@@ -1,7 +1,13 @@
 package mc
 
+import (
+	"math"
+	"math/bits"
+)
+
 // event is a scheduled state transition for one entity. seq breaks time
-// ties deterministically so identical seeds replay identically.
+// ties deterministically so identical seeds replay identically. at is
+// never −0: schedule, the one place events are made, stores at + 0.
 type event struct {
 	at     float64
 	seq    uint64
@@ -14,16 +20,21 @@ type event struct {
 // headless-hold expiry so the host-DP accumulator sees the boundary.
 const timerEntity = -1
 
-// before orders events by (at, seq). The order is strict and total only
-// over finite times — a NaN compares false both ways and would sit
-// anywhere — which is why Config.Validate rejects every non-finite
-// duration before an event is ever drawn from it.
-func (e event) before(o event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
+// precedes returns 1 when e orders before o by (at, seq), else 0. It is
+// the borrow out of one 128-bit subtraction (at bits, seq) − (o.at bits,
+// o.seq): for finite non-negative floats, which is every event time
+// (Config.Validate refuses NaN and ±Inf and schedule turns −0 into +0),
+// IEEE bit order is numeric order, so the high word compares times and
+// the low word breaks their ties — with no data-dependent branch.
+func (e event) precedes(o event) uint64 {
+	_, b := bits.Sub64(e.seq, o.seq, 0)
+	_, b = bits.Sub64(math.Float64bits(e.at), math.Float64bits(o.at), b)
+	return b
 }
+
+// before orders events by (at, seq), a strict total order since seq is
+// unique.
+func (e event) before(o event) bool { return e.precedes(o) != 0 }
 
 // eventHeap is a flat, type-specialized binary min-heap of events ordered
 // by (at, seq), with pop and the reschedule that follows it fused. Nearly
@@ -111,7 +122,9 @@ func (h *eventHeap) settle() {
 }
 
 // siftDown places e at the vacant root, moving the hole down past every
-// child that orders before e.
+// child that orders before e. The smaller child is picked arithmetically:
+// which of two near-random times is earlier is a coin flip a branch
+// predictor cannot learn.
 func (h *eventHeap) siftDown(e event) {
 	ev := h.ev
 	n := len(ev)
@@ -121,8 +134,8 @@ func (h *eventHeap) siftDown(e event) {
 		if child >= n {
 			break
 		}
-		if right := child + 1; right < n && ev[right].before(ev[child]) {
-			child = right
+		if right := child + 1; right < n {
+			child += int(ev[right].precedes(ev[child]))
 		}
 		if !ev[child].before(e) {
 			break
@@ -145,8 +158,10 @@ func (h *eventHeap) restore(snap []event) {
 	h.hole = false
 }
 
-// schedule pushes an event onto the heap.
+// schedule pushes an event onto the heap. A draw of u = 0 makes
+// −log(1−u)·m = −0, whose sign bit would sort it after every other time;
+// adding +0 turns it into +0 and leaves every other value as it is.
 func (s *Sim) schedule(at float64, entity int, up bool) {
 	s.seq++
-	s.events.push(event{at: at, seq: s.seq, entity: entity, up: up})
+	s.events.push(event{at: at + 0, seq: s.seq, entity: entity, up: up})
 }

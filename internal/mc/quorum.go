@@ -35,30 +35,41 @@ type quorumIndex struct {
 	// depHost is the compute host whose local vRouter set (processes, and
 	// supervisor when required) the dependency belongs to, or -1.
 	depHost []int32
-	// nodeGroup maps a group-node to its group; groupNeed and groupPlane
-	// are per group.
-	nodeGroup  []int32
-	groupNeed  []int32
-	groupPlane []uint8
 
-	nodeDown []int32  // down dependencies per group-node; it serves at 0
-	groupUp  []int32  // serving nodes per group
+	nodes    []nodeCount
+	groups   []groupCount
 	hostDown []int32  // down local dependencies per compute host
-	unsat    [2]int32 // groups with groupUp < groupNeed, per plane
+	unsat    [2]int32 // groups with up < need, per plane
 
-	// allUp is what recount made of groupUp and unsat with every
+	// allUp is what recount made of nodes, groups and unsat with every
 	// dependency up, taken once at build: where every replication starts.
 	allUp struct {
-		groupUp []int32
-		unsat   [2]int32
+		nodes  []nodeCount
+		groups []groupCount
+		unsat  [2]int32
 	}
+}
+
+// nodeCount is one group-node's counter and the group it serves, side by
+// side so bump touches one record per incident node.
+type nodeCount struct {
+	down  int32 // down dependencies; the node serves at 0
+	group int32
+}
+
+// groupCount is one group's serving-node counter with its threshold and
+// plane.
+type groupCount struct {
+	up    int32 // serving nodes
+	need  int32
+	plane int32
 }
 
 // rewind sets the counters to the all-up start of a replication.
 func (q *quorumIndex) rewind() {
-	clear(q.nodeDown)
+	copy(q.nodes, q.allUp.nodes)
+	copy(q.groups, q.allUp.groups)
 	clear(q.hostDown)
-	copy(q.groupUp, q.allUp.groupUp)
 	q.unsat = q.allUp.unsat
 }
 
@@ -95,13 +106,12 @@ func (s *Sim) buildQuorumIndex() {
 	for pl, groups := range planes {
 		for gi := range groups {
 			g := &groups[gi]
-			g.id = len(q.groupNeed)
-			q.groupNeed = append(q.groupNeed, int32(g.need))
-			q.groupPlane = append(q.groupPlane, uint8(pl))
+			g.id = len(q.groups)
+			q.groups = append(q.groups, groupCount{need: int32(g.need), plane: int32(pl)})
 			for ni := range g.nodes {
 				gn := &g.nodes[ni]
-				gn.id = len(q.nodeGroup)
-				q.nodeGroup = append(q.nodeGroup, int32(g.id))
+				gn.id = len(q.nodes)
+				q.nodes = append(q.nodes, nodeCount{group: int32(g.id)})
 				deps = s.nodeDeps(gn, deps[:0])
 				for _, d := range deps {
 					q.depOff[d+1]++
@@ -139,10 +149,9 @@ func (s *Sim) buildQuorumIndex() {
 			q.depHost[pe] = int32(h)
 		}
 	}
-	q.nodeDown = make([]int32, len(q.nodeGroup))
-	q.groupUp = make([]int32, len(q.groupNeed))
 	s.recount()
-	q.allUp.groupUp = append([]int32(nil), q.groupUp...)
+	q.allUp.nodes = append([]nodeCount(nil), q.nodes...)
+	q.allUp.groups = append([]groupCount(nil), q.groups...)
 	q.allUp.unsat = q.unsat
 }
 
@@ -152,8 +161,12 @@ func (s *Sim) buildQuorumIndex() {
 // derived state, so a splitting snapshot does not carry them.
 func (s *Sim) recount() {
 	q := &s.quorum
-	clear(q.nodeDown)
-	clear(q.groupUp)
+	for n := range q.nodes {
+		q.nodes[n].down = 0
+	}
+	for g := range q.groups {
+		q.groups[g].up = 0
+	}
 	clear(q.hostDown)
 	for d := range q.depHost {
 		var up bool
@@ -169,73 +182,86 @@ func (s *Sim) recount() {
 			q.hostDown[h]++
 		}
 		for _, n := range q.depNodes[q.depOff[d]:q.depOff[d+1]] {
-			q.nodeDown[n]++
+			q.nodes[n].down++
 		}
 	}
-	for n, down := range q.nodeDown {
-		if down == 0 {
-			q.groupUp[q.nodeGroup[n]]++
+	for _, nd := range q.nodes {
+		if nd.down == 0 {
+			q.groups[nd.group].up++
 		}
 	}
 	q.unsat = [2]int32{}
-	for g, up := range q.groupUp {
-		if up < q.groupNeed[g] {
-			q.unsat[q.groupPlane[g]]++
+	for _, g := range q.groups {
+		if g.up < g.need {
+			q.unsat[g.plane]++
 		}
 	}
 }
 
-// bump moves the counters across one dependency's transition.
-func (s *Sim) bump(dep int, up bool) {
+// bump moves the counters across one dependency's transition and reports
+// whether it changed one of the tests refresh reads: a group crossed its
+// need, or a compute host's local set went from all up to not, or back.
+func (s *Sim) bump(dep int, up bool) (crossed bool) {
 	q := &s.quorum
+	nodes, groups := q.nodes, q.groups
 	if up {
 		if h := q.depHost[dep]; h >= 0 {
 			q.hostDown[h]--
+			crossed = q.hostDown[h] == 0
 		}
 		for _, n := range q.depNodes[q.depOff[dep]:q.depOff[dep+1]] {
-			q.nodeDown[n]--
-			if q.nodeDown[n] == 0 {
-				g := q.nodeGroup[n]
-				q.groupUp[g]++
-				if q.groupUp[g] == q.groupNeed[g] {
-					q.unsat[q.groupPlane[g]]--
+			nd := &nodes[n]
+			nd.down--
+			if nd.down == 0 {
+				g := &groups[nd.group]
+				g.up++
+				if g.up == g.need {
+					q.unsat[g.plane]--
+					crossed = true
 				}
 			}
 		}
-		return
+		return crossed
 	}
 	if h := q.depHost[dep]; h >= 0 {
 		q.hostDown[h]++
+		crossed = q.hostDown[h] == 1
 	}
 	for _, n := range q.depNodes[q.depOff[dep]:q.depOff[dep+1]] {
-		q.nodeDown[n]++
-		if q.nodeDown[n] == 1 {
-			g := q.nodeGroup[n]
-			q.groupUp[g]--
-			if q.groupUp[g] == q.groupNeed[g]-1 {
-				q.unsat[q.groupPlane[g]]++
+		nd := &nodes[n]
+		nd.down++
+		if nd.down == 1 {
+			g := &groups[nd.group]
+			g.up--
+			if g.up == g.need-1 {
+				q.unsat[g.plane]++
+				crossed = true
 			}
 		}
 	}
+	return crossed
 }
 
 // flip applies one entity transition: the entity table, and through it the
 // quorum counters. A link flip reaches the counters through the
 // reachability tracker — SetLink returns exactly the graph nodes whose
-// reachability changed, all in the direction of the flip.
-func (s *Sim) flip(ent int, up bool) {
+// reachability changed, all in the direction of the flip. It reports
+// whether any bump crossed a threshold.
+func (s *Sim) flip(ent int, up bool) (crossed bool) {
 	e := &s.entities[ent]
 	e.up = up
 	if e.kind != kindLink {
-		s.bump(ent, up)
-		return
+		return s.bump(ent, up)
 	}
 	for _, n := range s.conn.SetLink(e.link, up) {
-		s.bump(len(s.entities)+n, up)
+		if s.bump(len(s.entities)+n, up) {
+			crossed = true
+		}
 	}
+	return crossed
 }
 
 // nodeUp reports whether the group's placement on one node serves: its
 // hardware chain (and supervisor, in scenario 2) is up, its host is
 // reachable, and every member process is running.
-func (s *Sim) nodeUp(gn *groupNode) bool { return s.quorum.nodeDown[gn.id] == 0 }
+func (s *Sim) nodeUp(gn *groupNode) bool { return s.quorum.nodes[gn.id].down == 0 }

@@ -2,6 +2,7 @@ package mc
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"sdnavail/internal/analytic"
@@ -15,8 +16,12 @@ import (
 // probe below re-derives each group-node's verdict, each group's serving
 // count, both plane verdicts and every compute host's local verdict from
 // the entity table and the reachability set, and demands the counters (and
-// the indicators refresh derived from them) agree. The bit-identity goldens
-// then carry the rest: equal verdicts at every event means equal estimates.
+// the indicators refresh derived from them) agree. The loop refreshes the
+// indicators only when a counter crossed a threshold (or a verdict can move
+// without one), so the indicator check after an event that skipped refresh
+// is what holds the skip to being safe; each run must see events of both
+// kinds. The bit-identity goldens then carry the rest: equal verdicts at
+// every event means equal estimates.
 
 // scanNodeUp is the pre-index nodeUp: the group's placement on one node
 // serves when its hardware chain (and supervisor, in scenario 2) is up, its
@@ -67,6 +72,17 @@ type quorumProbe struct {
 	queued                        bool // a failure waited for a repair crew
 	headless                      bool // a host rode out a shared-DP outage
 	restores, restoresLinkDown    int  // rare-path restores, and those with a link down
+
+	// verdicts are the indicators refresh derives, at the previous probe
+	// and now; moved and still count the probes where they changed and
+	// where they did not.
+	verdicts, prevVerdicts []bool
+	moved, still           int
+}
+
+// indicators appends cpUp, sdpUp and every hostUp to buf.
+func indicators(s *Sim, buf []bool) []bool {
+	return append(append(buf, s.cpUp, s.sdpUp), s.hostUp...)
 }
 
 // at locates a failure: formatted only when one is reported.
@@ -93,13 +109,13 @@ func (p *quorumProbe) counters(s *Sim) (planeUp [2]bool) {
 				}
 				if got := s.nodeUp(gn); got != want {
 					t.Fatalf("%s: plane %d group %q node %d: counter says up=%v (%d down deps), scan says %v",
-						p.at(s), pl, g.name, ni, got, q.nodeDown[gn.id], want)
+						p.at(s), pl, g.name, ni, got, q.nodes[gn.id].down, want)
 				}
 				if gn.connNode >= 0 && !s.conn.Reachable(gn.connNode) {
 					p.unreachable = true
 				}
 			}
-			if got := int(q.groupUp[g.id]); got != count {
+			if got := int(q.groups[g.id].up); got != count {
 				t.Fatalf("%s: plane %d group %q: %d serving nodes counted, scan finds %d", p.at(s), pl, g.name, got, count)
 			}
 			if count < g.need {
@@ -149,6 +165,13 @@ func (p *quorumProbe) check(s *Sim) {
 	p.cpDown = p.cpDown || !cp
 	p.dpDown = p.dpDown || !sdp
 	p.queued = p.queued || len(s.crewQueue) > 0
+	p.verdicts = indicators(s, p.verdicts[:0])
+	if slices.Equal(p.verdicts, p.prevVerdicts) {
+		p.still++
+	} else {
+		p.moved++
+	}
+	p.verdicts, p.prevVerdicts = p.prevVerdicts, p.verdicts
 
 	// Simulated time only runs backwards when a pending rare branch was
 	// just restored (or a new replication began, which resets prevAt).
@@ -172,9 +195,13 @@ func (p *quorumProbe) run(s *Sim, reps int) {
 		s.reset(rep)
 		p.prevAt = 0
 		p.counters(s) // the reset state, before any event has bumped it
+		p.prevVerdicts = indicators(s, p.prevVerdicts[:0])
 		if !s.runCancel(nil, new(Result)) {
 			p.t.Fatalf("replication %d abandoned", rep)
 		}
+	}
+	if p.moved == 0 || p.still == 0 {
+		p.t.Errorf("%d probes saw an indicator move and %d saw none; want both > 0", p.moved, p.still)
 	}
 }
 

@@ -442,6 +442,7 @@ func (s *Sim) restoreRarePath() {
 		}
 	}
 	s.recount()
+	s.stale = true
 	if s.probe != nil {
 		s.probe(s)
 	}

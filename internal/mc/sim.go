@@ -20,19 +20,9 @@ const (
 	kindLink
 )
 
-// procClass selects the repair policy of a process entity.
-type procClass int
-
-const (
-	procAuto       procClass = iota // restarted by its supervisor (R) when it is up, manually (R_S) otherwise
-	procManual                      // always manual restart (R_S)
-	procSupervisor                  // maintenance window (scenario 1) or manual restart (scenario 2)
-)
-
 // entity is one failing/repairing unit.
 type entity struct {
-	kind  entityKind
-	class procClass // processes only
+	kind entityKind
 	// mode is the failure-mode key downtime is attributed to: "rack:",
 	// "host:", "vm:" or "link:" plus the unit's name, and "process:<name>"
 	// aggregated across nodes. Fixed at build time; modeID is its interned
@@ -41,11 +31,15 @@ type entity struct {
 	modeID int32
 	up     bool
 	mtbf   float64
-	// repair is the per-entity mean repair time for kindLink entities
-	// (links carry individual MTTRs); other kinds use the Config times.
-	repair float64
-	// supEnt is the entity index of the owning supervisor for procAuto
-	// entities, or -1.
+	// repair is the mean of the exponential repair time, fixed at build
+	// from the kind, restart policy and scenario (links carry their own
+	// MTTR) — or, with fixedRepair, the repair time itself: a scenario-1
+	// supervisor waits for the next maintenance window, and the restart
+	// itself is hitless.
+	repair      float64
+	fixedRepair bool
+	// supEnt is the supervisor that auto-restarts this process, or -1.
+	// While it is down, the process must be restarted manually instead.
 	supEnt int
 	// link is the topology link index for kindLink entities.
 	link int
@@ -139,6 +133,12 @@ type Sim struct {
 	hostUp    []bool
 	cpStart   float64 // start of current CP outage, valid when !cpUp
 	sdpDownAt float64 // start of current shared-DP outage, valid when !sdpUp
+	// stale makes the next event refresh the indicators. reset and
+	// restoreRarePath set it, so does a flip that crossed a threshold, and
+	// refresh leaves it set while a verdict can move without one. Any other
+	// event would have refresh derive the indicators from the inputs that
+	// already produced them, so it skips refresh.
+	stale bool
 
 	// accumulators
 	cpTime     float64
@@ -279,6 +279,7 @@ func (s *Sim) reset(replication int) {
 		s.hostUp[i] = true
 	}
 	s.cpStart, s.sdpDownAt = 0, 0
+	s.stale = true
 	s.path.reset()
 	s.cpTime, s.sdpTime = 0, 0
 	for i := range s.hostTime {
@@ -307,6 +308,28 @@ func (s *Sim) addEntity(e entity) int {
 	return len(s.entities) - 1
 }
 
+// addSupervisor appends a node supervisor. Restarting it takes a manual
+// restart (R_S) where the scenario requires it; otherwise it waits for the
+// maintenance window.
+func (s *Sim) addSupervisor(sup profile.Process) int {
+	e := entity{kind: kindProcess, mode: "process:" + sup.Name, mtbf: s.cfg.ProcessMTBF, repair: s.cfg.ManualRestart, supEnt: -1}
+	if !s.supRequired {
+		e.repair, e.fixedRepair = s.cfg.MaintenanceWindow, true
+	}
+	return s.addEntity(e)
+}
+
+// addProcess appends a member process of the supervisor sup (or -1). Its
+// supervisor restarts it (R) unless the profile marks it manual-restart
+// (R_S).
+func (s *Sim) addProcess(proc profile.Process, sup int) int {
+	e := entity{kind: kindProcess, mode: "process:" + proc.Name, mtbf: s.cfg.ProcessMTBF, repair: s.cfg.AutoRestart, supEnt: sup}
+	if proc.Restart == profile.ManualRestart {
+		e.repair, e.supEnt = s.cfg.ManualRestart, -1
+	}
+	return s.addEntity(e)
+}
+
 // instanceLoc is one (role, node) placement resolved to entity indices
 // during build; the quorum groups flatten it into groupNodes.
 type instanceLoc struct {
@@ -325,11 +348,11 @@ func (s *Sim) build() {
 	}
 	vmOf := map[topology.Placement]vmLoc{}
 	for _, rack := range cfg.Topology.Racks {
-		re := s.addEntity(entity{kind: kindRack, mode: "rack:" + rack.Name, mtbf: cfg.RackMTBF, supEnt: -1})
+		re := s.addEntity(entity{kind: kindRack, mode: "rack:" + rack.Name, mtbf: cfg.RackMTBF, repair: cfg.RackRepair, supEnt: -1})
 		for _, host := range rack.Hosts {
-			he := s.addEntity(entity{kind: kindHost, mode: "host:" + host.Name, mtbf: cfg.HostMTBF, supEnt: -1})
+			he := s.addEntity(entity{kind: kindHost, mode: "host:" + host.Name, mtbf: cfg.HostMTBF, repair: cfg.HostRepair, supEnt: -1})
 			for _, vm := range host.VMs {
-				ve := s.addEntity(entity{kind: kindVM, mode: "vm:" + vm.Name, mtbf: cfg.VMMTBF, supEnt: -1})
+				ve := s.addEntity(entity{kind: kindVM, mode: "vm:" + vm.Name, mtbf: cfg.VMMTBF, repair: cfg.VMRepair, supEnt: -1})
 				for _, pl := range vm.Placements {
 					vmOf[pl] = vmLoc{rackEnt: re, hostEnt: he, vmEnt: ve, hostName: host.Name}
 				}
@@ -354,26 +377,13 @@ func (s *Sim) build() {
 			}
 			// Supervisor first so member processes can reference it.
 			if sup, ok := cfg.Profile.SupervisorOf(role); ok {
-				inst.supEnt = s.addEntity(entity{
-					kind: kindProcess, class: procSupervisor,
-					mode: "process:" + sup.Name,
-					mtbf: cfg.ProcessMTBF, supEnt: -1,
-				})
+				inst.supEnt = s.addSupervisor(sup)
 			}
 			for _, proc := range cfg.Profile.RoleProcesses(role, false) {
 				if proc.PerHost {
 					continue
 				}
-				class := procAuto
-				if proc.Restart == profile.ManualRestart {
-					class = procManual
-				}
-				idx := s.addEntity(entity{
-					kind: kindProcess, class: class,
-					mode: "process:" + proc.Name,
-					mtbf: cfg.ProcessMTBF, supEnt: inst.supEnt,
-				})
-				inst.procs[proc.Name] = idx
+				inst.procs[proc.Name] = s.addProcess(proc, inst.supEnt)
 			}
 			byPlace[pl] = inst
 		}
@@ -392,26 +402,13 @@ func (s *Sim) build() {
 	for h := 0; h < cfg.ComputeHosts; h++ {
 		ch := computeHost{supEnt: -1}
 		if sup, ok := cfg.Profile.SupervisorOf(cfg.Profile.HostRole); ok {
-			ch.supEnt = s.addEntity(entity{
-				kind: kindProcess, class: procSupervisor,
-				mode: "process:" + sup.Name,
-				mtbf: cfg.ProcessMTBF, supEnt: -1,
-			})
+			ch.supEnt = s.addSupervisor(sup)
 		}
 		for _, proc := range cfg.Profile.Processes {
 			if !proc.PerHost || proc.DP == profile.NotRequired {
 				continue
 			}
-			class := procAuto
-			if proc.Restart == profile.ManualRestart {
-				class = procManual
-			}
-			idx := s.addEntity(entity{
-				kind: kindProcess, class: class,
-				mode: "process:" + proc.Name,
-				mtbf: cfg.ProcessMTBF, supEnt: ch.supEnt,
-			})
-			ch.procEnts = append(ch.procEnts, idx)
+			ch.procEnts = append(ch.procEnts, s.addProcess(proc, ch.supEnt))
 		}
 		s.hosts = append(s.hosts, ch)
 	}
@@ -504,40 +501,25 @@ func (s *Sim) exp(mean float64) float64 {
 
 // repairTime returns the repair duration for a just-failed entity.
 func (s *Sim) repairTime(e *entity) float64 {
-	switch e.kind {
-	case kindRack:
-		return s.exp(s.cfg.RackRepair)
-	case kindHost:
-		return s.exp(s.cfg.HostRepair)
-	case kindVM:
-		return s.exp(s.cfg.VMRepair)
-	case kindLink:
-		return s.exp(e.repair)
-	}
-	switch e.class {
-	case procSupervisor:
-		if s.supRequired {
-			return s.exp(s.cfg.ManualRestart)
-		}
-		// Scenario 1: the supervisor waits for the next maintenance
-		// window; the restart itself is hitless.
-		return s.cfg.MaintenanceWindow
-	case procManual:
+	switch {
+	case e.fixedRepair:
+		return e.repair
+	case e.supEnt >= 0 && !s.entities[e.supEnt].up:
 		return s.exp(s.cfg.ManualRestart)
-	default: // procAuto
-		if e.supEnt >= 0 && !s.entities[e.supEnt].up {
-			// Unsupervised: a failed process must be restarted manually
-			// until its supervisor returns.
-			return s.exp(s.cfg.ManualRestart)
-		}
-		return s.exp(s.cfg.AutoRestart)
 	}
+	return s.exp(e.repair)
 }
 
 // refresh recomputes the plane indicators from the quorum counters,
 // tracking CP outage statistics. A down-transition freezes the failure
 // modes active at that instant into the path state; accumulate splits the
 // outage's downtime among them as it accrues.
+//
+// It keeps s.stale set where the verdicts can move with no counter
+// crossing a threshold: under the RAFT mirror, whose leader can lose its
+// node while its group holds and whose sentinels move the leadership, and
+// during a shared-DP outage with a headless hold, which expires with the
+// clock (the expiry timer fires in that state too).
 func (s *Sim) refresh() {
 	p := &s.path
 	sat := s.quorum.unsat[planeCP] == 0
@@ -589,6 +571,7 @@ func (s *Sim) refresh() {
 			s.hostUp[i] = up
 		}
 	}
+	s.stale = s.raft != nil || (!s.sdpUp && s.cfg.HeadlessHold > 0)
 }
 
 // closeOutage records the CP outage that ends now.
@@ -719,7 +702,9 @@ func (s *Sim) runCancel(done <-chan struct{}, res *Result) bool {
 			if s.raft != nil && ev.entity <= raftElectionEntity {
 				s.raft.handle(s, ev)
 			} else if ev.entity >= 0 {
-				s.flip(ev.entity, ev.up)
+				if s.flip(ev.entity, ev.up) {
+					s.stale = true
+				}
 				e := &s.entities[ev.entity]
 				// Link repairs are never crew-limited: the crews model
 				// rack/host/VM hardware technicians, while link faults are
@@ -746,7 +731,9 @@ func (s *Sim) runCancel(done <-chan struct{}, res *Result) bool {
 					}
 				}
 			}
-			s.refresh()
+			if s.stale {
+				s.refresh()
+			}
 			if s.probe != nil {
 				s.probe(s)
 			}
@@ -857,11 +844,14 @@ func (s *Sim) releaseCrew() {
 }
 
 // addWindowDowntime attributes dt of downtime starting at time from to the
-// fixed accounting windows, splitting across boundaries.
+// fixed accounting windows, splitting across boundaries. The window index
+// is derived from from once and then advances by one per chunk, so every
+// chunk makes progress: rederived at a boundary k·w, from/w can round
+// below k (3·0.7/0.7 < 3) and name the window just filled, which has no
+// room left.
 func (s *Sim) addWindowDowntime(from, dt float64) {
 	w := s.cfg.WindowHours
-	for dt > 0 {
-		idx := int(from / w)
+	for idx := int(from / w); dt > 0; idx++ {
 		for idx >= len(s.windows) {
 			s.windows = append(s.windows, 0)
 		}

@@ -3,36 +3,74 @@ package mc
 import (
 	"math"
 	"testing"
+	"time"
 
 	"sdnavail/internal/analytic"
 	"sdnavail/internal/topology"
 )
 
 // TestWindowAccounting: the per-window downtimes must cover the full
-// horizon and sum to the total CP downtime.
+// horizon and sum to the total CP downtime. A 0.7-hour window puts outage
+// boundaries on multiples k·0.7 whose quotient by 0.7 rounds below k; the
+// replications run under a deadline because the accounting once looped
+// forever there, out of reach of any cancellation check.
 func TestWindowAccounting(t *testing.T) {
-	cfg := testConfig(t, topology.Small, analytic.SupervisorRequired)
-	cfg.Horizon = 2e5
-	cfg.WindowHours = 720
-	s, err := New(cfg, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := s.Run()
-	wantWindows := int(cfg.Horizon / cfg.WindowHours)
-	if len(res.CPWindowDowntimes) < wantWindows {
-		t.Fatalf("windows = %d, want ≥ %d", len(res.CPWindowDowntimes), wantWindows)
-	}
-	sum := 0.0
-	for _, w := range res.CPWindowDowntimes {
-		if w < 0 || w > cfg.WindowHours+1e-9 {
-			t.Fatalf("window downtime %g out of [0, %g]", w, cfg.WindowHours)
-		}
-		sum += w
-	}
-	total := (1 - res.CPAvailability) * res.Hours
-	if math.Abs(sum-total) > 1e-6*res.Hours {
-		t.Errorf("window downtimes sum to %.3f h, total downtime %.3f h", sum, total)
+	monthly := testConfig(t, topology.Small, analytic.SupervisorRequired)
+	monthly.Horizon = 2e5
+	monthly.WindowHours = 720
+	inexact := benchConfig(t)
+	inexact.Horizon = 2000
+	inexact.WindowHours = 0.7
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		reps []int
+	}{
+		{"720h", monthly, []int{1}},
+		{"0.7h", inexact, []int{0, 1, 2, 3}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.cfg.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			done := make(chan []Result, 1)
+			go func() {
+				var out []Result
+				for _, rep := range c.reps {
+					s, _ := New(c.cfg, rep) // validated above
+					out = append(out, s.Run())
+				}
+				done <- out
+			}()
+			var results []Result
+			select {
+			case results = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatal("replications did not finish within 30 s")
+			}
+			downtime := 0.0
+			for _, res := range results {
+				wantWindows := int(c.cfg.Horizon / c.cfg.WindowHours)
+				if len(res.CPWindowDowntimes) < wantWindows {
+					t.Fatalf("windows = %d, want ≥ %d", len(res.CPWindowDowntimes), wantWindows)
+				}
+				sum := 0.0
+				for _, w := range res.CPWindowDowntimes {
+					if w < 0 || w > c.cfg.WindowHours+1e-9 {
+						t.Fatalf("window downtime %g out of [0, %g]", w, c.cfg.WindowHours)
+					}
+					sum += w
+				}
+				total := (1 - res.CPAvailability) * res.Hours
+				if math.Abs(sum-total) > 1e-6*res.Hours {
+					t.Errorf("window downtimes sum to %.6f h, total downtime %.6f h", sum, total)
+				}
+				downtime += total
+			}
+			if downtime == 0 {
+				t.Error("no CP downtime to account")
+			}
+		})
 	}
 }
 
