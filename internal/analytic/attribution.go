@@ -5,6 +5,7 @@ import (
 
 	"sdnavail/internal/profile"
 	"sdnavail/internal/relmath"
+	"sdnavail/internal/structure"
 )
 
 // Analytic downtime attribution: the closed-form counterpart of the
@@ -15,9 +16,9 @@ import (
 // of time the plane is down *because of* group g, and the per-mode
 // downtime table follows by splitting U_g evenly over the group's member
 // processes — the same equal-split rule the ledger applies to an
-// interval's blame set. Mode keys match the telemetry ones
-// ("process:<name>"); hardware is taken as perfect here, mirroring the
-// process-fault-only soak it validates.
+// interval's blame set. Mode keys are structure.ProcessMode's, the ones
+// the simulator and the testbed blame; hardware is taken as perfect here,
+// mirroring the process-fault-only soak it validates.
 
 // ModeContribution is one failure mode's expected share of a plane's
 // downtime.
@@ -66,7 +67,7 @@ func planeContributions(p *profile.Profile, n int, params Params, pl profile.Pla
 		alpha := g.InstanceAvailability(params.A, params.AS)
 		u := relmath.KofNComplement(g.Need.Count(n), n, alpha) * float64(g.Count)
 		for _, m := range g.Members {
-			c.add("process:"+m, u/float64(len(g.Members)))
+			c.add(structure.ProcessMode(m), u/float64(len(g.Members)))
 		}
 	}
 }
@@ -96,7 +97,7 @@ func DPContributions(p *profile.Profile, n int, params Params) []ModeContributio
 		if proc.Restart == profile.ManualRestart {
 			u = 1 - params.AS
 		}
-		c.add("process:"+proc.Name, u)
+		c.add(structure.ProcessMode(proc.Name), u)
 	}
 	return c.finish()
 }

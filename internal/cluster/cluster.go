@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sdnavail/internal/profile"
+	"sdnavail/internal/structure"
 	"sdnavail/internal/telemetry"
 	"sdnavail/internal/topology"
 	"sdnavail/internal/vclock"
@@ -237,7 +238,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	// Compute hosts and vRouter processes.
 	for h := 0; h < cfg.ComputeHosts; h++ {
-		hostName := fmt.Sprintf("compute%d", h)
+		hostName := structure.ComputeHostName(h)
 		c.hostUp[hostName] = true
 		for _, proc := range cfg.Profile.RoleProcesses(cfg.Profile.HostRole, true) {
 			k := procKey{role: string(cfg.Profile.HostRole), node: h, name: proc.Name}
@@ -275,7 +276,9 @@ func New(cfg Config) (*Cluster, error) {
 		return a.name < b.name
 	})
 	if cfg.Telemetry != nil {
-		c.attachTelemetryLocked(cfg.Telemetry)
+		if err := c.attachTelemetryLocked(cfg.Telemetry); err != nil {
+			return nil, err
+		}
 	}
 	return c, nil
 }

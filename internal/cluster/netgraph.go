@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
 
 	"sdnavail/internal/profile"
 	"sdnavail/internal/telemetry"
@@ -178,11 +177,7 @@ func (c *Cluster) setGraphLinkLocked(li int, up bool) {
 		return // already in the requested state
 	}
 	g := c.net.Graph()
-	kind := telemetry.EventLinkCut
-	if up {
-		kind = telemetry.EventLinkHealed
-	}
-	c.telemetryGraphLinkEventLocked(kind, g.Links[li].ID())
+	c.telemetryGraphLinkLocked(li, up)
 	changed := c.net.SetLink(li, up)
 	for _, node := range changed {
 		host := g.HostName(node)
@@ -201,46 +196,22 @@ func (c *Cluster) setGraphLinkLocked(li int, up bool) {
 	c.recomputeLocked()
 }
 
-// graphCutModeLocked names the telemetry failure mode for a host severed
-// from the fabric: the first down link along its edge path on tree
-// fabrics, else the lexically first down link. Callers hold c.mu and
-// have established that the host is graph-unreachable.
-func (c *Cluster) graphCutModeLocked(host string) string {
-	g := c.net.Graph()
-	if node, ok := g.NodeIndex(host); ok {
-		if path, err := g.PathLinks(node); err == nil {
-			for _, li := range path {
-				if c.net.LinkDown(li) {
-					return "link:" + g.Links[li].ID()
-				}
-			}
-		}
-	}
-	var down []string
-	for li := range g.Links {
-		if c.net.LinkDown(li) {
-			down = append(down, g.Links[li].ID())
-		}
-	}
-	sort.Strings(down)
-	if len(down) > 0 {
-		return "link:" + down[0]
-	}
-	return "link:unknown"
-}
-
-// telemetryGraphLinkEventLocked records a graph link cut/heal with the
-// link's ID as subject. Callers hold c.mu.
-func (c *Cluster) telemetryGraphLinkEventLocked(kind, id string) {
+// telemetryGraphLinkLocked records a graph link cut/heal with the link's
+// ID as subject, and flips the link's table dependency: what blame reads
+// when a host behind it is cut off. Callers hold c.mu.
+func (c *Cluster) telemetryGraphLinkLocked(li int, up bool) {
 	ts := c.telState
 	if ts == nil {
 		return
 	}
-	if kind == telemetry.EventLinkCut {
+	kind := telemetry.EventLinkHealed
+	if !up {
+		kind = telemetry.EventLinkCut
 		ts.cLinkCuts.Inc()
 	}
+	ts.table.Flip(int(ts.linkDep[li]), up)
 	now := c.clk.Now()
 	ts.t.Trace.Record(telemetry.Event{
-		At: now, AtHours: ts.hours(now), Kind: kind, Subject: "link:" + id,
+		At: now, AtHours: ts.hours(now), Kind: kind, Subject: "link:" + c.net.Graph().Links[li].ID(),
 	})
 }

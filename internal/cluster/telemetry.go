@@ -2,26 +2,27 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"sdnavail/internal/profile"
+	"sdnavail/internal/structure"
 	"sdnavail/internal/telemetry"
 )
 
 // Telemetry integration. With Config.Telemetry set, the cluster maintains
 // a structural mirror of its own availability state — per-process
-// liveness, per-quorum-group satisfaction, a control-plane indicator
-// (every CP group satisfied, the same predicate the MC simulator uses)
-// and a per-host data-plane indicator — and diffs it on every state
+// liveness, and the MC simulator's structure.Table, whose dependency
+// states it derives from its own maps — and diffs it on every state
 // mutation to emit trace events, drive the metrics counters, and feed the
-// downtime-attribution ledger.
+// downtime-attribution ledger. Group, plane and host verdicts and every
+// blamed cause are read off the table: one rule for both engines.
 //
 // Two scan granularities keep the enabled path cheap:
 //
 //   - telemetryScanDirtyLocked runs at the end of recomputeLocked, the
 //     single point where process/hardware/reachability state propagates.
-//     It covers the dirty processes, the quorum groups they feed, the CP
+//     It covers the dirty processes' dependencies, the groups, the CP
 //     plane and the host DP planes.
 //   - telemetryScanAgentsLocked runs after each agent maintenance pass
 //     (where forwarding-table flushes and headless transitions happen,
@@ -30,15 +31,6 @@ import (
 //
 // The disabled path costs one nil check per mutation.
 
-// telGroup mirrors one quorum group's satisfaction.
-type telGroup struct {
-	role      string
-	name      string
-	need      int
-	members   []string
-	satisfied bool
-}
-
 // telProc mirrors one process's effective liveness.
 type telProc struct {
 	k       procKey
@@ -46,6 +38,12 @@ type telProc struct {
 	subject string // "role/node/name"
 	alive   bool
 	fatal   bool
+	// deps are the table dependencies its usability reads: its own row
+	// (nodemgrs have none), its hardware chain, and for a controller
+	// process its node's partition and its host's graph node. hw is the
+	// innermost hardware: its VM, or its compute host's own hardware.
+	deps []int32
+	hw   int
 }
 
 // telState is the cluster's telemetry mirror. Guarded by c.mu.
@@ -53,10 +51,11 @@ type telState struct {
 	t     *telemetry.Telemetry
 	start time.Time // origin of the ledger/trace hour timeline
 
-	procs    []*telProc
-	byKey    map[procKey]*telProc
-	cpGroups []*telGroup
-	dpGroups []*telGroup
+	table   *structure.Table
+	linkDep []int32 // graph link index -> table dependency
+	blame   []int32 // blame-set scratch
+	byKey   map[procKey]*telProc
+	sat     []bool // last reported satisfaction, per table group
 
 	// procsDown is maintained incrementally across scans (every liveness
 	// transition adjusts it), so the dirty-set scan can publish the gauge
@@ -86,30 +85,58 @@ type telState struct {
 }
 
 // attachTelemetryLocked builds the mirror. Called once from New; the
-// cluster is fully assembled and everything is up.
-func (c *Cluster) attachTelemetryLocked(t *telemetry.Telemetry) {
-	ts := &telState{t: t, start: c.clk.Now(), byKey: map[procKey]*telProc{}}
+// cluster is fully assembled and everything is up. Every declared link is
+// a dependency, fallible or not: chaos can cut a perfect one.
+func (c *Cluster) attachTelemetryLocked(t *telemetry.Telemetry) error {
+	sp := structure.Spec{Profile: c.cfg.Profile, Topology: c.cfg.Topology, ComputeHosts: c.cfg.ComputeHosts}
+	if c.net != nil {
+		sp.Graph = c.net.Graph()
+		for li := range sp.Graph.Links {
+			sp.Links = append(sp.Links, li)
+		}
+	}
+	tbl, err := structure.Compile(sp)
+	if err != nil {
+		return err
+	}
+	ts := &telState{t: t, start: c.clk.Now(), table: tbl, byKey: map[procKey]*telProc{}}
+	ts.linkDep = make([]int32, len(sp.Links))
+	own := map[procKey]int32{}
+	for d := range tbl.Deps {
+		switch row := &tbl.Deps[d]; row.Kind {
+		case structure.Process:
+			own[procKey{role: string(row.Role), node: row.Node, name: row.Name}] = int32(d)
+		case structure.Link:
+			ts.linkDep[row.Index] = int32(d)
+		}
+	}
 	for k, p := range c.procs {
 		tp := &telProc{
 			k: k, p: p,
 			subject: fmt.Sprintf("%s/%d/%s", k.role, k.node, k.name),
 			alive:   true,
 		}
-		ts.procs = append(ts.procs, tp)
+		if d, ok := own[k]; ok {
+			tp.deps = append(tp.deps, d)
+		}
+		if ri := slices.Index(c.cfg.Profile.ClusterRoles, profile.Role(k.role)); ri >= 0 {
+			pl := &tbl.Places[ri*c.cfg.Topology.ClusterSize+k.node]
+			tp.hw = int(pl.VM)
+			tp.deps = append(tp.deps, pl.Rack, pl.Host, pl.VM, pl.Partition)
+			if pl.Graph >= 0 {
+				tp.deps = append(tp.deps, pl.Graph)
+			}
+		} else {
+			hw := tbl.Hosts[k.node].Hardware
+			tp.hw = int(hw)
+			tp.deps = append(tp.deps, hw)
+		}
 		ts.byKey[k] = tp
 	}
-	sort.Slice(ts.procs, func(i, j int) bool {
-		a, b := ts.procs[i].k, ts.procs[j].k
-		if a.role != b.role {
-			return a.role < b.role
-		}
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		return a.name < b.name
-	})
-	ts.cpGroups = c.telGroups(profile.ControlPlane)
-	ts.dpGroups = c.telGroups(profile.DataPlane)
+	ts.sat = make([]bool, len(tbl.Groups))
+	for g := range ts.sat {
+		ts.sat[g] = tbl.Satisfied(g)
+	}
 	ts.dpUp = make([]bool, c.cfg.ComputeHosts)
 	ts.headless = make([]bool, c.cfg.ComputeHosts)
 	for i := range ts.dpUp {
@@ -137,19 +164,7 @@ func (c *Cluster) attachTelemetryLocked(t *telemetry.Telemetry) {
 	ts.hElection = m.Histogram("raft_election_seconds",
 		[]float64{0.001, 0.003, 0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30})
 	c.telState = ts
-}
-
-// telGroups mirrors the profile's quorum groups for the plane, all
-// satisfied.
-func (c *Cluster) telGroups(pl profile.Plane) []*telGroup {
-	var out []*telGroup
-	for _, g := range profile.QuorumGroups(c.cfg.Profile, pl) {
-		out = append(out, &telGroup{
-			role: string(g.Role), name: g.Name, need: g.Need.Count(c.cfg.Topology.ClusterSize),
-			members: g.Members, satisfied: true,
-		})
-	}
-	return out
+	return nil
 }
 
 // TelemetryHours returns the current instant on the telemetry timeline:
@@ -165,72 +180,38 @@ func (c *Cluster) TelemetryHours() float64 {
 	return c.clk.Now().Sub(ts.start).Hours()
 }
 
-// telHoursLocked converts a clock instant to ledger hours.
+// hours converts a clock instant to ledger hours.
 func (ts *telState) hours(at time.Time) float64 {
 	return at.Sub(ts.start).Hours()
 }
 
-// modeKeyLocked names the failure mode keeping process k from being
-// usable: hardware first (rack > host > vm), then partition, then the
-// process itself. Callers hold c.mu.
-func (c *Cluster) modeKeyLocked(k procKey) string {
-	loc := c.loc[k]
-	switch {
-	case loc.rack != "" && !c.rackUp[loc.rack]:
-		return "rack:" + loc.rack
-	case loc.host != "" && !c.hostUp[loc.host]:
-		return "host:" + loc.host
-	case loc.vm != "" && !c.vmUp[loc.vm]:
-		return "vm:" + loc.vm
+// depUpLocked derives one table dependency's state from the testbed's own
+// maps. Callers hold c.mu.
+func (c *Cluster) depUpLocked(row *structure.Dep) bool {
+	switch row.Kind {
+	case structure.Rack:
+		return c.rackUp[row.Name]
+	case structure.Host, structure.Compute:
+		return c.hostUp[row.Name]
+	case structure.VM:
+		return c.vmUp[row.Name]
+	case structure.Process:
+		return c.procs[procKey{role: string(row.Role), node: row.Node, name: row.Name}].state == Running
+	case structure.Partition:
+		return c.reachableLocked(row.Node)
+	case structure.GraphNode:
+		return c.net.Reachable(row.Index)
 	}
-	if p, ok := c.procs[k]; ok && p.state == Running &&
-		k.role != string(c.cfg.Profile.HostRole) {
-		if !c.reachableLocked(k.node) {
-			return fmt.Sprintf("partition:node%d", k.node)
-		}
-		if !c.hostReachableLocked(loc.host) {
-			return c.graphCutModeLocked(loc.host)
-		}
-	}
-	return "process:" + k.name
+	panic("cluster: a link dependency is flipped at its cut or heal, not derived")
 }
 
-// telGroupSatisfiedLocked reports whether at least need nodes have every
-// member process usable — the predicate the MC simulator's quorum counters
-// maintain incrementally.
-func (c *Cluster) telGroupSatisfiedLocked(g *telGroup) bool {
-	n := c.cfg.Topology.ClusterSize
-	count := 0
-	for node := 0; node < n; node++ {
-		ok := true
-		for _, m := range g.members {
-			if !c.usableLocked(procKey{role: g.role, node: node, name: m}) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			count++
-			if count >= g.need {
-				return true
-			}
-		}
+// blameNames flattens a blame set of mode ids into their names.
+func (ts *telState) blameNames(ids []int32) []string {
+	out := make([]string, len(ids))
+	for i, m := range ids {
+		out[i] = ts.table.Modes[m]
 	}
-	return false
-}
-
-// telGroupBlamesLocked adds the failure modes of the group's non-usable
-// members to the set. Callers hold c.mu.
-func (c *Cluster) telGroupBlamesLocked(g *telGroup, set map[string]bool) {
-	n := c.cfg.Topology.ClusterSize
-	for node := 0; node < n; node++ {
-		for _, m := range g.members {
-			k := procKey{role: g.role, node: node, name: m}
-			if !c.usableLocked(k) {
-				set[c.modeKeyLocked(k)] = true
-			}
-		}
-	}
+	return out
 }
 
 // telProcDiffLocked diffs one mirror row against the process's effective
@@ -252,7 +233,7 @@ func (c *Cluster) telProcDiffLocked(tp *telProc, now time.Time, h float64) {
 			ts.cFailures.Inc()
 			ts.t.Trace.Record(telemetry.Event{
 				At: now, AtHours: h, Kind: telemetry.EventProcessDown, Subject: tp.subject,
-				Detail: c.modeKeyLocked(tp.k),
+				Detail: ts.table.Cause(tp.hw, tp.k.name),
 			})
 		}
 	}
@@ -267,49 +248,38 @@ func (c *Cluster) telProcDiffLocked(tp *telProc, now time.Time, h float64) {
 	}
 }
 
-// telGroupDiffLocked re-evaluates one quorum group and records a
-// transition if its satisfaction flipped. Callers hold c.mu.
-func (c *Cluster) telGroupDiffLocked(g *telGroup, now time.Time, h float64) {
+// telGroupDiffLocked records a transition if table group g's
+// satisfaction flipped since the last scan. Callers hold c.mu.
+func (c *Cluster) telGroupDiffLocked(g int, now time.Time, h float64) {
 	ts := c.telState
-	sat := c.telGroupSatisfiedLocked(g)
-	if sat == g.satisfied {
+	sat := ts.table.Satisfied(g)
+	if sat == ts.sat[g] {
 		return
 	}
-	g.satisfied = sat
+	ts.sat[g] = sat
 	ts.cQuorum.Inc()
 	kind := telemetry.EventQuorumLost
 	if sat {
 		kind = telemetry.EventQuorumRegained
 	}
+	grp := &ts.table.Groups[g]
 	ts.t.Trace.Record(telemetry.Event{
-		At: now, AtHours: h, Kind: kind, Subject: g.role + "/" + g.name,
+		At: now, AtHours: h, Kind: kind, Subject: string(grp.Role) + "/" + grp.Name,
 	})
 }
 
-// telCPPlaneLocked folds the CP-group satisfaction flags into the
-// control-plane indicator and records outage open/close transitions.
-// Callers hold c.mu.
+// telCPPlaneLocked reads the control-plane indicator off the table and
+// records outage open/close transitions. Callers hold c.mu.
 func (c *Cluster) telCPPlaneLocked(now time.Time, h float64) {
 	ts := c.telState
-	cpUp := true
-	for _, g := range ts.cpGroups {
-		if !g.satisfied {
-			cpUp = false
-			break
-		}
-	}
+	cpUp := ts.table.PlaneUp(profile.ControlPlane)
 	if cpUp == ts.cpUp {
 		return
 	}
 	ts.cpUp = cpUp
 	if !cpUp {
-		set := map[string]bool{}
-		for _, g := range ts.cpGroups {
-			if !g.satisfied {
-				c.telGroupBlamesLocked(g, set)
-			}
-		}
-		blames := sortedModeSet(set)
+		ts.blame = ts.table.Blame(ts.blame, profile.ControlPlane)
+		blames := ts.blameNames(ts.blame)
 		ts.cpDownAt = h
 		ts.cCPOutages.Inc()
 		ts.t.Ledger.PlaneDown("cp", h, blames)
@@ -325,14 +295,13 @@ func (c *Cluster) telCPPlaneLocked(now time.Time, h float64) {
 	}
 }
 
-// telemetryScanDirtyLocked diffs the structural mirror: the dirty
-// processes (already sorted in the mirror's order, so trace events come
-// out in one sequence however many were marked), the quorum groups a dirty
-// process feeds, the CP plane and the per-host DP planes. Group
-// satisfaction depends solely on member usability, and every usability
-// change marks the member dirty — so untouched groups cannot have flipped.
-// The plane fold and the agent scan are O(groups + hosts), not
-// O(processes), and always run. Callers hold c.mu.
+// telemetryScanDirtyLocked diffs the structural mirror. It re-derives the
+// table dependencies of the dirty processes and flips the ones that
+// changed — every usability change marks the process dirty, so no other
+// dependency can have moved — then diffs the dirty processes (already
+// sorted in the mirror's order, so trace events come out in one sequence
+// however many were marked), the quorum groups when a flip crossed a
+// verdict, the CP plane and the per-host DP planes. Callers hold c.mu.
 func (c *Cluster) telemetryScanDirtyLocked(dirty []procKey) {
 	ts := c.telState
 	if ts == nil {
@@ -341,18 +310,21 @@ func (c *Cluster) telemetryScanDirtyLocked(dirty []procKey) {
 	now := c.clk.Now()
 	h := ts.hours(now)
 
+	crossed := false
 	for _, k := range dirty {
-		if tp := ts.byKey[k]; tp != nil {
-			c.telProcDiffLocked(tp, now, h)
+		for _, d := range ts.byKey[k].deps {
+			if up := c.depUpLocked(&ts.table.Deps[d]); up != ts.table.Up(int(d)) && ts.table.Flip(int(d), up) {
+				crossed = true
+			}
 		}
+	}
+	for _, k := range dirty {
+		c.telProcDiffLocked(ts.byKey[k], now, h)
 	}
 	ts.gProcsDown.Set(float64(ts.procsDown))
 
-	for _, groups := range [][]*telGroup{ts.cpGroups, ts.dpGroups} {
-		for _, g := range groups {
-			if !groupTouched(g, dirty) {
-				continue
-			}
+	if crossed {
+		for g := range ts.sat {
 			c.telGroupDiffLocked(g, now, h)
 		}
 	}
@@ -360,36 +332,24 @@ func (c *Cluster) telemetryScanDirtyLocked(dirty []procKey) {
 	c.telemetryScanAgentsLocked(now, h)
 }
 
-// groupTouched reports whether any dirty process is a member of the group.
-func groupTouched(g *telGroup, dirty []procKey) bool {
-	for _, k := range dirty {
-		if k.role != g.role {
-			continue
-		}
-		for _, m := range g.members {
-			if k.name == m {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // telemetryScanAgentsLocked diffs the per-host DP and headless state —
-// the cheap scan hooked into every agent maintenance pass. Callers hold
-// c.mu.
+// the cheap scan hooked into every agent maintenance pass. A host's data
+// plane is up while the table's row for it (its hardware and the per-host
+// processes the profile's data plane requires) is and the agent has not
+// flushed its forwarding table. Callers hold c.mu.
 func (c *Cluster) telemetryScanAgentsLocked(now time.Time, h float64) {
 	ts := c.telState
 	if ts == nil {
 		return
 	}
 	for i, a := range c.agents {
-		up := c.aliveLocked(a.agentKey()) && c.aliveLocked(a.dpdkKey()) && !a.flushed
+		up := ts.table.HostUp(i) && !a.flushed
 		if up != ts.dpUp[i] {
 			ts.dpUp[i] = up
 			plane := "dp:" + a.host
 			if !up {
-				blames := c.telDPBlamesLocked(a)
+				ts.blame = ts.table.HostBlame(ts.blame, i)
+				blames := ts.blameNames(ts.blame)
 				ts.cDPOutages.Inc()
 				ts.t.Ledger.PlaneDown(plane, h, blames)
 				ts.t.Trace.Record(telemetry.Event{
@@ -429,27 +389,6 @@ func (c *Cluster) telemetryAgentPassLocked() {
 	}
 	now := c.clk.Now()
 	c.telemetryScanAgentsLocked(now, ts.hours(now))
-}
-
-// telDPBlamesLocked names the failure modes taking a host data plane
-// down: dead local vRouter processes first; otherwise (a flushed
-// forwarding table) the dead members of the unsatisfied shared-DP quorum
-// groups. Callers hold c.mu.
-func (c *Cluster) telDPBlamesLocked(a *vRouterAgent) []string {
-	set := map[string]bool{}
-	for _, k := range []procKey{a.agentKey(), a.dpdkKey()} {
-		if !c.aliveLocked(k) {
-			set[c.modeKeyLocked(k)] = true
-		}
-	}
-	if len(set) == 0 {
-		for _, g := range c.telState.dpGroups {
-			if !g.satisfied {
-				c.telGroupBlamesLocked(g, set)
-			}
-		}
-	}
-	return sortedModeSet(set)
 }
 
 // telRaftEventLocked publishes one store leadership transition: a trace
@@ -506,14 +445,4 @@ func (c *Cluster) telemetryLinkEventLocked(kind string, a, b int) {
 		At: now, AtHours: ts.hours(now), Kind: kind,
 		Subject: fmt.Sprintf("node%d-node%d", a, b),
 	})
-}
-
-// sortedModeSet flattens a mode set deterministically.
-func sortedModeSet(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for m := range set {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"sdnavail/internal/profile"
+	"sdnavail/internal/structure"
 	"sdnavail/internal/telemetry"
 	"sdnavail/internal/topology"
 	"sdnavail/internal/vclock"
@@ -244,8 +245,10 @@ func TestTelemetryTraceDeterministic(t *testing.T) {
 
 // TestQuorumGroupMembersAgree pins the testbed's half of the cross-engine
 // agreement (the simulator's and the closed form's are the test of the same
-// name in internal/mc): per plane, the telemetry mirror's groups are the
-// one derivation's — same order, role, name, need and member list.
+// name in internal/mc): per plane, the telemetry mirror's table groups are
+// the one derivation's — same order, role, name, need and member list — and
+// every member row of every node's instance is fed by the testbed process
+// of that role, node and name.
 func TestQuorumGroupMembersAgree(t *testing.T) {
 	block := &profile.Profile{
 		Name:         "Block",
@@ -270,22 +273,140 @@ func TestQuorumGroupMembersAgree(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", prof.Name, err)
 		}
-		for pl, mirror := range map[profile.Plane][]*telGroup{
-			profile.ControlPlane: c.telState.cpGroups,
-			profile.DataPlane:    c.telState.dpGroups,
-		} {
+		tbl := c.telState.table
+		for _, pl := range []profile.Plane{profile.ControlPlane, profile.DataPlane} {
+			var mirror []structure.Group
+			for _, g := range tbl.Groups {
+				if g.Plane == pl {
+					mirror = append(mirror, g)
+				}
+			}
 			groups := profile.QuorumGroups(prof, pl)
 			if len(mirror) != len(groups) {
 				t.Fatalf("%s %v: mirror has %d groups, derivation %d", prof.Name, pl, len(mirror), len(groups))
 			}
 			for i, g := range groups {
 				tg := mirror[i]
-				if tg.role != string(g.Role) || tg.name != g.Name || tg.need != g.Need.Count(3) ||
-					len(g.Members) == 0 || !slices.Equal(tg.members, g.Members) {
+				if tg.Role != g.Role || tg.Name != g.Name || tg.Need != g.Need.Count(3) ||
+					len(g.Members) == 0 || !slices.Equal(tg.Members, g.Members) {
 					t.Errorf("%s %v: mirror group %d is %s/%s need %d members %v, derivation %s/%s %v members %v",
-						prof.Name, pl, i, tg.role, tg.name, tg.need, tg.members, g.Role, g.Name, g.Need, g.Members)
+						prof.Name, pl, i, tg.Role, tg.Name, tg.Need, tg.Members, g.Role, g.Name, g.Need, g.Members)
+				}
+				for node, in := range tg.Instances {
+					for _, d := range in.Members {
+						row := &tbl.Deps[d]
+						tp := c.telState.byKey[procKey{role: string(g.Role), node: node, name: row.Name}]
+						if tp == nil || !slices.Contains(tp.deps, d) {
+							t.Errorf("%s %v %s/%s node %d: member row %q is not fed by the testbed process",
+								prof.Name, pl, g.Role, g.Name, node, row.Name)
+						}
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestTelemetryIdleNoDPOutage: an idle testbed records no data-plane
+// outage, whatever the profile. A host's data plane is its own hardware and
+// the per-host processes its profile's data plane requires (ovs-vswitchd
+// on the ODL- and ONOS-like profiles), not OpenContrail's vRouter pair.
+func TestTelemetryIdleNoDPOutage(t *testing.T) {
+	for _, prof := range []*profile.Profile{profile.OpenContrail3x(), profile.ODLLike(), profile.ONOSLike()} {
+		t.Run(prof.Name, func(t *testing.T) {
+			fc := vclock.NewFake(time.Time{})
+			tel := telemetry.New()
+			c, err := New(Config{Profile: prof, Topology: topology.NewSmall(prof.ClusterRoles, 3), ComputeHosts: 2,
+				Clock: fc, Timing: telemetryTestTiming(), Telemetry: tel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Start(); err != nil {
+				t.Fatal(err)
+			}
+			defer c.Stop()
+			fc.Register()
+			defer fc.Unregister()
+			fc.Sleep(time.Hour)
+
+			if got := tel.Metrics.Counter("dp_outages_total").Value(); got != 0 {
+				t.Errorf("dp_outages_total = %d, want 0", got)
+			}
+			if got := eventCount(tel, telemetry.EventDPDown, ""); got != 0 {
+				t.Errorf("%d dp-down events on an idle testbed", got)
+			}
+			if got := eventCount(tel, telemetry.EventCPDown, ""); got != 0 {
+				t.Errorf("%d cp-down events on an idle testbed", got)
+			}
+		})
+	}
+}
+
+// cpDownModes returns the blame set of the only CP-down trace event.
+func cpDownModes(t *testing.T, tel *telemetry.Telemetry) []string {
+	t.Helper()
+	var modes [][]string
+	for _, e := range tel.Trace.Events() {
+		if e.Kind == telemetry.EventCPDown {
+			modes = append(modes, e.Modes)
+		}
+	}
+	if len(modes) != 1 {
+		t.Fatalf("%d cp-down events, want 1", len(modes))
+	}
+	return modes[0]
+}
+
+// TestTelemetryBlamesEveryCutLink: a host cut off from the edge is blamed
+// on every down link of its edge path, as the simulator blames it. On the
+// Medium fabric H3 is alone in rack R2: cutting its uplink, then its rack's
+// fabric link, leaves the control plane up; losing a second zookeeper
+// takes it down, and the outage names both links and the process.
+func TestTelemetryBlamesEveryCutLink(t *testing.T) {
+	prof := profile.OpenContrail3x()
+	tel := telemetry.New()
+	c, err := New(Config{
+		Profile: prof, Topology: topology.NewMedium(prof.ClusterRoles, 3).WithDefaultLinks(10_000, 4),
+		ComputeHosts: 1, Clock: vclock.NewFake(time.Time{}), Telemetry: tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"up:H3", "fab:R2"} {
+		if err := c.CutGraphLink(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.KillProcess("Database", 1, "zookeeper"); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"link:fab:R2", "link:up:H3", "process:zookeeper"}
+	if got := cpDownModes(t, tel); !reflect.DeepEqual(got, want) {
+		t.Errorf("cp outage blames %v, want %v", got, want)
+	}
+}
+
+// TestTelemetryBlamesPartitionAlone: a partitioned node is blamed on its
+// partition, not also on a member process that happens to be dead behind
+// it — the partition comes before the members in the one blame rule.
+func TestTelemetryBlamesPartitionAlone(t *testing.T) {
+	prof := profile.OpenContrail3x()
+	tel := telemetry.New()
+	c, err := New(Config{
+		Profile: prof, Topology: topology.NewSmall(prof.ClusterRoles, 3),
+		ComputeHosts: 1, Clock: vclock.NewFake(time.Time{}), Telemetry: tel,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.KillProcess("Database", 0, "zookeeper"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.IsolateNodes(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"partition:node0", "partition:node1"}
+	if got := cpDownModes(t, tel); !reflect.DeepEqual(got, want) {
+		t.Errorf("cp outage blames %v, want %v", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"sdnavail/internal/analytic"
 	"sdnavail/internal/profile"
+	"sdnavail/internal/structure"
 	"sdnavail/internal/topology"
 )
 
@@ -23,22 +24,30 @@ import (
 // kinds. The bit-identity goldens then carry the rest: equal verdicts at
 // every event means equal estimates.
 
+// unreachable reports whether the instance's host is cut off from the
+// edge, read from the reachability tracker rather than the table.
+func (s *Sim) unreachable(in *structure.Instance) bool {
+	pl := &s.table.Places[in.Place]
+	return pl.Graph >= 0 && !s.conn.Reachable(s.table.Deps[pl.Graph].Index)
+}
+
 // scanNodeUp is the pre-index nodeUp: the group's placement on one node
 // serves when its hardware chain (and supervisor, in scenario 2) is up, its
 // host is reachable and every member process is running.
-func (s *Sim) scanNodeUp(gn *groupNode) bool {
-	ents := s.entities
-	if !ents[gn.rackEnt].up || !ents[gn.hostEnt].up || !ents[gn.vmEnt].up {
+func (s *Sim) scanNodeUp(in *structure.Instance) bool {
+	t := &s.table
+	pl := &t.Places[in.Place]
+	if !t.Up(int(pl.Rack)) || !t.Up(int(pl.Host)) || !t.Up(int(pl.VM)) {
 		return false
 	}
-	if gn.connNode >= 0 && !s.conn.Reachable(gn.connNode) {
+	if s.unreachable(in) {
 		return false
 	}
-	if s.supRequired && gn.supEnt >= 0 && !ents[gn.supEnt].up {
+	if s.supRequired && pl.Sup >= 0 && !t.Up(int(pl.Sup)) {
 		return false
 	}
-	for _, pe := range gn.memberEnts {
-		if !ents[pe].up {
+	for _, pe := range in.Members {
+		if !t.Up(int(pe)) {
 			return false
 		}
 	}
@@ -47,12 +56,12 @@ func (s *Sim) scanNodeUp(gn *groupNode) bool {
 
 // scanLocalUp is the pre-index localUp: a compute host's vRouter processes
 // (and supervisor, in scenario 2) are up.
-func (s *Sim) scanLocalUp(ch *computeHost) bool {
-	if s.supRequired && ch.supEnt >= 0 && !s.entities[ch.supEnt].up {
+func (s *Sim) scanLocalUp(ch *structure.ComputeHost) bool {
+	if s.supRequired && ch.Sup >= 0 && !s.table.Up(int(ch.Sup)) {
 		return false
 	}
-	for _, pe := range ch.procEnts {
-		if !s.entities[pe].up {
+	for _, pe := range ch.Procs {
+		if !s.table.Up(int(pe)) {
 			return false
 		}
 	}
@@ -95,41 +104,42 @@ func (p *quorumProbe) at(s *Sim) string {
 // of the plane has at least need serving nodes).
 func (p *quorumProbe) counters(s *Sim) (planeUp [2]bool) {
 	t := p.t
-	q := &s.quorum
-	for pl, groups := range [2][]simGroup{planeCP: s.cpGroups, planeDP: s.dpGroups} {
-		planeUp[pl] = true
-		for gi := range groups {
-			g := &groups[gi]
-			count := 0
-			for ni := range g.nodes {
-				gn := &g.nodes[ni]
-				want := s.scanNodeUp(gn)
-				if want {
-					count++
-				}
-				if got := s.nodeUp(gn); got != want {
-					t.Fatalf("%s: plane %d group %q node %d: counter says up=%v (%d down deps), scan says %v",
-						p.at(s), pl, g.name, ni, got, q.nodes[gn.id].down, want)
-				}
-				if gn.connNode >= 0 && !s.conn.Reachable(gn.connNode) {
-					p.unreachable = true
-				}
+	q := &s.table
+	planeUp = [2]bool{true, true}
+	for gi := range q.Groups {
+		g := &q.Groups[gi]
+		pl := g.Plane
+		count := 0
+		for ni := range g.Instances {
+			in := &g.Instances[ni]
+			want := s.scanNodeUp(in)
+			if want {
+				count++
 			}
-			if got := int(q.groups[g.id].up); got != count {
-				t.Fatalf("%s: plane %d group %q: %d serving nodes counted, scan finds %d", p.at(s), pl, g.name, got, count)
+			if got := q.Serving(gi, ni); got != want {
+				t.Fatalf("%s: plane %d group %q node %d: counter says up=%v, scan says %v",
+					p.at(s), pl, g.Name, ni, got, want)
 			}
-			if count < g.need {
-				planeUp[pl] = false
+			if s.unreachable(in) {
+				p.unreachable = true
 			}
 		}
-		if got := q.unsat[pl] == 0; got != planeUp[pl] {
-			t.Fatalf("%s: plane %d satisfied=%v (%d unsatisfied groups), scan says %v", p.at(s), pl, got, q.unsat[pl], planeUp[pl])
+		if got := q.ServingCount(gi); got != count {
+			t.Fatalf("%s: plane %d group %q: %d serving nodes counted, scan finds %d", p.at(s), pl, g.Name, got, count)
+		}
+		if count < g.Need {
+			planeUp[pl] = false
+		}
+	}
+	for _, pl := range []profile.Plane{profile.ControlPlane, profile.DataPlane} {
+		if got := q.PlaneUp(pl); got != planeUp[pl] {
+			t.Fatalf("%s: plane %d satisfied=%v, scan says %v", p.at(s), pl, got, planeUp[pl])
 		}
 	}
 	for i := range s.hosts {
 		want := s.scanLocalUp(&s.hosts[i])
-		if got := q.hostDown[i] == 0; got != want {
-			t.Fatalf("%s: host %d local up=%v (%d down deps), scan says %v", p.at(s), i, got, q.hostDown[i], want)
+		if got := q.HostUp(i); got != want {
+			t.Fatalf("%s: host %d local up=%v, scan says %v", p.at(s), i, got, want)
 		}
 		if !want {
 			p.hostLocalDown = true
@@ -145,7 +155,7 @@ func (p *quorumProbe) check(s *Sim) {
 	t := p.t
 	p.calls++
 	planeUp := p.counters(s)
-	cp, sdp := planeUp[planeCP], planeUp[planeDP]
+	cp, sdp := planeUp[profile.ControlPlane], planeUp[profile.DataPlane]
 	if s.raft != nil {
 		cp = cp && s.raft.cpUp()
 	}
@@ -178,7 +188,7 @@ func (p *quorumProbe) check(s *Sim) {
 	if s.now < p.prevAt {
 		p.restores++
 		for i := range s.entities {
-			if e := &s.entities[i]; e.kind == kindLink && !e.up {
+			if s.entities[i].kind == structure.Link && !s.table.Up(i) {
 				p.restoresLinkDown++
 				break
 			}
@@ -188,7 +198,7 @@ func (p *quorumProbe) check(s *Sim) {
 }
 
 // run replays reps replications on one pooled-style Sim (so reset's
-// recount is exercised from a dirty state) with the probe attached.
+// Rewind is exercised from a dirty state) with the probe attached.
 func (p *quorumProbe) run(s *Sim, reps int) {
 	s.probe = p.check
 	for rep := 0; rep < reps; rep++ {
@@ -351,12 +361,17 @@ func TestIncrementalQuorumEquivalence(t *testing.T) {
 	// tops out at a majority), so raise the need on the built tables.
 	t.Run("unsatisfiable-at-reset", func(t *testing.T) {
 		s := newSim(kofnConfig(profile.Majority, 3, 2, 2e4))
-		g := &s.cpGroups[0]
-		g.need = len(g.nodes) + 1
-		s.buildQuorumIndex()
+		g := &s.table.Groups[0]
+		g.Need = len(g.Instances) + 1
 		s.reset(0)
-		if s.quorum.unsat[planeCP] != 1 {
-			t.Fatalf("unsat[cp] = %d at reset, want 1", s.quorum.unsat[planeCP])
+		unsat := 0
+		for gi, g := range s.table.Groups {
+			if g.Plane == profile.ControlPlane && !s.table.Satisfied(gi) {
+				unsat++
+			}
+		}
+		if unsat != 1 || s.table.PlaneUp(profile.ControlPlane) {
+			t.Fatalf("%d unsatisfied CP groups at reset (plane up %v), want 1", unsat, s.table.PlaneUp(profile.ControlPlane))
 		}
 		// The first event's refresh opens an outage that lasts to the
 		// horizon.

@@ -1,6 +1,10 @@
 package mc
 
-import "fmt"
+import (
+	"fmt"
+
+	"sdnavail/internal/profile"
+)
 
 // RAFT mirror: when Config.RaftElectionMax is positive, the simulator
 // models the config quorum store's leadership dynamics on top of the
@@ -34,11 +38,11 @@ const raftGroupName = "cassandra-db (Config)"
 
 // simRaft is the leadership state machine layered over one quorum group.
 type simRaft struct {
-	group *simGroup
+	group int // index into the structure table's groups
 	// electionMode and grayMode are the interned ids of the two raft modes.
 	electionMode, grayMode int32
 
-	leader          int // node index in group.nodes, -1 while electing
+	leader          int // controller node, -1 while electing
 	electionStartAt float64
 	electionEndAt   float64 // guards stale completion events
 
@@ -61,12 +65,12 @@ type simRaft struct {
 // newSimRaft resolves the mirrored group. Called from newSim only when the
 // raft mirror is enabled.
 func newSimRaft(s *Sim) *simRaft {
-	for gi := range s.cpGroups {
-		if s.cpGroups[gi].name == raftGroupName {
+	for gi, g := range s.table.Groups {
+		if g.Plane == profile.ControlPlane && g.Name == raftGroupName {
 			return &simRaft{
-				group:        &s.cpGroups[gi],
-				electionMode: s.modeID(raftElectionMode),
-				grayMode:     s.modeID(raftGrayLeaderMode),
+				group:        gi,
+				electionMode: s.table.ModeID(raftElectionMode),
+				grayMode:     s.table.ModeID(raftGrayLeaderMode),
 				leader:       0, satUp: true,
 			}
 		}
@@ -99,7 +103,7 @@ func (r *simRaft) start(s *Sim) {
 // longer serve is lost, opening an election. A gray phase ending this way
 // (leader crashed before detection) is not a detected gray cycle.
 func (r *simRaft) noteMembership(s *Sim) {
-	if r.leader >= 0 && !s.nodeUp(&r.group.nodes[r.leader]) {
+	if r.leader >= 0 && !s.table.Serving(r.group, r.leader) {
 		r.leaderLost(s)
 	}
 }
@@ -126,8 +130,8 @@ func (r *simRaft) handle(s *Sim, ev event) {
 		if r.leader >= 0 || ev.at != r.electionEndAt {
 			return // stale completion
 		}
-		for ni := range r.group.nodes {
-			if s.nodeUp(&r.group.nodes[ni]) {
+		for ni := range s.table.Groups[r.group].Instances {
+			if s.table.Serving(r.group, ni) {
 				r.leader = ni
 				break
 			}

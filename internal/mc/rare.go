@@ -5,6 +5,8 @@ import (
 	"math"
 	"strconv"
 	"strings"
+
+	"sdnavail/internal/structure"
 )
 
 // Rare-event acceleration: forced-failure biasing and multilevel
@@ -286,15 +288,15 @@ func (r *pathState) init(s *Sim) {
 		e := &s.entities[i]
 		b := 1.0
 		switch e.kind {
-		case kindProcess:
+		case structure.Process:
 			if rc.ProcessBias > 1 {
 				b = rc.ProcessBias
 			}
-		case kindRack, kindHost, kindVM:
+		case structure.Rack, structure.Host, structure.VM:
 			if rc.HardwareBias > 1 {
 				b = rc.HardwareBias
 			}
-		case kindLink:
+		case structure.Link:
 			if rc.LinkBias > 1 {
 				b = rc.LinkBias
 			}
@@ -391,7 +393,7 @@ func (s *Sim) snapshotRarePath(rngState uint64, lvl, createLvl int) rarePathSnap
 	}
 	snap.entUp = make([]bool, len(s.entities))
 	for i := range s.entities {
-		snap.entUp[i] = s.entities[i].up
+		snap.entUp[i] = s.table.Up(i)
 	}
 	snap.events = s.events.snapshot()
 	snap.hostUp = append([]bool(nil), s.hostUp...)
@@ -408,13 +410,13 @@ func (s *Sim) snapshotRarePath(rngState uint64, lvl, createLvl int) rarePathSnap
 
 // restoreRarePath pops the most recent pending branch and resumes it.
 // Connectivity is rebuilt from the restored link entity states, and the
-// quorum counters from the restored entity states and that reachability.
+// table's counters from the restored entity states and that reachability.
 func (s *Sim) restoreRarePath() {
 	r := &s.path
 	snap := r.stack[len(r.stack)-1]
 	r.stack = r.stack[:len(r.stack)-1]
 	for i := range s.entities {
-		s.entities[i].up = snap.entUp[i]
+		s.table.Set(i, snap.entUp[i])
 	}
 	s.events.restore(snap.events)
 	s.seq = snap.seq
@@ -435,13 +437,15 @@ func (s *Sim) restoreRarePath() {
 	if s.conn != nil {
 		s.conn.Reset()
 		for i := range s.entities {
-			e := &s.entities[i]
-			if e.kind == kindLink && !e.up {
-				s.conn.SetLink(e.link, false)
+			if s.entities[i].kind == structure.Link && !snap.entUp[i] {
+				s.conn.SetLink(s.table.Deps[i].Index, false)
 			}
 		}
+		for n := range s.conn.Graph().Names {
+			s.table.Set(s.table.GraphNode(n), s.conn.Reachable(n))
+		}
 	}
-	s.recount()
+	s.table.Recount()
 	s.stale = true
 	if s.probe != nil {
 		s.probe(s)

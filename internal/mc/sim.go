@@ -6,31 +6,16 @@ import (
 
 	"sdnavail/internal/analytic"
 	"sdnavail/internal/profile"
+	"sdnavail/internal/structure"
 	"sdnavail/internal/topology"
 )
 
-// entityKind classifies simulated entities.
-type entityKind int
-
-const (
-	kindRack entityKind = iota
-	kindHost
-	kindVM
-	kindProcess
-	kindLink
-)
-
-// entity is one failing/repairing unit.
+// entity is one failing/repairing unit: a row of the structure table's
+// leading dependencies with its failure and repair laws attached. Its
+// up/down state lives in the table, which Sim.flip keeps current.
 type entity struct {
-	kind entityKind
-	// mode is the failure-mode key downtime is attributed to: "rack:",
-	// "host:", "vm:" or "link:" plus the unit's name, and "process:<name>"
-	// aggregated across nodes. Fixed at build time; modeID is its interned
-	// id (internModes), which is all the event loop touches.
-	mode   string
-	modeID int32
-	up     bool
-	mtbf   float64
+	kind structure.Kind
+	mtbf float64
 	// repair is the mean of the exponential repair time, fixed at build
 	// from the kind, restart policy and scenario (links carry their own
 	// MTTR) — or, with fixedRepair, the repair time itself: a scenario-1
@@ -41,47 +26,6 @@ type entity struct {
 	// supEnt is the supervisor that auto-restarts this process, or -1.
 	// While it is down, the process must be restarted manually instead.
 	supEnt int
-	// link is the topology link index for kindLink entities.
-	link int
-}
-
-// groupNode is one (role, node) placement of a quorum group resolved to
-// flat entity indices: its hardware chain, its supervisor (or -1), and the
-// member processes the group requires on that node. Resolving names to
-// indices at build time keeps the per-event satisfaction check free of the
-// placement-map and process-name-map lookups the simulator used to pay on
-// every event.
-type groupNode struct {
-	// id is the node's flat index into the quorum counters.
-	id                              int
-	rackEnt, hostEnt, vmEnt, supEnt int
-	memberEnts                      []int
-	// connNode is the placement host's network-graph node, or -1 when the
-	// topology has no fallible links: the instance only serves while a
-	// live link path reaches it from the edge.
-	connNode int
-	// pathLinkEnts are the fallible-link entities that can cut this host
-	// off (its edge path on tree fabrics, every fallible link otherwise),
-	// for downtime attribution.
-	pathLinkEnts []int
-}
-
-// simGroup is a quorum group resolved for simulation: the group is
-// satisfied when at least need nodes have every member process (and their
-// hardware, and in scenario 2 their supervisor) up.
-type simGroup struct {
-	// id is the group's flat index into the quorum counters.
-	id    int
-	role  profile.Role
-	name  string
-	need  int
-	nodes []groupNode
-}
-
-// computeHost is one vRouter host for the local DP contribution.
-type computeHost struct {
-	procEnts []int
-	supEnt   int
 }
 
 // Sim is a single-replication simulator. Create with New, run with Run.
@@ -96,20 +40,18 @@ type Sim struct {
 	now    float64
 
 	entities []entity
-	cpGroups []simGroup
-	dpGroups []simGroup
-	hosts    []computeHost
-	// modeNames lists the distinct failure-mode keys, sorted; a mode's id
-	// is its index. inBlame marks the ids already in the blame set being
-	// collected (all false between collections).
+	// table is the structure function over the entities (dependency i is
+	// entity i): their states, the quorum and compute-host verdicts kept
+	// current as they flip, and the blame rule. It is held by value, so the
+	// slice headers every flip reads sit in the Sim beside the event loop's
+	// other state (through a pointer, BenchmarkMCRun read 2.5% slower).
+	// hosts and modeNames are its compute-host rows and sorted mode names.
+	table     structure.Table
+	hosts     []structure.ComputeHost
 	modeNames []string
-	inBlame   []bool
 	// supRequired caches Scenario == SupervisorRequired: whether a down
 	// supervisor stops the processes it owns from counting.
 	supRequired bool
-	// quorum answers "is every group satisfied" from counters the entity
-	// flips maintain, instead of rescanning the groups per event.
-	quorum quorumIndex
 	// raft is the leadership mirror, nil unless Config.RaftElectionMax > 0.
 	raft *simRaft
 	// conn tracks edge reachability over the network graph, nil unless
@@ -271,9 +213,6 @@ func (s *Sim) reset(replication int) {
 	s.events.reset()
 	s.seq = 0
 	s.now = 0
-	for i := range s.entities {
-		s.entities[i].up = true
-	}
 	s.cpUp, s.sdpUp = true, true
 	for i := range s.hostUp {
 		s.hostUp[i] = true
@@ -298,200 +237,72 @@ func (s *Sim) reset(replication int) {
 	if s.conn != nil {
 		s.conn.Reset()
 	}
-	s.quorum.rewind()
+	s.table.Rewind()
 }
 
-// addEntity appends an entity and returns its index.
-func (s *Sim) addEntity(e entity) int {
-	e.up = true
-	s.entities = append(s.entities, e)
-	return len(s.entities) - 1
-}
-
-// addSupervisor appends a node supervisor. Restarting it takes a manual
-// restart (R_S) where the scenario requires it; otherwise it waits for the
-// maintenance window.
-func (s *Sim) addSupervisor(sup profile.Process) int {
-	e := entity{kind: kindProcess, mode: "process:" + sup.Name, mtbf: s.cfg.ProcessMTBF, repair: s.cfg.ManualRestart, supEnt: -1}
-	if !s.supRequired {
-		e.repair, e.fixedRepair = s.cfg.MaintenanceWindow, true
-	}
-	return s.addEntity(e)
-}
-
-// addProcess appends a member process of the supervisor sup (or -1). Its
-// supervisor restarts it (R) unless the profile marks it manual-restart
-// (R_S).
-func (s *Sim) addProcess(proc profile.Process, sup int) int {
-	e := entity{kind: kindProcess, mode: "process:" + proc.Name, mtbf: s.cfg.ProcessMTBF, repair: s.cfg.AutoRestart, supEnt: sup}
-	if proc.Restart == profile.ManualRestart {
-		e.repair, e.supEnt = s.cfg.ManualRestart, -1
-	}
-	return s.addEntity(e)
-}
-
-// instanceLoc is one (role, node) placement resolved to entity indices
-// during build; the quorum groups flatten it into groupNodes.
-type instanceLoc struct {
-	rackEnt, hostEnt, vmEnt, supEnt int
-	hostName                        string
-	procs                           map[string]int
-}
-
-// build constructs the entity table from the topology and profile.
+// build compiles the structure table and attaches a failure and repair law
+// to each of its rows that fails on its own (the simulator never fails a
+// partition or a compute host's hardware). Graph-link entities, one per fallible link,
+// sit after the role instances, so a link-free topology leaves the entity
+// table — and with it every replication's RNG draw order — untouched.
+// Perfect links (MTBF 0) never become entities either: exp(0) would
+// schedule an immediate failure. The nodemgr processes are "0 of n" for
+// both planes and are not in the table (they cannot affect any
+// availability result).
 func (s *Sim) build() {
 	cfg := s.cfg
-	// Hardware hierarchy.
-	type vmLoc struct {
-		rackEnt, hostEnt, vmEnt int
-		hostName                string
+	sp := structure.Spec{
+		Profile: cfg.Profile, Topology: cfg.Topology, ComputeHosts: cfg.ComputeHosts,
+		SupervisorRequired: s.supRequired,
+		Modes:              []string{raftElectionMode, raftGrayLeaderMode},
 	}
-	vmOf := map[topology.Placement]vmLoc{}
-	for _, rack := range cfg.Topology.Racks {
-		re := s.addEntity(entity{kind: kindRack, mode: "rack:" + rack.Name, mtbf: cfg.RackMTBF, repair: cfg.RackRepair, supEnt: -1})
-		for _, host := range rack.Hosts {
-			he := s.addEntity(entity{kind: kindHost, mode: "host:" + host.Name, mtbf: cfg.HostMTBF, repair: cfg.HostRepair, supEnt: -1})
-			for _, vm := range host.VMs {
-				ve := s.addEntity(entity{kind: kindVM, mode: "vm:" + vm.Name, mtbf: cfg.VMMTBF, repair: cfg.VMRepair, supEnt: -1})
-				for _, pl := range vm.Placements {
-					vmOf[pl] = vmLoc{rackEnt: re, hostEnt: he, vmEnt: ve, hostName: host.Name}
-				}
-			}
+	if cfg.Topology.HasFallibleLinks() {
+		g, err := cfg.Topology.Graph()
+		if err != nil {
+			panic(fmt.Sprintf("mc: validated topology failed to compile: %v", err)) // Validate vetted the links
 		}
+		s.conn = topology.NewConnectivity(g)
+		sp.Graph, sp.Links = g, g.FallibleLinks()
 	}
-	// Role instances and their processes. The nodemgr processes are
-	// "0 of n" for both planes and are omitted (they cannot affect any
-	// availability result).
-	byPlace := map[topology.Placement]instanceLoc{}
-	for _, role := range cfg.Profile.ClusterRoles {
-		for node := 0; node < cfg.Topology.ClusterSize; node++ {
-			pl := topology.Placement{Role: role, Node: node}
-			loc, ok := vmOf[pl]
-			if !ok {
-				panic(fmt.Sprintf("mc: topology lacks placement %v", pl))
-			}
-			inst := instanceLoc{
-				rackEnt: loc.rackEnt, hostEnt: loc.hostEnt, vmEnt: loc.vmEnt,
-				supEnt: -1, hostName: loc.hostName,
-				procs: map[string]int{},
-			}
-			// Supervisor first so member processes can reference it.
-			if sup, ok := cfg.Profile.SupervisorOf(role); ok {
-				inst.supEnt = s.addSupervisor(sup)
-			}
-			for _, proc := range cfg.Profile.RoleProcesses(role, false) {
-				if proc.PerHost {
-					continue
-				}
-				inst.procs[proc.Name] = s.addProcess(proc, inst.supEnt)
-			}
-			byPlace[pl] = inst
-		}
+	t, err := structure.Compile(sp)
+	if err != nil {
+		panic(fmt.Sprintf("mc: %v", err)) // Validate vetted the placements
 	}
-	// Graph-link entities, one per fallible link, appended after the
-	// role instances so a link-free topology leaves the entity table — and
-	// with it every replication's RNG draw order — untouched. Perfect
-	// links (MTBF 0) never become entities either: exp(0) would schedule
-	// an immediate failure.
-	connNode, pathEnts := s.buildLinks()
-	// Quorum groups for both planes.
-	s.cpGroups = s.resolveGroups(profile.ControlPlane, byPlace, connNode, pathEnts)
-	s.dpGroups = s.resolveGroups(profile.DataPlane, byPlace, connNode, pathEnts)
-
-	// Compute hosts carrying the local vRouter processes.
-	for h := 0; h < cfg.ComputeHosts; h++ {
-		ch := computeHost{supEnt: -1}
-		if sup, ok := cfg.Profile.SupervisorOf(cfg.Profile.HostRole); ok {
-			ch.supEnt = s.addSupervisor(sup)
-		}
-		for _, proc := range cfg.Profile.Processes {
-			if !proc.PerHost || proc.DP == profile.NotRequired {
-				continue
+	s.table, s.hosts, s.modeNames = *t, t.Hosts, t.Modes
+	for i := 0; i < len(t.Deps) && t.Deps[i].Kind <= structure.Link; i++ {
+		d := &t.Deps[i]
+		e := entity{kind: d.Kind, supEnt: -1}
+		switch d.Kind {
+		case structure.Rack:
+			e.mtbf, e.repair = cfg.RackMTBF, cfg.RackRepair
+		case structure.Host:
+			e.mtbf, e.repair = cfg.HostMTBF, cfg.HostRepair
+		case structure.VM:
+			e.mtbf, e.repair = cfg.VMMTBF, cfg.VMRepair
+		case structure.Link:
+			l := sp.Graph.Links[d.Index]
+			e.mtbf, e.repair = l.MTBF, l.MTTR
+		case structure.Process:
+			// A supervisor takes a manual restart (R_S) where the scenario
+			// requires it and otherwise waits for the maintenance window;
+			// a process takes R from its supervisor unless the profile
+			// marks it manual-restart (R_S).
+			e.mtbf = cfg.ProcessMTBF
+			switch {
+			case d.Proc.Supervisor && s.supRequired:
+				e.repair = cfg.ManualRestart
+			case d.Proc.Supervisor:
+				e.repair, e.fixedRepair = cfg.MaintenanceWindow, true
+			case d.Proc.Restart == profile.ManualRestart:
+				e.repair = cfg.ManualRestart
+			default:
+				e.repair, e.supEnt = cfg.AutoRestart, int(d.Sup)
 			}
-			ch.procEnts = append(ch.procEnts, s.addProcess(proc, ch.supEnt))
 		}
-		s.hosts = append(s.hosts, ch)
+		s.entities = append(s.entities, e)
 	}
 	s.hostUp = make([]bool, len(s.hosts))
 	s.hostTime = make([]float64, len(s.hosts))
-	s.internModes()
-	s.buildQuorumIndex()
-}
-
-// buildLinks compiles the network graph, creates one entity per fallible
-// link, and returns the per-host graph-node and attribution tables for
-// resolveGroups. A topology without fallible links returns nil maps and
-// leaves the simulator in pure tree mode (s.conn == nil).
-func (s *Sim) buildLinks() (connNode map[string]int, pathEnts map[string][]int) {
-	if !s.cfg.Topology.HasFallibleLinks() {
-		return nil, nil
-	}
-	g, err := s.cfg.Topology.Graph()
-	if err != nil {
-		panic(fmt.Sprintf("mc: validated topology failed to compile: %v", err)) // Validate vetted the links
-	}
-	s.conn = topology.NewConnectivity(g)
-	linkEnt := map[int]int{}
-	for _, li := range g.FallibleLinks() {
-		l := g.Links[li]
-		linkEnt[li] = s.addEntity(entity{
-			kind: kindLink, mode: "link:" + l.ID(),
-			mtbf: l.MTBF, repair: l.MTTR, supEnt: -1, link: li,
-		})
-	}
-	connNode = map[string]int{}
-	pathEnts = map[string][]int{}
-	for _, rack := range s.cfg.Topology.Racks {
-		for _, host := range rack.Hosts {
-			n, ok := g.NodeIndex(host.Name)
-			if !ok {
-				panic(fmt.Sprintf("mc: host %q missing from topology graph", host.Name))
-			}
-			connNode[host.Name] = n
-			var ents []int
-			if path, err := g.PathLinks(n); err == nil {
-				for _, li := range path {
-					if ent, ok := linkEnt[li]; ok {
-						ents = append(ents, ent)
-					}
-				}
-			} else {
-				// Redundant fabric: no unique path, so attribution blames
-				// whichever fallible links are down when the host is cut off.
-				for _, li := range g.FallibleLinks() {
-					ents = append(ents, linkEnt[li])
-				}
-			}
-			pathEnts[host.Name] = ents
-		}
-	}
-	return connNode, pathEnts
-}
-
-// resolveGroups maps the profile's quorum groups for the plane onto
-// per-node flat entity-index lists.
-func (s *Sim) resolveGroups(pl profile.Plane, byPlace map[topology.Placement]instanceLoc, connNode map[string]int, pathEnts map[string][]int) []simGroup {
-	var out []simGroup
-	for _, g := range profile.QuorumGroups(s.cfg.Profile, pl) {
-		sg := simGroup{role: g.Role, name: g.Name, need: g.Need.Count(s.cfg.Topology.ClusterSize)}
-		for node := 0; node < s.cfg.Topology.ClusterSize; node++ {
-			inst := byPlace[topology.Placement{Role: g.Role, Node: node}]
-			gn := groupNode{
-				rackEnt: inst.rackEnt, hostEnt: inst.hostEnt,
-				vmEnt: inst.vmEnt, supEnt: inst.supEnt, connNode: -1,
-			}
-			if s.conn != nil {
-				gn.connNode = connNode[inst.hostName]
-				gn.pathLinkEnts = pathEnts[inst.hostName]
-			}
-			for _, m := range g.Members {
-				gn.memberEnts = append(gn.memberEnts, inst.procs[m])
-			}
-			sg.nodes = append(sg.nodes, gn)
-		}
-		out = append(out, sg)
-	}
-	return out
 }
 
 // exp draws an exponential duration with the given mean.
@@ -504,13 +315,29 @@ func (s *Sim) repairTime(e *entity) float64 {
 	switch {
 	case e.fixedRepair:
 		return e.repair
-	case e.supEnt >= 0 && !s.entities[e.supEnt].up:
+	case e.supEnt >= 0 && !s.table.Up(e.supEnt):
 		return s.exp(s.cfg.ManualRestart)
 	}
 	return s.exp(e.repair)
 }
 
-// refresh recomputes the plane indicators from the quorum counters,
+// flip applies one entity transition to the structure table. A link flip
+// also moves the graph nodes whose reachability it changed —
+// Connectivity.SetLink returns exactly those, all in the direction of the
+// flip. It reports whether any verdict crossed.
+func (s *Sim) flip(ent int, up bool) (crossed bool) {
+	crossed = s.table.Flip(ent, up)
+	if s.entities[ent].kind == structure.Link {
+		for _, n := range s.conn.SetLink(s.table.Deps[ent].Index, up) {
+			if s.table.Flip(s.table.GraphNode(n), up) {
+				crossed = true
+			}
+		}
+	}
+	return crossed
+}
+
+// refresh recomputes the plane indicators from the table's verdicts,
 // tracking CP outage statistics. A down-transition freezes the failure
 // modes active at that instant into the path state; accumulate splits the
 // outage's downtime among them as it accrues.
@@ -522,7 +349,7 @@ func (s *Sim) repairTime(e *entity) float64 {
 // clock (the expiry timer fires in that state too).
 func (s *Sim) refresh() {
 	p := &s.path
-	sat := s.quorum.unsat[planeCP] == 0
+	sat := s.table.PlaneUp(profile.ControlPlane)
 	cp := sat
 	if s.raft != nil {
 		s.raft.satUp = sat
@@ -536,7 +363,7 @@ func (s *Sim) refresh() {
 				// Quorum holds: only the raft layer explains the outage.
 				p.cpBlame = append(p.cpBlame[:0], s.raft.blameMode())
 			} else {
-				p.cpBlame = s.cpBlames(p.cpBlame)
+				p.cpBlame = s.table.Blame(p.cpBlame, profile.ControlPlane)
 			}
 		} else {
 			s.closeOutage()
@@ -544,7 +371,7 @@ func (s *Sim) refresh() {
 		}
 		s.cpUp = cp
 	}
-	sdp := s.quorum.unsat[planeDP] == 0
+	sdp := s.table.PlaneUp(profile.DataPlane)
 	if sdp != s.sdpUp {
 		if !sdp && s.cfg.HeadlessHold > 0 {
 			// Headless window opens. Schedule a timer event at its expiry
@@ -561,10 +388,10 @@ func (s *Sim) refresh() {
 	// the testbed's vRouter headless mode.
 	headless := !s.sdpUp && s.cfg.HeadlessHold > 0 && s.now-s.sdpDownAt < s.cfg.HeadlessHold
 	for i := range s.hosts {
-		up := (s.sdpUp || headless) && s.quorum.hostDown[i] == 0
+		up := (s.sdpUp || headless) && s.table.HostUp(i)
 		if up != s.hostUp[i] {
 			if !up {
-				p.hostBlame[i] = s.hostBlames(i, p.hostBlame[i])
+				p.hostBlame[i] = s.table.HostBlame(p.hostBlame[i], i)
 			} else {
 				p.hostBlame[i] = p.hostBlame[i][:0]
 			}
@@ -709,7 +536,7 @@ func (s *Sim) runCancel(done <-chan struct{}, res *Result) bool {
 				// Link repairs are never crew-limited: the crews model
 				// rack/host/VM hardware technicians, while link faults are
 				// cleared by the (independent) network operations team.
-				crewed := e.kind != kindProcess && e.kind != kindLink && s.cfg.RepairCrews > 0
+				crewed := e.kind != structure.Process && e.kind != structure.Link && s.cfg.RepairCrews > 0
 				if ev.up {
 					p.downCount--
 					p.hazUp += p.hazRate[ev.entity]
