@@ -65,7 +65,7 @@ func (c contribs) finish() []ModeContribution {
 func planeContributions(p *profile.Profile, n int, params Params, pl profile.Plane, c contribs) {
 	for _, g := range profile.QuorumGroups(p, pl) {
 		alpha := g.InstanceAvailability(params.A, params.AS)
-		u := relmath.KofNComplement(g.Need.Count(n), n, alpha) * float64(g.Count)
+		u := relmath.KofNComplement(g.Need.Count(n), n, alpha)
 		for _, m := range g.Members {
 			c.add(structure.ProcessMode(m), u/float64(len(g.Members)))
 		}

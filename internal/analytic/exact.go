@@ -2,8 +2,11 @@ package analytic
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"sdnavail/internal/profile"
+	"sdnavail/internal/structure"
 	"sdnavail/internal/topology"
 )
 
@@ -18,9 +21,12 @@ import (
 // every role instance has an independent "functional" probability (its
 // exclusive hardware, and its supervisor when the scenario requires one),
 // and the role's quorum groups are evaluated over the distribution of
-// functional instance counts. The reference topologies have at most seven
-// shared elements, so the enumeration is tiny; the implementation caps the
-// shared-element count at 20 (about a million states).
+// functional instance counts. The placements, their hardware and links and
+// their supervisors are read off the structure.Table the simulator
+// compiles, so the two engines lay out one structure function. The
+// reference topologies have at most seven shared elements, so the
+// enumeration is tiny; the implementation caps the shared-element count at
+// 20 (about a million states).
 //
 // TestExactMatchesClosedForms verifies that ExactModel reproduces the
 // closed forms bit-for-bit on the Small, Medium and Large topologies; its
@@ -63,51 +69,80 @@ func (e *ExactModel) Validate() error {
 	return e.Params.Validate()
 }
 
-// hwElement is one rack, host or VM in the flattened element table.
+// hwElement is one entry of the element table.
 type hwElement struct {
 	avail      float64
 	placements int
 	sharedIdx  int // index among shared elements, or -1
 }
 
-// exactLayout is the topology resolved for enumeration.
+// exactLayout is the compiled structure table cut for enumeration: the
+// elements are the table's rack, host, VM and link dependencies, indexed
+// as the table numbers them (its other rows stay unreferenced), and
+// chain[p] lists the elements table place p runs on.
 type exactLayout struct {
+	places   []structure.Place
 	elements []hwElement
-	shared   []int                        // element indices enumerated explicitly
-	chain    map[topology.Placement][]int // placement -> its element indices
+	shared   []int     // element indices enumerated explicitly
+	chain    [][]int32 // place -> its element indices
 }
 
-// resolve flattens the topology and splits shared from exclusive hardware.
+// resolve compiles the table the simulator compiles and splits shared from
+// exclusive hardware. A place's chain is its rack, host and VM, then the
+// fallible links that can cut its host off from the edge — the series part
+// of the series/parallel decomposition. The fabric must be a tree (unique
+// paths); redundant fabrics have no closed form here and belong to the
+// Monte Carlo engine.
 func (e *ExactModel) resolve() (*exactLayout, error) {
-	lay := &exactLayout{chain: map[topology.Placement][]int{}}
-	p := e.Params
-	addElement := func(avail float64) int {
-		lay.elements = append(lay.elements, hwElement{avail: avail, sharedIdx: -1})
-		return len(lay.elements) - 1
+	sp := structure.Spec{Profile: e.Profile, Topology: e.Topology}
+	if e.Topology.HasFallibleLinks() {
+		g, err := e.Topology.Graph()
+		if err != nil {
+			return nil, err
+		}
+		// Node 0 is the edge itself: the call only asks whether the fabric
+		// is a tree.
+		if _, err := g.PathLinks(0); err != nil {
+			return nil, fmt.Errorf("analytic: %w (redundant link fabrics need the Monte Carlo simulator)", err)
+		}
+		sp.Graph, sp.Links = g, g.FallibleLinks()
 	}
-	for _, rack := range e.Topology.Racks {
-		re := addElement(p.AR)
-		for _, host := range rack.Hosts {
-			he := addElement(p.AH)
-			for _, vm := range host.VMs {
-				ve := addElement(p.AV)
-				for _, pl := range vm.Placements {
-					lay.chain[pl] = []int{re, he, ve}
-					lay.elements[re].placements++
-					lay.elements[he].placements++
-					lay.elements[ve].placements++
-				}
-			}
+	tab, err := structure.Compile(sp)
+	if err != nil {
+		return nil, err
+	}
+	p := e.Params
+	lay := &exactLayout{places: tab.Places, elements: make([]hwElement, len(tab.Deps))}
+	for i, d := range tab.Deps {
+		switch d.Kind {
+		case structure.Rack:
+			lay.elements[i].avail = p.AR
+		case structure.Host:
+			lay.elements[i].avail = p.AH
+		case structure.VM:
+			lay.elements[i].avail = p.AV
+		case structure.Link:
+			lay.elements[i].avail = sp.Graph.Links[d.Index].Availability()
 		}
 	}
-	if len(e.Topology.Links) > 0 {
-		if err := e.resolveLinks(lay); err != nil {
-			return nil, err
+	links := false
+	for _, pl := range tab.Places {
+		lay.chain = append(lay.chain, append([]int32{pl.Rack, pl.Host, pl.VM}, pl.Cut...))
+		links = links || len(pl.Cut) > 0
+	}
+	if links {
+		lay.mergeSameMembership()
+	}
+	for _, ch := range lay.chain {
+		for _, el := range ch {
+			lay.elements[el].placements++
 		}
 	}
 	for i := range lay.elements {
-		if lay.elements[i].placements > 1 {
-			lay.elements[i].sharedIdx = len(lay.shared)
+		el := &lay.elements[i]
+		el.sharedIdx = -1
+		if el.placements > 1 {
+			el.sharedIdx = len(lay.shared)
 			lay.shared = append(lay.shared, i)
 		}
 	}
@@ -117,110 +152,44 @@ func (e *ExactModel) resolve() (*exactLayout, error) {
 	return lay, nil
 }
 
-// resolveLinks extends every placement's element chain with the fallible
-// links on its host's edge path — the series part of the series/parallel
-// decomposition. The graph must be a tree (unique paths); redundant
-// fabrics have no closed form here and belong to the Monte Carlo engine.
-// After the link pass, elements carried by identical placement sets are
-// merged into one element with the product availability — exact, because
-// such elements only ever appear together in a chain — which keeps the
-// shared-element count of placement-sweep layouts well under the
-// enumeration cap. Neither step runs for link-free topologies, so those
-// keep the seed layout (and its floating-point rounding) bit-identically.
-func (e *ExactModel) resolveLinks(lay *exactLayout) error {
-	g, err := e.Topology.Graph()
-	if err != nil {
-		return err
-	}
-	linkElem := map[int]int{} // link index -> element index
-	fallible := false
-	for _, rack := range e.Topology.Racks {
-		for _, host := range rack.Hosts {
-			node, ok := g.NodeIndex(host.Name)
-			if !ok {
-				return fmt.Errorf("analytic: host %q missing from topology graph", host.Name)
-			}
-			path, err := g.PathLinks(node)
-			if err != nil {
-				return fmt.Errorf("analytic: %w (redundant link fabrics need the Monte Carlo simulator)", err)
-			}
-			var els []int
-			for _, li := range path {
-				l := g.Links[li]
-				if !l.Fallible() {
-					continue
-				}
-				ei, ok := linkElem[li]
-				if !ok {
-					lay.elements = append(lay.elements, hwElement{avail: l.Availability(), sharedIdx: -1})
-					ei = len(lay.elements) - 1
-					linkElem[li] = ei
-				}
-				els = append(els, ei)
-			}
-			if len(els) == 0 {
-				continue
-			}
-			fallible = true
-			for _, vm := range host.VMs {
-				for _, pl := range vm.Placements {
-					lay.chain[pl] = append(lay.chain[pl], els...)
-					for _, ei := range els {
-						lay.elements[ei].placements++
-					}
-				}
-			}
-		}
-	}
-	if fallible {
-		lay.mergeSameMembership(e.Topology)
-	}
-	return nil
-}
-
-// mergeSameMembership collapses elements whose placement-membership sets
-// are identical into a single element with the product availability, and
-// drops elements no chain references.
-func (lay *exactLayout) mergeSameMembership(t *topology.Topology) {
+// mergeSameMembership collapses elements whose place-membership sets are
+// identical into a single element with the product availability — exact,
+// because such elements only ever appear together in a chain — and drops
+// elements no chain references. It keeps the shared-element count of
+// placement-sweep layouts well under the enumeration cap. It runs only
+// when some chain has a link, so link-free layouts keep the seed layout
+// (and its floating-point rounding) bit-identically.
+func (lay *exactLayout) mergeSameMembership() {
 	sig := make([]string, len(lay.elements))
-	for _, role := range t.Roles {
-		for node := 0; node < t.ClusterSize; node++ {
-			pl := topology.Placement{Role: role, Node: node}
-			for _, ei := range lay.chain[pl] {
-				sig[ei] += pl.String() + "|"
-			}
+	for pi, ch := range lay.chain {
+		for _, el := range ch {
+			sig[el] += strconv.Itoa(pi) + "|"
 		}
 	}
-	remap := make([]int, len(lay.elements))
-	canon := map[string]int{}
+	remap := make([]int32, len(lay.elements))
+	canon := map[string]int32{}
 	var merged []hwElement
 	for i, el := range lay.elements {
-		if el.placements == 0 {
-			remap[i] = -1 // unreferenced: cannot affect any chain
-			continue
+		if sig[i] == "" {
+			continue // unreferenced: cannot affect any chain
 		}
-		if j, ok := canon[sig[i]]; ok {
-			merged[j].avail *= el.avail
-			remap[i] = j
-			continue
+		j, ok := canon[sig[i]]
+		if !ok {
+			j = int32(len(merged))
+			canon[sig[i]] = j
+			merged = append(merged, hwElement{avail: 1})
 		}
-		remap[i] = len(merged)
-		canon[sig[i]] = len(merged)
-		merged = append(merged, hwElement{avail: el.avail, sharedIdx: -1})
+		merged[j].avail *= el.avail
+		remap[i] = j
 	}
-	for pl, els := range lay.chain {
-		seen := map[int]bool{}
-		var out []int
-		for _, ei := range els {
-			j := remap[ei]
-			if j < 0 || seen[j] {
-				continue
+	for pi, ch := range lay.chain {
+		var out []int32
+		for _, el := range ch {
+			if j := remap[el]; !slices.Contains(out, j) {
+				out = append(out, j)
 			}
-			seen[j] = true
-			out = append(out, j)
-			merged[j].placements++
 		}
-		lay.chain[pl] = out
+		lay.chain[pi] = out
 	}
 	lay.elements = merged
 }
@@ -254,15 +223,16 @@ func (e *ExactModel) planeAvailability(pl profile.Plane) (float64, error) {
 			continue
 		}
 		prod := 1.0
-		for ri, role := range e.Profile.ClusterRoles {
+		for ri := range e.Profile.ClusterRoles {
 			if len(groups[ri]) == 0 {
 				continue
 			}
 			// Per-node functional probability under this state.
 			qs := make([]float64, 0, n)
 			for node := 0; node < n; node++ {
+				pi := ri*n + node
 				q := 1.0
-				for _, el := range lay.chain[topology.Placement{Role: role, Node: node}] {
+				for _, el := range lay.chain[pi] {
 					he := lay.elements[el]
 					if he.sharedIdx >= 0 {
 						if state&(1<<he.sharedIdx) == 0 {
@@ -273,10 +243,8 @@ func (e *ExactModel) planeAvailability(pl profile.Plane) (float64, error) {
 						q *= he.avail
 					}
 				}
-				if q > 0 && e.Scenario == SupervisorRequired {
-					if _, ok := e.Profile.SupervisorOf(role); ok {
-						q *= e.Params.AS
-					}
+				if q > 0 && e.Scenario == SupervisorRequired && lay.places[pi].Sup >= 0 {
+					q *= e.Params.AS
 				}
 				qs = append(qs, q)
 			}

@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -184,6 +185,19 @@ func TestExactValidation(t *testing.T) {
 	bad.Params.AR = 7
 	if _, err := bad.DataPlane(); err == nil {
 		t.Error("bad params accepted")
+	}
+}
+
+// TestExactRejectsRedundantFabric: a fallible fabric with a cycle gives
+// hosts no unique edge path, which the series decomposition needs, so the
+// exact model refuses it and names the engine that can evaluate it.
+func TestExactRejectsRedundantFabric(t *testing.T) {
+	prof := profile.OpenContrail3x()
+	topo := topology.NewMedium(prof.ClusterRoles, 3).WithDefaultLinks(5_000, 8)
+	topo.Links = append(topo.Links, topology.Link{Name: "x", Kind: topology.FabricLink, A: "R1", B: "R2", MTBF: 5_000, MTTR: 8})
+	_, err := NewExactModel(prof, topo, SupervisorRequired).ControlPlane()
+	if err == nil || !strings.Contains(err.Error(), "Monte Carlo") {
+		t.Errorf("redundant fabric: err = %v, want a refusal naming the Monte Carlo simulator", err)
 	}
 }
 

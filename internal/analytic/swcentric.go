@@ -167,7 +167,7 @@ func (m *Model) groupAlpha(g profile.QuorumGroup) float64 {
 	return g.InstanceAvailability(m.Params.A, m.Params.AS)
 }
 
-// groupsProduct returns Π_g A_{need_g/k}(α_g)^count for k available
+// groupsProduct returns Π_g A_{need_g/k}(α_g) for k available
 // instances.
 func (m *Model) groupsProduct(k int, groups []profile.QuorumGroup) float64 {
 	prod := 1.0
@@ -176,7 +176,7 @@ func (m *Model) groupsProduct(k int, groups []profile.QuorumGroup) float64 {
 		if need == 0 {
 			continue
 		}
-		prod *= relmath.PowInt(relmath.KofN(need, k, m.groupAlpha(g)), g.Count)
+		prod *= relmath.KofN(need, k, m.groupAlpha(g))
 	}
 	return prod
 }
@@ -184,7 +184,7 @@ func (m *Model) groupsProduct(k int, groups []profile.QuorumGroup) float64 {
 // roleAvailability returns the availability of one role's process
 // requirements given x candidate node positions and instance thinning ρ:
 //
-//	Σ_{k=0}^{x} C(x,k) ρ^k (1−ρ)^{x−k} · Π_g A_{need_g/k}(α_g)^count
+//	Σ_{k=0}^{x} C(x,k) ρ^k (1−ρ)^{x−k} · Π_g A_{need_g/k}(α_g)
 //
 // This is the per-role factor of the paper's equations (12)-(14); because
 // the roles' supervisor (and VM/host) states are independent, the paper's
@@ -283,36 +283,4 @@ func (m *Model) DataPlane() float64 {
 // Evaluate returns (A_CP, A_DP) in one call.
 func (m *Model) Evaluate() (cp, dp float64) {
 	return m.ControlPlane(), m.DataPlane()
-}
-
-// literalQuadrupleSum evaluates the paper's equations (12)-(14) as printed:
-// an explicit nested sum over the per-role available-instance counts, for a
-// profile with exactly four cluster roles. It exists to validate the
-// factorized implementation and is exercised by tests only; the exported
-// API always uses the factorized form.
-func (m *Model) literalQuadrupleSum(pl profile.Plane, x int, rho float64) float64 {
-	groups := roleGroups(m.Profile, pl)
-	if len(groups) != 4 {
-		panic("analytic: literalQuadrupleSum requires exactly four roles")
-	}
-	weights := binomialWeights(x, rho)
-	total := 0.0
-	for g := 0; g <= x; g++ {
-		for c := 0; c <= x; c++ {
-			for a := 0; a <= x; a++ {
-				for d := 0; d <= x; d++ {
-					w := weights[g] * weights[c] * weights[a] * weights[d]
-					if w == 0 {
-						continue
-					}
-					avail := m.groupsProduct(g, groups[0]) *
-						m.groupsProduct(c, groups[1]) *
-						m.groupsProduct(a, groups[2]) *
-						m.groupsProduct(d, groups[3])
-					total += w * avail
-				}
-			}
-		}
-	}
-	return total
 }

@@ -265,6 +265,37 @@ func TestQuadrupleSumFactorizes(t *testing.T) {
 	}
 }
 
+// literalQuadrupleSum evaluates the paper's equations (12)-(14) as printed:
+// an explicit nested sum over the per-role available-instance counts, for a
+// profile with exactly four cluster roles — the reference the factorized
+// form is checked against.
+func (m *Model) literalQuadrupleSum(pl profile.Plane, x int, rho float64) float64 {
+	groups := roleGroups(m.Profile, pl)
+	if len(groups) != 4 {
+		panic("analytic: literalQuadrupleSum requires exactly four roles")
+	}
+	weights := binomialWeights(x, rho)
+	total := 0.0
+	for g := 0; g <= x; g++ {
+		for c := 0; c <= x; c++ {
+			for a := 0; a <= x; a++ {
+				for d := 0; d <= x; d++ {
+					w := weights[g] * weights[c] * weights[a] * weights[d]
+					if w == 0 {
+						continue
+					}
+					avail := m.groupsProduct(g, groups[0]) *
+						m.groupsProduct(c, groups[1]) *
+						m.groupsProduct(a, groups[2]) *
+						m.groupsProduct(d, groups[3])
+					total += w * avail
+				}
+			}
+		}
+	}
+	return total
+}
+
 // TestSupervisorAlwaysHurts: for every topology and plane, requiring the
 // supervisor must not increase availability.
 func TestSupervisorAlwaysHurts(t *testing.T) {

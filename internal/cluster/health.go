@@ -59,8 +59,9 @@ type HealthReport struct {
 	At time.Time
 	// Level is the worst subsystem level.
 	Level Health
-	// Subsystems holds the per-subsystem verdicts (quorum, mesh,
-	// supervision, processes, degradation), in that order.
+	// Subsystems holds the per-subsystem verdicts (quorum, mesh — for a
+	// profile that runs OpenContrail's control mesh — supervision,
+	// processes, degradation), in that order.
 	Subsystems []SubsystemHealth
 	// FatalProcs names every process in the Fatal state (role/node/name).
 	FatalProcs []string
@@ -88,7 +89,7 @@ func (r HealthReport) String() string {
 }
 
 // Health computes the cluster health snapshot: quorum margins across the
-// four Database-backed stores, control-mesh connectivity, supervision
+// profile's majority groups, control-mesh connectivity, supervision
 // coverage, and crash-looped (Fatal) processes.
 func (c *Cluster) Health() HealthReport { return c.health(true) }
 
@@ -113,59 +114,59 @@ func (c *Cluster) health(withTelemetry bool) HealthReport {
 	n := c.cfg.Topology.ClusterSize
 	need := n/2 + 1
 
-	// Quorum margin per clustered store.
-	db := string(profile.Database)
-	stores := []struct{ store, proc string }{
-		{"cassandra-config", "cassandra-db (Config)"},
-		{"cassandra-analytics", "cassandra-db (Analytics)"},
-		{"zookeeper", "zookeeper"},
-		{"kafka", "kafka"},
-	}
+	// Quorum margin per majority group of the control plane: for
+	// OpenContrail, the four Database-backed stores.
 	level := Healthy
 	var reasons []string
-	for _, s := range stores {
+	for _, g := range profile.QuorumGroups(c.cfg.Profile, profile.ControlPlane) {
+		if g.Need != profile.Majority {
+			continue
+		}
 		up := 0
 		for node := 0; node < n; node++ {
-			if c.usableLocked(procKey{role: db, node: node, name: s.proc}) {
+			if c.usableLocked(procKey{role: string(g.Role), node: node, name: g.Name}) {
 				up++
 			}
 		}
 		switch margin := up - need; {
 		case margin < 0:
 			level = Critical
-			reasons = append(reasons, fmt.Sprintf("%s quorum lost (%d/%d replicas usable, need %d)", s.store, up, n, need))
+			reasons = append(reasons, fmt.Sprintf("%s quorum lost (%d/%d replicas usable, need %d)", g.Name, up, n, need))
 		case margin == 0:
 			if level < Degraded {
 				level = Degraded
 			}
-			reasons = append(reasons, fmt.Sprintf("%s at bare quorum (%d/%d replicas usable, margin 0)", s.store, up, n))
+			reasons = append(reasons, fmt.Sprintf("%s at bare quorum (%d/%d replicas usable, margin 0)", g.Name, up, n))
 		}
 	}
 	if len(reasons) == 0 {
-		add("quorum", Healthy, fmt.Sprintf("all stores have failure headroom (majority %d of %d)", need, n))
+		add("quorum", Healthy, fmt.Sprintf("all majority groups have failure headroom (majority %d of %d)", need, n))
 	} else {
 		add("quorum", level, strings.Join(reasons, "; "))
 	}
 
-	// Control-mesh connectivity over the usable control processes.
-	var usable []int
-	for node := 0; node < n; node++ {
-		if c.usableLocked(procKey{role: string(profile.Control), node: node, name: "control"}) {
-			usable = append(usable, node)
+	// Control-mesh connectivity over the usable control processes: the
+	// fenced OpenContrail emulation, so only for a profile that runs it.
+	if pr, ok := c.cfg.Profile.Lookup("control"); ok && pr.Role == profile.Control {
+		var usable []int
+		for node := 0; node < n; node++ {
+			if c.usableLocked(procKey{role: string(profile.Control), node: node, name: "control"}) {
+				usable = append(usable, node)
+			}
 		}
-	}
-	cuts := len(c.cutLinks)
-	switch comps := c.meshComponentsLocked(usable); {
-	case len(usable) == 0:
-		add("mesh", Critical, "no usable control node: agents flush and host data planes fail")
-	case comps > 1:
-		add("mesh", Degraded, fmt.Sprintf("control mesh split into %d components (%d link cut(s))", comps, cuts))
-	case len(usable) < n:
-		add("mesh", Degraded, fmt.Sprintf("%d of %d control nodes usable", len(usable), n))
-	case cuts > 0:
-		add("mesh", Degraded, fmt.Sprintf("%d mesh link(s) cut; mesh still connected", cuts))
-	default:
-		add("mesh", Healthy, fmt.Sprintf("full mesh over %d control nodes", n))
+		cuts := len(c.cutLinks)
+		switch comps := c.meshComponentsLocked(usable); {
+		case len(usable) == 0:
+			add("mesh", Critical, "no usable control node: agents flush and host data planes fail")
+		case comps > 1:
+			add("mesh", Degraded, fmt.Sprintf("control mesh split into %d components (%d link cut(s))", comps, cuts))
+		case len(usable) < n:
+			add("mesh", Degraded, fmt.Sprintf("%d of %d control nodes usable", len(usable), n))
+		case cuts > 0:
+			add("mesh", Degraded, fmt.Sprintf("%d mesh link(s) cut; mesh still connected", cuts))
+		default:
+			add("mesh", Healthy, fmt.Sprintf("full mesh over %d control nodes", n))
+		}
 	}
 
 	// Supervision coverage: node-roles whose supervisor is alive.

@@ -68,9 +68,9 @@ func TableIII(p *Profile, pl Plane) []QuorumCounts {
 		for ; len(groups) > 0 && groups[0].Role == role; groups = groups[1:] {
 			switch groups[0].Need {
 			case Majority:
-				qc.M += groups[0].Count
+				qc.M++
 			case OneOf:
-				qc.N += groups[0].Count
+				qc.N++
 			}
 		}
 		out = append(out, qc)
@@ -87,9 +87,8 @@ func SumQuorum(p *Profile, pl Plane) (m, n int) {
 	return m, n
 }
 
-// QuorumGroup is the unit of requirement every engine reads: Count
-// identical, independent "1 of n" or "quorum of n" blocks within a role,
-// where each block instance (one per controller node) is up iff the Members
+// QuorumGroup is the unit of requirement every engine reads: a "1 of n"
+// or "quorum of n" block within a role, where each block instance (one per controller node) is up iff the Members
 // processes on that node are all up. A plain process is a group with a
 // single member; the {control+dns+named} DP block is a single group with
 // three auto-restart members, giving the paper's per-instance availability
@@ -101,8 +100,6 @@ type QuorumGroup struct {
 	Role Role
 	// Need is the cluster-wide requirement class.
 	Need Need
-	// Count is the number of identical such groups in the role.
-	Count int
 	// Members names the processes that must all be up on a node for that
 	// node's instance to count, in declaration order.
 	Members []string
@@ -154,11 +151,11 @@ func QuorumGroups(p *Profile, pl Plane) []QuorumGroup {
 					}
 				}
 				if g == nil {
-					blocks = append(blocks, QuorumGroup{Name: proc.DPGroup, Role: role, Need: need, Count: 1})
+					blocks = append(blocks, QuorumGroup{Name: proc.DPGroup, Role: role, Need: need})
 					g = &blocks[len(blocks)-1]
 				}
 			} else {
-				out = append(out, QuorumGroup{Name: proc.Name, Role: role, Need: need, Count: 1})
+				out = append(out, QuorumGroup{Name: proc.Name, Role: role, Need: need})
 				g = &out[len(out)-1]
 			}
 			g.Members = append(g.Members, proc.Name)

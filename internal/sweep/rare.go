@@ -37,7 +37,7 @@ func AutoRare(cfg mc.Config) mc.RareEventConfig {
 	minCut := math.MaxInt32
 	n := cfg.Topology.ClusterSize
 	for _, g := range profile.QuorumGroups(cfg.Profile, profile.ControlPlane) {
-		nProc += g.Count * len(g.Members) * n
+		nProc += len(g.Members) * n
 		// Losing (ClusterSize − need + 1) node instances of this group
 		// takes the plane down; one process failure suffices per node.
 		if cut := n - g.Need.Count(n) + 1; cut < minCut {
