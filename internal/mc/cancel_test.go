@@ -144,12 +144,16 @@ func TestReplicateContextAbandonsMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var got Result
-	if ss.replicateCancel(ctx.Done(), 0, &got) {
+	replicate, release := ss.checkout()
+	if replicate(ctx.Done(), 0, &got) {
 		t.Fatal("replication under a cancelled context reported ok")
 	}
 	// The abandoned Sim went back to the pool; a fresh replication through
 	// the same session must still match a standalone simulator.
-	if !ss.replicateCancel(context.Background().Done(), 0, &got) {
+	release()
+	replicate, release = ss.checkout()
+	defer release()
+	if !replicate(context.Background().Done(), 0, &got) {
 		t.Fatal("live-context replication reported cancelled")
 	}
 	s, err := New(cfg, 0)

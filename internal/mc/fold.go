@@ -98,6 +98,13 @@ func (f *Fold) Estimate(level float64, truncated bool) Estimate {
 	return est
 }
 
+// Precision is the part of Estimate a stopping rule reads, without the
+// rest: the CP availability half-width, the CP unavailability interval and
+// the effective sample size of the weights. It allocates nothing.
+func (f *Fold) Precision(level float64) (cpHalfWidth float64, cpU stats.Interval, ess float64) {
+	return f.cp.ConfidenceInterval(level).HalfWide, f.cpU.ConfidenceInterval(level), f.cpU.ESS()
+}
+
 // meanHours divides summed per-mode hours by the replication count.
 func meanHours(sum map[string]float64, n int) map[string]float64 {
 	mean := make(map[string]float64, len(sum))

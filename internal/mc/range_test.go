@@ -9,6 +9,19 @@ import (
 	"time"
 )
 
+// stub hands every stream worker the same replicate function.
+func stub(replicate replicator) func() (replicator, func()) {
+	return func() (replicator, func()) { return replicate, func() {} }
+}
+
+// askOnce is Range over a stub: a stream over [lo, hi), asked once and
+// closed.
+func askOnce(ctx context.Context, lo, hi, workers int, replicate replicator, emit func(int, *Result)) int {
+	st := newStream(ctx, lo, hi, 0, workers, stub(replicate))
+	defer st.Close()
+	return st.Next(hi, emit)
+}
+
 // TestOrderedRangeBoundsRunAhead stalls replication 0 and lets every other
 // replication finish instantly: the pool may run only blocksAhead·workers
 // blocks past the emit cursor, nothing is emitted while the cursor's block
@@ -40,7 +53,7 @@ func TestOrderedRangeBoundsRunAhead(t *testing.T) {
 	var order []int
 	done := make(chan int)
 	go func() {
-		done <- orderedRange(nil, 0, n, workers, replicate, func(rep int, res *Result) {
+		done <- askOnce(context.Background(), 0, n, workers, replicate, func(rep int, res *Result) {
 			if res.Events != rep {
 				t.Errorf("emit(%d) carries replication %d's result", rep, res.Events)
 			}
@@ -61,7 +74,7 @@ func TestOrderedRangeBoundsRunAhead(t *testing.T) {
 	}
 	close(release)
 	if got := <-done; got != n {
-		t.Fatalf("orderedRange emitted %d, want %d", got, n)
+		t.Fatalf("the stream emitted %d, want %d", got, n)
 	}
 	for i, rep := range order {
 		if rep != i {
@@ -73,7 +86,7 @@ func TestOrderedRangeBoundsRunAhead(t *testing.T) {
 // TestOrderedRangeCancelMidRange cancels from inside emit, so the deadline
 // lands mid-range whatever the host's speed: the emitted replications stay
 // strictly ascending, the return value counts them, and every worker has
-// exited when orderedRange returns — none parked on the hand-off.
+// exited when the stream is closed — none parked on the hand-off.
 func TestOrderedRangeCancelMidRange(t *testing.T) {
 	replicate := func(done <-chan struct{}, rep int, res *Result) bool {
 		select {
@@ -89,7 +102,7 @@ func TestOrderedRangeCancelMidRange(t *testing.T) {
 		for round := 0; round < 8; round++ {
 			ctx, cancel := context.WithCancel(context.Background())
 			last, count := -1, 0
-			got := orderedRange(ctx.Done(), 100, 100+1<<14, workers, replicate, func(rep int, _ *Result) {
+			got := askOnce(ctx, 100, 100+1<<14, workers, replicate, func(rep int, _ *Result) {
 				if rep <= last {
 					t.Errorf("workers=%d: emit %d after %d: not ascending", workers, rep, last)
 				}

@@ -2,8 +2,8 @@ package mc
 
 import (
 	"context"
+	"runtime"
 	"sync"
-	"sync/atomic"
 )
 
 // Session amortizes simulator construction across many replications of one
@@ -43,19 +43,29 @@ func newSessionValidated(cfg Config) *Session {
 // stays valid after the Sim is reused.
 func (ss *Session) Replicate(replication int) Result {
 	var res Result
-	ss.replicateCancel(nil, replication, &res)
+	s := ss.pool.Get().(*Sim)
+	ss.run(s, nil, replication, &res)
+	ss.pool.Put(s)
 	return res
 }
 
-// replicateCancel runs one replication into *res, abandoning it when done
-// becomes ready: it then reports false and *res must not be folded (a zero
-// Result is not a sample). The abandoned simulator returns to the pool —
-// reset fully rewinds it, so a later replication reuses it safely. A nil
-// done never cancels. The boundary check below makes every replication
-// start a cancellation point: short-horizon replications can finish under
-// the in-loop check granularity, and a caller iterating a huge replication
-// count must still stop at its deadline.
-func (ss *Session) replicateCancel(done <-chan struct{}, replication int, res *Result) bool {
+// checkout hands a stream worker one pooled simulator for the worker's
+// whole lifetime, and the release that returns it.
+func (ss *Session) checkout() (replicator, func()) {
+	s := ss.pool.Get().(*Sim)
+	return func(done <-chan struct{}, rep int, res *Result) bool { return ss.run(s, done, rep, res) },
+		func() { ss.pool.Put(s) }
+}
+
+// run rewinds s to the replication and runs it into *res, abandoning it
+// when done becomes ready: it then reports false and *res must not be
+// folded (a zero Result is not a sample), and s stays reusable — reset
+// fully rewinds it. A nil done never cancels. The
+// boundary check below makes every replication start a cancellation point:
+// short-horizon replications can finish under the in-loop check
+// granularity, and a caller iterating a huge replication count must still
+// stop at its deadline.
+func (ss *Session) run(s *Sim, done <-chan struct{}, replication int, res *Result) bool {
 	if done != nil {
 		select {
 		case <-done:
@@ -63,7 +73,6 @@ func (ss *Session) replicateCancel(done <-chan struct{}, replication int, res *R
 		default:
 		}
 	}
-	s := ss.pool.Get().(*Sim)
 	s.reset(replication)
 	ok := s.runCancel(done, res)
 	if ok {
@@ -77,14 +86,17 @@ func (ss *Session) replicateCancel(done <-chan struct{}, replication int, res *R
 			res.ElectionDurations = nil
 		}
 	}
-	ss.pool.Put(s)
 	return ok
 }
 
-// Hand-off sizing for Range. A replication can cost under a microsecond
+// replicator runs one replication into *res; false means done fired first
+// and *res is not a sample.
+type replicator func(done <-chan struct{}, rep int, res *Result) bool
+
+// Hand-off sizing for a Stream. A replication can cost under a microsecond
 // (a rare-mode tail run averages two events), so workers hand results over
-// in blocks: about blocksPerWorker per worker across the range, so the end
-// of a round stays balanced, and at most maxBlock replications — larger
+// in blocks: about blocksPerWorker per worker across a request, so the end
+// of a request stays balanced, and at most maxBlock replications — larger
 // blocks buy no throughput, and the buffered Results are what a
 // memory-flat run holds.
 const (
@@ -93,118 +105,242 @@ const (
 	blocksAhead     = 4
 )
 
-// Range is the local replication source: it runs replications [lo, hi) on
-// up to `workers` goroutines (one worker replicates inline) and hands each
-// Result to emit on the caller's goroutine in ascending replication index.
+// Range is the local replication source for one known range: it runs
+// replications [lo, hi) on up to `workers` goroutines (one worker
+// replicates inline) and hands each Result to emit on the caller's
+// goroutine in ascending replication index. It is a Stream asked once.
 // The Result is borrowed: it sits in a buffer the next replications
 // overwrite, so emit copies what it keeps past its return.
 // It returns how many it emitted; fewer than hi−lo means ctx expired — the
 // replications that did complete are all emitted, still ascending but
 // possibly with gaps, and every worker has exited when Range returns.
-//
-// A worker may claim a block only while fewer than blocksAhead·workers
-// blocks are claimed and not yet emitted (a token taken before the claim,
-// given back at the emit), so one slow replication at the emit cursor
-// stalls the pool instead of letting it buffer the rest of the range. The
-// lowest unemitted block is always claimed and running, so the tokens
-// cannot deadlock. The tokens are the block buffers themselves: a range
-// allocates at most that many, however long it is.
 func (ss *Session) Range(ctx context.Context, lo, hi, workers int, emit func(rep int, res *Result)) int {
-	return orderedRange(ctx.Done(), lo, hi, workers, ss.replicateCancel, emit)
+	st := ss.Stream(ctx, lo, hi, 0, workers)
+	defer st.Close()
+	return st.Next(hi, emit)
 }
 
-// orderedRange is Range over an arbitrary replicate function, split out so
-// the ordered hand-off can be tested against a stub that stalls.
-func orderedRange(done <-chan struct{}, lo, hi, workers int,
-	replicate func(done <-chan struct{}, rep int, res *Result) bool, emit func(rep int, res *Result)) int {
-	if workers = min(workers, hi-lo); workers <= 1 {
-		var res Result
-		for rep := lo; rep < hi; rep++ {
-			if !replicate(done, rep, &res) {
-				return rep - lo
-			}
-			emit(rep, &res)
-		}
-		return hi - lo
-	}
-	size := max(1, min(maxBlock, (hi-lo)/(workers*blocksPerWorker)))
-	blocks := (hi - lo + size - 1) / size
-	ahead := blocksAhead * workers
+// Stream is one point's supply of replications lo, lo+1, … below hi: a
+// pool of workers that lives until Close, each on one simulator checked
+// out of the session for its whole life, handing results to the caller in
+// ascending replication index one request (Next) at a time. Between
+// requests — while the caller folds and checks its stopping rule — the
+// workers run ahead into the next request, but never past hi, never more
+// than `ahead` replications past the last bound asked for, and never more
+// than blocksAhead·workers blocks past the emit cursor: an early-stopping
+// caller pays for at most that much it will not fold. A replication run
+// ahead but never asked for is dropped, so what the caller folds depends
+// only on the bounds it asked for. A Stream is not safe for concurrent
+// use.
+//
+// Workers claim blocks of consecutive indices that the caller's goroutine
+// issues, one block buffer per block: there are blocksAhead·workers
+// buffers, a worker fills the one its block came with, and the caller
+// reissues a buffer only once it has emitted the block in it — so one
+// slow replication at the emit cursor stalls the pool instead of letting
+// it buffer the rest of the range, and the buffers — reused for the
+// stream's life, regrown only when a request's blocks outgrow them — are
+// what a stream holds. The lowest unemitted block is always issued and
+// running, so the hand-off cannot deadlock; the channels are sized to the
+// buffers, so a send never blocks and a cancelled stream cannot park a
+// worker on the hand-off.
+type Stream struct {
+	done    <-chan struct{}
+	cancel  context.CancelFunc
+	hi      int
+	ahead   int
+	workers int
+	next    int // the next replication Next emits
 
-	type block struct {
-		k   int
-		res []Result // shorter than the block when ctx expired inside it
-	}
-	// A token is the block buffer it entitles its holder to fill; the
-	// emitter hands both back together.
-	tokens := make(chan []Result, ahead)
-	for i := 0; i < ahead; i++ {
-		tokens <- nil
-	}
-	// Sized to the tokens: every block in flight holds one, so a send never
-	// blocks and a cancelled run cannot park a worker on the hand-off.
-	out := make(chan block, ahead)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				var res []Result
-				select {
-				case <-done:
-					return
-				case res = <-tokens:
-				}
-				k := int(next.Add(1)) - 1
-				if k >= blocks {
-					return
-				}
-				from := lo + k*size
-				to := min(from+size, hi)
-				if cap(res) < to-from {
-					res = make([]Result, to-from)
-				}
-				res = res[:to-from]
-				n := 0
-				for n < len(res) && replicate(done, from+n, &res[n]) {
-					n++
-				}
-				if n > 0 {
-					out <- block{k, res[:n]}
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(out)
-	}()
+	// One worker: the caller replicates inline on one checked-out Sim.
+	replicate replicator
+	release   func()
+	res       Result
 
-	// Claimed and unemitted blocks lie in [cursor, cursor+ahead), so a ring
-	// of `ahead` slots is the whole reorder buffer.
-	ring := make([][]Result, ahead)
-	cursor, emitted := 0, 0
-	flush := func(k int) []Result {
-		res := ring[k%ahead]
-		for i := range res {
-			emit(lo+k*size+i, &res[i])
-		}
-		emitted += len(res)
-		ring[k%ahead] = nil
-		return res
+	// More: blocks travel jobs → worker → out, and park in ring (slot
+	// k mod its length) until emitted. Blocks [emitK, issueK) are issued
+	// and unemitted; emitOff replications of block emitK are emitted.
+	wg                  sync.WaitGroup
+	jobs, out           chan block
+	ring                []block
+	free                [][]Result
+	issueK, emitK       int
+	issued, limit, size int
+	emitOff             int
+}
+
+// block is replications [from, from+len(res)) and their results; a worker
+// cut short by cancellation returns it shortened. A nil res is a ring slot
+// that has not arrived.
+type block struct {
+	k, from int
+	res     []Result
+}
+
+// Stream opens a replication stream over [lo, hi) on up to `workers`
+// goroutines, running at most `ahead` replications past the last bound
+// asked for; see the type. The caller must Close it.
+func (ss *Session) Stream(ctx context.Context, lo, hi, ahead, workers int) *Stream {
+	return newStream(ctx, lo, hi, ahead, workers, ss.checkout)
+}
+
+// newStream is Stream over an arbitrary worker checkout, split out so the
+// hand-off can be tested against a stub that stalls.
+func newStream(ctx context.Context, lo, hi, ahead, workers int, checkout func() (replicator, func())) *Stream {
+	ctx, cancel := context.WithCancel(ctx)
+	st := &Stream{done: ctx.Done(), cancel: cancel, hi: hi, ahead: ahead,
+		workers: min(workers, hi-lo), next: lo, issued: lo}
+	if st.workers <= 1 {
+		st.replicate, st.release = checkout()
+		return st
 	}
-	for b := range out {
-		ring[b.k%ahead] = b.res
-		for ; ring[cursor%ahead] != nil; cursor++ {
-			tokens <- flush(cursor)
-		}
+	buffers := blocksAhead * st.workers
+	st.jobs = make(chan block, buffers)
+	st.out = make(chan block, buffers)
+	st.ring = make([]block, buffers)
+	st.free = make([][]Result, buffers)
+	for w := 0; w < st.workers; w++ {
+		st.wg.Add(1)
+		go st.work(checkout)
 	}
-	// Only a cancelled run leaves blocks behind the cursor: whatever
-	// completed above the gap is still a sample, emitted in order.
-	for k := cursor; k < cursor+ahead; k++ {
-		flush(k)
+	return st
+}
+
+// work is one worker: fill each issued block until the stream is closed
+// or its context expires.
+func (st *Stream) work(checkout func() (replicator, func())) {
+	defer st.wg.Done()
+	replicate, release := checkout()
+	defer release()
+	for {
+		var b block
+		select {
+		case <-st.done:
+			return
+		case b = <-st.jobs:
+		}
+		n := 0
+		for n < len(b.res) && replicate(st.done, b.from+n, &b.res[n]) {
+			n++
+		}
+		b.res = b.res[:n]
+		st.out <- b
+		// The send made the caller runnable on this worker's P, where it
+		// would otherwise wait until the worker parks: the caller would
+		// fold in bursts and the pool would idle at the end of each.
+		// Yielding lets it emit the block now.
+		runtime.Gosched()
+	}
+}
+
+// Next hands replications [cursor, bound) to emit on the caller's
+// goroutine in ascending index, where the cursor is where the previous
+// request stopped (lo at first), and returns how many it emitted. Fewer
+// than asked means the stream's context expired: the replications below
+// bound that did complete are all emitted, still ascending but possibly
+// with gaps, every worker has exited, and the stream yields nothing more
+// (a request that finds the context expired may also come back whole, if
+// everything it asked for had completed).
+// The Result is borrowed, as with Range. A bound past hi is cut to hi.
+func (st *Stream) Next(bound int, emit func(rep int, res *Result)) int {
+	bound = min(bound, st.hi)
+	if bound <= st.next {
+		return 0
+	}
+	if st.jobs == nil {
+		from := st.next
+		for ; st.next < bound; st.next++ {
+			if !st.replicate(st.done, st.next, &st.res) {
+				return st.next - from
+			}
+			emit(st.next, &st.res)
+		}
+		return bound - from
+	}
+	st.limit = min(st.hi, bound+st.ahead)
+	st.size = max(1, min(maxBlock, (bound-st.next)/(st.workers*blocksPerWorker)))
+	st.issue()
+	emitted := 0
+	for st.next < bound {
+		b := &st.ring[st.emitK%len(st.ring)]
+		if b.res == nil {
+			select {
+			case got := <-st.out:
+				st.ring[got.k%len(st.ring)] = got
+			case <-st.done:
+				return emitted + st.flush(bound, emit)
+			}
+			continue
+		}
+		emitted += st.emitFrom(b, bound, emit)
 	}
 	return emitted
+}
+
+// emitFrom emits block b's results below bound from where the last call
+// stopped, and reissues its buffer once the block is spent.
+func (st *Stream) emitFrom(b *block, bound int, emit func(rep int, res *Result)) int {
+	n := 0
+	for ; st.emitOff < len(b.res) && b.from+st.emitOff < bound; st.emitOff++ {
+		emit(b.from+st.emitOff, &b.res[st.emitOff])
+		n++
+	}
+	st.next = b.from + st.emitOff
+	if st.emitOff == len(b.res) {
+		st.free = append(st.free, b.res)
+		*b = block{}
+		st.emitK++
+		st.emitOff = 0
+		st.issue()
+	}
+	return n
+}
+
+// issue hands each free buffer to the workers as the next block, up to the
+// run-ahead limit.
+func (st *Stream) issue() {
+	for len(st.free) > 0 && st.issued < st.limit {
+		res := st.free[len(st.free)-1]
+		st.free = st.free[:len(st.free)-1]
+		to := min(st.issued+st.size, st.limit)
+		if cap(res) < to-st.issued {
+			res = make([]Result, st.size)
+		}
+		st.jobs <- block{k: st.issueK, from: st.issued, res: res[:to-st.issued]}
+		st.issueK++
+		st.issued = to
+	}
+}
+
+// flush ends a stream whose context expired: once every worker has exited
+// it emits, in block order, what completed below bound, and drops the rest.
+func (st *Stream) flush(bound int, emit func(rep int, res *Result)) int {
+	st.wg.Wait()
+	for len(st.out) > 0 {
+		got := <-st.out
+		st.ring[got.k%len(st.ring)] = got
+	}
+	st.limit = st.issued // nothing more is issued
+	n := 0
+	for st.emitK < st.issueK {
+		k := st.emitK
+		n += st.emitFrom(&st.ring[k%len(st.ring)], bound, emit)
+		if st.emitK == k {
+			break // the rest lies at or past bound
+		}
+	}
+	st.next = st.hi
+	return n
+}
+
+// Close stops the workers, abandoning the replications in flight, and
+// returns once every worker has exited and given its simulator back.
+// Whatever ran ahead unasked is dropped.
+func (st *Stream) Close() {
+	st.cancel()
+	st.wg.Wait()
+	if st.release != nil {
+		st.release()
+		st.release = nil
+	}
 }

@@ -5,12 +5,13 @@ import (
 	"sdnavail/internal/stats"
 )
 
-// met evaluates the sequential-stopping rule on a checkpoint estimate.
-func met(est mc.Estimate, o Options) bool {
-	ciOK := o.CITarget == 0 || est.CP.HalfWide <= o.CITarget
+// met evaluates the sequential-stopping rule on the fold at a checkpoint.
+// It reads only what the rule needs, so a check allocates nothing.
+func met(f *mc.Fold, o Options) bool {
+	cpHalfWidth, cpU, ess := f.Precision(o.Confidence)
+	ciOK := o.CITarget == 0 || cpHalfWidth <= o.CITarget
 	relOK := o.RelTarget == 0 ||
-		(stats.RelativeError(est.CPUnavailability) <= o.RelTarget &&
-			est.RareESS >= float64(o.MinReps))
+		(stats.RelativeError(cpU) <= o.RelTarget && ess >= float64(o.MinReps))
 	return ciOK && relOK
 }
 

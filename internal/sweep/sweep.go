@@ -117,6 +117,9 @@ func (o Options) Validate() error {
 	if o.Batch < 1 {
 		return fmt.Errorf("sweep: Batch %d < 1", o.Batch)
 	}
+	if o.Workers < 0 {
+		return fmt.Errorf("sweep: Workers %d is negative", o.Workers)
+	}
 	return nil
 }
 
@@ -179,13 +182,7 @@ func RunContext(ctx context.Context, points []Point, opt Options) ([]Result, err
 		sessions[i] = ss
 	}
 
-	workers := opt.Workers
-	if workers > len(points) {
-		workers = len(points)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(opt.Workers, len(points))
 	// Each point replicates on its share of the pool: one goroutine when
 	// the points fill it, all of it for a single point.
 	share := opt.Workers / len(points)
@@ -205,8 +202,7 @@ func RunContext(ctx context.Context, points []Point, opt Options) ([]Result, err
 				if opt.Progress != nil {
 					progress = func(partial Result) { opt.Progress(i, partial) }
 				}
-				// The local source has no fatal error.
-				results[i], _ = runRounds(ctx, points[i], opt, localSource(sessions[i], share), progress)
+				results[i] = runLocal(ctx, points[i], sessions[i], share, opt, progress)
 			}
 		}()
 	}
@@ -215,17 +211,25 @@ func RunContext(ctx context.Context, points []Point, opt Options) ([]Result, err
 }
 
 // source produces replications [lo, hi) and hands them to emit in
-// ascending global index on the caller's goroutine. It returns how many it
-// emitted — fewer than hi−lo (a deadline, lost shards) ends the run as a
-// truncated partial — or a fatal error. There are two: a local mc.Session
-// (localSource) and shard workers (remoteSource).
+// ascending global index on the caller's goroutine; runRounds asks for
+// consecutive ranges. It returns how many it emitted — fewer than hi−lo (a
+// deadline, lost shards) ends the run as a truncated partial — or a fatal
+// error. There are two: a point's local mc.Stream (runLocal) and shard
+// workers (remoteSource).
 type source func(ctx context.Context, lo, hi int, emit func(rep int, res *mc.Result)) (int, error)
 
-// localSource replicates through the session on the given goroutine count.
-func localSource(ss *mc.Session, workers int) source {
-	return func(ctx context.Context, lo, hi int, emit func(int, *mc.Result)) (int, error) {
-		return ss.Range(ctx, lo, hi, workers, emit), nil
-	}
+// runLocal runs a point's round loop over one replication stream on the
+// given goroutine count, whose workers run up to a Batch ahead into the
+// next round while the loop folds and checks, and closes the stream
+// however the loop ends.
+func runLocal(ctx context.Context, p Point, ss *mc.Session, workers int, o Options, progress func(Result)) Result {
+	st := ss.Stream(ctx, 0, o.MaxReps, o.Batch, workers)
+	defer st.Close()
+	// The local source has no fatal error.
+	res, _ := runRounds(ctx, p, o, func(_ context.Context, _, hi int, emit func(int, *mc.Result)) (int, error) {
+		return st.Next(hi, emit), nil
+	}, progress)
+	return res
 }
 
 // runRounds is the one adaptive round loop: replicate to MinReps, then
@@ -274,8 +278,8 @@ func runRounds(ctx context.Context, p Point, o Options, src source, progress fun
 			}
 		}
 		// A fixed-count run converges by contract: the count is the target.
-		if res := result(true, false); !adaptive || met(res.Estimate, o) {
-			return res, nil
+		if !adaptive || met(f, o) {
+			return result(true, false), nil
 		}
 		if n >= o.MaxReps {
 			return result(false, false), nil

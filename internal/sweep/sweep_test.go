@@ -166,6 +166,9 @@ func TestValidation(t *testing.T) {
 	if _, err := Run([]Point{{Config: cfg}}, Options{CITarget: -1}); err == nil {
 		t.Error("negative CI target accepted")
 	}
+	if _, err := Run([]Point{{Config: cfg}}, Options{MaxReps: 8, Workers: -4}); err == nil {
+		t.Error("negative Workers accepted")
+	}
 	bad := cfg
 	bad.Horizon = -1
 	if _, err := Run([]Point{{ID: "bad", Config: bad}}, Options{}); err == nil {
