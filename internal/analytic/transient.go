@@ -1,6 +1,10 @@
 package analytic
 
-import "fmt"
+import (
+	"fmt"
+
+	"sdnavail/internal/relmath"
+)
 
 // ControlFailoverImpact quantifies the data-plane impact the paper's §III
 // analysis explicitly neglects: "in the unlikely event that two control
@@ -44,16 +48,8 @@ func ControlFailoverImpact(p Params, clusterSize int, mttr, rediscoverHours floa
 	lambda := u / (a * mttr)
 	rate := 2 * lambda * u // per hour, per host
 	// A replacement exists unless every other control is also down.
-	survivor := 1 - relPow(u, clusterSize-2)
+	survivor := 1 - relmath.PowInt(u, clusterSize-2)
 	addedUnavailability = rate * rediscoverHours * survivor
 	eventsPerYear = rate * hoursPerYear
 	return addedUnavailability, eventsPerYear, nil
-}
-
-func relPow(x float64, k int) float64 {
-	v := 1.0
-	for i := 0; i < k; i++ {
-		v *= x
-	}
-	return v
 }

@@ -14,8 +14,27 @@ import (
 // they can no longer honor (stale lease). The probe read-back integrity
 // check and the gray-failure detector are what surface them.
 
-// configStoreProc is the Database process backing the config quorum store.
-const configStoreProc = "cassandra-db (Config)"
+// quorumStore is one of the testbed's quorum stores: the name the cluster
+// API takes and the Database process backing it.
+type quorumStore struct{ name, proc string }
+
+var (
+	configStore    = quorumStore{"cassandra-config", "cassandra-db (Config)"}
+	analyticsStore = quorumStore{"cassandra-analytics", "cassandra-db (Analytics)"}
+)
+
+// leaderOf returns the node leading store. While an election is pending
+// there is none, and the error ends in what (" to kill").
+func leaderOf(c *cluster.Cluster, store, what string) (int, error) {
+	node, _, err := c.StoreLeader(store)
+	if err != nil {
+		return -1, err
+	}
+	if node < 0 {
+		return -1, fmt.Errorf("chaos: %s has no leader%s", store, what)
+	}
+	return node, nil
+}
 
 // LeaderCrash kills the config store leader's Cassandra replica, forcing
 // a leader election, then restarts the replica after step so it rejoins
@@ -24,18 +43,15 @@ func LeaderCrash(step time.Duration) []Action {
 	crashed := -1
 	return []Action{
 		Step(0, "kill config-store leader replica", func(c *cluster.Cluster) error {
-			node, _, err := c.StoreLeader("cassandra-config")
+			node, err := leaderOf(c, configStore.name, " to crash")
 			if err != nil {
 				return err
 			}
-			if node < 0 {
-				return fmt.Errorf("chaos: cassandra-config has no leader to crash")
-			}
 			crashed = node
-			return c.KillProcess("Database", node, configStoreProc)
+			return c.KillProcess("Database", node, configStore.proc)
 		}),
 		Step(step, "restart crashed leader replica", func(c *cluster.Cluster) error {
-			return c.RestartProcess("Database", crashed, configStoreProc)
+			return c.RestartProcess("Database", crashed, configStore.proc)
 		}),
 	}
 }
@@ -47,11 +63,11 @@ func LeaderCrash(step time.Duration) []Action {
 func GrayLeader(step time.Duration) []Action {
 	return []Action{
 		Step(0, "inject gray leader (wrong reads) into config store", func(c *cluster.Cluster) error {
-			_, err := c.InjectGrayLeader("cassandra-config")
+			_, err := c.InjectGrayLeader(configStore.name)
 			return err
 		}),
 		Step(step, "clear byzantine flags", func(c *cluster.Cluster) error {
-			return c.ClearByzantine("cassandra-config")
+			return c.ClearByzantine(configStore.name)
 		}),
 	}
 }
@@ -63,12 +79,9 @@ func GrayLeader(step time.Duration) []Action {
 func StaleLeaderLease(step time.Duration) []Action {
 	return []Action{
 		Step(0, "isolate config-store leader node (stale lease)", func(c *cluster.Cluster) error {
-			node, _, err := c.StoreLeader("cassandra-config")
+			node, err := leaderOf(c, configStore.name, " to isolate")
 			if err != nil {
 				return err
-			}
-			if node < 0 {
-				return fmt.Errorf("chaos: cassandra-config has no leader to isolate")
 			}
 			return c.IsolateNodes(node)
 		}),
@@ -90,32 +103,29 @@ func AckDropWrites(step time.Duration) []Action {
 	crashed := -1
 	return []Action{
 		Step(0, "arm ack-drop on config-store followers", func(c *cluster.Cluster) error {
-			leader, _, err := c.StoreLeader("cassandra-config")
+			leader, err := leaderOf(c, configStore.name, "")
 			if err != nil {
 				return err
-			}
-			if leader < 0 {
-				return fmt.Errorf("chaos: cassandra-config has no leader")
 			}
 			crashed = leader
 			for i := 0; i < 3; i++ {
 				if i == leader {
 					continue
 				}
-				if err := c.SetAckDrop("cassandra-config", i, true); err != nil {
+				if err := c.SetAckDrop(configStore.name, i, true); err != nil {
 					return err
 				}
 			}
 			return nil
 		}),
 		Step(step, "kill honest leader replica", func(c *cluster.Cluster) error {
-			return c.KillProcess("Database", crashed, configStoreProc)
+			return c.KillProcess("Database", crashed, configStore.proc)
 		}),
 		Step(step, "restart replica and clear byzantine flags", func(c *cluster.Cluster) error {
-			if err := c.RestartProcess("Database", crashed, configStoreProc); err != nil {
+			if err := c.RestartProcess("Database", crashed, configStore.proc); err != nil {
 				return err
 			}
-			return c.ClearByzantine("cassandra-config")
+			return c.ClearByzantine(configStore.name)
 		}),
 	}
 }

@@ -227,44 +227,57 @@ func summarize(r *Report) {
 	r.DPAvailability = acc.Mean()
 }
 
-// prober samples the cluster's planes at a fixed period on the cluster's
-// clock — virtual samples under a fake clock, wall-time otherwise.
+// prober observes one experiment: it samples the cluster's planes at a
+// fixed period on the cluster's clock — virtual samples under a fake
+// clock, wall-time otherwise — and keeps the log of what the driver that
+// started it injected.
 type prober struct {
 	c       *cluster.Cluster
 	clk     vclock.Clock
-	period  time.Duration
 	timeout time.Duration
-	// retries is the number of extra CP probe attempts after a failure.
-	// The total timeout budget is split across attempts so retrying never
-	// lengthens the worst-case probe: a success on a retry is recorded as
-	// a degraded (slow) sample rather than an outage.
-	retries int
+	start   time.Time
+	// injections is the timestamped injection log; only the driver
+	// touches it.
+	injections []string
 
 	mu      sync.Mutex
 	samples []Sample
 	ticker  vclock.Ticker
 	stop    chan struct{}
 	done    chan struct{}
-	start   time.Time
 }
 
-func newProber(c *cluster.Cluster, period, timeout time.Duration) *prober {
-	clk := c.Clock()
-	return &prober{
-		c: c, clk: clk, period: period, timeout: timeout, retries: 1,
-		stop: make(chan struct{}), done: make(chan struct{}),
-		start: clk.Now(),
+// probeRetries is the number of extra CP probe attempts after a failure.
+// The total timeout budget is split across attempts so retrying never
+// lengthens the worst-case probe: a success on a retry is recorded as a
+// degraded (slow) sample rather than an outage.
+const probeRetries = 1
+
+// startProber registers the calling driver on c's clock, then launches a
+// prober; period and timeout default to 5 ms and 50 ms when zero. The
+// driver is clock-driven (it sleeps between injections), so under a fake
+// clock the whole experiment runs in virtual time. Registering the driver
+// first pins the virtual instant: no advance can happen between the start
+// timestamp and the first armed tick. The prober's own registration and
+// ticker are made before startProber returns, so a fake clock counts the
+// prober, with its cadence armed, from then on. The caller defers
+// p.clk.Unregister().
+func startProber(c *cluster.Cluster, period, timeout time.Duration) *prober {
+	if period <= 0 {
+		period = 5 * time.Millisecond
 	}
-}
-
-// launch registers the prober's goroutine with the cluster clock and
-// starts it. Both the registration and the ticker creation happen
-// synchronously, so a fake clock counts the prober — and has its sampling
-// cadence armed — from the moment launch returns.
-func (p *prober) launch() {
-	p.ticker = p.clk.NewTicker(p.period)
-	p.clk.Register()
+	if timeout <= 0 {
+		timeout = 50 * time.Millisecond
+	}
+	clk := c.Clock()
+	clk.Register()
+	p := &prober{
+		c: c, clk: clk, timeout: timeout, start: clk.Now(),
+		ticker: clk.NewTicker(period), stop: make(chan struct{}), done: make(chan struct{}),
+	}
+	clk.Register()
 	go p.run()
+	return p
 }
 
 func (p *prober) run() {
@@ -280,11 +293,11 @@ func (p *prober) sampleOnce() {
 	// Probe the data planes first: DP probes are instantaneous, while a
 	// failing CP probe blocks for its timeout and would skew the sample's
 	// timestamp against the DP observations.
-	s := Sample{At: p.clk.Since(p.start), Health: p.c.HealthLevel()}
+	s := Sample{At: p.elapsed(), Health: p.c.HealthLevel()}
 	for h := 0; h < p.c.ComputeHostCount(); h++ {
 		s.DPUp = append(s.DPUp, p.c.ProbeDP(h) == nil)
 	}
-	attempts := p.retries + 1
+	attempts := probeRetries + 1
 	perAttempt := p.timeout / time.Duration(attempts)
 	if perAttempt <= 0 {
 		perAttempt = p.timeout
@@ -327,46 +340,40 @@ func (p *prober) halt() []Sample {
 	return p.samples
 }
 
+// elapsed is the time since the experiment started.
+func (p *prober) elapsed() time.Duration { return p.clk.Since(p.start) }
+
+// log records one injection, stamped with the time since the start.
+func (p *prober) log(name string) {
+	p.injections = append(p.injections, fmt.Sprintf("[%8v] %s", p.elapsed().Round(time.Millisecond), name))
+}
+
+// report halts the prober and assembles the report of an experiment that
+// lasted d.
+func (p *prober) report(d time.Duration) Report {
+	rep := Report{Duration: d, Samples: p.halt(), Injections: p.injections}
+	summarize(&rep)
+	finalize(&rep, p.c)
+	return rep
+}
+
 // RunScenario executes a scripted action sequence while probing, then
 // returns the report. Probe period and timeout default to 5 ms and 50 ms
 // when zero. A trailing settle duration keeps probing after the last
 // action.
 func RunScenario(c *cluster.Cluster, actions []Action, settle, probeEvery, probeTimeout time.Duration) (Report, error) {
-	if probeEvery <= 0 {
-		probeEvery = 5 * time.Millisecond
-	}
-	if probeTimeout <= 0 {
-		probeTimeout = 50 * time.Millisecond
-	}
-	// The scenario driver itself is clock-driven (it sleeps between
-	// actions), so it registers too; under a fake clock the whole script
-	// then runs in virtual time. Registering before the prober exists
-	// pins the virtual instant: no advance can happen between the
-	// prober's start timestamp and its first armed tick.
-	clk := c.Clock()
-	clk.Register()
-	defer clk.Unregister()
-	p := newProber(c, probeEvery, probeTimeout)
-	p.launch()
-	start := clk.Now()
-	var injections []string
+	p := startProber(c, probeEvery, probeTimeout)
+	defer p.clk.Unregister()
 	for _, a := range actions {
-		clk.Sleep(a.After)
+		p.clk.Sleep(a.After)
 		if err := a.Do(c); err != nil {
 			p.halt()
 			return Report{}, fmt.Errorf("chaos: action %q: %w", a.Name, err)
 		}
-		injections = append(injections, fmt.Sprintf("[%8v] %s", clk.Since(start).Round(time.Millisecond), a.Name))
+		p.log(a.Name)
 	}
-	clk.Sleep(settle)
-	r := Report{
-		Duration:   clk.Since(start),
-		Samples:    p.halt(),
-		Injections: injections,
-	}
-	summarize(&r)
-	finalize(&r, c)
-	return r, nil
+	p.clk.Sleep(settle)
+	return p.report(p.elapsed()), nil
 }
 
 // finalize captures end-of-experiment cluster state: bus message-loss
@@ -404,10 +411,6 @@ type Campaign struct {
 	// ProbeEvery and ProbeTimeout tune the availability prober.
 	ProbeEvery   time.Duration
 	ProbeTimeout time.Duration
-	// ProbeRetries is the number of extra CP probe attempts after a
-	// failure (the timeout budget is split across attempts). Defaults to
-	// 1; negative disables retries.
-	ProbeRetries int
 }
 
 // targetSpec is one injectable fault target.
@@ -471,30 +474,13 @@ func (cp Campaign) Run(c *cluster.Cluster, hostNames, rackNames []string) (Repor
 		return Report{}, fmt.Errorf("chaos: campaign has no targets")
 	}
 	rng := rand.New(rand.NewSource(cp.Seed))
-	clk := c.Clock()
-	clk.Register()
+	p := startProber(c, cp.ProbeEvery, cp.ProbeTimeout)
+	clk := p.clk
 	defer clk.Unregister()
-	p := newProber(c, cp.ProbeEvery, cp.ProbeTimeout)
-	if cp.ProbeEvery <= 0 {
-		p.period = 5 * time.Millisecond
-	}
-	if cp.ProbeTimeout <= 0 {
-		p.timeout = 50 * time.Millisecond
-	}
-	if cp.ProbeRetries != 0 {
-		p.retries = cp.ProbeRetries
-		if p.retries < 0 {
-			p.retries = 0
-		}
-	}
-	p.launch()
-
-	start := clk.Now()
-	var injections []string
 	var wg sync.WaitGroup
-	for clk.Since(start) < cp.Duration {
+	for p.elapsed() < cp.Duration {
 		wait := time.Duration(rng.ExpFloat64() * float64(cp.MeanBetweenFaults))
-		if remaining := cp.Duration - clk.Since(start); wait > remaining {
+		if remaining := cp.Duration - p.elapsed(); wait > remaining {
 			clk.Sleep(remaining)
 			break
 		}
@@ -504,7 +490,7 @@ func (cp Campaign) Run(c *cluster.Cluster, hostNames, rackNames []string) (Repor
 			p.halt()
 			return Report{}, fmt.Errorf("chaos: inject %q: %w", tgt.name, err)
 		}
-		injections = append(injections, fmt.Sprintf("[%8v] %s", clk.Since(start).Round(time.Millisecond), tgt.name))
+		p.log(tgt.name)
 		if tgt.manual {
 			wg.Add(1)
 			clk.Register()
@@ -533,12 +519,5 @@ func (cp Campaign) Run(c *cluster.Cluster, hostNames, rackNames []string) (Repor
 		_ = tgt.repair(c)
 	}
 	clk.Sleep(cp.RepairAfter)
-	r := Report{
-		Duration:   clk.Since(start),
-		Samples:    p.halt(),
-		Injections: injections,
-	}
-	summarize(&r)
-	finalize(&r, c)
-	return r, nil
+	return p.report(p.elapsed()), nil
 }

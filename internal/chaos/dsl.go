@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/bits"
+	"slices"
+	"strconv"
+	"strings"
 	"time"
 
 	"sdnavail/internal/cluster"
@@ -70,7 +74,7 @@ type ScenarioSpec struct {
 type StepSpec struct {
 	// After is the delay since the previous step.
 	After Duration `json:"after,omitempty"`
-	// Op is the operation name (see opSpecs).
+	// Op is the operation name (see ops).
 	Op string `json:"op"`
 	// Role, Node, Name address a process (kill-process etc.).
 	Role string `json:"role,omitempty"`
@@ -109,65 +113,128 @@ func (e *ValidationError) Error() string {
 	return fmt.Sprintf("chaos: scenario step %d: %s: %s", e.Step, e.Field, e.Reason)
 }
 
-// operand requirements per op.
-type opSpec struct {
-	needsProc   bool // role, node, name
-	needsRole   bool // role, node
-	needsTarget bool
-	needsNodes  bool
-	needsLink   bool // a, b
-	needsEnable bool // node, enable (store optional)
-	takesStore  bool
-	needsKV     bool // key, value
+// operands is a set of operand groups: the ones an op takes, or the ones a
+// step carries. Every taken group is required except argStore, which
+// defaults to the config store.
+type operands uint16
+
+const (
+	argRole operands = 1 << iota
+	argNode
+	argName
+	argTarget
+	argNodes
+	argLink // a, b
+	argEnable
+	argStore
+	argKey
+	argValue
+
+	argProc = argRole | argNode | argName
+)
+
+// operandFields spells each group, in bit order, as ValidationError.Field.
+var operandFields = [...]string{"role", "node", "name", "target", "nodes", "a/b", "enable", "store", "key", "value"}
+
+// opArgs are a validated step's operands, resolved at compile time.
+type opArgs struct {
+	role, name, target, key, value string
+	node, a, b                     int
+	nodes                          []int
+	enable                         bool
+	store                          quorumStore
 }
 
-var opSpecs = map[string]opSpec{
-	"kill-process":       {needsProc: true},
-	"restart-process":    {needsProc: true},
-	"restart-node-role":  {needsRole: true},
-	"kill-host":          {needsTarget: true},
-	"restore-host":       {needsTarget: true},
-	"kill-vm":            {needsTarget: true},
-	"restore-vm":         {needsTarget: true},
-	"kill-rack":          {needsTarget: true},
-	"restore-rack":       {needsTarget: true},
-	"isolate":            {needsNodes: true},
-	"heal-partition":     {},
-	"cut-link":           {needsLink: true},
-	"restore-link":       {needsLink: true},
-	"heal-links":         {},
-	"cut-graph-link":     {needsTarget: true},
-	"restore-graph-link": {needsTarget: true},
-	"heal-graph-links":   {},
-	"wrong-reads":        {needsEnable: true, takesStore: true},
-	"ack-drop":           {needsEnable: true, takesStore: true},
-	"gray-leader":        {takesStore: true},
-	"clear-byzantine":    {takesStore: true},
-	"kill-leader":        {takesStore: true},
-	"restart-replica":    {needsEnable: false, takesStore: true}, // node required, see Validate
-	"isolate-leader":     {takesStore: true},
-	"write-marker":       {needsKV: true},
+// opRow is one DSL op: the operand groups it takes and the cluster action
+// it performs. Validation, the compiled Action and its injection-log line
+// all derive from the row.
+type opRow struct {
+	op    string
+	takes operands
+	do    func(c *cluster.Cluster, x opArgs) error
 }
 
-// storeProcess maps a store name to its backing Database process.
-func storeProcess(store string) (string, bool) {
-	switch store {
-	case "", "config", "cassandra-config":
-		return "cassandra-db (Config)", true
-	case "analytics", "cassandra-analytics":
-		return "cassandra-db (Analytics)", true
+// onTarget and heal adapt the cluster's one-target and no-operand actions.
+func onTarget(act func(*cluster.Cluster, string) error) func(*cluster.Cluster, opArgs) error {
+	return func(c *cluster.Cluster, x opArgs) error { return act(c, x.target) }
+}
+
+func heal(act func(*cluster.Cluster)) func(*cluster.Cluster, opArgs) error {
+	return func(c *cluster.Cluster, _ opArgs) error { act(c); return nil }
+}
+
+// ops is the DSL's fault vocabulary.
+var ops = []opRow{
+	{"kill-process", argProc, func(c *cluster.Cluster, x opArgs) error { return c.KillProcess(x.role, x.node, x.name) }},
+	{"restart-process", argProc, func(c *cluster.Cluster, x opArgs) error { return c.RestartProcess(x.role, x.node, x.name) }},
+	{"restart-node-role", argRole | argNode, func(c *cluster.Cluster, x opArgs) error { return c.RestartNodeRole(x.role, x.node) }},
+	{"kill-host", argTarget, onTarget((*cluster.Cluster).KillHost)},
+	{"restore-host", argTarget, onTarget((*cluster.Cluster).RestoreHost)},
+	{"kill-vm", argTarget, onTarget((*cluster.Cluster).KillVM)},
+	{"restore-vm", argTarget, onTarget((*cluster.Cluster).RestoreVM)},
+	{"kill-rack", argTarget, onTarget((*cluster.Cluster).KillRack)},
+	{"restore-rack", argTarget, onTarget((*cluster.Cluster).RestoreRack)},
+	{"isolate", argNodes, func(c *cluster.Cluster, x opArgs) error { return c.IsolateNodes(x.nodes...) }},
+	{"heal-partition", 0, heal((*cluster.Cluster).HealPartition)},
+	{"cut-link", argLink, func(c *cluster.Cluster, x opArgs) error { return c.CutLink(x.a, x.b) }},
+	{"restore-link", argLink, func(c *cluster.Cluster, x opArgs) error { return c.RestoreLink(x.a, x.b) }},
+	{"heal-links", 0, heal((*cluster.Cluster).HealLinks)},
+	{"cut-graph-link", argTarget, onTarget((*cluster.Cluster).CutGraphLink)},
+	{"restore-graph-link", argTarget, onTarget((*cluster.Cluster).RestoreGraphLink)},
+	{"heal-graph-links", 0, heal((*cluster.Cluster).HealGraphLinks)},
+	{"wrong-reads", argStore | argNode | argEnable, func(c *cluster.Cluster, x opArgs) error {
+		return c.SetWrongReads(x.store.name, x.node, x.enable)
+	}},
+	{"ack-drop", argStore | argNode | argEnable, func(c *cluster.Cluster, x opArgs) error {
+		return c.SetAckDrop(x.store.name, x.node, x.enable)
+	}},
+	{"gray-leader", argStore, func(c *cluster.Cluster, x opArgs) error {
+		_, err := c.InjectGrayLeader(x.store.name)
+		return err
+	}},
+	{"clear-byzantine", argStore, func(c *cluster.Cluster, x opArgs) error { return c.ClearByzantine(x.store.name) }},
+	{"kill-leader", argStore, func(c *cluster.Cluster, x opArgs) error {
+		node, err := leaderOf(c, x.store.name, " to kill")
+		if err != nil {
+			return err
+		}
+		return c.KillProcess("Database", node, x.store.proc)
+	}},
+	{"restart-replica", argStore | argNode, func(c *cluster.Cluster, x opArgs) error {
+		return c.RestartProcess("Database", x.node, x.store.proc)
+	}},
+	{"isolate-leader", argStore, func(c *cluster.Cluster, x opArgs) error {
+		node, err := leaderOf(c, x.store.name, " to isolate")
+		if err != nil {
+			return err
+		}
+		return c.IsolateNodes(node)
+	}},
+	{"write-marker", argKey | argValue, func(c *cluster.Cluster, x opArgs) error {
+		_, err := c.CreateNetwork(x.key, x.value)
+		return err
+	}},
+}
+
+// opNamed finds an op's row.
+func opNamed(op string) (*opRow, bool) {
+	for i := range ops {
+		if ops[i].op == op {
+			return &ops[i], true
+		}
 	}
-	return "", false
+	return nil, false
 }
 
-// canonicalStore normalizes a store name for the cluster API.
-func canonicalStore(store string) string {
-	switch store {
-	case "", "config", "cassandra-config":
-		return "cassandra-config"
-	default:
-		return "cassandra-analytics"
+// storeNamed resolves a store spelling; the empty one is the config store.
+func storeNamed(spelling string) (quorumStore, bool) {
+	switch spelling {
+	case "", "config", configStore.name:
+		return configStore, true
+	case "analytics", analyticsStore.name:
+		return analyticsStore, true
 	}
+	return quorumStore{}, false
 }
 
 // ParseScenarioSpec decodes and validates a DSL document. Unknown fields
@@ -190,7 +257,7 @@ func ParseScenarioSpec(data []byte) (*ScenarioSpec, error) {
 	return &spec, nil
 }
 
-// Validate checks the document against the op schemas.
+// Validate checks the document against the ops table.
 func (s *ScenarioSpec) Validate() error {
 	if s.Name == "" {
 		return &ValidationError{Step: -1, Field: "name", Reason: "required"}
@@ -210,7 +277,7 @@ func (s *ScenarioSpec) Validate() error {
 }
 
 func (st *StepSpec) validate(i int) error {
-	spec, ok := opSpecs[st.Op]
+	row, ok := opNamed(st.Op)
 	if !ok {
 		if st.Op == "" {
 			return &ValidationError{Step: i, Field: "op", Reason: "required"}
@@ -220,80 +287,63 @@ func (st *StepSpec) validate(i int) error {
 	if st.After < 0 {
 		return &ValidationError{Step: i, Field: "after", Reason: "must be >= 0"}
 	}
-	if spec.needsProc || spec.needsRole {
-		if st.Role == "" {
-			return &ValidationError{Step: i, Field: "role", Reason: "required for " + st.Op}
-		}
-		if st.Node == nil {
-			return &ValidationError{Step: i, Field: "node", Reason: "required for " + st.Op}
-		}
-		if *st.Node < 0 {
-			return &ValidationError{Step: i, Field: "node", Reason: "must be >= 0"}
-		}
+	bad := func(g operands, reason string) error {
+		return &ValidationError{Step: i, Field: operandFields[bits.TrailingZeros16(uint16(g))], Reason: reason}
 	}
-	if spec.needsProc && st.Name == "" {
-		return &ValidationError{Step: i, Field: "name", Reason: "required for " + st.Op}
+	// An operand the op does not take is refused, never dropped: a
+	// mistyped op must not run as another with its operands ignored.
+	if extra := st.given() &^ row.takes; extra != 0 {
+		return bad(extra, "not accepted by "+st.Op)
 	}
-	if spec.needsTarget && st.Target == "" {
-		return &ValidationError{Step: i, Field: "target", Reason: "required for " + st.Op}
+	// Required groups first, then their values; each case fires only when
+	// the earlier ones passed, so the pointers it reads are set.
+	t, required := row.takes, "required for "+st.Op
+	switch {
+	case t&argRole != 0 && st.Role == "":
+		return bad(argRole, required)
+	case t&argNode != 0 && st.Node == nil:
+		return bad(argNode, required)
+	case t&argNode != 0 && *st.Node < 0:
+		return bad(argNode, "must be >= 0")
+	case t&argName != 0 && st.Name == "":
+		return bad(argName, required)
+	case t&argTarget != 0 && st.Target == "":
+		return bad(argTarget, required)
+	case t&argNodes != 0 && len(st.Nodes) == 0:
+		return bad(argNodes, required)
+	case t&argNodes != 0 && slices.Min(st.Nodes) < 0:
+		return bad(argNodes, "nodes must be >= 0")
+	case t&argLink != 0 && (st.A == nil || st.B == nil):
+		return bad(argLink, "both link endpoints required for "+st.Op)
+	case t&argLink != 0 && (*st.A < 0 || *st.B < 0):
+		return bad(argLink, "endpoints must be >= 0")
+	case t&argLink != 0 && *st.A == *st.B:
+		return bad(argLink, "endpoints must differ")
+	case t&argEnable != 0 && st.Enable == nil:
+		return bad(argEnable, required)
+	case t&argKey != 0 && st.Key == "":
+		return bad(argKey, required)
+	case t&argValue != 0 && st.Value == "":
+		return bad(argValue, required)
 	}
-	if spec.needsNodes {
-		if len(st.Nodes) == 0 {
-			return &ValidationError{Step: i, Field: "nodes", Reason: "required for " + st.Op}
-		}
-		for _, n := range st.Nodes {
-			if n < 0 {
-				return &ValidationError{Step: i, Field: "nodes", Reason: "nodes must be >= 0"}
-			}
-		}
-	}
-	if spec.needsLink {
-		if st.A == nil || st.B == nil {
-			return &ValidationError{Step: i, Field: "a/b", Reason: "both link endpoints required for " + st.Op}
-		}
-		if *st.A < 0 || *st.B < 0 {
-			return &ValidationError{Step: i, Field: "a/b", Reason: "endpoints must be >= 0"}
-		}
-		if *st.A == *st.B {
-			return &ValidationError{Step: i, Field: "a/b", Reason: "endpoints must differ"}
-		}
-	}
-	if spec.needsEnable {
-		if st.Node == nil {
-			return &ValidationError{Step: i, Field: "node", Reason: "required for " + st.Op}
-		}
-		if *st.Node < 0 {
-			return &ValidationError{Step: i, Field: "node", Reason: "must be >= 0"}
-		}
-		if st.Enable == nil {
-			return &ValidationError{Step: i, Field: "enable", Reason: "required for " + st.Op}
-		}
-	}
-	if st.Op == "restart-replica" {
-		if st.Node == nil {
-			return &ValidationError{Step: i, Field: "node", Reason: "required for " + st.Op}
-		}
-		if *st.Node < 0 {
-			return &ValidationError{Step: i, Field: "node", Reason: "must be >= 0"}
-		}
-	}
-	if spec.takesStore || st.Store != "" {
-		if _, ok := storeProcess(st.Store); !ok {
-			return &ValidationError{Step: i, Field: "store", Reason: fmt.Sprintf("unknown store %q", st.Store)}
-		}
-		if !spec.takesStore {
-			return &ValidationError{Step: i, Field: "store", Reason: "not accepted by " + st.Op}
-		}
-	}
-	if spec.needsKV {
-		if st.Key == "" {
-			return &ValidationError{Step: i, Field: "key", Reason: "required for " + st.Op}
-		}
-		if st.Value == "" {
-			return &ValidationError{Step: i, Field: "value", Reason: "required for " + st.Op}
-		}
+	if _, ok := storeNamed(st.Store); !ok {
+		return bad(argStore, fmt.Sprintf("unknown store %q", st.Store))
 	}
 	return nil
+}
+
+// given is the set of operand groups the step carries.
+func (st *StepSpec) given() operands {
+	var g operands
+	for i, set := range []bool{ // in bit order
+		st.Role != "", st.Node != nil, st.Name != "", st.Target != "", len(st.Nodes) > 0,
+		st.A != nil || st.B != nil, st.Enable != nil, st.Store != "", st.Key != "", st.Value != "",
+	} {
+		if set {
+			g |= 1 << i
+		}
+	}
+	return g
 }
 
 // Compile validates the document and lowers every step to an Action.
@@ -308,141 +358,54 @@ func (s *ScenarioSpec) Compile() ([]Action, error) {
 	return actions, nil
 }
 
-// compile lowers one validated step.
+// compile lowers one validated step: its operands are copied out now, so
+// the Action does not change with the document.
 func (st *StepSpec) compile() Action {
-	after := time.Duration(st.After)
-	name := st.describe()
-	switch st.Op {
-	case "kill-process":
-		role, node, pn := st.Role, *st.Node, st.Name
-		return Step(after, name, func(c *cluster.Cluster) error { return c.KillProcess(role, node, pn) })
-	case "restart-process":
-		role, node, pn := st.Role, *st.Node, st.Name
-		return Step(after, name, func(c *cluster.Cluster) error { return c.RestartProcess(role, node, pn) })
-	case "restart-node-role":
-		role, node := st.Role, *st.Node
-		return Step(after, name, func(c *cluster.Cluster) error { return c.RestartNodeRole(role, node) })
-	case "kill-host":
-		t := st.Target
-		return Step(after, name, func(c *cluster.Cluster) error { return c.KillHost(t) })
-	case "restore-host":
-		t := st.Target
-		return Step(after, name, func(c *cluster.Cluster) error { return c.RestoreHost(t) })
-	case "kill-vm":
-		t := st.Target
-		return Step(after, name, func(c *cluster.Cluster) error { return c.KillVM(t) })
-	case "restore-vm":
-		t := st.Target
-		return Step(after, name, func(c *cluster.Cluster) error { return c.RestoreVM(t) })
-	case "kill-rack":
-		t := st.Target
-		return Step(after, name, func(c *cluster.Cluster) error { return c.KillRack(t) })
-	case "restore-rack":
-		t := st.Target
-		return Step(after, name, func(c *cluster.Cluster) error { return c.RestoreRack(t) })
-	case "isolate":
-		nodes := append([]int(nil), st.Nodes...)
-		return Step(after, name, func(c *cluster.Cluster) error { return c.IsolateNodes(nodes...) })
-	case "heal-partition":
-		return Step(after, name, func(c *cluster.Cluster) error { c.HealPartition(); return nil })
-	case "cut-link":
-		a, b := *st.A, *st.B
-		return Step(after, name, func(c *cluster.Cluster) error { return c.CutLink(a, b) })
-	case "restore-link":
-		a, b := *st.A, *st.B
-		return Step(after, name, func(c *cluster.Cluster) error { return c.RestoreLink(a, b) })
-	case "heal-links":
-		return Step(after, name, func(c *cluster.Cluster) error { c.HealLinks(); return nil })
-	case "cut-graph-link":
-		t := st.Target
-		return Step(after, name, func(c *cluster.Cluster) error { return c.CutGraphLink(t) })
-	case "restore-graph-link":
-		t := st.Target
-		return Step(after, name, func(c *cluster.Cluster) error { return c.RestoreGraphLink(t) })
-	case "heal-graph-links":
-		return Step(after, name, func(c *cluster.Cluster) error { c.HealGraphLinks(); return nil })
-	case "wrong-reads":
-		store, node, on := canonicalStore(st.Store), *st.Node, *st.Enable
-		return Step(after, name, func(c *cluster.Cluster) error { return c.SetWrongReads(store, node, on) })
-	case "ack-drop":
-		store, node, on := canonicalStore(st.Store), *st.Node, *st.Enable
-		return Step(after, name, func(c *cluster.Cluster) error { return c.SetAckDrop(store, node, on) })
-	case "gray-leader":
-		store := canonicalStore(st.Store)
-		return Step(after, name, func(c *cluster.Cluster) error {
-			_, err := c.InjectGrayLeader(store)
-			return err
-		})
-	case "clear-byzantine":
-		store := canonicalStore(st.Store)
-		return Step(after, name, func(c *cluster.Cluster) error { return c.ClearByzantine(store) })
-	case "kill-leader":
-		store := canonicalStore(st.Store)
-		proc, _ := storeProcess(st.Store)
-		return Step(after, name, func(c *cluster.Cluster) error {
-			node, _, err := c.StoreLeader(store)
-			if err != nil {
-				return err
-			}
-			if node < 0 {
-				return fmt.Errorf("chaos: %s has no leader to kill", store)
-			}
-			return c.KillProcess("Database", node, proc)
-		})
-	case "restart-replica":
-		node := *st.Node
-		proc, _ := storeProcess(st.Store)
-		return Step(after, name, func(c *cluster.Cluster) error {
-			return c.RestartProcess("Database", node, proc)
-		})
-	case "isolate-leader":
-		store := canonicalStore(st.Store)
-		return Step(after, name, func(c *cluster.Cluster) error {
-			node, _, err := c.StoreLeader(store)
-			if err != nil {
-				return err
-			}
-			if node < 0 {
-				return fmt.Errorf("chaos: %s has no leader to isolate", store)
-			}
-			return c.IsolateNodes(node)
-		})
-	case "write-marker":
-		key, value := st.Key, st.Value
-		return Step(after, name, func(c *cluster.Cluster) error {
-			_, err := c.CreateNetwork(key, value)
-			return err
-		})
+	row, _ := opNamed(st.Op)
+	x := opArgs{role: st.Role, name: st.Name, target: st.Target, key: st.Key, value: st.Value, nodes: slices.Clone(st.Nodes)}
+	x.store, _ = storeNamed(st.Store)
+	if st.Node != nil {
+		x.node = *st.Node
 	}
-	// Unreachable after Validate; compile is only called on validated steps.
-	return Step(after, name, func(*cluster.Cluster) error {
-		return fmt.Errorf("chaos: unknown op %q", st.Op)
-	})
+	if row.takes&argLink != 0 {
+		x.a, x.b = *st.A, *st.B
+	}
+	if st.Enable != nil {
+		x.enable = *st.Enable
+	}
+	return Step(time.Duration(st.After), row.logLine(x), func(c *cluster.Cluster) error { return row.do(c, x) })
 }
 
-// describe renders the step for the injection log.
-func (st *StepSpec) describe() string {
-	switch {
-	case st.Op == "kill-process" || st.Op == "restart-process":
-		return fmt.Sprintf("%s %s/%d/%s", st.Op, st.Role, *st.Node, st.Name)
-	case st.Op == "restart-node-role":
-		return fmt.Sprintf("%s %s/%d", st.Op, st.Role, *st.Node)
-	case st.Target != "":
-		return st.Op + " " + st.Target
-	case st.Op == "isolate":
-		return fmt.Sprintf("%s %v", st.Op, st.Nodes)
-	case st.Op == "cut-link" || st.Op == "restore-link":
-		return fmt.Sprintf("%s %d-%d", st.Op, *st.A, *st.B)
-	case st.Op == "wrong-reads" || st.Op == "ack-drop":
-		return fmt.Sprintf("%s %s/%d enable=%v", st.Op, canonicalStore(st.Store), *st.Node, *st.Enable)
-	case st.Op == "restart-replica":
-		return fmt.Sprintf("%s %s/%d", st.Op, canonicalStore(st.Store), *st.Node)
-	case st.Op == "gray-leader" || st.Op == "clear-byzantine" || st.Op == "kill-leader" || st.Op == "isolate-leader":
-		return st.Op + " " + canonicalStore(st.Store)
-	case st.Op == "write-marker":
-		return fmt.Sprintf("%s %s=%s", st.Op, st.Key, st.Value)
+// logLine renders a step for the injection log: the op, the address of
+// what it hits (store, role, node, name, as the op takes them, joined by
+// "/"), then its other operands.
+func (r *opRow) logLine(x opArgs) string {
+	var addr []string
+	for _, a := range []struct {
+		g operands
+		s string
+	}{{argStore, x.store.name}, {argRole, x.role}, {argNode, strconv.Itoa(x.node)}, {argName, x.name}} {
+		if r.takes&a.g != 0 {
+			addr = append(addr, a.s)
+		}
 	}
-	return st.Op
+	words := []string{r.op}
+	if len(addr) > 0 {
+		words = append(words, strings.Join(addr, "/"))
+	}
+	switch {
+	case r.takes&argTarget != 0:
+		words = append(words, x.target)
+	case r.takes&argNodes != 0:
+		words = append(words, fmt.Sprint(x.nodes))
+	case r.takes&argLink != 0:
+		words = append(words, fmt.Sprintf("%d-%d", x.a, x.b))
+	case r.takes&argKey != 0:
+		words = append(words, x.key+"="+x.value)
+	case r.takes&argEnable != 0:
+		words = append(words, fmt.Sprintf("enable=%v", x.enable))
+	}
+	return strings.Join(words, " ")
 }
 
 // RunSpec compiles and executes a DSL scenario: settle comes from the

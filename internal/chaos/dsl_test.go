@@ -66,40 +66,52 @@ func TestScenarioSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// invalidSpecs are documents the DSL refuses, with the step and field the
+// refusal names. testdata/dsl_ops.golden pins each one's reason.
+var invalidSpecs = []struct {
+	name  string
+	doc   string
+	step  int
+	field string
+}{
+	{"missing name", `{"steps":[{"op":"heal-partition"}]}`, -1, "name"},
+	{"no steps", `{"name":"x"}`, -1, "steps"},
+	{"negative settle", `{"name":"x","settle":"-1s","steps":[{"op":"heal-partition"}]}`, -1, "settle"},
+	{"missing op", `{"name":"x","steps":[{"after":"1ms"}]}`, 0, "op"},
+	{"unknown op", `{"name":"x","steps":[{"op":"explode"}]}`, 0, "op"},
+	{"negative after", `{"name":"x","steps":[{"op":"heal-partition","after":"-5ms"}]}`, 0, "after"},
+	{"kill-process no role", `{"name":"x","steps":[{"op":"kill-process","node":0,"name":"p"}]}`, 0, "role"},
+	{"kill-process no node", `{"name":"x","steps":[{"op":"kill-process","role":"Control","name":"p"}]}`, 0, "node"},
+	{"kill-process negative node", `{"name":"x","steps":[{"op":"kill-process","role":"Control","node":-1,"name":"p"}]}`, 0, "node"},
+	{"kill-process no name", `{"name":"x","steps":[{"op":"kill-process","role":"Control","node":0}]}`, 0, "name"},
+	{"kill-host no target", `{"name":"x","steps":[{"op":"kill-host"}]}`, 0, "target"},
+	{"isolate empty", `{"name":"x","steps":[{"op":"isolate"}]}`, 0, "nodes"},
+	{"isolate negative", `{"name":"x","steps":[{"op":"isolate","nodes":[0,-2]}]}`, 0, "nodes"},
+	{"cut-link one end", `{"name":"x","steps":[{"op":"cut-link","a":0}]}`, 0, "a/b"},
+	{"cut-link same ends", `{"name":"x","steps":[{"op":"cut-link","a":1,"b":1}]}`, 0, "a/b"},
+	{"wrong-reads no node", `{"name":"x","steps":[{"op":"wrong-reads","enable":true}]}`, 0, "node"},
+	{"wrong-reads no enable", `{"name":"x","steps":[{"op":"wrong-reads","node":1}]}`, 0, "enable"},
+	{"bad store", `{"name":"x","steps":[{"op":"kill-leader","store":"etcd"}]}`, 0, "store"},
+	{"store on wrong op", `{"name":"x","steps":[{"op":"heal-partition","store":"config"}]}`, 0, "store"},
+	{"restart-replica no node", `{"name":"x","steps":[{"op":"restart-replica"}]}`, 0, "node"},
+	{"write-marker no key", `{"name":"x","steps":[{"op":"write-marker","value":"v"}]}`, 0, "key"},
+	{"write-marker no value", `{"name":"x","steps":[{"op":"write-marker","key":"k"}]}`, 0, "value"},
+	{"restart-node-role no role", `{"name":"x","steps":[{"op":"restart-node-role","node":0}]}`, 0, "role"},
+	{"cut-link negative end", `{"name":"x","steps":[{"op":"cut-link","a":-1,"b":0}]}`, 0, "a/b"},
+	{"ack-drop bad store", `{"name":"x","steps":[{"op":"ack-drop","store":"etcd","node":0,"enable":true}]}`, 0, "store"},
+	{"store on write-marker", `{"name":"x","steps":[{"op":"write-marker","store":"config","key":"k","value":"v"}]}`, 0, "store"},
+	// Operands the op does not take: a mistyped isolate must not heal.
+	{"nodes on heal-partition", `{"name":"x","steps":[{"op":"heal-partition","nodes":[0,1]}]}`, 0, "nodes"},
+	{"node on kill-host", `{"name":"x","steps":[{"op":"kill-host","target":"H1","node":0}]}`, 0, "node"},
+	{"link and enable on kill-leader", `{"name":"x","steps":[{"op":"kill-leader","enable":true,"a":0,"b":1}]}`, 0, "a/b"},
+	{"enable on kill-leader", `{"name":"x","steps":[{"op":"kill-leader","enable":false}]}`, 0, "enable"},
+	{"key on gray-leader", `{"name":"x","steps":[{"op":"gray-leader","key":"k"}]}`, 0, "key"},
+	{"name on restart-node-role", `{"name":"x","steps":[{"op":"restart-node-role","role":"Control","node":0,"name":"control"}]}`, 0, "name"},
+	{"value on isolate", `{"name":"x","steps":[{"op":"isolate","nodes":[0],"value":"v"}]}`, 0, "value"},
+}
+
 func TestScenarioSpecValidation(t *testing.T) {
-	node0, enable := 0, true
-	_ = enable
-	cases := []struct {
-		name  string
-		doc   string
-		step  int
-		field string
-	}{
-		{"missing name", `{"steps":[{"op":"heal-partition"}]}`, -1, "name"},
-		{"no steps", `{"name":"x"}`, -1, "steps"},
-		{"negative settle", `{"name":"x","settle":"-1s","steps":[{"op":"heal-partition"}]}`, -1, "settle"},
-		{"missing op", `{"name":"x","steps":[{"after":"1ms"}]}`, 0, "op"},
-		{"unknown op", `{"name":"x","steps":[{"op":"explode"}]}`, 0, "op"},
-		{"negative after", `{"name":"x","steps":[{"op":"heal-partition","after":"-5ms"}]}`, 0, "after"},
-		{"kill-process no role", `{"name":"x","steps":[{"op":"kill-process","node":0,"name":"p"}]}`, 0, "role"},
-		{"kill-process no node", `{"name":"x","steps":[{"op":"kill-process","role":"Control","name":"p"}]}`, 0, "node"},
-		{"kill-process negative node", `{"name":"x","steps":[{"op":"kill-process","role":"Control","node":-1,"name":"p"}]}`, 0, "node"},
-		{"kill-process no name", `{"name":"x","steps":[{"op":"kill-process","role":"Control","node":0}]}`, 0, "name"},
-		{"kill-host no target", `{"name":"x","steps":[{"op":"kill-host"}]}`, 0, "target"},
-		{"isolate empty", `{"name":"x","steps":[{"op":"isolate"}]}`, 0, "nodes"},
-		{"isolate negative", `{"name":"x","steps":[{"op":"isolate","nodes":[0,-2]}]}`, 0, "nodes"},
-		{"cut-link one end", `{"name":"x","steps":[{"op":"cut-link","a":0}]}`, 0, "a/b"},
-		{"cut-link same ends", `{"name":"x","steps":[{"op":"cut-link","a":1,"b":1}]}`, 0, "a/b"},
-		{"wrong-reads no node", `{"name":"x","steps":[{"op":"wrong-reads","enable":true}]}`, 0, "node"},
-		{"wrong-reads no enable", `{"name":"x","steps":[{"op":"wrong-reads","node":1}]}`, 0, "enable"},
-		{"bad store", `{"name":"x","steps":[{"op":"kill-leader","store":"etcd"}]}`, 0, "store"},
-		{"store on wrong op", `{"name":"x","steps":[{"op":"heal-partition","store":"config"}]}`, 0, "store"},
-		{"restart-replica no node", `{"name":"x","steps":[{"op":"restart-replica"}]}`, 0, "node"},
-		{"write-marker no key", `{"name":"x","steps":[{"op":"write-marker","value":"v"}]}`, 0, "key"},
-		{"write-marker no value", `{"name":"x","steps":[{"op":"write-marker","key":"k"}]}`, 0, "value"},
-	}
-	_ = node0
-	for _, tc := range cases {
+	for _, tc := range invalidSpecs {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := ParseScenarioSpec([]byte(tc.doc))
 			var verr *ValidationError
@@ -132,9 +144,11 @@ func TestParseScenarioSpecRejectsNumericDuration(t *testing.T) {
 	}
 }
 
-// FuzzScenarioDSL checks the DSL never panics, that accepted documents
+// FuzzScenarioDSL checks the DSL never panics, that every accepted step
+// compiles to an action named after its op, that accepted documents
 // survive a marshal/reparse round trip, and that rejections are either
-// JSON syntax errors or typed validation errors.
+// JSON syntax errors or typed validation errors. The corpus seeds one
+// valid step per op.
 func FuzzScenarioDSL(f *testing.F) {
 	f.Add([]byte(leaderCrashJSON))
 	f.Add([]byte(`{"name":"p","steps":[{"op":"isolate","nodes":[0,2]},{"after":"1ms","op":"heal-partition"}]}`))
@@ -144,6 +158,9 @@ func FuzzScenarioDSL(f *testing.F) {
 	f.Add([]byte(`{"name":"x","steps":[{"op":"cut-link","a":0,"b":1}]}`))
 	f.Add([]byte(`{"name":""}`))
 	f.Add([]byte(`not json`))
+	for _, row := range ops {
+		f.Add([]byte(`{"name":"` + row.op + `","steps":[` + opCases[row.op] + `]}`))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := ParseScenarioSpec(data)
 		if err != nil {
@@ -160,6 +177,11 @@ func FuzzScenarioDSL(f *testing.F) {
 		}
 		if len(actions) != len(spec.Steps) {
 			t.Fatalf("compiled %d actions from %d steps", len(actions), len(spec.Steps))
+		}
+		for i, a := range actions {
+			if op := spec.Steps[i].Op; a.Name != op && !strings.HasPrefix(a.Name, op+" ") {
+				t.Fatalf("step %d (%s) compiled to action %q", i, op, a.Name)
+			}
 		}
 		out, err := json.Marshal(spec)
 		if err != nil {

@@ -43,13 +43,13 @@ func SectionIII(step time.Duration) []Action {
 func DatabaseQuorumLoss(step time.Duration) []Action {
 	return []Action{
 		Step(0, "kill cassandra-db (Config) on node 1", func(c *cluster.Cluster) error {
-			return c.KillProcess("Database", 0, "cassandra-db (Config)")
+			return c.KillProcess("Database", 0, configStore.proc)
 		}),
 		Step(step, "kill cassandra-db (Config) on node 2 (quorum lost)", func(c *cluster.Cluster) error {
-			return c.KillProcess("Database", 1, "cassandra-db (Config)")
+			return c.KillProcess("Database", 1, configStore.proc)
 		}),
 		Step(step, "manual restart of cassandra-db (Config) on node 1", func(c *cluster.Cluster) error {
-			return c.RestartProcess("Database", 0, "cassandra-db (Config)")
+			return c.RestartProcess("Database", 0, configStore.proc)
 		}),
 	}
 }
@@ -67,7 +67,7 @@ func RackOutage(rack string, nodes []int, step time.Duration) []Action {
 		}),
 		Step(step, "manual restart sweep (Database + redis)", func(c *cluster.Cluster) error {
 			for _, node := range nodes {
-				for _, name := range []string{"cassandra-db (Config)", "cassandra-db (Analytics)", "kafka", "zookeeper"} {
+				for _, name := range []string{configStore.proc, analyticsStore.proc, "kafka", "zookeeper"} {
 					if err := c.RestartProcess("Database", node, name); err != nil {
 						return err
 					}
@@ -217,14 +217,14 @@ func Headless(step time.Duration) []Action {
 func StaleRead(step time.Duration) []Action {
 	return []Action{
 		Step(0, "kill cassandra-db (Config) on node 3", func(c *cluster.Cluster) error {
-			return c.KillProcess("Database", 2, "cassandra-db (Config)")
+			return c.KillProcess("Database", 2, configStore.proc)
 		}),
 		Step(step, "write config while the replica is down", func(c *cluster.Cluster) error {
 			_, err := c.CreateNetwork("staleread-marker", "10.99.0.0/16")
 			return err
 		}),
 		Step(step, "manual restart of cassandra-db (Config) on node 3 (catch-up window opens)", func(c *cluster.Cluster) error {
-			return c.RestartProcess("Database", 2, "cassandra-db (Config)")
+			return c.RestartProcess("Database", 2, configStore.proc)
 		}),
 	}
 }

@@ -68,11 +68,6 @@ type SoakConfig struct {
 	ProbeEveryHours   float64
 	ProbeTimeoutHours float64
 
-	// Telemetry, when non-nil, is attached to the soaked cluster instead
-	// of the aggregate RunSoakContext creates itself — callers that want the raw
-	// trace or registry can supply their own and keep a handle on it.
-	Telemetry *telemetry.Telemetry
-
 	// Progress, when non-nil, observes the soak mid-run: it is called
 	// with the virtual hours covered and failures injected so far, every
 	// ProgressEveryHours of virtual time (default Hours/10 when unset or
@@ -141,7 +136,8 @@ func (sc SoakConfig) Validate() error {
 			return fmt.Errorf("chaos: %s = %g must be finite", f.name, f.v)
 		}
 	}
-	if sc.Hours < 0 || sc.ProcessMTBF < 0 || sc.AutoRestart < 0 || sc.OperatorResponse < 0 {
+	if sc.Hours < 0 || sc.ProcessMTBF < 0 || sc.AutoRestart < 0 || sc.OperatorResponse < 0 ||
+		sc.ProbeEveryHours < 0 || sc.ProbeTimeoutHours < 0 {
 		return fmt.Errorf("chaos: soak times must be positive: %+v", sc)
 	}
 	if sc.Hours > maxSoakHours {
@@ -266,10 +262,7 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 	if err := sc.Validate(); err != nil {
 		return SoakResult{}, err
 	}
-	tel := sc.Telemetry
-	if tel == nil {
-		tel = telemetry.New()
-	}
+	tel := telemetry.New()
 	fc := vclock.NewFake(time.Time{})
 	c, err := cluster.New(cluster.Config{
 		Profile: sc.Profile, Topology: sc.Topology, ComputeHosts: sc.ComputeHosts,
@@ -288,14 +281,9 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 		return SoakResult{}, err
 	}
 
-	// The driver registers before the prober exists so the prober's start
-	// timestamp and first armed tick share one virtual instant.
-	clk := c.Clock()
-	clk.Register()
+	p := startProber(c, hoursToDuration(sc.ProbeEveryHours), hoursToDuration(sc.ProbeTimeoutHours))
+	clk := p.clk
 	defer clk.Unregister()
-	p := newProber(c, hoursToDuration(sc.ProbeEveryHours), hoursToDuration(sc.ProbeTimeoutHours))
-	p.launch()
-	start := clk.Now()
 
 	// One failure loop per process: draw an exponential up-time, kill,
 	// then wait (coarsely polling in virtual time) until the supervisor or
@@ -359,7 +347,7 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 			sc.Progress(sc.Hours-remaining, n)
 		}
 	}
-	horizon := clk.Since(start)
+	horizon := p.elapsed()
 
 	// Seal the probe cadence at the horizon before tearing anything down.
 	// The drain below parks the driver, and with the driver parked the
@@ -377,10 +365,8 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 	<-loopsDone
 	unpark()
 
-	rep := Report{Duration: horizon, Samples: p.halt()}
 	restarts := op.Stop()
-	summarize(&rep)
-	finalize(&rep, c)
+	rep := p.report(horizon)
 	mu.Lock()
 	n := failures
 	mu.Unlock()
