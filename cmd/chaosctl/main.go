@@ -298,10 +298,8 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 			Duration:          *duration,
 			MeanBetweenFaults: *mbf,
 			RepairAfter:       *repair,
-			Processes:         true,
-			Hosts:             true,
 		}
-		rep, err = cp.Run(c, hostNames, nil)
+		rep, err = cp.Run(c, hostNames)
 	default:
 		return fmt.Errorf("unknown scenario %q", *scenario)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -272,6 +273,42 @@ func TestSoakInterruptedFlushesExports(t *testing.T) {
 		}
 		if info.Size() == 0 {
 			t.Errorf("export %s is empty", f)
+		}
+	}
+}
+
+// TestReadmeListsEveryScenario holds README's cmd/chaosctl row to the
+// scenarios the -scenario flag's help text names.
+func TestReadmeListsEveryScenario(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`flag\.String\("scenario", "[^"]*", "scenario: ([^"]*)"\)`).FindSubmatch(src)
+	if m == nil {
+		t.Fatal("no -scenario flag help text in main.go")
+	}
+	names := strings.Split(strings.Replace(string(m[1]), " or ", ", ", 1), ", ")
+	if len(names) < 2 {
+		t.Fatalf("parsed %d scenario names from the help text %q", len(names), m[1])
+	}
+
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var row string
+	for _, line := range strings.Split(string(readme), "\n") {
+		if strings.HasPrefix(line, "| `cmd/chaosctl` |") {
+			row = line
+		}
+	}
+	if row == "" {
+		t.Fatal("README.md has no cmd/chaosctl row")
+	}
+	for _, name := range names {
+		if !strings.Contains(row, "`"+name+"`") {
+			t.Errorf("README's cmd/chaosctl row does not list scenario %q", name)
 		}
 	}
 }

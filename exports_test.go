@@ -11,6 +11,7 @@ import (
 	"path"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -46,22 +47,7 @@ func TestInternalExportsHaveAReader(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library it imports from source")
 	}
-	m := &module{
-		fset:  token.NewFileSet(),
-		pkgs:  map[string]*types.Package{},
-		read:  map[types.Object]bool{},
-		named: map[*types.Interface]bool{},
-	}
-	m.std = importer.ForCompiler(m.fset, "source", nil)
-
-	for _, file := range repoFiles(t) {
-		if !strings.HasSuffix(file, ".go") || strings.Contains(file, "testdata/") {
-			continue
-		}
-		if _, err := m.Import(path.Join("sdnavail", path.Dir(file))); err != nil {
-			t.Fatal(err)
-		}
-	}
+	m := loadModule(t)
 
 	var unread []string
 	for _, name := range m.exported {
@@ -96,8 +82,45 @@ type module struct {
 	std      types.Importer
 	pkgs     map[string]*types.Package
 	read     map[types.Object]bool     // referenced from a non-test file
+	written  map[*types.Var]bool       // field set by a non-test file of another package
 	named    map[*types.Interface]bool // interfaces a non-test file spells
 	exported []exportedName            // declared under internal/
+}
+
+var (
+	loadOnce   sync.Once
+	loaded     *module
+	loadFailed error
+)
+
+// loadModule type-checks the module once per test binary; every guard
+// that reads it shares the one pass.
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	loadOnce.Do(func() {
+		m := &module{
+			fset:    token.NewFileSet(),
+			pkgs:    map[string]*types.Package{},
+			read:    map[types.Object]bool{},
+			written: map[*types.Var]bool{},
+			named:   map[*types.Interface]bool{},
+		}
+		m.std = importer.ForCompiler(m.fset, "source", nil)
+		for _, file := range repoFiles(t) {
+			if !strings.HasSuffix(file, ".go") || strings.Contains(file, "testdata/") {
+				continue
+			}
+			if _, err := m.Import(path.Join("sdnavail", path.Dir(file))); err != nil {
+				loadFailed = err
+				return
+			}
+		}
+		loaded = m
+	})
+	if loaded == nil {
+		t.Fatalf("type-checking the module failed: %v", loadFailed)
+	}
+	return loaded
 }
 
 type exportedName struct {
@@ -144,6 +167,9 @@ func (m *module) Import(path string) (*types.Package, error) {
 			obj = o.Origin()
 		}
 		m.read[obj] = true
+	}
+	for _, f := range files {
+		m.recordWrites(path, f, info)
 	}
 	for _, tv := range info.Types {
 		if iface, ok := tv.Type.Underlying().(*types.Interface); ok && tv.IsType() {

@@ -6,7 +6,7 @@
 // Two experiment styles are supported: scripted scenarios (a deterministic
 // sequence of timed injections, e.g. the paper's section III control-node
 // kill narrative) and randomized campaigns (Poisson fault arrivals over
-// process/host/rack targets with an operator model that repairs
+// process and host targets with an operator model that repairs
 // manual-restart processes and hardware after a delay).
 package chaos
 
@@ -392,9 +392,10 @@ func finalize(r *Report, c *cluster.Cluster) {
 }
 
 // Campaign is a randomized fault-injection experiment: faults arrive as a
-// Poisson process over the selected target classes; an operator model
-// restores hardware and manually restarts manual-restart processes after
-// RepairAfter.
+// Poisson process over every process of the cluster and the hosts Run is
+// given; an operator model restores hardware and manually restarts
+// manual-restart processes after RepairAfter. The prober runs at its
+// default cadence.
 type Campaign struct {
 	// Seed makes the injection sequence reproducible.
 	Seed int64
@@ -404,13 +405,6 @@ type Campaign struct {
 	MeanBetweenFaults time.Duration
 	// RepairAfter is the operator's response time for manual repairs.
 	RepairAfter time.Duration
-	// Processes, Hosts, Racks choose the injectable target classes.
-	Processes bool
-	Hosts     bool
-	Racks     bool
-	// ProbeEvery and ProbeTimeout tune the availability prober.
-	ProbeEvery   time.Duration
-	ProbeTimeout time.Duration
 }
 
 // targetSpec is one injectable fault target.
@@ -418,63 +412,46 @@ type targetSpec struct {
 	name   string
 	inject func(c *cluster.Cluster) error
 	repair func(c *cluster.Cluster) error
-	manual bool // repair requires the operator model
 }
 
-// buildTargets enumerates the campaign's fault space from the cluster.
-func (cp Campaign) buildTargets(c *cluster.Cluster, hostNames, rackNames []string) []targetSpec {
+// buildTargets enumerates the campaign's fault space: every process of
+// the cluster, then the named hosts. The operator repairs each of them.
+func buildTargets(c *cluster.Cluster, hostNames []string) []targetSpec {
 	var targets []targetSpec
-	if cp.Processes {
-		for _, st := range c.Snapshot() {
-			st := st
-			targets = append(targets, targetSpec{
-				name:   fmt.Sprintf("kill process %s/%d/%s", st.Role, st.Node, st.Name),
-				inject: func(c *cluster.Cluster) error { return c.KillProcess(st.Role, st.Node, st.Name) },
-				repair: func(c *cluster.Cluster) error { return c.RestartProcess(st.Role, st.Node, st.Name) },
-				manual: true, // the operator restarts anything still down
-			})
-		}
+	for _, st := range c.Snapshot() {
+		st := st
+		targets = append(targets, targetSpec{
+			name:   fmt.Sprintf("kill process %s/%d/%s", st.Role, st.Node, st.Name),
+			inject: func(c *cluster.Cluster) error { return c.KillProcess(st.Role, st.Node, st.Name) },
+			repair: func(c *cluster.Cluster) error { return c.RestartProcess(st.Role, st.Node, st.Name) },
+		})
 	}
-	if cp.Hosts {
-		for _, h := range hostNames {
-			h := h
-			targets = append(targets, targetSpec{
-				name:   "kill host " + h,
-				inject: func(c *cluster.Cluster) error { return c.KillHost(h) },
-				repair: func(c *cluster.Cluster) error { return c.RestoreHost(h) },
-				manual: true,
-			})
-		}
-	}
-	if cp.Racks {
-		for _, r := range rackNames {
-			r := r
-			targets = append(targets, targetSpec{
-				name:   "kill rack " + r,
-				inject: func(c *cluster.Cluster) error { return c.KillRack(r) },
-				repair: func(c *cluster.Cluster) error { return c.RestoreRack(r) },
-				manual: true,
-			})
-		}
+	for _, h := range hostNames {
+		h := h
+		targets = append(targets, targetSpec{
+			name:   "kill host " + h,
+			inject: func(c *cluster.Cluster) error { return c.KillHost(h) },
+			repair: func(c *cluster.Cluster) error { return c.RestoreHost(h) },
+		})
 	}
 	return targets
 }
 
-// Run executes the campaign against the cluster. hostNames and rackNames
-// give the injectable hardware (pass nil to restrict to processes).
-func (cp Campaign) Run(c *cluster.Cluster, hostNames, rackNames []string) (Report, error) {
+// Run executes the campaign against the cluster. hostNames gives the
+// injectable hosts (nil restricts the campaign to processes).
+func (cp Campaign) Run(c *cluster.Cluster, hostNames []string) (Report, error) {
 	if cp.Duration <= 0 || cp.MeanBetweenFaults <= 0 {
 		return Report{}, fmt.Errorf("chaos: campaign needs positive Duration and MeanBetweenFaults")
 	}
 	if cp.RepairAfter <= 0 {
 		cp.RepairAfter = 50 * time.Millisecond
 	}
-	targets := cp.buildTargets(c, hostNames, rackNames)
+	targets := buildTargets(c, hostNames)
 	if len(targets) == 0 {
 		return Report{}, fmt.Errorf("chaos: campaign has no targets")
 	}
 	rng := rand.New(rand.NewSource(cp.Seed))
-	p := startProber(c, cp.ProbeEvery, cp.ProbeTimeout)
+	p := startProber(c, 0, 0)
 	clk := p.clk
 	defer clk.Unregister()
 	var wg sync.WaitGroup
@@ -491,20 +468,18 @@ func (cp Campaign) Run(c *cluster.Cluster, hostNames, rackNames []string) (Repor
 			return Report{}, fmt.Errorf("chaos: inject %q: %w", tgt.name, err)
 		}
 		p.log(tgt.name)
-		if tgt.manual {
-			wg.Add(1)
-			clk.Register()
-			go func(tgt targetSpec) {
-				defer wg.Done()
-				defer clk.Unregister()
-				clk.Sleep(cp.RepairAfter)
-				// Repairs can race with other faults on the same target;
-				// failures (e.g. hardware still down) are acceptable — the
-				// operator retries on the next pass, modeled by ignoring
-				// the error here and the final sweep below.
-				_ = tgt.repair(c)
-			}(tgt)
-		}
+		wg.Add(1)
+		clk.Register()
+		go func(tgt targetSpec) {
+			defer wg.Done()
+			defer clk.Unregister()
+			clk.Sleep(cp.RepairAfter)
+			// Repairs can race with other faults on the same target;
+			// failures (e.g. hardware still down) are acceptable — the
+			// operator retries on the next pass, modeled by ignoring the
+			// error here and the final sweep below.
+			_ = tgt.repair(c)
+		}(tgt)
 	}
 	// Waiting for the repair goroutines is a non-clock block, so park:
 	// their pending repair sleeps are what drives a fake clock forward.

@@ -175,11 +175,8 @@ func TestCampaignRuns(t *testing.T) {
 		Duration:          400 * time.Millisecond,
 		MeanBetweenFaults: 40 * time.Millisecond,
 		RepairAfter:       30 * time.Millisecond,
-		Processes:         true,
-		ProbeEvery:        4 * time.Millisecond,
-		ProbeTimeout:      60 * time.Millisecond,
 	}
-	rep, err := cp.Run(c, nil, nil)
+	rep, err := cp.Run(c, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +202,8 @@ func TestCampaignRuns(t *testing.T) {
 	}
 }
 
-// TestCampaignWithHardwareTargets exercises host and rack injection.
+// TestCampaignWithHardwareTargets exercises host injection alongside the
+// processes.
 func TestCampaignWithHardwareTargets(t *testing.T) {
 	c := newTestCluster(t)
 	cp := Campaign{
@@ -213,12 +211,8 @@ func TestCampaignWithHardwareTargets(t *testing.T) {
 		Duration:          300 * time.Millisecond,
 		MeanBetweenFaults: 60 * time.Millisecond,
 		RepairAfter:       40 * time.Millisecond,
-		Hosts:             true,
-		Racks:             false,
-		ProbeEvery:        5 * time.Millisecond,
-		ProbeTimeout:      60 * time.Millisecond,
 	}
-	rep, err := cp.Run(c, []string{"H1", "H2", "H3"}, nil)
+	rep, err := cp.Run(c, []string{"H1", "H2", "H3"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,12 +224,11 @@ func TestCampaignWithHardwareTargets(t *testing.T) {
 // TestCampaignValidation covers parameter errors.
 func TestCampaignValidation(t *testing.T) {
 	c := newTestCluster(t)
-	if _, err := (Campaign{}).Run(c, nil, nil); err == nil {
+	if _, err := (Campaign{}).Run(c, nil); err == nil {
 		t.Error("zero campaign accepted")
 	}
-	cp := Campaign{Duration: time.Millisecond, MeanBetweenFaults: time.Millisecond}
-	if _, err := cp.Run(c, nil, nil); err == nil {
-		t.Error("campaign with no targets accepted")
+	if _, err := (Campaign{Duration: time.Millisecond}).Run(c, nil); err == nil {
+		t.Error("campaign with no fault rate accepted")
 	}
 }
 
@@ -249,11 +242,8 @@ func TestCampaignDeterministicInjection(t *testing.T) {
 			Duration:          200 * time.Millisecond,
 			MeanBetweenFaults: 25 * time.Millisecond,
 			RepairAfter:       20 * time.Millisecond,
-			Processes:         true,
-			ProbeEvery:        10 * time.Millisecond,
-			ProbeTimeout:      50 * time.Millisecond,
 		}
-		rep, err := cp.Run(c, nil, nil)
+		rep, err := cp.Run(c, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

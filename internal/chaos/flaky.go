@@ -27,9 +27,6 @@ type FlakyProcess struct {
 	Interval func(r *rand.Rand) time.Duration
 	// Seed makes the crash sequence reproducible.
 	Seed int64
-	// MaxCrashes stops the injector after that many effective crashes
-	// (0 = run until Stop).
-	MaxCrashes int
 
 	mu      sync.Mutex
 	crashes int
@@ -93,11 +90,7 @@ func (f *FlakyProcess) run(c *cluster.Cluster, stop, done chan struct{}) {
 		}
 		f.mu.Lock()
 		f.crashes++
-		hit := f.MaxCrashes > 0 && f.crashes >= f.MaxCrashes
 		f.mu.Unlock()
-		if hit {
-			return
-		}
 	}
 }
 

@@ -42,7 +42,7 @@ func TestFlakyProcessCrashLoopLadder(t *testing.T) {
 	}
 	waitFatal(t, c, role, node, name)
 	crashes := flaky.Stop()
-	// Reaching Fatal takes at least StartRetries+2 crashes on the budget
+	// Reaching Fatal takes at least startretries+2 crashes on the budget
 	// path (the first crash is free) with the default policy.
 	if crashes < 4 {
 		t.Errorf("injector reported %d crashes, want >= 4 to reach Fatal", crashes)
@@ -81,7 +81,7 @@ func TestFlakyProcessValidation(t *testing.T) {
 	if err := bogus.Start(c); err == nil {
 		t.Error("injector accepted an unknown target")
 	}
-	f := &FlakyProcess{Role: "Config", Node: 0, Name: "config-api", MaxCrashes: 1}
+	f := &FlakyProcess{Role: "Config", Node: 0, Name: "config-api"}
 	if err := f.Start(c); err != nil {
 		t.Fatal(err)
 	}

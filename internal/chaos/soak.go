@@ -51,22 +51,6 @@ type SoakConfig struct {
 	// failures (default 100 — failure-dense so a modest horizon sees
 	// hundreds of repair cycles; the paper's production value is 5000).
 	ProcessMTBF float64
-	// AutoRestart is R, the target mean restart time of a supervised
-	// process (default 0.2). The cluster timing is derived so that the
-	// supervisor's detect-then-restart cycle averages R.
-	AutoRestart float64
-	// OperatorResponse is R_S, the target mean manual-restart time for
-	// manual-restart processes, dead supervisors, and anything whose
-	// supervisor has died (default 0.3). The Operator's polling and
-	// response delay are derived so the full cycle averages R_S.
-	OperatorResponse float64
-
-	// ProbeEveryHours is the availability sampling period (default 0.1,
-	// i.e. 6 simulated minutes). ProbeTimeoutHours bounds one CP probe
-	// (default 1/30, i.e. 2 simulated minutes); it must stay below the
-	// probe period so outage samples keep the cadence.
-	ProbeEveryHours   float64
-	ProbeTimeoutHours float64
 
 	// Progress, when non-nil, observes the soak mid-run: it is called
 	// with the virtual hours covered and failures injected so far, every
@@ -79,6 +63,21 @@ type SoakConfig struct {
 	// ProgressEveryHours is the virtual-time observation period.
 	ProgressEveryHours float64
 }
+
+// The soak's fixed repair and probe times, in simulated hours. R is the
+// target mean restart time of a supervised process: the cluster timing is
+// derived so the supervisor's detect-then-restart cycle averages R. R_S is
+// the target mean manual-restart time of manual-restart processes, dead
+// supervisors and anything whose supervisor has died: the Operator's
+// polling and response delay are derived so its full cycle averages R_S.
+// The prober samples every 6 simulated minutes and bounds one CP probe at
+// 2, below the period so outage samples keep the cadence.
+const (
+	soakAutoRestart      float64 = 0.2
+	soakOperatorResponse float64 = 0.3
+	soakProbeEvery       float64 = 0.1
+	soakProbeTimeout     float64 = 1.0 / 30
+)
 
 // withDefaults resolves zero fields.
 func (sc SoakConfig) withDefaults() SoakConfig {
@@ -100,18 +99,6 @@ func (sc SoakConfig) withDefaults() SoakConfig {
 	if sc.ProcessMTBF == 0 {
 		sc.ProcessMTBF = 100
 	}
-	if sc.AutoRestart == 0 {
-		sc.AutoRestart = 0.2
-	}
-	if sc.OperatorResponse == 0 {
-		sc.OperatorResponse = 0.3
-	}
-	if sc.ProbeEveryHours == 0 {
-		sc.ProbeEveryHours = 0.1
-	}
-	if sc.ProbeTimeoutHours == 0 {
-		sc.ProbeTimeoutHours = 1.0 / 30
-	}
 	return sc
 }
 
@@ -126,18 +113,13 @@ func (sc SoakConfig) Validate() error {
 	}{
 		{"Hours", sc.Hours},
 		{"ProcessMTBF", sc.ProcessMTBF},
-		{"AutoRestart", sc.AutoRestart},
-		{"OperatorResponse", sc.OperatorResponse},
-		{"ProbeEveryHours", sc.ProbeEveryHours},
-		{"ProbeTimeoutHours", sc.ProbeTimeoutHours},
 		{"ProgressEveryHours", sc.ProgressEveryHours},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("chaos: %s = %g must be finite", f.name, f.v)
 		}
 	}
-	if sc.Hours < 0 || sc.ProcessMTBF < 0 || sc.AutoRestart < 0 || sc.OperatorResponse < 0 ||
-		sc.ProbeEveryHours < 0 || sc.ProbeTimeoutHours < 0 {
+	if sc.Hours < 0 || sc.ProcessMTBF < 0 {
 		return fmt.Errorf("chaos: soak times must be positive: %+v", sc)
 	}
 	if sc.Hours > maxSoakHours {
@@ -146,11 +128,8 @@ func (sc SoakConfig) Validate() error {
 	if sc.ProgressEveryHours < 0 {
 		return fmt.Errorf("chaos: soak progress period %g is negative", sc.ProgressEveryHours)
 	}
-	if sc.ProcessMTBF < 10*sc.OperatorResponse || sc.ProcessMTBF < 10*sc.AutoRestart {
-		return fmt.Errorf("chaos: soak MTBF %g must dominate repair times %g/%g", sc.ProcessMTBF, sc.AutoRestart, sc.OperatorResponse)
-	}
-	if sc.ProbeTimeoutHours >= sc.ProbeEveryHours {
-		return fmt.Errorf("chaos: probe timeout %g h must stay below the probe period %g h", sc.ProbeTimeoutHours, sc.ProbeEveryHours)
+	if sc.ProcessMTBF < 10*max(soakAutoRestart, soakOperatorResponse) {
+		return fmt.Errorf("chaos: soak MTBF %g must dominate repair times %g/%g", sc.ProcessMTBF, soakAutoRestart, soakOperatorResponse)
 	}
 	return nil
 }
@@ -167,29 +146,26 @@ func hoursToDuration(h float64) time.Duration {
 	return time.Duration(h * float64(time.Hour))
 }
 
-// Timing derives the cluster's operational delays so the supervised
-// restart cycle averages AutoRestart: the supervisor notices a failed
-// child half a scan period after the crash (on average) and then takes
-// the configured restart delay, so the delay is R minus half a period.
-func (sc SoakConfig) Timing() cluster.Timing {
-	sc = sc.withDefaults()
-	check := hoursToDuration(sc.AutoRestart / 4)
+// soakTiming derives the cluster's operational delays so the supervised
+// restart cycle averages R: the supervisor notices a failed child half a
+// scan period after the crash (on average) and then takes the configured
+// restart delay, so the delay is R minus half a period.
+func soakTiming() cluster.Timing {
+	check := hoursToDuration(soakAutoRestart / 4)
 	return cluster.Timing{
 		SupervisorCheck: check,
-		AutoRestart:     hoursToDuration(sc.AutoRestart) - check/2,
+		AutoRestart:     hoursToDuration(soakAutoRestart) - check/2,
 		Rediscover:      2 * time.Minute,
 	}
 }
 
-// operatorFor derives the Operator whose detect-then-restart cycle
-// averages OperatorResponse: detection lags half a poll behind the
-// failure and the restart lands on the first poll past the response
-// deadline (another half poll), so the response time is R_S minus one
-// poll period.
-func (sc SoakConfig) operatorFor() *Operator {
-	sc = sc.withDefaults()
-	check := hoursToDuration(sc.OperatorResponse / 5)
-	op := NewOperator(hoursToDuration(sc.OperatorResponse) - check)
+// soakOperator derives the Operator whose detect-then-restart cycle
+// averages R_S: detection lags half a poll behind the failure and the
+// restart lands on the first poll past the response deadline (another
+// half poll), so the response time is R_S minus one poll period.
+func soakOperator() *Operator {
+	check := hoursToDuration(soakOperatorResponse / 5)
+	op := NewOperator(hoursToDuration(soakOperatorResponse) - check)
 	op.CheckEvery = check
 	return op
 }
@@ -206,9 +182,9 @@ func (sc SoakConfig) SimConfig() mc.Config {
 		Topology:          sc.Topology,
 		Scenario:          analytic.SupervisorNotRequired,
 		ProcessMTBF:       sc.ProcessMTBF,
-		AutoRestart:       sc.AutoRestart,
-		ManualRestart:     sc.OperatorResponse,
-		MaintenanceWindow: sc.OperatorResponse,
+		AutoRestart:       soakAutoRestart,
+		ManualRestart:     soakOperatorResponse,
+		MaintenanceWindow: soakOperatorResponse,
 		VMMTBF:            1e12, VMRepair: 1e-6,
 		HostMTBF: 1e12, HostRepair: 1e-6,
 		RackMTBF: 1e12, RackRepair: 1e-6,
@@ -264,9 +240,15 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 	}
 	tel := telemetry.New()
 	fc := vclock.NewFake(time.Time{})
+	// The driver holds the clock from before the cluster starts until the
+	// prober registers it. Unheld, the clock may hop to the agents' first
+	// rediscover tick once every cluster goroutine has parked, and the
+	// prober and the failure loops would then start 2 minutes late on some
+	// runs and not on others.
+	fc.Register()
 	c, err := cluster.New(cluster.Config{
 		Profile: sc.Profile, Topology: sc.Topology, ComputeHosts: sc.ComputeHosts,
-		Clock: fc, Timing: sc.Timing(), Telemetry: tel,
+		Clock: fc, Timing: soakTiming(), Telemetry: tel,
 	})
 	if err != nil {
 		return SoakResult{}, err
@@ -276,14 +258,15 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 	}
 	defer c.Stop()
 
-	op := sc.operatorFor()
+	op := soakOperator()
 	if err := op.Start(c); err != nil {
 		return SoakResult{}, err
 	}
 
-	p := startProber(c, hoursToDuration(sc.ProbeEveryHours), hoursToDuration(sc.ProbeTimeoutHours))
+	p := startProber(c, hoursToDuration(soakProbeEvery), hoursToDuration(soakProbeTimeout))
 	clk := p.clk
 	defer clk.Unregister()
+	fc.Unregister() // the prober's registration of the driver holds it now
 
 	// One failure loop per process: draw an exponential up-time, kill,
 	// then wait (coarsely polling in virtual time) until the supervisor or

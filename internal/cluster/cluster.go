@@ -26,9 +26,6 @@ type Config struct {
 	ComputeHosts int
 	// Timing holds the scaled operational delays.
 	Timing Timing
-	// Supervision holds the supervisors' restart policy (backoff, retry
-	// budget, flapping detection). Zero value means DefaultSupervision.
-	Supervision Supervision
 	// Degradation holds the graceful-degradation knobs (headless agents,
 	// route aging, replica catch-up latency). The zero value keeps the
 	// strict historical behaviour: flush on disconnect, instant replica
@@ -61,9 +58,9 @@ type hwLoc struct {
 type Cluster struct {
 	cfg    Config
 	timing Timing
-	sup    Supervision
+	sup    supervision
 	clk    vclock.Clock
-	rng    *rand.Rand // backoff jitter source, guarded by mu
+	rng    *rand.Rand // backoff jitter source, fixed seed, guarded by mu
 
 	bus            *Bus
 	configStore    *QuorumStore
@@ -153,12 +150,6 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Timing.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Supervision == (Supervision{}) {
-		cfg.Supervision = DefaultSupervision()
-	}
-	if err := cfg.Supervision.Validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.Degradation.Validate(); err != nil {
 		return nil, err
 	}
@@ -172,9 +163,9 @@ func New(cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		cfg:            cfg,
 		timing:         cfg.Timing,
-		sup:            cfg.Supervision,
+		sup:            defaultSupervision,
 		clk:            cfg.Clock,
-		rng:            rand.New(rand.NewSource(cfg.Supervision.JitterSeed)),
+		rng:            rand.New(rand.NewSource(1)),
 		bus:            NewBus(),
 		configStore:    NewQuorumStore("cassandra-config", n),
 		analyticsStore: NewQuorumStore("cassandra-analytics", n),
@@ -191,8 +182,8 @@ func New(cfg Config) (*Cluster, error) {
 		stopAll:        make(chan struct{}),
 	}
 	c.bus.SetClock(c.clk)
-	c.configStore.InitRaft(c.clk, cfg.Raft.tuning(0))
-	c.analyticsStore.InitRaft(c.clk, cfg.Raft.tuning(1))
+	c.configStore.InitRaft(c.clk, cfg.Raft, 0)
+	c.analyticsStore.InitRaft(c.clk, cfg.Raft, 1)
 	if cfg.Degradation.ReplicaCatchUp > 0 {
 		c.configStore.SetDeferredCatchUp(true)
 		c.analyticsStore.SetDeferredCatchUp(true)

@@ -110,63 +110,39 @@ func (t Timing) Validate() error {
 	return nil
 }
 
-// Supervision configures the supervisors' restart policy — the testbed's
+// supervision is the supervisors' restart policy — the testbed's
 // supervisord semantics. A child that dies shortly after a supervised
-// restart (within QuickFailWindow) is treated as a failed start attempt:
+// restart (within quickFailWindow) is treated as a failed start attempt:
 // the next restart waits an exponentially growing, jittered backoff, and
-// after StartRetries consecutive failed attempts the supervisor gives up
+// after startRetries consecutive failed attempts the supervisor gives up
 // and the child enters Fatal (supervisord's FATAL after startretries).
-// Independently, FlapThreshold crashes within FlapWindow mark the child
+// Independently, flapThreshold crashes within flapWindow mark the child
 // Fatal even when each individual run lasted long enough to look healthy.
-type Supervision struct {
-	// StartRetries is the retry budget: the number of consecutive quick
+type supervision struct {
+	// startRetries is the retry budget: the number of consecutive quick
 	// failures tolerated before the child goes Fatal.
-	StartRetries int
-	// BackoffBase is the backoff before the first retry; it doubles per
-	// consecutive quick failure.
-	BackoffBase time.Duration
-	// BackoffMax caps the exponential backoff.
-	BackoffMax time.Duration
-	// QuickFailWindow: a crash within this window after a supervised
+	startRetries int
+	// backoffBase is the backoff before the first retry; it doubles per
+	// consecutive quick failure, up to backoffMax.
+	backoffBase, backoffMax time.Duration
+	// quickFailWindow: a crash within this window after a supervised
 	// restart counts against the retry budget (the restart "didn't take").
-	QuickFailWindow time.Duration
-	// FlapWindow and FlapThreshold drive flapping detection: at least
-	// FlapThreshold crashes within FlapWindow mark the child Fatal.
-	FlapWindow    time.Duration
-	FlapThreshold int
-	// JitterSeed seeds the backoff jitter source, for reproducible runs.
-	JitterSeed int64
+	quickFailWindow time.Duration
+	// flapWindow and flapThreshold drive flapping detection: at least
+	// flapThreshold crashes within flapWindow mark the child Fatal.
+	flapWindow    time.Duration
+	flapThreshold int
 }
 
-// DefaultSupervision returns the scaled defaults (supervisord's
-// startretries=3, shrunk from seconds to milliseconds like Timing).
-func DefaultSupervision() Supervision {
-	return Supervision{
-		StartRetries:    3,
-		BackoffBase:     4 * time.Millisecond,
-		BackoffMax:      40 * time.Millisecond,
-		QuickFailWindow: 20 * time.Millisecond,
-		FlapWindow:      300 * time.Millisecond,
-		FlapThreshold:   6,
-		JitterSeed:      1,
-	}
-}
-
-// Validate reports out-of-range supervision parameters.
-func (s Supervision) Validate() error {
-	if s.StartRetries < 0 {
-		return fmt.Errorf("cluster: StartRetries must be non-negative, got %d", s.StartRetries)
-	}
-	if s.BackoffBase <= 0 || s.BackoffMax <= 0 || s.QuickFailWindow <= 0 || s.FlapWindow <= 0 {
-		return fmt.Errorf("cluster: supervision durations must be positive: %+v", s)
-	}
-	if s.BackoffMax < s.BackoffBase {
-		return fmt.Errorf("cluster: BackoffMax %v below BackoffBase %v", s.BackoffMax, s.BackoffBase)
-	}
-	if s.FlapThreshold < 1 {
-		return fmt.Errorf("cluster: FlapThreshold must be at least 1, got %d", s.FlapThreshold)
-	}
-	return nil
+// defaultSupervision is the policy every cluster runs: supervisord's
+// startretries=3, shrunk from seconds to milliseconds like Timing.
+var defaultSupervision = supervision{
+	startRetries:    3,
+	backoffBase:     4 * time.Millisecond,
+	backoffMax:      40 * time.Millisecond,
+	quickFailWindow: 20 * time.Millisecond,
+	flapWindow:      300 * time.Millisecond,
+	flapThreshold:   6,
 }
 
 // noteCrashLocked records an effective crash (Running → Failed transition
@@ -179,7 +155,7 @@ func (c *Cluster) noteCrashLocked(p *Proc, now time.Time) {
 		return // nobody auto-restarts these; the ladder does not apply
 	}
 	// Flapping detection over a sliding window of crash times.
-	cutoff := now.Add(-c.sup.FlapWindow)
+	cutoff := now.Add(-c.sup.flapWindow)
 	keep := p.failTimes[:0]
 	for _, ts := range p.failTimes {
 		if ts.After(cutoff) {
@@ -187,15 +163,15 @@ func (c *Cluster) noteCrashLocked(p *Proc, now time.Time) {
 		}
 	}
 	p.failTimes = append(keep, now)
-	if len(p.failTimes) >= c.sup.FlapThreshold {
+	if len(p.failTimes) >= c.sup.flapThreshold {
 		p.state = Fatal
 		return
 	}
 	// Retry budget: a crash shortly after a supervised restart means the
 	// restart attempt failed.
-	if !p.lastSupRestart.IsZero() && now.Sub(p.lastSupRestart) < c.sup.QuickFailWindow {
+	if !p.lastSupRestart.IsZero() && now.Sub(p.lastSupRestart) < c.sup.quickFailWindow {
 		p.backoffs++
-		if p.backoffs > c.sup.StartRetries {
+		if p.backoffs > c.sup.startRetries {
 			p.state = Fatal
 			return
 		}
@@ -212,11 +188,11 @@ func (c *Cluster) noteCrashLocked(p *Proc, now time.Time) {
 func (c *Cluster) backoffDelayLocked(attempt int) time.Duration {
 	shift := uint(attempt - 1)
 	if shift > 20 {
-		shift = 20 // cap the exponent well past any sane BackoffMax
+		shift = 20 // cap the exponent well past any sane backoffMax
 	}
-	d := c.sup.BackoffBase << shift
-	if d <= 0 || d > c.sup.BackoffMax {
-		d = c.sup.BackoffMax
+	d := c.sup.backoffBase << shift
+	if d <= 0 || d > c.sup.backoffMax {
+		d = c.sup.backoffMax
 	}
 	// Up to +50% jitter decorrelates restart storms across children.
 	return d + time.Duration(c.rng.Int63n(int64(d)/2+1))

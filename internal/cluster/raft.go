@@ -40,28 +40,12 @@ type RaftEvent struct {
 	Duration time.Duration
 }
 
-// RaftTuning configures a store's election behaviour. The zero value is
-// instant mode: leadership hands over synchronously inside SetAlive and
-// writes never wait on an election.
-type RaftTuning struct {
-	// ElectionMin/ElectionMax bound the randomized election timeout.
-	// ElectionMax > 0 enables timed mode.
-	ElectionMin time.Duration
-	ElectionMax time.Duration
-	// GrayDetect is how long a gray leader (wrong reads) lies before the
-	// detector deposes it. Zero disables detection.
-	GrayDetect time.Duration
-	// Seed seeds the election-timeout RNG, making timed elections
-	// deterministic for a fixed fault schedule under FakeClock.
-	Seed int64
-}
-
 // raftState is the per-store consensus state; guarded by the store's mu.
 type raftState struct {
-	clk    vclock.Clock
-	tuning RaftTuning
-	rng    *rand.Rand
-	track  bool // record events (set once the store is cluster-attached)
+	clk   vclock.Clock
+	cfg   RaftConfig
+	rng   *rand.Rand
+	track bool // record events (set once the store is cluster-attached)
 
 	leader int // -1 while an election is pending
 	term   uint64
@@ -93,8 +77,6 @@ func (r *raftState) init(n int) {
 	r.suspect = make([]bool, n)
 }
 
-func (r *raftState) timed() bool { return r.tuning.ElectionMax > 0 }
-
 func (r *raftState) now() time.Time {
 	if r.clk == nil {
 		return time.Time{}
@@ -103,24 +85,26 @@ func (r *raftState) now() time.Time {
 }
 
 func (r *raftState) randTimeout() time.Duration {
-	span := int64(r.tuning.ElectionMax - r.tuning.ElectionMin)
+	span := int64(r.cfg.ElectionMax - r.cfg.ElectionMin)
 	if span <= 0 || r.rng == nil {
-		return r.tuning.ElectionMin
+		return r.cfg.ElectionMin
 	}
-	return r.tuning.ElectionMin + time.Duration(r.rng.Int63n(span+1))
+	return r.cfg.ElectionMin + time.Duration(r.rng.Int63n(span+1))
 }
 
-// InitRaft attaches a clock and election tuning to the store and starts
-// recording leadership events. In timed mode every replica draws an
+// InitRaft attaches a clock and the cluster's election tuning to the
+// store and starts recording leadership events. The election-timeout RNG
+// is seeded from cfg.Seed offset by the store's index, so the cluster's
+// stores draw independent streams. In timed mode every replica draws an
 // initial election deadline; replica 0 keeps the bootstrap lease.
-func (s *QuorumStore) InitRaft(clk vclock.Clock, tuning RaftTuning) {
+func (s *QuorumStore) InitRaft(clk vclock.Clock, cfg RaftConfig, store int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.raft.clk = clk
-	s.raft.tuning = tuning
-	s.raft.rng = rand.New(rand.NewSource(tuning.Seed))
+	s.raft.cfg = cfg
+	s.raft.rng = rand.New(rand.NewSource(cfg.Seed*2 + store))
 	s.raft.track = true
-	if s.raft.timed() {
+	if s.raft.cfg.timed() {
 		now := s.raft.now()
 		for i := range s.raft.deadline {
 			s.raft.deadline[i] = now.Add(s.raft.randTimeout())
@@ -231,7 +215,7 @@ func (s *QuorumStore) raftMembershipChangedLocked(now time.Time) {
 	if s.raft.leader >= 0 {
 		s.leaderLostLocked(now)
 	}
-	if !s.raft.timed() {
+	if !s.raft.cfg.timed() {
 		s.electInstantLocked(now)
 	}
 }
@@ -274,7 +258,7 @@ func (s *QuorumStore) becomeLeaderLocked(i int, now time.Time) {
 		s.raft.leaderLostAt = time.Time{}
 	}
 	s.recordEventLocked(RaftEvent{Kind: RaftElected, Node: i, Term: s.raft.term, At: now, Duration: d})
-	if s.raft.timed() {
+	if s.raft.cfg.timed() {
 		for j := range s.raft.deadline {
 			s.raft.deadline[j] = now.Add(s.raft.randTimeout())
 		}
@@ -289,11 +273,11 @@ func (s *QuorumStore) becomeLeaderLocked(i int, now time.Time) {
 func (s *QuorumStore) Tick(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.raft.timed() {
+	if !s.raft.cfg.timed() {
 		return
 	}
 	if s.raft.leader >= 0 {
-		if d := s.raft.tuning.GrayDetect; d > 0 && !s.raft.graySince.IsZero() && now.Sub(s.raft.graySince) >= d {
+		if d := s.raft.cfg.GrayDetect; d > 0 && !s.raft.graySince.IsZero() && now.Sub(s.raft.graySince) >= d {
 			l := s.raft.leader
 			s.raft.suspect[l] = true
 			s.recordEventLocked(RaftEvent{
@@ -437,17 +421,6 @@ func (r RaftConfig) Validate() error {
 		return fmt.Errorf("cluster: raft Heartbeat %v must be in (0, ElectionMin %v]", hb, r.ElectionMin)
 	}
 	return nil
-}
-
-// tuning derives one store's RaftTuning, offsetting the RNG seed so the
-// two stores draw independent timeout streams.
-func (r RaftConfig) tuning(store int64) RaftTuning {
-	return RaftTuning{
-		ElectionMin: r.ElectionMin,
-		ElectionMax: r.ElectionMax,
-		GrayDetect:  r.GrayDetect,
-		Seed:        r.Seed*2 + store,
-	}
 }
 
 // raftTick is the timed-election driver: it advances both stores'

@@ -9,23 +9,25 @@ import (
 	"sdnavail/internal/vclock"
 )
 
-// newRaftStore builds a 3-replica store in timed mode on a fake clock.
-func newRaftStore(t *testing.T, tuning RaftTuning) (*QuorumStore, *vclock.Fake) {
+// newRaftStore builds a 3-replica analytics store (store index 1) in
+// timed mode on a fake clock.
+func newRaftStore(t *testing.T, cfg RaftConfig) (*QuorumStore, *vclock.Fake) {
 	t.Helper()
 	fc := vclock.NewFake(time.Time{})
-	s := NewQuorumStore("cassandra-config", 3)
-	s.InitRaft(fc, tuning)
+	s := NewQuorumStore("cassandra-analytics", 3)
+	s.InitRaft(fc, cfg, 1)
 	return s, fc
 }
 
 // timedTuning is the standard test tuning: elections in [40ms, 80ms],
-// gray detection after 100ms.
-func timedTuning() RaftTuning {
-	return RaftTuning{
+// gray detection after 100ms, and an election RNG seeded with 7 on store
+// index 1.
+func timedTuning() RaftConfig {
+	return RaftConfig{
 		ElectionMin: 40 * time.Millisecond,
 		ElectionMax: 80 * time.Millisecond,
 		GrayDetect:  100 * time.Millisecond,
-		Seed:        7,
+		Seed:        3,
 	}
 }
 

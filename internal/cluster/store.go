@@ -55,7 +55,7 @@ type logEntry struct {
 // pre-existing behaviour as observed by callers) re-elects synchronously
 // inside SetAlive: the lowest-indexed electable replica leads whenever a
 // majority is alive, and writes never wait on an election. Timed mode
-// (RaftTuning.ElectionMax > 0) runs real randomized election timeouts:
+// (RaftConfig.ElectionMax > 0) runs real randomized election timeouts:
 // followers hold per-replica deadlines refreshed by leader heartbeats on
 // every Tick, leader loss leaves the store leaderless until a timeout
 // expires and a candidate collects a majority of votes, and the write
@@ -66,7 +66,7 @@ type logEntry struct {
 // a replica flagged with ack-drop acknowledges writes (advancing its
 // applied index, so it stays "fresh") without applying them. A gray
 // leader — a leader serving wrong reads — is deposed by the detector
-// after RaftTuning.GrayDetect and marked suspect until cleared.
+// after RaftConfig.GrayDetect and marked suspect until cleared.
 type QuorumStore struct {
 	name string
 
@@ -136,7 +136,7 @@ func (s *QuorumStore) SetAlive(i int, alive bool) {
 	} else {
 		s.replayLocked(i)
 	}
-	if s.raft.timed() {
+	if s.raft.cfg.timed() {
 		s.raft.deadline[i] = now.Add(s.raft.randTimeout())
 	}
 	s.raftMembershipChangedLocked(now)
@@ -227,7 +227,7 @@ func (s *QuorumStore) writeQuorumErrLocked() error {
 	if s.aliveCountLocked() < len(s.replicas)/2+1 {
 		return fmt.Errorf("%w: %s has %d/%d replicas", ErrNoQuorum, s.name, s.aliveCountLocked(), len(s.replicas))
 	}
-	if s.raft.timed() && s.raft.leader < 0 {
+	if s.raft.cfg.timed() && s.raft.leader < 0 {
 		return fmt.Errorf("%w: %s election pending at term %d", ErrNoLeader, s.name, s.raft.term)
 	}
 	return nil

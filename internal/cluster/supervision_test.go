@@ -10,18 +10,19 @@ import (
 )
 
 // newSupervisedCluster boots a Small-topology testbed with a custom
-// supervision policy (and default timing).
-func newSupervisedCluster(t *testing.T, sup Supervision) *Cluster {
+// supervision policy (and default timing), set between New and Start.
+func newSupervisedCluster(t *testing.T, sup supervision) *Cluster {
 	t.Helper()
 	prof := profile.OpenContrail3x()
 	topo, err := topology.ByKind(topology.Small, prof.ClusterRoles, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 3, Supervision: sup})
+	c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
+	c.sup = sup
 	if err := c.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -58,24 +59,23 @@ func procStatus(t *testing.T, c *Cluster, role string, node int, name string) Pr
 // retry budget and goes Fatal; the supervisor then leaves it alone; Health
 // names it; a manual restart recovers it with a fresh budget.
 func TestCrashLoopExhaustsRetryBudget(t *testing.T) {
-	sup := Supervision{
-		StartRetries:    2,
-		BackoffBase:     2 * time.Millisecond,
-		BackoffMax:      8 * time.Millisecond,
-		QuickFailWindow: 2 * time.Second, // every post-restart crash counts
-		FlapWindow:      time.Millisecond,
-		FlapThreshold:   100, // flap detection out of the way
-		JitterSeed:      1,
+	sup := supervision{
+		startRetries:    2,
+		backoffBase:     2 * time.Millisecond,
+		backoffMax:      8 * time.Millisecond,
+		quickFailWindow: 2 * time.Second, // every post-restart crash counts
+		flapWindow:      time.Millisecond,
+		flapThreshold:   100, // flap detection out of the way
 	}
 	c := newSupervisedCluster(t, sup)
 	const role, node, name = "Config", 0, "config-api"
 
 	// Crash the process every time it comes back. First crash is free
 	// (no preceding supervised restart); each of the next kills lands
-	// within QuickFailWindow of a supervised restart and burns budget;
-	// after StartRetries+1 quick failures the supervisor gives up.
+	// within quickFailWindow of a supervised restart and burns budget;
+	// after startRetries+1 quick failures the supervisor gives up.
 	kills := 0
-	for kills < sup.StartRetries+2 {
+	for kills < sup.startRetries+2 {
 		if !c.WaitUntil(waitLong, func() bool { return c.Alive(role, node, name) }) {
 			t.Fatalf("process did not come back before kill %d", kills+1)
 		}
@@ -94,7 +94,7 @@ func TestCrashLoopExhaustsRetryBudget(t *testing.T) {
 		t.Fatal("supervisor restarted a Fatal process")
 	}
 	st := procStatus(t, c, role, node, name)
-	if want := sup.StartRetries + 1; st.Restarts != want {
+	if want := sup.startRetries + 1; st.Restarts != want {
 		t.Errorf("restarts = %d, want %d (one per budget attempt)", st.Restarts, want)
 	}
 
@@ -133,22 +133,21 @@ func TestCrashLoopExhaustsRetryBudget(t *testing.T) {
 }
 
 // TestFlappingProcessGoesFatal drives the flap detector: crashes spaced
-// too far apart to count as failed start attempts still trip FlapThreshold
-// within FlapWindow.
+// too far apart to count as failed start attempts still trip flapThreshold
+// within flapWindow.
 func TestFlappingProcessGoesFatal(t *testing.T) {
-	sup := Supervision{
-		StartRetries:    100, // budget path out of the way
-		BackoffBase:     time.Millisecond,
-		BackoffMax:      time.Millisecond,
-		QuickFailWindow: time.Nanosecond, // nothing counts as a quick fail
-		FlapWindow:      10 * time.Second,
-		FlapThreshold:   3,
-		JitterSeed:      1,
+	sup := supervision{
+		startRetries:    100, // budget path out of the way
+		backoffBase:     time.Millisecond,
+		backoffMax:      time.Millisecond,
+		quickFailWindow: time.Nanosecond, // nothing counts as a quick fail
+		flapWindow:      10 * time.Second,
+		flapThreshold:   3,
 	}
 	c := newSupervisedCluster(t, sup)
 	const role, node, name = "Control", 1, "control"
 
-	for i := 0; i < sup.FlapThreshold; i++ {
+	for i := 0; i < sup.flapThreshold; i++ {
 		if !c.WaitUntil(waitLong, func() bool { return c.Alive(role, node, name) }) {
 			t.Fatalf("process did not come back before crash %d", i+1)
 		}
@@ -157,7 +156,7 @@ func TestFlappingProcessGoesFatal(t *testing.T) {
 		}
 	}
 	if got := procState(t, c, role, node, name); got != Fatal {
-		t.Fatalf("state after %d crashes in the flap window = %v, want Fatal", sup.FlapThreshold, got)
+		t.Fatalf("state after %d crashes in the flap window = %v, want Fatal", sup.flapThreshold, got)
 	}
 
 	// RestartNodeRole (bouncing the whole supervised role) also clears
@@ -215,9 +214,9 @@ func TestSupervisorDiesWhileRestartInFlight(t *testing.T) {
 // TestRestartStormCounters checks the diagnostics counters across a storm
 // of supervised restarts and one unsupervised failure.
 func TestRestartStormCounters(t *testing.T) {
-	sup := DefaultSupervision()
-	sup.StartRetries = 1000 // storms must not trip the ladder here
-	sup.FlapThreshold = 1000
+	sup := defaultSupervision
+	sup.startRetries = 1000 // storms must not trip the ladder here
+	sup.flapThreshold = 1000
 	c := newSupervisedCluster(t, sup)
 	const role, node, name = "Config", 1, "schema"
 
@@ -266,8 +265,8 @@ func TestRestartStormCounters(t *testing.T) {
 // — rebooting the host boots a fresh supervisor with clean state, and the
 // child comes back under supervision.
 func TestHostRebootClearsFatal(t *testing.T) {
-	sup := DefaultSupervision()
-	sup.FlapThreshold = 1 // any crash goes straight to Fatal
+	sup := defaultSupervision
+	sup.flapThreshold = 1 // any crash goes straight to Fatal
 	c := newSupervisedCluster(t, sup)
 	const role, node, name = "Config", 0, "config-api"
 
@@ -275,7 +274,7 @@ func TestHostRebootClearsFatal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := procState(t, c, role, node, name); got != Fatal {
-		t.Fatalf("state = %v, want Fatal (FlapThreshold=1)", got)
+		t.Fatalf("state = %v, want Fatal (flapThreshold=1)", got)
 	}
 	// H1 hosts controller node 0 in the Small topology.
 	if err := c.KillHost("H1"); err != nil {
@@ -289,21 +288,22 @@ func TestHostRebootClearsFatal(t *testing.T) {
 	}
 }
 
-// TestSupervisionValidation rejects out-of-range policies.
+// TestSupervisionValidation holds the fixed ladder to a well-formed
+// policy: a non-negative retry budget, positive windows, a backoff cap at
+// or above its base, and a flap threshold of at least one crash.
 func TestSupervisionValidation(t *testing.T) {
-	bad := []Supervision{
-		{StartRetries: -1, BackoffBase: 1, BackoffMax: 1, QuickFailWindow: 1, FlapWindow: 1, FlapThreshold: 1},
-		{StartRetries: 1, BackoffBase: 0, BackoffMax: 1, QuickFailWindow: 1, FlapWindow: 1, FlapThreshold: 1},
-		{StartRetries: 1, BackoffBase: 2, BackoffMax: 1, QuickFailWindow: 1, FlapWindow: 1, FlapThreshold: 1},
-		{StartRetries: 1, BackoffBase: 1, BackoffMax: 1, QuickFailWindow: 1, FlapWindow: 1, FlapThreshold: 0},
+	s := defaultSupervision
+	if s.startRetries < 0 {
+		t.Errorf("startRetries = %d, want >= 0", s.startRetries)
 	}
-	for i, s := range bad {
-		if err := s.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted %+v", i, s)
-		}
+	if s.backoffBase <= 0 || s.backoffMax <= 0 || s.quickFailWindow <= 0 || s.flapWindow <= 0 {
+		t.Errorf("supervision durations must be positive: %+v", s)
 	}
-	if err := DefaultSupervision().Validate(); err != nil {
-		t.Errorf("DefaultSupervision invalid: %v", err)
+	if s.backoffMax < s.backoffBase {
+		t.Errorf("backoffMax %v below backoffBase %v", s.backoffMax, s.backoffBase)
+	}
+	if s.flapThreshold < 1 {
+		t.Errorf("flapThreshold = %d, want >= 1", s.flapThreshold)
 	}
 }
 

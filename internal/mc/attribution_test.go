@@ -43,8 +43,8 @@ func TestSeedStabilityByteIdentical(t *testing.T) {
 // attributionConfigs are the inputs of the two attribution tests below:
 // the plain Small tree under both scenarios, the RAFT mirror with gray
 // leaders (outages only the raft layer explains), and the Large topology
-// with fallible links, a headless hold and a crew limit (link blames, host
-// outages that open at a timer, repairs that queue).
+// with fallible links and a headless hold (link blames, host outages that
+// open at a timer).
 func attributionConfigs(t *testing.T) map[string]Config {
 	t.Helper()
 	plain1 := testConfig(t, topology.Small, analytic.SupervisorNotRequired)
@@ -56,7 +56,6 @@ func attributionConfigs(t *testing.T) map[string]Config {
 	raft.Horizon = 5e4
 	links := linkedConfig(t, topology.Large, analytic.SupervisorRequired)
 	links.HeadlessHold = 3
-	links.RepairCrews = 2
 	links.Horizon = 2e5
 	return map[string]Config{
 		"small/sup-not-required": plain1,

@@ -100,8 +100,8 @@ func BenchmarkReplication(b *testing.B) {
 // quorum counters, the blame sets (interned ids in buffers each plane
 // reuses) and the per-mode accrual (tables indexed by id) allocate nothing
 // once warm; what is left is the two per-mode maps the Result takes away,
-// built once at the end and pre-sized from the modes blamed: 4 here, 6 with
-// the repair crew. Ceilings are the measured values plus five — except on
+// built once at the end and pre-sized from the modes blamed: 4 here.
+// Ceilings are the measured values plus five — except on
 // the rare tail, which fires under two events per replication and allocates
 // only in the few replications that split or accrue downtime (under 0.1 a
 // replication, which AllocsPerRun rounds down to 0): its ceiling is 0, so
@@ -109,19 +109,12 @@ func BenchmarkReplication(b *testing.B) {
 // The Sim is reused directly rather than through the Session's sync.Pool,
 // which under -race drops pooled objects at random and would count rebuilds.
 func TestReplicationAllocs(t *testing.T) {
-	crews := benchConfig(t)
-	// Hardware poor enough that failures queue for the one crew: the queue
-	// must keep its backing array across dequeues and replications (a
-	// dequeue that advances the slice head instead adds about 30 here).
-	crews.VMMTBF, crews.HostMTBF = 150, 300
-	crews.RepairCrews = 1
 	cases := []struct {
 		name    string
 		cfg     Config
 		ceiling float64
 	}{
 		{"bench", benchConfig(t), 9},
-		{"repair-crews", crews, 11},
 		{"rare-tail", rareTailConfig(), 0},
 	}
 	for _, c := range cases {

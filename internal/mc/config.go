@@ -94,12 +94,6 @@ type Config struct {
 	// (e.g. 720 for ~monthly) and records the control-plane downtime in
 	// each, enabling SLA-miss analysis. Zero disables window accounting.
 	WindowHours float64
-	// RepairCrews, when positive, limits how many hardware repairs
-	// (VM/host/rack) can run concurrently; further failures queue for a
-	// crew FIFO. Zero means unlimited crews — the independence assumption
-	// the analytic models make. Process restarts are never crew-limited
-	// (supervisors and operators act in parallel).
-	RepairCrews int
 	// Rare configures the rare-event acceleration layer (forced-failure
 	// biasing and multilevel importance splitting with exact
 	// likelihood-ratio correction). The zero value disables it: the event
@@ -230,9 +224,6 @@ func (c Config) Validate() error {
 	}
 	if c.WindowHours < 0 {
 		return fmt.Errorf("mc: WindowHours = %g", c.WindowHours)
-	}
-	if c.RepairCrews < 0 {
-		return fmt.Errorf("mc: RepairCrews = %d", c.RepairCrews)
 	}
 	if c.RaftElectionMax > 0 {
 		if c.RaftElectionMin <= 0 || c.RaftElectionMin > c.RaftElectionMax {

@@ -45,14 +45,13 @@ func (e event) before(o event) bool { return e.precedes(o) != 0 }
 // — one sift per transition where a pop and a push paid two, and a short
 // one when the new event is near now, as a repair is. A push with no hole
 // open is the ordinary sift-up; a pop that finds the hole still open (a
-// failure queued for a repair crew, a no-op headless timer, a stale RAFT
-// sentinel) closes it with the tail element first. Sifts move the hole and
+// no-op headless timer, a stale RAFT sentinel) closes it with the tail
+// element first. Sifts move the hole and
 // write the event once instead of swapping 32-byte events level by level.
 //
 // There is no entity-keyed index: nothing here ever decreases or cancels a
-// key, crew-queued entities have no pending event and timers and RAFT
-// sentinels have several, so an index would need side slots the hole does
-// not. Events are moved by value through monomorphic code (no boxing, no
+// key, and timers and RAFT sentinels have several pending events, so an
+// index would need side slots the hole does not. Events are moved by value through monomorphic code (no boxing, no
 // dynamic dispatch per comparison) and the backing slice is retained
 // across replications via reset, so a warmed-up simulator schedules with
 // zero allocations.

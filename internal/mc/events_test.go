@@ -18,9 +18,9 @@ func refBefore(a, b event) bool {
 
 // TestEventHeapMatchesSortedReference drives the queue with a seeded random
 // stream of the operation shapes the event loop produces — a pop followed by
-// one push (an entity transition), by none (a crew-queued failure, a no-op
-// timer, a stale sentinel) or by two (a repair that also dispatches a queued
-// one, a down-transition that also arms the headless timer); push bursts into
+// one push (an entity transition), by none (a no-op timer, a stale
+// sentinel) or by two (a down-transition that also arms the headless
+// timer); push bursts into
 // an empty and a non-empty heap (the initial schedule, a restore's
 // aftermath); a snapshot taken with the hole open, diverging work, then a
 // restore; a reset with the hole open — and checks it pop for pop, and len()

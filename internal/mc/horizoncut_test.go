@@ -91,8 +91,8 @@ func TestHorizonCutIsSound(t *testing.T) {
 
 // cutMatrix is the configurations the horizon cut must not move: every
 // feature that schedules events of its own or reads the queue the skipped
-// first failures are missing from (repair crews and their queue, fallible
-// links, headless timers, RAFT sentinels, splitting snapshots), at horizons
+// first failures are missing from (fallible links, headless timers, RAFT
+// sentinels, splitting snapshots), at horizons
 // short enough that most first failures fall past them. Rare excludes the
 // RAFT mirror and WindowHours (Validate), so the three estimator modes are
 // rows, not a product.
@@ -100,33 +100,28 @@ func cutMatrix(t *testing.T) map[string]Config {
 	t.Helper()
 	out := map[string]Config{}
 	for _, mode := range []string{"plain", "raft+windows", "rare"} {
-		for _, crews := range []int{0, 1} {
-			for _, links := range []bool{false, true} {
-				for _, hold := range []float64{0, 0.5} {
-					cfg := benchConfig(t)
-					if links {
-						cfg.Topology.WithDefaultLinks(2000, 4)
-					}
-					cfg.Horizon = 3000
-					cfg.HeadlessHold = hold
-					if cfg.RepairCrews = crews; crews > 0 {
-						cfg.VMMTBF, cfg.HostMTBF = 150, 300 // poor enough to queue for the crew
-					}
-					switch mode {
-					case "raft+windows":
-						cfg.Scenario = analytic.SupervisorNotRequired
-						cfg.RaftElectionMin, cfg.RaftElectionMax = 0.04, 0.08
-						cfg.GrayLeaderMTBF, cfg.GrayDetect = 500, 0.05
-						cfg.WindowHours = 720
-					case "rare":
-						cfg.Horizon = 400
-						cfg.Rare = RareEventConfig{ProcessBias: 6, HardwareBias: 2, LinkBias: 3, SplitLevels: []int{2, 3}, SplitFactor: 3}
-					}
-					if err := cfg.Validate(); err != nil {
-						t.Fatal(err)
-					}
-					out[fmt.Sprintf("%s/crews=%d/links=%v/hold=%g", mode, crews, links, hold)] = cfg
+		for _, links := range []bool{false, true} {
+			for _, hold := range []float64{0, 0.5} {
+				cfg := benchConfig(t)
+				if links {
+					cfg.Topology.WithDefaultLinks(2000, 4)
 				}
+				cfg.Horizon = 3000
+				cfg.HeadlessHold = hold
+				switch mode {
+				case "raft+windows":
+					cfg.Scenario = analytic.SupervisorNotRequired
+					cfg.RaftElectionMin, cfg.RaftElectionMax = 0.04, 0.08
+					cfg.GrayLeaderMTBF, cfg.GrayDetect = 500, 0.05
+					cfg.WindowHours = 720
+				case "rare":
+					cfg.Horizon = 400
+					cfg.Rare = RareEventConfig{ProcessBias: 6, HardwareBias: 2, LinkBias: 3, SplitLevels: []int{2, 3}, SplitFactor: 3}
+				}
+				if err := cfg.Validate(); err != nil {
+					t.Fatal(err)
+				}
+				out[fmt.Sprintf("%s/links=%v/hold=%g", mode, links, hold)] = cfg
 			}
 		}
 	}
@@ -175,7 +170,7 @@ func TestHorizonCutEquivalence(t *testing.T) {
 		for i := range reps {
 			reps[i] = i
 		}
-		if name == "plain/crews=0/links=false/hold=0" {
+		if name == "plain/links=false/hold=0" {
 			reps = append(reps, sliverReps(t, cut, 3)...)
 		}
 		skipped, events, splits := 0, 0, 0

@@ -78,7 +78,6 @@ type quorumProbe struct {
 
 	cpDown, dpDown, hostLocalDown bool // a verdict went false at least once
 	unreachable                   bool // a group-node was cut off by links
-	queued                        bool // a failure waited for a repair crew
 	headless                      bool // a host rode out a shared-DP outage
 	restores, restoresLinkDown    int  // rare-path restores, and those with a link down
 
@@ -174,7 +173,6 @@ func (p *quorumProbe) check(s *Sim) {
 	}
 	p.cpDown = p.cpDown || !cp
 	p.dpDown = p.dpDown || !sdp
-	p.queued = p.queued || len(s.crewQueue) > 0
 	p.verdicts = indicators(s, p.verdicts[:0])
 	if slices.Equal(p.verdicts, p.prevVerdicts) {
 		p.still++
@@ -290,17 +288,6 @@ func TestIncrementalQuorumEquivalence(t *testing.T) {
 		}
 	}})
 
-	// Hardware poor enough that failures overlap and wait for the one crew.
-	crews := testConfig(t, topology.Medium, analytic.SupervisorRequired)
-	crews.VMMTBF, crews.HostMTBF, crews.RackMTBF = 150, 300, 2000
-	crews.RepairCrews = 1
-	crews.Horizon = 2e4
-	cases = append(cases, equivCase{"repair-crews", crews, func(t *testing.T, p *quorumProbe) {
-		if !p.queued {
-			t.Error("no failure ever queued for a repair crew")
-		}
-	}})
-
 	raft := raftConfig(t)
 	raft.GrayLeaderMTBF, raft.GrayDetect = 500, 0.5
 	raft.Horizon = 5e4
@@ -311,16 +298,15 @@ func TestIncrementalQuorumEquivalence(t *testing.T) {
 	}})
 
 	// Rare mode: forcing on every entity kind plus two split levels, on a
-	// cyclic fabric with crews and a headless hold, so branches are
-	// snapshotted and restored with links down and repairs queued.
+	// cyclic fabric with a headless hold, so branches are snapshotted and
+	// restored with links down.
 	rare := testConfig(t, topology.Large, analytic.SupervisorRequired)
 	meshLinks(t, rare.Topology, 4000, 4)
 	rare.Horizon = 3e3
 	rare.HeadlessHold = 2
-	rare.RepairCrews = 2
 	rare.Rare = RareEventConfig{
 		ProcessBias: 3, HardwareBias: 3, LinkBias: 12,
-		SplitLevels: []int{2, 4}, SplitFactor: 2, MaxPaths: 64,
+		SplitLevels: []int{2, 4}, SplitFactor: 2,
 	}
 	cases = append(cases, equivCase{"rare/mesh-split", rare, func(t *testing.T, p *quorumProbe) {
 		if p.restores == 0 || p.restoresLinkDown == 0 {

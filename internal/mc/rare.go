@@ -92,29 +92,18 @@ type RareEventConfig struct {
 	// SplitFactor is the branching factor m at every threshold (2..64).
 	// Required when SplitLevels is set, rejected otherwise.
 	SplitFactor int
-	// MaxPaths bounds the simultaneously pending splitting branches per
-	// replication (default 4096). When the bound is reached further
-	// crossings simply do not split — weights are untouched, so the
-	// estimator stays unbiased and only the variance reduction saturates.
-	MaxPaths int
 }
 
-// defaultRareMaxPaths bounds pending splitting branches when
-// RareEventConfig.MaxPaths is zero.
-const defaultRareMaxPaths = 4096
+// rareMaxPaths bounds the simultaneously pending splitting branches per
+// replication. When the bound is reached further crossings simply do not
+// split — weights are untouched, so the estimator stays unbiased and only
+// the variance reduction saturates.
+const rareMaxPaths = 4096
 
 // Enabled reports whether any acceleration is configured. Bias factors
 // of exactly 1 count as disabled (they are the identity).
 func (rc RareEventConfig) Enabled() bool {
 	return rc.ProcessBias > 1 || rc.HardwareBias > 1 || rc.LinkBias > 1 || len(rc.SplitLevels) > 0
-}
-
-// maxPaths resolves the pending-branch bound.
-func (rc RareEventConfig) maxPaths() int {
-	if rc.MaxPaths > 0 {
-		return rc.MaxPaths
-	}
-	return defaultRareMaxPaths
 }
 
 // ParseSplitLevels sets SplitLevels from the comma-separated spelling the
@@ -181,15 +170,6 @@ func (rc RareEventConfig) Validate() error {
 	} else if rc.SplitFactor != 0 {
 		return &RareConfigError{"SplitFactor", fmt.Sprintf("= %d requires SplitLevels", rc.SplitFactor)}
 	}
-	if rc.MaxPaths < 0 {
-		return &RareConfigError{"MaxPaths", fmt.Sprintf("= %d must not be negative", rc.MaxPaths)}
-	}
-	if rc.MaxPaths > 0 && len(rc.SplitLevels) == 0 {
-		return &RareConfigError{"MaxPaths", fmt.Sprintf("= %d requires SplitLevels", rc.MaxPaths)}
-	}
-	if rc.MaxPaths > 0 && rc.MaxPaths <= rc.SplitFactor {
-		return &RareConfigError{"MaxPaths", fmt.Sprintf("= %d must exceed SplitFactor %d (one full split must fit)", rc.MaxPaths, rc.SplitFactor)}
-	}
 	return nil
 }
 
@@ -207,8 +187,6 @@ type rarePathSnap struct {
 	cpUp, sdpUp        bool
 	hostUp             []bool
 	cpStart, sdpDownAt float64
-	crewsBusy          int
-	crewQueue          []int
 
 	logW, hazUp    float64
 	downCount      int
@@ -386,8 +364,7 @@ func (s *Sim) snapshotRarePath(rngState uint64, lvl, createLvl int) rarePathSnap
 		seq: s.seq, now: s.now, rngState: rngState,
 		cpUp: s.cpUp, sdpUp: s.sdpUp,
 		cpStart: s.cpStart, sdpDownAt: s.sdpDownAt,
-		crewsBusy: s.crewsBusy,
-		logW:      r.logW, hazUp: r.hazUp,
+		logW: r.logW, hazUp: r.hazUp,
 		downCount: r.downCount, lvl: lvl, createLvl: createLvl,
 		cpEverDown: r.cpEverDown,
 	}
@@ -397,7 +374,6 @@ func (s *Sim) snapshotRarePath(rngState uint64, lvl, createLvl int) rarePathSnap
 	}
 	snap.events = s.events.snapshot()
 	snap.hostUp = append([]bool(nil), s.hostUp...)
-	snap.crewQueue = append([]int(nil), s.crewQueue...)
 	snap.cpBlame = append([]int32(nil), r.cpBlame...)
 	if len(s.hosts) > 0 {
 		snap.hostBlame = make([][]int32, len(s.hosts))
@@ -425,8 +401,6 @@ func (s *Sim) restoreRarePath() {
 	s.cpUp, s.sdpUp = snap.cpUp, snap.sdpUp
 	copy(s.hostUp, snap.hostUp)
 	s.cpStart, s.sdpDownAt = snap.cpStart, snap.sdpDownAt
-	s.crewsBusy = snap.crewsBusy
-	s.crewQueue = append(s.crewQueue[:0], snap.crewQueue...)
 	r.logW, r.hazUp = snap.logW, snap.hazUp
 	r.downCount, r.lvl, r.createLvl = snap.downCount, snap.lvl, snap.createLvl
 	r.cpEverDown = snap.cpEverDown
@@ -469,7 +443,7 @@ func (r *pathState) checkLevels(s *Sim) bool {
 		// would break the weight conservation, so skip entirely instead
 		// (unbiased — splitting at a crossing is optional, weights
 		// unchanged).
-		if len(r.stack)+r.cfg.SplitFactor > r.cfg.maxPaths() {
+		if len(r.stack)+r.cfg.SplitFactor > rareMaxPaths {
 			break
 		}
 		for c := 0; c < r.cfg.SplitFactor-1; c++ {

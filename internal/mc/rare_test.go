@@ -307,6 +307,50 @@ func TestRareDeterminism(t *testing.T) {
 	}
 }
 
+// TestRareSplitBoundSaturates runs a replication that really fills the
+// pending-branch bound: one splitting level at one down entity with the
+// largest factor, so the root path, which runs to the horizon before any
+// branch is resumed, pushes 63 branches at every failure from all-up.
+// Splits that fit are taken, the one that would overflow rareMaxPaths and
+// every later one are skipped whole, and every branch pushed is resumed.
+func TestRareSplitBoundSaturates(t *testing.T) {
+	const factor = 64
+	cfg := kofnConfig(profile.Majority, 3, 1, 6000)
+	cfg.Rare = RareEventConfig{ProcessBias: 30, SplitLevels: []int{1}, SplitFactor: factor}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s := newSim(cfg)
+	rootCrossings, maxStack, prevDown, resumed := 0, 0, 0, false
+	prevAt := 0.0
+	s.probe = func(s *Sim) {
+		resumed = resumed || s.now < prevAt
+		prevAt = s.now
+		if !resumed && prevDown == 0 && s.path.downCount == 1 {
+			rootCrossings++
+		}
+		prevDown = s.path.downCount
+		maxStack = max(maxStack, len(s.path.stack))
+	}
+	s.reset(0)
+	res := s.Run()
+
+	fit := (rareMaxPaths - 1) / (factor - 1) // splits whose branches fit under the bound
+	if rootCrossings <= fit {
+		t.Fatalf("the root path crossed the level %d times; the bound binds only past %d", rootCrossings, fit)
+	}
+	if res.RareSplits != fit {
+		t.Errorf("%d splits, want the %d that fit under %d pending branches", res.RareSplits, fit, rareMaxPaths)
+	}
+	if want := fit * (factor - 1); maxStack != want {
+		t.Errorf("at most %d branches pending, want %d", maxStack, want)
+	}
+	if got, want := res.RarePaths+res.RareKills, 1+fit*(factor-1); got != want {
+		t.Errorf("%d paths ended (%d at the horizon, %d killed), want the root and every branch: %d",
+			got, res.RarePaths, res.RareKills, want)
+	}
+}
+
 // TestRareConfigValidation is the table-driven contract for the typed
 // validation errors.
 func TestRareConfigValidation(t *testing.T) {
@@ -330,9 +374,6 @@ func TestRareConfigValidation(t *testing.T) {
 		{"missing-factor", RareEventConfig{SplitLevels: []int{2}}, false},
 		{"huge-factor", RareEventConfig{SplitLevels: []int{2}, SplitFactor: 65}, false},
 		{"orphan-factor", RareEventConfig{SplitFactor: 2}, false},
-		{"negative-maxpaths", RareEventConfig{SplitLevels: []int{2}, SplitFactor: 2, MaxPaths: -1}, false},
-		{"orphan-maxpaths", RareEventConfig{MaxPaths: 16}, false},
-		{"tiny-maxpaths", RareEventConfig{SplitLevels: []int{2}, SplitFactor: 4, MaxPaths: 4}, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -366,19 +407,19 @@ func TestRareConfigValidation(t *testing.T) {
 
 // FuzzRareEventConfig is the crash-safety contract: whatever the field
 // values, Validate returns nil or a typed *RareConfigError and never
-// panics, and a config that validates must survive maxPaths/Enabled.
+// panics, and a config that validates must survive Enabled and the full
+// Config validation.
 func FuzzRareEventConfig(f *testing.F) {
-	f.Add(0.0, 0.0, 0.0, 0, 0, uint8(0), 2, 4, 6)
-	f.Add(50.0, 10.0, 1.0, 4, 1024, uint8(2), 2, 4, 6)
-	f.Add(math.NaN(), math.Inf(1), -1.0, 1, -5, uint8(3), 6, 4, 2)
-	f.Add(0.5, 1e12, 1.0, 65, 3, uint8(3), 0, 0, 0)
-	f.Fuzz(func(t *testing.T, pb, hb, lb float64, sf, mp int, nl uint8, l1, l2, l3 int) {
+	f.Add(0.0, 0.0, 0.0, 0, uint8(0), 2, 4, 6)
+	f.Add(50.0, 10.0, 1.0, 4, uint8(2), 2, 4, 6)
+	f.Add(math.NaN(), math.Inf(1), -1.0, 1, uint8(3), 6, 4, 2)
+	f.Add(0.5, 1e12, 1.0, 65, uint8(3), 0, 0, 0)
+	f.Fuzz(func(t *testing.T, pb, hb, lb float64, sf int, nl uint8, l1, l2, l3 int) {
 		rc := RareEventConfig{
 			ProcessBias:  pb,
 			HardwareBias: hb,
 			LinkBias:     lb,
 			SplitFactor:  sf,
-			MaxPaths:     mp,
 		}
 		for i, lv := range []int{l1, l2, l3} {
 			if int(nl%4) > i {
@@ -399,9 +440,6 @@ func FuzzRareEventConfig(f *testing.F) {
 		// A valid config must be safe to interrogate and to run through the
 		// full Config validation.
 		rc.Enabled()
-		if rc.maxPaths() <= 0 {
-			t.Fatalf("valid config resolved non-positive maxPaths %d", rc.maxPaths())
-		}
 		cfg := kofnConfig(profile.OneOf, 1, 5, 10)
 		cfg.Rare = rc
 		if err := cfg.Validate(); err != nil {

@@ -90,8 +90,6 @@ type Sim struct {
 	cpDowntime float64
 	durations  []float64 // completed CP outage durations
 	windows    []float64 // per-window CP downtime (when WindowHours > 0)
-	crewsBusy  int       // hardware repairs in progress (RepairCrews > 0)
-	crewQueue  []int     // entity indices awaiting a free repair crew
 	nEvents    int
 }
 
@@ -228,8 +226,6 @@ func (s *Sim) reset(replication int) {
 	s.cpDowntime = 0
 	s.durations = s.durations[:0]
 	s.windows = s.windows[:0]
-	s.crewsBusy = 0
-	s.crewQueue = s.crewQueue[:0]
 	s.nEvents = 0
 	if s.raft != nil {
 		s.raft.reset()
@@ -532,30 +528,15 @@ func (s *Sim) runCancel(done <-chan struct{}, res *Result) bool {
 				if s.flip(ev.entity, ev.up) {
 					s.stale = true
 				}
-				e := &s.entities[ev.entity]
-				// Link repairs are never crew-limited: the crews model
-				// rack/host/VM hardware technicians, while link faults are
-				// cleared by the (independent) network operations team.
-				crewed := e.kind != structure.Process && e.kind != structure.Link && s.cfg.RepairCrews > 0
 				if ev.up {
 					p.downCount--
 					p.hazUp += p.hazRate[ev.entity]
 					s.schedule(s.now+s.exp(p.mttf[ev.entity]), ev.entity, false)
-					if crewed {
-						s.releaseCrew()
-					}
 				} else {
 					p.downCount++
 					p.hazUp -= p.hazRate[ev.entity]
 					p.logW -= p.lnBias[ev.entity]
-					switch {
-					case !crewed:
-						s.schedule(s.now+s.repairTime(e), ev.entity, true)
-					case s.crewsBusy >= s.cfg.RepairCrews:
-						s.crewQueue = append(s.crewQueue, ev.entity)
-					default:
-						s.startRepair(ev.entity)
-					}
+					s.schedule(s.now+s.repairTime(&s.entities[ev.entity]), ev.entity, true)
 				}
 			}
 			if s.stale {
@@ -648,26 +629,6 @@ func (s *Sim) runCancel(done <-chan struct{}, res *Result) bool {
 		res.ElectionDurations = s.raft.electionDurs
 	}
 	return true
-}
-
-// startRepair dispatches a crew to a failed hardware entity.
-func (s *Sim) startRepair(entity int) {
-	s.crewsBusy++
-	s.schedule(s.now+s.repairTime(&s.entities[entity]), entity, true)
-}
-
-// releaseCrew frees the crew of a completed hardware repair and hands it
-// the longest-waiting failed entity, if any. The queue is dequeued by
-// copy-down so its backing array survives for the pooled Sim's next
-// replications (advancing the slice head would shed one slot of capacity
-// per dequeue).
-func (s *Sim) releaseCrew() {
-	s.crewsBusy--
-	if len(s.crewQueue) > 0 {
-		next := s.crewQueue[0]
-		s.crewQueue = s.crewQueue[:copy(s.crewQueue, s.crewQueue[1:])]
-		s.startRepair(next)
-	}
 }
 
 // addWindowDowntime attributes dt of downtime starting at time from to the

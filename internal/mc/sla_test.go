@@ -159,65 +159,3 @@ func TestNegativeWindowRejected(t *testing.T) {
 		t.Error("negative WindowHours accepted")
 	}
 }
-
-// TestRepairCrewLimitHurts: serializing hardware repairs through a single
-// crew must not improve availability, and with many concurrent failures
-// (degraded rates, Large topology's 12 hosts) it must measurably hurt.
-func TestRepairCrewLimitHurts(t *testing.T) {
-	if testing.Short() {
-		t.Skip("crew study skipped in -short mode")
-	}
-	cfg := testConfig(t, topology.Large, analytic.SupervisorRequired)
-	cfg.Horizon = 3e5
-	// Make hardware failures frequent enough that crews actually contend.
-	cfg.HostMTBF /= 20
-	cfg.RackMTBF /= 20
-
-	unlimited, err := Run(cfg, 6, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	limited := cfg
-	limited.RepairCrews = 1
-	oneCrew, err := Run(limited, 6, 0.95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if oneCrew.CP.Mean > unlimited.CP.Mean+unlimited.CP.HalfWide {
-		t.Errorf("one crew %.6f should not beat unlimited %.6f", oneCrew.CP.Mean, unlimited.CP.Mean)
-	}
-	if unlimited.CP.Mean-oneCrew.CP.Mean < 1e-4 {
-		t.Errorf("crew contention should be measurable: unlimited %.6f vs one crew %.6f",
-			unlimited.CP.Mean, oneCrew.CP.Mean)
-	}
-}
-
-// TestRepairCrewConfigValidate covers the new knob.
-func TestRepairCrewConfigValidate(t *testing.T) {
-	cfg := testConfig(t, topology.Small, analytic.SupervisorRequired)
-	cfg.RepairCrews = -1
-	if cfg.Validate() == nil {
-		t.Error("negative RepairCrews accepted")
-	}
-}
-
-// TestRepairCrewUnlimitedEquivalence: RepairCrews larger than the hardware
-// population behaves exactly like unlimited (same seed, same results).
-func TestRepairCrewUnlimitedEquivalence(t *testing.T) {
-	cfg := testConfig(t, topology.Small, analytic.SupervisorRequired)
-	cfg.Horizon = 5e4
-	many := cfg
-	many.RepairCrews = 1000
-	s1, err := New(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := New(many, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, r2 := s1.Run(), s2.Run()
-	if r1.CPAvailability != r2.CPAvailability || r1.Events != r2.Events {
-		t.Errorf("ample crews should equal unlimited: %+v vs %+v", r1.CPAvailability, r2.CPAvailability)
-	}
-}
