@@ -71,7 +71,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		timeout = flag.Duration("timeout", 10*time.Second, "default per-request deadline")
 		maxTO   = flag.Duration("max-timeout", 2*time.Minute, "ceiling on the per-request ?timeout= override")
 		drain   = flag.Duration("drain", 5*time.Second, "graceful-drain budget on shutdown")
-		cache   = flag.Int("cache", 4096, "analytic memoization cache entries")
+		cache   = flag.Int("cache", 4096, "analytic memoization cache entries; also bounds the result store's memo of verified entries")
 		metrics = flag.String("metrics", "", "write the final telemetry metrics snapshot as JSON to this file on exit")
 		workers = flag.String("shard-workers", "", "comma-separated worker availd base URLs; non-empty runs this instance as a sharding coordinator")
 		store   = flag.String("store", "", "persistent result store directory (content-addressed cache of completed MC responses)")

@@ -130,12 +130,18 @@ func (g QuorumGroup) InstanceAvailability(a, aS float64) float64 {
 // processes are never part of the shared (cluster) requirement and are
 // excluded; see LocalDPProcesses for the local DP contribution.
 // The profile must be valid: Validate guarantees that a block's members
-// agree on the need taken here from the first.
+// agree on the need taken here from the first. Processes are read in
+// place, not copied out through RoleProcesses: every closed-form plane
+// evaluation calls this.
 func QuorumGroups(p *Profile, pl Plane) []QuorumGroup {
 	var out []QuorumGroup
 	for _, role := range p.ClusterRoles {
 		var blocks []QuorumGroup
-		for _, proc := range p.RoleProcesses(role, false) {
+		for i := range p.Processes {
+			proc := &p.Processes[i]
+			if proc.Role != role || proc.Supervisor || proc.NodeManager {
+				continue
+			}
 			need := proc.CP
 			if pl == DataPlane {
 				need = proc.DP

@@ -26,17 +26,32 @@ func canonicalFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-// canonical re-encodes a decoded request: every keyed row of table that
-// holds for r, spelled by its get. url.Values.Encode sorts keys, so
-// permuted query strings and re-spelled floats produce identical strings.
-func canonical[R any](table []param[R], r *R) string {
-	v := make(url.Values, len(table))
-	for i := range table {
-		if p := &table[i]; p.get != nil && (p.when == nil || p.when(r)) {
-			v.Set(p.name, p.get(r))
+// canonical re-encodes a decoded request: every keyed row of t that holds
+// for r, spelled by its get, in name order — byte for byte what
+// url.Values.Encode makes of the same pairs, so permuted query strings and
+// re-spelled floats produce identical strings.
+func canonical[R any](t *paramTable[R], r *R) string {
+	var buf [512]byte
+	return string(appendCanonical(buf[:0], t, r))
+}
+
+// appendCanonical appends the canonical encoding of r to dst in one pass
+// over the keyed rows, which the table holds in name order.
+func appendCanonical[R any](dst []byte, t *paramTable[R], r *R) []byte {
+	first := true
+	for _, k := range t.keyed {
+		p := &t.rows[k.row]
+		if p.when != nil && !p.when(r) {
+			continue
 		}
+		if !first {
+			dst = append(dst, '&')
+		}
+		first = false
+		dst = append(dst, k.prefix...)
+		dst = append(dst, url.QueryEscape(p.get(r))...)
 	}
-	return v.Encode()
+	return dst
 }
 
 // Key is the analytic memo-cache key: the canonical encoding of every
@@ -51,6 +66,9 @@ func mcCanonical(r mcRequest) string {
 	return canonical(mcTable, &r)
 }
 
+// digestPrefix heads every hashed digest input: the engine version.
+var digestPrefix = "engine=" + strconv.Itoa(mc.EngineVersion) + "\n"
+
 // mcDigest is the content address of an MC computation: the SHA-256, in
 // hex, of the engine version followed by the canonical query string —
 // what is computed and by which physics. Keys the answer cache and its
@@ -58,6 +76,7 @@ func mcCanonical(r mcRequest) string {
 // and engine drift. The version stays out of mcCanonical, which must
 // round-trip through decodeMC.
 func mcDigest(r mcRequest) string {
-	sum := sha256.Sum256([]byte("engine=" + strconv.Itoa(mc.EngineVersion) + "\n" + mcCanonical(r)))
+	var buf [512]byte
+	sum := sha256.Sum256(appendCanonical(append(buf[:0], digestPrefix...), mcTable, &r))
 	return hex.EncodeToString(sum[:])
 }

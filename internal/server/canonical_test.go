@@ -1,9 +1,14 @@
 package server
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"net/url"
 	"reflect"
+	"strconv"
 	"testing"
+
+	"sdnavail/internal/mc"
 )
 
 // mustValues parses a raw query string.
@@ -129,5 +134,63 @@ func TestMCDigestSemantics(t *testing.T) {
 		if mcDigest(req) == mcDigest(base) {
 			t.Errorf("distinct computation %q shares the base digest", qs)
 		}
+	}
+}
+
+// canonicalReference is the canonical encoder as first written: every
+// keyed row that holds, set in a url.Values and encoded, which sorts the
+// keys. canonical must match it byte for byte.
+func canonicalReference[R any](t *paramTable[R], r *R) string {
+	v := make(url.Values, len(t.rows))
+	for i := range t.rows {
+		if p := &t.rows[i]; p.get != nil && (p.when == nil || p.when(r)) {
+			v.Set(p.name, p.get(r))
+		}
+	}
+	return v.Encode()
+}
+
+// checkCanonical compares canonical with the reference encoder on one
+// decoded request.
+func checkCanonical[R any](t *testing.T, qs string, table *paramTable[R], r *R) {
+	t.Helper()
+	if got, want := canonical(table, r), canonicalReference(table, r); got != want {
+		t.Errorf("%q: canonical encoding differs from url.Values.Encode\n got: %s\nwant: %s", qs, got, want)
+	}
+}
+
+// checkDigest compares mcDigest with the digest of the reference encoding.
+func checkDigest(t *testing.T, qs string, r mcRequest) {
+	t.Helper()
+	sum := sha256.Sum256([]byte("engine=" + strconv.Itoa(mc.EngineVersion) + "\n" + canonicalReference(mcTable, &r)))
+	if got := mcDigest(r); got != hex.EncodeToString(sum[:]) {
+		t.Errorf("%q: digest %s is not the digest of the reference encoding", qs, got)
+	}
+}
+
+// TestCanonicalMatchesReference applies checkCanonical to every query of
+// the wire golden list, through every table it decodes under;
+// FuzzDecodeQuery applies it to generated ones.
+func TestCanonicalMatchesReference(t *testing.T) {
+	decoded := 0
+	for _, qs := range wireQueries {
+		q := mustValues(t, qs)
+		if m, err := decodeAnalytic(q); err == nil {
+			decoded++
+			checkCanonical(t, qs, modelTable, &mcRequest{Model: m})
+		}
+		if r, err := decodeMC(q); err == nil {
+			decoded++
+			checkCanonical(t, qs, mcTable, &r)
+			checkCanonical(t, qs, shardTable, &r)
+			checkDigest(t, qs, r)
+		}
+		if r, err := decodeSoak(q); err == nil {
+			decoded++
+			checkCanonical(t, qs, soakTable, &r)
+		}
+	}
+	if decoded < 100 {
+		t.Errorf("only %d decodes across %d golden queries; the comparison is barely exercised", decoded, len(wireQueries))
 	}
 }

@@ -42,7 +42,9 @@ func badf(format string, args ...any) error {
 
 // modelRequest is the decoded (profile, topology, scenario, params) tuple
 // every endpoint shares — also the memoization key domain. Profile and
-// Kind are resolved from their names once the rows have run.
+// Kind are resolved from their names once the rows have run. Profile is
+// shared by every request that names it (builtinProfiles): nothing may
+// write through it.
 type modelRequest struct {
 	ProfileName string
 	Profile     *profile.Profile
@@ -238,11 +240,41 @@ func whenRare(p param[mcRequest]) param[mcRequest] {
 	return p.noted("needs rare=true")
 }
 
+// paramTable is one request type's rows, with what decoding and the
+// canonical encoding read off them laid out once rather than per request:
+// every row by wire name, and the keyed rows (those with a get) in name
+// order, each with its escaped "name=" prefix.
+type paramTable[R any] struct {
+	rows  []param[R]
+	index map[string]int
+	keyed []keyedRow
+}
+
+// keyedRow is a row of the canonical encoding: rows[row], spelled
+// prefix + QueryEscape(get(r)).
+type keyedRow struct {
+	row    int
+	prefix string
+}
+
+// newParamTable lays out the concatenated rows.
+func newParamTable[R any](rows ...[]param[R]) *paramTable[R] {
+	t := &paramTable[R]{rows: slices.Concat(rows...), index: map[string]int{}}
+	for i, p := range t.rows {
+		t.index[p.name] = i
+		if p.get != nil {
+			t.keyed = append(t.keyed, keyedRow{i, url.QueryEscape(p.name) + "="})
+		}
+	}
+	slices.SortFunc(t.keyed, func(a, b keyedRow) int { return strings.Compare(t.rows[a.row].name, t.rows[b.row].name) })
+	return t
+}
+
 // The Monte Carlo family's tables nest: the analytic endpoint takes the
 // model block, the MC endpoints add the run, the shard endpoint adds the
 // addressing.
 var (
-	modelTable = []param[mcRequest]{
+	modelRows = []param[mcRequest]{
 		nameParam("profile", "opencontrail, odl or onos (any case)", func(r *mcRequest) *string { return &r.Model.ProfileName }),
 		nameParam("topology", "small, medium or large (any case)", func(r *mcRequest) *string { return &r.Model.TopoName }),
 		intParam("cluster", 1, 9, func(r *mcRequest) *int { return &r.Model.Cluster }).noted("odd (2N+1 quorum)"),
@@ -257,7 +289,7 @@ var (
 		timeoutParam(func(r *mcRequest) *time.Duration { return &r.Timeout }),
 	}
 
-	mcTable = slices.Concat(modelTable, []param[mcRequest]{
+	mcRows = slices.Concat(modelRows, []param[mcRequest]{
 		floatParam("horizon", positive.upTo(1e9, "1e9 simulated hours"), func(r *mcRequest) *float64 { return &r.Horizon }),
 		intParam("reps", 2, 1<<20, func(r *mcRequest) *int { return &r.Reps }),
 		floatParam("ci_target", nonNegative, func(r *mcRequest) *float64 { return &r.CITarget }).noted("0 = run exactly reps"),
@@ -303,7 +335,9 @@ var (
 		whenRare(floatParam("rel_target", nonNegative, func(r *mcRequest) *float64 { return &r.RelTarget }).noted("below 1, 0 = 0.10")),
 	})
 
-	shardTable = slices.Concat(mcTable, []param[mcRequest]{
+	modelTable = newParamTable(modelRows)
+	mcTable    = newParamTable(mcRows)
+	shardTable = newParamTable(mcRows, []param[mcRequest]{
 		intParam("rep_lo", 0, 1<<20, func(r *mcRequest) *int { return &r.Lo }).unkeyed().noted("required"),
 		intParam("rep_hi", 1, 1<<20, func(r *mcRequest) *int { return &r.Hi }).unkeyed().noted("required, above rep_lo"),
 		{
@@ -316,14 +350,29 @@ var (
 		},
 	})
 
-	soakTable = []param[soakRequest]{
+	soakTable = newParamTable([]param[soakRequest]{
 		floatParam("hours", positive.upTo(1e5, "1e5 simulated hours"), func(r *soakRequest) *float64 { return &r.Hours }),
 		floatParam("mtbf", positive, func(r *soakRequest) *float64 { return &r.MTBF }).noted("at least 10 h"),
 		seedParam(func(r *soakRequest) *int64 { return &r.Seed }),
 		intParam("hosts", 1, 64, func(r *soakRequest) *int { return &r.Hosts }),
 		timeoutParam(func(r *soakRequest) *time.Duration { return &r.Timeout }),
-	}
+	})
 )
+
+// builtinProfiles is every built-in profile, built and validated once by
+// profile.ByName and shared by all requests that name it. The server only
+// reads them: nothing may write through modelRequest.Profile.
+var builtinProfiles = func() map[string]*profile.Profile {
+	m := map[string]*profile.Profile{}
+	for _, name := range []string{"opencontrail", "odl", "onos"} {
+		p, err := profile.ByName(name)
+		if err != nil {
+			panic(err)
+		}
+		m[name] = p
+	}
+	return m
+}()
 
 // mcDefaults is what an empty query means to the Monte Carlo family.
 func mcDefaults() mcRequest {
@@ -337,18 +386,23 @@ func mcDefaults() mcRequest {
 	}
 }
 
-// decodeParams decodes q through table into r, which holds the defaults:
-// any key outside the table is a 400, then every parameter present is set
-// in table order. A key given twice or given empty is a 400 as well — only
-// one value could be honoured, and the digest would not say which.
-func decodeParams[R any](q url.Values, table []param[R], r *R) error {
+// decodeParams decodes q through t into r, which holds the defaults: a
+// key outside the table is a 400 naming the smallest such key, then every
+// parameter present is set in table order. A key given twice or given
+// empty is a 400 as well — only one value could be honoured, and the
+// digest would not say which.
+func decodeParams[R any](q url.Values, t *paramTable[R], r *R) error {
+	unknown, found := "", false
 	for k := range q {
-		if !slices.ContainsFunc(table, func(p param[R]) bool { return p.name == k }) {
-			return badf("unknown parameter %q", k)
+		if _, ok := t.index[k]; !ok && (!found || k < unknown) {
+			unknown, found = k, true
 		}
 	}
-	for i := range table {
-		p := &table[i]
+	if found {
+		return badf("unknown parameter %q", unknown)
+	}
+	for i := range t.rows {
+		p := &t.rows[i]
 		vs, ok := q[p.name]
 		if !ok {
 			continue
@@ -363,18 +417,21 @@ func decodeParams[R any](q url.Values, table []param[R], r *R) error {
 	return nil
 }
 
-// decodeRequest decodes the Monte Carlo family's query through table — a
-// prefix of shardTable — and applies the rules that span parameters; the
-// parameters beyond a shorter table sit at defaults that pass every rule.
-func decodeRequest(q url.Values, table []param[mcRequest]) (mcRequest, error) {
+// decodeRequest decodes the Monte Carlo family's query through t — one
+// of modelTable, mcTable and shardTable — and applies the rules that span
+// parameters; the parameters beyond a shorter table sit at defaults that
+// pass every rule.
+func decodeRequest(q url.Values, t *paramTable[mcRequest]) (mcRequest, error) {
 	r := mcDefaults()
-	if err := decodeParams(q, table, &r); err != nil {
+	if err := decodeParams(q, t, &r); err != nil {
 		return r, err
 	}
 	m := &r.Model
 	var err error
-	if m.Profile, err = profile.ByName(m.ProfileName); err != nil {
-		return r, badf("parameter \"profile\": %v", err)
+	if m.Profile = builtinProfiles[m.ProfileName]; m.Profile == nil {
+		if m.Profile, err = profile.ByName(m.ProfileName); err != nil {
+			return r, badf("parameter \"profile\": %v", err)
+		}
 	}
 	if m.Kind, err = topology.ParseKind(m.TopoName); err != nil {
 		return r, badf("parameter \"topology\": %v", err)

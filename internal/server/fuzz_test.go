@@ -36,7 +36,9 @@ func checkFinite(t *testing.T, qs string, name string, v float64) {
 }
 
 // FuzzDecodeQuery drives all three decoders with arbitrary query strings,
-// and every MC request that decodes through the canonical round trip.
+// every MC request that decodes through the canonical round trip, and
+// every model key and MC request that decodes through the comparison with
+// the reference encoder.
 func FuzzDecodeQuery(f *testing.F) {
 	for _, seed := range []string{
 		"",
@@ -93,6 +95,7 @@ func FuzzDecodeQuery(f *testing.F) {
 			if m.Cluster < 1 || m.Cluster%2 == 0 {
 				t.Errorf("query %q: cluster %d escaped validation", qs, m.Cluster)
 			}
+			checkCanonical(t, qs, modelTable, &mcRequest{Model: m})
 		} else {
 			checkDecodeErr(t, qs, err)
 		}
@@ -104,6 +107,8 @@ func FuzzDecodeQuery(f *testing.F) {
 				t.Errorf("query %q: mc bounds escaped validation: %+v", qs, r)
 			}
 			checkRoundTrip(t, qs, r)
+			checkCanonical(t, qs, mcTable, &r)
+			checkDigest(t, qs, r)
 		} else {
 			checkDecodeErr(t, qs, err)
 		}

@@ -27,9 +27,9 @@ var nonDefault = map[string]string{
 
 // unkeyedNames lists the rows without a get: the parameters that bound or
 // address a computation without being part of its key.
-func unkeyedNames[R any](table []param[R]) string {
+func unkeyedNames[R any](t *paramTable[R]) string {
 	var out []string
-	for _, p := range table {
+	for _, p := range t.rows {
 		if p.get == nil {
 			out = append(out, p.name)
 		}
@@ -38,19 +38,19 @@ func unkeyedNames[R any](table []param[R]) string {
 }
 
 // names lists a table's wire names in order.
-func names[R any](table []param[R]) []string {
-	out := make([]string, len(table))
-	for i, p := range table {
+func names[R any](t *paramTable[R]) []string {
+	out := make([]string, len(t.rows))
+	for i, p := range t.rows {
 		out[i] = p.name
 	}
 	return out
 }
 
 // allNonDefault is the query setting every row of table off its default.
-func allNonDefault[R any](t *testing.T, table []param[R]) url.Values {
+func allNonDefault[R any](t *testing.T, table *paramTable[R]) url.Values {
 	t.Helper()
 	q := url.Values{}
-	for _, p := range table {
+	for _, p := range table.rows {
 		v, ok := nonDefault[p.name]
 		if !ok {
 			t.Fatalf("row %q has no entry in nonDefault: add a valid non-default value", p.name)
@@ -94,10 +94,10 @@ func TestParamTablesShape(t *testing.T) {
 		}
 	}
 	all := names(shardTable)
-	if !reflect.DeepEqual(names(modelTable), all[:len(modelTable)]) || !reflect.DeepEqual(names(mcTable), all[:len(mcTable)]) {
+	if !reflect.DeepEqual(names(modelTable), all[:len(modelTable.rows)]) || !reflect.DeepEqual(names(mcTable), all[:len(mcTable.rows)]) {
 		t.Errorf("tables do not nest:\nmodel %v\nmc    %v\nshard %v", names(modelTable), names(mcTable), all)
 	}
-	if len(modelTable) >= len(mcTable) || len(mcTable) >= len(shardTable) {
+	if len(modelTable.rows) >= len(mcTable.rows) || len(mcTable.rows) >= len(shardTable.rows) {
 		t.Error("each table of the family must add parameters to the one before")
 	}
 	// A name joins these lists only with an argument for why two requests
@@ -119,7 +119,7 @@ func TestParamDefaultsSpelledOut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range mcTable {
+		for _, p := range mcTable.rows {
 			if p.get == nil || p.get(&base) == "" {
 				continue
 			}
@@ -139,7 +139,7 @@ func TestParamDefaultsSpelledOut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range soakTable {
+	for _, p := range soakTable.rows {
 		if p.get == nil {
 			continue
 		}
@@ -183,7 +183,7 @@ func TestEveryFieldHasARow(t *testing.T) {
 
 	// Rare knobs need rare=true, and a split factor needs levels, so every
 	// row but rare itself is moved on top of that base.
-	for _, p := range shardTable {
+	for _, p := range shardTable.rows {
 		base := url.Values{"rare": {"true"}, "rare_split_levels": {"1,2"}}
 		if p.name == "rare" {
 			base = url.Values{}
@@ -206,7 +206,7 @@ func TestEveryFieldHasARow(t *testing.T) {
 			t.Errorf("%s: digest changed = %v, row keyed = %v", p.name, changed, p.get != nil)
 		}
 	}
-	for _, p := range soakTable {
+	for _, p := range soakTable.rows {
 		moved, err := decodeSoak(url.Values{p.name: {nonDefault[p.name]}})
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
@@ -234,11 +234,11 @@ func renderParamReference(t *testing.T) string {
 		fmt.Fprintf(&sb, "| `%s` | %s | %s | %s |\n", name, endpoints, rng, def)
 	}
 	mcDef := mcDefaults()
-	for i, p := range shardTable {
+	for i, p := range shardTable.rows {
 		endpoints := "analytic, mc, mc/shard"
-		if i >= len(mcTable) {
+		if i >= len(mcTable.rows) {
 			endpoints = "mc/shard"
-		} else if i >= len(modelTable) {
+		} else if i >= len(modelTable.rows) {
 			endpoints = "mc, mc/shard"
 		}
 		def := ""
@@ -251,7 +251,7 @@ func renderParamReference(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range soakTable {
+	for _, p := range soakTable.rows {
 		def := ""
 		if p.get != nil {
 			def = p.get(&soakDef)

@@ -3,9 +3,12 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
+
+	"sdnavail/internal/profile"
 )
 
 // TestConcurrentClients hammers the cache, the singleflight gate and the
@@ -77,5 +80,56 @@ func TestConcurrentClients(t *testing.T) {
 	}
 	if hits := s.Telemetry().Metrics.Counter("cache_hits_total").Value(); hits == 0 {
 		t.Error("no cache hits across 512 colliding analytic queries")
+	}
+}
+
+// TestSharedProfilesStayReadOnly: every request that names a built-in
+// profile shares one instance (builtinProfiles), so no evaluation may write
+// through it. A mixed concurrent load — analytic hits and misses, MC cold
+// and warm-store queries, over every built-in profile — must leave each
+// shared profile equal to a freshly built one. Run under -race in CI,
+// which also catches a write the comparison would miss by its timing.
+func TestSharedProfilesStayReadOnly(t *testing.T) {
+	s, ts := testServer(t, Config{
+		MaxConcurrent:  4,
+		MaxQueue:       64,
+		StoreDir:       t.TempDir(),
+		DefaultTimeout: 30 * time.Second,
+	})
+	names := []string{"opencontrail", "odl", "onos"}
+	const clients = 12
+	var wg sync.WaitGroup
+	for i := 0; i < clients; i++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			for j := 0; j < 6; j++ {
+				name := names[(id+j)%len(names)]
+				for _, path := range []string{
+					"/api/v1/analytic?profile=" + name,                                        // hit after the first
+					fmt.Sprintf("/api/v1/analytic?profile=%s&ac=0.9%d%d", name, id, j),        // miss
+					fmt.Sprintf("/api/v1/mc?profile=%s&horizon=50&reps=4&seed=%d", name, j%2), // cold, then warm
+				} {
+					if code := getJSON(t, ts.URL+path, nil); code != http.StatusOK {
+						t.Errorf("%s: status %d", path, code)
+					}
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, series := range []string{"cache_hits_total", "cache_misses_total", "availd_store_hits_total", "availd_store_misses_total"} {
+		if s.Telemetry().Metrics.Counter(series).Value() == 0 {
+			t.Errorf("%s is 0: the load did not take every path", series)
+		}
+	}
+	for _, name := range names {
+		fresh, err := profile.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(builtinProfiles[name], fresh) {
+			t.Errorf("shared profile %q differs from a fresh one after the load: a request wrote through it", name)
+		}
 	}
 }

@@ -80,8 +80,8 @@ type Config struct {
 	// requests get this long to finish before their contexts are
 	// cancelled and they answer with truncated partials (default 5s).
 	DrainTimeout time.Duration
-	// CacheSize bounds the analytic memoization LRU (default 4096
-	// entries).
+	// CacheSize bounds the analytic memoization LRU and the result
+	// store's memo of verified entries (default 4096 entries each).
 	CacheSize int
 	// ShardWorkers lists worker availd base URLs (e.g.
 	// "http://127.0.0.1:8081"). When non-empty this instance runs MC
@@ -188,7 +188,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	cfg = cfg.withDefaults()
 	reg := cfg.Telemetry.Metrics
-	store, err := openStore[mcResponse](cfg.StoreDir, reg)
+	store, err := openStore[mcResponse](cfg.StoreDir, cfg.CacheSize, reg)
 	if err != nil {
 		return nil, err
 	}
@@ -456,14 +456,15 @@ func (s *Server) handleAnalytic(w http.ResponseWriter, r *http.Request) {
 		if err := model.Validate(); err != nil {
 			return analyticResponse{}, badf("invalid model: %v", err)
 		}
-		cp, dp := model.Evaluate()
+		// Evaluate's two planes, with the shared DP evaluated once.
+		cp, sdp := model.ControlPlane(), model.SharedDP()
 		return analyticResponse{
 			Profile:           req.ProfileName,
 			Topology:          req.TopoName,
 			Scenario:          int(req.Scenario),
 			CP:                cp,
-			SharedDP:          model.SharedDP(),
-			HostDP:            dp,
+			SharedDP:          sdp,
+			HostDP:            sdp * model.LocalDP(),
 			CPDowntimeMinYear: relmath.DowntimeMinutesPerYear(cp),
 			CPNines:           relmath.Nines(cp),
 		}, nil

@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 
 	"sdnavail/internal/mc"
 	"sdnavail/internal/telemetry"
@@ -23,6 +25,14 @@ import (
 // the entry and the request recomputes; nothing ever crashes on a
 // corrupt file. What is stored is the cache's decision (only complete
 // answers — see cache.go), not the store's.
+//
+// A hit still reads the file every time, but it decodes and hashes only
+// bytes it has not verified before: a bounded memo keeps, per digest, the
+// bytes last verified, the engine version they carried and the answer
+// they decoded to, and serves that answer while the file holds exactly
+// those bytes under the current version. Any other read takes the full
+// verify path, so a corrupted, rewritten or stale entry meets the same
+// checks it always did.
 
 // storeEnvelope is the on-disk format: the engine version that computed
 // the payload, and the payload bytes plus their SHA-256, all verified on
@@ -38,15 +48,33 @@ type storeEnvelope struct {
 type resultStore[T any] struct {
 	dir     string
 	version int // mc.EngineVersion; a field so a test can age the entries
+	memo    *verifiedMemo[T]
 
 	writes  *telemetry.Counter
 	corrupt *telemetry.Counter
 }
 
-// openStore opens (creating if needed) the store rooted at dir; an empty
-// dir leaves it off. Either way its counters register, so /metrics shows
-// them at zero on an instance without -store.
-func openStore[T any](dir string, reg *telemetry.Registry) (resultStore[T], error) {
+// verifiedMemo maps a digest to the entry bytes last verified for it,
+// holding at most max entries and cleared wholesale when full.
+type verifiedMemo[T any] struct {
+	mu      sync.Mutex
+	max     int
+	entries map[string]verified[T]
+}
+
+// verified is one entry's bytes, the engine version they carried and the
+// answer they decoded to.
+type verified[T any] struct {
+	raw     []byte
+	version int
+	val     T
+}
+
+// openStore opens (creating if needed) the store rooted at dir, whose
+// memo holds up to memoSize verified entries; an empty dir leaves it off.
+// Either way its counters register, so /metrics shows them at zero on an
+// instance without -store.
+func openStore[T any](dir string, memoSize int, reg *telemetry.Registry) (resultStore[T], error) {
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return resultStore[T]{}, fmt.Errorf("server: result store: %w", err)
@@ -55,6 +83,7 @@ func openStore[T any](dir string, reg *telemetry.Registry) (resultStore[T], erro
 	return resultStore[T]{
 		dir:     dir,
 		version: mc.EngineVersion,
+		memo:    &verifiedMemo[T]{max: memoSize, entries: map[string]verified[T]{}},
 		writes:  reg.Counter("availd_store_writes_total"),
 		corrupt: reg.Counter("availd_store_corrupt_total"),
 	}, nil
@@ -68,7 +97,8 @@ func (st resultStore[T]) path(digest string) string {
 // get loads the stored answer for digest. A missing entry is a miss; a
 // corrupt one (bad checksum, unparsable, written by another engine
 // version) is deleted, counted, and reported as a miss so the caller
-// recomputes.
+// recomputes. Bytes the memo verified under the current version are
+// served from the memo.
 func (st resultStore[T]) get(digest string) (val T, ok bool) {
 	if st.dir == "" {
 		return val, false
@@ -76,6 +106,12 @@ func (st resultStore[T]) get(digest string) (val T, ok bool) {
 	raw, err := os.ReadFile(st.path(digest))
 	if err != nil {
 		return val, false
+	}
+	st.memo.mu.Lock()
+	m, hit := st.memo.entries[digest]
+	st.memo.mu.Unlock()
+	if hit && m.version == st.version && bytes.Equal(m.raw, raw) {
+		return m.val, true
 	}
 	var env storeEnvelope
 	if err := json.Unmarshal(raw, &env); err != nil || env.Engine != st.version {
@@ -88,12 +124,22 @@ func (st resultStore[T]) get(digest string) (val T, ok bool) {
 	if err := json.Unmarshal(env.Payload, &val); err != nil {
 		return st.drop(digest)
 	}
+	st.memo.mu.Lock()
+	if len(st.memo.entries) >= st.memo.max {
+		clear(st.memo.entries)
+	}
+	st.memo.entries[digest] = verified[T]{raw: raw, version: st.version, val: val}
+	st.memo.mu.Unlock()
 	return val, true
 }
 
-// drop removes a corrupt entry and reports a miss.
+// drop removes a corrupt entry, and what the memo knew of it, and reports
+// a miss.
 func (st resultStore[T]) drop(digest string) (zero T, ok bool) {
 	st.corrupt.Inc()
+	st.memo.mu.Lock()
+	delete(st.memo.entries, digest)
+	st.memo.mu.Unlock()
 	_ = os.Remove(st.path(digest))
 	return zero, false
 }

@@ -108,9 +108,9 @@ func levelList(n int) string {
 var unknownParamRE = regexp.MustCompile(`^unknown parameter "(.*)"$`)
 
 // wireLine renders one decoder's answer to one query: "200 <spelling>" or
-// "400 <text>". Which of several unknown keys a decoder names first is map
-// order, so unknown keys are collected — by re-decoding without the one
-// named — and reported sorted.
+// "400 <text>". A decoder names only the smallest of several unknown keys,
+// so unknown keys are collected — by re-decoding without the one named —
+// and reported all together, sorted.
 func wireLine(q url.Values, decode func(url.Values) (string, error)) string {
 	var unknown []string
 	for {
@@ -259,6 +259,25 @@ func TestDecodeStrictness(t *testing.T) {
 				t.Errorf("%s decoder, %q: %v, want a 400", name, c.qs, err)
 			} else if want := strconv.Quote(c.key); !strings.Contains(bad.msg, want) && !unknownParamRE.MatchString(bad.msg) {
 				t.Errorf("%s decoder, %q: 400 text %q does not name %s", name, c.qs, bad.msg, want)
+			}
+		}
+	}
+}
+
+// TestUnknownKeyNamedDeterministically: of several unknown keys, every
+// decoder names the smallest in byte order, on every decode — not
+// whichever map iteration reaches first.
+func TestUnknownKeyNamedDeterministically(t *testing.T) {
+	const qs, want = "foo=1&bar=2&baz=3", `unknown parameter "bar"`
+	q := mustValues(t, qs)
+	for i := 0; i < 100; i++ {
+		_, errA := decodeAnalytic(q)
+		_, errM := decodeMC(q)
+		_, errS := decodeMCShard(q)
+		_, errK := decodeSoak(q)
+		for name, err := range map[string]error{"analytic": errA, "mc": errM, "shard": errS, "soak": errK} {
+			if err == nil || err.Error() != want {
+				t.Fatalf("%s decoder, %q, decode %d: %v, want %s", name, qs, i, err, want)
 			}
 		}
 	}
