@@ -253,36 +253,29 @@ type prober struct {
 // degraded (slow) sample rather than an outage.
 const probeRetries = 1
 
-// startProber registers the calling driver on c's clock, then launches a
-// prober; period and timeout default to 5 ms and 50 ms when zero. The
-// driver is clock-driven (it sleeps between injections), so under a fake
-// clock the whole experiment runs in virtual time. Registering the driver
-// first pins the virtual instant: no advance can happen between the start
-// timestamp and the first armed tick. The prober's own registration and
-// ticker are made before startProber returns, so a fake clock counts the
-// prober, with its cadence armed, from then on. The caller defers
-// p.clk.Unregister().
-func startProber(c *cluster.Cluster, period, timeout time.Duration) *prober {
+// startProber takes c's clock hold for the calling driver, which sleeps
+// between injections, then launches a prober with its ticker armed;
+// period and timeout default to 5 ms and 50 ms when zero. The caller
+// defers the returned release.
+func startProber(c *cluster.Cluster, period, timeout time.Duration) (*prober, func()) {
 	if period <= 0 {
 		period = 5 * time.Millisecond
 	}
 	if timeout <= 0 {
 		timeout = 50 * time.Millisecond
 	}
+	release := c.Hold()
 	clk := c.Clock()
-	clk.Register()
 	p := &prober{
 		c: c, clk: clk, timeout: timeout, start: clk.Now(),
 		ticker: clk.NewTicker(period), stop: make(chan struct{}), done: make(chan struct{}),
 	}
-	clk.Register()
-	go p.run()
-	return p
+	vclock.Go(clk, p.run)
+	return p, release
 }
 
 func (p *prober) run() {
 	defer close(p.done)
-	defer p.clk.Unregister()
 	defer p.ticker.Stop()
 	for p.ticker.Wait(p.stop) {
 		p.sampleOnce()
@@ -362,8 +355,8 @@ func (p *prober) report(d time.Duration) Report {
 // when zero. A trailing settle duration keeps probing after the last
 // action.
 func RunScenario(c *cluster.Cluster, actions []Action, settle, probeEvery, probeTimeout time.Duration) (Report, error) {
-	p := startProber(c, probeEvery, probeTimeout)
-	defer p.clk.Unregister()
+	p, release := startProber(c, probeEvery, probeTimeout)
+	defer release()
 	for _, a := range actions {
 		p.clk.Sleep(a.After)
 		if err := a.Do(c); err != nil {
@@ -451,9 +444,9 @@ func (cp Campaign) Run(c *cluster.Cluster, hostNames []string) (Report, error) {
 		return Report{}, fmt.Errorf("chaos: campaign has no targets")
 	}
 	rng := rand.New(rand.NewSource(cp.Seed))
-	p := startProber(c, 0, 0)
+	p, release := startProber(c, 0, 0)
+	defer release()
 	clk := p.clk
-	defer clk.Unregister()
 	var wg sync.WaitGroup
 	for p.elapsed() < cp.Duration {
 		wait := time.Duration(rng.ExpFloat64() * float64(cp.MeanBetweenFaults))
@@ -469,17 +462,15 @@ func (cp Campaign) Run(c *cluster.Cluster, hostNames []string) (Report, error) {
 		}
 		p.log(tgt.name)
 		wg.Add(1)
-		clk.Register()
-		go func(tgt targetSpec) {
+		vclock.Go(clk, func() {
 			defer wg.Done()
-			defer clk.Unregister()
 			clk.Sleep(cp.RepairAfter)
 			// Repairs can race with other faults on the same target;
 			// failures (e.g. hardware still down) are acceptable — the
 			// operator retries on the next pass, modeled by ignoring the
 			// error here and the final sweep below.
 			_ = tgt.repair(c)
-		}(tgt)
+		})
 	}
 	// Waiting for the repair goroutines is a non-clock block, so park:
 	// their pending repair sleeps are what drives a fake clock forward.

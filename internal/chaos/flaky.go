@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"sdnavail/internal/cluster"
+	"sdnavail/internal/vclock"
 )
 
 // FlakyProcess is a fault injector that repeatedly crashes one process —
@@ -55,17 +56,15 @@ func (f *FlakyProcess) Start(c *cluster.Cluster) error {
 	if f.MeanBetweenCrashes <= 0 {
 		f.MeanBetweenCrashes = 5 * time.Millisecond
 	}
-	f.stop = make(chan struct{})
-	f.done = make(chan struct{})
-	c.Clock().Register()
-	go f.run(c, f.stop, f.done)
+	stop, done := make(chan struct{}), make(chan struct{})
+	f.stop, f.done = stop, done
+	vclock.Go(c.Clock(), func() { f.run(c, stop, done) })
 	return nil
 }
 
 func (f *FlakyProcess) run(c *cluster.Cluster, stop, done chan struct{}) {
 	clk := c.Clock()
 	defer close(done)
-	defer clk.Unregister()
 	rng := rand.New(rand.NewSource(f.Seed))
 	for {
 		var wait time.Duration

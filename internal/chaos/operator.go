@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"sdnavail/internal/cluster"
+	"sdnavail/internal/vclock"
 )
 
 // Operator is the automation the paper's §VII calls for: "identifying
@@ -54,8 +55,7 @@ func (o *Operator) Start(c *cluster.Cluster) error {
 	}
 	o.stop = make(chan struct{})
 	o.done = make(chan struct{})
-	c.Clock().Register()
-	go o.run(c)
+	vclock.Go(c.Clock(), func() { o.run(c) })
 	return nil
 }
 
@@ -91,7 +91,6 @@ type failKey struct {
 func (o *Operator) run(c *cluster.Cluster) {
 	clk := c.Clock()
 	defer close(o.done)
-	defer clk.Unregister()
 	firstSeen := map[failKey]time.Time{}
 	ticker := clk.NewTicker(o.CheckEvery)
 	defer ticker.Stop()

@@ -239,16 +239,9 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 		return SoakResult{}, err
 	}
 	tel := telemetry.New()
-	fc := vclock.NewFake(time.Time{})
-	// The driver holds the clock from before the cluster starts until the
-	// prober registers it. Unheld, the clock may hop to the agents' first
-	// rediscover tick once every cluster goroutine has parked, and the
-	// prober and the failure loops would then start 2 minutes late on some
-	// runs and not on others.
-	fc.Register()
 	c, err := cluster.New(cluster.Config{
 		Profile: sc.Profile, Topology: sc.Topology, ComputeHosts: sc.ComputeHosts,
-		Clock: fc, Timing: soakTiming(), Telemetry: tel,
+		Clock: vclock.NewFake(time.Time{}), Timing: soakTiming(), Telemetry: tel,
 	})
 	if err != nil {
 		return SoakResult{}, err
@@ -263,10 +256,9 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 		return SoakResult{}, err
 	}
 
-	p := startProber(c, hoursToDuration(soakProbeEvery), hoursToDuration(soakProbeTimeout))
+	p, release := startProber(c, hoursToDuration(soakProbeEvery), hoursToDuration(soakProbeTimeout))
+	defer release()
 	clk := p.clk
-	defer clk.Unregister()
-	fc.Unregister() // the prober's registration of the driver holds it now
 
 	// One failure loop per process: draw an exponential up-time, kill,
 	// then wait (coarsely polling in virtual time) until the supervisor or
@@ -278,13 +270,10 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 	var mu sync.Mutex
 	failures := 0
 	for i, st := range c.Snapshot() {
-		st := st
 		rng := rand.New(rand.NewSource(sc.Seed + int64(i+1)*7919))
-		clk.Register()
 		wg.Add(1)
-		go func() {
+		vclock.Go(clk, func() {
 			defer wg.Done()
-			defer clk.Unregister()
 			for {
 				up := hoursToDuration(rng.ExpFloat64() * sc.ProcessMTBF)
 				if !clk.SleepOr(up, stop) {
@@ -302,7 +291,7 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 					}
 				}
 			}
-		}()
+		})
 	}
 
 	completed := true

@@ -53,16 +53,12 @@ func (a *vRouterAgent) start() {
 	a.c.mu.Lock()
 	a.maintainLocked()
 	a.c.mu.Unlock()
-	a.c.loops.Add(1)
-	a.c.clk.Register()
 	// Arm the ticker before launching the loop: on a fake clock,
 	// coincident deadlines fire in arm order, so arming synchronously in
 	// Start()'s agent order keeps same-instant maintenance passes
 	// deterministic instead of depending on goroutine startup scheduling.
 	ticker := a.c.clk.NewTicker(a.c.timing.Rediscover)
-	go func() {
-		defer a.c.loops.Done()
-		defer a.c.clk.Unregister()
+	a.c.spawn(func() {
 		defer ticker.Stop()
 		for ticker.Wait(a.c.stopAll) {
 			a.c.mu.Lock()
@@ -79,7 +75,7 @@ func (a *vRouterAgent) start() {
 			a.c.notifyLocked()
 			a.c.mu.Unlock()
 		}
-	}()
+	})
 }
 
 // agentKey and dpdkKey identify the host's two vRouter processes.

@@ -97,6 +97,7 @@ type Cluster struct {
 	probeSeq       uint64
 	started        bool
 	stopped        bool
+	startHold      bool // Start's clock hold, until Hold takes it or Stop releases it
 
 	// dirty is the set of processes whose liveness inputs (state,
 	// hardware, reachability) may have changed since the last recompute;
@@ -120,7 +121,6 @@ type Cluster struct {
 	agents   []*vRouterAgent
 	telState *telState // telemetry mirror, nil when disabled; guarded by mu
 
-	sups    []*supervisor
 	loops   sync.WaitGroup
 	stopAll chan struct{}
 }
@@ -274,7 +274,10 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// Start launches the supervisor, control and agent loops.
+// Start launches the supervisor, control and agent loops. It first
+// registers a clock hold for its caller, so a fake clock stays put until
+// the caller takes it with Hold; Stop, also run by a failed Start,
+// releases it if nobody did.
 func (c *Cluster) Start() error {
 	c.mu.Lock()
 	if c.started {
@@ -282,6 +285,8 @@ func (c *Cluster) Start() error {
 		return fmt.Errorf("cluster: already started")
 	}
 	c.started = true
+	c.clk.Register()
+	c.startHold = true
 	c.mu.Unlock()
 
 	// One supervisor per node-role (and per compute host).
@@ -305,20 +310,14 @@ func (c *Cluster) Start() error {
 				}
 				children = append(children, procKey{role: string(role), node: node, name: proc.Name})
 			}
-			s := &supervisor{c: c, self: self, children: children, stop: c.stopAll, done: make(chan struct{})}
+			s := &supervisor{c: c, self: self, children: children, stop: c.stopAll}
 			s.ticker = c.clk.NewTicker(c.timing.SupervisorCheck)
-			c.sups = append(c.sups, s)
-			c.loops.Add(1)
-			c.clk.Register()
-			go func() {
-				defer c.loops.Done()
-				defer c.clk.Unregister()
-				s.run()
-			}()
+			c.spawn(s.run)
 		}
 	}
 	for _, ctl := range c.controls {
 		if err := ctl.start(); err != nil {
+			c.Stop()
 			return err
 		}
 	}
@@ -329,33 +328,25 @@ func (c *Cluster) Start() error {
 	// revived store replica rejoins read quorums after the configured
 	// latency even while nothing else changes.
 	if c.cfg.Degradation.ReplicaCatchUp > 0 {
-		c.loops.Add(1)
-		c.clk.Register()
 		ticker := c.clk.NewTicker(c.timing.SupervisorCheck)
-		go func() {
-			defer c.loops.Done()
-			defer c.clk.Unregister()
+		c.spawn(func() {
 			defer ticker.Stop()
 			for ticker.Wait(c.stopAll) {
 				c.runCatchUps()
 			}
-		}()
+		})
 	}
 	// Timed elections need a heartbeat/timeout driver: the raft ticker
 	// heartbeats follower deadlines while a leader serves and runs
 	// election rounds while none does.
 	if c.cfg.Raft.timed() {
-		c.loops.Add(1)
-		c.clk.Register()
 		ticker := c.clk.NewTicker(c.cfg.Raft.heartbeat())
-		go func() {
-			defer c.loops.Done()
-			defer c.clk.Unregister()
+		c.spawn(func() {
 			defer ticker.Stop()
 			for ticker.Wait(c.stopAll) {
 				c.raftTick()
 			}
-		}()
+		})
 	}
 	// Initial route convergence: the first agents to connect could not
 	// yet see the prefixes of agents that connected after them, so run
@@ -377,10 +368,37 @@ func (c *Cluster) Stop() {
 		return
 	}
 	c.stopped = true
+	held := c.startHold
+	c.startHold = false
 	c.mu.Unlock()
 	close(c.stopAll)
 	c.loops.Wait()
 	c.bus.Close()
+	if held {
+		c.clk.Unregister()
+	}
+}
+
+// Hold registers the calling driver on the cluster's clock and returns
+// its release: the first call takes over Start's hold, later calls
+// register fresh ones. The clock then advances only while the driver parks.
+func (c *Cluster) Hold() (release func()) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if !c.startHold {
+		c.clk.Register()
+	}
+	c.startHold = false
+	return c.clk.Unregister
+}
+
+// spawn runs f as a clock-driven cluster loop that Stop waits for.
+func (c *Cluster) spawn(f func()) {
+	c.loops.Add(1)
+	vclock.Go(c.clk, func() {
+		defer c.loops.Done()
+		f()
+	})
 }
 
 // Clock returns the clock driving the cluster's timed operations. The

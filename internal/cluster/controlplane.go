@@ -53,11 +53,7 @@ func (ctl *controlNode) start() error {
 		return err
 	}
 	ctl.sub = sub
-	ctl.c.loops.Add(1)
-	ctl.c.clk.Register()
-	go func() {
-		defer ctl.c.loops.Done()
-		defer ctl.c.clk.Unregister()
+	ctl.c.spawn(func() {
 		for {
 			// The consumer blocks on the bus, not on the clock, so it
 			// parks explicitly: a fake clock may advance past it while it
@@ -91,7 +87,7 @@ func (ctl *controlNode) start() error {
 				sub.Done()
 			}
 		}
-	}()
+	})
 	return nil
 }
 

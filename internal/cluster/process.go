@@ -211,7 +211,6 @@ type supervisor struct {
 	self     procKey
 	children []procKey
 	stop     chan struct{}
-	done     chan struct{}
 	// ticker is armed synchronously in Start() before the run goroutine
 	// launches, so same-instant supervisor scans fire in a deterministic
 	// order on a fake clock.
@@ -219,7 +218,6 @@ type supervisor struct {
 }
 
 func (s *supervisor) run() {
-	defer close(s.done)
 	defer s.ticker.Stop()
 	for s.ticker.Wait(s.stop) {
 		s.scan()

@@ -39,8 +39,7 @@ func raftClusterT(t *testing.T, rc RaftConfig) (*Cluster, *telemetry.Telemetry, 
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
-	fc.Register()
-	t.Cleanup(fc.Unregister)
+	t.Cleanup(c.Hold())
 	return c, tel, fc
 }
 

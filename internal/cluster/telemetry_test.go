@@ -43,8 +43,7 @@ func newTelemetryClusterT(t *testing.T) (*Cluster, *vclock.Fake, *telemetry.Tele
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
-	fc.Register()
-	t.Cleanup(fc.Unregister)
+	t.Cleanup(c.Hold())
 	return c, fc, tel
 }
 
@@ -217,8 +216,7 @@ func TestTelemetryTraceDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer c.Stop()
-		fc.Register()
-		defer fc.Unregister()
+		defer c.Hold()()
 
 		if err := c.KillProcess("Database", 0, "cassandra-db (Config)"); err != nil {
 			t.Fatal(err)
@@ -325,8 +323,7 @@ func TestTelemetryIdleNoDPOutage(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer c.Stop()
-			fc.Register()
-			defer fc.Unregister()
+			defer c.Hold()()
 			fc.Sleep(time.Hour)
 
 			if got := tel.Metrics.Counter("dp_outages_total").Value(); got != 0 {

@@ -7,7 +7,8 @@
 // months of MTBF/MTTR cycles) complete in seconds.
 //
 // The auto-advance contract: production goroutines that block on time
-// must (a) be declared with Register/Unregister and (b) block only
+// must (a) be started with Go, and a cluster's driver takes the hold
+// Cluster.Start made for it (Cluster.Hold); and (b) block only
 // through the accounting-aware primitives — Sleep, SleepOr, Ticker.Wait,
 // or an explicit Park around a non-clock block (e.g. a message-channel
 // receive). After and NewTimer exist for interface fidelity but their
@@ -46,10 +47,9 @@ type Clock interface {
 	// park-counted under Fake. The period must be positive.
 	NewTicker(d time.Duration) Ticker
 	// Register declares a clock-driven goroutine to the fake clock's
-	// waiter accounting. Call it in the spawning goroutine, before the
-	// `go` statement, so the count is correct the moment the spawn
-	// returns; the spawned goroutine calls Unregister (usually deferred)
-	// on exit. No-ops on Real.
+	// waiter accounting. Start clock-driven goroutines with Go rather
+	// than calling it by hand; a cluster's driver takes Cluster.Hold.
+	// No-ops on Real.
 	Register()
 	// Unregister retires a goroutine declared with Register.
 	Unregister()
@@ -69,6 +69,16 @@ type Clock interface {
 	AddWork(n int)
 	// DoneWork retires one work item declared with AddWork.
 	DoneWork()
+}
+
+// Go runs f in a clock-driven goroutine, registered on clk before Go
+// returns and unregistered when f returns.
+func Go(clk Clock, f func()) {
+	clk.Register()
+	go func() {
+		defer clk.Unregister()
+		f()
+	}()
 }
 
 // Timer is a one-shot timer.

@@ -76,6 +76,41 @@ func TestFakeAutoAdvance(t *testing.T) {
 	}
 }
 
+// TestGo: a goroutine started with Go is counted the moment Go returns,
+// so another registered goroutine's Sleep does not advance until it
+// parks, and it is unregistered when its function returns.
+func TestGo(t *testing.T) {
+	f := NewFake(time.Time{})
+	proceed := make(chan struct{})
+	Go(f, func() {
+		<-proceed // runnable as far as the clock knows: time must hold
+		f.Sleep(time.Hour)
+	})
+	if got := f.Registered(); got != 1 {
+		t.Fatalf("Registered = %d when Go returned, want 1", got)
+	}
+	woke := make(chan time.Time, 1)
+	Go(f, func() {
+		f.Sleep(time.Second)
+		woke <- f.Now()
+	})
+	waitFor(t, func() bool { return f.Parked() == 1 })
+	time.Sleep(20 * time.Millisecond)
+	if f.Since(epoch) != 0 || len(woke) != 0 {
+		t.Fatalf("clock advanced to %v before the Go goroutine parked", f.Now())
+	}
+	close(proceed)
+	if at := <-woke; !at.Equal(epoch.Add(time.Second)) {
+		t.Fatalf("sleeper woke at %v, want %v", at, epoch.Add(time.Second))
+	}
+	// Both functions return in turn; each return unregisters, and the
+	// last sleeper alone is quiescent, so the clock reaches its deadline.
+	waitFor(t, func() bool { return f.Registered() == 0 })
+	if got := f.Since(epoch); got != time.Hour {
+		t.Fatalf("advanced %v, want 1h", got)
+	}
+}
+
 // TestFakeTickerExactCadence: a registered ticker loop observes exactly
 // period-spaced virtual instants.
 func TestFakeTickerExactCadence(t *testing.T) {
