@@ -9,13 +9,12 @@
 //
 //	availd [-addr host:port] [-max-concurrent n] [-max-queue n]
 //	       [-timeout d] [-max-timeout d] [-drain d] [-cache n]
-//	       [-metrics file.json] [-shard-workers url,url,...] [-store dir]
+//	       [-metrics file.json] [-store dir]
 //
 // Endpoints:
 //
 //	GET /api/v1/analytic    — closed-form evaluation (memoized)
 //	GET /api/v1/mc          — Monte Carlo what-if sweep (gated, deadlined)
-//	GET /api/v1/mc/shard    — worker side of the sharded fan-out
 //	GET /api/v1/mc/stream   — MC sweep as an SSE stream of CI snapshots
 //	GET /api/v1/soak        — virtual-time live soak (gated, deadlined)
 //	GET /api/v1/soak/stream — soak as an SSE stream of progress snapshots
@@ -23,11 +22,8 @@
 //	GET /healthz            — liveness
 //	GET /readyz             — readiness (503 while draining)
 //
-// With -shard-workers the instance coordinates: each MC replication
-// budget is split across the listed worker availds by global replication
-// index and merged bit-identically. With -store completed MC responses
-// persist in a content-addressed on-disk cache keyed by the canonical
-// request digest.
+// With -store completed MC responses persist in a content-addressed
+// on-disk cache keyed by the canonical request digest.
 //
 // On SIGINT/SIGTERM the server stops accepting, lets in-flight requests
 // finish within the drain budget (cancelling stragglers, which answer
@@ -43,7 +39,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -73,17 +68,10 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		drain   = flag.Duration("drain", 5*time.Second, "graceful-drain budget on shutdown")
 		cache   = flag.Int("cache", 4096, "analytic memoization cache entries; also bounds the result store's memo of verified entries")
 		metrics = flag.String("metrics", "", "write the final telemetry metrics snapshot as JSON to this file on exit")
-		workers = flag.String("shard-workers", "", "comma-separated worker availd base URLs; non-empty runs this instance as a sharding coordinator")
 		store   = flag.String("store", "", "persistent result store directory (content-addressed cache of completed MC responses)")
 	)
 	if err := flag.Parse(args); err != nil {
 		return err
-	}
-	var shardWorkers []string
-	for _, w := range strings.Split(*workers, ",") {
-		if w = strings.TrimSpace(w); w != "" {
-			shardWorkers = append(shardWorkers, w)
-		}
 	}
 
 	tel := telemetry.New()
@@ -95,7 +83,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		MaxTimeout:     *maxTO,
 		DrainTimeout:   *drain,
 		CacheSize:      *cache,
-		ShardWorkers:   shardWorkers,
 		StoreDir:       *store,
 		Telemetry:      tel,
 	})

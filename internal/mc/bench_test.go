@@ -70,7 +70,7 @@ func BenchmarkRareTailRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		f := NewFold(false, 0)
-		ss.Range(context.Background(), 0, 1<<16, runtime.GOMAXPROCS(0), func(_ int, res *Result) { f.Add(res) })
+		ss.Range(context.Background(), 1<<16, runtime.GOMAXPROCS(0), func(_ int, res *Result) { f.Add(res) })
 		if f.N() != 1<<16 {
 			b.Fatal("short range")
 		}

@@ -4,10 +4,10 @@ import "sdnavail/internal/stats"
 
 // Fold is the one reducer that turns replication Results into an Estimate.
 // Every execution path — Run's worker pool, a sweep point's adaptive
-// rounds, a sharded remote run — adds replications to the same
-// accumulators in ascending global index order with the same arithmetic,
-// which is what makes their estimates equal bit for bit: the Welford
-// updates and the per-mode sums are floating-point, hence order-sensitive.
+// rounds — adds replications to the same accumulators in ascending
+// replication index order with the same arithmetic, which is what makes
+// their estimates equal bit for bit: the Welford updates and the per-mode
+// sums are floating-point, hence order-sensitive.
 type Fold struct {
 	cp, sdp, dp, elec, wrongRead     stats.Accumulator
 	cpU                              stats.WeightedAccumulator

@@ -34,7 +34,7 @@ func goldenConfig(t *testing.T) Config {
 // in the slightest fails here — the estimates must stay bit-identical, not
 // merely statistically close. A change that means to move them re-records
 // the goldens and bumps EngineVersion in the same commit, so no store
-// entry or shard worker of the old engine is taken for the new one.
+// entry of the old engine is taken for the new one.
 func TestGoldenEstimates(t *testing.T) {
 	est, err := Run(goldenConfig(t), 500, 0.99)
 	if err != nil {

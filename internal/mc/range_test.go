@@ -14,12 +14,12 @@ func stub(replicate replicator) func() (replicator, func()) {
 	return func() (replicator, func()) { return replicate, func() {} }
 }
 
-// askOnce is Range over a stub: a stream over [lo, hi), asked once and
+// askOnce is Range over a stub: a stream over [0, n), asked once and
 // closed.
-func askOnce(ctx context.Context, lo, hi, workers int, replicate replicator, emit func(int, *Result)) int {
-	st := newStream(ctx, lo, hi, 0, workers, stub(replicate))
+func askOnce(ctx context.Context, n, workers int, replicate replicator, emit func(int, *Result)) int {
+	st := newStream(ctx, n, 0, workers, stub(replicate))
 	defer st.Close()
-	return st.Next(hi, emit)
+	return st.Next(n, emit)
 }
 
 // TestOrderedRangeBoundsRunAhead stalls replication 0 and lets every other
@@ -53,7 +53,7 @@ func TestOrderedRangeBoundsRunAhead(t *testing.T) {
 	var order []int
 	done := make(chan int)
 	go func() {
-		done <- askOnce(context.Background(), 0, n, workers, replicate, func(rep int, res *Result) {
+		done <- askOnce(context.Background(), n, workers, replicate, func(rep int, res *Result) {
 			if res.Events != rep {
 				t.Errorf("emit(%d) carries replication %d's result", rep, res.Events)
 			}
@@ -102,7 +102,7 @@ func TestOrderedRangeCancelMidRange(t *testing.T) {
 		for round := 0; round < 8; round++ {
 			ctx, cancel := context.WithCancel(context.Background())
 			last, count := -1, 0
-			got := askOnce(ctx, 100, 100+1<<14, workers, replicate, func(rep int, _ *Result) {
+			got := askOnce(ctx, 1<<14, workers, replicate, func(rep int, _ *Result) {
 				if rep <= last {
 					t.Errorf("workers=%d: emit %d after %d: not ascending", workers, rep, last)
 				}

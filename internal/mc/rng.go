@@ -20,20 +20,19 @@ func (r *rng) seed(s int64) { r.state = uint64(s) }
 
 // EngineVersion names the physics this package computes: two builds with
 // the same EngineVersion answer the same Config, seed and replication
-// index with the same bits. Anything that keeps answers across builds or
-// merges them across processes (availd's result store and shard protocol)
-// puts it in the content address, so an answer from another engine is
-// never mistaken for this one's. Bump it whenever TestGoldenEstimates'
+// index with the same bits. Anything that keeps answers across builds
+// (availd's result store) puts it in the content address, so an answer
+// from another engine is never mistaken for this one's. Bump it whenever TestGoldenEstimates'
 // goldens are re-recorded.
 const EngineVersion = 1
 
 // ReplicationSeed derives the RNG seed for one replication of a run
 // configured with base seed. The derivation is a pure function of the
-// base seed and the global replication index — never of which process or
-// goroutine runs the replication, or of what ran before it — so any
-// partition of the index range [0, R) across workers reproduces exactly
-// the samples a single process would draw. That property is what lets a
-// sharded run (sweep.RunRemote) merge to a bit-identical estimate.
+// base seed and the replication index — never of which goroutine runs the
+// replication, or of what ran before it — so however many workers a
+// Stream runs, they draw exactly the samples one goroutine would, and an
+// answer is fixed by its request alone, which is what lets availd's
+// result store key it by the request digest.
 func ReplicationSeed(seed int64, replication int) int64 {
 	return seed + int64(replication)*1_000_003
 }

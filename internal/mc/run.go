@@ -134,7 +134,7 @@ func runWorkersContext(ctx context.Context, cfg Config, replications int, level 
 		return Estimate{}, fmt.Errorf("mc: replications = %d", replications)
 	}
 	f := NewFold(cfg.KeepResults, replications)
-	n := newSessionValidated(cfg).Range(ctx, 0, replications, workers,
+	n := newSessionValidated(cfg).Range(ctx, replications, workers,
 		func(_ int, res *Result) { f.Add(res) })
 	if n == 0 {
 		return Estimate{Truncated: true}, ctx.Err()

@@ -105,22 +105,21 @@ const (
 	blocksAhead     = 4
 )
 
-// Range is the local replication source for one known range: it runs
-// replications [lo, hi) on up to `workers` goroutines (one worker
-// replicates inline) and hands each Result to emit on the caller's
+// Range runs replications [0, n) on up to `workers` goroutines (one
+// worker replicates inline) and hands each Result to emit on the caller's
 // goroutine in ascending replication index. It is a Stream asked once.
 // The Result is borrowed: it sits in a buffer the next replications
 // overwrite, so emit copies what it keeps past its return.
-// It returns how many it emitted; fewer than hi−lo means ctx expired — the
+// It returns how many it emitted; fewer than n means ctx expired — the
 // replications that did complete are all emitted, still ascending but
 // possibly with gaps, and every worker has exited when Range returns.
-func (ss *Session) Range(ctx context.Context, lo, hi, workers int, emit func(rep int, res *Result)) int {
-	st := ss.Stream(ctx, lo, hi, 0, workers)
+func (ss *Session) Range(ctx context.Context, n, workers int, emit func(rep int, res *Result)) int {
+	st := ss.Stream(ctx, n, 0, workers)
 	defer st.Close()
-	return st.Next(hi, emit)
+	return st.Next(n, emit)
 }
 
-// Stream is one point's supply of replications lo, lo+1, … below hi: a
+// Stream is one point's supply of replications 0, 1, … below hi: a
 // pool of workers that lives until Close, each on one simulator checked
 // out of the session for its whole life, handing results to the caller in
 // ascending replication index one request (Next) at a time. Between
@@ -177,19 +176,19 @@ type block struct {
 	res     []Result
 }
 
-// Stream opens a replication stream over [lo, hi) on up to `workers`
+// Stream opens a replication stream over [0, hi) on up to `workers`
 // goroutines, running at most `ahead` replications past the last bound
 // asked for; see the type. The caller must Close it.
-func (ss *Session) Stream(ctx context.Context, lo, hi, ahead, workers int) *Stream {
-	return newStream(ctx, lo, hi, ahead, workers, ss.checkout)
+func (ss *Session) Stream(ctx context.Context, hi, ahead, workers int) *Stream {
+	return newStream(ctx, hi, ahead, workers, ss.checkout)
 }
 
 // newStream is Stream over an arbitrary worker checkout, split out so the
 // hand-off can be tested against a stub that stalls.
-func newStream(ctx context.Context, lo, hi, ahead, workers int, checkout func() (replicator, func())) *Stream {
+func newStream(ctx context.Context, hi, ahead, workers int, checkout func() (replicator, func())) *Stream {
 	ctx, cancel := context.WithCancel(ctx)
 	st := &Stream{done: ctx.Done(), cancel: cancel, hi: hi, ahead: ahead,
-		workers: min(workers, hi-lo), next: lo, issued: lo}
+		workers: min(workers, hi)}
 	if st.workers <= 1 {
 		st.replicate, st.release = checkout()
 		return st
@@ -235,7 +234,7 @@ func (st *Stream) work(checkout func() (replicator, func())) {
 
 // Next hands replications [cursor, bound) to emit on the caller's
 // goroutine in ascending index, where the cursor is where the previous
-// request stopped (lo at first), and returns how many it emitted. Fewer
+// request stopped (0 at first), and returns how many it emitted. Fewer
 // than asked means the stream's context expired: the replications below
 // bound that did complete are all emitted, still ascending but possibly
 // with gaps, every worker has exited, and the stream yields nothing more

@@ -10,7 +10,7 @@ import (
 
 // streamCase is one drive of a Stream against a stub replicate.
 type streamCase struct {
-	workers, lo, hi, ahead int
+	workers, hi, ahead int
 	// bounds are the successive requests, ascending.
 	bounds []int
 	// stalls are replications that sleep before finishing.
@@ -38,7 +38,7 @@ func checkStream(t testing.TB, c streamCase) {
 	var violation atomic.Value
 	fail := func(msg string) { violation.CompareAndSwap(nil, msg) }
 	replicate := func(done <-chan struct{}, rep int, res *Result) bool {
-		if int64(rep) >= limit.Load() || rep < c.lo {
+		if int64(rep) >= limit.Load() {
 			fail("simulated a replication outside the run-ahead limit")
 		}
 		if c.stalls[rep] {
@@ -62,9 +62,9 @@ func checkStream(t testing.TB, c streamCase) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	workers := min(c.workers, c.hi-c.lo)
-	st := newStream(ctx, c.lo, c.hi, c.ahead, c.workers, checkout)
-	cursor, emitted, maxSize := c.lo, 0, 1
+	workers := min(c.workers, c.hi)
+	st := newStream(ctx, c.hi, c.ahead, c.workers, checkout)
+	cursor, emitted, maxSize := 0, 0, 1
 	shown := make([]bool, c.hi)
 	for _, bound := range c.bounds {
 		limit.Store(int64(min(c.hi, bound+c.ahead)))
@@ -141,30 +141,30 @@ func checkStream(t testing.TB, c streamCase) {
 // then checkpoints a batch apart, some requests split by a snapshot, some
 // stalled at the cursor, some cancelled mid-request.
 func TestStreamContract(t *testing.T) {
-	rounds := func(lo, floor, batch, hi int) []int {
-		b := []int{lo + floor}
+	rounds := func(floor, batch, hi int) []int {
+		b := []int{floor}
 		for b[len(b)-1] < hi {
 			b = append(b, min(hi, b[len(b)-1]+batch))
 		}
 		return b
 	}
-	stallEvery := func(lo, hi, step int) map[int]bool {
+	stallEvery := func(hi, step int) map[int]bool {
 		m := map[int]bool{}
-		for r := lo; r < hi; r += step {
+		for r := 0; r < hi; r += step {
 			m[r] = true
 		}
 		return m
 	}
 	cases := map[string]streamCase{
-		"rare-tail":    {workers: 2, hi: 1 << 15, ahead: 4096, bounds: rounds(0, 64, 4096, 1<<15)},
-		"batch-1":      {workers: 3, lo: 5, hi: 300, ahead: 1, bounds: rounds(5, 8, 1, 300)},
-		"batch-7":      {workers: 7, hi: 500, ahead: 7, bounds: rounds(0, 8, 7, 500)},
+		"rare-tail":    {workers: 2, hi: 1 << 15, ahead: 4096, bounds: rounds(64, 4096, 1<<15)},
+		"batch-1":      {workers: 3, hi: 300, ahead: 1, bounds: rounds(8, 1, 300)},
+		"batch-7":      {workers: 7, hi: 500, ahead: 7, bounds: rounds(8, 7, 500)},
 		"snapshots":    {workers: 4, hi: 2000, ahead: 32, bounds: []int{13, 64, 96, 100, 500, 532, 2000}},
 		"past-hi":      {workers: 4, hi: 1000, ahead: 4096, bounds: []int{64, 4160}},
-		"inline":       {workers: 1, hi: 400, ahead: 32, bounds: rounds(0, 64, 32, 400), cancelAt: 200},
-		"stalls":       {workers: 5, hi: 6000, ahead: 512, bounds: rounds(0, 64, 512, 6000), stalls: stallEvery(0, 6000, 97)},
-		"cancel-early": {workers: 8, hi: 1 << 14, ahead: 4096, bounds: rounds(0, 64, 4096, 1<<14), cancelAt: 30},
-		"cancel-late":  {workers: 3, lo: 100, hi: 9000, ahead: 1024, bounds: rounds(100, 64, 1024, 9000), cancelAt: 5000, stalls: stallEvery(100, 9000, 301)},
+		"inline":       {workers: 1, hi: 400, ahead: 32, bounds: rounds(64, 32, 400), cancelAt: 200},
+		"stalls":       {workers: 5, hi: 6000, ahead: 512, bounds: rounds(64, 512, 6000), stalls: stallEvery(6000, 97)},
+		"cancel-early": {workers: 8, hi: 1 << 14, ahead: 4096, bounds: rounds(64, 4096, 1<<14), cancelAt: 30},
+		"cancel-late":  {workers: 3, hi: 9000, ahead: 1024, bounds: rounds(64, 1024, 9000), cancelAt: 5000, stalls: stallEvery(9000, 301)},
 	}
 	for name, c := range cases {
 		t.Run(name, func(t *testing.T) { checkStream(t, c) })
@@ -172,21 +172,20 @@ func TestStreamContract(t *testing.T) {
 }
 
 // FuzzStreamOrder holds the stream contract over random worker counts,
-// starting indices, checkpoint sequences, stalls and cancel points.
+// checkpoint sequences, stalls and cancel points.
 func FuzzStreamOrder(f *testing.F) {
-	f.Add(uint8(2), uint16(0), uint16(4096), uint16(40000), []byte{8, 255, 255, 255}, []byte{0}, uint16(0))
-	f.Add(uint8(7), uint16(100), uint16(7), uint16(500), []byte{1, 0, 0, 3, 9}, []byte{1, 2, 3}, uint16(40))
-	f.Add(uint8(1), uint16(3), uint16(32), uint16(300), []byte{4, 4, 4}, []byte{}, uint16(50))
-	f.Fuzz(func(t *testing.T, workers uint8, lo, ahead, span uint16, steps, stalls []byte, cancelAt uint16) {
+	f.Add(uint8(2), uint16(4096), uint16(40000), []byte{8, 255, 255, 255}, []byte{0}, uint16(0))
+	f.Add(uint8(7), uint16(7), uint16(500), []byte{1, 0, 0, 3, 9}, []byte{1, 2, 3}, uint16(40))
+	f.Add(uint8(1), uint16(32), uint16(300), []byte{4, 4, 4}, []byte{}, uint16(50))
+	f.Fuzz(func(t *testing.T, workers uint8, ahead, span uint16, steps, stalls []byte, cancelAt uint16) {
 		c := streamCase{
 			workers:  1 + int(workers%8),
-			lo:       int(lo % 1000),
 			ahead:    int(ahead % 5000),
 			stalls:   map[int]bool{},
 			cancelAt: int(cancelAt % 4096),
 		}
-		c.hi = c.lo + 1 + int(span%(1<<14))
-		bound := c.lo
+		c.hi = 1 + int(span%(1<<14))
+		bound := 0
 		for i, s := range steps {
 			if i == 16 {
 				break
@@ -198,7 +197,7 @@ func FuzzStreamOrder(f *testing.F) {
 			if i == 8 {
 				break
 			}
-			c.stalls[c.lo+int(s)*61%(c.hi-c.lo)] = true
+			c.stalls[int(s)*61%c.hi] = true
 		}
 		checkStream(t, c)
 	})

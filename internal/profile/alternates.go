@@ -9,13 +9,13 @@ package profile
 // complete transcriptions of the respective projects.
 
 // ODLLike returns a profile shaped like an OpenDaylight-style controller:
-// a single monolithic controller role whose shard leader election needs a
+// a single monolithic controller role whose Raft leader election needs a
 // majority, a clustered datastore, and an OVS-style per-host switch with a
 // single critical process (K = 1).
 func ODLLike() *Profile {
 	p := &Profile{
 		Name:        "ODL-like",
-		Description: "Monolithic JVM controller role with majority-based shard leadership, separate datastore role, and a per-host OVS-style forwarding plane.",
+		Description: "Monolithic JVM controller role with majority-based Raft leadership, separate datastore role, and a per-host OVS-style forwarding plane.",
 		ClusterRoles: []Role{
 			"Controller", "Datastore",
 		},
@@ -28,9 +28,9 @@ func ODLLike() *Profile {
 				RecoveryAction: "Auto-restarted by the service manager.",
 			},
 			{
-				Name: "shard-leader", Role: "Controller", Restart: AutoRestart,
+				Name: "raft-leader", Role: "Controller", Restart: AutoRestart,
 				CP: Majority, DP: NotRequired,
-				FailureEffect:  "Raft shard cannot elect a leader without a majority; datastore writes stall.",
+				FailureEffect:  "Raft group cannot elect a leader without a majority; datastore writes stall.",
 				RecoveryAction: "Auto re-election when a majority is restored.",
 			},
 			{

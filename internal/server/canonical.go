@@ -14,11 +14,8 @@ import (
 // shortest round-trip form, booleans normalized, an implied split factor
 // made explicit — so every spelling of the same computation ("0.9950" vs
 // "0.995", permuted parameter order, explicit defaults vs omitted)
-// collapses to one string. That string is the analytic cache key, the MC
-// cache and persistent-store key (via mcDigest), and the exact query a
-// shard coordinator forwards to workers: a worker that decodes it and
-// re-canonicalizes must reproduce the same digest, or the coordinator and
-// worker disagree about what is being computed.
+// collapses to one string. That string is the analytic cache key and,
+// via mcDigest, the MC cache and persistent-store key.
 
 // canonicalFloat formats v in the shortest decimal form that parses back
 // to the identical float64.
@@ -60,21 +57,14 @@ func (m modelRequest) Key() string {
 	return canonical(modelTable, &mcRequest{Model: m})
 }
 
-// mcCanonical is the canonical query string for an MC request — decodable
-// by decodeMC back to an identical request (round-trip enforced by test).
-func mcCanonical(r mcRequest) string {
-	return canonical(mcTable, &r)
-}
-
 // digestPrefix heads every hashed digest input: the engine version.
 var digestPrefix = "engine=" + strconv.Itoa(mc.EngineVersion) + "\n"
 
 // mcDigest is the content address of an MC computation: the SHA-256, in
 // hex, of the engine version followed by the canonical query string —
 // what is computed and by which physics. Keys the answer cache and its
-// persistent store, and guards the shard protocol against configuration
-// and engine drift. The version stays out of mcCanonical, which must
-// round-trip through decodeMC.
+// persistent store. The version stays out of the canonical string, which
+// must round-trip through decodeMC.
 func mcDigest(r mcRequest) string {
 	var buf [512]byte
 	sum := sha256.Sum256(appendCanonical(append(buf[:0], digestPrefix...), mcTable, &r))

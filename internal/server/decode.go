@@ -77,13 +77,6 @@ type mcRequest struct {
 
 	// Timeout is the ?timeout= deadline override, 0 when absent.
 	Timeout time.Duration
-
-	// Lo, Hi and Digest address one worker's slice of a sharded run (shard
-	// endpoint only): the global replication index range [Lo, Hi) and the
-	// coordinator's view of the request digest, which the worker must
-	// reproduce.
-	Lo, Hi int
-	Digest string
 }
 
 // soakRequest parameterizes a live virtual-time soak.
@@ -108,8 +101,8 @@ type param[R any] struct {
 	// place a 400 text about this parameter alone is written.
 	set func(r *R, s string) error
 	// get is the canonical spelling of the stored value. nil marks a
-	// parameter that bounds or addresses the computation without being
-	// part of its key (timeout, rep_lo, rep_hi, digest).
+	// parameter that bounds the computation without being part of its key
+	// (timeout).
 	get func(r *R) string
 	// when, if set, keys the parameter only on requests it holds for.
 	when func(r *R) bool
@@ -118,12 +111,6 @@ type param[R any] struct {
 // noted appends a remark to the range phrase.
 func (p param[R]) noted(remark string) param[R] {
 	p.rng += "; " + remark
-	return p
-}
-
-// unkeyed drops the parameter from the canonical encoding.
-func (p param[R]) unkeyed() param[R] {
-	p.get = nil
 	return p
 }
 
@@ -257,9 +244,9 @@ type keyedRow struct {
 	prefix string
 }
 
-// newParamTable lays out the concatenated rows.
-func newParamTable[R any](rows ...[]param[R]) *paramTable[R] {
-	t := &paramTable[R]{rows: slices.Concat(rows...), index: map[string]int{}}
+// newParamTable lays out the rows.
+func newParamTable[R any](rows []param[R]) *paramTable[R] {
+	t := &paramTable[R]{rows: rows, index: map[string]int{}}
 	for i, p := range t.rows {
 		t.index[p.name] = i
 		if p.get != nil {
@@ -271,8 +258,7 @@ func newParamTable[R any](rows ...[]param[R]) *paramTable[R] {
 }
 
 // The Monte Carlo family's tables nest: the analytic endpoint takes the
-// model block, the MC endpoints add the run, the shard endpoint adds the
-// addressing.
+// model block, the MC endpoints add the run.
 var (
 	modelRows = []param[mcRequest]{
 		nameParam("profile", "opencontrail, odl or onos (any case)", func(r *mcRequest) *string { return &r.Model.ProfileName }),
@@ -337,18 +323,6 @@ var (
 
 	modelTable = newParamTable(modelRows)
 	mcTable    = newParamTable(mcRows)
-	shardTable = newParamTable(mcRows, []param[mcRequest]{
-		intParam("rep_lo", 0, 1<<20, func(r *mcRequest) *int { return &r.Lo }).unkeyed().noted("required"),
-		intParam("rep_hi", 1, 1<<20, func(r *mcRequest) *int { return &r.Hi }).unkeyed().noted("required, above rep_lo"),
-		{
-			name: "digest",
-			rng:  "the coordinator's request digest; a worker that decodes another answers 409",
-			set: func(r *mcRequest, s string) error {
-				r.Digest = s
-				return nil
-			},
-		},
-	})
 
 	soakTable = newParamTable([]param[soakRequest]{
 		floatParam("hours", positive.upTo(1e5, "1e5 simulated hours"), func(r *soakRequest) *float64 { return &r.Hours }),
@@ -417,8 +391,8 @@ func decodeParams[R any](q url.Values, t *paramTable[R], r *R) error {
 	return nil
 }
 
-// decodeRequest decodes the Monte Carlo family's query through t — one
-// of modelTable, mcTable and shardTable — and applies the rules that span
+// decodeRequest decodes the Monte Carlo family's query through t —
+// modelTable or mcTable — and applies the rules that span
 // parameters; the parameters beyond a shorter table sit at defaults that
 // pass every rule.
 func decodeRequest(q url.Values, t *paramTable[mcRequest]) (mcRequest, error) {
@@ -472,21 +446,6 @@ func decodeAnalytic(q url.Values) (modelRequest, error) {
 // decodeMC parses a Monte Carlo what-if request.
 func decodeMC(q url.Values) (mcRequest, error) {
 	return decodeRequest(q, mcTable)
-}
-
-// decodeMCShard parses a coordinator-to-worker shard request.
-func decodeMCShard(q url.Values) (mcRequest, error) {
-	r, err := decodeRequest(q, shardTable)
-	if err != nil {
-		return r, err
-	}
-	if !q.Has("rep_lo") || !q.Has("rep_hi") {
-		return r, badf("shard request needs rep_lo and rep_hi")
-	}
-	if r.Hi <= r.Lo {
-		return r, badf("parameter \"rep_hi\": %d must exceed rep_lo %d", r.Hi, r.Lo)
-	}
-	return r, nil
 }
 
 // decodeSoak parses a live-soak request.

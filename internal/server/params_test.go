@@ -21,12 +21,11 @@ var nonDefault = map[string]string{
 	"horizon": "300", "reps": "33", "ci_target": "0.01", "min_reps": "9", "max_reps": "99", "seed": "5",
 	"headless": "0.5", "rare": "true", "rare_bias": "4", "rare_hw_bias": "2", "rare_link_bias": "3",
 	"rare_split_factor": "4", "rare_split_levels": "2,3", "rel_target": "0.2",
-	"rep_lo": "3", "rep_hi": "9", "digest": "abc",
 	"hours": "50", "mtbf": "25", "hosts": "2",
 }
 
-// unkeyedNames lists the rows without a get: the parameters that bound or
-// address a computation without being part of its key.
+// unkeyedNames lists the rows without a get: the parameters that bound a
+// computation without being part of its key.
 func unkeyedNames[R any](t *paramTable[R]) string {
 	var out []string
 	for _, p := range t.rows {
@@ -82,9 +81,9 @@ func leavesAtDefault(path string, got, def reflect.Value) []string {
 }
 
 // TestParamTablesShape: names are unique, the Monte Carlo family's tables
-// nest, and the unkeyed rows are exactly the four that may be.
+// nest, and the unkeyed rows are exactly the ones that may be.
 func TestParamTablesShape(t *testing.T) {
-	for _, ns := range [][]string{names(shardTable), names(soakTable)} {
+	for _, ns := range [][]string{names(mcTable), names(soakTable)} {
 		seen := map[string]bool{}
 		for _, n := range ns {
 			if seen[n] {
@@ -93,17 +92,17 @@ func TestParamTablesShape(t *testing.T) {
 			seen[n] = true
 		}
 	}
-	all := names(shardTable)
-	if !reflect.DeepEqual(names(modelTable), all[:len(modelTable.rows)]) || !reflect.DeepEqual(names(mcTable), all[:len(mcTable.rows)]) {
-		t.Errorf("tables do not nest:\nmodel %v\nmc    %v\nshard %v", names(modelTable), names(mcTable), all)
+	all := names(mcTable)
+	if !reflect.DeepEqual(names(modelTable), all[:len(modelTable.rows)]) {
+		t.Errorf("tables do not nest:\nmodel %v\nmc    %v", names(modelTable), all)
 	}
-	if len(modelTable.rows) >= len(mcTable.rows) || len(mcTable.rows) >= len(shardTable.rows) {
-		t.Error("each table of the family must add parameters to the one before")
+	if len(modelTable.rows) >= len(mcTable.rows) {
+		t.Error("the mc table must add parameters to the model table")
 	}
 	// A name joins these lists only with an argument for why two requests
 	// differing in it are the same computation.
-	if got, want := unkeyedNames(shardTable), "timeout rep_lo rep_hi digest"; got != want {
-		t.Errorf("unkeyed rows %q, want %q: a row without a get is not part of the cache key, the store digest or the shard hand-shake", got, want)
+	if got, want := unkeyedNames(mcTable), "timeout"; got != want {
+		t.Errorf("unkeyed rows %q, want %q: a row without a get is not part of the cache key or the store digest", got, want)
 	}
 	if got, want := unkeyedNames(soakTable), "timeout"; got != want {
 		t.Errorf("unkeyed soak rows %q, want %q", got, want)
@@ -155,11 +154,11 @@ func TestParamDefaultsSpelledOut(t *testing.T) {
 // without a row fails here — and the fields it reaches it keys: every row
 // with a get changes the digest, and no row without one does.
 func TestEveryFieldHasARow(t *testing.T) {
-	def, err := decodeRequest(url.Values{}, shardTable)
+	def, err := decodeMC(url.Values{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeMCShard(allNonDefault(t, shardTable))
+	got, err := decodeMC(allNonDefault(t, mcTable))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +182,7 @@ func TestEveryFieldHasARow(t *testing.T) {
 
 	// Rare knobs need rare=true, and a split factor needs levels, so every
 	// row but rare itself is moved on top of that base.
-	for _, p := range shardTable.rows {
+	for _, p := range mcTable.rows {
 		base := url.Values{"rare": {"true"}, "rare_split_levels": {"1,2"}}
 		if p.name == "rare" {
 			base = url.Values{}
@@ -194,11 +193,11 @@ func TestEveryFieldHasARow(t *testing.T) {
 				moved[k] = v
 			}
 		}
-		a, err := decodeRequest(base, shardTable)
+		a, err := decodeMC(base)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := decodeRequest(moved, shardTable)
+		b, err := decodeMC(moved)
 		if err != nil {
 			t.Fatalf("%s: %v", p.name, err)
 		}
@@ -234,12 +233,10 @@ func renderParamReference(t *testing.T) string {
 		fmt.Fprintf(&sb, "| `%s` | %s | %s | %s |\n", name, endpoints, rng, def)
 	}
 	mcDef := mcDefaults()
-	for i, p := range shardTable.rows {
-		endpoints := "analytic, mc, mc/shard"
-		if i >= len(mcTable.rows) {
-			endpoints = "mc/shard"
-		} else if i >= len(modelTable.rows) {
-			endpoints = "mc, mc/shard"
+	for i, p := range mcTable.rows {
+		endpoints := "analytic, mc"
+		if i >= len(modelTable.rows) {
+			endpoints = "mc"
 		}
 		def := ""
 		if p.get != nil {

@@ -38,6 +38,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -83,13 +84,6 @@ type Config struct {
 	// CacheSize bounds the analytic memoization LRU and the result
 	// store's memo of verified entries (default 4096 entries each).
 	CacheSize int
-	// ShardWorkers lists worker availd base URLs (e.g.
-	// "http://127.0.0.1:8081"). When non-empty this instance runs MC
-	// requests as a coordinator: each replication budget is split across
-	// the workers by global replication index and the samples are merged
-	// into a bit-identical estimate (see shard.go). Empty means compute
-	// in-process.
-	ShardWorkers []string
 	// StoreDir enables the persistent result store: the MC answer cache
 	// keeps completed responses on disk under the engine-versioned
 	// request digest (see store.go). Empty: nothing is kept.
@@ -141,12 +135,6 @@ func (c Config) Validate() error {
 	if c.CacheSize < 1 {
 		return fmt.Errorf("server: CacheSize %d must be >= 1", c.CacheSize)
 	}
-	for _, w := range c.ShardWorkers {
-		u, err := url.Parse(w)
-		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-			return fmt.Errorf("server: shard worker %q is not an http(s) base URL", w)
-		}
-	}
 	return nil
 }
 
@@ -157,7 +145,6 @@ type Server struct {
 	gate      *gate
 	analytic  *answerCache[analyticResponse]
 	mcAnswers *answerCache[mcResponse]
-	shards    *shardClient // nil unless Config.ShardWorkers is set
 	mux       *http.ServeMux
 	http      *http.Server
 	ln        net.Listener
@@ -171,9 +158,8 @@ type Server struct {
 	timeouts *telemetry.Counter
 	latency  *telemetry.Histogram
 
-	shardDigestRejects *telemetry.Counter
-	streamSnapshots    *telemetry.Counter
-	streamCancels      *telemetry.Counter
+	streamSnapshots *telemetry.Counter
+	streamCancels   *telemetry.Counter
 
 	// mcRun and soakRun are the evaluation entry points, fields so the
 	// self-chaos tests can substitute slow or panicking workloads.
@@ -206,25 +192,16 @@ func New(cfg Config) (*Server, error) {
 		timeouts: reg.Counter("http_timeouts_total"),
 		latency: reg.Histogram("http_request_seconds",
 			[]float64{0.001, 0.01, 0.1, 0.5, 1, 5, 30}),
-		shardDigestRejects: reg.Counter("availd_shard_digest_rejects_total"),
-		streamSnapshots:    reg.Counter("availd_stream_snapshots_total"),
-		streamCancels:      reg.Counter("availd_stream_cancels_total"),
-		mcRun:              sweep.RunContext,
-		soakRun:            chaos.RunSoakContext,
-	}
-	// Shard counters register unconditionally so /metrics surfaces them
-	// (at zero) even on instances that coordinate nothing.
-	reg.Counter("availd_shard_merges_total")
-	reg.Counter("availd_shard_reassigns_total")
-	if len(cfg.ShardWorkers) > 0 {
-		s.shards = newShardClient(cfg.ShardWorkers, reg)
+		streamSnapshots: reg.Counter("availd_stream_snapshots_total"),
+		streamCancels:   reg.Counter("availd_stream_cancels_total"),
+		mcRun:           sweep.RunContext,
+		soakRun:         chaos.RunSoakContext,
 	}
 	s.mux.Handle("/healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.Handle("/readyz", s.instrument("readyz", s.handleReadyz))
 	s.mux.Handle("/metrics", s.instrument("metrics", s.handleMetrics))
 	s.mux.Handle("/api/v1/analytic", s.instrument("analytic", s.handleAnalytic))
 	s.mux.Handle("/api/v1/mc", s.instrument("mc", endpoint(s, decodeMC, plainJSON, s.serveMC)))
-	s.mux.Handle("/api/v1/mc/shard", s.instrument("mc_shard", endpoint(s, decodeMCShard, plainJSON, s.serveMCShard)))
 	s.mux.Handle("/api/v1/mc/stream", s.instrument("mc_stream", endpoint(s, decodeMC, eventStream, s.serveMC)))
 	s.mux.Handle("/api/v1/soak", s.instrument("soak", endpoint(s, decodeSoak, plainJSON, s.serveSoak)))
 	s.mux.Handle("/api/v1/soak/stream", s.instrument("soak_stream", endpoint(s, decodeSoak, eventStream, s.serveSoak)))
@@ -361,44 +338,41 @@ func endpoint[T interface{ timeout() time.Duration }](s *Server, decode func(url
 	}
 }
 
-// writeJSON encodes v with status code.
+// writeJSON answers v with status code. It encodes before it writes the
+// status, so a value encoding/json refuses answers 500 with the error
+// envelope instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		code = http.StatusInternalServerError
+		buf.Reset()
+		_ = enc.Encode(errorBody{Error: "server: encoding the answer: " + err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	_, _ = w.Write(buf.Bytes()) // a client gone mid-write has nobody left to tell
 }
 
-// errorBody is the JSON error envelope. Code carries a machine-readable
-// discriminator for typed failures (shard protocol errors).
+// errorBody is the JSON error envelope.
 type errorBody struct {
 	Error string `json:"error"`
-	Code  string `json:"code,omitempty"`
 }
 
 // fail maps an error to its HTTP status: bad requests 400, shed 429 with
-// Retry-After, a shard worker's digest refusal 409, shard coordination
-// failures 502, everything else 500.
+// Retry-After, everything else 500.
 func (s *Server) fail(w http.ResponseWriter, err error) {
 	var bad *badRequestError
-	var dm *digestMismatchError
-	var se *shardError
 	switch {
 	case errors.As(err, &bad):
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: bad.msg})
-	case errors.As(err, &dm):
-		writeJSON(w, http.StatusConflict, errorBody{Error: dm.Error(), Code: codeDigestMismatch})
 	case errors.Is(err, errShed), errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		// Shed outright, or deadline spent waiting in the admission queue
 		// or on an identical query in flight: either way the work never
 		// ran for this caller and a retry later can succeed.
 		w.Header().Set("Retry-After", "1")
 		writeJSON(w, http.StatusTooManyRequests, errorBody{Error: err.Error()})
-	case errors.As(err, &se):
-		writeJSON(w, http.StatusBadGateway, errorBody{Error: se.Error(), Code: se.Code})
-	case errors.Is(err, sweep.ErrNoReplications):
-		writeJSON(w, http.StatusBadGateway, errorBody{Error: err.Error(), Code: codeNoWorkers})
 	default:
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 	}
@@ -435,8 +409,10 @@ type analyticResponse struct {
 	SharedDP          float64 `json:"shared_dp_availability"`
 	HostDP            float64 `json:"host_dp_availability"`
 	CPDowntimeMinYear float64 `json:"cp_downtime_min_per_year"`
-	CPNines           float64 `json:"cp_nines"`
-	Cached            bool    `json:"cached"`
+	// CPNines is absent when cp_availability rounds to 1: no finite
+	// number of nines describes it.
+	CPNines *float64 `json:"cp_nines,omitempty"`
+	Cached  bool     `json:"cached"`
 }
 
 // handleAnalytic evaluates the SW-centric closed forms through the
@@ -458,7 +434,7 @@ func (s *Server) handleAnalytic(w http.ResponseWriter, r *http.Request) {
 		}
 		// Evaluate's two planes, with the shared DP evaluated once.
 		cp, sdp := model.ControlPlane(), model.SharedDP()
-		return analyticResponse{
+		resp := analyticResponse{
 			Profile:           req.ProfileName,
 			Topology:          req.TopoName,
 			Scenario:          int(req.Scenario),
@@ -466,8 +442,12 @@ func (s *Server) handleAnalytic(w http.ResponseWriter, r *http.Request) {
 			SharedDP:          sdp,
 			HostDP:            sdp * model.LocalDP(),
 			CPDowntimeMinYear: relmath.DowntimeMinutesPerYear(cp),
-			CPNines:           relmath.Nines(cp),
-		}, nil
+		}
+		if 1-cp > 0 {
+			nines := relmath.Nines(cp)
+			resp.CPNines = &nines
+		}
+		return resp, nil
 	})
 	if err != nil {
 		s.fail(w, err)
@@ -499,11 +479,6 @@ type mcResponse struct {
 	// Stored reports the answer came from the persistent result store
 	// (elapsed_ms then still describes the original compute cost).
 	Stored bool `json:"stored,omitempty"`
-	// Shards and ShardReassigns describe a coordinator-mode run: how many
-	// workers the budget fanned out across, and how many died mid-run and
-	// had their slices taken over.
-	Shards         int `json:"shards,omitempty"`
-	ShardReassigns int `json:"shard_reassigns,omitempty"`
 
 	// Rare-event fields, present only when the request set rare=true: the
 	// LR-weighted CP unavailability with its effective sample size, the
@@ -516,9 +491,7 @@ type mcResponse struct {
 }
 
 // mcPlan resolves a decoded request into the simulator configuration and
-// adaptive options — the one translation both the plain endpoint and the
-// shard worker apply, so a coordinator and its workers always agree on
-// what a canonical query means.
+// adaptive options.
 func mcPlan(req mcRequest) (mc.Config, sweep.Options, error) {
 	topo, err := topology.ByKind(req.Model.Kind, req.Model.Profile.ClusterRoles, req.Model.Cluster)
 	if err != nil {
@@ -554,9 +527,9 @@ func mcPlan(req mcRequest) (mc.Config, sweep.Options, error) {
 }
 
 // computeMC is the MC evaluation behind the answer cache: admission,
-// planning, execution (in-process or fanned out across shard workers),
-// response assembly. snap, when non-nil, is sent a streamSnapshot of each
-// partial result on the progressive-snapshot schedule.
+// planning, execution, response assembly. snap, when non-nil, is sent a
+// streamSnapshot of each partial result on the progressive-snapshot
+// schedule.
 func (s *Server) computeMC(ctx context.Context, req mcRequest, snap func(v any)) (mcResponse, error) {
 	if err := s.gate.acquire(ctx); err != nil {
 		return mcResponse{}, err
@@ -568,9 +541,8 @@ func (s *Server) computeMC(ctx context.Context, req mcRequest, snap func(v any))
 		return mcResponse{}, err
 	}
 	start := time.Now()
-	var emit func(sweep.Result)
 	if snap != nil {
-		emit = func(partial sweep.Result) {
+		opt.Progress = func(_ int, partial sweep.Result) {
 			body := buildMCResponse(req, partial, start)
 			snap(streamSnapshot{
 				Replications:     body.Replications,
@@ -582,30 +554,14 @@ func (s *Server) computeMC(ctx context.Context, req mcRequest, snap func(v any))
 			})
 		}
 	}
-	var res sweep.Result
-	var info shardRunInfo
-	if s.shards != nil {
-		res, info, err = s.shards.run(ctx, req, opt, emit)
-	} else {
-		if emit != nil {
-			opt.Progress = func(_ int, partial sweep.Result) { emit(partial) }
-		}
-		var results []sweep.Result
-		results, err = s.mcRun(ctx, []sweep.Point{{ID: "what-if", Config: cfg}}, opt)
-		if err == nil {
-			res = results[0]
-		}
-	}
+	results, err := s.mcRun(ctx, []sweep.Point{{ID: "what-if", Config: cfg}}, opt)
 	if err != nil {
 		return mcResponse{}, err
 	}
-	if res.Truncated {
+	if results[0].Truncated {
 		s.timeouts.Inc()
 	}
-	resp := buildMCResponse(req, res, start)
-	resp.Shards = info.workers
-	resp.ShardReassigns = info.reassigns
-	return resp, nil
+	return buildMCResponse(req, results[0], start), nil
 }
 
 // buildMCResponse assembles the response body from a sweep result.

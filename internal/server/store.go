@@ -89,7 +89,7 @@ func openStore[T any](dir string, memoSize int, reg *telemetry.Registry) (result
 	}, nil
 }
 
-// path shards entries across 256 subdirectories by digest prefix.
+// path spreads entries across 256 subdirectories by digest prefix.
 func (st resultStore[T]) path(digest string) string {
 	return filepath.Join(st.dir, digest[:2], digest+".json")
 }

@@ -1,8 +1,13 @@
 package server
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
@@ -14,11 +19,10 @@ import (
 )
 
 // The wire format, pinned. The canonical string is a persistence format
-// (store directories are named by its digest) and a wire format (the shard
-// hand-shake forwards it), and the 400 texts are what a client debugging a
-// query reads. testdata/wire_golden.txt records, for every query below and
-// each of the four decoders, the canonical string and digest or the exact
-// 400 text. It was recorded by this test at the commit before the decoders
+// (store directories are named by its digest), and the 400 texts are what
+// a client debugging a query reads. testdata/wire_golden.txt records, for
+// every query below and each of the three decoders, the canonical string
+// and digest or the exact 400 text. It was recorded by this test at the commit before the decoders
 // became one parameter table, and is compared byte for byte.
 //
 // Re-record only when the format is meant to change (a new parameter, an
@@ -47,6 +51,7 @@ var wireQueries = []string{
 	"profile=opencontrail&topology=large&scenario=2&ac=0.99",
 	"ac=0.99&scenario=2&topology=large&profile=opencontrail&cluster=3&av=0.9995&timeout=30s",
 	"ac=0.5&av=0.5&ah=0.5&ar=0.5&a=0.5&as=0.5",
+	"topology=large&a=0.9999999999999999&as=0.9999999999999999&ac=0.9999999999999999&av=0.9999999999999999&ah=0.9999999999999999&ar=0.9999999999999999",
 	// Monte Carlo block.
 	"horizon=100000", "horizon=1e5", "horizon=1e9", "horizon=1000000001", "horizon=0", "horizon=-5",
 	"horizon=5e-324", "horizon=NaN", "horizon=200.0", "horizon=2e2",
@@ -81,7 +86,7 @@ var wireQueries = []string{
 	"topology=small&scenario=1&rare=true&rare_bias=8&min_reps=8&max_reps=64",
 	"topology=small&scenario=1&rare=true&rare_bias=4&rare_split_levels=1,2&rel_target=0.2",
 	"topology=small&compute=2&horizon=20000&reps=64&seed=123&a=0.999100000000&as=0.9950000000&av=9.995000000000000e-01",
-	// Shard addressing.
+	// Names no decoder knows.
 	"rep_lo=0&rep_hi=1", "rep_lo=8&rep_hi=16&digest=abc", "rep_lo=8", "rep_hi=16", "digest=abc",
 	"rep_lo=-1&rep_hi=4", "rep_lo=0&rep_hi=0", "rep_lo=5&rep_hi=5", "rep_lo=9&rep_hi=5",
 	"rep_lo=1048575&rep_hi=1048576", "rep_lo=1048576&rep_hi=1048576", "rep_lo=0&rep_hi=1048577", "rep_lo=x&rep_hi=4",
@@ -163,23 +168,6 @@ func renderWire(t *testing.T) string {
 			}
 			return mcCanonical(r) + " " + mcDigest(r), nil
 		}))
-		sq := q
-		if !q.Has("rep_lo") && !q.Has("rep_hi") && !q.Has("digest") {
-			// A query that does not exercise the addressing itself is given
-			// a range, so the shard decoder's view of its values is pinned
-			// rather than "needs rep_lo and rep_hi" a hundred times.
-			sq = url.Values{"rep_lo": {"2"}, "rep_hi": {"6"}}
-			for k, v := range q {
-				sq[k] = v
-			}
-		}
-		fmt.Fprintf(&sb, "  shard    %s\n", wireLine(sq, func(q url.Values) (string, error) {
-			r, err := decodeMCShard(q)
-			if err != nil {
-				return "", err
-			}
-			return fmt.Sprintf("%s %s [%d,%d) sent=%q", mcCanonical(r), mcDigest(r), r.Lo, r.Hi, r.Digest), nil
-		}))
 		fmt.Fprintf(&sb, "  soak     %s\n", wireLine(q, func(q url.Values) (string, error) {
 			r, err := decodeSoak(q)
 			return fmt.Sprintf("hours=%s mtbf=%s seed=%d hosts=%d",
@@ -240,7 +228,6 @@ func TestDecodeStrictness(t *testing.T) {
 		{"a=", "a"},
 		{"profile=", "profile"},
 		{"rare=true&rare_split_levels=", "rare_split_levels"},
-		{"rep_lo=0&rep_hi=4&digest=", "digest"},
 		{"hosts=", "hosts"},
 		{"timeout=garbage", "timeout"},
 		{"timeout=-1s", "timeout"},
@@ -251,9 +238,8 @@ func TestDecodeStrictness(t *testing.T) {
 		q := mustValues(t, c.qs)
 		_, errA := decodeAnalytic(q)
 		_, errM := decodeMC(q)
-		_, errS := decodeMCShard(q)
 		_, errK := decodeSoak(q)
-		for name, err := range map[string]error{"analytic": errA, "mc": errM, "shard": errS, "soak": errK} {
+		for name, err := range map[string]error{"analytic": errA, "mc": errM, "soak": errK} {
 			var bad *badRequestError
 			if !errors.As(err, &bad) {
 				t.Errorf("%s decoder, %q: %v, want a 400", name, c.qs, err)
@@ -273,12 +259,70 @@ func TestUnknownKeyNamedDeterministically(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		_, errA := decodeAnalytic(q)
 		_, errM := decodeMC(q)
-		_, errS := decodeMCShard(q)
 		_, errK := decodeSoak(q)
-		for name, err := range map[string]error{"analytic": errA, "mc": errM, "shard": errS, "soak": errK} {
+		for name, err := range map[string]error{"analytic": errA, "mc": errM, "soak": errK} {
 			if err == nil || err.Error() != want {
 				t.Fatalf("%s decoder, %q, decode %d: %v, want %s", name, qs, i, err, want)
 			}
 		}
+	}
+}
+
+// TestAnalyticAnswerAtCPOne: with every availability one ulp below 1 the
+// large topology's CP availability rounds to exactly 1, whose number of
+// nines is +Inf, which encoding/json refuses. Every profile, on a 3- and
+// a 9-node cluster, still answers 200 with a JSON body that leaves
+// cp_nines out, computed and from the memo alike; a finite answer keeps it.
+func TestAnalyticAnswerAtCPOne(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	get := func(qs string) map[string]any {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/api/v1/analytic?" + qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var body map[string]any
+		if resp.StatusCode != http.StatusOK || json.Unmarshal(raw, &body) != nil {
+			t.Fatalf("%s: status %d, body %q; want 200 with a JSON answer", qs, resp.StatusCode, raw)
+		}
+		return body
+	}
+	const x = "0.9999999999999999"
+	for _, prof := range []string{"opencontrail", "odl", "onos"} {
+		for _, cluster := range []string{"3", "9"} {
+			qs := "topology=large&profile=" + prof + "&cluster=" + cluster +
+				"&a=" + x + "&as=" + x + "&ac=" + x + "&av=" + x + "&ah=" + x + "&ar=" + x
+			for _, cached := range []bool{false, true} {
+				body := get(qs)
+				if body["cp_availability"] != 1.0 {
+					t.Fatalf("%s: cp_availability %v, want exactly 1 (the case this test is about)", qs, body["cp_availability"])
+				}
+				if n, ok := body["cp_nines"]; ok {
+					t.Errorf("%s: cp_nines %v present at cp_availability 1", qs, n)
+				}
+				if body["cached"] != cached {
+					t.Errorf("%s: cached %v, want %v", qs, body["cached"], cached)
+				}
+			}
+		}
+	}
+	if n, ok := get("topology=large")["cp_nines"].(float64); !ok || n <= 0 {
+		t.Errorf("default query: cp_nines %v, want a positive number", n)
+	}
+}
+
+// TestWriteJSONRefusesUnencodable: a value encoding/json refuses answers
+// 500 with the error envelope, never a 200 with an empty body.
+func TestWriteJSONRefusesUnencodable(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, http.StatusOK, map[string]float64{"x": math.Inf(1)})
+	var body errorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); rec.Code != http.StatusInternalServerError || err != nil || body.Error == "" {
+		t.Errorf("status %d, body %q; want 500 with the error envelope", rec.Code, rec.Body.Bytes())
 	}
 }

@@ -70,55 +70,35 @@ func TestWithinPointWorkerIndependence(t *testing.T) {
 	}
 }
 
-// TestTruncatedPartialIsHonest: a deadline landing mid-range ends a local
-// and a remote run alike with exactly the replications that were folded —
-// re-folding the kept Results reproduces the estimate bit for bit.
+// TestTruncatedPartialIsHonest: a deadline landing mid-range ends a run
+// with exactly the replications that were folded — re-folding the kept
+// Results reproduces the estimate bit for bit.
 func TestTruncatedPartialIsHonest(t *testing.T) {
 	cfg := testConfig(t, 2)
 	cfg.KeepResults = true
 	p := Point{ID: "deadline", Config: cfg}
 	opt := Options{MaxReps: 1 << 15, Workers: 3}
-	ss, err := mc.NewSession(cfg)
+	ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
+	res, err := RunContext(ctx, []Point{p}, opt)
+	cancel()
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := func(ctx context.Context, lo, hi int) ([]RepSample, error) {
-		var out []RepSample
-		ss.Range(ctx, lo, hi, 2, func(rep int, res *mc.Result) { out = append(out, RepSample{rep, *res}) })
-		return out, nil
+	got := res[0]
+	if !got.Truncated || got.Converged || got.Replications == 0 || got.Replications >= opt.MaxReps {
+		t.Fatalf("Truncated=%v Converged=%v Replications=%d; want a partial run",
+			got.Truncated, got.Converged, got.Replications)
 	}
-	runs := map[string]func(context.Context) (Result, error){
-		"local": func(ctx context.Context) (Result, error) {
-			res, err := RunContext(ctx, []Point{p}, opt)
-			if err != nil {
-				return Result{}, err
-			}
-			return res[0], nil
-		},
-		"remote": func(ctx context.Context) (Result, error) { return RunRemote(ctx, p, opt, exec, nil) },
+	if len(got.Estimate.Results) != got.Replications || got.Estimate.Replications != got.Replications {
+		t.Fatalf("kept %d results, estimate counts %d, point counts %d",
+			len(got.Estimate.Results), got.Estimate.Replications, got.Replications)
 	}
-	for name, run := range runs {
-		ctx, cancel := context.WithTimeout(context.Background(), 40*time.Millisecond)
-		got, err := run(ctx)
-		cancel()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !got.Truncated || got.Converged || got.Replications == 0 || got.Replications >= opt.MaxReps {
-			t.Fatalf("%s: Truncated=%v Converged=%v Replications=%d; want a partial run",
-				name, got.Truncated, got.Converged, got.Replications)
-		}
-		if len(got.Estimate.Results) != got.Replications || got.Estimate.Replications != got.Replications {
-			t.Fatalf("%s: kept %d results, estimate counts %d, point counts %d",
-				name, len(got.Estimate.Results), got.Estimate.Replications, got.Replications)
-		}
-		f := mc.NewFold(true, got.Replications)
-		for i := range got.Estimate.Results {
-			f.Add(&got.Estimate.Results[i])
-		}
-		if want := f.Estimate(0.99, true); !reflect.DeepEqual(got.Estimate, want) {
-			t.Errorf("%s: truncated estimate is not the fold of its own results", name)
-		}
+	f := mc.NewFold(true, got.Replications)
+	for i := range got.Estimate.Results {
+		f.Add(&got.Estimate.Results[i])
+	}
+	if want := f.Estimate(0.99, true); !reflect.DeepEqual(got.Estimate, want) {
+		t.Error("truncated estimate is not the fold of its own results")
 	}
 }
 
@@ -183,7 +163,7 @@ func TestStoppingCheckAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := mc.NewFold(false, 0)
-	ss.Range(context.Background(), 0, 512, 2, func(_ int, res *mc.Result) { f.Add(res) })
+	ss.Range(context.Background(), 512, 2, func(_ int, res *mc.Result) { f.Add(res) })
 	for _, o := range []Options{
 		Options{CITarget: 1e-3, MinReps: 64}.withDefaults(),
 		Options{RelTarget: 0.1, MinReps: 64}.withDefaults(),

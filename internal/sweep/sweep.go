@@ -202,7 +202,7 @@ func RunContext(ctx context.Context, points []Point, opt Options) ([]Result, err
 				if opt.Progress != nil {
 					progress = func(partial Result) { opt.Progress(i, partial) }
 				}
-				results[i] = runLocal(ctx, points[i], sessions[i], share, opt, progress)
+				results[i] = runRounds(ctx, points[i], sessions[i], share, opt, progress)
 			}
 		}()
 	}
@@ -210,35 +210,19 @@ func RunContext(ctx context.Context, points []Point, opt Options) ([]Result, err
 	return results, nil
 }
 
-// source produces replications [lo, hi) and hands them to emit in
-// ascending global index on the caller's goroutine; runRounds asks for
-// consecutive ranges. It returns how many it emitted — fewer than hi−lo (a
-// deadline, lost shards) ends the run as a truncated partial — or a fatal
-// error. There are two: a point's local mc.Stream (runLocal) and shard
-// workers (remoteSource).
-type source func(ctx context.Context, lo, hi int, emit func(rep int, res *mc.Result)) (int, error)
-
-// runLocal runs a point's round loop over one replication stream on the
-// given goroutine count, whose workers run up to a Batch ahead into the
-// next round while the loop folds and checks, and closes the stream
-// however the loop ends.
-func runLocal(ctx context.Context, p Point, ss *mc.Session, workers int, o Options, progress func(Result)) Result {
-	st := ss.Stream(ctx, 0, o.MaxReps, o.Batch, workers)
+// runRounds is the one adaptive round loop, over the point's replication
+// stream on the given goroutine count: replicate to MinReps, then Batch
+// more at a time, until the stopping rule fires or MaxReps is spent (with
+// no target, one round of MaxReps). The stream's workers run up to a Batch
+// ahead into the next round while the loop folds and checks, and the
+// stream is closed however the loop ends. Replication r uses the seed it
+// would under mc.Run and everything the stream emits goes through one
+// mc.Fold, so a converged point is a prefix of the fixed-count run. A
+// snapshot boundary inside a round splits the request to the stream, never
+// the fold.
+func runRounds(ctx context.Context, p Point, ss *mc.Session, workers int, o Options, progress func(Result)) Result {
+	st := ss.Stream(ctx, o.MaxReps, o.Batch, workers)
 	defer st.Close()
-	// The local source has no fatal error.
-	res, _ := runRounds(ctx, p, o, func(_ context.Context, _, hi int, emit func(int, *mc.Result)) (int, error) {
-		return st.Next(hi, emit), nil
-	}, progress)
-	return res
-}
-
-// runRounds is the one adaptive round loop: replicate to MinReps, then
-// Batch more at a time, until the stopping rule fires or MaxReps is spent
-// (with no target, one round of MaxReps). Replication r uses the seed it
-// would under mc.Run and everything src emits goes through one mc.Fold, so
-// a converged point is a prefix of the fixed-count run. A snapshot boundary
-// inside a round splits the request to src, never the fold.
-func runRounds(ctx context.Context, p Point, o Options, src source, progress func(Result)) (Result, error) {
 	f := mc.NewFold(p.Config.KeepResults, o.MinReps)
 	result := func(converged, truncated bool) Result {
 		return Result{Point: p, Estimate: f.Estimate(o.Confidence, truncated),
@@ -264,12 +248,8 @@ func runRounds(ctx context.Context, p Point, o Options, src source, progress fun
 			if progress != nil && snap > n && snap < target {
 				bound = snap
 			}
-			got, err := src(ctx, n, bound, add)
-			if err != nil {
-				return Result{}, err
-			}
-			if got < bound-n {
-				return result(false, true), nil
+			if got := st.Next(bound, add); got < bound-n {
+				return result(false, true)
 			}
 			n = bound
 			if progress != nil && n >= snap {
@@ -279,10 +259,10 @@ func runRounds(ctx context.Context, p Point, o Options, src source, progress fun
 		}
 		// A fixed-count run converges by contract: the count is the target.
 		if !adaptive || met(f, o) {
-			return result(true, false), nil
+			return result(true, false)
 		}
 		if n >= o.MaxReps {
-			return result(false, false), nil
+			return result(false, false)
 		}
 	}
 }

@@ -264,3 +264,39 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 		t.Fatal("uncancelled sweep reported Truncated")
 	}
 }
+
+// TestSnapshotSchedule pins the schedule arithmetic: the first snapshot is
+// by 5% of the ceiling (never past the floor), later ones double but never
+// step coarser than a quarter of the ceiling.
+func TestSnapshotSchedule(t *testing.T) {
+	cases := []struct {
+		opt   Options
+		first int
+	}{
+		{Options{MinReps: 8, MaxReps: 256}, 8},    // floor below 5% point
+		{Options{MinReps: 64, MaxReps: 4096}, 64}, /* 4096/20=204 > floor */
+		{Options{MinReps: 64, MaxReps: 640}, 32},  // 5% point below floor
+		{Options{MinReps: 2, MaxReps: 8}, 2},      // tiny budget: floor of 2
+	}
+	for _, tc := range cases {
+		if got := firstSnapshot(tc.opt); got != tc.first {
+			t.Errorf("firstSnapshot(%+v) = %d, want %d", tc.opt, got, tc.first)
+		}
+	}
+	o := Options{MinReps: 8, MaxReps: 256}
+	snap, n := firstSnapshot(o), firstSnapshot(o)
+	var seen []int
+	for snap < o.MaxReps {
+		snap = nextSnapshot(snap, n, o)
+		n = snap
+		seen = append(seen, snap)
+		if len(seen) > 64 {
+			t.Fatal("snapshot schedule failed to advance")
+		}
+	}
+	for i := 1; i < len(seen); i++ {
+		if step := seen[i] - seen[i-1]; step > o.MaxReps/4 {
+			t.Errorf("snapshot step %d coarser than MaxReps/4 = %d", step, o.MaxReps/4)
+		}
+	}
+}
