@@ -44,6 +44,11 @@
 // -scenario-file runs a declarative JSON scenario instead (see DESIGN.md
 // for the DSL grammar); it overrides -scenario.
 //
+// The testbed runs on a deterministic virtual clock: -step, -duration,
+// -mbf, -repair and the degradation and raft durations are virtual time,
+// so a scenario's timeline is exact and costs far less wall time than it
+// spans.
+//
 // The -headless-hold, -route-max-age and -catchup flags configure the
 // cluster's graceful-degradation knobs for any scenario; zero keeps the
 // strict flush-immediately / reconcile-instantly behaviour. The
@@ -51,8 +56,8 @@
 // to timed RAFT elections with randomized timeouts in [min, max];
 // -gray-detect arms the gray-leader detector (timed mode only).
 //
-// -soak switches to the long-horizon soak mode: the testbed runs under a
-// deterministic virtual clock through -soak-hours simulated hours of
+// -soak switches to the long-horizon soak mode: the testbed lives through
+// -soak-hours simulated hours of
 // MTBF/MTTR-driven process failures (supervisors and an operator model
 // performing the repairs), and the observed availability is compared
 // against the Monte Carlo simulator and the closed-form models at the
@@ -112,10 +117,10 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		hosts    = flag.Int("hosts", 3, "vRouter compute hosts")
 		scenario = flag.String("scenario", "section3", "scenario: section3, dbquorum, rack, partition, asymlink, graphlink, crashloop, flapping, headless, staleread, leadercrash, grayleader, staleleader, ackdrop or campaign")
 		specFile = flag.String("scenario-file", "", "run a declarative JSON scenario from this file instead of -scenario")
-		step     = flag.Duration("step", 250*time.Millisecond, "delay between scripted injections")
-		duration = flag.Duration("duration", 2*time.Second, "campaign duration")
-		mbf      = flag.Duration("mbf", 100*time.Millisecond, "campaign mean time between faults")
-		repair   = flag.Duration("repair", 80*time.Millisecond, "campaign operator repair delay")
+		step     = flag.Duration("step", 250*time.Millisecond, "virtual time between scripted injections")
+		duration = flag.Duration("duration", 2*time.Second, "campaign duration in virtual time")
+		mbf      = flag.Duration("mbf", 100*time.Millisecond, "campaign mean virtual time between faults")
+		repair   = flag.Duration("repair", 80*time.Millisecond, "campaign operator repair delay in virtual time")
 		seed     = flag.Int64("seed", 1, "campaign seed")
 		hold     = flag.Duration("headless-hold", 0, "vRouter headless hold (0 = flush immediately)")
 		maxAge   = flag.Duration("route-max-age", 0, "per-route staleness bound while headless (0 = keep all)")

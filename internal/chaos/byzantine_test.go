@@ -13,7 +13,7 @@ import (
 // that only counts dead processes would score this window fully
 // available.
 func TestAckDropDowntimeInvisibleToBinaryModel(t *testing.T) {
-	c, _ := newFakeTestCluster(t)
+	c := newTestCluster(t)
 	const step = 150 * time.Millisecond
 	rep, err := RunScenario(c, AckDropWrites(step), step, 7*time.Millisecond, 30*time.Millisecond)
 	if err != nil {
@@ -43,7 +43,7 @@ func TestAckDropDowntimeInvisibleToBinaryModel(t *testing.T) {
 // lease for the whole window and every probe in it fails read-back
 // integrity — again without a single critical health sample.
 func TestGrayLeaderScenarioServesWrongReads(t *testing.T) {
-	c, _ := newFakeTestCluster(t)
+	c := newTestCluster(t)
 	const step = 150 * time.Millisecond
 	rep, err := RunScenario(c, GrayLeader(step), step, 7*time.Millisecond, 30*time.Millisecond)
 	if err != nil {
@@ -71,7 +71,7 @@ func TestFailStopByzantineBuildersRun(t *testing.T) {
 	}
 	for _, b := range builders {
 		t.Run(b.name, func(t *testing.T) {
-			c, _ := newFakeTestCluster(t)
+			c := newTestCluster(t)
 			rep, err := RunScenario(c, b.actions, 2*step, 7*time.Millisecond, 30*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)

@@ -228,12 +228,11 @@ func summarize(r *Report) {
 }
 
 // prober observes one experiment: it samples the cluster's planes at a
-// fixed period on the cluster's clock — virtual samples under a fake
-// clock, wall-time otherwise — and keeps the log of what the driver that
-// started it injected.
+// fixed period of the cluster's virtual clock and keeps the log of what
+// the driver that started it injected.
 type prober struct {
 	c       *cluster.Cluster
-	clk     vclock.Clock
+	clk     *vclock.Fake
 	timeout time.Duration
 	start   time.Time
 	// injections is the timestamped injection log; only the driver
@@ -242,7 +241,7 @@ type prober struct {
 
 	mu      sync.Mutex
 	samples []Sample
-	ticker  vclock.Ticker
+	ticker  *vclock.Ticker
 	stop    chan struct{}
 	done    chan struct{}
 }
@@ -473,7 +472,7 @@ func (cp Campaign) Run(c *cluster.Cluster, hostNames []string) (Report, error) {
 		})
 	}
 	// Waiting for the repair goroutines is a non-clock block, so park:
-	// their pending repair sleeps are what drives a fake clock forward.
+	// their pending repair sleeps are what drives the clock forward.
 	repairsDone := make(chan struct{})
 	go func() { wg.Wait(); close(repairsDone) }()
 	unpark := clk.Park()

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -25,80 +26,17 @@ func newTestCluster(t *testing.T) *cluster.Cluster {
 	return c
 }
 
-// TestSectionIIIScenario replays the paper's control failure narrative and
-// checks the observed signature: the DP survives the first two control
-// kills, dies on the third, and recovers after a restart.
-func TestSectionIIIScenario(t *testing.T) {
-	c := newTestCluster(t)
-	const step = 120 * time.Millisecond
-	rep, err := RunScenario(c, SectionIII(step), step, 4*time.Millisecond, 30*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Samples) < 20 {
-		t.Fatalf("too few samples: %d", len(rep.Samples))
-	}
-	if len(rep.Injections) != 5 {
-		t.Fatalf("injections = %d, want 5", len(rep.Injections))
-	}
-	// Phase analysis by sample timestamp. Actions land at 0, step, 2step,
-	// 3step, 4step. Mid-phase windows avoid transition edges.
-	window := func(lo, hi time.Duration) (dpUpFrac float64, n int) {
-		up, total := 0, 0
-		for _, s := range rep.Samples {
-			if s.At < lo || s.At >= hi {
-				continue
-			}
-			for _, u := range s.DPUp {
-				total++
-				if u {
-					up++
-				}
-			}
+// windowFracs computes exact CP and DP up-fractions over samples with
+// At in [lo, hi).
+func windowFracs(samples []Sample, lo, hi time.Duration) (cpFrac, dpFrac float64, n int) {
+	cpUp, dpUp, dpAll := 0, 0, 0
+	for _, s := range samples {
+		if s.At < lo || s.At >= hi {
+			continue
 		}
-		if total == 0 {
-			return 0, 0
-		}
-		return float64(up) / float64(total), total
-	}
-	// After control-1 and control-2 die (middle of phase 3) the DP must
-	// still be up.
-	if frac, n := window(2*step+step/2, 3*step); n == 0 || frac < 0.9 {
-		t.Errorf("DP availability with one control left = %.2f (n=%d), want ≈1", frac, n)
-	}
-	// After control-3 dies the DP must be down.
-	if frac, n := window(3*step+step/2, 4*step); n == 0 || frac > 0.1 {
-		t.Errorf("DP availability with all controls dead = %.2f (n=%d), want ≈0", frac, n)
-	}
-	// After the restore the DP must return.
-	if frac, n := window(4*step+step/2, 5*step); n == 0 || frac < 0.9 {
-		t.Errorf("DP availability after restore = %.2f (n=%d), want ≈1", frac, n)
-	}
-}
-
-// TestDatabaseQuorumScenario checks CP loss and recovery around a
-// Cassandra quorum outage while the DP stays up throughout.
-func TestDatabaseQuorumScenario(t *testing.T) {
-	c := newTestCluster(t)
-	const step = 150 * time.Millisecond
-	rep, err := RunScenario(c, DatabaseQuorumLoss(step), step, 4*time.Millisecond, 60*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cpDuring, cpAfter, dpAll, dpUp int
-	var nDuring, nAfter int
-	for _, s := range rep.Samples {
-		switch {
-		case s.At > step+step/2 && s.At < 2*step:
-			nDuring++
-			if s.CPUp {
-				cpDuring++
-			}
-		case s.At > 2*step+step/2:
-			nAfter++
-			if s.CPUp {
-				cpAfter++
-			}
+		n++
+		if s.CPUp {
+			cpUp++
 		}
 		for _, u := range s.DPUp {
 			dpAll++
@@ -107,17 +45,212 @@ func TestDatabaseQuorumScenario(t *testing.T) {
 			}
 		}
 	}
-	if nDuring == 0 || cpDuring > nDuring/5 {
-		t.Errorf("CP up in %d/%d samples during quorum loss, want ≈0", cpDuring, nDuring)
+	if n == 0 {
+		return 0, 0, 0
 	}
-	if nAfter == 0 || cpAfter < nAfter*4/5 {
-		t.Errorf("CP up in %d/%d samples after repair, want ≈all", cpAfter, nAfter)
+	return float64(cpUp) / float64(n), float64(dpUp) / float64(dpAll), n
+}
+
+// TestSectionIIIScenario replays the paper's control failure narrative and
+// checks the observed signature: the data plane survives the first two
+// control kills, dies on the third and recovers after a restart, with
+// phase fractions of exactly 1 or 0 outside a small rediscovery margin.
+// The probe period (7 ms) is co-prime with the step boundaries (multiples
+// of 10 ms), so no sample collides with an injection instant.
+func TestSectionIIIScenario(t *testing.T) {
+	c := newTestCluster(t)
+	const (
+		step = 120 * time.Millisecond
+		// margin covers the agents' Rediscover cadence (5 ms default): an
+		// agent notices a dead control at its next maintenance pass, so
+		// observations within a few periods of an injection are in flux.
+		margin = 15 * time.Millisecond
+		// probeTimeout bounds how long a CP probe straddles an injection:
+		// a probe started just before a repair can legitimately succeed.
+		probeTimeout = 30 * time.Millisecond
+	)
+	rep, err := RunScenario(c, SectionIII(step), step, 7*time.Millisecond, probeTimeout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Samples) < 20 {
+		t.Fatalf("too few samples: %d", len(rep.Samples))
+	}
+	if len(rep.Injections) != 5 {
+		t.Fatalf("injections = %d, want 5:\n%v", len(rep.Injections), rep.Injections)
+	}
+
+	// Exact phase windows. With two controls dead the DP is fully up; with
+	// all three dead it is fully down; after the restore it is fully up.
+	if cp, dp, n := windowFracs(rep.Samples, 2*step+margin, 3*step); n == 0 || dp != 1 || cp != 1 {
+		t.Errorf("one control left: cp=%.3f dp=%.3f (n=%d), want exactly 1/1", cp, dp, n)
+	}
+	if _, dp, n := windowFracs(rep.Samples, 3*step+margin, 4*step); n == 0 || dp != 0 {
+		t.Errorf("all controls dead: dp=%.3f (n=%d), want exactly 0", dp, n)
+	}
+	// CP probes block for up to probeTimeout, so a probe started shortly
+	// before the restore at 4*step can complete after it and succeed; the
+	// exact-down window therefore ends probeTimeout early.
+	if cp, _, n := windowFracs(rep.Samples, 3*step+margin, 4*step-probeTimeout); n == 0 || cp != 0 {
+		t.Errorf("all controls dead: cp=%.3f (n=%d), want exactly 0", cp, n)
+	}
+	if cp, dp, n := windowFracs(rep.Samples, 4*step+margin, 5*step); n == 0 || dp != 1 || cp != 1 {
+		t.Errorf("after restore: cp=%.3f dp=%.3f (n=%d), want exactly 1/1", cp, dp, n)
+	}
+	if rep.CPOutages < 1 {
+		t.Error("expected at least one CP outage")
+	}
+}
+
+// TestSectionIIIScenarioVirtual checks the section III run's virtual
+// timeline: the report lasts precisely 5 steps (4 inter-action waits plus
+// the settle step), every injection is stamped at its scripted instant,
+// and the 600 ms scenario takes less wall time than it spans.
+func TestSectionIIIScenarioVirtual(t *testing.T) {
+	c := newTestCluster(t)
+	const step = 120 * time.Millisecond
+	wallStart := time.Now()
+	rep, err := RunScenario(c, SectionIII(step), step, 7*time.Millisecond, 30*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(wallStart)
+
+	if rep.Duration != 5*step {
+		t.Errorf("virtual duration = %v, want exactly %v", rep.Duration, 5*step)
+	}
+	wantInjections := []string{
+		"[      0s] disable control supervision (kill all control supervisors)",
+		"[   120ms] kill control-1",
+		"[   240ms] kill control-2",
+		"[   360ms] kill control-3 (forwarding tables flush)",
+		"[   480ms] restore control-2",
+	}
+	if len(rep.Injections) != len(wantInjections) {
+		t.Fatalf("injections = %d, want %d:\n%v", len(rep.Injections), len(wantInjections), rep.Injections)
+	}
+	for i, want := range wantInjections {
+		if rep.Injections[i] != want {
+			t.Errorf("injection %d = %q, want exactly %q", i, rep.Injections[i], want)
+		}
+	}
+	if wall >= 5*step {
+		t.Errorf("scenario took %v wall time, want < %v", wall, 5*step)
+	}
+}
+
+// TestDatabaseQuorumScenario checks CP loss and recovery around a
+// Cassandra quorum outage: the CP is down from the instant quorum is lost
+// until the instant it is restored, in exactly one outage, and the DP
+// stays up throughout.
+func TestDatabaseQuorumScenario(t *testing.T) {
+	c := newTestCluster(t)
+	const step = 150 * time.Millisecond
+	rep, err := RunScenario(c, DatabaseQuorumLoss(step), step, 7*time.Millisecond, 30*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Samples) == 0 {
+		t.Fatal("no samples")
+	}
+
+	// Exact availability per phase: CP up on 2/3 replicas, down from the
+	// instant quorum is lost until the instant it is restored, up after.
+	// The DP never flickers.
+	dpAll, dpUp := 0, 0
+	for _, s := range rep.Samples {
+		wantCP := s.At < step || s.At > 2*step
+		if s.CPUp != wantCP {
+			t.Errorf("sample at %v: CPUp=%v, want %v", s.At, s.CPUp, wantCP)
+		}
+		for h, u := range s.DPUp {
+			dpAll++
+			if u {
+				dpUp++
+			} else {
+				t.Errorf("sample at %v: host %d DP down, want up throughout", s.At, h)
+			}
+		}
 	}
 	if float64(dpUp)/float64(dpAll) < 0.95 {
 		t.Errorf("DP availability %.2f should be unaffected by a Database quorum loss", float64(dpUp)/float64(dpAll))
 	}
-	if rep.CPOutages < 1 {
-		t.Error("expected at least one CP outage")
+	// Exactly one outage: at least one, and the quorum loss is not split.
+	if rep.CPOutages != 1 {
+		t.Errorf("CP outages = %d, want exactly 1", rep.CPOutages)
+	}
+}
+
+// TestDatabaseQuorumScenarioVirtual checks the quorum-loss run's virtual
+// timeline. Quorum-store probes fail instantly (no timeout wait), so the
+// run consumes zero virtual time beyond the scripted sleeps: the report
+// lasts exactly 3 steps, injections are stamped at their scripted
+// instants, and every sample lands exactly on the 7 ms probe grid.
+func TestDatabaseQuorumScenarioVirtual(t *testing.T) {
+	c := newTestCluster(t)
+	const step = 150 * time.Millisecond
+	wallStart := time.Now()
+	rep, err := RunScenario(c, DatabaseQuorumLoss(step), step, 7*time.Millisecond, 30*time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Since(wallStart)
+
+	if rep.Duration != 3*step {
+		t.Errorf("virtual duration = %v, want exactly %v", rep.Duration, 3*step)
+	}
+	wantInjections := []string{
+		"[      0s] kill cassandra-db (Config) on node 1",
+		"[   150ms] kill cassandra-db (Config) on node 2 (quorum lost)",
+		"[   300ms] manual restart of cassandra-db (Config) on node 1",
+	}
+	if len(rep.Injections) != len(wantInjections) {
+		t.Fatalf("injections = %d, want %d:\n%v", len(rep.Injections), len(wantInjections), rep.Injections)
+	}
+	for i, want := range wantInjections {
+		if rep.Injections[i] != want {
+			t.Errorf("injection %d = %q, want exactly %q", i, rep.Injections[i], want)
+		}
+	}
+
+	// Every sample sits exactly on the probe grid: At = 7 ms × (i+1).
+	wantSamples := int(3 * step / (7 * time.Millisecond))
+	if len(rep.Samples) != wantSamples {
+		t.Errorf("samples = %d, want exactly %d", len(rep.Samples), wantSamples)
+	}
+	for i, s := range rep.Samples {
+		if want := time.Duration(i+1) * 7 * time.Millisecond; s.At != want {
+			t.Fatalf("sample %d at %v, want exactly %v (virtual probe grid)", i, s.At, want)
+		}
+	}
+	if wall >= 3*step {
+		t.Errorf("scenario took %v wall time, want < %v", wall, 3*step)
+	}
+}
+
+// TestScenarioVirtualDeterminism runs the quorum scenario twice on fresh
+// clusters and requires bit-identical sample timelines.
+func TestScenarioVirtualDeterminism(t *testing.T) {
+	run := func() []string {
+		c := newTestCluster(t)
+		rep, err := RunScenario(c, DatabaseQuorumLoss(150*time.Millisecond), 150*time.Millisecond, 7*time.Millisecond, 30*time.Millisecond)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([]string, 0, len(rep.Samples))
+		for _, s := range rep.Samples {
+			out = append(out, fmt.Sprintf("%v cp=%v dp=%v health=%v", s.At, s.CPUp, s.DPUp, s.Health))
+		}
+		return out
+	}
+	a, b := run(), run()
+	if len(a) != len(b) {
+		t.Fatalf("timeline lengths differ: %d vs %d", len(a), len(b))
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("timelines diverge at sample %d:\n  %s\n  %s", i, a[i], b[i])
+		}
 	}
 }
 
@@ -233,7 +366,7 @@ func TestCampaignValidation(t *testing.T) {
 }
 
 // TestCampaignDeterministicInjection: the same seed yields the same
-// injection sequence (timing jitter aside, the target order is fixed).
+// injection sequence.
 func TestCampaignDeterministicInjection(t *testing.T) {
 	names := func(seed int64) []string {
 		c := newTestCluster(t)
@@ -254,16 +387,12 @@ func TestCampaignDeterministicInjection(t *testing.T) {
 		return out
 	}
 	a, b := names(5), names(5)
-	// Wall-clock scheduling may cut one sequence short; compare the
-	// common prefix, which must match exactly.
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
+	// Arrivals are drawn in virtual time, so both runs inject the same
+	// sequence, whole.
+	if len(a) == 0 || len(a) != len(b) {
+		t.Fatalf("injection counts %d and %d, want equal and nonzero", len(a), len(b))
 	}
-	if n == 0 {
-		t.Skip("no overlapping injections on this machine")
-	}
-	for i := 0; i < n; i++ {
+	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("injection %d differs: %q vs %q", i, a[i], b[i])
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 // opCases is one minimal valid step per DSL op. Each one, run alone on a
-// freshly started fake-clocked Small cluster with the default fabric, must
+// freshly started Small cluster with the default fabric, must
 // succeed.
 var opCases = map[string]string{
 	"kill-process":       `{"after":"1ms","op":"kill-process","role":"Control","node":0,"name":"control"}`,
@@ -74,7 +74,7 @@ func TestEveryOpRuns(t *testing.T) {
 			t.Fatalf("%s: %v", op, err)
 		}
 		fmt.Fprintf(&sb, "%s\n\t-> action %q after %v\n", doc, actions[0].Name, actions[0].After)
-		c, _ := newFakeLinkedCluster(t)
+		c := newLinkedCluster(t)
 		rep, err := RunSpec(c, spec, 0, 0)
 		if err != nil {
 			t.Errorf("%s: %v", op, err)

@@ -9,18 +9,15 @@ import (
 	"sdnavail/internal/cluster"
 	"sdnavail/internal/profile"
 	"sdnavail/internal/topology"
-	"sdnavail/internal/vclock"
 )
 
-// newFakeLinkedCluster builds a started fake-clocked testbed whose Small
-// topology declares the default fabric, so graph-link chaos runs in
-// deterministic virtual time.
-func newFakeLinkedCluster(t *testing.T) (*cluster.Cluster, *vclock.Fake) {
+// newLinkedCluster builds a started testbed whose Small topology declares
+// the default fabric, so graph-link chaos runs on the virtual clock.
+func newLinkedCluster(t *testing.T) *cluster.Cluster {
 	t.Helper()
-	fc := vclock.NewFake(time.Time{})
 	prof := profile.OpenContrail3x()
 	topo := topology.NewSmall(prof.ClusterRoles, 3).WithDefaultLinks(10_000, 4)
-	c, err := cluster.New(cluster.Config{Profile: prof, Topology: topo, ComputeHosts: 2, Clock: fc})
+	c, err := cluster.New(cluster.Config{Profile: prof, Topology: topo, ComputeHosts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +25,7 @@ func newFakeLinkedCluster(t *testing.T) (*cluster.Cluster, *vclock.Fake) {
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
-	return c, fc
+	return c
 }
 
 // TestLiveTestbedEquivalence pins the tree↔graph contract at the
@@ -47,13 +44,12 @@ func newFakeLinkedCluster(t *testing.T) (*cluster.Cluster, *vclock.Fake) {
 // clock).
 func TestLiveTestbedEquivalence(t *testing.T) {
 	run := func(linked bool) (Report, cluster.HealthReport) {
-		fc := vclock.NewFake(time.Time{})
 		prof := profile.OpenContrail3x()
 		topo := topology.NewSmall(prof.ClusterRoles, 3)
 		if linked {
 			topo.WithDefaultLinks(0, 0)
 		}
-		c, err := cluster.New(cluster.Config{Profile: prof, Topology: topo, ComputeHosts: 2, Clock: fc})
+		c, err := cluster.New(cluster.Config{Profile: prof, Topology: topo, ComputeHosts: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -92,7 +88,7 @@ func TestLiveTestbedEquivalence(t *testing.T) {
 // links restores it. Windows are exact because injections land at
 // scripted virtual instants.
 func TestGraphLinkOutageScenarioVirtual(t *testing.T) {
-	c, _ := newFakeLinkedCluster(t)
+	c := newLinkedCluster(t)
 	const (
 		step         = 120 * time.Millisecond
 		margin       = 15 * time.Millisecond
@@ -138,7 +134,7 @@ func TestGraphLinkDSL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _ := newFakeLinkedCluster(t)
+	c := newLinkedCluster(t)
 	rep, err := RunSpec(c, spec, 7*time.Millisecond, 30*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)

@@ -63,7 +63,7 @@ func TestOperatorRespectsResponseTime(t *testing.T) {
 	if err := c.KillProcess("Analytics", 1, "redis"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(100 * time.Millisecond)
+	c.Clock().Sleep(100 * time.Millisecond)
 	if c.Alive("Analytics", 1, "redis") {
 		t.Error("operator acted before its response time")
 	}

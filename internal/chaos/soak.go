@@ -18,7 +18,7 @@ import (
 )
 
 // Soak mode: the paper's validation triangle closed on running code. A
-// fake-clocked cluster lives through a long horizon (simulated weeks to
+// testbed cluster lives through a long horizon (simulated weeks to
 // months) of MTBF/MTTR-driven process failures — every process draws
 // independent exponential up-times, supervisors auto-restart their
 // children, and an Operator model manually restarts everything else —
@@ -27,9 +27,9 @@ import (
 // models, so one SoakConfig yields three independently-derived
 // availability numbers that must agree.
 //
-// One simulated hour is one hour of virtual time; under the fake clock a
-// thousand-hour soak costs seconds of wall time (the 36 s scenario of
-// BenchmarkScenarioRealClock runs in ≈ 16 ms as BenchmarkScenarioFakeClock).
+// One simulated hour is one hour of the cluster's virtual time, so a
+// thousand-hour soak costs seconds of wall time: the cost follows the
+// number of timer fires, not the horizon.
 
 // SoakConfig parameterizes a soak run. Mean times are in simulated hours,
 // mirroring the mc and analytic conventions. The zero value of any field
@@ -225,7 +225,7 @@ type SoakResult struct {
 	Truncated bool
 }
 
-// RunSoakContext boots a fake-clocked cluster and lives through the
+// RunSoakContext boots a testbed cluster and lives through the
 // configured horizon of MTBF/MTTR cycles, returning the observed
 // availability. The entire run executes in virtual time; wall cost is
 // proportional to the number of timer fires, not the horizon. SIGINT-style
@@ -241,7 +241,7 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 	tel := telemetry.New()
 	c, err := cluster.New(cluster.Config{
 		Profile: sc.Profile, Topology: sc.Topology, ComputeHosts: sc.ComputeHosts,
-		Clock: vclock.NewFake(time.Time{}), Timing: soakTiming(), Telemetry: tel,
+		Timing: soakTiming(), Telemetry: tel,
 	})
 	if err != nil {
 		return SoakResult{}, err

@@ -53,7 +53,7 @@ func (a *vRouterAgent) start() {
 	a.c.mu.Lock()
 	a.maintainLocked()
 	a.c.mu.Unlock()
-	// Arm the ticker before launching the loop: on a fake clock,
+	// Arm the ticker before launching the loop: on the virtual clock,
 	// coincident deadlines fire in arm order, so arming synchronously in
 	// Start()'s agent order keeps same-instant maintenance passes
 	// deterministic instead of depending on goroutine startup scheduling.

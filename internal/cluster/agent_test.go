@@ -22,10 +22,7 @@ func newDegradedTestCluster(t *testing.T, d Degradation) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
+	startT(t, c)
 	return c
 }
 
@@ -62,14 +59,15 @@ func TestHeadlessRidesThroughShortControlOutage(t *testing.T) {
 		t.Errorf("health level = %v during total control outage", rep.Level)
 	}
 	// The DP rides the outage out on stale state: sample for a while.
-	deadline := time.Now().Add(300 * time.Millisecond)
-	for time.Now().Before(deadline) {
+	clk := c.Clock()
+	deadline := clk.Now().Add(300 * time.Millisecond)
+	for clk.Now().Before(deadline) {
 		for h := 0; h < c.ComputeHostCount(); h++ {
 			if err := c.ProbeDP(h); err != nil {
 				t.Fatalf("host %d DP dropped during headless hold: %v", h, err)
 			}
 		}
-		time.Sleep(5 * time.Millisecond)
+		clk.Sleep(5 * time.Millisecond)
 	}
 	// A control returns before the hold expires: agents resync and leave
 	// headless mode without the DP ever having gone down.

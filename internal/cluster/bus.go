@@ -39,11 +39,11 @@ type Bus struct {
 	// Published counts total messages accepted, for diagnostics.
 	published uint64
 	dropped   uint64
-	// clk, when set, gets one work token per enqueued message (retired by
-	// the consumer's Done call, or here when the message is dropped). The
-	// tokens keep a fake clock from advancing past messages that are
+	// clk gets one work token per enqueued message (retired by the
+	// consumer's Done call, or here when the message is dropped). The
+	// tokens keep the clock from advancing past messages that are
 	// delivered but not yet observed by their consumer goroutine.
-	clk vclock.Clock
+	clk *vclock.Fake
 }
 
 // Subscription receives messages for one topic.
@@ -54,18 +54,11 @@ type Subscription struct {
 	dropped uint64 // messages this subscription lost to overflow
 }
 
-// NewBus returns an empty bus.
-func NewBus() *Bus {
-	return &Bus{subs: map[string][]*Subscription{}}
-}
-
-// SetClock attaches a clock for in-flight-delivery accounting. Call it
-// before any traffic flows; consumers of a clocked bus must acknowledge
-// every received message with Subscription.Done.
-func (b *Bus) SetClock(clk vclock.Clock) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.clk = clk
+// NewBus returns an empty bus whose in-flight deliveries are accounted on
+// clk: consumers must acknowledge every received message with
+// Subscription.Done.
+func NewBus(clk *vclock.Fake) *Bus {
+	return &Bus{subs: map[string][]*Subscription{}, clk: clk}
 }
 
 // Subscribe registers a named consumer on a topic with the given queue
@@ -94,12 +87,14 @@ func (b *Bus) Publish(m Message) {
 	}
 	b.published++
 	for _, s := range b.subs[m.Topic] {
+		// The message's work token goes in before the message does: its
+		// consumer may receive and acknowledge it (Done) before Publish
+		// moves on, and an acknowledgement that finds no token to retire
+		// would leave this one outstanding for good.
+		b.clk.AddWork(1)
 		for {
 			select {
 			case s.ch <- m:
-				if b.clk != nil {
-					b.clk.AddWork(1)
-				}
 			default:
 				// Queue full: drop the oldest and retry. The dropped
 				// message will never be acknowledged, so retire its work
@@ -108,11 +103,12 @@ func (b *Bus) Publish(m Message) {
 				case <-s.ch:
 					b.dropped++
 					s.dropped++
-					if b.clk != nil {
-						b.clk.DoneWork()
-					}
+					b.clk.DoneWork()
 					continue
 				default:
+					// A consumer emptied the queue meanwhile; the
+					// message is lost and so is its token.
+					b.clk.DoneWork()
 				}
 			}
 			break
@@ -176,13 +172,5 @@ func (s *Subscription) C() <-chan Message { return s.ch }
 
 // Done acknowledges one received message, retiring its clock work token.
 // Call it after the message has been fully handled (state applied,
-// waiters notified) so a fake clock cannot advance mid-delivery. No-op on
-// an unclocked bus.
-func (s *Subscription) Done() {
-	s.bus.mu.Lock()
-	clk := s.bus.clk
-	s.bus.mu.Unlock()
-	if clk != nil {
-		clk.DoneWork()
-	}
-}
+// waiters notified) so the clock cannot advance mid-delivery.
+func (s *Subscription) Done() { s.bus.clk.DoneWork() }

@@ -1,12 +1,17 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+	"time"
+
+	"sdnavail/internal/vclock"
+)
 
 // TestBusPerSubscriptionDrops: a slow consumer loses messages to overflow
 // while a fast one keeps up; the per-subscription stats must attribute the
 // losses to the right consumer.
 func TestBusPerSubscriptionDrops(t *testing.T) {
-	b := NewBus()
+	b := NewBus(vclock.NewFake(time.Time{}))
 	defer b.Close()
 	slow, err := b.Subscribe("t", "slow", 2)
 	if err != nil {

@@ -24,7 +24,7 @@ type Config struct {
 	Topology *topology.Topology
 	// ComputeHosts is the number of vRouter compute hosts.
 	ComputeHosts int
-	// Timing holds the scaled operational delays.
+	// Timing holds the operational delays, in virtual time.
 	Timing Timing
 	// Degradation holds the graceful-degradation knobs (headless agents,
 	// route aging, replica catch-up latency). The zero value keeps the
@@ -34,13 +34,8 @@ type Config struct {
 	// Raft holds the quorum stores' election tuning. The zero value is
 	// instant mode: leadership hands over synchronously and writes never
 	// wait on an election. Setting ElectionMax enables timed randomized
-	// elections driven by the injected clock.
+	// elections driven by the cluster's virtual clock.
 	Raft RaftConfig
-	// Clock drives every timed operation in the testbed — supervisor
-	// scans, restart delays, agent rediscovery, catch-up deadlines, wait
-	// helpers. Nil defaults to the wall clock (vclock.Real); inject a
-	// *vclock.Fake for deterministic virtual-time runs.
-	Clock vclock.Clock
 	// Telemetry, when non-nil, collects metrics, a state-transition trace
 	// and a downtime-attribution ledger from the cluster. Nil (the
 	// default) disables instrumentation at the cost of one pointer check
@@ -59,7 +54,7 @@ type Cluster struct {
 	cfg    Config
 	timing Timing
 	sup    supervision
-	clk    vclock.Clock
+	clk    *vclock.Fake
 	rng    *rand.Rand // backoff jitter source, fixed seed, guarded by mu
 
 	bus            *Bus
@@ -89,9 +84,9 @@ type Cluster struct {
 	// changed is closed and replaced whenever observable cluster state
 	// mutates; WaitUntil blocks on it instead of polling. changedWaiters
 	// counts the goroutines currently parked on the present generation of
-	// the channel: notifyLocked mints one clock work token per waiter so a
-	// fake clock cannot advance before every woken waiter has re-checked
-	// its condition.
+	// the channel: notifyLocked mints one clock work token per waiter so
+	// the clock cannot advance before every woken waiter has re-checked its
+	// condition.
 	changed        chan struct{}
 	changedWaiters int
 	probeSeq       uint64
@@ -156,17 +151,15 @@ func New(cfg Config) (*Cluster, error) {
 	if err := cfg.Raft.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = vclock.Real{}
-	}
 	n := cfg.Topology.ClusterSize
+	clk := vclock.NewFake(time.Time{})
 	c := &Cluster{
 		cfg:            cfg,
 		timing:         cfg.Timing,
 		sup:            defaultSupervision,
-		clk:            cfg.Clock,
+		clk:            clk,
 		rng:            rand.New(rand.NewSource(1)),
-		bus:            NewBus(),
+		bus:            NewBus(clk),
 		configStore:    NewQuorumStore("cassandra-config", n),
 		analyticsStore: NewQuorumStore("cassandra-analytics", n),
 		seq:            NewSequencer(n),
@@ -181,7 +174,6 @@ func New(cfg Config) (*Cluster, error) {
 		changed:        make(chan struct{}),
 		stopAll:        make(chan struct{}),
 	}
-	c.bus.SetClock(c.clk)
 	c.configStore.InitRaft(c.clk, cfg.Raft, 0)
 	c.analyticsStore.InitRaft(c.clk, cfg.Raft, 1)
 	if cfg.Degradation.ReplicaCatchUp > 0 {
@@ -275,8 +267,8 @@ func New(cfg Config) (*Cluster, error) {
 }
 
 // Start launches the supervisor, control and agent loops. It first
-// registers a clock hold for its caller, so a fake clock stays put until
-// the caller takes it with Hold; Stop, also run by a failed Start,
+// registers a clock hold for its caller, so the clock stays put until the
+// caller takes it with Hold; Stop, also run by a failed Start,
 // releases it if nobody did.
 func (c *Cluster) Start() error {
 	c.mu.Lock()
@@ -401,18 +393,20 @@ func (c *Cluster) spawn(f func()) {
 	})
 }
 
-// Clock returns the clock driving the cluster's timed operations. The
-// chaos harness uses it so probers, injectors and scenario drivers run on
-// the same (possibly virtual) timeline as the cluster itself.
-func (c *Cluster) Clock() vclock.Clock { return c.clk }
+// Clock returns the virtual clock driving every timed operation of the
+// cluster — supervisor scans, restart delays, agent rediscovery, catch-up
+// deadlines, wait helpers. The chaos harness and tests read and wait on
+// it, so probers, injectors and scenario drivers run on the cluster's own
+// timeline.
+func (c *Cluster) Clock() *vclock.Fake { return c.clk }
 
 // notifyLocked wakes every WaitUntil blocked on cluster state by closing
 // the generation channel and installing a fresh one. Every mutation path
 // (recompute, agent maintenance, config application, replica catch-up)
 // runs through it. Callers hold c.mu.
 func (c *Cluster) notifyLocked() {
-	// Every parked waiter becomes runnable when the channel closes, but a
-	// fake clock still counts it as parked until it is scheduled; the work
+	// Every parked waiter becomes runnable when the channel closes, but the
+	// clock still counts it as parked until it is scheduled; the work
 	// tokens bridge that gap (each waiter retires one in WaitUntil).
 	if c.changedWaiters > 0 {
 		c.clk.AddWork(c.changedWaiters)
@@ -892,10 +886,10 @@ func statusLess(a, b ProcStatus) bool {
 //
 // Rather than polling, it parks on the cluster's change-notification
 // channel: every state mutation (recompute, agent maintenance pass,
-// config application, replica catch-up) wakes it for a re-check. Under a
-// fake clock this matters doubly — a poll loop would step virtual time in
-// tiny increments, while parking lets the clock jump straight to the next
-// real deadline.
+// config application, replica catch-up) wakes it for a re-check. On the
+// virtual clock this matters doubly — a poll loop would step virtual time
+// in tiny increments, while parking lets the clock jump straight to the
+// next real deadline.
 func (c *Cluster) WaitUntil(timeout time.Duration, cond func() bool) bool {
 	deadline := c.clk.Now().Add(timeout)
 	for {

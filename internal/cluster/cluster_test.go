@@ -11,6 +11,18 @@ import (
 
 const waitLong = 5 * time.Second
 
+// startT starts c for the calling test and takes its clock hold, so
+// virtual time moves only while the test waits on the clock (WaitUntil,
+// c.Clock().Sleep, a timed probe). The cluster stops when the test ends.
+func startT(t *testing.T, c *Cluster) {
+	t.Helper()
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Hold())
+	t.Cleanup(c.Stop)
+}
+
 // newTestCluster boots a Small-topology testbed with 3 compute hosts.
 func newTestCluster(t *testing.T, kind topology.Kind) *Cluster {
 	t.Helper()
@@ -23,10 +35,7 @@ func newTestCluster(t *testing.T, kind topology.Kind) *Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
+	startT(t, c)
 	return c
 }
 
@@ -201,7 +210,7 @@ func TestUnsupervisedModeRequiresManualRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Give the (dead) supervisor ample opportunity to wrongly restart it.
-	time.Sleep(20 * DefaultTiming().SupervisorCheck)
+	c.Clock().Sleep(20 * DefaultTiming().SupervisorCheck)
 	if c.Alive("Config", 0, "config-api") {
 		t.Fatal("config-api restarted despite a dead supervisor")
 	}
@@ -254,7 +263,7 @@ func TestDatabaseQuorumLossTakesDownCPOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Database processes are manual-restart: they must stay down.
-	time.Sleep(20 * DefaultTiming().SupervisorCheck)
+	c.Clock().Sleep(20 * DefaultTiming().SupervisorCheck)
 	if c.Alive("Database", 0, "cassandra-db (Config)") {
 		t.Fatal("manual-restart cassandra came back by itself")
 	}
@@ -402,7 +411,7 @@ func TestRedisManualRestartAndCacheLoss(t *testing.T) {
 	if err := c.KillProcess("Analytics", 0, "redis"); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * DefaultTiming().SupervisorCheck)
+	c.Clock().Sleep(20 * DefaultTiming().SupervisorCheck)
 	if c.Alive("Analytics", 0, "redis") {
 		t.Fatal("redis must not be auto-restarted (manual restart only)")
 	}
@@ -688,10 +697,7 @@ func TestFiveNodeCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
+	startT(t, c)
 
 	if err := c.ProbeCP(waitLong); err != nil {
 		t.Fatalf("5-node CP probe: %v", err)

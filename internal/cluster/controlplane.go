@@ -56,7 +56,7 @@ func (ctl *controlNode) start() error {
 	ctl.c.spawn(func() {
 		for {
 			// The consumer blocks on the bus, not on the clock, so it
-			// parks explicitly: a fake clock may advance past it while it
+			// parks explicitly: the clock may advance past it while it
 			// has nothing to consume.
 			unpark := ctl.c.clk.Park()
 			select {
@@ -82,7 +82,7 @@ func (ctl *controlNode) start() error {
 				}
 				ctl.c.mu.Unlock()
 				// Acknowledge only after the update (and any waiter
-				// notification) is applied, so a fake clock cannot advance
+				// notification) is applied, so the clock cannot advance
 				// between delivery and effect.
 				sub.Done()
 			}

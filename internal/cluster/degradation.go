@@ -23,7 +23,7 @@ import (
 //     from read quorums (it may serve stale versions). Zero reconciles
 //     synchronously on revival.
 //
-// All durations are on the testbed's scaled clock, like Timing.
+// All durations are virtual time on the testbed's clock, like Timing.
 type Degradation struct {
 	HeadlessHold   time.Duration
 	RouteMaxAge    time.Duration

@@ -31,10 +31,9 @@ func equivCluster(t *testing.T, forceFull bool) (*Cluster, *telemetry.Telemetry,
 	prof := profile.OpenContrail3x()
 	topo := topology.NewSmall(prof.ClusterRoles, 3)
 	tel := telemetry.New()
-	fc := vclock.NewFake(time.Time{})
 	c, err := New(Config{
 		Profile: prof, Topology: topo, ComputeHosts: 2,
-		Clock: fc, Telemetry: tel,
+		Telemetry: tel,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -42,7 +41,7 @@ func equivCluster(t *testing.T, forceFull bool) (*Cluster, *telemetry.Telemetry,
 	c.mu.Lock()
 	c.forceFull = forceFull
 	c.mu.Unlock()
-	return c, tel, fc
+	return c, tel, c.Clock()
 }
 
 // equivOp is one chaos operation applied to both clusters in lockstep.

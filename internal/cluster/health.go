@@ -54,8 +54,7 @@ type SubsystemHealth struct {
 
 // HealthReport is a point-in-time cluster health snapshot.
 type HealthReport struct {
-	// At is the cluster-clock timestamp of the snapshot — virtual time
-	// under a fake clock, wall time otherwise.
+	// At is the cluster's virtual-clock timestamp of the snapshot.
 	At time.Time
 	// Level is the worst subsystem level.
 	Level Health

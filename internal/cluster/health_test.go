@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
 	"sdnavail/internal/profile"
 	"sdnavail/internal/topology"
-	"sdnavail/internal/vclock"
 )
 
 // TestHealthIdleAcrossProfiles: with nothing killed, every profile's
@@ -16,8 +14,7 @@ import (
 func TestHealthIdleAcrossProfiles(t *testing.T) {
 	for _, prof := range []*profile.Profile{profile.OpenContrail3x(), profile.ODLLike(), profile.ONOSLike()} {
 		t.Run(prof.Name, func(t *testing.T) {
-			c, err := New(Config{Profile: prof, Topology: topology.NewSmall(prof.ClusterRoles, 3), ComputeHosts: 2,
-				Clock: vclock.NewFake(time.Time{})})
+			c, err := New(Config{Profile: prof, Topology: topology.NewSmall(prof.ClusterRoles, 3), ComputeHosts: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

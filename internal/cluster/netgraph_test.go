@@ -14,7 +14,7 @@ import (
 	"sdnavail/internal/vclock"
 )
 
-// linkedCluster builds an unstarted fake-clocked testbed on the Small
+// linkedCluster builds an unstarted testbed on the Small
 // reference topology with a declared default fabric, so graph-link ops
 // run synchronously and deterministically.
 func linkedCluster(t *testing.T) (*Cluster, *telemetry.Telemetry, *vclock.Fake) {
@@ -22,15 +22,14 @@ func linkedCluster(t *testing.T) (*Cluster, *telemetry.Telemetry, *vclock.Fake) 
 	prof := profile.OpenContrail3x()
 	topo := topology.NewSmall(prof.ClusterRoles, 3).WithDefaultLinks(10_000, 4)
 	tel := telemetry.New()
-	fc := vclock.NewFake(time.Time{})
 	c, err := New(Config{
 		Profile: prof, Topology: topo, ComputeHosts: 2,
-		Clock: fc, Telemetry: tel,
+		Telemetry: tel,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, tel, fc
+	return c, tel, c.Clock()
 }
 
 // TestGraphLinkCutEffects walks a cut/restore sequence through the
@@ -162,7 +161,7 @@ func TestGraphLinkErrors(t *testing.T) {
 	bare, err := New(Config{
 		Profile:      prof,
 		Topology:     topology.NewSmall(prof.ClusterRoles, 3),
-		ComputeHosts: 1, Clock: vclock.NewFake(time.Time{}),
+		ComputeHosts: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -78,9 +78,11 @@ type procKey struct {
 	name string
 }
 
-// Timing collects the testbed's (scaled) operational delays. Production
-// OpenContrail restarts in ~minutes; the testbed defaults to milliseconds
-// so chaos experiments run quickly. All durations must be positive.
+// Timing collects the testbed's operational delays, in virtual time.
+// Production OpenContrail restarts in ~minutes; the defaults are scaled to
+// milliseconds, and the scenario scripts' step sizes and probe periods are
+// written against those values, so their verdicts rest on the ratios. All
+// durations must be positive.
 type Timing struct {
 	// SupervisorCheck is the supervisor's child-scan period.
 	SupervisorCheck time.Duration
@@ -93,7 +95,7 @@ type Timing struct {
 	Rediscover time.Duration
 }
 
-// DefaultTiming returns the scaled defaults.
+// DefaultTiming returns the millisecond-scaled defaults.
 func DefaultTiming() Timing {
 	return Timing{
 		SupervisorCheck: 2 * time.Millisecond,
@@ -213,8 +215,8 @@ type supervisor struct {
 	stop     chan struct{}
 	// ticker is armed synchronously in Start() before the run goroutine
 	// launches, so same-instant supervisor scans fire in a deterministic
-	// order on a fake clock.
-	ticker vclock.Ticker
+	// order on the virtual clock.
+	ticker *vclock.Ticker
 }
 
 func (s *supervisor) run() {

@@ -11,8 +11,8 @@ import (
 // RAFT-style leadership for the QuorumStore: a leader, terms,
 // randomized election timeouts, heartbeat-refreshed deadlines, vote
 // counting with majority-of-total quorum, and the gray-leader detector.
-// Everything is driven by the injected vclock through Tick, so elections
-// are deterministic under FakeClock.
+// Everything is driven by the cluster's virtual clock through Tick, so
+// elections are deterministic.
 
 // Raft event kinds, drained by the cluster and surfaced as telemetry.
 const (
@@ -42,7 +42,7 @@ type RaftEvent struct {
 
 // raftState is the per-store consensus state; guarded by the store's mu.
 type raftState struct {
-	clk   vclock.Clock
+	clk   *vclock.Fake
 	cfg   RaftConfig
 	rng   *rand.Rand
 	track bool // record events (set once the store is cluster-attached)
@@ -97,7 +97,7 @@ func (r *raftState) randTimeout() time.Duration {
 // is seeded from cfg.Seed offset by the store's index, so the cluster's
 // stores draw independent streams. In timed mode every replica draws an
 // initial election deadline; replica 0 keeps the bootstrap lease.
-func (s *QuorumStore) InitRaft(clk vclock.Clock, cfg RaftConfig, store int64) {
+func (s *QuorumStore) InitRaft(clk *vclock.Fake, cfg RaftConfig, store int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.raft.clk = clk
@@ -381,7 +381,7 @@ type RaftConfig struct {
 	// detector. Requires timed mode (the detector runs on the ticker).
 	GrayDetect time.Duration
 	// Seed seeds the election-timeout RNG (offset per store), making runs
-	// deterministic under FakeClock for a fixed fault schedule.
+	// deterministic for a fixed fault schedule.
 	Seed int64
 }
 

@@ -20,27 +20,22 @@ import (
 // recovery-time distributions. Everything runs on the fake clock, so the
 // live side is deterministic and the comparison is exact run to run.
 
-// raftClusterT boots a fake-clocked testbed in timed-election mode.
+// raftClusterT boots a testbed in timed-election mode.
 func raftClusterT(t *testing.T, rc RaftConfig) (*Cluster, *telemetry.Telemetry, *vclock.Fake) {
 	t.Helper()
-	fc := vclock.NewFake(time.Time{})
 	tel := telemetry.New()
 	prof := profile.OpenContrail3x()
 	topo := topology.NewSmall(prof.ClusterRoles, 3)
 	c, err := New(Config{
 		Profile: prof, Topology: topo, ComputeHosts: 2,
-		Clock: fc, Telemetry: tel, Raft: rc,
+		Telemetry: tel, Raft: rc,
 		Degradation: Degradation{ReplicaCatchUp: 30 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
-	t.Cleanup(c.Hold())
-	return c, tel, fc
+	startT(t, c)
+	return c, tel, c.Clock()
 }
 
 func agreementRaftConfig() RaftConfig {

@@ -2,12 +2,10 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
 	"sdnavail/internal/profile"
 	"sdnavail/internal/telemetry"
 	"sdnavail/internal/topology"
-	"sdnavail/internal/vclock"
 )
 
 // newRecomputeBenchCluster builds (without starting) a Large-topology
@@ -20,7 +18,6 @@ func newRecomputeBenchCluster(b *testing.B) *Cluster {
 	topo := topology.NewLarge(prof.ClusterRoles, 3)
 	c, err := New(Config{
 		Profile: prof, Topology: topo, ComputeHosts: 4,
-		Clock:     vclock.NewFake(time.Time{}),
 		Telemetry: telemetry.New(),
 	})
 	if err != nil {

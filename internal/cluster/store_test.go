@@ -10,10 +10,11 @@ import (
 
 	"sdnavail/internal/profile"
 	"sdnavail/internal/topology"
+	"sdnavail/internal/vclock"
 )
 
 func TestBusPubSub(t *testing.T) {
-	b := NewBus()
+	b := NewBus(vclock.NewFake(time.Time{}))
 	defer b.Close()
 	sub, err := b.Subscribe("t", "c1", 8)
 	if err != nil {
@@ -31,7 +32,7 @@ func TestBusPubSub(t *testing.T) {
 }
 
 func TestBusTopicIsolation(t *testing.T) {
-	b := NewBus()
+	b := NewBus(vclock.NewFake(time.Time{}))
 	defer b.Close()
 	s1, _ := b.Subscribe("a", "c", 4)
 	s2, _ := b.Subscribe("b", "c", 4)
@@ -49,7 +50,7 @@ func TestBusTopicIsolation(t *testing.T) {
 }
 
 func TestBusDropsOldestOnOverflow(t *testing.T) {
-	b := NewBus()
+	b := NewBus(vclock.NewFake(time.Time{}))
 	defer b.Close()
 	sub, _ := b.Subscribe("t", "slow", 2)
 	for i := 0; i < 5; i++ {
@@ -66,7 +67,7 @@ func TestBusDropsOldestOnOverflow(t *testing.T) {
 }
 
 func TestBusCancelAndClose(t *testing.T) {
-	b := NewBus()
+	b := NewBus(vclock.NewFake(time.Time{}))
 	sub, _ := b.Subscribe("t", "c", 2)
 	b.Close()
 	b.Close() // idempotent
@@ -81,7 +82,7 @@ func TestBusCancelAndClose(t *testing.T) {
 }
 
 func TestBusRejectsBadDepth(t *testing.T) {
-	b := NewBus()
+	b := NewBus(vclock.NewFake(time.Time{}))
 	defer b.Close()
 	if _, err := b.Subscribe("t", "c", 0); err == nil {
 		t.Error("zero depth accepted")
@@ -89,7 +90,7 @@ func TestBusRejectsBadDepth(t *testing.T) {
 }
 
 func TestBusConcurrentPublish(t *testing.T) {
-	b := NewBus()
+	b := NewBus(vclock.NewFake(time.Time{}))
 	defer b.Close()
 	sub, _ := b.Subscribe("t", "c", 1024)
 	var wg sync.WaitGroup
@@ -392,10 +393,7 @@ func TestClusterReplicaCatchUpWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
+	startT(t, c)
 
 	if err := c.KillProcess("Database", 2, "cassandra-db (Config)"); err != nil {
 		t.Fatal(err)
@@ -461,10 +459,7 @@ func TestRevivedReplicaHeldDuringPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
+	startT(t, c)
 
 	if err := c.KillProcess("Database", 2, "cassandra-db (Config)"); err != nil {
 		t.Fatal(err)
@@ -498,7 +493,7 @@ func TestRevivedReplicaHeldDuringPartition(t *testing.T) {
 	if trusted() {
 		t.Fatal("revived replica trusted while partitioned")
 	}
-	time.Sleep(4 * window)
+	c.Clock().Sleep(4 * window)
 	if trusted() {
 		t.Fatal("replica promoted into read quorums while partitioned")
 	}

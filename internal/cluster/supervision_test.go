@@ -23,10 +23,7 @@ func newSupervisedCluster(t *testing.T, sup supervision) *Cluster {
 		t.Fatal(err)
 	}
 	c.sup = sup
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
+	startT(t, c)
 	return c
 }
 
@@ -89,7 +86,7 @@ func TestCrashLoopExhaustsRetryBudget(t *testing.T) {
 	}
 
 	// The supervisor must not resurrect a Fatal process.
-	time.Sleep(50 * time.Millisecond)
+	c.Clock().Sleep(50 * time.Millisecond)
 	if c.Alive(role, node, name) {
 		t.Fatal("supervisor restarted a Fatal process")
 	}
@@ -185,10 +182,7 @@ func TestSupervisorDiesWhileRestartInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
+	startT(t, c)
 
 	const role, node, name = "Control", 0, "control"
 	if err := c.KillProcess(role, node, name); err != nil {
@@ -196,13 +190,13 @@ func TestSupervisorDiesWhileRestartInFlight(t *testing.T) {
 	}
 	// Give the supervisor a couple of scan ticks to pick the child up and
 	// enter its AutoRestart sleep, then kill the supervisor mid-flight.
-	time.Sleep(30 * time.Millisecond)
+	c.Clock().Sleep(30 * time.Millisecond)
 	if err := c.KillProcess(role, node, "supervisor-control"); err != nil {
 		t.Fatal(err)
 	}
 	// Well past the restart deadline the child must still be down: the
 	// commit-phase re-check saw the dead supervisor.
-	time.Sleep(300 * time.Millisecond)
+	c.Clock().Sleep(300 * time.Millisecond)
 	if c.Alive(role, node, name) {
 		t.Fatal("child restarted by a supervisor that died mid-restart")
 	}
@@ -248,7 +242,10 @@ func TestRestartStormCounters(t *testing.T) {
 	if err := c.KillProcess(role, node, name); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(50 * time.Millisecond)
+	// Wait past the longest restart backoff the storm can have built up
+	// (backoffMax plus its 50% jitter): a live supervisor would have
+	// restarted the process by then.
+	c.Clock().Sleep(2 * sup.backoffMax)
 	if c.Alive(role, node, name) {
 		t.Fatal("process restarted with its supervisor dead")
 	}

@@ -26,25 +26,20 @@ func telemetryTestTiming() Timing {
 	}
 }
 
-// newTelemetryClusterT boots a fake-clocked Small testbed with telemetry
+// newTelemetryClusterT boots a Small testbed with telemetry
 // attached and the test registered as the clock driver.
 func newTelemetryClusterT(t *testing.T) (*Cluster, *vclock.Fake, *telemetry.Telemetry) {
 	t.Helper()
-	fc := vclock.NewFake(time.Time{})
 	tel := telemetry.New()
 	prof := profile.OpenContrail3x()
 	topo := topology.NewSmall(prof.ClusterRoles, 3)
 	c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 2,
-		Clock: fc, Timing: telemetryTestTiming(), Telemetry: tel})
+		Timing: telemetryTestTiming(), Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(c.Stop)
-	t.Cleanup(c.Hold())
-	return c, fc, tel
+	startT(t, c)
+	return c, c.Clock(), tel
 }
 
 func eventCount(tel *telemetry.Telemetry, kind, subject string) int {
@@ -198,20 +193,20 @@ func TestTelemetryLinkEvents(t *testing.T) {
 }
 
 // TestTelemetryTraceDeterministic: the same scripted run on two fresh
-// fake-clocked clusters yields byte-for-byte identical traces — the
+// clusters yields byte-for-byte identical traces — the
 // property the differential suite and any recorded-trace debugging lean
 // on.
 func TestTelemetryTraceDeterministic(t *testing.T) {
 	runScript := func() []telemetry.Event {
-		fc := vclock.NewFake(time.Time{})
 		tel := telemetry.New()
 		prof := profile.OpenContrail3x()
 		topo := topology.NewSmall(prof.ClusterRoles, 3)
 		c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 2,
-			Clock: fc, Timing: telemetryTestTiming(), Telemetry: tel})
+			Timing: telemetryTestTiming(), Telemetry: tel})
 		if err != nil {
 			t.Fatal(err)
 		}
+		fc := c.Clock()
 		if err := c.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +261,7 @@ func TestQuorumGroupMembersAgree(t *testing.T) {
 	} {
 		c, err := New(Config{
 			Profile: prof, Topology: topology.NewSmall(prof.ClusterRoles, 3), ComputeHosts: 1,
-			Clock: vclock.NewFake(time.Time{}), Telemetry: telemetry.New(),
+			Telemetry: telemetry.New(),
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", prof.Name, err)
@@ -312,10 +307,9 @@ func TestQuorumGroupMembersAgree(t *testing.T) {
 func TestTelemetryIdleNoDPOutage(t *testing.T) {
 	for _, prof := range []*profile.Profile{profile.OpenContrail3x(), profile.ODLLike(), profile.ONOSLike()} {
 		t.Run(prof.Name, func(t *testing.T) {
-			fc := vclock.NewFake(time.Time{})
 			tel := telemetry.New()
 			c, err := New(Config{Profile: prof, Topology: topology.NewSmall(prof.ClusterRoles, 3), ComputeHosts: 2,
-				Clock: fc, Timing: telemetryTestTiming(), Telemetry: tel})
+				Timing: telemetryTestTiming(), Telemetry: tel})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -324,7 +318,7 @@ func TestTelemetryIdleNoDPOutage(t *testing.T) {
 			}
 			defer c.Stop()
 			defer c.Hold()()
-			fc.Sleep(time.Hour)
+			c.Clock().Sleep(time.Hour)
 
 			if got := tel.Metrics.Counter("dp_outages_total").Value(); got != 0 {
 				t.Errorf("dp_outages_total = %d, want 0", got)
@@ -364,7 +358,7 @@ func TestTelemetryBlamesEveryCutLink(t *testing.T) {
 	tel := telemetry.New()
 	c, err := New(Config{
 		Profile: prof, Topology: topology.NewMedium(prof.ClusterRoles, 3).WithDefaultLinks(10_000, 4),
-		ComputeHosts: 1, Clock: vclock.NewFake(time.Time{}), Telemetry: tel,
+		ComputeHosts: 1, Telemetry: tel,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -391,7 +385,7 @@ func TestTelemetryBlamesPartitionAlone(t *testing.T) {
 	tel := telemetry.New()
 	c, err := New(Config{
 		Profile: prof, Topology: topology.NewSmall(prof.ClusterRoles, 3),
-		ComputeHosts: 1, Clock: vclock.NewFake(time.Time{}), Telemetry: tel,
+		ComputeHosts: 1, Telemetry: tel,
 	})
 	if err != nil {
 		t.Fatal(err)

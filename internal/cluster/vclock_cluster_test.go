@@ -9,13 +9,13 @@ import (
 	"sdnavail/internal/vclock"
 )
 
-// startSmallT boots a Small-topology testbed on clk and stops it when the
-// test ends.
-func startSmallT(t *testing.T, clk vclock.Clock) *Cluster {
+// startSmallT boots a Small-topology testbed and stops it when the test
+// ends. It leaves Start's clock hold untaken.
+func startSmallT(t *testing.T) *Cluster {
 	t.Helper()
 	prof := profile.OpenContrail3x()
 	topo := topology.NewSmall(prof.ClusterRoles, 3)
-	c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 2, Clock: clk})
+	c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,19 +26,8 @@ func startSmallT(t *testing.T, clk vclock.Clock) *Cluster {
 	return c
 }
 
-// newFakeClusterT boots a Small-topology testbed on a fake clock. The
-// calling test holds the clock (Cluster.Hold), so virtual time advances
-// only while the test is blocked in clock-aware waits.
-func newFakeClusterT(t *testing.T) (*Cluster, *vclock.Fake) {
-	t.Helper()
-	fc := vclock.NewFake(time.Time{})
-	c := startSmallT(t, fc)
-	t.Cleanup(c.Hold())
-	return c, fc
-}
-
 // TestClusterStartHoldsTheClock pins the clock hand-off: Start returns
-// holding a fake clock for its caller, so no goroutine the cluster starts
+// holding the clock for its caller, so no goroutine the cluster starts
 // can move virtual time before the caller takes over; the first Hold takes
 // that hold, later ones register fresh holds, and Stop releases a hold
 // nobody took.
@@ -71,22 +60,21 @@ func TestClusterStartHoldsTheClock(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name string
-		real bool
 		run  func(t *testing.T, c *Cluster, fc *vclock.Fake)
 	}{
-		{"start holds the clock", false, func(t *testing.T, c *Cluster, fc *vclock.Fake) {
+		{"start holds the clock", func(t *testing.T, c *Cluster, fc *vclock.Fake) {
 			time.Sleep(settle)
 			if got := fc.Now(); !got.Equal(start) {
 				t.Fatalf("clock moved to %v before the caller took the hold, want %v", got, start)
 			}
 		}},
-		{"first hold takes over", false, func(t *testing.T, c *Cluster, fc *vclock.Fake) {
+		{"first hold takes over", func(t *testing.T, c *Cluster, fc *vclock.Fake) {
 			t.Cleanup(c.Hold())
 			if !closesWithin(sleep(fc, false), patience) {
 				t.Fatal("the holder parked but the clock did not advance: Hold added a second hold")
 			}
 		}},
-		{"second hold is fresh", false, func(t *testing.T, c *Cluster, fc *vclock.Fake) {
+		{"second hold is fresh", func(t *testing.T, c *Cluster, fc *vclock.Fake) {
 			t.Cleanup(c.Hold())
 			release := c.Hold()
 			woke := sleep(fc, false)
@@ -98,7 +86,7 @@ func TestClusterStartHoldsTheClock(t *testing.T) {
 				t.Fatal("releasing the second hold did not let the clock advance")
 			}
 		}},
-		{"stop releases an untaken hold", false, func(t *testing.T, c *Cluster, fc *vclock.Fake) {
+		{"stop releases an untaken hold", func(t *testing.T, c *Cluster, fc *vclock.Fake) {
 			woke := sleep(fc, true)
 			if closesWithin(woke, settle) {
 				t.Fatal("clock advanced while Start's hold was untaken")
@@ -108,24 +96,10 @@ func TestClusterStartHoldsTheClock(t *testing.T) {
 				t.Fatal("Stop left Start's hold registered")
 			}
 		}},
-		{"real clock ignores holds", true, func(t *testing.T, c *Cluster, _ *vclock.Fake) {
-			defer c.Hold()()
-			c.Hold()()
-			if err := c.KillProcess("Control", 0, "control"); err != nil {
-				t.Fatal(err)
-			}
-			if !c.WaitUntil(patience, func() bool { return c.Alive("Control", 0, "control") }) {
-				t.Fatal("a held real-clock cluster did not restart a killed process")
-			}
-		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			fc := vclock.NewFake(start)
-			var clk vclock.Clock = fc
-			if tc.real {
-				clk, fc = vclock.Real{}, nil
-			}
-			tc.run(t, startSmallT(t, clk), fc)
+			c := startSmallT(t)
+			tc.run(t, c, c.Clock())
 		})
 	}
 }
@@ -133,9 +107,10 @@ func TestClusterStartHoldsTheClock(t *testing.T) {
 // TestFakeClockSupervisedRestart pins the supervisor's repair latency in
 // virtual time: a killed auto-restart process is noticed within one
 // SupervisorCheck period and running again AutoRestart later — bounds that
-// wall-clock tests can only approximate with generous sleeps.
+// a wall clock could only approximate with generous sleeps.
 func TestFakeClockSupervisedRestart(t *testing.T) {
-	c, fc := newFakeClusterT(t)
+	c := newTestCluster(t, topology.Small)
+	fc := c.Clock()
 	timing := DefaultTiming()
 	killed := fc.Now()
 	if err := c.KillProcess("Control", 0, "control"); err != nil {
@@ -162,7 +137,8 @@ func TestFakeClockSupervisedRestart(t *testing.T) {
 // TestFakeClockWaitUntilTimeout verifies WaitUntil consumes exactly its
 // timeout in virtual time when the condition never holds.
 func TestFakeClockWaitUntilTimeout(t *testing.T) {
-	c, fc := newFakeClusterT(t)
+	c := newTestCluster(t, topology.Small)
+	fc := c.Clock()
 	start := fc.Now()
 	if c.WaitUntil(10*time.Millisecond, func() bool { return false }) {
 		t.Fatal("impossible condition reported true")

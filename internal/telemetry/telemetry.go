@@ -1,7 +1,7 @@
 // Package telemetry is the observability layer shared by the live cluster
 // testbed, the chaos harness and the Monte Carlo simulator: a lock-cheap
 // metrics registry (counters, gauges, histograms), a structured trace of
-// state-transition events stamped from the injected clock and exportable
+// state-transition events stamped from the cluster's clock and exportable
 // as JSONL, and a downtime-attribution ledger that blames every
 // control-plane / data-plane unavailable interval on the failure mode(s)
 // active when the interval opened — the per-mode decomposition behind the

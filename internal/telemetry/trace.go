@@ -9,8 +9,8 @@ import (
 )
 
 // Structured trace of cluster state transitions. Events are stamped from
-// the injected clock (virtual time under a fake clock), so a trace of a
-// deterministic run is itself deterministic. The JSONL form — one JSON
+// the cluster's virtual clock, so a trace of a deterministic run is
+// itself deterministic. The JSONL form — one JSON
 // object per line — streams into any log pipeline.
 
 // Event kinds. The taxonomy covers every state transition the testbed and

@@ -41,8 +41,8 @@ type Fake struct {
 	work int
 }
 
-// waiter is one armed deadline: a sleeper, a timer, or a ticker (which
-// rearms itself period by period).
+// waiter is one armed deadline: a sleeper or a ticker (which rearms
+// itself period by period).
 type waiter struct {
 	deadline time.Time
 	fire     chan time.Time // buffered(1); sends coalesce
@@ -67,14 +67,16 @@ func (f *Fake) Now() time.Time {
 	return f.now
 }
 
-// Since returns the virtual time elapsed since t.
+// Since returns Now().Sub(t).
 func (f *Fake) Since(t time.Time) time.Duration { return f.Now().Sub(t) }
 
-// Sleep blocks until virtual time has advanced by d.
+// Sleep blocks the calling goroutine until virtual time has advanced by
+// d. The block is park-counted.
 func (f *Fake) Sleep(d time.Duration) { f.SleepOr(d, nil) }
 
 // SleepOr blocks until virtual time has advanced by d or cancel closes,
-// reporting true in the former case. The block is park-counted.
+// reporting true in the former case. A nil cancel is never ready, making
+// SleepOr(d, nil) equivalent to Sleep(d). The block is park-counted.
 func (f *Fake) SleepOr(d time.Duration, cancel <-chan struct{}) bool {
 	select {
 	case <-cancel:
@@ -116,33 +118,9 @@ func (f *Fake) abandon(w *waiter) bool {
 	return false
 }
 
-// After returns a channel delivering the virtual time once d has
-// elapsed. Not park-counted: registered goroutines must not block on it
-// directly (use Sleep/SleepOr).
-func (f *Fake) After(d time.Duration) <-chan time.Time {
-	return f.newTimer(d).fire
-}
-
-// NewTimer returns a one-shot virtual timer. Not park-counted.
-func (f *Fake) NewTimer(d time.Duration) Timer {
-	return &fakeTimer{f: f, w: f.newTimer(d)}
-}
-
-func (f *Fake) newTimer(d time.Duration) *waiter {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	w := &waiter{deadline: f.now.Add(d), fire: make(chan time.Time, 1), seq: f.nextSeqLocked()}
-	if d <= 0 {
-		w.fire <- f.now
-		return w
-	}
-	f.waiters[w] = struct{}{}
-	return w
-}
-
 // NewTicker returns a virtual ticker firing every d; its Wait method is
 // park-counted. Panics if d is not positive.
-func (f *Fake) NewTicker(d time.Duration) Ticker {
+func (f *Fake) NewTicker(d time.Duration) *Ticker {
 	if d <= 0 {
 		panic("vclock: non-positive ticker period")
 	}
@@ -150,10 +128,12 @@ func (f *Fake) NewTicker(d time.Duration) Ticker {
 	defer f.mu.Unlock()
 	w := &waiter{deadline: f.now.Add(d), fire: make(chan time.Time, 1), period: d, seq: f.nextSeqLocked()}
 	f.waiters[w] = struct{}{}
-	return &fakeTicker{f: f, w: w}
+	return &Ticker{f: f, w: w}
 }
 
-// Register declares a clock-driven goroutine (see Clock.Register).
+// Register declares a clock-driven goroutine to the waiter accounting.
+// Start clock-driven goroutines with Go rather than calling it by hand; a
+// cluster's driver takes Cluster.Hold.
 func (f *Fake) Register() {
 	f.mu.Lock()
 	f.registered++
@@ -175,8 +155,13 @@ func (f *Fake) Unregister() {
 	}
 }
 
-// AddWork declares n outstanding deliveries that must be consumed (each
-// retired by one DoneWork) before the clock may advance.
+// AddWork declares n outstanding work items — deliveries made to a
+// goroutine that has not yet observed them (a published message, a
+// condition-change notification). The clock refuses to advance while
+// work is outstanding: a consumer that is runnable but not yet scheduled
+// still counts as park-blocked, and only the work token makes its pending
+// wakeup visible to the clock. Each item is retired with one DoneWork
+// call by the goroutine that consumed it.
 func (f *Fake) AddWork(n int) {
 	if n <= 0 {
 		return
@@ -203,7 +188,9 @@ func (f *Fake) DoneWork() {
 }
 
 // Park marks the calling registered goroutine as blocked outside the
-// clock. The returned function unparks it.
+// clock (e.g. on a message-channel receive) so the clock may advance past
+// it. Call the returned function as soon as the goroutine is runnable
+// again.
 func (f *Fake) Park() func() {
 	f.mu.Lock()
 	f.parked++
@@ -388,32 +375,19 @@ func (f *Fake) fireNextDueLocked() bool {
 	return true
 }
 
-type fakeTimer struct {
-	f *Fake
-	w *waiter
-}
-
-func (t *fakeTimer) C() <-chan time.Time { return t.w.fire }
-
-func (t *fakeTimer) Stop() bool {
-	t.f.mu.Lock()
-	defer t.f.mu.Unlock()
-	if _, ok := t.f.waiters[t.w]; !ok {
-		return false
-	}
-	delete(t.f.waiters, t.w)
-	return true
-}
-
-type fakeTicker struct {
+// Ticker delivers ticks at a fixed virtual period. Missed ticks coalesce:
+// a consumer that falls behind sees one pending tick, not a backlog.
+type Ticker struct {
 	f       *Fake
 	w       *waiter
 	stopped bool
 }
 
-// Wait blocks until the next tick (park-counted) or cancellation. A tick
-// that fired while the consumer was busy is consumed immediately.
-func (t *fakeTicker) Wait(cancel <-chan struct{}) bool {
+// Wait blocks until the next tick (park-counted) or until cancel is
+// closed, reporting true on a tick and false on cancellation or after
+// Stop. A tick that fired while the consumer was busy is consumed
+// immediately.
+func (t *Ticker) Wait(cancel <-chan struct{}) bool {
 	select {
 	case <-cancel:
 		return false
@@ -452,7 +426,8 @@ func (t *fakeTicker) Wait(cancel <-chan struct{}) bool {
 	}
 }
 
-func (t *fakeTicker) Stop() {
+// Stop releases the ticker.
+func (t *Ticker) Stop() {
 	t.f.mu.Lock()
 	defer t.f.mu.Unlock()
 	if t.stopped {

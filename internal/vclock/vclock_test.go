@@ -9,34 +9,6 @@ import (
 // epoch is the fake clock's default start.
 var epoch = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 
-func TestRealClockBasics(t *testing.T) {
-	var clk Real
-	t0 := clk.Now()
-	clk.Sleep(time.Millisecond)
-	if clk.Since(t0) <= 0 {
-		t.Fatalf("real clock did not advance")
-	}
-	if !clk.SleepOr(time.Microsecond, nil) {
-		t.Fatalf("SleepOr(nil cancel) = false")
-	}
-	cancel := make(chan struct{})
-	close(cancel)
-	if clk.SleepOr(time.Hour, cancel) {
-		t.Fatalf("SleepOr with closed cancel = true")
-	}
-	tk := clk.NewTicker(time.Millisecond)
-	defer tk.Stop()
-	if !tk.Wait(nil) {
-		t.Fatalf("real ticker Wait = false")
-	}
-	if tk.Wait(cancel) {
-		t.Fatalf("real ticker Wait with closed cancel = true")
-	}
-	clk.Register() // no-ops
-	clk.Unregister()
-	clk.Park()()
-}
-
 // TestFakeAutoAdvance: two registered sleepers with different deadlines
 // wake in deadline order, and virtual time lands exactly on each
 // deadline — no wall time is spent.
@@ -237,47 +209,6 @@ func TestFakeSleepOrCancel(t *testing.T) {
 	}
 	if f.SleepOr(time.Hour, cancel) {
 		t.Fatalf("SleepOr with already-closed cancel returned true")
-	}
-}
-
-// TestFakeTimerAndAfter: manual Advance drives one-shot deadlines; Stop
-// disarms a pending timer.
-func TestFakeTimerAndAfter(t *testing.T) {
-	f := NewFake(time.Time{})
-	ch := f.After(5 * time.Second)
-	tm := f.NewTimer(8 * time.Second)
-	stopped := f.NewTimer(time.Second)
-	if !stopped.Stop() {
-		t.Fatalf("Stop on pending timer = false")
-	}
-	if stopped.Stop() {
-		t.Fatalf("second Stop = true")
-	}
-	f.Advance(6 * time.Second)
-	select {
-	case at := <-ch:
-		if want := epoch.Add(5 * time.Second); !at.Equal(want) {
-			t.Fatalf("After fired at %v, want %v", at, want)
-		}
-	default:
-		t.Fatalf("After did not fire")
-	}
-	select {
-	case <-tm.C():
-		t.Fatalf("timer fired early")
-	default:
-	}
-	f.Advance(2 * time.Second)
-	select {
-	case at := <-tm.C():
-		if want := epoch.Add(8 * time.Second); !at.Equal(want) {
-			t.Fatalf("timer fired at %v, want %v", at, want)
-		}
-	default:
-		t.Fatalf("timer did not fire")
-	}
-	if tm.Stop() {
-		t.Fatalf("Stop after fire = true")
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"sdnavail/internal/report"
 	"sdnavail/internal/sweep"
 	"sdnavail/internal/topology"
-	"sdnavail/internal/vclock"
 )
 
 // The root package re-exports the internal packages' core types and entry
@@ -297,16 +296,6 @@ type Operator = chaos.Operator
 // NewOperator returns an operator bot with the given response time; call
 // Start with a running cluster and Stop when done.
 func NewOperator(responseTime time.Duration) *Operator { return chaos.NewOperator(responseTime) }
-
-// ---- virtual time ----
-
-// FakeClock is a deterministic virtual clock: it advances to the next
-// pending deadline whenever every registered goroutine is parked in a
-// clock-aware wait, so timed behaviour is exact and repeatable.
-type FakeClock = vclock.Fake
-
-// NewFakeClock returns a FakeClock starting at the given instant.
-func NewFakeClock(start time.Time) *FakeClock { return vclock.NewFake(start) }
 
 // ---- rare-event acceleration (deep availability tails) ----
 
