@@ -48,10 +48,9 @@ func main() {
 	}
 	fmt.Print(rep.String())
 
-	// The testbed runs on a virtual clock. RunScenario held it for its
-	// run; from here on this goroutine holds it, so virtual time moves
-	// only while main waits on the clock.
-	defer c.Hold()()
+	// The testbed runs on a virtual clock. RunScenario handed its hold back
+	// to the cluster when it returned, so virtual time moves only while
+	// main waits on the clock.
 	clk := c.Clock()
 
 	fmt.Println("\n== supervisor auto-restart ==")

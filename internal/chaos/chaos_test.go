@@ -9,6 +9,7 @@ import (
 	"sdnavail/internal/cluster"
 	"sdnavail/internal/profile"
 	"sdnavail/internal/topology"
+	"sdnavail/internal/vclock"
 )
 
 func newTestCluster(t *testing.T) *cluster.Cluster {
@@ -296,6 +297,34 @@ func TestScenarioErrorPropagates(t *testing.T) {
 	})}
 	if _, err := RunScenario(c, bad, 0, 0, 0); err == nil {
 		t.Fatal("expected scenario error")
+	}
+}
+
+// TestRunScenarioLeavesTheClockHeld: when RunScenario returns, its hold
+// goes back to the cluster, so virtual time stands still until the next
+// driver takes it, and the caller reads the cluster the report ended on.
+// A goroutine sleeping a virtual millisecond must not wake within 50 ms of
+// wall time.
+func TestRunScenarioLeavesTheClockHeld(t *testing.T) {
+	c := newTestCluster(t)
+	step := 20 * time.Millisecond
+	if _, err := RunScenario(c, SectionIII(step), step, 0, 0); err != nil {
+		t.Fatal(err)
+	}
+	clk := c.Clock()
+	ended := clk.Now()
+	woke := make(chan struct{})
+	vclock.Go(clk, func() {
+		clk.Sleep(time.Millisecond)
+		close(woke)
+	})
+	select {
+	case <-woke:
+		t.Fatalf("virtual time ran on after RunScenario returned: %v passed", clk.Since(ended))
+	case <-time.After(50 * time.Millisecond):
+	}
+	if moved := clk.Since(ended); moved != 0 {
+		t.Fatalf("virtual time moved %v after RunScenario returned", moved)
 	}
 }
 

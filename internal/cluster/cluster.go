@@ -92,7 +92,8 @@ type Cluster struct {
 	probeSeq       uint64
 	started        bool
 	stopped        bool
-	startHold      bool // Start's clock hold, until Hold takes it or Stop releases it
+	startHold      bool // the cluster's clock hold (Start's, or one handed back), until Hold takes it or Stop releases it
+	holders        int  // Hold's releases not yet called
 
 	// dirty is the set of processes whose liveness inputs (state,
 	// hardware, reachability) may have changed since the last recompute;
@@ -374,6 +375,9 @@ func (c *Cluster) Stop() {
 // Hold registers the calling driver on the cluster's clock and returns
 // its release: the first call takes over Start's hold, later calls
 // register fresh ones. The clock then advances only while the driver parks.
+// The last release hands the hold back to the cluster while it runs, so a
+// driver that returns leaves virtual time stopped, not running free: the
+// next Hold takes the hold over and Stop releases it.
 func (c *Cluster) Hold() (release func()) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -381,7 +385,17 @@ func (c *Cluster) Hold() (release func()) {
 		c.clk.Register()
 	}
 	c.startHold = false
-	return c.clk.Unregister
+	c.holders++
+	return func() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		c.holders--
+		if c.stopped || c.holders > 0 || c.startHold {
+			c.clk.Unregister()
+			return
+		}
+		c.startHold = true
+	}
 }
 
 // spawn runs f as a clock-driven cluster loop that Stop waits for.

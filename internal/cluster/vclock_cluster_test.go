@@ -29,8 +29,9 @@ func startSmallT(t *testing.T) *Cluster {
 // TestClusterStartHoldsTheClock pins the clock hand-off: Start returns
 // holding the clock for its caller, so no goroutine the cluster starts
 // can move virtual time before the caller takes over; the first Hold takes
-// that hold, later ones register fresh holds, and Stop releases a hold
-// nobody took.
+// that hold, later ones register fresh holds, the last release hands the
+// hold back to the cluster for the next Hold to take, and Stop releases a
+// hold nobody took.
 func TestClusterStartHoldsTheClock(t *testing.T) {
 	start := time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 	const (
@@ -84,6 +85,16 @@ func TestClusterStartHoldsTheClock(t *testing.T) {
 			release()
 			if !closesWithin(woke, patience) {
 				t.Fatal("releasing the second hold did not let the clock advance")
+			}
+		}},
+		{"the last release hands the hold back", func(t *testing.T, c *Cluster, fc *vclock.Fake) {
+			c.Hold()()
+			if closesWithin(sleep(fc, true), settle) {
+				t.Fatal("clock advanced after the last hold was released: the release let it run free")
+			}
+			t.Cleanup(c.Hold())
+			if !closesWithin(sleep(fc, false), patience) {
+				t.Fatal("the holder parked but the clock did not advance: Hold did not take the handed-back hold")
 			}
 		}},
 		{"stop releases an untaken hold", func(t *testing.T, c *Cluster, fc *vclock.Fake) {

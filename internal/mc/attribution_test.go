@@ -1,9 +1,11 @@
 package mc
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -77,8 +79,8 @@ func TestAttributionConservation(t *testing.T) {
 		res := s.Run()
 
 		cpSum := 0.0
-		for _, h := range res.CPDowntimeByMode {
-			cpSum += h
+		for _, d := range res.CPModeDowntime {
+			cpSum += d.Hours
 		}
 		cpWant := (1 - res.CPAvailability) * res.Hours
 		if math.Abs(cpSum-cpWant) > 1e-6*res.Hours {
@@ -86,8 +88,8 @@ func TestAttributionConservation(t *testing.T) {
 		}
 
 		dpSum := 0.0
-		for _, h := range res.DPDowntimeByMode {
-			dpSum += h
+		for _, d := range res.DPModeDowntime {
+			dpSum += d.Hours
 		}
 		dpWant := (1 - res.HostDPAvailability) * res.Hours * float64(cfg.ComputeHosts)
 		if math.Abs(dpSum-dpWant) > 1e-6*res.Hours {
@@ -142,7 +144,7 @@ func TestAttributionMatchesLedger(t *testing.T) {
 			case *was && !up:
 				names := make([]string, len(blames))
 				for i, m := range blames {
-					names[i] = s.modeNames[m]
+					names[i] = s.table.Modes[m]
 				}
 				ledger.PlaneDown(plane, s.now, names)
 			case !*was && up:
@@ -168,8 +170,8 @@ func TestAttributionMatchesLedger(t *testing.T) {
 			got   map[string]float64
 			want  telemetry.Attribution
 		}{
-			{"cp", res.CPDowntimeByMode, ledger.Attribution("cp", cfg.Horizon)},
-			{"dp", res.DPDowntimeByMode, telemetry.Merge("dp", parts...)},
+			{"cp", byName(s.table.Modes, res.CPModeDowntime), ledger.Attribution("cp", cfg.Horizon)},
+			{"dp", byName(s.table.Modes, res.DPModeDowntime), telemetry.Merge("dp", parts...)},
 		} {
 			if c.want.Intervals < 3 {
 				t.Errorf("%s %s: only %d outages replayed", name, c.plane, c.want.Intervals)
@@ -201,7 +203,8 @@ func TestAttributionModeKeys(t *testing.T) {
 	}
 	res := s.Run()
 	prefixes := []string{"process:", "vm:", "host:", "rack:"}
-	for _, modes := range []map[string]float64{res.CPDowntimeByMode, res.DPDowntimeByMode} {
+	for _, l := range [][]ModeDowntime{res.CPModeDowntime, res.DPModeDowntime} {
+		modes := byName(s.table.Modes, l)
 		for mode, h := range modes {
 			if h < 0 {
 				t.Errorf("mode %s has negative downtime %v", mode, h)
@@ -222,7 +225,7 @@ func TestAttributionModeKeys(t *testing.T) {
 			}
 		}
 	}
-	if len(res.CPDowntimeByMode) == 0 || len(res.DPDowntimeByMode) == 0 {
+	if len(res.CPModeDowntime) == 0 || len(res.DPModeDowntime) == 0 {
 		t.Error("degraded run produced no attributed downtime")
 	}
 }
@@ -274,5 +277,100 @@ func TestAttributionSharesTrackAnalytic(t *testing.T) {
 			t.Errorf("mode %s: sim share %.3f vs analytic %.3f (|Δ|=%.3f > %.2f)",
 				c.Mode, got[c.Mode], c.Share, d, tol)
 		}
+	}
+}
+
+// byName reads a Result's mode list under the mode names its ids index.
+func byName(names []string, l []ModeDowntime) map[string]float64 {
+	out := make(map[string]float64, len(l))
+	for _, d := range l {
+		out[names[d.Mode]] = d.Hours
+	}
+	return out
+}
+
+// TestModeIDFoldMatchesNames holds the fold's per-mode sums, taken by mode
+// id and named only in Estimate, to a reference fold over name-keyed maps
+// built from the same Results: the Estimate's maps must equal it bit for
+// bit, whatever the worker count, since each mode is summed in
+// replication order either way.
+func TestModeIDFoldMatchesNames(t *testing.T) {
+	cfg := goldenConfig(t)
+	names := newSessionValidated(cfg).modeNames()
+	for _, workers := range []int{1, 4} {
+		est, err := runWorkers(cfg, 200, 0.99, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(est.Results) != 200 {
+			t.Fatalf("workers=%d: kept %d results, want 200", workers, len(est.Results))
+		}
+		for _, plane := range []struct {
+			name string
+			list func(*Result) []ModeDowntime
+			got  map[string]float64
+		}{
+			{"cp", func(r *Result) []ModeDowntime { return r.CPModeDowntime }, est.CPDowntimeByMode},
+			{"dp", func(r *Result) []ModeDowntime { return r.DPModeDowntime }, est.DPDowntimeByMode},
+		} {
+			sum := map[string]float64{}
+			for i := range est.Results {
+				for m, h := range byName(names, plane.list(&est.Results[i])) {
+					sum[m] += h
+				}
+			}
+			if len(sum) == 0 {
+				t.Fatalf("workers=%d %s: no attributed downtime to compare", workers, plane.name)
+			}
+			if len(plane.got) != len(sum) {
+				t.Errorf("workers=%d %s: estimate names %d modes, reference %d", workers, plane.name, len(plane.got), len(sum))
+			}
+			for m, h := range sum {
+				want := h / float64(len(est.Results))
+				if got, ok := plane.got[m]; !ok || math.Float64bits(got) != math.Float64bits(want) {
+					t.Errorf("workers=%d %s %s: estimate %.17g (present %v), reference %.17g", workers, plane.name, m, got, ok, want)
+				}
+			}
+		}
+	}
+}
+
+// TestKeptResultsOwnTheirModes: a fold that keeps Results must copy their
+// mode lists, which are buffers of the stream slot the next replication is
+// run into. One worker runs every replication into the same slot; the
+// first replications' kept lists must still be the ones a fresh simulator
+// produces after 100 more replications have gone through that slot.
+func TestKeptResultsOwnTheirModes(t *testing.T) {
+	cfg := goldenConfig(t)
+	ss := newSessionValidated(cfg)
+	st := ss.Stream(context.Background(), 120, 0, 1)
+	defer st.Close()
+	f := ss.NewFold(true, 120)
+	add := func(_ int, res *Result) { f.Add(res) }
+	const first = 20
+	st.Next(first, add)
+	st.Next(first+100, add)
+	if f.N() != first+100 {
+		t.Fatalf("folded %d replications, want %d", f.N(), first+100)
+	}
+	blamed := 0
+	for rep := 0; rep < first; rep++ {
+		s, err := New(cfg, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := s.Run()
+		kept := f.results[rep]
+		if !reflect.DeepEqual(kept.CPModeDowntime, want.CPModeDowntime) ||
+			!reflect.DeepEqual(kept.DPModeDowntime, want.DPModeDowntime) {
+			t.Errorf("replication %d: kept mode lists CP %v DP %v, a fresh run gives CP %v DP %v",
+				rep, kept.CPModeDowntime, kept.DPModeDowntime, want.CPModeDowntime, want.DPModeDowntime)
+		}
+		if len(want.CPModeDowntime) > 0 {
+			blamed++
+		}
+	}
+	if blamed < first/2 {
+		t.Fatalf("only %d of the first %d replications blamed a CP mode", blamed, first)
 	}
 }

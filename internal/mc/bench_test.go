@@ -69,7 +69,7 @@ func BenchmarkRareTailRun(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := NewFold(false, 0)
+		f := ss.NewFold(false, 0)
 		ss.Range(context.Background(), 1<<16, runtime.GOMAXPROCS(0), func(_ int, res *Result) { f.Add(res) })
 		if f.N() != 1<<16 {
 			b.Fatal("short range")
@@ -99,43 +99,59 @@ func BenchmarkReplication(b *testing.B) {
 // quotes — so it cannot drift silently. The event queue, the RNG, the
 // quorum counters, the blame sets (interned ids in buffers each plane
 // reuses) and the per-mode accrual (tables indexed by id) allocate nothing
-// once warm; what is left is the two per-mode maps the Result takes away,
-// built once at the end and pre-sized from the modes blamed: 4 here.
-// Ceilings are the measured values plus five — except on
-// the rare tail, which fires under two events per replication and allocates
-// only in the few replications that split or accrue downtime (under 0.1 a
-// replication, which AllocsPerRun rounds down to 0): its ceiling is 0, so
-// one allocation per replication for handing the Result over would show.
-// The Sim is reused directly rather than through the Session's sync.Pool,
-// which under -race drops pooled objects at random and would count rebuilds.
+// once warm; what is left is the one buffer both per-mode lists of a fresh
+// Result share: 1 here, where nearly every replication has downtime. Into
+// a reused Result — a stream's slot — a replication with downtime
+// allocates nothing at all. Ceilings are the measured values plus five —
+// except where the measured value is 0: there it is 0, so one allocation
+// per replication for handing the Result over would show. The rare tail
+// fires under two events per replication and allocates only in the few
+// replications that split or accrue downtime (under 0.1 a replication,
+// which AllocsPerRun rounds down to 0). The Sim is reused directly rather
+// than through the Session's sync.Pool, which under -race drops pooled
+// objects at random and would count rebuilds.
 func TestReplicationAllocs(t *testing.T) {
 	cases := []struct {
 		name    string
 		cfg     Config
+		reuse   bool // run every replication into the same Result
 		ceiling float64
 	}{
-		{"bench", benchConfig(t), 9},
-		{"rare-tail", rareTailConfig(), 0},
+		{"bench", benchConfig(t), false, 6},
+		{"bench/reused-result", benchConfig(t), true, 0},
+		{"rare-tail", rareTailConfig(), false, 0},
 	}
 	for _, c := range cases {
 		if err := c.cfg.Validate(); err != nil {
 			t.Fatal(err)
 		}
 		s := newSim(c.cfg)
+		var res Result
+		replicate := func(rep int) {
+			s.reset(rep)
+			if !c.reuse {
+				res = Result{}
+			}
+			s.runCancel(nil, &res)
+		}
 		const warm, runs = 64, 256
 		for rep := 0; rep < warm; rep++ {
-			s.reset(rep)
-			s.Run()
+			replicate(rep)
 		}
-		rep := warm
+		rep, blamed := warm, 0
 		got := testing.AllocsPerRun(runs, func() {
-			s.reset(rep)
-			s.Run()
+			replicate(rep)
+			if len(res.CPModeDowntime) > 0 {
+				blamed++
+			}
 			rep++
 		})
-		t.Logf("%s: %.1f allocs per replication", c.name, got)
+		t.Logf("%s: %.1f allocs per replication, %d of %d replications with CP downtime", c.name, got, blamed, rep-warm)
 		if got > c.ceiling {
 			t.Errorf("%s: %.1f allocs per replication, ceiling %.0f", c.name, got, c.ceiling)
+		}
+		if c.reuse && blamed < (rep-warm)/2 {
+			t.Errorf("%s: only %d of %d replications had CP downtime to hand over", c.name, blamed, rep-warm)
 		}
 	}
 }

@@ -1,6 +1,10 @@
 package mc
 
-import "sdnavail/internal/stats"
+import (
+	"slices"
+
+	"sdnavail/internal/stats"
+)
 
 // Fold is the one reducer that turns replication Results into an Estimate.
 // Every execution path — Run's worker pool, a sweep point's adaptive
@@ -11,18 +15,21 @@ import "sdnavail/internal/stats"
 type Fold struct {
 	cp, sdp, dp, elec, wrongRead     stats.Accumulator
 	cpU                              stats.WeightedAccumulator
-	cpModes, dpModes                 map[string]float64
+	cpModes, dpModes                 modeSums
 	hitW                             float64
 	rarePaths, rareSplits, rareKills int
 	elections                        int
 	electionHours                    float64
 	results                          []Result
+	// ss names the mode ids, in Estimate.
+	ss *Session
 }
 
-// NewFold builds a fold. keep retains the per-replication Results (the
-// Config.KeepResults contract); capHint pre-sizes that slice.
-func NewFold(keep bool, capHint int) *Fold {
-	f := &Fold{cpModes: map[string]float64{}, dpModes: map[string]float64{}}
+// NewFold builds a fold of the session's replications. keep retains the
+// per-replication Results (the Config.KeepResults contract); capHint
+// pre-sizes that slice.
+func (ss *Session) NewFold(keep bool, capHint int) *Fold {
+	f := &Fold{ss: ss}
 	if keep {
 		f.results = make([]Result, 0, capHint)
 	}
@@ -53,15 +60,21 @@ func (f *Fold) Add(res *Result) {
 	f.wrongRead.Add(res.CPWrongReadDowntime / res.Hours)
 	f.elections += res.LeaderElections
 	f.electionHours += res.ElectionHoursTotal
-	for m, h := range res.CPDowntimeByMode {
-		f.cpModes[m] += h
-	}
-	for m, h := range res.DPDowntimeByMode {
-		f.dpModes[m] += h
-	}
+	f.cpModes.add(res.CPModeDowntime)
+	f.dpModes.add(res.DPModeDowntime)
 	if f.results != nil {
-		f.results = append(f.results, *res)
+		f.results = append(f.results, keepModes(*res))
 	}
+}
+
+// keepModes gives a retained Result mode lists of its own, in one
+// allocation: a borrowed Result's lists are buffers of a slot the next
+// replication overwrites.
+func keepModes(res Result) Result {
+	n := len(res.CPModeDowntime)
+	buf := slices.Concat(res.CPModeDowntime, res.DPModeDowntime)
+	res.CPModeDowntime, res.DPModeDowntime = buf[:n:n], buf[n:]
+	return res
 }
 
 // N returns the number of replications folded.
@@ -73,6 +86,10 @@ func (f *Fold) N() int { return f.cp.N() }
 // snapshot or a stopping check can take one mid-run and the fold keeps
 // going. Results aliases the fold's retained slice.
 func (f *Fold) Estimate(level float64, truncated bool) Estimate {
+	var names []string
+	if len(f.cpModes.hours)+len(f.dpModes.hours) > 0 {
+		names = f.ss.modeNames()
+	}
 	est := Estimate{
 		CP:                        f.cp.ConfidenceInterval(level),
 		SharedDP:                  f.sdp.ConfidenceInterval(level),
@@ -83,8 +100,8 @@ func (f *Fold) Estimate(level float64, truncated bool) Estimate {
 		RarePaths:                 f.rarePaths,
 		RareSplits:                f.rareSplits,
 		RareKills:                 f.rareKills,
-		CPDowntimeByMode:          meanHours(f.cpModes, f.N()),
-		DPDowntimeByMode:          meanHours(f.dpModes, f.N()),
+		CPDowntimeByMode:          f.cpModes.mean(names, f.N()),
+		DPDowntimeByMode:          f.dpModes.mean(names, f.N()),
 		CPElectionUnavailability:  f.elec.ConfidenceInterval(level),
 		CPWrongReadUnavailability: f.wrongRead.ConfidenceInterval(level),
 		Elections:                 f.elections,
@@ -105,11 +122,40 @@ func (f *Fold) Precision(level float64) (cpHalfWidth float64, cpU stats.Interval
 	return f.cp.ConfidenceInterval(level).HalfWide, f.cpU.ConfidenceInterval(level), f.cpU.ESS()
 }
 
-// meanHours divides summed per-mode hours by the replication count.
-func meanHours(sum map[string]float64, n int) map[string]float64 {
-	mean := make(map[string]float64, len(sum))
-	for m, h := range sum {
-		mean[m] = h / float64(n)
+// modeSums sums one plane's per-mode hours across replications, indexed
+// by mode id and grown to the largest id seen. seen marks the ids some
+// replication blamed, even for zero hours.
+type modeSums struct {
+	hours []float64
+	seen  []bool
+}
+
+func (m *modeSums) add(l []ModeDowntime) {
+	for _, d := range l {
+		if int(d.Mode) >= len(m.hours) {
+			grow := int(d.Mode) + 1 - len(m.hours)
+			m.hours = append(m.hours, make([]float64, grow)...)
+			m.seen = append(m.seen, make([]bool, grow)...)
+		}
+		m.hours[d.Mode] += d.Hours
+		m.seen[d.Mode] = true
+	}
+}
+
+// mean divides the summed hours of every mode seen by the replication
+// count, under the modes' names.
+func (m *modeSums) mean(names []string, n int) map[string]float64 {
+	count := 0
+	for _, ok := range m.seen {
+		if ok {
+			count++
+		}
+	}
+	mean := make(map[string]float64, count)
+	for id, ok := range m.seen {
+		if ok {
+			mean[names[id]] = m.hours[id] / float64(n)
+		}
 	}
 	return mean
 }

@@ -120,14 +120,15 @@ func TestMCLinkAttribution(t *testing.T) {
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatal("same seed, same config, different results with link entities")
 	}
+	cpModes := byName(s1.table.Modes, r1.CPModeDowntime)
 	linkModes := 0
-	for mode := range r1.CPDowntimeByMode {
+	for mode := range cpModes {
 		if strings.HasPrefix(mode, "link:") {
 			linkModes++
 		}
 	}
 	if linkModes == 0 {
-		t.Errorf("no link: failure modes in CP attribution %v despite a fallible fabric", r1.CPDowntimeByMode)
+		t.Errorf("no link: failure modes in CP attribution %v despite a fallible fabric", cpModes)
 	}
 	if r1.CPAvailability >= 1 {
 		t.Error("fallible fabric produced no CP downtime at all")

@@ -83,13 +83,13 @@ func TestOutageFrequencyMatchesAnalytic(t *testing.T) {
 // it as horizon minus a float sum of hundreds of up intervals reported a
 // few ulps of downtime — or of negative downtime — on about 1% of the
 // outage-free replications below.) Nor does it have anything to attribute:
-// its per-mode map stays nil, and the fold reads nil as no modes.
+// its per-mode lists stay empty, and the fold reads them as no modes.
 func TestOutageFreeReplicationHasNoDowntime(t *testing.T) {
 	cfg := goldenConfig(t)
 	cfg.Horizon = 200
 	s := newSim(cfg)
 	clean := 0
-	fold := NewFold(false, 0)
+	fold := newSessionValidated(cfg).NewFold(false, 0)
 	for rep := 0; rep < 20000; rep++ {
 		s.reset(rep)
 		res := s.Run()
@@ -104,10 +104,10 @@ func TestOutageFreeReplicationHasNoDowntime(t *testing.T) {
 			t.Errorf("replication %d saw no outage but reports CPUnavailability = %g, RareHitWeight = %g",
 				rep, res.CPUnavailability, res.RareHitWeight)
 		}
-		if res.CPDowntimeByMode != nil {
-			t.Errorf("replication %d saw no outage but carries a CP mode map %v", rep, res.CPDowntimeByMode)
+		if len(res.CPModeDowntime) != 0 {
+			t.Errorf("replication %d saw no outage but carries CP modes %v", rep, res.CPModeDowntime)
 		}
-		if res.DPDowntimeByMode == nil { // a host-DP outage needs no CP outage
+		if len(res.DPModeDowntime) == 0 { // a host-DP outage needs no CP outage
 			fold.Add(&res)
 		}
 	}
@@ -120,7 +120,7 @@ func TestOutageFreeReplicationHasNoDowntime(t *testing.T) {
 	est := fold.Estimate(0.99, false)
 	if est.CPDowntimeByMode == nil || len(est.CPDowntimeByMode) != 0 ||
 		est.DPDowntimeByMode == nil || len(est.DPDowntimeByMode) != 0 {
-		t.Errorf("fold of %d nil mode maps gave CP %v, DP %v; want empty, non-nil maps",
+		t.Errorf("fold of %d empty mode lists gave CP %v, DP %v; want empty, non-nil maps",
 			fold.N(), est.CPDowntimeByMode, est.DPDowntimeByMode)
 	}
 }

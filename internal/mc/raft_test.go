@@ -54,7 +54,7 @@ func TestRaftMirrorDisabledLeavesZeroes(t *testing.T) {
 		res.GrayCycles != 0 || res.ElectionDurations != nil {
 		t.Fatalf("raft fields set without the mirror: %+v", res)
 	}
-	for mode := range res.CPDowntimeByMode {
+	for mode := range byName(s.table.Modes, res.CPModeDowntime) {
 		if strings.HasPrefix(mode, "raft:") {
 			t.Fatalf("raft mode %q attributed without the mirror", mode)
 		}
@@ -90,8 +90,8 @@ func TestRaftElectionDistribution(t *testing.T) {
 		t.Fatalf("election downtime %g exceeds election hours %g",
 			res.CPElectionDowntime, res.ElectionHoursTotal)
 	}
-	if res.CPDowntimeByMode["raft:election"] <= 0 {
-		t.Fatalf("ledger missed raft:election: %v", res.CPDowntimeByMode)
+	if cpModes := byName(s.table.Modes, res.CPModeDowntime); cpModes["raft:election"] <= 0 {
+		t.Fatalf("ledger missed raft:election: %v", cpModes)
 	}
 	// The raft layer only subtracts availability relative to the pure
 	// up/down model.
@@ -126,8 +126,8 @@ func TestRaftGrayLeader(t *testing.T) {
 		t.Fatalf("wrong-read downtime %g exceeds %d cycles * %g h",
 			res.CPWrongReadDowntime, res.GrayCycles, cfg.GrayDetect)
 	}
-	if res.CPDowntimeByMode["raft:gray-leader"] <= 0 {
-		t.Fatalf("ledger missed raft:gray-leader: %v", res.CPDowntimeByMode)
+	if cpModes := byName(s.table.Modes, res.CPModeDowntime); cpModes["raft:gray-leader"] <= 0 {
+		t.Fatalf("ledger missed raft:gray-leader: %v", cpModes)
 	}
 }
 

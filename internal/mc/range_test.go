@@ -146,7 +146,7 @@ func TestRunContextTruncatedIsHonest(t *testing.T) {
 	if len(est.Results) != est.Replications {
 		t.Fatalf("kept %d results for %d folded replications", len(est.Results), est.Replications)
 	}
-	f := NewFold(true, len(est.Results))
+	f := newSessionValidated(cfg).NewFold(true, len(est.Results))
 	for i := range est.Results {
 		f.Add(&est.Results[i])
 	}

@@ -294,8 +294,8 @@ func (r *pathState) init(s *Sim) {
 	}
 	r.hostDownW = make([]float64, len(s.hosts))
 	r.hostBlame = make([][]int32, len(s.hosts))
-	r.cpModes.init(len(s.modeNames))
-	r.dpModes.init(len(s.modeNames))
+	r.cpModes.init(len(s.table.Modes))
+	r.dpModes.init(len(s.table.Modes))
 }
 
 // horizonCut returns the uniform threshold from which a first-failure draw

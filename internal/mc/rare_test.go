@@ -218,7 +218,7 @@ func TestRareDisabledBitIdentity(t *testing.T) {
 		t.Fatal("golden config must keep results for the ledger comparison")
 	}
 	for i := range a.Results {
-		if !reflect.DeepEqual(a.Results[i].CPDowntimeByMode, b.Results[i].CPDowntimeByMode) {
+		if !reflect.DeepEqual(a.Results[i].CPModeDowntime, b.Results[i].CPModeDowntime) {
 			t.Errorf("replication %d: attribution ledgers diverged", i)
 		}
 	}
@@ -258,7 +258,7 @@ func TestRareDegenerateIsSameTrajectory(t *testing.T) {
 		if a.CPUnavailability != b.CPUnavailability {
 			t.Errorf("replication %d: CPUnavailability %.17g vs %.17g", rep, a.CPUnavailability, b.CPUnavailability)
 		}
-		if !reflect.DeepEqual(a.CPDowntimeByMode, b.CPDowntimeByMode) || !reflect.DeepEqual(a.DPDowntimeByMode, b.DPDowntimeByMode) {
+		if !reflect.DeepEqual(a.CPModeDowntime, b.CPModeDowntime) || !reflect.DeepEqual(a.DPModeDowntime, b.DPModeDowntime) {
 			t.Errorf("replication %d: attribution tables diverged", rep)
 		}
 		for _, c := range []struct {

@@ -133,8 +133,9 @@ func runWorkersContext(ctx context.Context, cfg Config, replications int, level 
 	if replications < 1 {
 		return Estimate{}, fmt.Errorf("mc: replications = %d", replications)
 	}
-	f := NewFold(cfg.KeepResults, replications)
-	n := newSessionValidated(cfg).Range(ctx, replications, workers,
+	ss := newSessionValidated(cfg)
+	f := ss.NewFold(cfg.KeepResults, replications)
+	n := ss.Range(ctx, replications, workers,
 		func(_ int, res *Result) { f.Add(res) })
 	if n == 0 {
 		return Estimate{Truncated: true}, ctx.Err()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Session amortizes simulator construction across many replications of one
@@ -18,6 +19,9 @@ import (
 type Session struct {
 	cfg  Config
 	pool sync.Pool
+	// modes is the sorted mode-name table a Result's mode ids index, the
+	// same for every Sim of the config; each Sim built stores it.
+	modes atomic.Pointer[[]string]
 }
 
 // NewSession validates the configuration once and returns a replication
@@ -32,8 +36,23 @@ func NewSession(cfg Config) (*Session, error) {
 // newSessionValidated builds a session for an already-validated config.
 func newSessionValidated(cfg Config) *Session {
 	ss := &Session{cfg: cfg}
-	ss.pool.New = func() any { return newSim(cfg) }
+	ss.pool.New = func() any {
+		s := newSim(cfg)
+		modes := s.table.Modes
+		ss.modes.Store(&modes)
+		return s
+	}
 	return ss
+}
+
+// modeNames returns the session's mode-name table, building a Sim for it
+// if the session has not built one yet.
+func (ss *Session) modeNames() []string {
+	if m := ss.modes.Load(); m != nil {
+		return *m
+	}
+	ss.pool.Put(ss.pool.Get())
+	return *ss.modes.Load()
 }
 
 // Replicate runs one replication and returns its result. When

@@ -45,10 +45,9 @@ type Sim struct {
 	// current as they flip, and the blame rule. It is held by value, so the
 	// slice headers every flip reads sit in the Sim beside the event loop's
 	// other state (through a pointer, BenchmarkMCRun read 2.5% slower).
-	// hosts and modeNames are its compute-host rows and sorted mode names.
-	table     structure.Table
-	hosts     []structure.ComputeHost
-	modeNames []string
+	// hosts are its compute-host rows.
+	table structure.Table
+	hosts []structure.ComputeHost
 	// supRequired caches Scenario == SupervisorRequired: whether a down
 	// supervisor stops the processes it owns from counting.
 	supRequired bool
@@ -125,14 +124,16 @@ type Result struct {
 	// CPWindowDowntimes holds the control-plane downtime (hours) in each
 	// fixed window when Config.WindowHours is positive.
 	CPWindowDowntimes []float64
-	// CPDowntimeByMode attributes the control-plane downtime (hours) to
-	// failure-mode keys ("process:<name>", "rack:/host:/vm:<name>") by the
-	// rule of the testbed's attribution ledger: blame at open, equal split.
-	// Nil when the replication had no control-plane downtime to attribute.
-	CPDowntimeByMode map[string]float64
-	// DPDowntimeByMode attributes the per-host data-plane downtime
-	// (hours, summed across compute hosts) the same way, nil likewise.
-	DPDowntimeByMode map[string]float64
+	// CPModeDowntime attributes the control-plane downtime (hours) to
+	// failure modes ("process:<name>", "rack:/host:/vm:<name>", by id into
+	// the session's sorted names) by the rule of the testbed's attribution
+	// ledger: blame at open, equal split. One entry per mode blamed, in the
+	// order first blamed; empty when the replication had no control-plane
+	// downtime to attribute.
+	CPModeDowntime []ModeDowntime
+	// DPModeDowntime attributes the per-host data-plane downtime (hours,
+	// summed across compute hosts) the same way, empty likewise.
+	DPModeDowntime []ModeDowntime
 
 	// RAFT mirror measurements, zero unless Config.RaftElectionMax > 0.
 	//
@@ -203,9 +204,8 @@ func newSim(cfg Config) *Sim {
 // every entity up, the event queue empty, the stream re-seeded with the
 // same derivation New always used, and all accumulators zeroed. Scratch
 // slices keep their backing arrays, so a warmed-up Sim replays a fresh
-// replication without rebuilding or reallocating anything; the run ends by
-// building the two per-mode maps its Result takes away, if it blamed
-// anything.
+// replication without rebuilding or reallocating anything; the per-mode
+// lists go into buffers the Result brings (putModes).
 func (s *Sim) reset(replication int) {
 	s.rng.seed(ReplicationSeed(s.cfg.Seed, replication))
 	s.events.reset()
@@ -264,7 +264,7 @@ func (s *Sim) build() {
 	if err != nil {
 		panic(fmt.Sprintf("mc: %v", err)) // Validate vetted the placements
 	}
-	s.table, s.hosts, s.modeNames = *t, t.Hosts, t.Modes
+	s.table, s.hosts = *t, t.Hosts
 	for i := 0; i < len(t.Deps) && t.Deps[i].Kind <= structure.Link; i++ {
 		d := &t.Deps[i]
 		e := entity{kind: d.Kind, supEnt: -1}
@@ -478,8 +478,8 @@ const cancelCheckMask = 4095
 
 // runCancel is Run into a Result the caller owns, with a cancellation
 // channel: when done becomes ready the replication is abandoned mid-flight
-// and runCancel reports false, leaving *res zero (a partial replication is
-// a biased sample, never folded). A nil done compiles to the plain
+// and runCancel reports false, leaving *res zero but for its truncated
+// mode lists (a partial replication is a biased sample, never folded). A nil done compiles to the plain
 // uncancellable run.
 //
 // This is the one event loop. Failure draws are accelerated by the
@@ -488,7 +488,7 @@ const cancelCheckMask = 4095
 // kill threshold. With Config.Rare zeroed every bias is 1, the weight stays
 // exactly 1, there are no levels, and the loop runs the root branch alone.
 func (s *Sim) runCancel(done <-chan struct{}, res *Result) bool {
-	*res = Result{}
+	*res = Result{CPModeDowntime: res.CPModeDowntime[:0], DPModeDowntime: res.DPModeDowntime[:0]}
 	p := &s.path
 	// Initial failure schedule: everything starts up. A draw at or above the
 	// entity's cut lands past the horizon (horizonCut), where the loop would
@@ -575,8 +575,7 @@ func (s *Sim) runCancel(done <-chan struct{}, res *Result) bool {
 	res.CPUnavailability = p.cpDownW / horizon
 	res.CPOutages = s.cpOutages
 	res.RareHitWeight = p.hitW
-	res.CPDowntimeByMode = p.cpModes.result(s.modeNames)
-	res.DPDowntimeByMode = p.dpModes.result(s.modeNames)
+	p.putModes(res)
 	if s.cfg.Rare.Enabled() {
 		// A weighted run estimates every availability as 1 − U from the
 		// weighted downtime. The trajectory statistics (outage durations,

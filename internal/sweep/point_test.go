@@ -93,7 +93,11 @@ func TestTruncatedPartialIsHonest(t *testing.T) {
 		t.Fatalf("kept %d results, estimate counts %d, point counts %d",
 			len(got.Estimate.Results), got.Estimate.Replications, got.Replications)
 	}
-	f := mc.NewFold(true, got.Replications)
+	ss, err := mc.NewSession(p.Config)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := ss.NewFold(true, got.Replications)
 	for i := range got.Estimate.Results {
 		f.Add(&got.Estimate.Results[i])
 	}
@@ -162,7 +166,7 @@ func TestStoppingCheckAllocatesNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := mc.NewFold(false, 0)
+	f := ss.NewFold(false, 0)
 	ss.Range(context.Background(), 512, 2, func(_ int, res *mc.Result) { f.Add(res) })
 	for _, o := range []Options{
 		Options{CITarget: 1e-3, MinReps: 64}.withDefaults(),

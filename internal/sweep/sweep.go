@@ -223,7 +223,7 @@ func RunContext(ctx context.Context, points []Point, opt Options) ([]Result, err
 func runRounds(ctx context.Context, p Point, ss *mc.Session, workers int, o Options, progress func(Result)) Result {
 	st := ss.Stream(ctx, o.MaxReps, o.Batch, workers)
 	defer st.Close()
-	f := mc.NewFold(p.Config.KeepResults, o.MinReps)
+	f := ss.NewFold(p.Config.KeepResults, o.MinReps)
 	result := func(converged, truncated bool) Result {
 		return Result{Point: p, Estimate: f.Estimate(o.Confidence, truncated),
 			Replications: f.N(), Converged: converged, Truncated: truncated}
