@@ -72,6 +72,10 @@ type Model struct {
 	Params      Params
 	Option      Option
 	ClusterSize int // 2N+1; the paper's reference value is 3
+
+	// prepared, while it holds Profile, stands in for validating and
+	// deriving the profile (Prepared.Model).
+	prepared *Prepared
 }
 
 // NewModel returns a model over the given profile and option with the
@@ -85,8 +89,10 @@ func (m *Model) Validate() error {
 	if m.Profile == nil {
 		return fmt.Errorf("analytic: model has no profile")
 	}
-	if err := m.Profile.Validate(); err != nil {
-		return err
+	if m.prepared == nil || m.prepared.Profile != m.Profile {
+		if err := m.Profile.Validate(); err != nil {
+			return err
+		}
 	}
 	if m.ClusterSize < 1 || m.ClusterSize%2 == 0 {
 		return fmt.Errorf("analytic: cluster size %d is not 2N+1", m.ClusterSize)
@@ -224,11 +230,48 @@ func roleGroups(p *profile.Profile, pl profile.Plane) [][]profile.QuorumGroup {
 	return out
 }
 
+// Prepared is a validated profile with the role quorum groups of both
+// planes (roleGroups), derived once for a caller that evaluates one
+// profile many times. Nothing may write through it or its Profile.
+type Prepared struct {
+	Profile *profile.Profile
+	groups  [2][][]profile.QuorumGroup // indexed by profile.Plane
+}
+
+// Prepare validates p and derives its role quorum groups.
+func Prepare(p *profile.Profile) (*Prepared, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	return &Prepared{Profile: p, groups: [2][][]profile.QuorumGroup{
+		profile.ControlPlane: roleGroups(p, profile.ControlPlane),
+		profile.DataPlane:    roleGroups(p, profile.DataPlane),
+	}}, nil
+}
+
+// Model is NewModel over the prepared profile: its evaluations read the
+// prepared groups, and Validate skips the profile, for as long as the
+// model's Profile is the prepared one.
+func (pp *Prepared) Model(opt Option) *Model {
+	m := NewModel(pp.Profile, opt)
+	m.prepared = pp
+	return m
+}
+
+// roleGroups is the plane's role quorum groups: the prepared ones, else
+// derived afresh.
+func (m *Model) roleGroups(pl profile.Plane) [][]profile.QuorumGroup {
+	if m.prepared != nil && m.prepared.Profile == m.Profile {
+		return m.prepared.groups[pl]
+	}
+	return roleGroups(m.Profile, pl)
+}
+
 // planeAvailability evaluates the shared (cluster) contribution for a
 // plane.
 func (m *Model) planeAvailability(pl profile.Plane) float64 {
 	states, rho, series := m.structure()
-	groups := roleGroups(m.Profile, pl)
+	groups := m.roleGroups(pl)
 	total := 0.0
 	for _, st := range states {
 		if st.weight == 0 {

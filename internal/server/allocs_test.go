@@ -55,11 +55,11 @@ func TestHandlerAllocs(t *testing.T) {
 		got     float64
 		ceiling float64
 	}{
-		{"analytic hit", allocs(func(int) string { return hit }), 50},
+		{"analytic hit", allocs(func(int) string { return hit }), 41},
 		{"analytic miss", allocs(func(i int) string {
 			return fmt.Sprintf("/api/v1/analytic?ac=0.99&as=%s", canonicalFloat(0.99+float64(i)*1e-9))
-		}), 120},
-		{"MC store hit", allocs(func(int) string { return "/api/v1/mc?" + mcQuery }), 80},
+		}), 87},
+		{"MC store hit", allocs(func(int) string { return "/api/v1/mc?" + mcQuery }), 71},
 		{"mcDigest", testing.AllocsPerRun(runs, func() { mcDigest(req) }), 24},
 	} {
 		t.Logf("%s: %.0f allocations", c.name, c.got)

@@ -24,20 +24,23 @@ import (
 
 // flightCall is one in-flight computation; latecomers wait on done.
 type flightCall[T any] struct {
-	done   chan struct{}
-	val    T
-	cached bool
-	err    error
+	done chan struct{}
+	val  T
+	body []byte // the kept body when val came out of a tier
+	err  error
 }
 
-// memoEntry is one kept answer in the LRU list.
+// memoEntry is one kept answer in the LRU list, with the body its hits
+// are answered with, built at its first hit.
 type memoEntry[T any] struct {
-	key string
-	val T
+	key  string
+	val  T
+	body []byte
 }
 
 type answerCache[T any] struct {
 	complete func(T) bool // which answers may be shared and kept
+	hit      func(T) T    // a kept answer as a hit serves it
 	disk     resultStore[T]
 
 	mu      sync.Mutex
@@ -52,11 +55,14 @@ type answerCache[T any] struct {
 }
 
 // newAnswerCache returns a cache keeping up to max answers in memory and
-// every complete answer in disk when that is on. Its counters are <series>_hits_total,
+// every complete answer in disk when that is on; hit flags a kept answer
+// as either tier serves it. Its counters are <series>_hits_total,
 // <series>_misses_total and, with a memory tier, <series>_evictions_total.
-func newAnswerCache[T any](reg *telemetry.Registry, series string, max int, disk resultStore[T], complete func(T) bool) *answerCache[T] {
+func newAnswerCache[T any](reg *telemetry.Registry, series string, max int, disk resultStore[T], complete func(T) bool, hit func(T) T) *answerCache[T] {
+	disk.hit = hit
 	c := &answerCache[T]{
 		complete: complete,
+		hit:      hit,
 		disk:     disk,
 		calls:    map[string]*flightCall[T]{},
 		max:      max,
@@ -72,23 +78,33 @@ func newAnswerCache[T any](reg *telemetry.Registry, series string, max int, disk
 }
 
 // Do returns the kept answer for key, or computes it with fn — at most
-// once at a time per key. cached reports that the answer came out of a
-// tier rather than out of fn. A caller that finds the key in flight waits
-// for the leader or for its own ctx, whichever ends first; if the leader's
-// answer turns out incomplete or failed, the waiter does not take it but
-// goes round again and computes under its own ctx. If fn panics, the panic
-// propagates in the computing goroutine only (the per-request recovery
-// middleware turns it into that request's 500), waiters are released with
-// errPanicked, and the key stays cold.
-func (c *answerCache[T]) Do(ctx context.Context, key string, fn func() (T, error)) (val T, cached bool, err error) {
+// once at a time per key. An answer that came out of a tier rather than
+// out of fn is flagged by hit and comes with body, the bytes writeJSON
+// makes of it, kept beside it in that tier from its first hit on (nil
+// for a computed answer, or one that does not encode). A caller that
+// finds the key in flight waits for the leader or for its own ctx,
+// whichever ends first; if the leader's answer turns out incomplete or
+// failed, the waiter does not take it but goes round again and computes
+// under its own ctx. If fn panics, the panic propagates in the computing
+// goroutine only (the per-request recovery middleware turns it into that
+// request's 500), waiters are released with errPanicked, and the key
+// stays cold.
+func (c *answerCache[T]) Do(ctx context.Context, key string, fn func() (T, error)) (val T, body []byte, err error) {
 	for {
 		c.mu.Lock()
 		if el, ok := c.entries[key]; ok {
 			c.ll.MoveToFront(el)
-			val = el.Value.(*memoEntry[T]).val
+			e := el.Value.(*memoEntry[T])
+			val, body = c.hit(e.val), e.body
 			c.mu.Unlock()
 			c.hits.Inc()
-			return val, true, nil
+			if body == nil {
+				body, _ = encodeJSON(val) // nil: the hit answers through writeJSON
+				c.mu.Lock()
+				e.body = body
+				c.mu.Unlock()
+			}
+			return val, body, nil
 		}
 		call, inFlight := c.calls[key]
 		if !inFlight {
@@ -102,20 +118,20 @@ func (c *answerCache[T]) Do(ctx context.Context, key string, fn func() (T, error
 		select {
 		case <-call.done:
 		case <-ctx.Done():
-			return val, false, ctx.Err()
+			return val, nil, ctx.Err()
 		}
 		switch {
 		case errors.Is(call.err, errPanicked):
-			return val, false, call.err
+			return val, nil, call.err
 		case call.err == nil && c.complete(call.val):
-			return call.val, call.cached, nil
+			return call.val, call.body, nil
 		}
 	}
 }
 
 // lead answers key as the one caller computing it: disk, else fn, keeping
 // a complete answer before the waiters are released.
-func (c *answerCache[T]) lead(key string, call *flightCall[T], fn func() (T, error)) (T, bool, error) {
+func (c *answerCache[T]) lead(key string, call *flightCall[T], fn func() (T, error)) (T, []byte, error) {
 	call.err = errPanicked // what waiters see unless fn returns
 	defer func() {
 		c.mu.Lock()
@@ -123,10 +139,11 @@ func (c *answerCache[T]) lead(key string, call *flightCall[T], fn func() (T, err
 		c.mu.Unlock()
 		close(call.done)
 	}()
-	if call.val, call.cached = c.disk.get(key); call.cached {
+	var ok bool
+	if call.val, call.body, ok = c.disk.get(key); ok {
 		c.hits.Inc()
 		call.err = nil
-		return call.val, true, nil
+		return call.val, call.body, nil
 	}
 	c.misses.Inc()
 	val, err := fn()
@@ -134,7 +151,7 @@ func (c *answerCache[T]) lead(key string, call *flightCall[T], fn func() (T, err
 		c.keep(key, val)
 	}
 	call.val, call.err = val, err
-	return val, false, err
+	return val, nil, err
 }
 
 // keep puts a complete answer in every tier that is on, evicting from the

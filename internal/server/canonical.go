@@ -18,9 +18,10 @@ import (
 // via mcDigest, the MC cache and persistent-store key.
 
 // canonicalFloat formats v in the shortest decimal form that parses back
-// to the identical float64.
+// to the identical float64, with −0 folded into 0 (v + 0): every row that
+// admits −0 computes with it exactly as with 0.
 func canonicalFloat(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.FormatFloat(v+0, 'g', -1, 64)
 }
 
 // canonical re-encodes a decoded request: every keyed row of t that holds

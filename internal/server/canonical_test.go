@@ -125,6 +125,27 @@ func TestMCDigestSemantics(t *testing.T) {
 	if mcDigest(same) != mcDigest(base) {
 		t.Error("permuted/re-spelled/deadlined query changed the digest")
 	}
+	// −0 decodes to the computation 0 does, wherever a row admits it.
+	for _, pair := range [][2]string{
+		{"topology=small&reps=16", "topology=small&reps=16&headless=-0"},
+		{"topology=small&reps=16", "topology=small&reps=16&ci_target=-0"},
+		{"rare=true&rel_target=0", "rare=true&rel_target=-0"},
+		{"rare=true&rare_bias=0", "rare=true&rare_bias=-0"},
+		{"rare=true&rare_hw_bias=0", "rare=true&rare_hw_bias=-0"},
+		{"rare=true&rare_link_bias=0", "rare=true&rare_link_bias=-0"},
+	} {
+		a, err := decodeMC(mustValues(t, pair[0]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := decodeMC(mustValues(t, pair[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if mcCanonical(a) != mcCanonical(b) || mcDigest(a) != mcDigest(b) {
+			t.Errorf("%q and %q are one computation but key apart:\n%s\n%s", pair[0], pair[1], mcCanonical(a), mcCanonical(b))
+		}
+	}
 	for _, qs := range []string{
 		"topology=small&horizon=200&reps=32&seed=8",
 		"topology=small&horizon=201&reps=32&seed=7",

@@ -154,7 +154,7 @@ func TestChaosPanicIsolated(t *testing.T) {
 // 500), releases singleflight waiters with an error, and leaves the key
 // cold so a retry succeeds.
 func TestChaosPanicInCachedPath(t *testing.T) {
-	c := newAnswerCache(telemetry.NewRegistry(), "cache", 8, resultStore[int]{}, func(int) bool { return true })
+	c := newAnswerCache(telemetry.NewRegistry(), "cache", 8, resultStore[int]{}, func(int) bool { return true }, func(v int) int { return v })
 	ctx := context.Background()
 
 	computing := make(chan struct{})
@@ -188,11 +188,11 @@ func TestChaosPanicInCachedPath(t *testing.T) {
 	}
 
 	// Key is cold again: the next computation runs and is cached.
-	val, cached, err := c.Do(ctx, "k", func() (int, error) { return 42, nil })
-	if err != nil || cached || val != 42 {
-		t.Errorf("retry after panic: val=%v cached=%v err=%v, want 42/false/nil", val, cached, err)
+	val, body, err := c.Do(ctx, "k", func() (int, error) { return 42, nil })
+	if err != nil || body != nil || val != 42 {
+		t.Errorf("retry after panic: val=%v body=%q err=%v, want 42/nil/nil", val, body, err)
 	}
-	if _, cached, _ := c.Do(ctx, "k", func() (int, error) { return 0, nil }); !cached {
+	if _, body, _ := c.Do(ctx, "k", func() (int, error) { return 0, nil }); body == nil {
 		t.Error("recomputed value not cached")
 	}
 }

@@ -47,7 +47,7 @@ func badf(format string, args ...any) error {
 // write through it.
 type modelRequest struct {
 	ProfileName string
-	Profile     *profile.Profile
+	Profile     *analytic.Prepared
 	TopoName    string
 	Kind        topology.Kind
 	Cluster     int
@@ -333,17 +333,20 @@ var (
 	})
 )
 
-// builtinProfiles is every built-in profile, built and validated once by
-// profile.ByName and shared by all requests that name it. The server only
-// reads them: nothing may write through modelRequest.Profile.
-var builtinProfiles = func() map[string]*profile.Profile {
-	m := map[string]*profile.Profile{}
+// builtinProfiles is every built-in profile, built by profile.ByName,
+// validated and derived for the closed forms once (analytic.Prepare), and
+// shared by all requests that name it. The server only reads them:
+// nothing may write through modelRequest.Profile.
+var builtinProfiles = func() map[string]*analytic.Prepared {
+	m := map[string]*analytic.Prepared{}
 	for _, name := range []string{"opencontrail", "odl", "onos"} {
 		p, err := profile.ByName(name)
+		if err == nil {
+			m[name], err = analytic.Prepare(p)
+		}
 		if err != nil {
 			panic(err)
 		}
-		m[name] = p
 	}
 	return m
 }()
@@ -403,9 +406,8 @@ func decodeRequest(q url.Values, t *paramTable[mcRequest]) (mcRequest, error) {
 	m := &r.Model
 	var err error
 	if m.Profile = builtinProfiles[m.ProfileName]; m.Profile == nil {
-		if m.Profile, err = profile.ByName(m.ProfileName); err != nil {
-			return r, badf("parameter \"profile\": %v", err)
-		}
+		_, err = profile.ByName(m.ProfileName)
+		return r, badf("parameter \"profile\": %v", err)
 	}
 	if m.Kind, err = topology.ParseKind(m.TopoName); err != nil {
 		return r, badf("parameter \"topology\": %v", err)

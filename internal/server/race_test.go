@@ -128,7 +128,7 @@ func TestSharedProfilesStayReadOnly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(builtinProfiles[name], fresh) {
+		if !reflect.DeepEqual(builtinProfiles[name].Profile, fresh) {
 			t.Errorf("shared profile %q differs from a fresh one after the load: a request wrote through it", name)
 		}
 	}

@@ -183,9 +183,11 @@ func New(cfg Config) (*Server, error) {
 		tel:  cfg.Telemetry,
 		gate: newGate(cfg.MaxConcurrent, cfg.MaxQueue, reg),
 		analytic: newAnswerCache(reg, "cache", cfg.CacheSize, resultStore[analyticResponse]{},
-			func(analyticResponse) bool { return true }),
+			func(analyticResponse) bool { return true },
+			func(r analyticResponse) analyticResponse { r.Cached = true; return r }),
 		mcAnswers: newAnswerCache(reg, "availd_store", 0, store,
-			func(r mcResponse) bool { return !r.Truncated }),
+			func(r mcResponse) bool { return !r.Truncated },
+			func(r mcResponse) mcResponse { r.Stored = true; return r }),
 		mux:      http.NewServeMux(),
 		requests: reg.Counter("http_requests_total"),
 		panics:   reg.Counter("http_panics_total"),
@@ -342,17 +344,31 @@ func endpoint[T interface{ timeout() time.Duration }](s *Server, decode func(url
 // status, so a value encoding/json refuses answers 500 with the error
 // envelope instead of a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, code int, v any) {
+	body, err := encodeJSON(v)
+	if err != nil {
+		code = http.StatusInternalServerError
+		body, _ = encodeJSON(errorBody{Error: "server: encoding the answer: " + err.Error()})
+	}
+	writeBody(w, code, body)
+}
+
+// encodeJSON is the body writeJSON answers v with: two-space indented,
+// newline-terminated; nil if v does not encode.
+func encodeJSON(v any) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		code = http.StatusInternalServerError
-		buf.Reset()
-		_ = enc.Encode(errorBody{Error: "server: encoding the answer: " + err.Error()})
+		return nil, err
 	}
+	return buf.Bytes(), nil
+}
+
+// writeBody answers body, a JSON encoding, with status code.
+func writeBody(w http.ResponseWriter, code int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_, _ = w.Write(buf.Bytes()) // a client gone mid-write has nobody left to tell
+	_, _ = w.Write(body) // a client gone mid-write has nobody left to tell
 }
 
 // errorBody is the JSON error envelope.
@@ -425,8 +441,8 @@ func (s *Server) handleAnalytic(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	resp, cached, err := s.analytic.Do(r.Context(), req.Key(), func() (analyticResponse, error) {
-		model := analytic.NewModel(req.Profile, analytic.Option{Kind: req.Kind, Scenario: req.Scenario})
+	resp, body, err := s.analytic.Do(r.Context(), req.Key(), func() (analyticResponse, error) {
+		model := req.Profile.Model(analytic.Option{Kind: req.Kind, Scenario: req.Scenario})
 		model.Params = req.Params
 		model.ClusterSize = req.Cluster
 		if err := model.Validate(); err != nil {
@@ -453,8 +469,7 @@ func (s *Server) handleAnalytic(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	resp.Cached = cached
-	writeJSON(w, http.StatusOK, resp)
+	jsonResponder{s, w}.result(resp, body)
 }
 
 // intervalJSON serializes a confidence interval.
@@ -493,11 +508,12 @@ type mcResponse struct {
 // mcPlan resolves a decoded request into the simulator configuration and
 // adaptive options.
 func mcPlan(req mcRequest) (mc.Config, sweep.Options, error) {
-	topo, err := topology.ByKind(req.Model.Kind, req.Model.Profile.ClusterRoles, req.Model.Cluster)
+	prof := req.Model.Profile.Profile
+	topo, err := topology.ByKind(req.Model.Kind, prof.ClusterRoles, req.Model.Cluster)
 	if err != nil {
 		return mc.Config{}, sweep.Options{}, err
 	}
-	cfg := mc.NewConfig(req.Model.Profile, topo, req.Model.Scenario, req.Model.Params)
+	cfg := mc.NewConfig(prof, topo, req.Model.Scenario, req.Model.Params)
 	cfg.Horizon = req.Horizon
 	cfg.Seed = req.Seed
 	cfg.ComputeHosts = req.Model.Compute
@@ -601,15 +617,14 @@ func buildMCResponse(req mcRequest, res sweep.Result, start time.Time) mcRespons
 // admission. A deadlined sweep answers 200 with the partial estimate and
 // truncated=true — to this caller only.
 func (s *Server) serveMC(ctx context.Context, req mcRequest, out responder) {
-	resp, stored, err := s.mcAnswers.Do(ctx, mcDigest(req), func() (mcResponse, error) {
+	resp, body, err := s.mcAnswers.Do(ctx, mcDigest(req), func() (mcResponse, error) {
 		return s.computeMC(ctx, req, out.snapshots())
 	})
 	if err != nil {
 		out.fail(err)
 		return
 	}
-	resp.Stored = stored
-	out.result(resp)
+	out.result(resp, body)
 }
 
 // soakResponse is the live-soak result.
@@ -669,5 +684,5 @@ func (s *Server) serveSoak(ctx context.Context, req soakRequest, out responder) 
 		DPAvailability:   res.Report.DPAvailability,
 		Truncated:        res.Truncated,
 		ElapsedMS:        time.Since(start).Milliseconds(),
-	})
+	}, nil)
 }

@@ -28,8 +28,9 @@ import (
 //
 // A hit still reads the file every time, but it decodes and hashes only
 // bytes it has not verified before: a bounded memo keeps, per digest, the
-// bytes last verified, the engine version they carried and the answer
-// they decoded to, and serves that answer while the file holds exactly
+// bytes last verified, the engine version they carried, the answer they
+// decoded to and that answer's hit body (built by the verifying hit,
+// which serves it too), and serves that body while the file holds exactly
 // those bytes under the current version. Any other read takes the full
 // verify path, so a corrupted, rewritten or stale entry meets the same
 // checks it always did.
@@ -49,6 +50,7 @@ type resultStore[T any] struct {
 	dir     string
 	version int // mc.EngineVersion; a field so a test can age the entries
 	memo    *verifiedMemo[T]
+	hit     func(T) T // flags a stored answer as a hit serves it (set by the cache)
 
 	writes  *telemetry.Counter
 	corrupt *telemetry.Counter
@@ -62,12 +64,13 @@ type verifiedMemo[T any] struct {
 	entries map[string]verified[T]
 }
 
-// verified is one entry's bytes, the engine version they carried and the
-// answer they decoded to.
+// verified is one entry's bytes, the engine version they carried, and
+// the answer they decoded to as a hit serves it, flagged and encoded.
 type verified[T any] struct {
 	raw     []byte
 	version int
 	val     T
+	body    []byte
 }
 
 // openStore opens (creating if needed) the store rooted at dir, whose
@@ -94,24 +97,24 @@ func (st resultStore[T]) path(digest string) string {
 	return filepath.Join(st.dir, digest[:2], digest+".json")
 }
 
-// get loads the stored answer for digest. A missing entry is a miss; a
-// corrupt one (bad checksum, unparsable, written by another engine
-// version) is deleted, counted, and reported as a miss so the caller
-// recomputes. Bytes the memo verified under the current version are
-// served from the memo.
-func (st resultStore[T]) get(digest string) (val T, ok bool) {
+// get loads the stored answer for digest, flagged by hit, and its hit
+// body. A missing entry is a miss; a corrupt one (bad checksum,
+// unparsable, written by another engine version) is deleted, counted, and
+// reported as a miss so the caller recomputes. Bytes the memo verified
+// under the current version are served from the memo.
+func (st resultStore[T]) get(digest string) (val T, body []byte, ok bool) {
 	if st.dir == "" {
-		return val, false
+		return val, nil, false
 	}
 	raw, err := os.ReadFile(st.path(digest))
 	if err != nil {
-		return val, false
+		return val, nil, false
 	}
 	st.memo.mu.Lock()
 	m, hit := st.memo.entries[digest]
 	st.memo.mu.Unlock()
 	if hit && m.version == st.version && bytes.Equal(m.raw, raw) {
-		return m.val, true
+		return m.val, m.body, true
 	}
 	var env storeEnvelope
 	if err := json.Unmarshal(raw, &env); err != nil || env.Engine != st.version {
@@ -124,24 +127,26 @@ func (st resultStore[T]) get(digest string) (val T, ok bool) {
 	if err := json.Unmarshal(env.Payload, &val); err != nil {
 		return st.drop(digest)
 	}
+	val = st.hit(val)
+	body, _ = encodeJSON(val) // nil: the hit answers through writeJSON
 	st.memo.mu.Lock()
 	if len(st.memo.entries) >= st.memo.max {
 		clear(st.memo.entries)
 	}
-	st.memo.entries[digest] = verified[T]{raw: raw, version: st.version, val: val}
+	st.memo.entries[digest] = verified[T]{raw: raw, version: st.version, val: val, body: body}
 	st.memo.mu.Unlock()
-	return val, true
+	return val, body, true
 }
 
 // drop removes a corrupt entry, and what the memo knew of it, and reports
 // a miss.
-func (st resultStore[T]) drop(digest string) (zero T, ok bool) {
+func (st resultStore[T]) drop(digest string) (zero T, body []byte, ok bool) {
 	st.corrupt.Inc()
 	st.memo.mu.Lock()
 	delete(st.memo.entries, digest)
 	st.memo.mu.Unlock()
 	_ = os.Remove(st.path(digest))
-	return zero, false
+	return zero, nil, false
 }
 
 // put persists val under digest atomically: temp file in the final

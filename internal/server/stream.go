@@ -24,7 +24,8 @@ type responder interface {
 	// snapshots returns where mid-run observations go, or nil when nobody
 	// would see them and the run should not take any.
 	snapshots() func(v any)
-	result(v any)
+	// result answers v; body, when not nil, is v as writeJSON encodes it.
+	result(v any, body []byte)
 	fail(err error)
 }
 
@@ -43,8 +44,15 @@ func plainJSON(s *Server, w http.ResponseWriter, _ *http.Request) (responder, er
 }
 
 func (o jsonResponder) snapshots() func(any) { return nil }
-func (o jsonResponder) result(v any)         { writeJSON(o.w, http.StatusOK, v) }
 func (o jsonResponder) fail(err error)       { o.s.fail(o.w, err) }
+
+func (o jsonResponder) result(v any, body []byte) {
+	if body == nil {
+		writeJSON(o.w, http.StatusOK, v)
+		return
+	}
+	writeBody(o.w, http.StatusOK, body)
+}
 
 // sseResponder answers an event stream: zero or more "snapshot" events,
 // then one terminal "result" (the exact body the plain endpoint would
@@ -101,7 +109,8 @@ func (o *sseResponder) hungUp() bool {
 }
 
 // result still writes to a client that hung up, in case anyone reads it.
-func (o *sseResponder) result(v any) {
+// A kept body is the plain endpoint's encoding, so it is not used here.
+func (o *sseResponder) result(v any, _ []byte) {
 	o.hungUp()
 	o.event("result", v)
 }
