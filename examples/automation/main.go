@@ -10,13 +10,18 @@ import (
 	"fmt"
 	"time"
 
-	"sdnavail"
+	"sdnavail/internal/analytic"
+	"sdnavail/internal/chaos"
+	"sdnavail/internal/cluster"
+	"sdnavail/internal/profile"
+	"sdnavail/internal/relmath"
+	"sdnavail/internal/topology"
 )
 
 func runIncident(withBot bool) (availability float64, restarts int) {
-	prof := sdnavail.OpenContrail3x()
-	topo := sdnavail.NewSmallTopology(prof.ClusterRoles, 3)
-	c, err := sdnavail.NewCluster(sdnavail.ClusterConfig{
+	prof := profile.OpenContrail3x()
+	topo := topology.NewSmall(prof.ClusterRoles, 3)
+	c, err := cluster.New(cluster.Config{
 		Profile: prof, Topology: topo, ComputeHosts: 2,
 	})
 	if err != nil {
@@ -27,9 +32,9 @@ func runIncident(withBot bool) (availability float64, restarts int) {
 	}
 	defer c.Stop()
 
-	var op *sdnavail.Operator
+	var op *chaos.Operator
 	if withBot {
-		op = sdnavail.NewOperator(30 * time.Millisecond) // scaled R_S
+		op = chaos.NewOperator(30 * time.Millisecond) // scaled R_S
 		if err := op.Start(c); err != nil {
 			panic(err)
 		}
@@ -40,15 +45,15 @@ func runIncident(withBot bool) (availability float64, restarts int) {
 	// Database process die; no supervisor will ever bring them back. The
 	// second dies 10 ms after the first, inside the bot's response time,
 	// so the quorum is lost with the bot running too.
-	incident := []sdnavail.ChaosAction{
-		sdnavail.ChaosStep(0, "kill cassandra (Config) on node 1", func(c *sdnavail.Cluster) error {
+	incident := []chaos.Action{
+		chaos.Step(0, "kill cassandra (Config) on node 1", func(c *cluster.Cluster) error {
 			return c.KillProcess("Database", 0, "cassandra-db (Config)")
 		}),
-		sdnavail.ChaosStep(10*time.Millisecond, "kill cassandra (Config) on node 2", func(c *sdnavail.Cluster) error {
+		chaos.Step(10*time.Millisecond, "kill cassandra (Config) on node 2", func(c *cluster.Cluster) error {
 			return c.KillProcess("Database", 1, "cassandra-db (Config)")
 		}),
 	}
-	rep, err := sdnavail.RunScenario(c, incident, 500*time.Millisecond, 4*time.Millisecond, 40*time.Millisecond)
+	rep, err := chaos.RunScenario(c, incident, 500*time.Millisecond, 4*time.Millisecond, 40*time.Millisecond)
 	if err != nil {
 		panic(err)
 	}
@@ -73,11 +78,11 @@ func main() {
 	fmt.Println("\nThe analytic view of the same lever: cutting the manual restart time")
 	fmt.Println("R_S moves A_S, the dominant CP weak link outside the rack:")
 	for _, rs := range []float64{1, 0.25, 0.05} {
-		p := sdnavail.DefaultParams().WithProcessTimes(5000, 0.1, rs)
-		m := sdnavail.NewModel(sdnavail.OpenContrail3x(), sdnavail.Option2L)
+		p := analytic.Defaults().WithProcessTimes(5000, 0.1, rs)
+		m := analytic.NewModel(profile.OpenContrail3x(), analytic.Option2L)
 		m.Params = p
 		cp := m.ControlPlane()
 		fmt.Printf("  R_S = %4.2f h  →  A_CP = %.8f  (%.2f min/year)\n",
-			rs, cp, sdnavail.DowntimeMinutesPerYear(cp))
+			rs, cp, relmath.DowntimeMinutesPerYear(cp))
 	}
 }

@@ -10,13 +10,16 @@ import (
 	"fmt"
 	"time"
 
-	"sdnavail"
+	"sdnavail/internal/chaos"
+	"sdnavail/internal/cluster"
+	"sdnavail/internal/profile"
+	"sdnavail/internal/topology"
 )
 
 func main() {
-	prof := sdnavail.OpenContrail3x()
-	topo := sdnavail.NewSmallTopology(prof.ClusterRoles, 3)
-	c, err := sdnavail.NewCluster(sdnavail.ClusterConfig{
+	prof := profile.OpenContrail3x()
+	topo := topology.NewSmall(prof.ClusterRoles, 3)
+	c, err := cluster.New(cluster.Config{
 		Profile: prof, Topology: topo, ComputeHosts: 3,
 	})
 	if err != nil {
@@ -42,7 +45,7 @@ func main() {
 
 	fmt.Println("\n== replaying the paper's section III narrative ==")
 	step := 200 * time.Millisecond
-	rep, err := sdnavail.RunScenario(c, sdnavail.SectionIIIScenario(step), step, 0, 0)
+	rep, err := chaos.RunScenario(c, chaos.SectionIII(step), step, 0, 0)
 	if err != nil {
 		panic(err)
 	}

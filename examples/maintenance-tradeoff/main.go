@@ -9,16 +9,18 @@ package main
 import (
 	"fmt"
 
-	"sdnavail"
+	"sdnavail/internal/analytic"
+	"sdnavail/internal/relmath"
+	"sdnavail/internal/topology"
 )
 
 func main() {
-	hw := sdnavail.NewHWModel()
-	levels := []sdnavail.MaintenanceLevel{
-		sdnavail.SameDay, sdnavail.NextDay, sdnavail.NextBusinessDay,
+	hw := analytic.NewHWModel()
+	levels := []analytic.MaintenanceLevel{
+		analytic.SameDay, analytic.NextDay, analytic.NextBusinessDay,
 	}
-	kinds := []sdnavail.TopologyKind{
-		sdnavail.SmallTopology, sdnavail.MediumTopology, sdnavail.LargeTopology,
+	kinds := []topology.Kind{
+		topology.Small, topology.Medium, topology.Large,
 	}
 
 	fmt.Println("Controller downtime (minutes/year) by maintenance contract and topology")
@@ -28,14 +30,14 @@ func main() {
 	}
 	fmt.Println()
 	for _, level := range levels {
-		p := sdnavail.DefaultParams().WithMaintenance(level)
+		p := analytic.Defaults().WithMaintenance(level)
 		fmt.Printf("%-10s %.5f", level, p.AH)
 		for _, k := range kinds {
 			a, err := hw.ByKind(k, p)
 			if err != nil {
 				panic(err)
 			}
-			fmt.Printf(" %8.2f", sdnavail.DowntimeMinutesPerYear(a))
+			fmt.Printf(" %8.2f", relmath.DowntimeMinutesPerYear(a))
 		}
 		fmt.Println()
 	}
@@ -51,10 +53,10 @@ func main() {
 	fmt.Println("    second rack only adds its own failure modes.")
 
 	fmt.Println("\nBreak-even view (Large vs Small, SD contract):")
-	pSD := sdnavail.DefaultParams().WithMaintenance(sdnavail.SameDay)
-	small, _ := hw.ByKind(sdnavail.SmallTopology, pSD)
-	large, _ := hw.ByKind(sdnavail.LargeTopology, pSD)
-	saved := sdnavail.DowntimeMinutesPerYear(small) - sdnavail.DowntimeMinutesPerYear(large)
+	pSD := analytic.Defaults().WithMaintenance(analytic.SameDay)
+	small, _ := hw.ByKind(topology.Small, pSD)
+	large, _ := hw.ByKind(topology.Large, pSD)
+	saved := relmath.DowntimeMinutesPerYear(small) - relmath.DowntimeMinutesPerYear(large)
 	fmt.Printf("  two extra racks buy %.1f minutes/year on average — but they convert a\n", saved)
 	fmt.Println("  rare, highly visible total-site outage (a rack failure every ~500 years")
 	fmt.Println("  lasting days) into a non-event, which is what a provider with hundreds")

@@ -17,70 +17,74 @@ import (
 	"fmt"
 	"sort"
 
-	"sdnavail"
+	"sdnavail/internal/analytic"
+	"sdnavail/internal/profile"
+	"sdnavail/internal/relmath"
+	"sdnavail/internal/sweep"
+	"sdnavail/internal/topology"
 )
 
 // dbRackSplit isolates the Database quorum in its own rack; Config,
 // Control and Analytics share the first rack.
-func dbRackSplit(prof *sdnavail.Profile) *sdnavail.Topology {
-	t := &sdnavail.Topology{
+func dbRackSplit(prof *profile.Profile) *topology.Topology {
+	t := &topology.Topology{
 		Name:        "DB-in-own-rack (2 racks)",
 		ClusterSize: 3,
 		Roles:       prof.ClusterRoles,
 	}
-	front := sdnavail.Rack{Name: "R1"}
+	front := topology.Rack{Name: "R1"}
 	for i := 0; i < 3; i++ {
-		host := sdnavail.Host{Name: fmt.Sprintf("HF%d", i+1)}
+		host := topology.Host{Name: fmt.Sprintf("HF%d", i+1)}
 		for _, role := range prof.ClusterRoles[:3] {
 			letter := string(role[0])
 			if role == "Config" {
 				letter = "G"
 			}
-			host.VMs = append(host.VMs, sdnavail.TopologyVM{
+			host.VMs = append(host.VMs, topology.VM{
 				Name:       fmt.Sprintf("%s%d", letter, i+1),
-				Placements: []sdnavail.Placement{{Role: role, Node: i}},
+				Placements: []topology.Placement{{Role: role, Node: i}},
 			})
 		}
 		front.Hosts = append(front.Hosts, host)
 	}
-	back := sdnavail.Rack{Name: "R2"}
+	back := topology.Rack{Name: "R2"}
 	for i := 0; i < 3; i++ {
-		back.Hosts = append(back.Hosts, sdnavail.Host{
+		back.Hosts = append(back.Hosts, topology.Host{
 			Name: fmt.Sprintf("HB%d", i+1),
-			VMs: []sdnavail.TopologyVM{{
+			VMs: []topology.VM{{
 				Name:       fmt.Sprintf("D%d", i+1),
-				Placements: []sdnavail.Placement{{Role: "Database", Node: i}},
+				Placements: []topology.Placement{{Role: "Database", Node: i}},
 			}},
 		})
 	}
-	t.Racks = []sdnavail.Rack{front, back}
+	t.Racks = []topology.Rack{front, back}
 	return t
 }
 
 // twoPlusOneNodes spreads whole nodes over two racks 2+1 but keeps each
 // node's roles on one host (a cheaper Medium).
-func twoPlusOneNodes(prof *sdnavail.Profile) *sdnavail.Topology {
-	small := sdnavail.NewSmallTopology(prof.ClusterRoles, 3)
-	t := &sdnavail.Topology{
+func twoPlusOneNodes(prof *profile.Profile) *topology.Topology {
+	small := topology.NewSmall(prof.ClusterRoles, 3)
+	t := &topology.Topology{
 		Name:        "GCAD nodes split 2+1 (2 racks)",
 		ClusterSize: 3,
 		Roles:       prof.ClusterRoles,
 	}
 	hosts := small.Racks[0].Hosts
-	t.Racks = []sdnavail.Rack{
-		{Name: "R1", Hosts: []sdnavail.Host{hosts[0], hosts[1]}},
-		{Name: "R2", Hosts: []sdnavail.Host{hosts[2]}},
+	t.Racks = []topology.Rack{
+		{Name: "R1", Hosts: []topology.Host{hosts[0], hosts[1]}},
+		{Name: "R2", Hosts: []topology.Host{hosts[2]}},
 	}
 	return t
 }
 
 // seedStudy is the original five-candidate exact comparison, kept as the
 // named baselines the sweep's grid placements are judged against.
-func seedStudy(prof *sdnavail.Profile) {
-	candidates := []*sdnavail.Topology{
-		sdnavail.NewSmallTopology(prof.ClusterRoles, 3),
-		sdnavail.NewMediumTopology(prof.ClusterRoles, 3),
-		sdnavail.NewLargeTopology(prof.ClusterRoles, 3),
+func seedStudy(prof *profile.Profile) {
+	candidates := []*topology.Topology{
+		topology.NewSmall(prof.ClusterRoles, 3),
+		topology.NewMedium(prof.ClusterRoles, 3),
+		topology.NewLarge(prof.ClusterRoles, 3),
 		dbRackSplit(prof),
 		twoPlusOneNodes(prof),
 	}
@@ -96,7 +100,7 @@ func seedStudy(prof *sdnavail.Profile) {
 		if err := topo.Validate(); err != nil {
 			panic(topo.Name + ": " + err.Error())
 		}
-		m := sdnavail.NewExactModel(prof, topo, sdnavail.SupervisorRequired)
+		m := analytic.NewExactModel(prof, topo, analytic.SupervisorRequired)
 		cp, err := m.ControlPlane()
 		if err != nil {
 			panic(err)
@@ -109,8 +113,8 @@ func seedStudy(prof *sdnavail.Profile) {
 		results = append(results, result{
 			name:       topo.Name,
 			racks:      racks,
-			cpDowntime: sdnavail.DowntimeMinutesPerYear(cp),
-			dpDowntime: sdnavail.DowntimeMinutesPerYear(dp),
+			cpDowntime: relmath.DowntimeMinutesPerYear(cp),
+			dpDowntime: relmath.DowntimeMinutesPerYear(dp),
 		})
 	}
 	sort.Slice(results, func(i, j int) bool { return results[i].cpDowntime < results[j].cpDowntime })
@@ -133,10 +137,10 @@ func seedStudy(prof *sdnavail.Profile) {
 // ones: 220 ways to put 3 controllers on a 4x3 host grid, subsampled to
 // 24 candidates, each with the default network fabric declared as
 // failure-aware links (10 000 h MTBF, 4 h MTTR per link).
-func sweepStudy(prof *sdnavail.Profile) {
-	spec := sdnavail.PlacementSpec{
+func sweepStudy(prof *profile.Profile) {
+	spec := sweep.PlacementSpec{
 		Profile:       prof,
-		Scenario:      sdnavail.SupervisorRequired,
+		Scenario:      analytic.SupervisorRequired,
 		Controllers:   3,
 		LinkMTBF:      10_000,
 		LinkMTTR:      4,
@@ -144,7 +148,7 @@ func sweepStudy(prof *sdnavail.Profile) {
 		Horizon:       2e4, // laptop-scale cross-check horizon
 		Seed:          1,
 	}
-	sw, err := sdnavail.RunPlacement(spec, sdnavail.SweepOptions{
+	sw, err := sweep.RunPlacement(spec, sweep.Options{
 		CITarget: 2e-3, MinReps: 8, MaxReps: 32, Batch: 8,
 	})
 	if err != nil {
@@ -162,7 +166,7 @@ func sweepStudy(prof *sdnavail.Profile) {
 		}
 		fmt.Printf("%-4d %-16s %-6d %-12s %.8f   %-9.2f %.6f ± %.6f\n",
 			i+1, r.Candidate.Label(), r.Candidate.RacksUsed, shared,
-			r.AnalyticCP, sdnavail.DowntimeMinutesPerYear(r.AnalyticCP),
+			r.AnalyticCP, relmath.DowntimeMinutesPerYear(r.AnalyticCP),
 			r.MC.Estimate.CP.Mean, r.MC.Estimate.CP.HalfWide)
 	}
 
@@ -176,7 +180,7 @@ func sweepStudy(prof *sdnavail.Profile) {
 }
 
 func main() {
-	prof := sdnavail.OpenContrail3x()
+	prof := profile.OpenContrail3x()
 	seedStudy(prof)
 	sweepStudy(prof)
 }

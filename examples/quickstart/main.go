@@ -7,34 +7,37 @@ package main
 import (
 	"fmt"
 
-	"sdnavail"
+	"sdnavail/internal/analytic"
+	"sdnavail/internal/profile"
+	"sdnavail/internal/relmath"
+	"sdnavail/internal/topology"
 )
 
 func main() {
-	prof := sdnavail.OpenContrail3x()
-	params := sdnavail.DefaultParams()
+	prof := profile.OpenContrail3x()
+	params := analytic.Defaults()
 
 	fmt.Println("== HW-centric Controller availability (paper §V) ==")
-	hw := sdnavail.NewHWModel()
+	hw := analytic.NewHWModel()
 	fmt.Printf("  %-8s %-12s %s\n", "topology", "availability", "downtime")
-	for _, kind := range []sdnavail.TopologyKind{
-		sdnavail.SmallTopology, sdnavail.MediumTopology, sdnavail.LargeTopology,
+	for _, kind := range []topology.Kind{
+		topology.Small, topology.Medium, topology.Large,
 	} {
 		a, err := hw.ByKind(kind, params)
 		if err != nil {
 			panic(err)
 		}
-		fmt.Printf("  %-8s %.7f    %5.2f min/year\n", kind, a, sdnavail.DowntimeMinutesPerYear(a))
+		fmt.Printf("  %-8s %.7f    %5.2f min/year\n", kind, a, relmath.DowntimeMinutesPerYear(a))
 	}
 
 	fmt.Println("\n== SW-centric process-level availability (paper §VI) ==")
 	fmt.Printf("  %-6s %-11s %-12s %-11s %s\n", "option", "A_CP", "CP downtime", "A_DP", "DP downtime")
-	for _, opt := range sdnavail.AnalysisOptions() {
-		m := sdnavail.NewModel(prof, opt)
+	for _, opt := range analytic.Options() {
+		m := analytic.NewModel(prof, opt)
 		cp, dp := m.Evaluate()
 		fmt.Printf("  %-6s %.7f  %5.2f m/y    %.6f   %5.1f m/y\n",
-			opt.Label(), cp, sdnavail.DowntimeMinutesPerYear(cp),
-			dp, sdnavail.DowntimeMinutesPerYear(dp))
+			opt.Label(), cp, relmath.DowntimeMinutesPerYear(cp),
+			dp, relmath.DowntimeMinutesPerYear(dp))
 	}
 
 	fmt.Println("\nReadings:")

@@ -7,7 +7,7 @@ import (
 
 // FuzzProfileJSON throws arbitrary bytes at FromJSON and checks the
 // round-trip invariant: any input that parses into a valid profile must
-// survive ToJSON -> FromJSON with the derived quorum tables intact and a
+// survive toJSON -> FromJSON with the derived quorum tables intact and a
 // canonical encoding that is a fixed point (encode(decode(encode(p))) ==
 // encode(p)), and deriving its quorum groups for either plane must not
 // panic.
@@ -25,7 +25,7 @@ func FuzzProfileJSON(f *testing.F) {
 			{Name: "fwd", Role: "Switch", Restart: AutoRestart, DP: OneOf, PerHost: true},
 		},
 	}
-	data, err := ToJSON(small)
+	data, err := toJSON(small)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func FuzzProfileJSON(f *testing.F) {
 				}
 			}
 		}
-		enc, err := ToJSON(p)
+		enc, err := toJSON(p)
 		if err != nil {
 			t.Fatalf("decoded profile %q failed to re-encode: %v", p.Name, err)
 		}
@@ -69,7 +69,7 @@ func FuzzProfileJSON(f *testing.F) {
 				t.Fatalf("%v quorum sums changed: (%d,%d) vs (%d,%d)", pl, m1, n1, m2, n2)
 			}
 		}
-		enc2, err := ToJSON(back)
+		enc2, err := toJSON(back)
 		if err != nil {
 			t.Fatalf("second encode failed: %v", err)
 		}

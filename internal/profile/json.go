@@ -87,8 +87,8 @@ func needFromToken(s string) (Need, error) {
 	}
 }
 
-// ToJSON renders the profile as indented JSON.
-func ToJSON(p *Profile) ([]byte, error) {
+// toJSON renders the profile as indented JSON.
+func toJSON(p *Profile) ([]byte, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

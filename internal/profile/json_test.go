@@ -5,13 +5,13 @@ import (
 	"testing"
 )
 
-// TestJSONRoundTrip: every built-in profile survives ToJSON/FromJSON with
+// TestJSONRoundTrip: every built-in profile survives toJSON/FromJSON with
 // identical derived tables.
 func TestJSONRoundTrip(t *testing.T) {
 	for _, p := range []*Profile{OpenContrail3x(), ODLLike(), ONOSLike()} {
-		data, err := ToJSON(p)
+		data, err := toJSON(p)
 		if err != nil {
-			t.Fatalf("%s: ToJSON: %v", p.Name, err)
+			t.Fatalf("%s: toJSON: %v", p.Name, err)
 		}
 		back, err := FromJSON(data)
 		if err != nil {
@@ -92,13 +92,13 @@ func TestFromJSONErrors(t *testing.T) {
 
 func TestToJSONRejectsInvalid(t *testing.T) {
 	bad := &Profile{Name: ""}
-	if _, err := ToJSON(bad); err == nil {
+	if _, err := toJSON(bad); err == nil {
 		t.Error("invalid profile serialized")
 	}
 }
 
 func TestJSONTokensReadable(t *testing.T) {
-	data, err := ToJSON(OpenContrail3x())
+	data, err := toJSON(OpenContrail3x())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,33 +35,6 @@ func FuzzKofN(f *testing.F) {
 	})
 }
 
-// FuzzBlockEval checks that arbitrary vote trees evaluate to probabilities
-// and agree with the binomial closed form when built via Replicate.
-func FuzzBlockEval(f *testing.F) {
-	f.Add(uint8(2), uint8(3), 0.9, 0.8)
-	f.Fuzz(func(t *testing.T, mm, nn uint8, a, b float64) {
-		if math.IsNaN(a) || math.IsNaN(b) || math.IsInf(a, 0) || math.IsInf(b, 0) {
-			return
-		}
-		a = math.Abs(a)
-		a -= math.Floor(a)
-		b = math.Abs(b)
-		b -= math.Floor(b)
-		m := int(mm % 6)
-		n := int(nn % 6)
-		leaf := InSeries(Const(a), Const(b))
-		rep := Replicate(m, n, leaf)
-		got, err := rep.Eval(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := KofN(m, n, a*b)
-		if math.Abs(got-want) > 1e-9 {
-			t.Fatalf("Replicate(%d,%d) = %g, KofN = %g", m, n, got, want)
-		}
-	})
-}
-
 func clampInt(v, lo, hi int) int {
 	if v < lo {
 		v = -v

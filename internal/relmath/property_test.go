@@ -9,8 +9,8 @@ import (
 // Seeded randomized property sweeps over the closed forms. Each trial
 // draws parameters from realistic ranges and checks the invariants the
 // analytic chapters lean on: availabilities live in [0,1], availability is
-// monotone in MTBF and MTTR, and the series/parallel/k-of-n combinators
-// respect their algebraic identities.
+// monotone in MTBF and MTTR, and k-of-n meets its series and parallel
+// boundary identities.
 
 func TestAvailabilityPropertySweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
@@ -40,53 +40,25 @@ func TestCombinatorPropertySweep(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 500; trial++ {
 		a := rng.Float64()
-		b := rng.Float64()
 		n := 1 + rng.Intn(7)
 		m := 1 + rng.Intn(n)
 
-		// Series of one is identity; a perfect element is neutral.
-		if got := series(t, a); got != a {
-			t.Fatalf("series(a) = %v, want %v", got, a)
-		}
-		if got := series(t, a, 1); math.Abs(got-a) > 1e-15 {
-			t.Fatalf("series(a, 1) = %v, want %v", got, a)
-		}
-		// Parallel of one is identity; a dead element is neutral.
-		if got := parallel(t, a); math.Abs(got-a) > 1e-15 {
-			t.Fatalf("parallel(a) = %v, want %v", got, a)
-		}
-		if got := parallel(t, a, 0); math.Abs(got-a) > 1e-15 {
-			t.Fatalf("parallel(a, 0) = %v, want %v", got, a)
-		}
-		// Bounds and ordering: series <= min, parallel >= max.
-		s, p := series(t, a, b), parallel(t, a, b)
-		if !Valid(s) || !Valid(p) {
-			t.Fatalf("combinators left [0,1]: series=%v parallel=%v", s, p)
-		}
-		if s > math.Min(a, b)+1e-15 {
-			t.Fatalf("series(%v,%v)=%v above min", a, b, s)
-		}
-		if p < math.Max(a, b)-1e-15 {
-			t.Fatalf("parallel(%v,%v)=%v below max", a, b, p)
-		}
-
 		// k-of-n boundary identities: n-of-n is a series chain, 1-of-n a
 		// parallel bank; complement is exact.
-		alphas := make([]float64, n)
-		for i := range alphas {
-			alphas[i] = a
+		series, parallel := PowInt(a, n), 1-PowInt(1-a, n)
+		if got := KofN(n, n, a); math.Abs(got-series) > 1e-12 {
+			t.Fatalf("KofN(n,n,%v)=%v != a^n=%v", a, got, series)
 		}
-		if got, want := KofN(n, n, a), series(t, alphas...); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("KofN(n,n,%v)=%v != Series=%v", a, got, want)
-		}
-		if got, want := KofN(1, n, a), parallel(t, alphas...); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("KofN(1,n,%v)=%v != Parallel=%v", a, got, want)
+		if got := KofN(1, n, a); math.Abs(got-parallel) > 1e-12 {
+			t.Fatalf("KofN(1,n,%v)=%v != 1-(1-a)^n=%v", a, got, parallel)
 		}
 		if sum := KofN(m, n, a) + KofNComplement(m, n, a); math.Abs(sum-1) > 1e-9 {
 			t.Fatalf("KofN + KofNComplement = %v, want 1 (m=%d n=%d a=%v)", sum, m, n, a)
 		}
-		if got, want := PowInt(a, n), series(t, alphas...); math.Abs(got-want) > 1e-12 {
-			t.Fatalf("PowInt(%v,%d)=%v != Series=%v", a, n, got, want)
+		// Bounds and ordering: the series chain is the worst m-of-n, the
+		// parallel bank the best.
+		if k := KofN(m, n, a); k < series-1e-12 || k > parallel+1e-12 {
+			t.Fatalf("KofN(%d,%d,%v)=%v outside [a^n, 1-(1-a)^n] = [%v, %v]", m, n, a, k, series, parallel)
 		}
 	}
 }

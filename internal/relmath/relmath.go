@@ -1,7 +1,8 @@
 // Package relmath provides the reliability mathematics that underpins the
 // availability models: binomial k-of-n block availability (the paper's
-// equation 1), series/parallel reliability-block-diagram composition,
-// availability/downtime conversions, and MTBF/MTTR arithmetic.
+// equation 1), availability/downtime conversions, and MTBF/MTTR
+// arithmetic. How blocks compose into a controller is package structure's
+// job, shared by all three engines.
 //
 // All availabilities are steady-state probabilities in [0, 1]. Functions
 // panic on structurally impossible arguments (negative counts) and clamp

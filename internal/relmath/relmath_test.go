@@ -186,66 +186,6 @@ func TestKofNPropertyInUnitInterval(t *testing.T) {
 	}
 }
 
-// series and parallel evaluate the block combinators over constant
-// leaves: the one place a plain series product or parallel complement is
-// computed.
-func series(t *testing.T, alphas ...float64) float64 {
-	t.Helper()
-	return mustEval(t, InSeries(consts(alphas)...), nil)
-}
-
-func parallel(t *testing.T, alphas ...float64) float64 {
-	t.Helper()
-	return mustEval(t, InParallel(consts(alphas)...), nil)
-}
-
-func consts(alphas []float64) []*Block {
-	blocks := make([]*Block, len(alphas))
-	for i, a := range alphas {
-		blocks[i] = Const(a)
-	}
-	return blocks
-}
-
-func TestSeriesAndParallel(t *testing.T) {
-	if got := series(t, 0.9, 0.9); !almostEqual(got, 0.81, 1e-12) {
-		t.Errorf("Series = %g, want 0.81", got)
-	}
-	if got := series(t); got != 1 {
-		t.Errorf("empty Series = %g, want 1", got)
-	}
-	if got := parallel(t, 0.9, 0.9); !almostEqual(got, 0.99, 1e-12) {
-		t.Errorf("Parallel = %g, want 0.99", got)
-	}
-	if got := parallel(t); got != 0 {
-		t.Errorf("empty Parallel = %g, want 0", got)
-	}
-}
-
-func TestSeriesPropertyBelowMin(t *testing.T) {
-	f := func(x, y uint16) bool {
-		a := float64(x%10001) / 10000
-		b := float64(y%10001) / 10000
-		s := series(t, a, b)
-		return s <= math.Min(a, b)+1e-12 && s >= 0
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestParallelPropertyAboveMax(t *testing.T) {
-	f := func(x, y uint16) bool {
-		a := float64(x%10001) / 10000
-		b := float64(y%10001) / 10000
-		p := parallel(t, a, b)
-		return p >= math.Max(a, b)-1e-12 && p <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPowInt(t *testing.T) {
 	for _, a := range []float64{0, 0.3, 0.99998, 1} {
 		for k := 0; k <= 10; k++ {

@@ -29,9 +29,9 @@ var wallSleepsAllowed = map[string]string{
 }
 
 // TestTestbedRunsOnVirtualTime holds the testbed to its one clock: no
-// non-test file of internal/cluster or internal/chaos reads or waits on
-// the wall clock (wallReads), and the tests of those packages, of
-// cmd/chaosctl and of the root package wait with the cluster's clock
+// non-test file of internal/cluster, internal/chaos or the two testbed
+// examples reads or waits on the wall clock (wallReads), and the tests of
+// those packages and of cmd/chaosctl wait with the cluster's clock
 // (c.Clock().Sleep, WaitUntil) rather than time.Sleep, apart from
 // wallSleepsAllowed. A wall-time sleep in a test of a virtual-clock
 // cluster lets no virtual time pass, so whatever it waits for never
@@ -41,8 +41,14 @@ func TestTestbedRunsOnVirtualTime(t *testing.T) {
 	if n := len(wallSleepsAllowed); n > maxAllowed {
 		t.Errorf("wallSleepsAllowed has %d entries; it is a list of exceptions (at most %d)", n, maxAllowed)
 	}
-	product := map[string]bool{"internal/cluster": true, "internal/chaos": true}
-	tested := map[string]bool{"internal/cluster": true, "internal/chaos": true, "cmd/chaosctl": true, ".": true}
+	product := map[string]bool{
+		"internal/cluster": true, "internal/chaos": true,
+		"examples/chaos-testbed": true, "examples/automation": true,
+	}
+	tested := map[string]bool{
+		"internal/cluster": true, "internal/chaos": true, "cmd/chaosctl": true,
+		"examples/chaos-testbed": true, "examples/automation": true,
+	}
 	fset := token.NewFileSet()
 	matched := map[string]int{}
 	for _, file := range repoFiles(t) {
