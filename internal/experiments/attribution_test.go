@@ -75,6 +75,7 @@ func TestDifferentialAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkSoakPin(t, "attribution", oc.Soak, attributionSoakPin)
 
 	if oc.Soak.CPAttribution.Intervals < 20 {
 		t.Fatalf("soak saw only %d CP outage intervals — too few for a share comparison; densify the schedule",
