@@ -90,6 +90,7 @@ type Cluster struct {
 	changed        chan struct{}
 	changedWaiters int
 	probeSeq       uint64
+	alarmOffset    int // alarm-gen's consumer offset into log
 	started        bool
 	stopped        bool
 	startHold      bool // the cluster's clock hold (Start's, or one handed back), until Hold takes it or Stop releases it

@@ -302,18 +302,21 @@ func (c *Cluster) QueryRealtime(key string) (string, bool) {
 	return "", false
 }
 
-// GenerateAlarms has an alive alarm-gen scan the Kafka stream and returns
-// the number of matching events.
+// GenerateAlarms has an alive alarm-gen scan the Kafka stream from its
+// consumer offset and returns the number of matching events since its
+// last scan. The offset moves past every event read, so each event is
+// scanned once.
 func (c *Cluster) GenerateAlarms(substr string) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.anyAliveLocked(string(profile.Analytics), "alarm-gen") < 0 {
 		return 0, fmt.Errorf("cluster: no alarm-gen alive")
 	}
-	entries, err := c.log.ReadFrom(0)
+	entries, err := c.log.ReadFrom(c.alarmOffset)
 	if err != nil {
 		return 0, err
 	}
+	c.alarmOffset += len(entries)
 	n := 0
 	for _, e := range entries {
 		if strings.Contains(e, substr) {

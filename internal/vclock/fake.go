@@ -21,17 +21,21 @@ type Fake struct {
 	now        time.Time
 	registered int
 	parked     int
+	// parkedWaiters counts the queued waiters a goroutine is park-counted
+	// on; parked also counts goroutines in Park, which wait on no waiter.
+	parkedWaiters int
 	// ops counts clock interactions (parks, unparks, fires, cancels).
 	// The advance path uses it as a quiescence signal: yield to the
 	// scheduler, and only move time when no goroutine touched the clock
 	// in the meantime — giving just-woken or message-driven goroutines a
 	// chance to run at the current instant first.
-	ops     uint64
-	waiters map[*waiter]struct{}
-	// armSeq orders waiters armed at the same deadline: the advance path
-	// fires exactly one waiter per step, in (deadline, arm order), so
-	// goroutines whose deadlines coincide wake one at a time in a
-	// deterministic order instead of racing the scheduler.
+	ops uint64
+	// queue holds every armed waiter in (deadline, arm order), so queue[0]
+	// is both the next deadline and the next waiter due. The advance path
+	// fires exactly one waiter per step, so goroutines whose deadlines
+	// coincide wake one at a time in arm order instead of racing the
+	// scheduler.
+	queue  []*waiter
 	armSeq uint64
 	// work counts outstanding deliveries (AddWork/DoneWork): messages or
 	// notifications handed to goroutines that have not yet consumed them.
@@ -57,7 +61,7 @@ func NewFake(start time.Time) *Fake {
 	if start.IsZero() {
 		start = time.Date(2000, 1, 1, 0, 0, 0, 0, time.UTC)
 	}
-	return &Fake{now: start, waiters: map[*waiter]struct{}{}}
+	return &Fake{now: start}
 }
 
 // Now returns the current virtual time.
@@ -87,8 +91,7 @@ func (f *Fake) SleepOr(d time.Duration, cancel <-chan struct{}) bool {
 		return true
 	}
 	f.mu.Lock()
-	w := &waiter{deadline: f.now.Add(d), fire: make(chan time.Time, 1), seq: f.nextSeqLocked()}
-	f.waiters[w] = struct{}{}
+	w := f.armLocked(d, 0)
 	f.parkLocked(w)
 	quiet := f.quietLocked()
 	f.mu.Unlock()
@@ -113,7 +116,7 @@ func (f *Fake) abandon(w *waiter) bool {
 		return true
 	default:
 	}
-	delete(f.waiters, w)
+	f.removeLocked(w)
 	f.unparkLocked(w)
 	return false
 }
@@ -126,9 +129,7 @@ func (f *Fake) NewTicker(d time.Duration) *Ticker {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	w := &waiter{deadline: f.now.Add(d), fire: make(chan time.Time, 1), period: d, seq: f.nextSeqLocked()}
-	f.waiters[w] = struct{}{}
-	return &Ticker{f: f, w: w}
+	return &Ticker{f: f, w: f.armLocked(d, d)}
 }
 
 // Register declares a clock-driven goroutine to the waiter accounting.
@@ -216,12 +217,8 @@ func (f *Fake) Advance(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	target := f.now.Add(d)
-	for {
-		next, ok := f.nextDeadlineLocked()
-		if !ok || next.After(target) {
-			break
-		}
-		f.now = next
+	for len(f.queue) > 0 && !f.queue[0].deadline.After(target) {
+		f.now = f.queue[0].deadline
 		for f.fireNextDueLocked() {
 		}
 	}
@@ -231,6 +228,9 @@ func (f *Fake) Advance(d time.Duration) {
 // ---- internals (callers hold f.mu unless noted) ----
 
 func (f *Fake) parkLocked(w *waiter) {
+	if !w.parked {
+		f.parkedWaiters++
+	}
 	w.parked = true
 	f.parked++
 	f.ops++
@@ -240,6 +240,7 @@ func (f *Fake) unparkLocked(w *waiter) {
 	if w.parked {
 		w.parked = false
 		f.parked--
+		f.parkedWaiters--
 	}
 	f.ops++
 }
@@ -297,21 +298,10 @@ func (f *Fake) advanceLocked() {
 		// none left, everyone parked is waiting on something other than
 		// time (an unregistered goroutine, or test code about to act) and
 		// moving the clock would spin it forward for nothing.
-		anyParkedWaiter := false
-		for w := range f.waiters {
-			if w.parked {
-				anyParkedWaiter = true
-				break
-			}
-		}
-		if !anyParkedWaiter {
+		if f.parkedWaiters == 0 {
 			return
 		}
-		next, ok := f.nextDeadlineLocked()
-		if !ok {
-			return
-		}
-		if next.After(f.now) {
+		if next := f.queue[0].deadline; next.After(f.now) {
 			f.now = next
 		}
 		parkedBefore := f.parked
@@ -324,52 +314,58 @@ func (f *Fake) advanceLocked() {
 	}
 }
 
-// nextDeadlineLocked returns the earliest armed deadline.
-func (f *Fake) nextDeadlineLocked() (time.Time, bool) {
-	var min time.Time
-	found := false
-	for w := range f.waiters {
-		if !found || w.deadline.Before(min) {
-			min = w.deadline
-			found = true
-		}
-	}
-	return min, found
-}
-
-// nextSeqLocked returns the next arm-order sequence number.
-func (f *Fake) nextSeqLocked() uint64 {
+// armLocked queues a waiter due d from now; a positive period makes it
+// a ticker.
+func (f *Fake) armLocked(d, period time.Duration) *waiter {
 	f.armSeq++
-	return f.armSeq
+	w := &waiter{deadline: f.now.Add(d), fire: make(chan time.Time, 1), period: period, seq: f.armSeq}
+	f.insertLocked(w)
+	return w
 }
 
-// fireNextDueLocked delivers the single due waiter with the earliest
-// (deadline, arm order), reporting whether one fired. One-shot waiters
-// are removed; tickers rearm one period after the deadline that fired,
-// keeping their original arm order (sends into the buffered channel
-// coalesce, so a slow consumer sees one tick, not a backlog).
-func (f *Fake) fireNextDueLocked() bool {
-	var due *waiter
-	for w := range f.waiters {
-		if w.deadline.After(f.now) {
-			continue
+// insertLocked appends w and swaps it back past every waiter due after
+// it in (deadline, arm order).
+func (f *Fake) insertLocked(w *waiter) {
+	f.queue = append(f.queue, w)
+	for i := len(f.queue) - 1; i > 0; i-- {
+		prev := f.queue[i-1]
+		if prev.deadline.Before(w.deadline) || prev.deadline.Equal(w.deadline) && prev.seq < w.seq {
+			return
 		}
-		if due == nil || w.deadline.Before(due.deadline) ||
-			(w.deadline.Equal(due.deadline) && w.seq < due.seq) {
-			due = w
+		f.queue[i-1], f.queue[i] = w, prev
+	}
+}
+
+// removeLocked takes w out of the queue, if it is there.
+func (f *Fake) removeLocked(w *waiter) {
+	for i, q := range f.queue {
+		if q == w {
+			copy(f.queue[i:], f.queue[i+1:])
+			f.queue[len(f.queue)-1] = nil
+			f.queue = f.queue[:len(f.queue)-1]
+			return
 		}
 	}
-	if due == nil {
+}
+
+// fireNextDueLocked delivers queue[0] if it is due, reporting whether it
+// fired. A one-shot waiter leaves the queue; a ticker rearms one period
+// after the deadline that fired, keeping its arm order (sends into the
+// buffered channel coalesce, so a slow consumer sees one tick, not a
+// backlog).
+func (f *Fake) fireNextDueLocked() bool {
+	if len(f.queue) == 0 || f.queue[0].deadline.After(f.now) {
 		return false
 	}
+	due := f.queue[0]
+	f.removeLocked(due)
 	select {
 	case due.fire <- f.now:
 	default:
 	}
 	if due.period > 0 {
 		due.deadline = due.deadline.Add(due.period)
-	} else {
-		delete(f.waiters, due)
+		f.insertLocked(due)
 	}
 	f.unparkLocked(due)
 	return true
@@ -434,6 +430,6 @@ func (t *Ticker) Stop() {
 		return
 	}
 	t.stopped = true
-	delete(t.f.waiters, t.w)
+	t.f.removeLocked(t.w)
 	t.f.unparkLocked(t.w)
 }

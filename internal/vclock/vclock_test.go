@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -372,6 +373,237 @@ func TestFakeWorkTokens(t *testing.T) {
 	}
 }
 
+// refWaiter is the reference clock's copy of one armed waiter.
+type refWaiter struct {
+	w        *waiter // the Fake's waiter, to read its channel by
+	deadline time.Time
+	period   time.Duration
+	seq      uint64
+	parked   bool
+}
+
+// refClock is the fake clock's firing rule by brute force: every step
+// scans all armed waiters for the minimum (deadline, arm order).
+type refClock struct {
+	now   time.Time
+	seq   uint64
+	armed []*refWaiter
+	fired map[*waiter]time.Time // first fire per waiter since the last drain
+}
+
+func (r *refClock) arm(w *waiter, d, period time.Duration) *refWaiter {
+	r.seq++
+	rw := &refWaiter{w: w, deadline: r.now.Add(d), period: period, seq: r.seq}
+	r.armed = append(r.armed, rw)
+	return rw
+}
+
+func (r *refClock) disarm(rw *refWaiter) {
+	for i, a := range r.armed {
+		if a == rw {
+			r.armed = append(r.armed[:i], r.armed[i+1:]...)
+			return
+		}
+	}
+}
+
+// next returns the armed waiter with the minimum (deadline, arm order).
+func (r *refClock) next() *refWaiter { return earliest(r.armed) }
+
+func earliest(ws []*refWaiter) *refWaiter {
+	var min *refWaiter
+	for _, a := range ws {
+		if min == nil || a.deadline.Before(min.deadline) ||
+			(a.deadline.Equal(min.deadline) && a.seq < min.seq) {
+			min = a
+		}
+	}
+	return min
+}
+
+// fire delivers rw at the current instant, reporting whether it woke a
+// parked goroutine.
+func (r *refClock) fire(rw *refWaiter) bool {
+	if _, ok := r.fired[rw.w]; !ok {
+		r.fired[rw.w] = r.now
+	}
+	if rw.period > 0 {
+		rw.deadline = rw.deadline.Add(rw.period)
+	} else {
+		r.disarm(rw)
+	}
+	woke := rw.parked
+	rw.parked = false
+	return woke
+}
+
+// hop is the auto-advance path: fire one waiter per step until one wakes
+// a parked goroutine or no parked waiter is left.
+func (r *refClock) hop() {
+	for {
+		parked := false
+		for _, a := range r.armed {
+			parked = parked || a.parked
+		}
+		if !parked {
+			return
+		}
+		rw := r.next()
+		if rw.deadline.After(r.now) {
+			r.now = rw.deadline
+		}
+		if r.fire(rw) {
+			return
+		}
+	}
+}
+
+// advance is Advance: fire every deadline up to now+d in order.
+func (r *refClock) advance(d time.Duration) {
+	target := r.now.Add(d)
+	for rw := r.next(); rw != nil && !rw.deadline.After(target); rw = r.next() {
+		r.now = rw.deadline
+		r.fire(rw)
+	}
+	r.now = target
+}
+
+// TestFakeQueueMatchesReference drives a Fake by hand through random
+// scripts of sleeps, cancelled sleeps, tickers, stops and Parks, with deadlines
+// and periods drawn from a few milliseconds so that many coincide and
+// tickers rearm onto other waiters' deadlines. After every Advance or
+// auto-advance hop, each waiter's channel must hold exactly what the
+// brute-force reference fired, the clocks must read the same instant,
+// and the queue must hold the reference's armed waiters in (deadline,
+// arm order).
+func TestFakeQueueMatchesReference(t *testing.T) {
+	for script := int64(1); script <= 200; script++ {
+		rng := rand.New(rand.NewSource(script))
+		f := NewFake(time.Time{})
+		ref := &refClock{now: f.Now(), fired: map[*waiter]time.Time{}}
+		var sleepers, tickers []*refWaiter
+		tk := map[*refWaiter]*Ticker{}
+		var unpark func() // a goroutine parked off the clock, with no waiter
+		ms := func() time.Duration { return time.Duration(1+rng.Intn(4)) * time.Millisecond }
+		for step := 0; step < 300; step++ {
+			switch op := rng.Intn(12); {
+			case op < 3: // Sleep: a parked one-shot
+				f.mu.Lock()
+				d := ms()
+				w := f.armLocked(d, 0)
+				f.parkLocked(w)
+				f.mu.Unlock()
+				rw := ref.arm(w, d, 0)
+				rw.parked = true
+				sleepers = append(sleepers, rw)
+			case op == 3 && len(sleepers) > 0: // SleepOr's cancel
+				i := rng.Intn(len(sleepers))
+				rw := sleepers[i]
+				sleepers = append(sleepers[:i], sleepers[i+1:]...)
+				if f.abandon(rw.w) {
+					t.Fatalf("script %d step %d: abandon found a fire the reference never made", script, step)
+				}
+				ref.disarm(rw)
+			case op == 4: // NewTicker
+				d := ms()
+				ticker := f.NewTicker(d)
+				rw := ref.arm(ticker.w, d, d)
+				tickers = append(tickers, rw)
+				tk[rw] = ticker
+			case op == 5 && len(tickers) > 0: // Stop
+				i := rng.Intn(len(tickers))
+				rw := tickers[i]
+				tickers = append(tickers[:i], tickers[i+1:]...)
+				tk[rw].Stop()
+				ref.disarm(rw)
+			case op == 6 && len(tickers) > 0: // a Wait parks on a ticker
+				rw := tickers[rng.Intn(len(tickers))]
+				if !rw.parked {
+					f.mu.Lock()
+					f.parkLocked(rw.w)
+					f.mu.Unlock()
+					rw.parked = true
+				}
+			case op == 7: // Park, or its release: parks no waiter
+				if unpark == nil {
+					unpark = f.Park()
+				} else {
+					unpark()
+					unpark = nil
+				}
+			case op < 10: // one auto-advance run
+				f.mu.Lock()
+				f.advanceLocked()
+				f.mu.Unlock()
+				ref.hop()
+			default:
+				d := time.Duration(rng.Intn(5)) * time.Millisecond
+				f.Advance(d)
+				ref.advance(d)
+			}
+			// Fired one-shots leave the reference's sleepers.
+			live := sleepers[:0]
+			for _, rw := range sleepers {
+				if _, fired := ref.fired[rw.w]; !fired {
+					live = append(live, rw)
+				}
+			}
+			sleepers = live
+			checkAgainstReference(t, f, ref, script, step)
+		}
+	}
+}
+
+// checkAgainstReference compares the Fake's clock, channels and queue
+// with the reference's, then drains both.
+func checkAgainstReference(t *testing.T, f *Fake, ref *refClock, script int64, step int) {
+	t.Helper()
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !f.now.Equal(ref.now) {
+		t.Fatalf("script %d step %d: clock at %v, reference at %v", script, step, f.now, ref.now)
+	}
+	for _, w := range f.queue {
+		if _, ok := ref.fired[w]; !ok {
+			ref.fired[w] = time.Time{}
+		}
+	}
+	for w, want := range ref.fired {
+		var got time.Time
+		select {
+		case got = <-w.fire:
+		default:
+		}
+		if !got.Equal(want) {
+			t.Fatalf("script %d step %d: waiter seq %d fired at %v, reference %v", script, step, w.seq, got, want)
+		}
+		delete(ref.fired, w)
+	}
+	if len(f.queue) != len(ref.armed) {
+		t.Fatalf("script %d step %d: %d queued, reference has %d armed", script, step, len(f.queue), len(ref.armed))
+	}
+	rest := append([]*refWaiter(nil), ref.armed...)
+	parked := 0
+	for i, w := range f.queue {
+		rw := earliest(rest)
+		if w != rw.w || !w.deadline.Equal(rw.deadline) || w.parked != rw.parked {
+			t.Fatalf("script %d step %d: queue[%d] is seq %d at %v, reference seq %d at %v", script, step, i, w.seq, w.deadline, rw.seq, rw.deadline)
+		}
+		if w.parked {
+			parked++
+		}
+		for j, a := range rest {
+			if a == rw {
+				rest = append(rest[:j], rest[j+1:]...)
+				break
+			}
+		}
+	}
+	if f.parkedWaiters != parked {
+		t.Fatalf("script %d step %d: parkedWaiters = %d, %d queued waiters are parked", script, step, f.parkedWaiters, parked)
+	}
+}
+
 // waitFor polls (in wall time) for a condition that becomes true after
 // scheduler handoff, failing the test after a second.
 func waitFor(t *testing.T, cond func() bool) {
@@ -414,5 +646,5 @@ func (f *Fake) Parked() int {
 func (f *Fake) Pending() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return len(f.waiters)
+	return len(f.queue)
 }
