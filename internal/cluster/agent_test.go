@@ -282,3 +282,23 @@ func hostReachable(c *Cluster, host string) bool {
 	defer c.mu.Unlock()
 	return c.hostReachableLocked(host)
 }
+
+// withdrawLocked removes an agent's prefix from this control and its alive
+// peers. Callers hold c.mu.
+func (ctl *controlNode) withdrawLocked(prefix, nexthop string) {
+	remove := func(t *controlNode) {
+		if hops, ok := t.routes[prefix]; ok {
+			delete(hops, nexthop)
+			if len(hops) == 0 {
+				delete(t.routes, prefix)
+			}
+		}
+	}
+	remove(ctl)
+	for _, peer := range ctl.c.controls {
+		if peer.node != ctl.node && ctl.c.aliveLocked(peer.key()) &&
+			ctl.c.meshConnectedLocked(peer.node, ctl.node) {
+			remove(peer)
+		}
+	}
+}

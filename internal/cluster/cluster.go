@@ -885,16 +885,6 @@ func (c *Cluster) BusSubscriptionStats() []SubscriptionStats {
 	return c.bus.SubscriptionStats()
 }
 
-func statusLess(a, b ProcStatus) bool {
-	if a.Role != b.Role {
-		return a.Role < b.Role
-	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	return a.Name < b.Name
-}
-
 // WaitUntil blocks until cond returns true or the timeout expires,
 // reporting success. It is the testbed's synchronization helper for
 // asynchronous recovery (supervisor restarts, agent rediscovery).

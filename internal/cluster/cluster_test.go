@@ -756,3 +756,14 @@ func TestFiveNodeCluster(t *testing.T) {
 		}
 	}
 }
+
+// statusLess orders process statuses by (role, node, name).
+func statusLess(a, b ProcStatus) bool {
+	if a.Role != b.Role {
+		return a.Role < b.Role
+	}
+	if a.Node != b.Node {
+		return a.Node < b.Node
+	}
+	return a.Name < b.Name
+}

@@ -146,26 +146,6 @@ func (ctl *controlNode) advertiseLocked(prefix, nexthop string) {
 	}
 }
 
-// withdrawLocked removes an agent's prefix from this control and its alive
-// peers. Callers hold c.mu.
-func (ctl *controlNode) withdrawLocked(prefix, nexthop string) {
-	remove := func(t *controlNode) {
-		if hops, ok := t.routes[prefix]; ok {
-			delete(hops, nexthop)
-			if len(hops) == 0 {
-				delete(t.routes, prefix)
-			}
-		}
-	}
-	remove(ctl)
-	for _, peer := range ctl.c.controls {
-		if peer.node != ctl.node && ctl.c.aliveLocked(peer.key()) &&
-			ctl.c.meshConnectedLocked(peer.node, ctl.node) {
-			remove(peer)
-		}
-	}
-}
-
 // ---- northbound configuration path ----
 
 // CreateNetwork performs a full northbound create: it requires an alive

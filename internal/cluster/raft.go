@@ -353,16 +353,6 @@ func (s *QuorumStore) recordEventLocked(ev RaftEvent) {
 	s.raft.events = append(s.raft.events, ev)
 }
 
-// setElectionDeadlinesForTest pins every replica's election deadline,
-// letting tests force simultaneous candidacies (split votes).
-func (s *QuorumStore) setElectionDeadlinesForTest(t time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i := range s.raft.deadline {
-		s.raft.deadline[i] = t
-	}
-}
-
 // ---- cluster-level wiring ----
 
 // RaftConfig tunes the quorum stores' leadership behaviour from the

@@ -332,3 +332,13 @@ func TestAckDropKeepsDataLoss(t *testing.T) {
 		t.Fatalf("lost write still visible: found=%v err=%v", found, err)
 	}
 }
+
+// setElectionDeadlinesForTest pins every replica's election deadline,
+// letting tests force simultaneous candidacies (split votes).
+func (s *QuorumStore) setElectionDeadlinesForTest(t time.Time) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range s.raft.deadline {
+		s.raft.deadline[i] = t
+	}
+}

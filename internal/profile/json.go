@@ -45,13 +45,6 @@ type jsonProfile struct {
 	Processes    []jsonProcess `json:"processes"`
 }
 
-func restartToken(m RestartMode) string {
-	if m == ManualRestart {
-		return "manual"
-	}
-	return "auto"
-}
-
 func restartFromToken(s string) (RestartMode, error) {
 	switch s {
 	case "auto", "":
@@ -60,17 +53,6 @@ func restartFromToken(s string) (RestartMode, error) {
 		return ManualRestart, nil
 	default:
 		return AutoRestart, fmt.Errorf("profile: unknown restart mode %q (want auto or manual)", s)
-	}
-}
-
-func needToken(q Need) string {
-	switch q {
-	case OneOf:
-		return "one"
-	case Majority:
-		return "majority"
-	default:
-		return "none"
 	}
 }
 
@@ -85,37 +67,6 @@ func needFromToken(s string) (Need, error) {
 	default:
 		return NotRequired, fmt.Errorf("profile: unknown quorum requirement %q (want none, one or majority)", s)
 	}
-}
-
-// toJSON renders the profile as indented JSON.
-func toJSON(p *Profile) ([]byte, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	jp := jsonProfile{
-		Name:        p.Name,
-		Description: p.Description,
-		HostRole:    string(p.HostRole),
-	}
-	for _, r := range p.ClusterRoles {
-		jp.ClusterRoles = append(jp.ClusterRoles, string(r))
-	}
-	for _, proc := range p.Processes {
-		jp.Processes = append(jp.Processes, jsonProcess{
-			Name:           proc.Name,
-			Role:           string(proc.Role),
-			Restart:        restartToken(proc.Restart),
-			CP:             needToken(proc.CP),
-			DP:             needToken(proc.DP),
-			DPGroup:        proc.DPGroup,
-			Supervisor:     proc.Supervisor,
-			NodeManager:    proc.NodeManager,
-			PerHost:        proc.PerHost,
-			FailureEffect:  proc.FailureEffect,
-			RecoveryAction: proc.RecoveryAction,
-		})
-	}
-	return json.MarshalIndent(jp, "", "  ")
 }
 
 // FromJSON parses and validates a profile.

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -110,5 +111,55 @@ func TestJSONTokensReadable(t *testing.T) {
 	}
 	if strings.Contains(s, `"cp": 2`) {
 		t.Error("JSON leaked numeric enum values")
+	}
+}
+
+// toJSON renders the profile as indented JSON: FromJSON's inverse, which
+// the round-trip tests need and no program does.
+func toJSON(p *Profile) ([]byte, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	jp := jsonProfile{
+		Name:        p.Name,
+		Description: p.Description,
+		HostRole:    string(p.HostRole),
+	}
+	for _, r := range p.ClusterRoles {
+		jp.ClusterRoles = append(jp.ClusterRoles, string(r))
+	}
+	for _, proc := range p.Processes {
+		jp.Processes = append(jp.Processes, jsonProcess{
+			Name:           proc.Name,
+			Role:           string(proc.Role),
+			Restart:        restartToken(proc.Restart),
+			CP:             needToken(proc.CP),
+			DP:             needToken(proc.DP),
+			DPGroup:        proc.DPGroup,
+			Supervisor:     proc.Supervisor,
+			NodeManager:    proc.NodeManager,
+			PerHost:        proc.PerHost,
+			FailureEffect:  proc.FailureEffect,
+			RecoveryAction: proc.RecoveryAction,
+		})
+	}
+	return json.MarshalIndent(jp, "", "  ")
+}
+
+func restartToken(m RestartMode) string {
+	if m == ManualRestart {
+		return "manual"
+	}
+	return "auto"
+}
+
+func needToken(q Need) string {
+	switch q {
+	case OneOf:
+		return "one"
+	case Majority:
+		return "majority"
+	default:
+		return "none"
 	}
 }

@@ -16,7 +16,6 @@ package profile
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Role identifies a controller node type. The paper's reference
@@ -293,20 +292,4 @@ func (p *Profile) Lookup(name string) (Process, bool) {
 		}
 	}
 	return Process{}, false
-}
-
-// sortedGroupNames returns DP group names in deterministic order.
-func (p *Profile) sortedGroupNames() []string {
-	set := map[string]bool{}
-	for _, proc := range p.Processes {
-		if proc.DPGroup != "" {
-			set[proc.DPGroup] = true
-		}
-	}
-	names := make([]string, 0, len(set))
-	for n := range set {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

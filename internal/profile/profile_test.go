@@ -457,14 +457,6 @@ func TestNeedString(t *testing.T) {
 	}
 }
 
-func TestSortedGroupNames(t *testing.T) {
-	p := OpenContrail3x()
-	names := p.sortedGroupNames()
-	if len(names) != 1 || names[0] != "control-block" {
-		t.Errorf("sortedGroupNames = %v, want [control-block]", names)
-	}
-}
-
 func TestQuorumGroupsGeneralization(t *testing.T) {
 	// The same profile must generalize to a 5-node (N=2) cluster: quorum
 	// groups report Majority, and Need.Count(5) = 3.
