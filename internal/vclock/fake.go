@@ -323,17 +323,21 @@ func (f *Fake) armLocked(d, period time.Duration) *waiter {
 	return w
 }
 
-// insertLocked appends w and swaps it back past every waiter due after
-// it in (deadline, arm order).
+// insertLocked files w behind every waiter due before it in (deadline,
+// arm order): a binary search, then one copy to open the slot.
 func (f *Fake) insertLocked(w *waiter) {
-	f.queue = append(f.queue, w)
-	for i := len(f.queue) - 1; i > 0; i-- {
-		prev := f.queue[i-1]
-		if prev.deadline.Before(w.deadline) || prev.deadline.Equal(w.deadline) && prev.seq < w.seq {
-			return
+	lo, hi := 0, len(f.queue)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if q := f.queue[mid]; q.deadline.Before(w.deadline) || q.deadline.Equal(w.deadline) && q.seq < w.seq {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
-		f.queue[i-1], f.queue[i] = w, prev
 	}
+	f.queue = append(f.queue, nil)
+	copy(f.queue[lo+1:], f.queue[lo:])
+	f.queue[lo] = w
 }
 
 // removeLocked takes w out of the queue, if it is there.
