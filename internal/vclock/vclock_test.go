@@ -398,13 +398,29 @@ func (r *refClock) arm(w *waiter, d, period time.Duration) *refWaiter {
 	return rw
 }
 
-func (r *refClock) disarm(rw *refWaiter) {
-	for i, a := range r.armed {
+func (r *refClock) disarm(rw *refWaiter) { r.armed = without(r.armed, rw) }
+
+func without(ws []*refWaiter, rw *refWaiter) []*refWaiter {
+	for i, a := range ws {
 		if a == rw {
-			r.armed = append(r.armed[:i], r.armed[i+1:]...)
-			return
+			return append(ws[:i], ws[i+1:]...)
 		}
 	}
+	return ws
+}
+
+// pick returns a random armed one-shot (or ticker), nil if there is none.
+func (r *refClock) pick(rng *rand.Rand, ticker bool) *refWaiter {
+	var of []*refWaiter
+	for _, a := range r.armed {
+		if (a.period > 0) == ticker {
+			of = append(of, a)
+		}
+	}
+	if len(of) == 0 {
+		return nil
+	}
+	return of[rng.Intn(len(of))]
 }
 
 // next returns the armed waiter with the minimum (deadline, arm order).
@@ -469,8 +485,9 @@ func (r *refClock) advance(d time.Duration) {
 }
 
 // TestFakeQueueMatchesReference drives a Fake by hand through random
-// scripts of sleeps, cancelled sleeps, tickers, stops and Parks, with deadlines
-// and periods drawn from a few milliseconds so that many coincide and
+// scripts of sleeps, cancelled sleeps, tickers, stops, ticker Waits and
+// Parks, with deadlines and periods drawn from a few milliseconds so that
+// many coincide and
 // tickers rearm onto other waiters' deadlines. After every Advance or
 // auto-advance hop, each waiter's channel must hold exactly what the
 // brute-force reference fired, the clocks must read the same instant,
@@ -481,44 +498,36 @@ func TestFakeQueueMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(script))
 		f := NewFake(time.Time{})
 		ref := &refClock{now: f.Now(), fired: map[*waiter]time.Time{}}
-		var sleepers, tickers []*refWaiter
-		tk := map[*refWaiter]*Ticker{}
+		tickers := map[*refWaiter]*Ticker{}
 		var unpark func() // a goroutine parked off the clock, with no waiter
 		ms := func() time.Duration { return time.Duration(1+rng.Intn(4)) * time.Millisecond }
 		for step := 0; step < 300; step++ {
 			switch op := rng.Intn(12); {
-			case op < 3: // Sleep: a parked one-shot
-				f.mu.Lock()
+			case op < 3: // Sleep: armed and parked as SleepOr does
 				d := ms()
+				f.mu.Lock()
 				w := f.armLocked(d, 0)
 				f.parkLocked(w)
 				f.mu.Unlock()
-				rw := ref.arm(w, d, 0)
-				rw.parked = true
-				sleepers = append(sleepers, rw)
-			case op == 3 && len(sleepers) > 0: // SleepOr's cancel
-				i := rng.Intn(len(sleepers))
-				rw := sleepers[i]
-				sleepers = append(sleepers[:i], sleepers[i+1:]...)
-				if f.abandon(rw.w) {
-					t.Fatalf("script %d step %d: abandon found a fire the reference never made", script, step)
+				ref.arm(w, d, 0).parked = true
+			case op == 3: // SleepOr's cancel
+				if rw := ref.pick(rng, false); rw != nil {
+					if f.abandon(rw.w) {
+						t.Fatalf("script %d step %d: abandon found a fire the reference never made", script, step)
+					}
+					ref.disarm(rw)
 				}
-				ref.disarm(rw)
-			case op == 4: // NewTicker
+			case op == 4:
 				d := ms()
-				ticker := f.NewTicker(d)
-				rw := ref.arm(ticker.w, d, d)
-				tickers = append(tickers, rw)
-				tk[rw] = ticker
-			case op == 5 && len(tickers) > 0: // Stop
-				i := rng.Intn(len(tickers))
-				rw := tickers[i]
-				tickers = append(tickers[:i], tickers[i+1:]...)
-				tk[rw].Stop()
-				ref.disarm(rw)
-			case op == 6 && len(tickers) > 0: // a Wait parks on a ticker
-				rw := tickers[rng.Intn(len(tickers))]
-				if !rw.parked {
+				tk := f.NewTicker(d)
+				tickers[ref.arm(tk.w, d, d)] = tk
+			case op == 5:
+				if rw := ref.pick(rng, true); rw != nil {
+					tickers[rw].Stop()
+					ref.disarm(rw)
+				}
+			case op == 6: // a Wait parks on a ticker
+				if rw := ref.pick(rng, true); rw != nil && !rw.parked {
 					f.mu.Lock()
 					f.parkLocked(rw.w)
 					f.mu.Unlock()
@@ -541,14 +550,6 @@ func TestFakeQueueMatchesReference(t *testing.T) {
 				f.Advance(d)
 				ref.advance(d)
 			}
-			// Fired one-shots leave the reference's sleepers.
-			live := sleepers[:0]
-			for _, rw := range sleepers {
-				if _, fired := ref.fired[rw.w]; !fired {
-					live = append(live, rw)
-				}
-			}
-			sleepers = live
 			checkAgainstReference(t, f, ref, script, step)
 		}
 	}
@@ -592,12 +593,7 @@ func checkAgainstReference(t *testing.T, f *Fake, ref *refClock, script int64, s
 		if w.parked {
 			parked++
 		}
-		for j, a := range rest {
-			if a == rw {
-				rest = append(rest[:j], rest[j+1:]...)
-				break
-			}
-		}
+		rest = without(rest, rw)
 	}
 	if f.parkedWaiters != parked {
 		t.Fatalf("script %d step %d: parkedWaiters = %d, %d queued waiters are parked", script, step, f.parkedWaiters, parked)
