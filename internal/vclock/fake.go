@@ -21,8 +21,9 @@ type Fake struct {
 	now        time.Time
 	registered int
 	parked     int
-	// parkedWaiters counts the queued waiters a goroutine is park-counted
-	// on; parked also counts goroutines in Park, which wait on no waiter.
+	// parkedWaiters counts the waiters a goroutine is park-counted on; a
+	// parked waiter is always queued. parked also counts goroutines in
+	// Park, which wait on no waiter.
 	parkedWaiters int
 	// ops counts clock interactions (parks, unparks, fires, cancels).
 	// The advance path uses it as a quiescence signal: yield to the
