@@ -44,10 +44,14 @@
 // -scenario-file runs a declarative JSON scenario instead (see DESIGN.md
 // for the DSL grammar); it overrides -scenario.
 //
-// The testbed runs on a deterministic virtual clock: -step, -duration,
-// -mbf, -repair and the degradation and raft durations are virtual time,
-// so a scenario's timeline is exact and costs far less wall time than it
-// spans.
+// The testbed runs on a deterministic virtual clock at the paper's own
+// time constants: a supervised restart takes R = 12 minutes on average,
+// an agent rediscovers a control within 2 minutes, and the prober samples
+// every 6 minutes. -step (default 2h), -duration (24h), -mbf (1h),
+// -repair (30m) and the degradation and raft durations are virtual time,
+// so a scenario's timeline is exact and a day of it costs well under a
+// second of wall time. crashloop and flapping need a -step of about 80
+// minutes or more for the supervision ladder to reach FATAL.
 //
 // The -headless-hold, -route-max-age and -catchup flags configure the
 // cluster's graceful-degradation knobs for any scenario; zero keeps the
@@ -117,10 +121,10 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		hosts    = flag.Int("hosts", 3, "vRouter compute hosts")
 		scenario = flag.String("scenario", "section3", "scenario: section3, dbquorum, rack, partition, asymlink, graphlink, crashloop, flapping, headless, staleread, leadercrash, grayleader, staleleader, ackdrop or campaign")
 		specFile = flag.String("scenario-file", "", "run a declarative JSON scenario from this file instead of -scenario")
-		step     = flag.Duration("step", 250*time.Millisecond, "virtual time between scripted injections")
-		duration = flag.Duration("duration", 2*time.Second, "campaign duration in virtual time")
-		mbf      = flag.Duration("mbf", 100*time.Millisecond, "campaign mean virtual time between faults")
-		repair   = flag.Duration("repair", 80*time.Millisecond, "campaign operator repair delay in virtual time")
+		step     = flag.Duration("step", 2*time.Hour, "virtual time between scripted injections (R = 12m, rediscovery 2m)")
+		duration = flag.Duration("duration", 24*time.Hour, "campaign duration in virtual time")
+		mbf      = flag.Duration("mbf", time.Hour, "campaign mean virtual time between faults")
+		repair   = flag.Duration("repair", 30*time.Minute, "campaign operator repair delay in virtual time")
 		seed     = flag.Int64("seed", 1, "campaign seed")
 		hold     = flag.Duration("headless-hold", 0, "vRouter headless hold (0 = flush immediately)")
 		maxAge   = flag.Duration("route-max-age", 0, "per-route staleness bound while headless (0 = keep all)")
@@ -254,7 +258,7 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 			return err
 		}
 		fmt.Fprintf(out, "running scenario %q from %s (%d steps)\n", spec.Name, *specFile, len(spec.Steps))
-		rep, err = chaos.RunSpec(c, spec, 0, 0)
+		rep, err = chaos.RunSpec(c, spec)
 		if err != nil {
 			return err
 		}
@@ -262,35 +266,35 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 	}
 	switch *scenario {
 	case "section3":
-		rep, err = chaos.RunScenario(c, chaos.SectionIII(*step), *step, 0, 0)
+		rep, err = chaos.RunScenario(c, chaos.SectionIII(*step), *step)
 	case "dbquorum":
-		rep, err = chaos.RunScenario(c, chaos.DatabaseQuorumLoss(*step), *step, 0, 0)
+		rep, err = chaos.RunScenario(c, chaos.DatabaseQuorumLoss(*step), *step)
 	case "rack":
 		rack := topo.Racks[0].Name
-		rep, err = chaos.RunScenario(c, chaos.RackOutage(rack, []int{0, 1, 2}, *step), 2**step, 0, 0)
+		rep, err = chaos.RunScenario(c, chaos.RackOutage(rack, []int{0, 1, 2}, *step), 2**step)
 	case "partition":
-		rep, err = chaos.RunScenario(c, chaos.MajorityPartition(*step), 2**step, 0, 0)
+		rep, err = chaos.RunScenario(c, chaos.MajorityPartition(*step), 2**step)
 	case "asymlink":
-		rep, err = chaos.RunScenario(c, chaos.AsymmetricPartition(*step), 2**step, 0, 0)
+		rep, err = chaos.RunScenario(c, chaos.AsymmetricPartition(*step), 2**step)
 	case "graphlink":
 		uplink := "up:" + topo.Racks[0].Hosts[0].Name
-		rep, err = chaos.RunScenario(c, chaos.GraphLinkOutage(uplink, "adj:edge", *step), 2**step, 0, 0)
+		rep, err = chaos.RunScenario(c, chaos.GraphLinkOutage(uplink, "adj:edge", *step), 2**step)
 	case "crashloop":
-		rep, err = chaos.RunScenario(c, chaos.CrashLoop("Config", 0, "config-api", *step), *step, 0, 0)
+		rep, err = chaos.RunScenario(c, chaos.CrashLoop("Config", 0, "config-api", *step), *step)
 	case "flapping":
-		rep, err = chaos.RunScenario(c, chaos.FlappingControl(0, *step), *step, 0, 0)
+		rep, err = chaos.RunScenario(c, chaos.FlappingControl(0, *step), *step)
 	case "headless":
-		rep, err = chaos.RunScenario(c, chaos.Headless(*step), 2**step, 0, 0)
+		rep, err = chaos.RunScenario(c, chaos.Headless(*step), 2**step)
 	case "staleread":
-		rep, err = chaos.RunScenario(c, chaos.StaleRead(*step), 3**step, 0, 0)
+		rep, err = chaos.RunScenario(c, chaos.StaleRead(*step), 3**step)
 	case "leadercrash":
-		rep, err = chaos.RunScenario(c, chaos.LeaderCrash(*step), 2**step, 0, 0)
+		rep, err = chaos.RunScenario(c, chaos.LeaderCrash(*step), 2**step)
 	case "grayleader":
-		rep, err = chaos.RunScenario(c, chaos.GrayLeader(*step), 2**step, 0, 0)
+		rep, err = chaos.RunScenario(c, chaos.GrayLeader(*step), 2**step)
 	case "staleleader":
-		rep, err = chaos.RunScenario(c, chaos.StaleLeaderLease(*step), 2**step, 0, 0)
+		rep, err = chaos.RunScenario(c, chaos.StaleLeaderLease(*step), 2**step)
 	case "ackdrop":
-		rep, err = chaos.RunScenario(c, chaos.AckDropWrites(*step), 2**step, 0, 0)
+		rep, err = chaos.RunScenario(c, chaos.AckDropWrites(*step), 2**step)
 	case "campaign":
 		var hostNames []string
 		for _, r := range topo.Racks {

@@ -21,42 +21,42 @@ func TestScenarios(t *testing.T) {
 	}{
 		{
 			"section3",
-			[]string{"-scenario", "section3", "-step", "60ms", "-hosts", "2"},
+			[]string{"-scenario", "section3", "-step", "2h", "-hosts", "2"},
 			[]string{"testbed up", "kill control-1", "forwarding tables flush", "observed CP availability"},
 		},
 		{
 			"dbquorum",
-			[]string{"-scenario", "dbquorum", "-step", "60ms", "-hosts", "2"},
+			[]string{"-scenario", "dbquorum", "-step", "2h", "-hosts", "2"},
 			[]string{"quorum lost", "observed DP availability"},
 		},
 		{
 			"partition",
-			[]string{"-scenario", "partition", "-step", "80ms", "-hosts", "2", "-topology", "large"},
+			[]string{"-scenario", "partition", "-step", "2h", "-hosts", "2", "-topology", "large"},
 			[]string{"isolate controller nodes", "heal partition"},
 		},
 		{
 			"crashloop",
-			[]string{"-scenario", "crashloop", "-step", "250ms", "-hosts", "2", "-snapshot"},
+			[]string{"-scenario", "crashloop", "-step", "2h", "-hosts", "2", "-snapshot"},
 			[]string{"start flaky injector", "manual restart", "cluster health:", "health samples:"},
 		},
 		{
 			"flapping",
-			[]string{"-scenario", "flapping", "-step", "300ms", "-hosts", "2"},
+			[]string{"-scenario", "flapping", "-step", "2h", "-hosts", "2"},
 			[]string{"flapping", "manual restart of node-role", "cluster health:"},
 		},
 		{
 			"asymlink",
-			[]string{"-scenario", "asymlink", "-step", "100ms", "-hosts", "2"},
+			[]string{"-scenario", "asymlink", "-step", "2h", "-hosts", "2"},
 			[]string{"cut mesh link", "heal all mesh links", "cluster health: healthy"},
 		},
 		{
 			"graphlink",
-			[]string{"-scenario", "graphlink", "-step", "100ms", "-hosts", "2"},
+			[]string{"-scenario", "graphlink", "-step", "2h", "-hosts", "2"},
 			[]string{"cut graph link up:H1", "cut graph link adj:edge", "heal all graph links", "cluster health: healthy"},
 		},
 		{
 			"campaign",
-			[]string{"-scenario", "campaign", "-duration", "150ms", "-mbf", "40ms", "-repair", "30ms", "-hosts", "2", "-snapshot"},
+			[]string{"-scenario", "campaign", "-duration", "12h", "-mbf", "2h", "-repair", "30m", "-hosts", "2", "-snapshot"},
 			[]string{"chaos report", "final process snapshot"},
 		},
 	}
@@ -118,20 +118,20 @@ func TestFlagValidation(t *testing.T) {
 		args []string
 	}{
 		{"zero step", []string{"-step", "0s"}},
-		{"negative step", []string{"-step", "-10ms"}},
+		{"negative step", []string{"-step", "-10m"}},
 		{"zero duration", []string{"-scenario", "campaign", "-duration", "0s"}},
-		{"negative mbf", []string{"-scenario", "campaign", "-mbf", "-1ms"}},
+		{"negative mbf", []string{"-scenario", "campaign", "-mbf", "-1m"}},
 		{"zero repair", []string{"-scenario", "campaign", "-repair", "0s"}},
 		{"negative hosts", []string{"-hosts", "-2"}},
-		{"negative catchup", []string{"-catchup", "-5ms"}},
-		{"negative headless hold", []string{"-headless-hold", "-5ms"}},
-		{"negative route max age", []string{"-route-max-age", "-5ms"}},
+		{"negative catchup", []string{"-catchup", "-5m"}},
+		{"negative headless hold", []string{"-headless-hold", "-5m"}},
+		{"negative route max age", []string{"-route-max-age", "-5m"}},
 		{"zero soak hours", []string{"-soak", "-soak-hours", "0"}},
 		{"negative soak mtbf", []string{"-soak", "-soak-mtbf", "-1"}},
-		{"raft min without max", []string{"-raft-election-min", "40ms"}},
-		{"raft max below min", []string{"-raft-election-min", "80ms", "-raft-election-max", "40ms"}},
-		{"gray detect without timed mode", []string{"-gray-detect", "100ms"}},
-		{"negative raft heartbeat", []string{"-raft-election-min", "40ms", "-raft-election-max", "80ms", "-raft-heartbeat", "-1ms"}},
+		{"raft min without max", []string{"-raft-election-min", "40s"}},
+		{"raft max below min", []string{"-raft-election-min", "80s", "-raft-election-max", "40s"}},
+		{"gray detect without timed mode", []string{"-gray-detect", "100s"}},
+		{"negative raft heartbeat", []string{"-raft-election-min", "40s", "-raft-election-max", "80s", "-raft-heartbeat", "-1s"}},
 	}
 	for _, c := range cases {
 		c := c
@@ -155,23 +155,23 @@ func TestByzantineScenarios(t *testing.T) {
 	}{
 		{
 			"leadercrash",
-			[]string{"-scenario", "leadercrash", "-step", "80ms", "-hosts", "2"},
+			[]string{"-scenario", "leadercrash", "-step", "2h", "-hosts", "2"},
 			[]string{"kill config-store leader replica", "restart crashed leader replica"},
 		},
 		{
 			"ackdrop",
-			[]string{"-scenario", "ackdrop", "-step", "80ms", "-hosts", "2"},
+			[]string{"-scenario", "ackdrop", "-step", "2h", "-hosts", "2"},
 			[]string{"arm ack-drop", "integrity="},
 		},
 		{
 			"grayleader timed",
-			[]string{"-scenario", "grayleader", "-step", "120ms", "-hosts", "2",
-				"-raft-election-min", "20ms", "-raft-election-max", "40ms", "-gray-detect", "50ms"},
+			[]string{"-scenario", "grayleader", "-step", "2h", "-hosts", "2",
+				"-raft-election-min", "20s", "-raft-election-max", "40s", "-gray-detect", "50s"},
 			[]string{"inject gray leader", "clear byzantine flags"},
 		},
 		{
 			"staleleader",
-			[]string{"-scenario", "staleleader", "-step", "100ms", "-hosts", "2"},
+			[]string{"-scenario", "staleleader", "-step", "2h", "-hosts", "2"},
 			[]string{"isolate config-store leader node", "heal partition"},
 		},
 	}
@@ -199,11 +199,11 @@ func TestScenarioFile(t *testing.T) {
 	spec := `{
   "name": "quorum-dip",
   "description": "kill two config replicas, restore one",
-  "settle": "80ms",
+  "settle": "2h",
   "steps": [
     {"op": "kill-process", "role": "Database", "node": 1, "name": "cassandra-db (Config)"},
-    {"after": "80ms", "op": "kill-process", "role": "Database", "node": 2, "name": "cassandra-db (Config)"},
-    {"after": "80ms", "op": "restart-process", "role": "Database", "node": 1, "name": "cassandra-db (Config)"}
+    {"after": "2h", "op": "kill-process", "role": "Database", "node": 2, "name": "cassandra-db (Config)"},
+    {"after": "2h", "op": "restart-process", "role": "Database", "node": 1, "name": "cassandra-db (Config)"}
   ]
 }`
 	path := t.TempDir() + "/spec.json"

@@ -34,7 +34,7 @@ func runIncident(withBot bool) (availability float64, restarts int) {
 
 	var op *chaos.Operator
 	if withBot {
-		op = chaos.NewOperator(30 * time.Millisecond) // scaled R_S
+		op = chaos.NewOperator(15 * time.Minute) // a quarter of a human's R_S
 		if err := op.Start(c); err != nil {
 			panic(err)
 		}
@@ -43,17 +43,17 @@ func runIncident(withBot bool) (availability float64, restarts int) {
 
 	// The §VI.G dominant failure mode: two replicas of a manual-restart
 	// Database process die; no supervisor will ever bring them back. The
-	// second dies 10 ms after the first, inside the bot's response time,
-	// so the quorum is lost with the bot running too.
+	// second dies 10 minutes after the first, inside the bot's response
+	// time, so the quorum is lost with the bot running too.
 	incident := []chaos.Action{
 		chaos.Step(0, "kill cassandra (Config) on node 1", func(c *cluster.Cluster) error {
 			return c.KillProcess("Database", 0, "cassandra-db (Config)")
 		}),
-		chaos.Step(10*time.Millisecond, "kill cassandra (Config) on node 2", func(c *cluster.Cluster) error {
+		chaos.Step(10*time.Minute, "kill cassandra (Config) on node 2", func(c *cluster.Cluster) error {
 			return c.KillProcess("Database", 1, "cassandra-db (Config)")
 		}),
 	}
-	rep, err := chaos.RunScenario(c, incident, 500*time.Millisecond, 4*time.Millisecond, 40*time.Millisecond)
+	rep, err := chaos.RunScenario(c, incident, 5*time.Hour)
 	if err != nil {
 		panic(err)
 	}
@@ -72,7 +72,7 @@ func main() {
 	fmt.Println("  until a human notices; in production that is R_S ≈ 1 hour)")
 
 	healed, restarts := runIncident(true)
-	fmt.Printf("\nwith a 30ms-response operator bot: observed CP availability %.3f\n", healed)
+	fmt.Printf("\nwith a 15-minute-response operator bot: observed CP availability %.3f\n", healed)
 	fmt.Printf("  (%d automatic restarts performed)\n", restarts)
 
 	fmt.Println("\nThe analytic view of the same lever: cutting the manual restart time")

@@ -25,10 +25,10 @@ func Example() {
 	// Incident: double cassandra-db (Config) failure (quorum lost).
 	// Database processes are manual-restart — supervisors cannot help.
 	//
-	// without automation: observed CP availability 0.016 (outage persists
+	// without automation: observed CP availability 0.020 (outage persists
 	//   until a human notices; in production that is R_S ≈ 1 hour)
 	//
-	// with a 30ms-response operator bot: observed CP availability 0.945
+	// with a 15-minute-response operator bot: observed CP availability 0.961
 	//   (2 automatic restarts performed)
 	//
 	// The analytic view of the same lever: cutting the manual restart time

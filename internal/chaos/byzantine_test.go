@@ -14,8 +14,8 @@ import (
 // available.
 func TestAckDropDowntimeInvisibleToBinaryModel(t *testing.T) {
 	c := newTestCluster(t)
-	const step = 150 * time.Millisecond
-	rep, err := RunScenario(c, AckDropWrites(step), step, 7*time.Millisecond, 30*time.Millisecond)
+	const step = 2 * time.Hour
+	rep, err := RunScenario(c, AckDropWrites(step), step)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,8 +44,8 @@ func TestAckDropDowntimeInvisibleToBinaryModel(t *testing.T) {
 // integrity — again without a single critical health sample.
 func TestGrayLeaderScenarioServesWrongReads(t *testing.T) {
 	c := newTestCluster(t)
-	const step = 150 * time.Millisecond
-	rep, err := RunScenario(c, GrayLeader(step), step, 7*time.Millisecond, 30*time.Millisecond)
+	const step = 2 * time.Hour
+	rep, err := RunScenario(c, GrayLeader(step), step)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestGrayLeaderScenarioServesWrongReads(t *testing.T) {
 // leader crash and stale lease are fail-stop at the store level, so the
 // scripts must execute cleanly and end with a healthy cluster.
 func TestFailStopByzantineBuildersRun(t *testing.T) {
-	const step = 150 * time.Millisecond
+	const step = 2 * time.Hour
 	builders := []struct {
 		name    string
 		actions []Action
@@ -72,7 +72,7 @@ func TestFailStopByzantineBuildersRun(t *testing.T) {
 	for _, b := range builders {
 		t.Run(b.name, func(t *testing.T) {
 			c := newTestCluster(t)
-			rep, err := RunScenario(c, b.actions, 2*step, 7*time.Millisecond, 30*time.Millisecond)
+			rep, err := RunScenario(c, b.actions, 2*step)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -231,10 +231,9 @@ func summarize(r *Report) {
 // fixed period of the cluster's virtual clock and keeps the log of what
 // the driver that started it injected.
 type prober struct {
-	c       *cluster.Cluster
-	clk     *vclock.Fake
-	timeout time.Duration
-	start   time.Time
+	c     *cluster.Cluster
+	clk   *vclock.Fake
+	start time.Time
 	// injections is the timestamped injection log; only the driver
 	// touches it.
 	injections []string
@@ -252,22 +251,22 @@ type prober struct {
 // degraded (slow) sample rather than an outage.
 const probeRetries = 1
 
+// The prober samples every 6 virtual minutes (0.1 h) and bounds one CP
+// probe at 2 minutes, below the period so outage samples keep the cadence.
+const (
+	probeEvery   = 6 * time.Minute
+	probeTimeout = 2 * time.Minute
+)
+
 // startProber takes c's clock hold for the calling driver, which sleeps
-// between injections, then launches a prober with its ticker armed;
-// period and timeout default to 5 ms and 50 ms when zero. The caller
-// defers the returned release.
-func startProber(c *cluster.Cluster, period, timeout time.Duration) (*prober, func()) {
-	if period <= 0 {
-		period = 5 * time.Millisecond
-	}
-	if timeout <= 0 {
-		timeout = 50 * time.Millisecond
-	}
+// between injections, then launches a prober with its ticker armed. The
+// caller defers the returned release.
+func startProber(c *cluster.Cluster) (*prober, func()) {
 	release := c.Hold()
 	clk := c.Clock()
 	p := &prober{
-		c: c, clk: clk, timeout: timeout, start: clk.Now(),
-		ticker: clk.NewTicker(period), stop: make(chan struct{}), done: make(chan struct{}),
+		c: c, clk: clk, start: clk.Now(),
+		ticker: clk.NewTicker(probeEvery), stop: make(chan struct{}), done: make(chan struct{}),
 	}
 	vclock.Go(clk, p.run)
 	return p, release
@@ -289,15 +288,10 @@ func (p *prober) sampleOnce() {
 	for h := 0; h < p.c.ComputeHostCount(); h++ {
 		s.DPUp = append(s.DPUp, p.c.ProbeDP(h) == nil)
 	}
-	attempts := probeRetries + 1
-	perAttempt := p.timeout / time.Duration(attempts)
-	if perAttempt <= 0 {
-		perAttempt = p.timeout
-		attempts = 1
-	}
+	const attempts = probeRetries + 1
 	var err error
 	for attempt := 0; attempt < attempts; attempt++ {
-		if err = p.c.ProbeCP(perAttempt); err == nil {
+		if err = p.c.ProbeCP(probeTimeout / attempts); err == nil {
 			s.CPUp = true
 			if attempt > 0 {
 				s.CPDegraded = true
@@ -337,7 +331,7 @@ func (p *prober) elapsed() time.Duration { return p.clk.Since(p.start) }
 
 // log records one injection, stamped with the time since the start.
 func (p *prober) log(name string) {
-	p.injections = append(p.injections, fmt.Sprintf("[%8v] %s", p.elapsed().Round(time.Millisecond), name))
+	p.injections = append(p.injections, fmt.Sprintf("[%8v] %s", p.elapsed().Round(time.Second), name))
 }
 
 // report halts the prober and assembles the report of an experiment that
@@ -350,11 +344,10 @@ func (p *prober) report(d time.Duration) Report {
 }
 
 // RunScenario executes a scripted action sequence while probing, then
-// returns the report. Probe period and timeout default to 5 ms and 50 ms
-// when zero. A trailing settle duration keeps probing after the last
-// action.
-func RunScenario(c *cluster.Cluster, actions []Action, settle, probeEvery, probeTimeout time.Duration) (Report, error) {
-	p, release := startProber(c, probeEvery, probeTimeout)
+// returns the report. A trailing settle duration keeps probing after the
+// last action.
+func RunScenario(c *cluster.Cluster, actions []Action, settle time.Duration) (Report, error) {
+	p, release := startProber(c)
 	defer release()
 	for _, a := range actions {
 		p.clk.Sleep(a.After)
@@ -386,8 +379,7 @@ func finalize(r *Report, c *cluster.Cluster) {
 // Campaign is a randomized fault-injection experiment: faults arrive as a
 // Poisson process over every process of the cluster and the hosts Run is
 // given; an operator model restores hardware and manually restarts
-// manual-restart processes after RepairAfter. The prober runs at its
-// default cadence.
+// manual-restart processes after RepairAfter.
 type Campaign struct {
 	// Seed makes the injection sequence reproducible.
 	Seed int64
@@ -395,7 +387,8 @@ type Campaign struct {
 	Duration time.Duration
 	// MeanBetweenFaults is the mean inter-arrival time of faults.
 	MeanBetweenFaults time.Duration
-	// RepairAfter is the operator's response time for manual repairs.
+	// RepairAfter is the operator's response time for manual repairs
+	// (default 30 minutes).
 	RepairAfter time.Duration
 }
 
@@ -436,14 +429,14 @@ func (cp Campaign) Run(c *cluster.Cluster, hostNames []string) (Report, error) {
 		return Report{}, fmt.Errorf("chaos: campaign needs positive Duration and MeanBetweenFaults")
 	}
 	if cp.RepairAfter <= 0 {
-		cp.RepairAfter = 50 * time.Millisecond
+		cp.RepairAfter = 30 * time.Minute
 	}
 	targets := buildTargets(c, hostNames)
 	if len(targets) == 0 {
 		return Report{}, fmt.Errorf("chaos: campaign has no targets")
 	}
 	rng := rand.New(rand.NewSource(cp.Seed))
-	p, release := startProber(c, 0, 0)
+	p, release := startProber(c)
 	defer release()
 	clk := p.clk
 	var wg sync.WaitGroup

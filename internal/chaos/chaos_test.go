@@ -56,21 +56,20 @@ func windowFracs(samples []Sample, lo, hi time.Duration) (cpFrac, dpFrac float64
 // checks the observed signature: the data plane survives the first two
 // control kills, dies on the third and recovers after a restart, with
 // phase fractions of exactly 1 or 0 outside a small rediscovery margin.
-// The probe period (7 ms) is co-prime with the step boundaries (multiples
-// of 10 ms), so no sample collides with an injection instant.
+// The step is a minute past whole multiples of the 6-minute probe period,
+// so no sample collides with an injection instant.
 func TestSectionIIIScenario(t *testing.T) {
 	c := newTestCluster(t)
 	const (
-		step = 120 * time.Millisecond
-		// margin covers the agents' Rediscover cadence (5 ms default): an
-		// agent notices a dead control at its next maintenance pass, so
+		step = 2*time.Hour + time.Minute
+		// margin covers the agents' 2-minute rediscovery cadence: an agent
+		// notices a dead control at its next maintenance pass, so
 		// observations within a few periods of an injection are in flux.
-		margin = 15 * time.Millisecond
-		// probeTimeout bounds how long a CP probe straddles an injection:
-		// a probe started just before a repair can legitimately succeed.
-		probeTimeout = 30 * time.Millisecond
+		margin = 10 * time.Minute
 	)
-	rep, err := RunScenario(c, SectionIII(step), step, 7*time.Millisecond, probeTimeout)
+	// A CP probe straddles an injection by up to probeTimeout: a probe
+	// started just before a repair can legitimately succeed.
+	rep, err := RunScenario(c, SectionIII(step), step)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +105,12 @@ func TestSectionIIIScenario(t *testing.T) {
 // TestSectionIIIScenarioVirtual checks the section III run's virtual
 // timeline: the report lasts precisely 5 steps (4 inter-action waits plus
 // the settle step), every injection is stamped at its scripted instant,
-// and the 600 ms scenario takes less wall time than it spans.
+// and the 10-hour scenario takes less wall time than it spans.
 func TestSectionIIIScenarioVirtual(t *testing.T) {
 	c := newTestCluster(t)
-	const step = 120 * time.Millisecond
+	const step = 2*time.Hour + time.Minute
 	wallStart := time.Now()
-	rep, err := RunScenario(c, SectionIII(step), step, 7*time.Millisecond, 30*time.Millisecond)
+	rep, err := RunScenario(c, SectionIII(step), step)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,10 +121,10 @@ func TestSectionIIIScenarioVirtual(t *testing.T) {
 	}
 	wantInjections := []string{
 		"[      0s] disable control supervision (kill all control supervisors)",
-		"[   120ms] kill control-1",
-		"[   240ms] kill control-2",
-		"[   360ms] kill control-3 (forwarding tables flush)",
-		"[   480ms] restore control-2",
+		"[  2h1m0s] kill control-1",
+		"[  4h2m0s] kill control-2",
+		"[  6h3m0s] kill control-3 (forwarding tables flush)",
+		"[  8h4m0s] restore control-2",
 	}
 	if len(rep.Injections) != len(wantInjections) {
 		t.Fatalf("injections = %d, want %d:\n%v", len(rep.Injections), len(wantInjections), rep.Injections)
@@ -146,8 +145,8 @@ func TestSectionIIIScenarioVirtual(t *testing.T) {
 // stays up throughout.
 func TestDatabaseQuorumScenario(t *testing.T) {
 	c := newTestCluster(t)
-	const step = 150 * time.Millisecond
-	rep, err := RunScenario(c, DatabaseQuorumLoss(step), step, 7*time.Millisecond, 30*time.Millisecond)
+	const step = 2*time.Hour + time.Minute
+	rep, err := RunScenario(c, DatabaseQuorumLoss(step), step)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,12 +185,12 @@ func TestDatabaseQuorumScenario(t *testing.T) {
 // timeline. Quorum-store probes fail instantly (no timeout wait), so the
 // run consumes zero virtual time beyond the scripted sleeps: the report
 // lasts exactly 3 steps, injections are stamped at their scripted
-// instants, and every sample lands exactly on the 7 ms probe grid.
+// instants, and every sample lands exactly on the 6-minute probe grid.
 func TestDatabaseQuorumScenarioVirtual(t *testing.T) {
 	c := newTestCluster(t)
-	const step = 150 * time.Millisecond
+	const step = 2*time.Hour + time.Minute
 	wallStart := time.Now()
-	rep, err := RunScenario(c, DatabaseQuorumLoss(step), step, 7*time.Millisecond, 30*time.Millisecond)
+	rep, err := RunScenario(c, DatabaseQuorumLoss(step), step)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +201,8 @@ func TestDatabaseQuorumScenarioVirtual(t *testing.T) {
 	}
 	wantInjections := []string{
 		"[      0s] kill cassandra-db (Config) on node 1",
-		"[   150ms] kill cassandra-db (Config) on node 2 (quorum lost)",
-		"[   300ms] manual restart of cassandra-db (Config) on node 1",
+		"[  2h1m0s] kill cassandra-db (Config) on node 2 (quorum lost)",
+		"[  4h2m0s] manual restart of cassandra-db (Config) on node 1",
 	}
 	if len(rep.Injections) != len(wantInjections) {
 		t.Fatalf("injections = %d, want %d:\n%v", len(rep.Injections), len(wantInjections), rep.Injections)
@@ -214,13 +213,13 @@ func TestDatabaseQuorumScenarioVirtual(t *testing.T) {
 		}
 	}
 
-	// Every sample sits exactly on the probe grid: At = 7 ms × (i+1).
-	wantSamples := int(3 * step / (7 * time.Millisecond))
+	// Every sample sits exactly on the probe grid: At = 6 min × (i+1).
+	wantSamples := int(3 * step / probeEvery)
 	if len(rep.Samples) != wantSamples {
 		t.Errorf("samples = %d, want exactly %d", len(rep.Samples), wantSamples)
 	}
 	for i, s := range rep.Samples {
-		if want := time.Duration(i+1) * 7 * time.Millisecond; s.At != want {
+		if want := time.Duration(i+1) * probeEvery; s.At != want {
 			t.Fatalf("sample %d at %v, want exactly %v (virtual probe grid)", i, s.At, want)
 		}
 	}
@@ -234,7 +233,7 @@ func TestDatabaseQuorumScenarioVirtual(t *testing.T) {
 func TestScenarioVirtualDeterminism(t *testing.T) {
 	run := func() []string {
 		c := newTestCluster(t)
-		rep, err := RunScenario(c, DatabaseQuorumLoss(150*time.Millisecond), 150*time.Millisecond, 7*time.Millisecond, 30*time.Millisecond)
+		rep, err := RunScenario(c, DatabaseQuorumLoss(2*time.Hour+time.Minute), 2*time.Hour+time.Minute)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,8 +258,8 @@ func TestScenarioVirtualDeterminism(t *testing.T) {
 // the Small topology.
 func TestRackOutageScenario(t *testing.T) {
 	c := newTestCluster(t)
-	const step = 200 * time.Millisecond
-	rep, err := RunScenario(c, RackOutage("R1", []int{0, 1, 2}, step), 2*step, 4*time.Millisecond, 60*time.Millisecond)
+	const step = 2 * time.Hour
+	rep, err := RunScenario(c, RackOutage("R1", []int{0, 1, 2}, step), 2*step)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +294,7 @@ func TestScenarioErrorPropagates(t *testing.T) {
 	bad := []Action{Step(0, "bogus", func(c *cluster.Cluster) error {
 		return c.KillHost("H99")
 	})}
-	if _, err := RunScenario(c, bad, 0, 0, 0); err == nil {
+	if _, err := RunScenario(c, bad, 0); err == nil {
 		t.Fatal("expected scenario error")
 	}
 }
@@ -303,19 +302,19 @@ func TestScenarioErrorPropagates(t *testing.T) {
 // TestRunScenarioLeavesTheClockHeld: when RunScenario returns, its hold
 // goes back to the cluster, so virtual time stands still until the next
 // driver takes it, and the caller reads the cluster the report ended on.
-// A goroutine sleeping a virtual millisecond must not wake within 50 ms of
-// wall time.
+// A goroutine sleeping a virtual minute must not wake within 50 ms of wall
+// time.
 func TestRunScenarioLeavesTheClockHeld(t *testing.T) {
 	c := newTestCluster(t)
-	step := 20 * time.Millisecond
-	if _, err := RunScenario(c, SectionIII(step), step, 0, 0); err != nil {
+	step := 20 * time.Minute
+	if _, err := RunScenario(c, SectionIII(step), step); err != nil {
 		t.Fatal(err)
 	}
 	clk := c.Clock()
 	ended := clk.Now()
 	woke := make(chan struct{})
 	vclock.Go(clk, func() {
-		clk.Sleep(time.Millisecond)
+		clk.Sleep(time.Minute)
 		close(woke)
 	})
 	select {
@@ -334,9 +333,9 @@ func TestCampaignRuns(t *testing.T) {
 	c := newTestCluster(t)
 	cp := Campaign{
 		Seed:              42,
-		Duration:          400 * time.Millisecond,
-		MeanBetweenFaults: 40 * time.Millisecond,
-		RepairAfter:       30 * time.Millisecond,
+		Duration:          20 * time.Hour,
+		MeanBetweenFaults: 2 * time.Hour,
+		RepairAfter:       30 * time.Minute,
 	}
 	rep, err := cp.Run(c, nil)
 	if err != nil {
@@ -370,9 +369,9 @@ func TestCampaignWithHardwareTargets(t *testing.T) {
 	c := newTestCluster(t)
 	cp := Campaign{
 		Seed:              7,
-		Duration:          300 * time.Millisecond,
-		MeanBetweenFaults: 60 * time.Millisecond,
-		RepairAfter:       40 * time.Millisecond,
+		Duration:          15 * time.Hour,
+		MeanBetweenFaults: 3 * time.Hour,
+		RepairAfter:       40 * time.Minute,
 	}
 	rep, err := cp.Run(c, []string{"H1", "H2", "H3"})
 	if err != nil {
@@ -389,7 +388,7 @@ func TestCampaignValidation(t *testing.T) {
 	if _, err := (Campaign{}).Run(c, nil); err == nil {
 		t.Error("zero campaign accepted")
 	}
-	if _, err := (Campaign{Duration: time.Millisecond}).Run(c, nil); err == nil {
+	if _, err := (Campaign{Duration: time.Hour}).Run(c, nil); err == nil {
 		t.Error("campaign with no fault rate accepted")
 	}
 }
@@ -401,9 +400,9 @@ func TestCampaignDeterministicInjection(t *testing.T) {
 		c := newTestCluster(t)
 		cp := Campaign{
 			Seed:              seed,
-			Duration:          200 * time.Millisecond,
-			MeanBetweenFaults: 25 * time.Millisecond,
-			RepairAfter:       20 * time.Millisecond,
+			Duration:          10 * time.Hour,
+			MeanBetweenFaults: 75 * time.Minute,
+			RepairAfter:       20 * time.Minute,
 		}
 		rep, err := cp.Run(c, nil)
 		if err != nil {
@@ -434,13 +433,13 @@ func TestCampaignDeterministicInjection(t *testing.T) {
 // through on the reachable quorum.
 func TestMinorityPartitionScenario(t *testing.T) {
 	c := newTestCluster(t)
-	spec, err := ParseScenarioSpec([]byte(`{"name": "minority-partition", "settle": "150ms", "steps": [
+	spec, err := ParseScenarioSpec([]byte(`{"name": "minority-partition", "settle": "2h", "steps": [
 		{"op": "isolate", "nodes": [1]},
-		{"after": "150ms", "op": "heal-partition"}]}`))
+		{"after": "2h", "op": "heal-partition"}]}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunSpec(c, spec, 4*time.Millisecond, 60*time.Millisecond)
+	rep, err := RunSpec(c, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -457,8 +456,8 @@ func TestMinorityPartitionScenario(t *testing.T) {
 // recovers on heal without manual restarts; the DP survives throughout.
 func TestMajorityPartitionScenario(t *testing.T) {
 	c := newTestCluster(t)
-	const step = 200 * time.Millisecond
-	rep, err := RunScenario(c, MajorityPartition(step), 2*step, 4*time.Millisecond, 50*time.Millisecond)
+	const step = 2 * time.Hour
+	rep, err := RunScenario(c, MajorityPartition(step), 2*step)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,9 +513,9 @@ func newDegradedTestCluster(t *testing.T, d cluster.Degradation) *cluster.Cluste
 // every control dead — while the second (3 steps) outlives the hold and
 // flushes the tables; the final restore recovers the data planes.
 func TestHeadlessScenario(t *testing.T) {
-	const step = 150 * time.Millisecond
+	const step = 2 * time.Hour
 	c := newDegradedTestCluster(t, cluster.Degradation{HeadlessHold: 2 * step})
-	rep, err := RunScenario(c, Headless(step), 2*step, 4*time.Millisecond, 50*time.Millisecond)
+	rep, err := RunScenario(c, Headless(step), 2*step)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -562,9 +561,9 @@ func TestHeadlessScenario(t *testing.T) {
 // cluster reports itself degraded during the window, and the maintenance
 // loop closes it before the end of the run.
 func TestStaleReadScenario(t *testing.T) {
-	const step = 150 * time.Millisecond
+	const step = 2 * time.Hour
 	c := newDegradedTestCluster(t, cluster.Degradation{ReplicaCatchUp: step})
-	rep, err := RunScenario(c, StaleRead(step), 3*step, 4*time.Millisecond, 60*time.Millisecond)
+	rep, err := RunScenario(c, StaleRead(step), 3*step)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,15 +25,15 @@ import (
 //
 //	{
 //	  "name": "leader-crash",
-//	  "settle": "100ms",
+//	  "settle": "1h",
 //	  "steps": [
 //	    {"op": "kill-leader", "store": "cassandra-config"},
-//	    {"after": "50ms", "op": "heal-partition"}
+//	    {"after": "30m", "op": "heal-partition"}
 //	  ]
 //	}
 
 // Duration is a time.Duration that marshals as a Go duration string
-// ("150ms"). Strict: JSON numbers are rejected so documents stay
+// ("1h30m"). Strict: JSON numbers are rejected so documents stay
 // unit-explicit.
 type Duration time.Duration
 
@@ -41,7 +41,7 @@ type Duration time.Duration
 func (d *Duration) UnmarshalJSON(b []byte) error {
 	var s string
 	if err := json.Unmarshal(b, &s); err != nil {
-		return fmt.Errorf("duration must be a string like \"150ms\": %w", err)
+		return fmt.Errorf("duration must be a string like \"1h30m\": %w", err)
 	}
 	v, err := time.ParseDuration(s)
 	if err != nil {
@@ -62,8 +62,7 @@ type ScenarioSpec struct {
 	Name string `json:"name"`
 	// Description is free-form documentation.
 	Description string `json:"description,omitempty"`
-	// Settle keeps the prober running after the last step (optional; the
-	// runner's default applies when zero).
+	// Settle keeps the prober running after the last step (optional).
 	Settle Duration `json:"settle,omitempty"`
 	// Steps is the timed op sequence.
 	Steps []StepSpec `json:"steps"`
@@ -408,13 +407,12 @@ func (r *opRow) logLine(x opArgs) string {
 	return strings.Join(words, " ")
 }
 
-// RunSpec compiles and executes a DSL scenario: settle comes from the
-// document (falling back to the runner default), probe tuning from the
-// caller.
-func RunSpec(c *cluster.Cluster, spec *ScenarioSpec, probeEvery, probeTimeout time.Duration) (Report, error) {
+// RunSpec compiles and executes a DSL scenario, settling for the
+// document's settle time.
+func RunSpec(c *cluster.Cluster, spec *ScenarioSpec) (Report, error) {
 	actions, err := spec.Compile()
 	if err != nil {
 		return Report{}, err
 	}
-	return RunScenario(c, actions, time.Duration(spec.Settle), probeEvery, probeTimeout)
+	return RunScenario(c, actions, time.Duration(spec.Settle))
 }

@@ -75,7 +75,7 @@ func TestEveryOpRuns(t *testing.T) {
 		}
 		fmt.Fprintf(&sb, "%s\n\t-> action %q after %v\n", doc, actions[0].Name, actions[0].After)
 		c := newLinkedCluster(t)
-		rep, err := RunSpec(c, spec, 0, 0)
+		rep, err := RunSpec(c, spec)
 		if err != nil {
 			t.Errorf("%s: %v", op, err)
 		} else if len(rep.Injections) != 1 || !strings.HasSuffix(rep.Injections[0], "] "+actions[0].Name) {

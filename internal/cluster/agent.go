@@ -57,7 +57,7 @@ func (a *vRouterAgent) start() {
 	// coincident deadlines fire in arm order, so arming synchronously in
 	// Start()'s agent order keeps same-instant maintenance passes
 	// deterministic instead of depending on goroutine startup scheduling.
-	ticker := a.c.clk.NewTicker(a.c.timing.Rediscover)
+	ticker := a.c.clk.NewTicker(rediscoverEvery)
 	a.c.spawn(func() {
 		defer ticker.Stop()
 		for ticker.Wait(a.c.stopAll) {

@@ -43,7 +43,7 @@ func killAllControls(t *testing.T, c *Cluster) {
 // table through a total control failure, Health names the headless agents,
 // and the reconnect clears the headless state.
 func TestHeadlessRidesThroughShortControlOutage(t *testing.T) {
-	c := newDegradedTestCluster(t, Degradation{HeadlessHold: 2 * time.Second})
+	c := newDegradedTestCluster(t, Degradation{HeadlessHold: 2 * time.Hour})
 	if !c.WaitUntil(waitLong, func() bool { return c.ProbeDP(0) == nil }) {
 		t.Fatal("DP not up initially")
 	}
@@ -60,14 +60,14 @@ func TestHeadlessRidesThroughShortControlOutage(t *testing.T) {
 	}
 	// The DP rides the outage out on stale state: sample for a while.
 	clk := c.Clock()
-	deadline := clk.Now().Add(300 * time.Millisecond)
+	deadline := clk.Now().Add(time.Hour)
 	for clk.Now().Before(deadline) {
 		for h := 0; h < c.ComputeHostCount(); h++ {
 			if err := c.ProbeDP(h); err != nil {
 				t.Fatalf("host %d DP dropped during headless hold: %v", h, err)
 			}
 		}
-		clk.Sleep(5 * time.Millisecond)
+		clk.Sleep(5 * time.Minute)
 	}
 	// A control returns before the hold expires: agents resync and leave
 	// headless mode without the DP ever having gone down.
@@ -85,7 +85,7 @@ func TestHeadlessRidesThroughShortControlOutage(t *testing.T) {
 // in the strict behaviour — the forwarding table is flushed and the host
 // data plane goes down until a control returns.
 func TestHeadlessFlushesAfterHoldExpires(t *testing.T) {
-	c := newDegradedTestCluster(t, Degradation{HeadlessHold: 60 * time.Millisecond})
+	c := newDegradedTestCluster(t, Degradation{HeadlessHold: 10 * time.Minute})
 	if !c.WaitUntil(waitLong, func() bool { return c.ProbeDP(0) == nil }) {
 		t.Fatal("DP not up initially")
 	}
@@ -117,8 +117,8 @@ func TestHeadlessFlushesAfterHoldExpires(t *testing.T) {
 // the agent's cache).
 func TestHeadlessRouteAging(t *testing.T) {
 	c := newDegradedTestCluster(t, Degradation{
-		HeadlessHold: 5 * time.Second,
-		RouteMaxAge:  60 * time.Millisecond,
+		HeadlessHold: 2 * time.Hour,
+		RouteMaxAge:  10 * time.Minute,
 	})
 	if !c.WaitUntil(waitLong, func() bool { return c.ProbeDP(0) == nil }) {
 		t.Fatal("DP not up initially")

@@ -24,8 +24,6 @@ type Config struct {
 	Topology *topology.Topology
 	// ComputeHosts is the number of vRouter compute hosts.
 	ComputeHosts int
-	// Timing holds the operational delays, in virtual time.
-	Timing Timing
 	// Degradation holds the graceful-degradation knobs (headless agents,
 	// route aging, replica catch-up latency). The zero value keeps the
 	// strict historical behaviour: flush on disconnect, instant replica
@@ -51,11 +49,10 @@ type hwLoc struct {
 // Cluster is a live in-process OpenContrail-style controller testbed.
 // Create with New, start with Start, tear down with Stop.
 type Cluster struct {
-	cfg    Config
-	timing Timing
-	sup    supervision
-	clk    *vclock.Fake
-	rng    *rand.Rand // backoff jitter source, fixed seed, guarded by mu
+	cfg Config
+	sup supervision
+	clk *vclock.Fake
+	rng *rand.Rand // backoff jitter source, fixed seed, guarded by mu
 
 	bus            *Bus
 	configStore    *QuorumStore
@@ -141,12 +138,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.ComputeHosts < 1 {
 		return nil, fmt.Errorf("cluster: need at least one compute host, got %d", cfg.ComputeHosts)
 	}
-	if cfg.Timing == (Timing{}) {
-		cfg.Timing = DefaultTiming()
-	}
-	if err := cfg.Timing.Validate(); err != nil {
-		return nil, err
-	}
 	if err := cfg.Degradation.Validate(); err != nil {
 		return nil, err
 	}
@@ -157,7 +148,6 @@ func New(cfg Config) (*Cluster, error) {
 	clk := vclock.NewFake(time.Time{})
 	c := &Cluster{
 		cfg:            cfg,
-		timing:         cfg.Timing,
 		sup:            defaultSupervision,
 		clk:            clk,
 		rng:            rand.New(rand.NewSource(1)),
@@ -305,7 +295,7 @@ func (c *Cluster) Start() error {
 				children = append(children, procKey{role: string(role), node: node, name: proc.Name})
 			}
 			s := &supervisor{c: c, self: self, children: children, stop: c.stopAll}
-			s.ticker = c.clk.NewTicker(c.timing.SupervisorCheck)
+			s.ticker = c.clk.NewTicker(supervisorCheck)
 			c.spawn(s.run)
 		}
 	}
@@ -322,7 +312,7 @@ func (c *Cluster) Start() error {
 	// revived store replica rejoins read quorums after the configured
 	// latency even while nothing else changes.
 	if c.cfg.Degradation.ReplicaCatchUp > 0 {
-		ticker := c.clk.NewTicker(c.timing.SupervisorCheck)
+		ticker := c.clk.NewTicker(supervisorCheck)
 		c.spawn(func() {
 			defer ticker.Stop()
 			for ticker.Wait(c.stopAll) {

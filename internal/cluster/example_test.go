@@ -24,7 +24,7 @@ func ExampleNew() {
 	}
 	defer c.Stop()
 
-	fmt.Println("control plane:", c.ProbeCP(5*time.Second) == nil)
+	fmt.Println("control plane:", c.ProbeCP(2*time.Minute) == nil)
 	fmt.Println("host 0 data plane:", c.ProbeDP(0) == nil)
 	// Output:
 	// control plane: true

@@ -15,8 +15,8 @@ import (
 )
 
 // Live-vs-MC agreement on election and gray-failure recovery dynamics:
-// the same tuning, expressed in virtual milliseconds on the live testbed
-// and in hours in the simulator, must produce matching normalized
+// the same tuning, expressed in virtual seconds on the live testbed and
+// in hours in the simulator, must produce matching normalized
 // recovery-time distributions. Everything runs on the fake clock, so the
 // live side is deterministic and the comparison is exact run to run.
 
@@ -29,7 +29,7 @@ func raftClusterT(t *testing.T, rc RaftConfig) (*Cluster, *telemetry.Telemetry, 
 	c, err := New(Config{
 		Profile: prof, Topology: topo, ComputeHosts: 2,
 		Telemetry: tel, Raft: rc,
-		Degradation: Degradation{ReplicaCatchUp: 30 * time.Millisecond},
+		Degradation: Degradation{ReplicaCatchUp: 30 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -40,10 +40,10 @@ func raftClusterT(t *testing.T, rc RaftConfig) (*Cluster, *telemetry.Telemetry, 
 
 func agreementRaftConfig() RaftConfig {
 	return RaftConfig{
-		ElectionMin: 40 * time.Millisecond,
-		ElectionMax: 80 * time.Millisecond,
-		Heartbeat:   10 * time.Millisecond,
-		GrayDetect:  100 * time.Millisecond,
+		ElectionMin: 40 * time.Second,
+		ElectionMax: 80 * time.Second,
+		Heartbeat:   10 * time.Second,
+		GrayDetect:  100 * time.Second,
 		Seed:        11,
 	}
 }

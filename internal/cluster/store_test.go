@@ -388,7 +388,7 @@ func TestClusterReplicaCatchUpWindow(t *testing.T) {
 	}
 	c, err := New(Config{
 		Profile: prof, Topology: topo, ComputeHosts: 3,
-		Degradation: Degradation{ReplicaCatchUp: 150 * time.Millisecond},
+		Degradation: Degradation{ReplicaCatchUp: 30 * time.Minute},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -451,7 +451,7 @@ func TestRevivedReplicaHeldDuringPartition(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const window = 100 * time.Millisecond
+	const window = 20 * time.Minute
 	c, err := New(Config{
 		Profile: prof, Topology: topo, ComputeHosts: 3,
 		Degradation: Degradation{ReplicaCatchUp: window},

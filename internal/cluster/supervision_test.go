@@ -58,10 +58,10 @@ func procStatus(t *testing.T, c *Cluster, role string, node int, name string) Pr
 func TestCrashLoopExhaustsRetryBudget(t *testing.T) {
 	sup := supervision{
 		startRetries:    2,
-		backoffBase:     2 * time.Millisecond,
-		backoffMax:      8 * time.Millisecond,
-		quickFailWindow: 2 * time.Second, // every post-restart crash counts
-		flapWindow:      time.Millisecond,
+		backoffBase:     supervisorCheck,
+		backoffMax:      4 * supervisorCheck,
+		quickFailWindow: time.Minute, // every post-restart crash counts
+		flapWindow:      time.Minute,
 		flapThreshold:   100, // flap detection out of the way
 	}
 	c := newSupervisedCluster(t, sup)
@@ -86,7 +86,7 @@ func TestCrashLoopExhaustsRetryBudget(t *testing.T) {
 	}
 
 	// The supervisor must not resurrect a Fatal process.
-	c.Clock().Sleep(50 * time.Millisecond)
+	c.Clock().Sleep(2 * AutoRestart)
 	if c.Alive(role, node, name) {
 		t.Fatal("supervisor restarted a Fatal process")
 	}
@@ -135,10 +135,10 @@ func TestCrashLoopExhaustsRetryBudget(t *testing.T) {
 func TestFlappingProcessGoesFatal(t *testing.T) {
 	sup := supervision{
 		startRetries:    100, // budget path out of the way
-		backoffBase:     time.Millisecond,
-		backoffMax:      time.Millisecond,
+		backoffBase:     supervisorCheck,
+		backoffMax:      supervisorCheck,
 		quickFailWindow: time.Nanosecond, // nothing counts as a quick fail
-		flapWindow:      10 * time.Second,
+		flapWindow:      time.Hour,
 		flapThreshold:   3,
 	}
 	c := newSupervisedCluster(t, sup)
@@ -168,35 +168,23 @@ func TestFlappingProcessGoesFatal(t *testing.T) {
 }
 
 // TestSupervisorDiesWhileRestartInFlight kills the supervisor during the
-// AutoRestart delay: the in-flight restart must observe the dead
-// supervisor at commit time and leave the child down.
+// restart delay: the in-flight restart must observe the dead supervisor
+// at commit time and leave the child down.
 func TestSupervisorDiesWhileRestartInFlight(t *testing.T) {
-	prof := profile.OpenContrail3x()
-	topo, err := topology.ByKind(topology.Small, prof.ClusterRoles, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	timing := DefaultTiming()
-	timing.AutoRestart = 150 * time.Millisecond // a wide in-flight window
-	c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 3, Timing: timing})
-	if err != nil {
-		t.Fatal(err)
-	}
-	startT(t, c)
-
+	c := newTestCluster(t, topology.Small)
 	const role, node, name = "Control", 0, "control"
 	if err := c.KillProcess(role, node, name); err != nil {
 		t.Fatal(err)
 	}
-	// Give the supervisor a couple of scan ticks to pick the child up and
-	// enter its AutoRestart sleep, then kill the supervisor mid-flight.
-	c.Clock().Sleep(30 * time.Millisecond)
+	// Give the supervisor a scan tick to pick the child up and enter its
+	// restart delay, then kill the supervisor mid-flight.
+	c.Clock().Sleep(supervisorCheck + restartDelay/2)
 	if err := c.KillProcess(role, node, "supervisor-control"); err != nil {
 		t.Fatal(err)
 	}
 	// Well past the restart deadline the child must still be down: the
 	// commit-phase re-check saw the dead supervisor.
-	c.Clock().Sleep(300 * time.Millisecond)
+	c.Clock().Sleep(2 * AutoRestart)
 	if c.Alive(role, node, name) {
 		t.Fatal("child restarted by a supervisor that died mid-restart")
 	}

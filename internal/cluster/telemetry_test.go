@@ -14,18 +14,6 @@ import (
 	"sdnavail/internal/vclock"
 )
 
-// telemetryTestTiming coarsens the operational delays the way the soak
-// harness does: the default 2ms SupervisorCheck would make an hours-long
-// virtual Sleep hop through millions of ticker deadlines, so scripted
-// outage tests use minute-scale periods instead.
-func telemetryTestTiming() Timing {
-	return Timing{
-		SupervisorCheck: time.Minute,
-		AutoRestart:     3 * time.Minute,
-		Rediscover:      5 * time.Minute,
-	}
-}
-
 // newTelemetryClusterT boots a Small testbed with telemetry
 // attached and the test registered as the clock driver.
 func newTelemetryClusterT(t *testing.T) (*Cluster, *vclock.Fake, *telemetry.Telemetry) {
@@ -33,8 +21,7 @@ func newTelemetryClusterT(t *testing.T) (*Cluster, *vclock.Fake, *telemetry.Tele
 	tel := telemetry.New()
 	prof := profile.OpenContrail3x()
 	topo := topology.NewSmall(prof.ClusterRoles, 3)
-	c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 2,
-		Timing: telemetryTestTiming(), Telemetry: tel})
+	c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 2, Telemetry: tel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +113,6 @@ func TestTelemetryQuorumOutageLedger(t *testing.T) {
 // restarts it.
 func TestTelemetryHostDPOutage(t *testing.T) {
 	c, _, tel := newTelemetryClusterT(t)
-	timing := telemetryTestTiming()
 
 	if err := c.KillProcess("vRouter", 0, "vrouter-agent"); err != nil {
 		t.Fatal(err)
@@ -139,7 +125,7 @@ func TestTelemetryHostDPOutage(t *testing.T) {
 		}
 		return false
 	}
-	if !c.WaitUntil(10*(timing.SupervisorCheck+timing.AutoRestart), alive) {
+	if !c.WaitUntil(10*AutoRestart, alive) {
 		t.Fatal("supervisor never restarted the killed vrouter-agent")
 	}
 
@@ -201,8 +187,7 @@ func TestTelemetryTraceDeterministic(t *testing.T) {
 		tel := telemetry.New()
 		prof := profile.OpenContrail3x()
 		topo := topology.NewSmall(prof.ClusterRoles, 3)
-		c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 2,
-			Timing: telemetryTestTiming(), Telemetry: tel})
+		c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 2, Telemetry: tel})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,8 +293,7 @@ func TestTelemetryIdleNoDPOutage(t *testing.T) {
 	for _, prof := range []*profile.Profile{profile.OpenContrail3x(), profile.ODLLike(), profile.ONOSLike()} {
 		t.Run(prof.Name, func(t *testing.T) {
 			tel := telemetry.New()
-			c, err := New(Config{Profile: prof, Topology: topology.NewSmall(prof.ClusterRoles, 3), ComputeHosts: 2,
-				Timing: telemetryTestTiming(), Telemetry: tel})
+			c, err := New(Config{Profile: prof, Topology: topology.NewSmall(prof.ClusterRoles, 3), ComputeHosts: 2, Telemetry: tel})
 			if err != nil {
 				t.Fatal(err)
 			}

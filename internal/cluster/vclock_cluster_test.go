@@ -117,31 +117,54 @@ func TestClusterStartHoldsTheClock(t *testing.T) {
 
 // TestFakeClockSupervisedRestart pins the supervisor's repair latency in
 // virtual time: a killed auto-restart process is noticed within one
-// SupervisorCheck period and running again AutoRestart later — bounds that
-// a wall clock could only approximate with generous sleeps.
+// supervisorCheck period and running again restartDelay later — bounds
+// that a wall clock could only approximate with generous sleeps.
 func TestFakeClockSupervisedRestart(t *testing.T) {
 	c := newTestCluster(t, topology.Small)
 	fc := c.Clock()
-	timing := DefaultTiming()
 	killed := fc.Now()
 	if err := c.KillProcess("Control", 0, "control"); err != nil {
 		t.Fatal(err)
 	}
-	alive := func() bool {
-		for _, st := range c.Snapshot() {
-			if st.Role == "Control" && st.Node == 0 && st.Name == "control" {
-				return st.Alive
-			}
-		}
-		return false
-	}
-	if !c.WaitUntil(10*(timing.SupervisorCheck+timing.AutoRestart), alive) {
+	if !c.WaitUntil(10*AutoRestart, func() bool { return c.Alive("Control", 0, "control") }) {
 		t.Fatal("supervisor never restarted the killed control process")
 	}
 	elapsed := fc.Since(killed)
-	if elapsed < timing.AutoRestart || elapsed > timing.SupervisorCheck+timing.AutoRestart {
+	if elapsed < restartDelay || elapsed > supervisorCheck+restartDelay {
 		t.Errorf("restart took %v virtual time, want in [%v, %v]",
-			elapsed, timing.AutoRestart, timing.SupervisorCheck+timing.AutoRestart)
+			elapsed, restartDelay, supervisorCheck+restartDelay)
+	}
+}
+
+// TestSupervisedCycleAveragesR checks the derivation of restartDelay: a
+// supervised process killed at evenly spread phases of its supervisor's
+// scan is noticed half a period later on average, so it is back after R
+// (AutoRestart, which the soak mirrors into the simulator) on average,
+// exactly on the virtual clock.
+func TestSupervisedCycleAveragesR(t *testing.T) {
+	c := newTestCluster(t, topology.Small)
+	fc := c.Clock()
+	// The supervisors scan at whole multiples of supervisorCheck since the
+	// clock's epoch, when Start armed their tickers.
+	epoch := fc.Now()
+	const phases = 8
+	var sum time.Duration
+	for k := 0; k < phases; k++ {
+		// A flap window apart, the kills never add up to flapping.
+		fc.Sleep(c.sup.flapWindow)
+		next := supervisorCheck - fc.Since(epoch)%supervisorCheck
+		fc.Sleep(next + time.Duration(2*k+1)*supervisorCheck/(2*phases))
+		killed := fc.Now()
+		if err := c.KillProcess("Control", 0, "control"); err != nil {
+			t.Fatal(err)
+		}
+		if !c.WaitUntil(10*AutoRestart, func() bool { return c.Alive("Control", 0, "control") }) {
+			t.Fatal("supervisor never restarted the killed control process")
+		}
+		sum += fc.Since(killed)
+	}
+	if mean := sum / phases; mean != AutoRestart {
+		t.Errorf("a supervised restart takes %v on average, want R = %v", mean, AutoRestart)
 	}
 }
 
@@ -151,10 +174,10 @@ func TestFakeClockWaitUntilTimeout(t *testing.T) {
 	c := newTestCluster(t, topology.Small)
 	fc := c.Clock()
 	start := fc.Now()
-	if c.WaitUntil(10*time.Millisecond, func() bool { return false }) {
+	if c.WaitUntil(time.Hour, func() bool { return false }) {
 		t.Fatal("impossible condition reported true")
 	}
-	if got := fc.Since(start); got != 10*time.Millisecond {
-		t.Errorf("WaitUntil consumed %v virtual time, want exactly 10ms", got)
+	if got := fc.Since(start); got != time.Hour {
+		t.Errorf("WaitUntil consumed %v virtual time, want exactly 1h", got)
 	}
 }
