@@ -16,10 +16,7 @@ import (
 // experiments.PlacementStudy.
 //
 // Re-record only when the output is meant to change: delete the file, run
-// the test once — it writes the file and fails — and review the diff. Soak
-// output is not pinned here (the live testbed's horizon sample can land on
-// either side of a virtual instant); TestSoakValidationMode checks it by
-// substring.
+// the test once — it writes the file and fails — and review the diff.
 var goldenRuns = []struct{ name, args string }{
 	{"small_fixed", "-topology small -reps 4 -horizon 20000"},
 	{"large_s1_seed7", "-topology large -scenario 1 -reps 3 -horizon 20000 -seed 7"},

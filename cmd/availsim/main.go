@@ -11,7 +11,6 @@
 //	availsim -rare [-rel-target e] [-rare-bias B] [-rare-hw-bias B]
 //	         [-rare-link-bias B] [-rare-split-levels l1,l2,...]
 //	         [-rare-split-factor m] [-min-reps n] [-max-reps n]
-//	availsim -soak [-soak-hours h] [-topology t] [-compute n] [-reps n] [-seed s]
 //	availsim -placement [-controllers n] [-racks n] [-hosts-per-rack n]
 //	         [-candidates n] [-top n] [-link-mtbf h] [-link-mttr h]
 //	         [-ci-target w] [-min-reps n] [-max-reps n] [-horizon hours]
@@ -47,12 +46,6 @@
 // quorum-shares-rack hazard flagged. -link-mtbf > 0 additionally declares
 // the default network fabric (host uplinks, rack fabric, edge adjacency)
 // on every candidate so the ranking prices fabric failures too.
-//
-// -soak closes the validation triangle on running code: the live cluster
-// testbed runs under a deterministic virtual clock through -soak-hours
-// simulated hours of MTBF/MTTR cycles (scenario 1 semantics), and the
-// observed availability is tabulated against the Monte Carlo estimate and
-// the closed forms at the same parameters.
 package main
 
 import (
@@ -65,7 +58,6 @@ import (
 	"syscall"
 
 	"sdnavail/internal/analytic"
-	"sdnavail/internal/chaos"
 	"sdnavail/internal/experiments"
 	"sdnavail/internal/mc"
 	"sdnavail/internal/profile"
@@ -77,9 +69,9 @@ import (
 )
 
 func main() {
-	// Ctrl-C or SIGTERM cancels the run's context: the soak and the
-	// simulation stop at their next cancellation check and report the
-	// partial horizon instead of dying mid-table.
+	// Ctrl-C or SIGTERM cancels the run's context: the simulation stops at
+	// its next cancellation check and reports the partial horizon instead
+	// of dying mid-table.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	if err := runContext(ctx, os.Args[1:], os.Stdout); err != nil {
@@ -117,9 +109,6 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		raftMax  = flag.Float64("raft-election-max", 0, "RAFT mirror: election timeout upper bound in hours (enables the mirror)")
 		grayMTBF = flag.Float64("gray-mtbf", 0, "RAFT mirror: mean time between gray-leader onsets in hours (0 = never)")
 		grayDet  = flag.Float64("gray-detect", 0, "RAFT mirror: gray-leader detection budget in hours")
-
-		soak      = flag.Bool("soak", false, "validate against a live virtual-time soak of the cluster testbed")
-		soakHours = flag.Float64("soak-hours", 1000, "soak: simulated hours for the live run")
 
 		rare       = flag.Bool("rare", false, "rare-event mode: estimate deep-tail CP unavailability with forced failures and importance splitting")
 		rareBias   = flag.Float64("rare-bias", 0, "rare: process failure bias factor (0 = auto-select)")
@@ -159,25 +148,6 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	if *soak {
-		sc := chaos.SoakConfig{
-			Profile: prof, Topology: topo, ComputeHosts: *compute,
-			Hours: *soakHours, Seed: *seed,
-		}
-		fmt.Fprintf(out, "soaking the live testbed: %s topology, %.0f simulated hours (seed %d), %d MC replications\n",
-			topo.Name, *soakHours, *seed, *reps)
-		oc, err := experiments.SoakWithAttribution(ctx, sc, *reps)
-		if err != nil {
-			return err
-		}
-		if oc.Soak.Truncated {
-			fmt.Fprintf(out, "interrupted: soak truncated at %.0f of %.0f simulated hours; the tables below cover the partial horizon\n",
-				oc.Soak.Hours, *soakHours)
-		}
-		fmt.Fprintf(out, "%d failures injected, %d operator restarts\n\n", oc.Row.Failures, oc.Row.OperatorRestarts)
-		fmt.Fprint(out, oc.Text())
-		return nil
-	}
 	params := analytic.Params{AC: 0.995, AV: *av, AH: *ah, AR: *ar, A: *a, AS: *as}
 
 	if *placement {

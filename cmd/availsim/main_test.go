@@ -1,10 +1,8 @@
 package main
 
 import (
-	"context"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestSimulationRun(t *testing.T) {
@@ -45,26 +43,6 @@ func TestSimulationErrors(t *testing.T) {
 	}
 }
 
-func TestSoakValidationMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live soak skipped in -short mode")
-	}
-	var sb strings.Builder
-	err := run([]string{"-soak", "-soak-hours", "150", "-topology", "small", "-compute", "2", "-reps", "4"}, &sb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"soaking the live testbed", "Small topology", "150 simulated hours",
-		"Soak validation", "control plane A_CP", "host DP A_DP",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q in:\n%s", want, out)
-		}
-	}
-}
-
 func TestRaftMirrorRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run skipped in -short mode")
@@ -92,36 +70,5 @@ func TestRaftMirrorRun(t *testing.T) {
 	}
 	if err := run([]string{"-gray-mtbf", "100"}, &sb); err == nil {
 		t.Error("gray mtbf without mirror accepted")
-	}
-}
-
-// TestSoakInterrupted: a cancelled context (the SIGINT path) truncates
-// the soak at a partial horizon and the report says so instead of dying.
-func TestSoakInterrupted(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live soak skipped in -short mode")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var sb strings.Builder
-	done := make(chan error, 1)
-	go func() {
-		done <- runContext(ctx, []string{"-soak", "-soak-hours", "1000000", "-topology", "small", "-compute", "2", "-reps", "2"}, &sb)
-	}()
-	time.Sleep(300 * time.Millisecond) // soak well under way
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("interrupted soak returned %v, want partial report", err)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("interrupted soak did not stop")
-	}
-	out := sb.String()
-	if !strings.Contains(out, "interrupted: soak truncated at ") {
-		t.Errorf("missing truncation note in:\n%s", out)
-	}
-	if !strings.Contains(out, "Soak validation") {
-		t.Errorf("partial tables missing in:\n%s", out)
 	}
 }

@@ -18,8 +18,11 @@ import (
 // (the Database quorum components, redis, and anything whose supervisor
 // has died).
 type Operator struct {
-	// ResponseTime is the delay between a failure persisting and the
-	// operator's restart action (the effective R_S).
+	// ResponseTime is how long the operator waits, from the poll that
+	// first sees a process down, before restarting it. It is not the
+	// restore time: detection lags the failure by up to a poll, and the
+	// restart waits for the first poll at or past the deadline
+	// (soakManualRestart derives the soak's mean).
 	ResponseTime time.Duration
 	// CheckEvery is the snapshot polling period (defaults to
 	// ResponseTime/4, at least a second).

@@ -308,18 +308,6 @@ func (c *Cluster) Start() error {
 	for _, ag := range c.agents {
 		ag.start()
 	}
-	// Deferred replica catch-up runs off its own maintenance ticker so a
-	// revived store replica rejoins read quorums after the configured
-	// latency even while nothing else changes.
-	if c.cfg.Degradation.ReplicaCatchUp > 0 {
-		ticker := c.clk.NewTicker(supervisorCheck)
-		c.spawn(func() {
-			defer ticker.Stop()
-			for ticker.Wait(c.stopAll) {
-				c.runCatchUps()
-			}
-		})
-	}
 	// Timed elections need a heartbeat/timeout driver: the raft ticker
 	// heartbeats follower deadlines while a leader serves and runs
 	// election rounds while none does.
@@ -616,52 +604,69 @@ type catchUpKey struct {
 
 // setStoreAliveLocked propagates replica usability into a quorum store
 // and, with deferred catch-up configured, schedules the anti-entropy pass
-// for a replica that just came back. Callers hold c.mu.
+// for a replica that just came back: a one-shot on the cluster clock,
+// due ReplicaCatchUp after the revival. Callers hold c.mu.
 func (c *Cluster) setStoreAliveLocked(s *QuorumStore, node int, usable bool) {
 	was := s.Alive(node)
 	s.SetAlive(node, usable)
-	if c.cfg.Degradation.ReplicaCatchUp <= 0 {
+	latency := c.cfg.Degradation.ReplicaCatchUp
+	if latency <= 0 {
 		return
 	}
 	k := catchUpKey{store: s, node: node}
 	switch {
 	case usable && !was:
-		c.catchUpAt[k] = c.clk.Now().Add(c.cfg.Degradation.ReplicaCatchUp)
+		due := c.clk.Now().Add(latency)
+		c.catchUpAt[k] = due
+		if c.stopped {
+			return
+		}
+		// Arm the one-shot here, not in its goroutine: coincident
+		// deadlines fire in arm order, so the promotion keeps its order
+		// against the other timers instead of depending on when the
+		// goroutine first runs. Its period re-arms it a window later
+		// for a replica held behind a partition.
+		oneShot := c.clk.NewTicker(latency)
+		c.spawn(func() {
+			defer oneShot.Stop()
+			for oneShot.Wait(c.stopAll) {
+				if due = c.runCatchUp(k, due); due.IsZero() {
+					return
+				}
+			}
+		})
 	case !usable:
 		delete(c.catchUpAt, k)
 	}
 }
 
-// runCatchUps completes replica catch-ups whose latency has elapsed. It is
-// called from the degradation maintenance loop. A replica whose node sits
-// behind an active partition cannot reach the fresh majority to reconcile,
-// so its promotion is held and the window restarted from the present — it
-// rejoins read quorums only after the partition heals AND a full catch-up
-// window elapses.
-func (c *Cluster) runCatchUps() {
+// runCatchUp completes the catch-up of replica k due now and returns the
+// zero time, or returns the next deadline of a replica it holds. A replica
+// that went down since its revival has no catch-up left to run (a later
+// revival armed its own). One whose node sits behind an active partition
+// cannot reach the fresh majority to reconcile, so its promotion is held
+// and the window restarted from the present: it rejoins read quorums only
+// after the partition heals AND a full catch-up window elapses.
+func (c *Cluster) runCatchUp(k catchUpKey, due time.Time) time.Time {
+	latency := c.cfg.Degradation.ReplicaCatchUp
 	now := c.clk.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	caught := false
-	for k, due := range c.catchUpAt {
-		if now.Before(due) {
-			continue
-		}
-		if !c.replicaReachableLocked(k.node) {
-			c.catchUpAt[k] = now.Add(c.cfg.Degradation.ReplicaCatchUp)
-			continue
-		}
-		k.store.CatchUp(k.node)
-		delete(c.catchUpAt, k)
-		if ts := c.telState; ts != nil {
-			ts.t.Recovery.Observe("catchup/"+k.store.name, now.Sub(due.Add(-c.cfg.Degradation.ReplicaCatchUp)))
-		}
-		caught = true
+	if at, ok := c.catchUpAt[k]; !ok || !at.Equal(due) {
+		return time.Time{}
 	}
-	if caught {
-		c.drainRaftEventsLocked()
-		c.notifyLocked()
+	if !c.replicaReachableLocked(k.node) {
+		c.catchUpAt[k] = now.Add(latency)
+		return c.catchUpAt[k]
 	}
+	k.store.CatchUp(k.node)
+	delete(c.catchUpAt, k)
+	if ts := c.telState; ts != nil {
+		ts.t.Recovery.Observe("catchup/"+k.store.name, now.Sub(due.Add(-latency)))
+	}
+	c.drainRaftEventsLocked()
+	c.notifyLocked()
+	return time.Time{}
 }
 
 // ---- fault injection and recovery ----

@@ -79,7 +79,7 @@ func (c *Cluster) controlHostReachableLocked(node int) bool {
 
 // replicaReachableLocked reports whether the Database node's replicas
 // can reach the fresh majority to reconcile: not partitioned away, and
-// its host connected over the fabric. runCatchUps holds deferred
+// its host connected over the fabric. runCatchUp holds deferred
 // catch-up promotions behind it.
 func (c *Cluster) replicaReachableLocked(node int) bool {
 	if !c.reachableLocked(node) {

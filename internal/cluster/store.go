@@ -47,8 +47,8 @@ type logEntry struct {
 // store reconciles it synchronously on revival by replaying the log
 // entries it missed. With deferred catch-up enabled the revived replica
 // instead enters a catching-up state: it keeps accepting new writes but
-// is excluded from read quorums until an explicit CatchUp pass — driven
-// by the cluster maintenance loop after the configured catch-up latency —
+// is excluded from read quorums until an explicit CatchUp pass — run by
+// the cluster exactly the configured catch-up latency after the revival —
 // replays the gap.
 //
 // Leadership runs in one of two modes. Instant mode (the default, and the

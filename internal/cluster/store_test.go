@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sdnavail/internal/profile"
+	"sdnavail/internal/telemetry"
 	"sdnavail/internal/topology"
 	"sdnavail/internal/vclock"
 )
@@ -516,5 +517,56 @@ func TestRevivedReplicaHeldDuringPartition(t *testing.T) {
 	c.mu.Unlock()
 	if !ok || v.value != "10.43.0.0/16" {
 		t.Errorf("caught-up replica holds %+v, want the outage-era write", v)
+	}
+}
+
+// TestReplicaCatchUpIsExact: a replica revived between two supervisor
+// scans rejoins read quorums exactly ReplicaCatchUp after its revival, not
+// at the first scan past the deadline, and the catch-up recovery sample
+// reads that latency.
+func TestReplicaCatchUpIsExact(t *testing.T) {
+	prof := profile.OpenContrail3x()
+	topo, err := topology.ByKind(topology.Small, prof.ClusterRoles, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const latency = 20 * time.Minute
+	tel := telemetry.New()
+	c, err := New(Config{
+		Profile: prof, Topology: topo, ComputeHosts: 3, Telemetry: tel,
+		Degradation: Degradation{ReplicaCatchUp: latency},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startT(t, c)
+	fc := c.Clock()
+
+	if err := c.KillProcess("Database", 2, "cassandra-db (Config)"); err != nil {
+		t.Fatal(err)
+	}
+	// Half a scan in, so neither the revival nor its deadline sits on the
+	// scan grid.
+	fc.Sleep(supervisorCheck / 2)
+	if err := c.RestartProcess("Database", 2, "cassandra-db (Config)"); err != nil {
+		t.Fatal(err)
+	}
+	revived := fc.Now()
+	catching := func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.configStore.CatchingUp(2)
+	}
+	if !catching() {
+		t.Fatal("revived replica not catching up")
+	}
+	if !c.WaitUntil(waitLong, func() bool { return !catching() }) {
+		t.Fatal("replica never finished catching up")
+	}
+	if got := fc.Since(revived); got != latency {
+		t.Errorf("replica promoted %v after its revival, want exactly %v", got, latency)
+	}
+	if got := tel.Recovery.Durations("catchup/cassandra-config"); len(got) != 1 || got[0] != latency {
+		t.Errorf("catch-up recovery samples %v, want one of %v", got, latency)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"sdnavail/internal/analytic"
+	"sdnavail/internal/chaos"
 	"sdnavail/internal/mc"
 	"sdnavail/internal/profile"
 	"sdnavail/internal/topology"
@@ -326,7 +327,7 @@ var (
 
 	soakTable = newParamTable([]param[soakRequest]{
 		floatParam("hours", positive.upTo(1e5, "1e5 simulated hours"), func(r *soakRequest) *float64 { return &r.Hours }),
-		floatParam("mtbf", positive, func(r *soakRequest) *float64 { return &r.MTBF }).noted("at least 10 h"),
+		floatParam("mtbf", positive, func(r *soakRequest) *float64 { return &r.MTBF }).noted(fmt.Sprintf("at least %g h", chaos.SoakMTBFFloor())),
 		seedParam(func(r *soakRequest) *int64 { return &r.Seed }),
 		intParam("hosts", 1, 64, func(r *soakRequest) *int { return &r.Hosts }),
 		timeoutParam(func(r *soakRequest) *time.Duration { return &r.Timeout }),
@@ -456,8 +457,8 @@ func decodeSoak(q url.Values) (soakRequest, error) {
 	if err := decodeParams(q, soakTable, &r); err != nil {
 		return r, err
 	}
-	if r.MTBF < 10 {
-		return r, badf("parameter \"mtbf\": %g below the 10 h floor (repair times must be dominated)", r.MTBF)
+	if floor := chaos.SoakMTBFFloor(); r.MTBF < floor {
+		return r, badf("parameter \"mtbf\": %g below the %g h floor (repair times must be dominated)", r.MTBF, floor)
 	}
 	return r, nil
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"sdnavail/internal/analytic"
+	"sdnavail/internal/chaos"
 	"sdnavail/internal/profile"
 	"sdnavail/internal/topology"
 )
@@ -259,6 +261,25 @@ func TestSoakEndpoint(t *testing.T) {
 	}
 	if got.CPAvailability <= 0 || got.CPAvailability > 1 {
 		t.Errorf("CP availability %g outside (0, 1]", got.CPAvailability)
+	}
+}
+
+// TestSoakMTBFFloor: the soak endpoint refuses an MTBF just below the floor
+// its parameter reference states, naming the floor, and runs one at it.
+func TestSoakMTBFFloor(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	floor := chaos.SoakMTBFFloor()
+	resp, err := http.Get(fmt.Sprintf("%s/api/v1/soak?hours=10&mtbf=%g", ts.URL, floor-0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, fmt.Sprintf("%g h floor", floor)) {
+		t.Errorf("mtbf below the floor: status %d, body %q; want 400 naming the %g h floor", resp.StatusCode, body, floor)
+	}
+	var got soakResponse
+	if code := getJSON(t, fmt.Sprintf("%s/api/v1/soak?hours=10&mtbf=%g", ts.URL, floor), &got); code != http.StatusOK || got.Hours != 10 {
+		t.Errorf("mtbf at the floor: status %d, hours %g; want 200 over 10 hours", code, got.Hours)
 	}
 }
 
