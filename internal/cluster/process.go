@@ -82,14 +82,16 @@ type procKey struct {
 // scale. AutoRestart is R, the mean time a crashed supervised child stays
 // down: its supervisor notices the crash at the next scan, half a scan
 // period later on average, and then takes restartDelay, which is R less
-// half a period. An agent checks its control connections every
-// rediscoverEvery, so it replaces a failed one within about that long
-// (the paper's "typically within a minute").
+// half a period. LongestAutoRestart is the most a first restart takes, a
+// crash just after a scan waiting a whole period. An agent checks its
+// control connections every rediscoverEvery, so it replaces a failed one
+// within about that long (the paper's "typically within a minute").
 const (
-	AutoRestart     = 12 * time.Minute
-	supervisorCheck = AutoRestart / 4
-	restartDelay    = AutoRestart - supervisorCheck/2
-	rediscoverEvery = 2 * time.Minute
+	AutoRestart        = 12 * time.Minute
+	supervisorCheck    = AutoRestart / 4
+	restartDelay       = AutoRestart - supervisorCheck/2
+	LongestAutoRestart = restartDelay + supervisorCheck
+	rediscoverEvery    = 2 * time.Minute
 )
 
 // supervision is the supervisors' restart policy — the testbed's

@@ -8,6 +8,8 @@ import (
 	"net/url"
 	"strings"
 	"testing"
+
+	"sdnavail/internal/chaos"
 )
 
 // Fuzzing the query-parameter surface: arbitrary query strings must
@@ -65,6 +67,7 @@ func FuzzDecodeQuery(f *testing.F) {
 		"timeout=1h",
 		"hours=inf",
 		"mtbf=0.001",
+		"mtbf=5",
 		"hosts=1000",
 		"unknown=1",
 		"%zz=%zz",
@@ -115,7 +118,7 @@ func FuzzDecodeQuery(f *testing.F) {
 		if r, err := decodeSoak(q); err == nil {
 			checkFinite(t, qs, "hours", r.Hours)
 			checkFinite(t, qs, "mtbf", r.MTBF)
-			if r.Hours <= 0 || r.MTBF < 10 || r.Hosts < 1 {
+			if r.Hours <= 0 || r.MTBF < chaos.SoakMTBFFloor() || r.Hosts < 1 {
 				t.Errorf("query %q: soak bounds escaped validation: %+v", qs, r)
 			}
 		} else {
