@@ -327,9 +327,6 @@ func finishReport(out io.Writer, c *cluster.Cluster, tel *telemetry.Telemetry, r
 	if tel != nil {
 		hours := c.TelemetryHours()
 		tel.Ledger.CloseAll(hours)
-		pub, dropped := c.BusStats()
-		tel.Metrics.Gauge("bus_published").Set(float64(pub))
-		tel.Metrics.Gauge("bus_dropped").Set(float64(dropped))
 		fmt.Fprintln(out)
 		fmt.Fprint(out, report.AttributionTable(tel.Ledger.Attribution("cp", hours)).Text())
 		fmt.Fprintln(out)

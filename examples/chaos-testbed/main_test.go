@@ -54,7 +54,6 @@ func Example() {
 	//   health samples: healthy=0 degraded=80 critical=20
 	//   CP degraded (slow) ratio: 0.0123 of successful probes
 	//   CP failure classes: timeout=19
-	//   bus: 121 published, 0 dropped
 	//   [      0s] disable control supervision (kill all control supervisors)
 	//   [  2h0m0s] kill control-1
 	//   [  4h0m0s] kill control-2

@@ -13,7 +13,6 @@ package chaos
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -111,12 +110,6 @@ type Report struct {
 	// HealthCounts tallies samples by the cluster health level observed
 	// at sample time ("healthy", "degraded", "critical").
 	HealthCounts map[string]int
-	// BusPublished and BusDropped are the message bus totals at the end
-	// of the experiment; BusDropsBySubscription breaks the losses down by
-	// consumer ("topic/name"), non-zero entries only.
-	BusPublished           uint64
-	BusDropped             uint64
-	BusDropsBySubscription map[string]uint64
 	// FinalHealth is the cluster health snapshot after the experiment.
 	FinalHealth cluster.HealthReport
 }
@@ -147,36 +140,10 @@ func (r Report) String() string {
 		}
 		sb.WriteString("\n")
 	}
-	if r.BusPublished > 0 {
-		fmt.Fprintf(&sb, "  bus: %d published, %d dropped", r.BusPublished, r.BusDropped)
-		if len(r.BusDropsBySubscription) > 0 {
-			sb.WriteString(" (")
-			first := true
-			for _, sub := range sortedKeys(r.BusDropsBySubscription) {
-				if !first {
-					sb.WriteString(", ")
-				}
-				first = false
-				fmt.Fprintf(&sb, "%s=%d", sub, r.BusDropsBySubscription[sub])
-			}
-			sb.WriteString(")")
-		}
-		sb.WriteString("\n")
-	}
 	for _, inj := range r.Injections {
 		fmt.Fprintf(&sb, "  %s\n", inj)
 	}
 	return sb.String()
-}
-
-// sortedKeys returns the map's keys in sorted order.
-func sortedKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // summarize fills the aggregate fields from the samples.
@@ -339,7 +306,7 @@ func (p *prober) log(name string) {
 func (p *prober) report(d time.Duration) Report {
 	rep := Report{Duration: d, Samples: p.halt(), Injections: p.injections}
 	summarize(&rep)
-	finalize(&rep, p.c)
+	rep.FinalHealth = p.c.Health()
 	return rep
 }
 
@@ -359,21 +326,6 @@ func RunScenario(c *cluster.Cluster, actions []Action, settle time.Duration) (Re
 	}
 	p.clk.Sleep(settle)
 	return p.report(p.elapsed()), nil
-}
-
-// finalize captures end-of-experiment cluster state: bus message-loss
-// totals, per-subscription drops, and a final health snapshot.
-func finalize(r *Report, c *cluster.Cluster) {
-	r.BusPublished, r.BusDropped = c.BusStats()
-	for _, s := range c.BusSubscriptionStats() {
-		if s.Dropped > 0 {
-			if r.BusDropsBySubscription == nil {
-				r.BusDropsBySubscription = map[string]uint64{}
-			}
-			r.BusDropsBySubscription[s.Topic+"/"+s.Name] += s.Dropped
-		}
-	}
-	r.FinalHealth = c.Health()
 }
 
 // Campaign is a randomized fault-injection experiment: faults arrive as a

@@ -283,7 +283,7 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 				mu.Lock()
 				failures++
 				mu.Unlock()
-				for !processAlive(c, st.Role, st.Node, st.Name) {
+				for !c.Alive(st.Role, st.Node, st.Name) {
 					if !clk.SleepOr(time.Minute, stop) {
 						return
 					}
@@ -341,13 +341,10 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 	n := failures
 	mu.Unlock()
 
-	// Close the attribution ledger at the horizon and mirror the bus
-	// counters into the registry before the aggregate leaves the run.
+	// Close the attribution ledger at the horizon before the aggregate
+	// leaves the run.
 	hours := c.TelemetryHours()
 	tel.Ledger.CloseAll(hours)
-	pub, dropped := c.BusStats()
-	tel.Metrics.Gauge("bus_published").Set(float64(pub))
-	tel.Metrics.Gauge("bus_dropped").Set(float64(dropped))
 	return SoakResult{
 		Report:           rep,
 		Config:           sc,
@@ -359,15 +356,4 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 		DPAttribution:    tel.Ledger.MergedPrefix("dp", "dp:", hours),
 		Truncated:        !completed,
 	}, nil
-}
-
-// processAlive reports whether the named process is currently effectively
-// alive.
-func processAlive(c *cluster.Cluster, role string, node int, name string) bool {
-	for _, st := range c.Snapshot() {
-		if st.Role == role && st.Node == node && st.Name == name {
-			return st.Alive
-		}
-	}
-	return false
 }

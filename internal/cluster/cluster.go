@@ -1,3 +1,16 @@
+// Package cluster implements a live, in-process distributed SDN controller
+// testbed modeled on the OpenContrail 3.x architecture: real (goroutine)
+// processes for every Table I process, a replicated quorum store, a
+// BGP-style control mesh, per-host vRouter agents holding connections to
+// two control nodes, and per-node-role supervisors that auto-restart
+// failed processes.
+//
+// The testbed exists to exercise the paper's section III failure modes on
+// running code — kill a control process and watch agents rediscover; kill
+// all three and watch every host data plane fail; kill a supervisor and
+// watch its node-role run unsupervised — and to measure observed
+// control-plane and data-plane availability under fault injection
+// (package chaos).
 package cluster
 
 import (
@@ -54,7 +67,6 @@ type Cluster struct {
 	clk *vclock.Fake
 	rng *rand.Rand // backoff jitter source, fixed seed, guarded by mu
 
-	bus            *Bus
 	configStore    *QuorumStore
 	analyticsStore *QuorumStore
 	seq            *Sequencer
@@ -151,7 +163,6 @@ func New(cfg Config) (*Cluster, error) {
 		sup:            defaultSupervision,
 		clk:            clk,
 		rng:            rand.New(rand.NewSource(1)),
-		bus:            NewBus(clk),
 		configStore:    NewQuorumStore("cassandra-config", n),
 		analyticsStore: NewQuorumStore("cassandra-analytics", n),
 		seq:            NewSequencer(n),
@@ -299,12 +310,6 @@ func (c *Cluster) Start() error {
 			c.spawn(s.run)
 		}
 	}
-	for _, ctl := range c.controls {
-		if err := ctl.start(); err != nil {
-			c.Stop()
-			return err
-		}
-	}
 	for _, ag := range c.agents {
 		ag.start()
 	}
@@ -345,7 +350,6 @@ func (c *Cluster) Stop() {
 	c.mu.Unlock()
 	close(c.stopAll)
 	c.loops.Wait()
-	c.bus.Close()
 	if held {
 		c.clk.Unregister()
 	}
@@ -869,15 +873,6 @@ func (c *Cluster) Snapshot() []ProcStatus {
 		})
 	}
 	return out
-}
-
-// BusStats returns the message bus's aggregate accepted/dropped counters.
-func (c *Cluster) BusStats() (published, dropped uint64) { return c.bus.Stats() }
-
-// BusSubscriptionStats returns per-subscription drop counts, so lossy
-// consumers can be identified individually.
-func (c *Cluster) BusSubscriptionStats() []SubscriptionStats {
-	return c.bus.SubscriptionStats()
 }
 
 // WaitUntil blocks until cond returns true or the timeout expires,

@@ -547,6 +547,14 @@ func TestBGPResyncAfterControlRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The push is synchronous: the live controls hold the update the
+	// moment CreateNetwork returns, and the dead one does not.
+	c.mu.Lock()
+	got := []uint64{c.controls[0].cfgVersion, c.controls[1].cfgVersion, c.controls[2].cfgVersion}
+	c.mu.Unlock()
+	if got[0] >= id || got[1] != id || got[2] != id {
+		t.Errorf("control versions after the push = %v, want [<%d %d %d]", got, id, id, id)
+	}
 	if !c.WaitUntil(waitLong, func() bool { return c.ConfigVersionReached(id) }) {
 		t.Fatal("surviving controls did not apply the config")
 	}

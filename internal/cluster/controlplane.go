@@ -11,25 +11,15 @@ import (
 
 // This file implements the Config, Control and Analytics role behavior:
 // the northbound configuration path (config-api → zookeeper ID → Cassandra
-// quorum write → schema transformer → IF-MAP publish → control nodes), the
+// quorum write → schema transformer → IF-MAP push → control nodes), the
 // BGP-style control mesh, DNS, and the analytics pipeline (collector →
 // redis/Cassandra/Kafka → query-engine/alarm-gen).
-
-const ifmapTopic = "ifmap"
-
-// configUpdate is the low-level object pushed southbound to control nodes.
-type configUpdate struct {
-	ID      uint64
-	Name    string
-	Payload string
-}
 
 // controlNode is the per-node control process state: the applied
 // configuration version and the BGP routing table (prefix → next-hop set).
 type controlNode struct {
 	c    *Cluster
 	node int
-	sub  *Subscription
 
 	cfgVersion uint64
 	routes     map[string]map[string]bool
@@ -45,52 +35,6 @@ func newControlNode(c *Cluster, node int) *controlNode {
 	}
 }
 
-// start subscribes the control node to the IF-MAP topic and launches its
-// consumer loop.
-func (ctl *controlNode) start() error {
-	sub, err := ctl.c.bus.Subscribe(ifmapTopic, fmt.Sprintf("control-%d", ctl.node), 128)
-	if err != nil {
-		return err
-	}
-	ctl.sub = sub
-	ctl.c.spawn(func() {
-		for {
-			// The consumer blocks on the bus, not on the clock, so it
-			// parks explicitly: the clock may advance past it while it
-			// has nothing to consume.
-			unpark := ctl.c.clk.Park()
-			select {
-			case <-ctl.c.stopAll:
-				unpark()
-				return
-			case m, ok := <-sub.C():
-				unpark()
-				if !ok {
-					return
-				}
-				upd, ok := m.Payload.(configUpdate)
-				if !ok {
-					sub.Done()
-					continue
-				}
-				ctl.c.mu.Lock()
-				// A dead or partitioned control process does not consume
-				// configuration; it catches up from a BGP peer later.
-				if ctl.c.usableLocked(ctl.key()) && upd.ID > ctl.cfgVersion {
-					ctl.cfgVersion = upd.ID
-					ctl.c.notifyLocked()
-				}
-				ctl.c.mu.Unlock()
-				// Acknowledge only after the update (and any waiter
-				// notification) is applied, so the clock cannot advance
-				// between delivery and effect.
-				sub.Done()
-			}
-		}
-	})
-	return nil
-}
-
 func (ctl *controlNode) key() procKey {
 	return procKey{role: string(profile.Control), node: ctl.node, name: "control"}
 }
@@ -99,8 +43,8 @@ func (ctl *controlNode) key() procKey {
 // peer control on the same side of any partition — the BGP refresh a
 // restarting or rejoining control performs. Merging from all
 // reachable peers (not just the first) matters when the peers themselves
-// are still converging: configuration consumption is asynchronous, so at
-// any instant one peer may hold updates another has not applied yet.
+// disagree: one that was down or cut off during a push lacks updates
+// the others hold.
 // Callers hold c.mu.
 func (ctl *controlNode) resyncLocked() {
 	for _, peer := range ctl.c.controls {
@@ -182,8 +126,20 @@ func (c *Cluster) CreateNetwork(name, subnet string) (uint64, error) {
 		c.mu.Unlock()
 		return 0, fmt.Errorf("cluster: no ifmap server alive")
 	}
+	// IF-MAP pushes the object to every usable control. A dead or
+	// partitioned control does not take it; it catches up from a BGP peer
+	// when it returns (resyncLocked).
+	pushed := false
+	for _, ctl := range c.controls {
+		if c.usableLocked(ctl.key()) && id > ctl.cfgVersion {
+			ctl.cfgVersion = id
+			pushed = true
+		}
+	}
+	if pushed {
+		c.notifyLocked()
+	}
 	c.mu.Unlock()
-	c.bus.Publish(Message{Topic: ifmapTopic, From: "ifmap", Payload: configUpdate{ID: id, Name: name, Payload: low}})
 	return id, nil
 }
 

@@ -226,7 +226,7 @@ func TestAsymmetricLinkCutDegradesWithoutOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Both planes ride through: the config path (bus) and the agent
+	// Both planes ride through: the config path (IF-MAP push) and the agent
 	// connections do not traverse the mesh links.
 	if err := c.ProbeCP(waitLong); err != nil {
 		t.Fatalf("CP should survive mesh link cuts: %v", err)

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"testing"
 	"testing/quick"
 	"time"
@@ -11,116 +10,7 @@ import (
 	"sdnavail/internal/profile"
 	"sdnavail/internal/telemetry"
 	"sdnavail/internal/topology"
-	"sdnavail/internal/vclock"
 )
-
-func TestBusPubSub(t *testing.T) {
-	b := NewBus(vclock.NewFake(time.Time{}))
-	defer b.Close()
-	sub, err := b.Subscribe("t", "c1", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Publish(Message{Topic: "t", From: "x", Payload: 42})
-	select {
-	case m := <-sub.C():
-		if m.Payload.(int) != 42 {
-			t.Errorf("payload = %v", m.Payload)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("message not delivered")
-	}
-}
-
-func TestBusTopicIsolation(t *testing.T) {
-	b := NewBus(vclock.NewFake(time.Time{}))
-	defer b.Close()
-	s1, _ := b.Subscribe("a", "c", 4)
-	s2, _ := b.Subscribe("b", "c", 4)
-	b.Publish(Message{Topic: "a", Payload: 1})
-	select {
-	case <-s1.C():
-	case <-time.After(time.Second):
-		t.Fatal("topic a not delivered")
-	}
-	select {
-	case m := <-s2.C():
-		t.Fatalf("topic b received %v", m)
-	default:
-	}
-}
-
-func TestBusDropsOldestOnOverflow(t *testing.T) {
-	b := NewBus(vclock.NewFake(time.Time{}))
-	defer b.Close()
-	sub, _ := b.Subscribe("t", "slow", 2)
-	for i := 0; i < 5; i++ {
-		b.Publish(Message{Topic: "t", Payload: i})
-	}
-	// Queue of 2 should now hold the two newest messages: 3 and 4.
-	got := []int{(<-sub.C()).Payload.(int), (<-sub.C()).Payload.(int)}
-	if got[0] != 3 || got[1] != 4 {
-		t.Errorf("kept %v, want [3 4]", got)
-	}
-	if _, dropped := b.Stats(); dropped != 3 {
-		t.Errorf("dropped = %d, want 3", dropped)
-	}
-}
-
-func TestBusCancelAndClose(t *testing.T) {
-	b := NewBus(vclock.NewFake(time.Time{}))
-	sub, _ := b.Subscribe("t", "c", 2)
-	b.Close()
-	b.Close() // idempotent
-	b.Publish(Message{Topic: "t", Payload: 1})
-	if _, ok := <-sub.C(); ok {
-		t.Error("subscription of a closed bus received a message")
-	}
-	if _, err := b.Subscribe("t", "late", 2); err == nil {
-		t.Error("subscribe after close accepted")
-	}
-	b.Publish(Message{Topic: "t"}) // must not panic
-}
-
-func TestBusRejectsBadDepth(t *testing.T) {
-	b := NewBus(vclock.NewFake(time.Time{}))
-	defer b.Close()
-	if _, err := b.Subscribe("t", "c", 0); err == nil {
-		t.Error("zero depth accepted")
-	}
-}
-
-func TestBusConcurrentPublish(t *testing.T) {
-	b := NewBus(vclock.NewFake(time.Time{}))
-	defer b.Close()
-	sub, _ := b.Subscribe("t", "c", 1024)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				b.Publish(Message{Topic: "t", Payload: j})
-			}
-		}()
-	}
-	wg.Wait()
-	if pub, _ := b.Stats(); pub != 800 {
-		t.Errorf("published = %d, want 800", pub)
-	}
-	n := 0
-	for {
-		select {
-		case <-sub.C():
-			n++
-		default:
-			if n != 800 {
-				t.Errorf("received %d, want 800", n)
-			}
-			return
-		}
-	}
-}
 
 func TestQuorumStorePutGet(t *testing.T) {
 	s := NewQuorumStore("test", 3)

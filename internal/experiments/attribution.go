@@ -45,7 +45,7 @@ type SoakOutcome struct {
 }
 
 // Text renders the availability table and the two attribution tables, a
-// blank line between them — what both soak front ends print.
+// blank line between them — what chaosctl -soak prints.
 func (oc SoakOutcome) Text() string {
 	return oc.AvailabilityTable.Text() + "\n" + oc.CP.Table.Text() + "\n" + oc.DP.Table.Text()
 }

@@ -62,11 +62,11 @@ func TestWritePrometheusNilRegistry(t *testing.T) {
 // touching legal ones.
 func TestPromNameSanitizes(t *testing.T) {
 	for in, want := range map[string]string{
-		"bus_published": "bus_published",
-		"queue-depth":   "queue_depth",
-		"9lives":        "_lives",
-		"a.b/c":         "a_b_c",
-		"":              "_",
+		"mc_inflight": "mc_inflight",
+		"queue-depth": "queue_depth",
+		"9lives":      "_lives",
+		"a.b/c":       "a_b_c",
+		"":            "_",
 	} {
 		if got := promName(in); got != want {
 			t.Errorf("promName(%q) = %q, want %q", in, got, want)

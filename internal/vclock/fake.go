@@ -38,8 +38,8 @@ type Fake struct {
 	// scheduler.
 	queue  []*waiter
 	armSeq uint64
-	// work counts outstanding deliveries (AddWork/DoneWork): messages or
-	// notifications handed to goroutines that have not yet consumed them.
+	// work counts outstanding deliveries (AddWork/DoneWork):
+	// notifications handed to goroutines that have not yet observed them.
 	// The clock never advances while work is outstanding — it closes the
 	// race where a consumer is runnable but not yet scheduled, so the
 	// park counters alone would call the system quiescent.
@@ -158,8 +158,8 @@ func (f *Fake) Unregister() {
 }
 
 // AddWork declares n outstanding work items — deliveries made to a
-// goroutine that has not yet observed them (a published message, a
-// condition-change notification). The clock refuses to advance while
+// goroutine that has not yet observed them, such as a condition-change
+// notification to a waiter. The clock refuses to advance while
 // work is outstanding: a consumer that is runnable but not yet scheduled
 // still counts as park-blocked, and only the work token makes its pending
 // wakeup visible to the clock. Each item is retired with one DoneWork
@@ -190,7 +190,7 @@ func (f *Fake) DoneWork() {
 }
 
 // Park marks the calling registered goroutine as blocked outside the
-// clock (e.g. on a message-channel receive) so the clock may advance past
+// clock (e.g. on a channel receive) so the clock may advance past
 // it. Call the returned function as soon as the goroutine is runnable
 // again.
 func (f *Fake) Park() func() {

@@ -329,7 +329,7 @@ func TestFakeWorkTokens(t *testing.T) {
 		}
 	}()
 
-	// Mint a token per message like a clocked bus publish would.
+	// Mint a token per message, as a change notification does per waiter.
 	f.AddWork(1)
 	msgs <- 1
 	if f.Work() != 1 {
