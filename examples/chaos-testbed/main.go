@@ -33,7 +33,7 @@ func main() {
 	fmt.Printf("cluster up: %d processes across %d controller nodes and %d compute hosts\n",
 		len(c.Snapshot()), 3, c.ComputeHostCount())
 
-	if err := c.ProbeCP(2 * time.Minute); err != nil {
+	if err := c.ProbeCP(); err != nil {
 		panic("healthy CP probe failed: " + err.Error())
 	}
 	fmt.Println("control plane probe: OK (config create → quorum write → schema →")

@@ -43,34 +43,24 @@ type Sample struct {
 	CPUp  bool
 	DPUp  []bool // per compute host
 	CPErr string // probe failure reason when CP is down
-
-	// CPDegraded marks a CP probe that succeeded only on a retry: the
-	// plane is up but slow — degraded, not down.
-	CPDegraded bool
-	// CPClass classifies the CP observation: "" (clean success), "slow"
-	// (retry needed), or a failure class from ClassifyProbeError.
-	CPClass string
 	// Health is the cluster's health level at sample time.
 	Health cluster.Health
 }
 
-// ClassifyProbeError buckets a control-plane probe failure so reports can
-// distinguish failure modes: "timeout" (probe gave up waiting — the slow
-// path of an overloaded or converging plane), "election" (the store's
-// RAFT quorum is leaderless mid-election), "integrity" (the probe's write
-// read back missing or wrong — Byzantine replicas), "quorum-loss" (a
-// backing store lost majority), "service-down" (a required process is
-// dead), "cache-loss" (analytics cache unavailable), or "error". The
-// election and integrity checks precede the quorum check: their errors
-// wrap ErrNoQuorum or mention the quorum store, and the finer class wins.
-func ClassifyProbeError(err error) string {
-	if err == nil {
-		return ""
-	}
-	msg := err.Error()
+// ClassifyProbeError buckets a control-plane probe failure message so
+// reports can distinguish failure modes: "election" (the store's RAFT
+// quorum is leaderless mid-election), "integrity" (the probe's write read
+// back missing or wrong — Byzantine replicas), "quorum-loss" (a backing
+// store lost majority), "service-down" (a required process is dead, or no
+// live and reachable control took the config push), "cache-loss"
+// (analytics cache unavailable), or "error". An empty message, a probe
+// that passed, has no class. The election and integrity checks precede
+// the quorum check: their errors wrap ErrNoQuorum or mention the quorum
+// store, and the finer class wins.
+func ClassifyProbeError(msg string) string {
 	switch {
-	case strings.Contains(msg, "within"):
-		return "timeout"
+	case msg == "":
+		return ""
 	case strings.Contains(msg, "no leader"), strings.Contains(msg, "election pending"):
 		return "election"
 	case strings.Contains(msg, "integrity"):
@@ -101,9 +91,6 @@ type Report struct {
 	// CPOutages counts maximal runs of failed CP samples.
 	CPOutages int
 
-	// CPDegradedRatio is the fraction of successful CP samples that
-	// needed a retry — the plane was slow but not down.
-	CPDegradedRatio float64
 	// CPErrorClasses counts failed CP samples by failure class (see
 	// ClassifyProbeError).
 	CPErrorClasses map[string]int
@@ -128,12 +115,9 @@ func (r Report) String() string {
 		fmt.Fprintf(&sb, "  health samples: healthy=%d degraded=%d critical=%d\n",
 			r.HealthCounts["healthy"], r.HealthCounts["degraded"], r.HealthCounts["critical"])
 	}
-	if r.CPDegradedRatio > 0 {
-		fmt.Fprintf(&sb, "  CP degraded (slow) ratio: %.4f of successful probes\n", r.CPDegradedRatio)
-	}
 	if len(r.CPErrorClasses) > 0 {
 		sb.WriteString("  CP failure classes:")
-		for _, class := range []string{"timeout", "election", "integrity", "quorum-loss", "service-down", "cache-loss", "error"} {
+		for _, class := range []string{"election", "integrity", "quorum-loss", "service-down", "cache-loss", "error"} {
 			if n := r.CPErrorClasses[class]; n > 0 {
 				fmt.Fprintf(&sb, " %s=%d", class, n)
 			}
@@ -152,7 +136,7 @@ func summarize(r *Report) {
 		return
 	}
 	hosts := len(r.Samples[0].DPUp)
-	cpUp, cpDegraded := 0, 0
+	cpUp := 0
 	dpUp := make([]int, hosts)
 	prevDown := false
 	r.CPErrorClasses = map[string]int{}
@@ -161,14 +145,9 @@ func summarize(r *Report) {
 		r.HealthCounts[s.Health.String()]++
 		if s.CPUp {
 			cpUp++
-			if s.CPDegraded {
-				cpDegraded++
-			}
 			prevDown = false
 		} else {
-			if class := s.CPClass; class != "" {
-				r.CPErrorClasses[class]++
-			}
+			r.CPErrorClasses[ClassifyProbeError(s.CPErr)]++
 			if !prevDown {
 				r.CPOutages++
 			}
@@ -179,9 +158,6 @@ func summarize(r *Report) {
 				dpUp[h]++
 			}
 		}
-	}
-	if cpUp > 0 {
-		r.CPDegradedRatio = float64(cpDegraded) / float64(cpUp)
 	}
 	n := float64(len(r.Samples))
 	r.CPAvailability = float64(cpUp) / n
@@ -212,18 +188,8 @@ type prober struct {
 	done    chan struct{}
 }
 
-// probeRetries is the number of extra CP probe attempts after a failure.
-// The total timeout budget is split across attempts so retrying never
-// lengthens the worst-case probe: a success on a retry is recorded as a
-// degraded (slow) sample rather than an outage.
-const probeRetries = 1
-
-// The prober samples every 6 virtual minutes (0.1 h) and bounds one CP
-// probe at 2 minutes, below the period so outage samples keep the cadence.
-const (
-	probeEvery   = 6 * time.Minute
-	probeTimeout = 2 * time.Minute
-)
+// probeEvery is the prober's sampling period: 6 virtual minutes (0.1 h).
+const probeEvery = 6 * time.Minute
 
 // startProber takes c's clock hold for the calling driver, which sleeps
 // between injections, then launches a prober with its ticker armed. The
@@ -247,29 +213,18 @@ func (p *prober) run() {
 	}
 }
 
+// sampleOnce records one observation of both planes. Every probe is an
+// instantaneous check, so the sample's health, DP and CP readings all
+// describe the cluster at the sample's virtual instant.
 func (p *prober) sampleOnce() {
-	// Probe the data planes first: DP probes are instantaneous, while a
-	// failing CP probe blocks for its timeout and would skew the sample's
-	// timestamp against the DP observations.
 	s := Sample{At: p.elapsed(), Health: p.c.HealthLevel()}
 	for h := 0; h < p.c.ComputeHostCount(); h++ {
 		s.DPUp = append(s.DPUp, p.c.ProbeDP(h) == nil)
 	}
-	const attempts = probeRetries + 1
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if err = p.c.ProbeCP(probeTimeout / attempts); err == nil {
-			s.CPUp = true
-			if attempt > 0 {
-				s.CPDegraded = true
-				s.CPClass = "slow"
-			}
-			break
-		}
-	}
-	if err != nil {
+	if err := p.c.ProbeCP(); err != nil {
 		s.CPErr = err.Error()
-		s.CPClass = ClassifyProbeError(err)
+	} else {
+		s.CPUp = true
 	}
 	p.mu.Lock()
 	p.samples = append(p.samples, s)

@@ -67,8 +67,6 @@ func TestSectionIIIScenario(t *testing.T) {
 		// observations within a few periods of an injection are in flux.
 		margin = 10 * time.Minute
 	)
-	// A CP probe straddles an injection by up to probeTimeout: a probe
-	// started just before a repair can legitimately succeed.
 	rep, err := RunScenario(c, SectionIII(step), step)
 	if err != nil {
 		t.Fatal(err)
@@ -85,14 +83,8 @@ func TestSectionIIIScenario(t *testing.T) {
 	if cp, dp, n := windowFracs(rep.Samples, 2*step+margin, 3*step); n == 0 || dp != 1 || cp != 1 {
 		t.Errorf("one control left: cp=%.3f dp=%.3f (n=%d), want exactly 1/1", cp, dp, n)
 	}
-	if _, dp, n := windowFracs(rep.Samples, 3*step+margin, 4*step); n == 0 || dp != 0 {
-		t.Errorf("all controls dead: dp=%.3f (n=%d), want exactly 0", dp, n)
-	}
-	// CP probes block for up to probeTimeout, so a probe started shortly
-	// before the restore at 4*step can complete after it and succeed; the
-	// exact-down window therefore ends probeTimeout early.
-	if cp, _, n := windowFracs(rep.Samples, 3*step+margin, 4*step-probeTimeout); n == 0 || cp != 0 {
-		t.Errorf("all controls dead: cp=%.3f (n=%d), want exactly 0", cp, n)
+	if cp, dp, n := windowFracs(rep.Samples, 3*step+margin, 4*step); n == 0 || dp != 0 || cp != 0 {
+		t.Errorf("all controls dead: cp=%.3f dp=%.3f (n=%d), want exactly 0/0", cp, dp, n)
 	}
 	if cp, dp, n := windowFracs(rep.Samples, 4*step+margin, 5*step); n == 0 || dp != 1 || cp != 1 {
 		t.Errorf("after restore: cp=%.3f dp=%.3f (n=%d), want exactly 1/1", cp, dp, n)

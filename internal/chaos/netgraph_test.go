@@ -101,7 +101,7 @@ func TestGraphLinkOutageScenarioVirtual(t *testing.T) {
 		t.Fatalf("virtual duration %v, want %v", got, want)
 	}
 	// Phase 1 [0, step): one uplink cut, quorum holds 2-of-3, CP up.
-	if frac, _, n := windowFracs(rep.Samples, margin, step-probeTimeout); n == 0 || frac != 1 {
+	if frac, _, n := windowFracs(rep.Samples, margin, step); n == 0 || frac != 1 {
 		t.Errorf("phase 1 (uplink cut): CP fraction %v over %d samples, want exactly 1", frac, n)
 	}
 	// Phase 2 [step, 2*step): edge adjacency cut, every host severed, CP down.

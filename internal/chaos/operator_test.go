@@ -46,7 +46,7 @@ func TestOperatorReducesQuorumOutage(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !c.WaitUntil(2*time.Hour, func() bool { return c.ProbeCP(time.Minute) == nil }) {
+	if !c.WaitUntil(2*time.Hour, func() bool { return c.ProbeCP() == nil }) {
 		t.Fatal("CP did not recover under operator automation")
 	}
 }

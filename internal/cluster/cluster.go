@@ -398,9 +398,11 @@ func (c *Cluster) spawn(f func()) {
 func (c *Cluster) Clock() *vclock.Fake { return c.clk }
 
 // notifyLocked wakes every WaitUntil blocked on cluster state by closing
-// the generation channel and installing a fresh one. Every mutation path
-// (recompute, agent maintenance, config application, replica catch-up)
-// runs through it. Callers hold c.mu.
+// the generation channel and installing a fresh one. Recompute, agent
+// maintenance and replica catch-up run through it. Config application
+// does not: the IF-MAP push is synchronous, so its caller sees it on
+// return, and a CP probe that pushes and then fails must not wake a
+// WaitUntil re-checking that same probe. Callers hold c.mu.
 func (c *Cluster) notifyLocked() {
 	// Every parked waiter becomes runnable when the channel closes, but the
 	// clock still counts it as parked until it is scheduled; the work
@@ -880,8 +882,8 @@ func (c *Cluster) Snapshot() []ProcStatus {
 // asynchronous recovery (supervisor restarts, agent rediscovery).
 //
 // Rather than polling, it parks on the cluster's change-notification
-// channel: every state mutation (recompute, agent maintenance pass,
-// config application, replica catch-up) wakes it for a re-check. On the
+// channel: recompute, an agent maintenance pass and replica catch-up
+// each wake it for a re-check. On the
 // virtual clock this matters doubly — a poll loop would step virtual time
 // in tiny increments, while parking lets the clock jump straight to the
 // next real deadline.

@@ -54,8 +54,8 @@ func killControlSupervisors(t *testing.T, c *Cluster) {
 
 func TestHealthyClusterProbes(t *testing.T) {
 	c := newTestCluster(t, topology.Small)
-	if !c.WaitUntil(waitLong, func() bool { return c.ProbeCP(waitLong) == nil }) {
-		t.Fatalf("CP probe failed on a healthy cluster: %v", c.ProbeCP(time.Minute))
+	if !c.WaitUntil(waitLong, func() bool { return c.ProbeCP() == nil }) {
+		t.Fatalf("CP probe failed on a healthy cluster: %v", c.ProbeCP())
 	}
 	ok := c.WaitUntil(waitLong, func() bool {
 		for h := 0; h < c.ComputeHostCount(); h++ {
@@ -67,6 +67,36 @@ func TestHealthyClusterProbes(t *testing.T) {
 	})
 	if !ok {
 		t.Fatalf("DP probes failed on a healthy cluster: %v", c.ProbeDP(0))
+	}
+}
+
+// TestWaitOnFailingProbeLetsTimePass: a CP probe whose config push lands
+// but whose analytics write then fails changes no state a waiter watches,
+// so WaitUntil on it parks until the supervisors restart a collector. A
+// probe that woke its own waiter would re-run the check without end at
+// one virtual instant.
+func TestWaitOnFailingProbeLetsTimePass(t *testing.T) {
+	c := newTestCluster(t, topology.Small)
+	for node := 0; node < 3; node++ {
+		if err := c.KillProcess("Analytics", node, "collector"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := c.Clock().Now()
+	const maxCalls = 1000
+	calls := 0
+	up := c.WaitUntil(waitLong, func() bool {
+		calls++
+		return calls > maxCalls || c.ProbeCP() == nil
+	})
+	if calls > maxCalls {
+		t.Fatalf("the probe ran %d times in %v of virtual time: it wakes its own wait", calls, c.Clock().Since(start))
+	}
+	if !up {
+		t.Fatalf("CP did not recover once the collectors restarted: %v", c.ProbeCP())
+	}
+	if c.Clock().Since(start) == 0 {
+		t.Error("CP up with every collector dead")
 	}
 }
 
@@ -91,7 +121,7 @@ func TestProbeFootprintIsBounded(t *testing.T) {
 	}
 	probe := func(times int) {
 		for i := 0; i < times; i++ {
-			if err := c.ProbeCP(time.Minute); err != nil {
+			if err := c.ProbeCP(); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -251,7 +281,7 @@ func TestUnsupervisedModeRequiresManualRestart(t *testing.T) {
 		t.Fatal("config-api restarted despite a dead supervisor")
 	}
 	// The control plane is unimpaired: config-api is 1 of 3.
-	if err := c.ProbeCP(waitLong); err != nil {
+	if err := c.ProbeCP(); err != nil {
 		t.Errorf("CP should survive one unsupervised node-role: %v", err)
 	}
 	// Manual node-role restart: children killed, supervisor restarted,
@@ -277,7 +307,7 @@ func TestNodemgrLossOnlyAffectsVisibility(t *testing.T) {
 	if err := c.KillProcess("Control", 1, "nodemgr-control"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ProbeCP(waitLong); err != nil {
+	if err := c.ProbeCP(); err != nil {
 		t.Errorf("CP impaired by a nodemgr failure: %v", err)
 	}
 	if err := c.ProbeDP(0); err != nil {
@@ -292,7 +322,7 @@ func TestDatabaseQuorumLossTakesDownCPOnly(t *testing.T) {
 	if err := c.KillProcess("Database", 0, "cassandra-db (Config)"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ProbeCP(waitLong); err != nil {
+	if err := c.ProbeCP(); err != nil {
 		t.Fatalf("CP should survive one Database replica loss: %v", err)
 	}
 	if err := c.KillProcess("Database", 1, "cassandra-db (Config)"); err != nil {
@@ -303,7 +333,7 @@ func TestDatabaseQuorumLossTakesDownCPOnly(t *testing.T) {
 	if c.Alive("Database", 0, "cassandra-db (Config)") {
 		t.Fatal("manual-restart cassandra came back by itself")
 	}
-	if err := c.ProbeCP(time.Minute); err == nil {
+	if err := c.ProbeCP(); err == nil {
 		t.Fatal("CP should be down without a Cassandra quorum")
 	}
 	for h := 0; h < 3; h++ {
@@ -315,7 +345,7 @@ func TestDatabaseQuorumLossTakesDownCPOnly(t *testing.T) {
 	if err := c.RestartProcess("Database", 0, "cassandra-db (Config)"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ProbeCP(waitLong); err != nil {
+	if err := c.ProbeCP(); err != nil {
 		t.Errorf("CP did not recover after quorum repair: %v", err)
 	}
 }
@@ -479,7 +509,7 @@ func TestHostFailureAndRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	// CP survives on the 2-of-3 quorum.
-	if err := c.ProbeCP(waitLong); err != nil {
+	if err := c.ProbeCP(); err != nil {
 		t.Fatalf("CP should survive one host loss: %v", err)
 	}
 	if err := c.RestoreHost("H1"); err != nil {
@@ -506,7 +536,7 @@ func TestRackFailureSmallTopology(t *testing.T) {
 	if err := c.KillRack("R1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ProbeCP(time.Minute); err == nil {
+	if err := c.ProbeCP(); err == nil {
 		t.Fatal("CP should be down with the rack dead")
 	}
 	if !c.WaitUntil(waitLong, func() bool { return c.ProbeDP(0) != nil }) {
@@ -527,7 +557,7 @@ func TestRackFailureSmallTopology(t *testing.T) {
 	if err := c.RestartProcess("Analytics", 0, "redis"); err != nil {
 		t.Fatal(err)
 	}
-	if !c.WaitUntil(waitLong, func() bool { return c.ProbeCP(time.Minute) == nil }) {
+	if !c.WaitUntil(waitLong, func() bool { return c.ProbeCP() == nil }) {
 		t.Fatal("CP did not recover after rack restore and manual Database restarts")
 	}
 	if !c.WaitUntil(waitLong, func() bool { return c.ProbeDP(0) == nil }) {
@@ -607,14 +637,14 @@ func TestAlarmGeneration(t *testing.T) {
 // process level.
 func TestLargeTopologyBoots(t *testing.T) {
 	c := newTestCluster(t, topology.Large)
-	if err := c.ProbeCP(waitLong); err != nil {
+	if err := c.ProbeCP(); err != nil {
 		t.Fatalf("Large CP probe: %v", err)
 	}
 	// Killing rack R1 takes down only node 0: CP survives.
 	if err := c.KillRack("R1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ProbeCP(waitLong); err != nil {
+	if err := c.ProbeCP(); err != nil {
 		t.Errorf("Large CP should survive one rack: %v", err)
 	}
 	ok := c.WaitUntil(waitLong, func() bool {
@@ -713,7 +743,7 @@ func TestVMFailureSmallTopology(t *testing.T) {
 	if err := c.KillVM("GCAD1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ProbeCP(waitLong); err != nil {
+	if err := c.ProbeCP(); err != nil {
 		t.Errorf("CP should survive one GCAD VM loss: %v", err)
 	}
 	if err := c.RestoreVM("GCAD1"); err != nil {
@@ -742,7 +772,7 @@ func TestFiveNodeCluster(t *testing.T) {
 	}
 	startT(t, c)
 
-	if err := c.ProbeCP(waitLong); err != nil {
+	if err := c.ProbeCP(); err != nil {
 		t.Fatalf("5-node CP probe: %v", err)
 	}
 	// Two Database losses: quorum (3 of 5) still holds.
@@ -751,14 +781,14 @@ func TestFiveNodeCluster(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := c.ProbeCP(waitLong); err != nil {
+	if err := c.ProbeCP(); err != nil {
 		t.Errorf("5-node CP should survive two zookeeper losses: %v", err)
 	}
 	// Third loss: quorum gone.
 	if err := c.KillProcess("Database", 2, "zookeeper"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ProbeCP(time.Minute); err == nil {
+	if err := c.ProbeCP(); err == nil {
 		t.Error("5-node CP should fail with 3 of 5 zookeepers down")
 	}
 	// Agents hold exactly two connections; killing three controls leaves

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"sdnavail/internal/profile"
 )
@@ -128,23 +127,20 @@ func (c *Cluster) CreateNetwork(name, subnet string) (uint64, error) {
 	}
 	// IF-MAP pushes the object to every usable control. A dead or
 	// partitioned control does not take it; it catches up from a BGP peer
-	// when it returns (resyncLocked).
-	pushed := false
+	// when it returns (resyncLocked). The push is synchronous, so the
+	// caller sees it on return and no waiter needs waking.
 	for _, ctl := range c.controls {
 		if c.usableLocked(ctl.key()) && id > ctl.cfgVersion {
 			ctl.cfgVersion = id
-			pushed = true
 		}
-	}
-	if pushed {
-		c.notifyLocked()
 	}
 	c.mu.Unlock()
 	return id, nil
 }
 
-// ConfigVersionReached reports whether at least one alive control node has
-// applied configuration at or beyond the given ID.
+// ConfigVersionReached reports whether at least one usable control node
+// (alive and reachable) has applied configuration at or beyond the given
+// ID.
 func (c *Cluster) ConfigVersionReached(id uint64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -273,9 +269,10 @@ const probeKey = "probe"
 // ProbeCP exercises every SDN control-plane requirement end to end: the
 // auxiliary Config services (discovery, svc-monitor, device-manager), a
 // full northbound network create, southbound propagation to at least one
-// control node, and the analytics write/query/alarm path. It returns nil
-// when the control plane is fully functional.
-func (c *Cluster) ProbeCP(timeout time.Duration) error {
+// control node, and the analytics write/query/alarm path. Like ProbeDP it
+// is an instantaneous check of the present state: it never waits. It
+// returns nil when the control plane is fully functional.
+func (c *Cluster) ProbeCP() error {
 	c.mu.Lock()
 	cfgRole := string(profile.Config)
 	for _, name := range []string{"discovery", "svc-monitor", "device-manager"} {
@@ -294,8 +291,8 @@ func (c *Cluster) ProbeCP(timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	if !c.WaitUntil(timeout, func() bool { return c.ConfigVersionReached(id) }) {
-		return fmt.Errorf("cluster: no control node applied config %d within %v", id, timeout)
+	if !c.ConfigVersionReached(id) {
+		return fmt.Errorf("cluster: no control node alive and reachable to apply config %d", id)
 	}
 	// Read-back integrity: the network just written must read back with
 	// the value written. A quorum that answers — but answers wrongly

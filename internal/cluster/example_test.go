@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"fmt"
-	"time"
 
 	"sdnavail/internal/cluster"
 	"sdnavail/internal/profile"
@@ -24,7 +23,7 @@ func ExampleNew() {
 	}
 	defer c.Stop()
 
-	fmt.Println("control plane:", c.ProbeCP(2*time.Minute) == nil)
+	fmt.Println("control plane:", c.ProbeCP() == nil)
 	fmt.Println("host 0 data plane:", c.ProbeDP(0) == nil)
 	// Output:
 	// control plane: true

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"testing"
-	"time"
 
 	"sdnavail/internal/topology"
 )
@@ -14,7 +13,7 @@ import (
 // probe value, which the majority side must not read back.
 func TestMinorityIsolationKeepsCPUp(t *testing.T) {
 	c := newTestCluster(t, topology.Small)
-	if err := c.ProbeCP(waitLong); err != nil {
+	if err := c.ProbeCP(); err != nil {
 		t.Fatalf("CP should be up before the cut: %v", err)
 	}
 	if err := c.IsolateNodes(0); err != nil {
@@ -23,7 +22,7 @@ func TestMinorityIsolationKeepsCPUp(t *testing.T) {
 	if !isolated(c, 0) || isolated(c, 1) {
 		t.Fatal("isolation bookkeeping wrong")
 	}
-	if err := c.ProbeCP(waitLong); err != nil {
+	if err := c.ProbeCP(); err != nil {
 		t.Fatalf("CP should survive one isolated node: %v", err)
 	}
 	ok := c.WaitUntil(waitLong, func() bool {
@@ -58,7 +57,7 @@ func TestMajorityIsolationTakesDownCP(t *testing.T) {
 	if err := c.IsolateNodes(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.ProbeCP(time.Minute); err == nil {
+	if err := c.ProbeCP(); err == nil {
 		t.Fatal("CP should be down with a majority isolated")
 	}
 	ok := c.WaitUntil(waitLong, func() bool {
@@ -74,7 +73,7 @@ func TestMajorityIsolationTakesDownCP(t *testing.T) {
 	}
 	// Heal: the CP returns without any manual restart — nothing crashed.
 	c.HealPartition()
-	if !c.WaitUntil(waitLong, func() bool { return c.ProbeCP(time.Minute) == nil }) {
+	if !c.WaitUntil(waitLong, func() bool { return c.ProbeCP() == nil }) {
 		t.Fatal("CP did not return after the partition healed")
 	}
 }
@@ -228,7 +227,7 @@ func TestAsymmetricLinkCutDegradesWithoutOutage(t *testing.T) {
 
 	// Both planes ride through: the config path (IF-MAP push) and the agent
 	// connections do not traverse the mesh links.
-	if err := c.ProbeCP(waitLong); err != nil {
+	if err := c.ProbeCP(); err != nil {
 		t.Fatalf("CP should survive mesh link cuts: %v", err)
 	}
 	for h := 0; h < 3; h++ {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
-	"time"
 
 	"sdnavail/internal/topology"
 )
@@ -65,7 +64,7 @@ func TestSelfStabilization(t *testing.T) {
 						c.HealPartition()
 					}
 				case 3: // a few probes mid-chaos must never panic
-					_ = c.ProbeCP(time.Minute)
+					_ = c.ProbeCP()
 					_ = c.ProbeDP(rng.Intn(c.ComputeHostCount()))
 				}
 			}
@@ -83,8 +82,8 @@ func TestSelfStabilization(t *testing.T) {
 				}
 			}
 
-			if !c.WaitUntil(waitLong, func() bool { return c.ProbeCP(time.Minute) == nil }) {
-				t.Fatalf("seed %d: control plane did not stabilize: %v", seed, c.ProbeCP(time.Minute))
+			if !c.WaitUntil(waitLong, func() bool { return c.ProbeCP() == nil }) {
+				t.Fatalf("seed %d: control plane did not stabilize: %v", seed, c.ProbeCP())
 			}
 			ok := c.WaitUntil(waitLong, func() bool {
 				for h := 0; h < c.ComputeHostCount(); h++ {

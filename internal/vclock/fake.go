@@ -12,8 +12,8 @@ import (
 // accounting-aware blocking primitives (Sleep, SleepOr, Ticker.Wait, or
 // an explicit Park). Work therefore happens at frozen virtual instants,
 // which is what makes scenario timelines exact: a supervisor restart
-// configured to take 3 virtual milliseconds takes exactly 3 virtual
-// milliseconds, regardless of scheduler load.
+// delay of 10.5 virtual minutes takes exactly 10.5 virtual minutes,
+// regardless of scheduler load.
 //
 // Create with NewFake. Safe for concurrent use.
 type Fake struct {
@@ -28,7 +28,7 @@ type Fake struct {
 	// ops counts clock interactions (parks, unparks, fires, cancels).
 	// The advance path uses it as a quiescence signal: yield to the
 	// scheduler, and only move time when no goroutine touched the clock
-	// in the meantime — giving just-woken or message-driven goroutines a
+	// in the meantime — giving just-woken goroutines a
 	// chance to run at the current instant first.
 	ops uint64
 	// queue holds every armed waiter in (deadline, arm order), so queue[0]

@@ -9,8 +9,8 @@
 // started with Go, and a cluster's driver takes the hold Cluster.Start
 // made for it (Cluster.Hold); and (b) block only through the
 // accounting-aware primitives — Sleep, SleepOr, Ticker.Wait, or an
-// explicit Park around a non-clock block (e.g. a message-channel
-// receive).
+// explicit Park around a non-clock block (e.g. a driver waiting for its
+// clock-driven goroutines to return).
 //
 // Note the Monte Carlo simulator (internal/mc) does not use this package:
 // it keeps its own discrete-event clock (a pending-event heap advanced
