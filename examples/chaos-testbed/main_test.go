@@ -49,11 +49,10 @@ func Example() {
 	//
 	// == replaying the paper's section III narrative ==
 	// chaos report: 10h0m0s, 100 samples, 5 injections
-	//   observed CP availability: 0.8100 (1 outages)
+	//   observed CP availability: 0.8000 (1 outages)
 	//   observed DP availability: 0.8000 (per host: 0.8000 0.8000 0.8000)
 	//   health samples: healthy=0 degraded=80 critical=20
-	//   CP degraded (slow) ratio: 0.0123 of successful probes
-	//   CP failure classes: timeout=19
+	//   CP failure classes: service-down=20
 	//   [      0s] disable control supervision (kill all control supervisors)
 	//   [  2h0m0s] kill control-1
 	//   [  4h0m0s] kill control-2
