@@ -883,10 +883,9 @@ func (c *Cluster) Snapshot() []ProcStatus {
 //
 // Rather than polling, it parks on the cluster's change-notification
 // channel: recompute, an agent maintenance pass and replica catch-up
-// each wake it for a re-check. On the
-// virtual clock this matters doubly — a poll loop would step virtual time
-// in tiny increments, while parking lets the clock jump straight to the
-// next real deadline.
+// each wake it for a re-check. On the virtual clock this matters doubly
+// — a poll loop would step virtual time in tiny increments, while
+// parking lets the clock jump straight to the next real deadline.
 func (c *Cluster) WaitUntil(timeout time.Duration, cond func() bool) bool {
 	deadline := c.clk.Now().Add(timeout)
 	for {

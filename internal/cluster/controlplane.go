@@ -127,8 +127,8 @@ func (c *Cluster) CreateNetwork(name, subnet string) (uint64, error) {
 	}
 	// IF-MAP pushes the object to every usable control. A dead or
 	// partitioned control does not take it; it catches up from a BGP peer
-	// when it returns (resyncLocked). The push is synchronous, so the
-	// caller sees it on return and no waiter needs waking.
+	// when it returns (resyncLocked). The push wakes no waiter (see
+	// notifyLocked).
 	for _, ctl := range c.controls {
 		if c.usableLocked(ctl.key()) && id > ctl.cfgVersion {
 			ctl.cfgVersion = id
