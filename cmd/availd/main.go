@@ -74,7 +74,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		return err
 	}
 
-	tel := telemetry.New()
 	srv, err := server.New(server.Config{
 		Addr:           *addr,
 		MaxConcurrent:  *maxConc,
@@ -84,7 +83,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		DrainTimeout:   *drain,
 		CacheSize:      *cache,
 		StoreDir:       *store,
-		Telemetry:      tel,
 	})
 	if err != nil {
 		return err
@@ -98,11 +96,11 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if serveErr != nil {
 		// Even a botched drain flushes what telemetry it has before the
 		// error surfaces.
-		flushMetrics(tel, *metrics)
+		flushMetrics(srv.Telemetry(), *metrics)
 		return serveErr
 	}
 	fmt.Fprintln(out, "availd drained cleanly")
-	return flushMetrics(tel, *metrics)
+	return flushMetrics(srv.Telemetry(), *metrics)
 }
 
 // flushMetrics writes the metrics snapshot when a path was given.

@@ -69,10 +69,10 @@
 // The soak also prints the per-failure-mode downtime attribution tables
 // (live ledger vs Monte Carlo mirror vs analytic contributions).
 //
-// -trace writes the telemetry state-transition trace (one JSON event per
-// line) and -metrics the metrics-registry snapshot; either flag also
-// enables telemetry for scenario runs, adding the per-mode downtime
-// attribution tables to the report.
+// Every report ends with the per-mode downtime attribution tables (and,
+// when the run recorded any, the recovery-time table). -trace writes the
+// telemetry state-transition trace (one JSON event per line) and -metrics
+// the metrics-registry snapshot.
 package main
 
 import (
@@ -224,17 +224,10 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		return exportTelemetry(oc.Soak.Telemetry, *tracePath, *metricsPath)
 	}
 
-	// Telemetry stays off unless an export was requested — the disabled
-	// path costs one nil check per state mutation.
-	var tel *telemetry.Telemetry
-	if *tracePath != "" || *metricsPath != "" {
-		tel = telemetry.New()
-	}
 	c, err := cluster.New(cluster.Config{
 		Profile: prof, Topology: topo, ComputeHosts: *hosts,
 		Degradation: cluster.Degradation{HeadlessHold: *hold, RouteMaxAge: *maxAge, ReplicaCatchUp: *catchup},
 		Raft:        raft,
-		Telemetry:   tel,
 	})
 	if err != nil {
 		return err
@@ -262,7 +255,7 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		return finishReport(out, c, tel, rep, *snapshot, *tracePath, *metricsPath)
+		return finishReport(out, c, rep, *snapshot, *tracePath, *metricsPath)
 	}
 	switch *scenario {
 	case "section3":
@@ -315,29 +308,28 @@ func runContext(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return finishReport(out, c, tel, rep, *snapshot, *tracePath, *metricsPath)
+	return finishReport(out, c, rep, *snapshot, *tracePath, *metricsPath)
 }
 
 // finishReport prints the chaos report, health, telemetry tables and the
 // optional process snapshot, and exports the telemetry files.
-func finishReport(out io.Writer, c *cluster.Cluster, tel *telemetry.Telemetry, rep chaos.Report, snapshot bool, tracePath, metricsPath string) error {
+func finishReport(out io.Writer, c *cluster.Cluster, rep chaos.Report, snapshot bool, tracePath, metricsPath string) error {
 	fmt.Fprint(out, rep.String())
 	fmt.Fprint(out, c.Health().String())
 
-	if tel != nil {
-		hours := c.TelemetryHours()
-		tel.Ledger.CloseAll(hours)
+	tel := c.Telemetry()
+	hours := c.TelemetryHours()
+	tel.Ledger.CloseAll(hours)
+	fmt.Fprintln(out)
+	fmt.Fprint(out, report.AttributionTable(tel.Ledger.Attribution("cp", hours)).Text())
+	fmt.Fprintln(out)
+	fmt.Fprint(out, report.AttributionTable(tel.Ledger.MergedPrefix("dp", "dp:", hours)).Text())
+	if len(tel.Recovery.Kinds()) > 0 {
 		fmt.Fprintln(out)
-		fmt.Fprint(out, report.AttributionTable(tel.Ledger.Attribution("cp", hours)).Text())
-		fmt.Fprintln(out)
-		fmt.Fprint(out, report.AttributionTable(tel.Ledger.MergedPrefix("dp", "dp:", hours)).Text())
-		if len(tel.Recovery.Kinds()) > 0 {
-			fmt.Fprintln(out)
-			fmt.Fprint(out, report.RecoveryTable(tel.Recovery).Text())
-		}
-		if err := exportTelemetry(tel, tracePath, metricsPath); err != nil {
-			return err
-		}
+		fmt.Fprint(out, report.RecoveryTable(tel.Recovery).Text())
+	}
+	if err := exportTelemetry(tel, tracePath, metricsPath); err != nil {
+		return err
 	}
 
 	if snapshot {
@@ -360,9 +352,6 @@ func finishReport(out io.Writer, c *cluster.Cluster, tel *telemetry.Telemetry, r
 // exportTelemetry writes the trace (JSONL) and/or metrics snapshot (JSON)
 // when paths were given.
 func exportTelemetry(tel *telemetry.Telemetry, tracePath, metricsPath string) error {
-	if tel == nil {
-		return nil
-	}
 	if tracePath != "" {
 		f, err := os.Create(tracePath)
 		if err != nil {

@@ -27,7 +27,7 @@ func TestScenarios(t *testing.T) {
 		{
 			"dbquorum",
 			[]string{"-scenario", "dbquorum", "-step", "2h", "-hosts", "2"},
-			[]string{"quorum lost", "observed DP availability"},
+			[]string{"quorum lost", "observed DP availability", "Downtime attribution — cp"},
 		},
 		{
 			"partition",

@@ -217,7 +217,7 @@ func (p *prober) run() {
 // instantaneous check, so the sample's health, DP and CP readings all
 // describe the cluster at the sample's virtual instant.
 func (p *prober) sampleOnce() {
-	s := Sample{At: p.elapsed(), Health: p.c.HealthLevel()}
+	s := Sample{At: p.elapsed(), Health: p.c.Health().Level}
 	for h := 0; h < p.c.ComputeHostCount(); h++ {
 		s.DPUp = append(s.DPUp, p.c.ProbeDP(h) == nil)
 	}

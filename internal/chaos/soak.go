@@ -232,10 +232,8 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 	if err := sc.Validate(); err != nil {
 		return SoakResult{}, err
 	}
-	tel := telemetry.New()
 	c, err := cluster.New(cluster.Config{
 		Profile: sc.Profile, Topology: sc.Topology, ComputeHosts: sc.ComputeHosts,
-		Telemetry: tel,
 	})
 	if err != nil {
 		return SoakResult{}, err
@@ -343,6 +341,7 @@ func RunSoakContext(ctx context.Context, sc SoakConfig) (SoakResult, error) {
 
 	// Close the attribution ledger at the horizon before the aggregate
 	// leaves the run.
+	tel := c.Telemetry()
 	hours := c.TelemetryHours()
 	tel.Ledger.CloseAll(hours)
 	return SoakResult{

@@ -22,12 +22,12 @@ import (
 
 	"sdnavail/internal/profile"
 	"sdnavail/internal/structure"
-	"sdnavail/internal/telemetry"
 	"sdnavail/internal/topology"
 	"sdnavail/internal/vclock"
 )
 
-// Config assembles a testbed cluster.
+// Config assembles a testbed cluster. Telemetry is not configured: every
+// cluster reports into its own aggregate (see Telemetry).
 type Config struct {
 	// Profile must be the OpenContrail 3.x profile (or one with the same
 	// process names); the testbed wires concrete component behavior to
@@ -47,11 +47,6 @@ type Config struct {
 	// wait on an election. Setting ElectionMax enables timed randomized
 	// elections driven by the cluster's virtual clock.
 	Raft RaftConfig
-	// Telemetry, when non-nil, collects metrics, a state-transition trace
-	// and a downtime-attribution ledger from the cluster. Nil (the
-	// default) disables instrumentation at the cost of one pointer check
-	// per state mutation.
-	Telemetry *telemetry.Telemetry
 }
 
 // hwLoc names the hardware column a process runs on.
@@ -125,7 +120,7 @@ type Cluster struct {
 
 	controls []*controlNode
 	agents   []*vRouterAgent
-	telState *telState // telemetry mirror, nil when disabled; guarded by mu
+	telState *telState // structural mirror and telemetry aggregate, built by New; guarded by mu
 
 	loops   sync.WaitGroup
 	stopAll chan struct{}
@@ -261,10 +256,8 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		return a.name < b.name
 	})
-	if cfg.Telemetry != nil {
-		if err := c.attachTelemetryLocked(cfg.Telemetry); err != nil {
-			return nil, err
-		}
+	if err := c.attachTelemetryLocked(); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
@@ -667,9 +660,7 @@ func (c *Cluster) runCatchUp(k catchUpKey, due time.Time) time.Time {
 	}
 	k.store.CatchUp(k.node)
 	delete(c.catchUpAt, k)
-	if ts := c.telState; ts != nil {
-		ts.t.Recovery.Observe("catchup/"+k.store.name, now.Sub(due.Add(-latency)))
-	}
+	c.telState.t.Recovery.Observe("catchup/"+k.store.name, now.Sub(due.Add(-latency)))
 	c.drainRaftEventsLocked()
 	c.notifyLocked()
 	return time.Time{}

@@ -30,18 +30,23 @@ func equivCluster(t *testing.T, forceFull bool) (*Cluster, *telemetry.Telemetry,
 	t.Helper()
 	prof := profile.OpenContrail3x()
 	topo := topology.NewSmall(prof.ClusterRoles, 3)
-	tel := telemetry.New()
-	c, err := New(Config{
-		Profile: prof, Topology: topo, ComputeHosts: 2,
-		Telemetry: tel,
-	})
+	c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.mu.Lock()
 	c.forceFull = forceFull
 	c.mu.Unlock()
-	return c, tel, c.Clock()
+	return c, c.Telemetry(), c.Clock()
+}
+
+// ledgerTables is the ledger's CP table and its merged per-host DP table
+// as of hours; the trace comparison already pins each host's transitions.
+func ledgerTables(tel *telemetry.Telemetry, hours float64) []telemetry.Attribution {
+	return []telemetry.Attribution{
+		tel.Ledger.Attribution("cp", hours),
+		tel.Ledger.MergedPrefix("dp", "dp:", hours),
+	}
 }
 
 // equivOp is one chaos operation applied to both clusters in lockstep.
@@ -159,7 +164,7 @@ func TestIncrementalRecomputeEquivalence(t *testing.T) {
 			t.Fatalf("%s: incremental trace has %d extra events", ctx, len(evIncr)-len(evFull))
 		}
 		hours := full.TelemetryHours()
-		if !reflect.DeepEqual(incrTel.Ledger.Attributions(hours), fullTel.Ledger.Attributions(hours)) {
+		if !reflect.DeepEqual(ledgerTables(incrTel, hours), ledgerTables(fullTel, hours)) {
 			t.Fatalf("%s: ledger attributions diverge", ctx)
 		}
 	}

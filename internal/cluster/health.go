@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"sdnavail/internal/profile"
-	"sdnavail/internal/telemetry"
 )
 
 // Degraded-health reporting. The availability probes (ProbeCP/ProbeDP) are
@@ -71,10 +70,6 @@ type HealthReport struct {
 	// CatchingUpReplicas names revived quorum-store replicas still running
 	// anti-entropy catch-up ("store/node"), excluded from read quorums.
 	CatchingUpReplicas []string
-	// Telemetry is the point-in-time telemetry digest (counters and
-	// per-plane attributed downtime); nil when the cluster runs without a
-	// telemetry aggregate.
-	Telemetry *telemetry.Summary
 }
 
 // String renders the report, one subsystem per line.
@@ -90,15 +85,7 @@ func (r HealthReport) String() string {
 // Health computes the cluster health snapshot: quorum margins across the
 // profile's majority groups, control-mesh connectivity, supervision
 // coverage, and crash-looped (Fatal) processes.
-func (c *Cluster) Health() HealthReport { return c.health(true) }
-
-// HealthLevel returns just the coarse health level — the form the
-// availability prober samples every probe period. It skips the telemetry
-// digest, whose snapshot/sort cost would otherwise be paid on every
-// probe for a level-only read.
-func (c *Cluster) HealthLevel() Health { return c.health(false).Level }
-
-func (c *Cluster) health(withTelemetry bool) HealthReport {
+func (c *Cluster) Health() HealthReport {
 	now := c.clk.Now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -114,24 +101,22 @@ func (c *Cluster) health(withTelemetry bool) HealthReport {
 	need := n/2 + 1
 
 	// Quorum margin per majority group of the control plane: for
-	// OpenContrail, the four Database-backed stores.
+	// OpenContrail, the four Database-backed stores. The serving counts
+	// are the mirror's: the table lists the control-plane groups first,
+	// in QuorumGroups order.
+	tbl := c.telState.table
 	level := Healthy
 	var reasons []string
-	for _, g := range profile.QuorumGroups(c.cfg.Profile, profile.ControlPlane) {
+	for gi, g := range profile.QuorumGroups(c.cfg.Profile, profile.ControlPlane) {
 		if g.Need != profile.Majority {
 			continue
 		}
-		up := 0
-		for node := 0; node < n; node++ {
-			if c.usableLocked(procKey{role: string(g.Role), node: node, name: g.Name}) {
-				up++
-			}
-		}
-		switch margin := up - need; {
-		case margin < 0:
+		up := tbl.ServingCount(gi)
+		switch {
+		case !tbl.Satisfied(gi):
 			level = Critical
 			reasons = append(reasons, fmt.Sprintf("%s quorum lost (%d/%d replicas usable, need %d)", g.Name, up, n, need))
-		case margin == 0:
+		case up == need:
 			if level < Degraded {
 				level = Degraded
 			}
@@ -241,9 +226,6 @@ func (c *Cluster) health(withTelemetry bool) HealthReport {
 			len(rep.CatchingUpReplicas), strings.Join(rep.CatchingUpReplicas, ", ")))
 	default:
 		add("degradation", Healthy, "no headless agents, no catching-up replicas")
-	}
-	if ts := c.telState; withTelemetry && ts != nil {
-		rep.Telemetry = ts.t.Summarize(ts.hours(now))
 	}
 	return rep
 }

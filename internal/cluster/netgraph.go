@@ -201,9 +201,6 @@ func (c *Cluster) setGraphLinkLocked(li int, up bool) {
 // when a host behind it is cut off. Callers hold c.mu.
 func (c *Cluster) telemetryGraphLinkLocked(li int, up bool) {
 	ts := c.telState
-	if ts == nil {
-		return
-	}
 	kind := telemetry.EventLinkHealed
 	if !up {
 		kind = telemetry.EventLinkCut

@@ -21,15 +21,11 @@ func linkedCluster(t *testing.T) (*Cluster, *telemetry.Telemetry, *vclock.Fake) 
 	t.Helper()
 	prof := profile.OpenContrail3x()
 	topo := topology.NewSmall(prof.ClusterRoles, 3).WithDefaultLinks(10_000, 4)
-	tel := telemetry.New()
-	c, err := New(Config{
-		Profile: prof, Topology: topo, ComputeHosts: 2,
-		Telemetry: tel,
-	})
+	c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, tel, c.Clock()
+	return c, c.Telemetry(), c.Clock()
 }
 
 // TestGraphLinkCutEffects walks a cut/restore sequence through the
@@ -81,7 +77,7 @@ func TestGraphLinkCutEffects(t *testing.T) {
 	if !mesh12 {
 		t.Error("mesh 1-2 should survive the graph cut")
 	}
-	if lvl := c.HealthLevel(); lvl != Degraded {
+	if lvl := c.Health().Level; lvl != Degraded {
 		t.Errorf("one uplink cut: health %v, want %v", lvl, Degraded)
 	}
 
@@ -91,7 +87,7 @@ func TestGraphLinkCutEffects(t *testing.T) {
 		t.Fatal(err)
 	}
 	fc.Advance(10 * time.Minute)
-	if lvl := c.HealthLevel(); lvl != Critical {
+	if lvl := c.Health().Level; lvl != Critical {
 		t.Errorf("edge adjacency cut: health %v, want %v", lvl, Critical)
 	}
 	cpDown := false
@@ -114,7 +110,7 @@ attributed:
 
 	c.HealGraphLinks()
 	fc.Advance(10 * time.Minute)
-	if lvl := c.HealthLevel(); lvl != Healthy {
+	if lvl := c.Health().Level; lvl != Healthy {
 		t.Errorf("after heal: health %v, want %v", lvl, Healthy)
 	}
 	c.mu.Lock()
@@ -243,7 +239,7 @@ func TestGraphLinkRecomputeEquivalence(t *testing.T) {
 			t.Fatalf("%s: incremental trace has %d extra events", ctx, len(evIncr)-len(evFull))
 		}
 		hours := full.TelemetryHours()
-		if !reflect.DeepEqual(incrTel.Ledger.Attributions(hours), fullTel.Ledger.Attributions(hours)) {
+		if !reflect.DeepEqual(ledgerTables(incrTel, hours), ledgerTables(fullTel, hours)) {
 			t.Fatalf("%s: ledger attributions diverge", ctx)
 		}
 	}

@@ -125,7 +125,7 @@ func (c *Cluster) RestoreLink(a, b int) error {
 func (c *Cluster) HealLinks() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.telState != nil && len(c.cutLinks) > 0 {
+	if len(c.cutLinks) > 0 {
 		links := make([]link, 0, len(c.cutLinks))
 		for l := range c.cutLinks {
 			links = append(links, l)

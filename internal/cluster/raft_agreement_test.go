@@ -23,19 +23,17 @@ import (
 // raftClusterT boots a testbed in timed-election mode.
 func raftClusterT(t *testing.T, rc RaftConfig) (*Cluster, *telemetry.Telemetry, *vclock.Fake) {
 	t.Helper()
-	tel := telemetry.New()
 	prof := profile.OpenContrail3x()
 	topo := topology.NewSmall(prof.ClusterRoles, 3)
 	c, err := New(Config{
-		Profile: prof, Topology: topo, ComputeHosts: 2,
-		Telemetry: tel, Raft: rc,
+		Profile: prof, Topology: topo, ComputeHosts: 2, Raft: rc,
 		Degradation: Degradation{ReplicaCatchUp: 30 * time.Second},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	startT(t, c)
-	return c, tel, c.Clock()
+	return c, c.Telemetry(), c.Clock()
 }
 
 func agreementRaftConfig() RaftConfig {

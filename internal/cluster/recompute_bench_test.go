@@ -4,12 +4,11 @@ import (
 	"testing"
 
 	"sdnavail/internal/profile"
-	"sdnavail/internal/telemetry"
 	"sdnavail/internal/topology"
 )
 
 // newRecomputeBenchCluster builds (without starting) a Large-topology
-// cluster with telemetry attached — the heaviest recompute configuration:
+// cluster — the heaviest recompute configuration:
 // 12 controller node-roles plus compute hosts, every recompute rescanning
 // stores, controls and the telemetry mirror.
 func newRecomputeBenchCluster(b *testing.B) *Cluster {
@@ -18,7 +17,6 @@ func newRecomputeBenchCluster(b *testing.B) *Cluster {
 	topo := topology.NewLarge(prof.ClusterRoles, 3)
 	c, err := New(Config{
 		Profile: prof, Topology: topo, ComputeHosts: 4,
-		Telemetry: telemetry.New(),
 	})
 	if err != nil {
 		b.Fatal(err)

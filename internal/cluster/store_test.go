@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"sdnavail/internal/profile"
-	"sdnavail/internal/telemetry"
 	"sdnavail/internal/topology"
 )
 
@@ -421,14 +420,14 @@ func TestReplicaCatchUpIsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	const latency = 20 * time.Minute
-	tel := telemetry.New()
 	c, err := New(Config{
-		Profile: prof, Topology: topo, ComputeHosts: 3, Telemetry: tel,
+		Profile: prof, Topology: topo, ComputeHosts: 3,
 		Degradation: Degradation{ReplicaCatchUp: latency},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tel := c.Telemetry()
 	startT(t, c)
 	fc := c.Clock()
 

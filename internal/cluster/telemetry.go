@@ -10,15 +10,17 @@ import (
 	"sdnavail/internal/telemetry"
 )
 
-// Telemetry integration. With Config.Telemetry set, the cluster maintains
-// a structural mirror of its own availability state — per-process
-// liveness, and the MC simulator's structure.Table, whose dependency
-// states it derives from its own maps — and diffs it on every state
-// mutation to emit trace events, drive the metrics counters, and feed the
-// downtime-attribution ledger. Group, plane and host verdicts and every
-// blamed cause are read off the table: one rule for both engines.
+// Telemetry integration. Every cluster maintains a structural mirror of
+// its own availability state — per-process liveness, and the MC
+// simulator's structure.Table, whose dependency states it derives from its
+// own maps — and diffs it on every state mutation to emit trace events,
+// drive the metrics counters, and feed the downtime-attribution ledger of
+// the aggregate Telemetry returns. Group, plane and host verdicts, every
+// blamed cause and Health's quorum counts are read off the table: one rule
+// for both engines. The mirror records and reports; no fault, repair or
+// probe reads it.
 //
-// Two scan granularities keep the enabled path cheap:
+// Two scan granularities keep the scans cheap:
 //
 //   - telemetryScanDirtyLocked runs at the end of recomputeLocked, the
 //     single point where process/hardware/reachability state propagates.
@@ -28,8 +30,6 @@ import (
 //     (where forwarding-table flushes and headless transitions happen,
 //     without a recompute) and covers only the per-host DP/headless
 //     state.
-//
-// The disabled path costs one nil check per mutation.
 
 // telProc mirrors one process's effective liveness.
 type telProc struct {
@@ -84,10 +84,11 @@ type telState struct {
 	hElection      *telemetry.Histogram
 }
 
-// attachTelemetryLocked builds the mirror. Called once from New; the
-// cluster is fully assembled and everything is up. Every declared link is
-// a dependency, fallible or not: chaos can cut a perfect one.
-func (c *Cluster) attachTelemetryLocked(t *telemetry.Telemetry) error {
+// attachTelemetryLocked builds the mirror and the aggregate it feeds.
+// Called once from New; the cluster is fully assembled and everything is
+// up. Every declared link is a dependency, fallible or not: chaos can cut
+// a perfect one.
+func (c *Cluster) attachTelemetryLocked() error {
 	sp := structure.Spec{Profile: c.cfg.Profile, Topology: c.cfg.Topology, ComputeHosts: c.cfg.ComputeHosts}
 	if c.net != nil {
 		sp.Graph = c.net.Graph()
@@ -99,6 +100,7 @@ func (c *Cluster) attachTelemetryLocked(t *telemetry.Telemetry) error {
 	if err != nil {
 		return err
 	}
+	t := telemetry.New()
 	ts := &telState{t: t, start: c.clk.Now(), table: tbl, byKey: map[procKey]*telProc{}}
 	ts.linkDep = make([]int32, len(sp.Links))
 	own := map[procKey]int32{}
@@ -167,17 +169,16 @@ func (c *Cluster) attachTelemetryLocked(t *telemetry.Telemetry) error {
 	return nil
 }
 
+// Telemetry returns the aggregate the cluster reports into: metrics, the
+// state-transition trace, the downtime-attribution ledger and the
+// recovery-time samples.
+func (c *Cluster) Telemetry() *telemetry.Telemetry { return c.telState.t }
+
 // TelemetryHours returns the current instant on the telemetry timeline:
-// hours since the aggregate was attached, on the cluster clock. Callers
-// use it to close or snapshot the attribution ledger "as of now".
+// hours since New, on the cluster clock. Callers use it to close or
+// snapshot the attribution ledger "as of now".
 func (c *Cluster) TelemetryHours() float64 {
-	c.mu.Lock()
-	ts := c.telState
-	c.mu.Unlock()
-	if ts == nil {
-		return 0
-	}
-	return c.clk.Now().Sub(ts.start).Hours()
+	return c.telState.hours(c.clk.Now())
 }
 
 // hours converts a clock instant to ledger hours.
@@ -304,9 +305,6 @@ func (c *Cluster) telCPPlaneLocked(now time.Time, h float64) {
 // verdict, the CP plane and the per-host DP planes. Callers hold c.mu.
 func (c *Cluster) telemetryScanDirtyLocked(dirty []procKey) {
 	ts := c.telState
-	if ts == nil {
-		return
-	}
 	now := c.clk.Now()
 	h := ts.hours(now)
 
@@ -339,9 +337,6 @@ func (c *Cluster) telemetryScanDirtyLocked(dirty []procKey) {
 // flushed its forwarding table. Callers hold c.mu.
 func (c *Cluster) telemetryScanAgentsLocked(now time.Time, h float64) {
 	ts := c.telState
-	if ts == nil {
-		return
-	}
 	for i, a := range c.agents {
 		up := ts.table.HostUp(i) && !a.flushed
 		if up != ts.dpUp[i] {
@@ -384,9 +379,6 @@ func (c *Cluster) telemetryScanAgentsLocked(now time.Time, h float64) {
 // without a recompute. Callers hold c.mu.
 func (c *Cluster) telemetryAgentPassLocked() {
 	ts := c.telState
-	if ts == nil {
-		return
-	}
 	now := c.clk.Now()
 	c.telemetryScanAgentsLocked(now, ts.hours(now))
 }
@@ -396,9 +388,6 @@ func (c *Cluster) telemetryAgentPassLocked() {
 // recovery-time sample. Callers hold c.mu.
 func (c *Cluster) telRaftEventLocked(ev RaftEvent) {
 	ts := c.telState
-	if ts == nil {
-		return
-	}
 	h := ts.hours(ev.At)
 	e := telemetry.Event{
 		At: ev.At, AtHours: h, Subject: ev.Store,
@@ -431,9 +420,6 @@ func (c *Cluster) telRaftEventLocked(ev RaftEvent) {
 // c.mu.
 func (c *Cluster) telemetryLinkEventLocked(kind string, a, b int) {
 	ts := c.telState
-	if ts == nil {
-		return
-	}
 	if kind == telemetry.EventLinkCut {
 		ts.cLinkCuts.Inc()
 	}

@@ -14,19 +14,18 @@ import (
 	"sdnavail/internal/vclock"
 )
 
-// newTelemetryClusterT boots a Small testbed with telemetry
-// attached and the test registered as the clock driver.
+// newTelemetryClusterT boots a Small testbed with the test registered as
+// the clock driver, and returns its telemetry aggregate.
 func newTelemetryClusterT(t *testing.T) (*Cluster, *vclock.Fake, *telemetry.Telemetry) {
 	t.Helper()
-	tel := telemetry.New()
 	prof := profile.OpenContrail3x()
 	topo := topology.NewSmall(prof.ClusterRoles, 3)
-	c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 2, Telemetry: tel})
+	c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	startT(t, c)
-	return c, c.Clock(), tel
+	return c, c.Clock(), c.Telemetry()
 }
 
 func eventCount(tel *telemetry.Telemetry, kind, subject string) int {
@@ -95,16 +94,12 @@ func TestTelemetryQuorumOutageLedger(t *testing.T) {
 		t.Errorf("blame share = %v, want the Config store to own the whole interval: %+v", share, a.Modes)
 	}
 
-	// The health report embeds the same numbers.
-	rep := c.Health()
-	if rep.Telemetry == nil {
-		t.Fatal("health report carries no telemetry summary")
+	// The cluster's own handle reads the same numbers.
+	if got := c.Telemetry().Metrics.Counter("cp_outages_total").Value(); got != 1 {
+		t.Errorf("c.Telemetry() cp_outages_total = %d, want 1", got)
 	}
-	if got := rep.Telemetry.Counters["cp_outages_total"]; got != 1 {
-		t.Errorf("health summary cp_outages_total = %d, want 1", got)
-	}
-	if got := rep.Telemetry.PlaneDowntimeHours["cp"]; math.Abs(got-3) > 1e-9 {
-		t.Errorf("health summary cp downtime = %v, want 3", got)
+	if got := c.Telemetry().Ledger.Attribution("cp", c.TelemetryHours()).DowntimeHours; math.Abs(got-3) > 1e-9 {
+		t.Errorf("c.Telemetry() cp downtime = %v, want 3", got)
 	}
 }
 
@@ -184,13 +179,13 @@ func TestTelemetryLinkEvents(t *testing.T) {
 // on.
 func TestTelemetryTraceDeterministic(t *testing.T) {
 	runScript := func() []telemetry.Event {
-		tel := telemetry.New()
 		prof := profile.OpenContrail3x()
 		topo := topology.NewSmall(prof.ClusterRoles, 3)
-		c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 2, Telemetry: tel})
+		c, err := New(Config{Profile: prof, Topology: topo, ComputeHosts: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
+		tel := c.Telemetry()
 		fc := c.Clock()
 		if err := c.Start(); err != nil {
 			t.Fatal(err)
@@ -246,7 +241,6 @@ func TestQuorumGroupMembersAgree(t *testing.T) {
 	} {
 		c, err := New(Config{
 			Profile: prof, Topology: topology.NewSmall(prof.ClusterRoles, 3), ComputeHosts: 1,
-			Telemetry: telemetry.New(),
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", prof.Name, err)
@@ -292,11 +286,11 @@ func TestQuorumGroupMembersAgree(t *testing.T) {
 func TestTelemetryIdleNoDPOutage(t *testing.T) {
 	for _, prof := range []*profile.Profile{profile.OpenContrail3x(), profile.ODLLike(), profile.ONOSLike()} {
 		t.Run(prof.Name, func(t *testing.T) {
-			tel := telemetry.New()
-			c, err := New(Config{Profile: prof, Topology: topology.NewSmall(prof.ClusterRoles, 3), ComputeHosts: 2, Telemetry: tel})
+			c, err := New(Config{Profile: prof, Topology: topology.NewSmall(prof.ClusterRoles, 3), ComputeHosts: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
+			tel := c.Telemetry()
 			if err := c.Start(); err != nil {
 				t.Fatal(err)
 			}
@@ -339,14 +333,14 @@ func cpDownModes(t *testing.T, tel *telemetry.Telemetry) []string {
 // takes it down, and the outage names both links and the process.
 func TestTelemetryBlamesEveryCutLink(t *testing.T) {
 	prof := profile.OpenContrail3x()
-	tel := telemetry.New()
 	c, err := New(Config{
 		Profile: prof, Topology: topology.NewMedium(prof.ClusterRoles, 3).WithDefaultLinks(10_000, 4),
-		ComputeHosts: 1, Telemetry: tel,
+		ComputeHosts: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tel := c.Telemetry()
 	for _, id := range []string{"up:H3", "fab:R2"} {
 		if err := c.CutGraphLink(id); err != nil {
 			t.Fatal(err)
@@ -366,14 +360,14 @@ func TestTelemetryBlamesEveryCutLink(t *testing.T) {
 // it — the partition comes before the members in the one blame rule.
 func TestTelemetryBlamesPartitionAlone(t *testing.T) {
 	prof := profile.OpenContrail3x()
-	tel := telemetry.New()
 	c, err := New(Config{
 		Profile: prof, Topology: topology.NewSmall(prof.ClusterRoles, 3),
-		ComputeHosts: 1, Telemetry: tel,
+		ComputeHosts: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tel := c.Telemetry()
 	if err := c.KillProcess("Database", 0, "zookeeper"); err != nil {
 		t.Fatal(err)
 	}

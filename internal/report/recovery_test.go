@@ -26,10 +26,6 @@ func TestRecoveryTable(t *testing.T) {
 	if !strings.Contains(text, "0.0600") {
 		t.Fatalf("mean election 0.0600 missing:\n%s", text)
 	}
-	// A nil tracker renders an empty table rather than panicking.
-	if empty := RecoveryTable(nil); len(empty.Rows) != 0 {
-		t.Fatalf("nil tracker produced rows: %v", empty.Rows)
-	}
 }
 
 func TestElectionTable(t *testing.T) {

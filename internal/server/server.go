@@ -88,10 +88,6 @@ type Config struct {
 	// keeps completed responses on disk under the engine-versioned
 	// request digest (see store.go). Empty: nothing is kept.
 	StoreDir string
-	// Telemetry receives the server's metrics (request counts, latencies,
-	// shed/panic counters, cache hit rates). Nil creates a private
-	// aggregate; either way it is exposed on /metrics.
-	Telemetry *telemetry.Telemetry
 }
 
 // withDefaults resolves zero fields.
@@ -116,9 +112,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.CacheSize == 0 {
 		c.CacheSize = 4096
-	}
-	if c.Telemetry == nil {
-		c.Telemetry = telemetry.New()
 	}
 	return c
 }
@@ -173,14 +166,15 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	reg := cfg.Telemetry.Metrics
+	tel := telemetry.New()
+	reg := tel.Metrics
 	store, err := openStore[mcResponse](cfg.StoreDir, cfg.CacheSize, reg)
 	if err != nil {
 		return nil, err
 	}
 	s := &Server{
 		cfg:  cfg,
-		tel:  cfg.Telemetry,
+		tel:  tel,
 		gate: newGate(cfg.MaxConcurrent, cfg.MaxQueue, reg),
 		analytic: newAnswerCache(reg, "cache", cfg.CacheSize, resultStore[analyticResponse]{},
 			func(analyticResponse) bool { return true },

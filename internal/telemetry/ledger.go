@@ -91,8 +91,8 @@ type planeLedger struct {
 	intervals int
 }
 
-// Ledger attributes plane downtime to failure modes. A nil *Ledger is a
-// no-op. All methods are safe for concurrent use.
+// Ledger attributes plane downtime to failure modes. All methods are safe
+// for concurrent use.
 type Ledger struct {
 	mu     sync.Mutex
 	planes map[string]*planeLedger
@@ -117,9 +117,6 @@ func (l *Ledger) plane(name string) *planeLedger {
 // become ModeUnattributed). A down transition on an already-down plane is
 // ignored — the blame set is frozen at the interval's open.
 func (l *Ledger) PlaneDown(name string, atHours float64, modes []string) {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	p := l.plane(name)
@@ -144,9 +141,6 @@ func (l *Ledger) PlaneDown(name string, atHours float64, modes []string) {
 // duration equally among the blamed modes. An up transition on an
 // already-up plane is ignored.
 func (l *Ledger) PlaneUp(name string, atHours float64) {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	p := l.plane(name)
@@ -180,9 +174,6 @@ func (l *Ledger) closeLocked(p *planeLedger, atHours float64) {
 // CloseAll closes every open interval at atHours — called once at the end
 // of a run so downtime extending to the horizon is accounted.
 func (l *Ledger) CloseAll(atHours float64) {
-	if l == nil {
-		return
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, name := range l.order {
@@ -221,9 +212,6 @@ func (l *Ledger) attributionLocked(name string, nowHours float64) Attribution {
 // Attribution returns the named plane's table as of nowHours. An unknown
 // plane yields an empty table.
 func (l *Ledger) Attribution(name string, nowHours float64) Attribution {
-	if l == nil {
-		return Attribution{Plane: name}
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if _, ok := l.planes[name]; !ok {
@@ -232,28 +220,10 @@ func (l *Ledger) Attribution(name string, nowHours float64) Attribution {
 	return l.attributionLocked(name, nowHours)
 }
 
-// Attributions returns every plane's table as of nowHours, in plane
-// registration order.
-func (l *Ledger) Attributions(nowHours float64) []Attribution {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Attribution, 0, len(l.order))
-	for _, name := range l.order {
-		out = append(out, l.attributionLocked(name, nowHours))
-	}
-	return out
-}
-
 // MergedPrefix merges every plane whose name starts with prefix into one
 // table under the given label, as of nowHours — e.g.
 // MergedPrefix("dp", "dp:", now) rolls the per-host data planes up.
 func (l *Ledger) MergedPrefix(label, prefix string, nowHours float64) Attribution {
-	if l == nil {
-		return Attribution{Plane: label}
-	}
 	l.mu.Lock()
 	var parts []Attribution
 	for _, name := range l.order {

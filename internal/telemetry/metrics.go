@@ -9,9 +9,7 @@ import (
 
 // The metrics registry. Handles (Counter, Gauge, Histogram) are obtained
 // once and then updated lock-free with atomics; the registry's mutex is
-// only taken on handle creation and snapshot. Every handle method is safe
-// on a nil receiver, so instrumented code can hold handles from a nil
-// registry and pay only a predictable no-op.
+// only taken on handle creation and snapshot.
 
 // Counter is a monotonically increasing uint64 metric.
 type Counter struct {
@@ -20,16 +18,11 @@ type Counter struct {
 
 // Inc adds one.
 func (c *Counter) Inc() {
-	if c != nil {
-		c.v.Add(1)
-	}
+	c.v.Add(1)
 }
 
-// Value returns the current count (0 on a nil counter).
+// Value returns the current count.
 func (c *Counter) Value() uint64 {
-	if c == nil {
-		return 0
-	}
 	return c.v.Load()
 }
 
@@ -40,16 +33,11 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.bits.Store(math.Float64bits(v))
-	}
+	g.bits.Store(math.Float64bits(v))
 }
 
 // Add increments the gauge by d (atomic compare-and-swap loop).
 func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
 	for {
 		old := g.bits.Load()
 		v := math.Float64frombits(old) + d
@@ -59,11 +47,8 @@ func (g *Gauge) Add(d float64) {
 	}
 }
 
-// Value returns the current value (0 on a nil gauge).
+// Value returns the current value.
 func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
 	return math.Float64frombits(g.bits.Load())
 }
 
@@ -78,9 +63,6 @@ type Histogram struct {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	idx := sort.SearchFloat64s(h.bounds, v)
 	h.buckets[idx].Add(1)
 	h.count.Add(1)
@@ -95,21 +77,15 @@ func (h *Histogram) Observe(v float64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
 	return h.count.Load()
 }
 
 // Sum returns the sum of observations.
 func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
 	return math.Float64frombits(h.sumBits.Load())
 }
 
-// Registry holds named metrics. A nil *Registry hands out nil handles.
+// Registry holds named metrics.
 type Registry struct {
 	mu     sync.Mutex
 	counts map[string]*Counter
@@ -128,9 +104,6 @@ func NewRegistry() *Registry {
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	c, ok := r.counts[name]
@@ -143,9 +116,6 @@ func (r *Registry) Counter(name string) *Counter {
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
@@ -160,9 +130,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 // bounds (ascending), creating it on first use. Bounds are fixed by the
 // first caller; later callers get the existing histogram.
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	h, ok := r.hists[name]
@@ -205,12 +172,9 @@ type RegistrySnapshot struct {
 	Histograms []HistogramValue `json:"histograms"`
 }
 
-// Snapshot copies the registry. Safe on a nil registry (empty snapshot).
+// Snapshot copies the registry.
 func (r *Registry) Snapshot() RegistrySnapshot {
 	var snap RegistrySnapshot
-	if r == nil {
-		return snap
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for name, c := range r.counts {

@@ -59,43 +59,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestNilHandlesAreNoOps(t *testing.T) {
-	var r *Registry
-	c := r.Counter("x")
-	g := r.Gauge("x")
-	h := r.Histogram("x", []float64{1})
-	c.Inc()
-	g.Set(1)
-	g.Add(1)
-	h.Observe(1)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Error("nil handles must read as zero")
-	}
-	snap := r.Snapshot()
-	if len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
-		t.Error("nil registry snapshot must be empty")
-	}
-
-	var tr *Trace
-	tr.Record(Event{Kind: EventProcessDown})
-	if tr.Events() != nil {
-		t.Error("nil trace must drop events")
-	}
-
-	var l *Ledger
-	l.PlaneDown("cp", 1, nil)
-	l.PlaneUp("cp", 2)
-	l.CloseAll(3)
-	if a := l.Attribution("cp", 3); a.DowntimeHours != 0 {
-		t.Error("nil ledger must account nothing")
-	}
-
-	var tel *Telemetry
-	if tel.Summarize(1) != nil {
-		t.Error("nil telemetry must summarize to nil")
-	}
-}
-
 func TestRegistryConcurrentUpdates(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("n")
@@ -148,23 +111,5 @@ func TestSnapshotSortedAndJSONStable(t *testing.T) {
 	}
 	if string(b1) != string(b2) {
 		t.Error("identical registries marshalled differently")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	tel := New()
-	tel.Metrics.Counter("kills").Inc()
-	tel.Metrics.Gauge("down").Set(2)
-	tel.Ledger.PlaneDown("cp", 1, []string{"process:control"})
-	tel.Ledger.PlaneUp("cp", 1.5)
-	s := tel.Summarize(2)
-	if s == nil {
-		t.Fatal("enabled telemetry summarized to nil")
-	}
-	if s.Counters["kills"] != 1 || s.Gauges["down"] != 2 {
-		t.Errorf("summary metrics wrong: %+v", s)
-	}
-	if got := s.PlaneDowntimeHours["cp"]; math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("cp downtime = %v, want 0.5", got)
 	}
 }

@@ -52,7 +52,6 @@ func promFloat(v float64) string {
 // WritePrometheus renders the registry in the Prometheus text exposition
 // format: counters as `<name>_total`, gauges bare, histograms as
 // cumulative `<name>_bucket{le="..."}` series with `_sum` and `_count`.
-// Safe on a nil registry (writes nothing).
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	snap := r.Snapshot()
 	for _, c := range snap.Counters {

@@ -45,19 +45,6 @@ func TestWritePrometheus(t *testing.T) {
 	}
 }
 
-// TestWritePrometheusNilRegistry: a nil registry writes nothing and does
-// not panic, matching the registry's nil-handle discipline.
-func TestWritePrometheusNilRegistry(t *testing.T) {
-	var r *Registry
-	var sb strings.Builder
-	if err := r.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.Len() != 0 {
-		t.Errorf("nil registry wrote %q", sb.String())
-	}
-}
-
 // TestPromNameSanitizes maps illegal characters to underscores without
 // touching legal ones.
 func TestPromNameSanitizes(t *testing.T) {

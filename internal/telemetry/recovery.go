@@ -14,9 +14,6 @@ import (
 // catch-up windows ("catchup/<store>") and gray-leader detection delays
 // ("graydetect/<store>"); reports render the distributions next to
 // availability, the response-time dimension pure up/down models miss.
-//
-// A nil *Recovery drops observations, matching the package's
-// nil-tolerance contract.
 type Recovery struct {
 	mu      sync.Mutex
 	samples map[string][]time.Duration
@@ -27,11 +24,8 @@ func NewRecovery() *Recovery {
 	return &Recovery{samples: map[string][]time.Duration{}}
 }
 
-// Observe records one recovery duration under the kind. Safe on nil.
+// Observe records one recovery duration under the kind.
 func (r *Recovery) Observe(kind string, d time.Duration) {
-	if r == nil {
-		return
-	}
 	r.mu.Lock()
 	r.samples[kind] = append(r.samples[kind], d)
 	r.mu.Unlock()
@@ -40,9 +34,6 @@ func (r *Recovery) Observe(kind string, d time.Duration) {
 // Durations returns a copy of the samples recorded under kind, in
 // observation order.
 func (r *Recovery) Durations(kind string) []time.Duration {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return append([]time.Duration(nil), r.samples[kind]...)
@@ -50,9 +41,6 @@ func (r *Recovery) Durations(kind string) []time.Duration {
 
 // Kinds returns the sorted list of kinds with at least one sample.
 func (r *Recovery) Kinds() []string {
-	if r == nil {
-		return nil
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := make([]string, 0, len(r.samples))

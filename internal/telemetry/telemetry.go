@@ -6,16 +6,11 @@
 // control-plane / data-plane unavailable interval on the failure mode(s)
 // active when the interval opened — the per-mode decomposition behind the
 // paper's Section IV tables.
-//
-// Everything is nil-tolerant: a nil *Telemetry (and every handle obtained
-// from one) is a no-op, so instrumented code pays a single pointer check
-// when telemetry is disabled.
 package telemetry
 
 import "sort"
 
-// Telemetry aggregates the three observability surfaces. Create with New;
-// a nil *Telemetry disables all instrumentation.
+// Telemetry aggregates the observability surfaces. Create with New.
 type Telemetry struct {
 	// Metrics is the counter/gauge/histogram registry.
 	Metrics *Registry
@@ -28,47 +23,9 @@ type Telemetry struct {
 	Recovery *Recovery
 }
 
-// New returns an enabled telemetry aggregate.
+// New returns an empty telemetry aggregate.
 func New() *Telemetry {
 	return &Telemetry{Metrics: NewRegistry(), Trace: NewTrace(), Ledger: NewLedger(), Recovery: NewRecovery()}
-}
-
-// Summary is a lightweight point-in-time digest of the telemetry state,
-// suitable for embedding in a health report: counter values plus total
-// attributed downtime per plane (open intervals closed provisionally at
-// the supplied time).
-type Summary struct {
-	// Counters holds every registered counter's current value by name.
-	Counters map[string]uint64
-	// Gauges holds every registered gauge's current value by name.
-	Gauges map[string]float64
-	// PlaneDowntimeHours is the total attributed downtime per ledger
-	// plane so far (hours).
-	PlaneDowntimeHours map[string]float64
-}
-
-// Summarize builds the digest as of nowHours (hours on the ledger's
-// timeline). Returns nil when telemetry is disabled.
-func (t *Telemetry) Summarize(nowHours float64) *Summary {
-	if t == nil {
-		return nil
-	}
-	s := &Summary{
-		Counters:           map[string]uint64{},
-		Gauges:             map[string]float64{},
-		PlaneDowntimeHours: map[string]float64{},
-	}
-	snap := t.Metrics.Snapshot()
-	for _, c := range snap.Counters {
-		s.Counters[c.Name] = c.Value
-	}
-	for _, g := range snap.Gauges {
-		s.Gauges[g.Name] = g.Value
-	}
-	for _, a := range t.Ledger.Attributions(nowHours) {
-		s.PlaneDowntimeHours[a.Plane] = a.DowntimeHours
-	}
-	return s
 }
 
 // sortedStrings returns a sorted copy of the given set's keys.

@@ -56,7 +56,7 @@ type Event struct {
 	Modes []string `json:"modes,omitempty"`
 }
 
-// Trace is an append-only in-memory event log. A nil *Trace drops events.
+// Trace is an append-only in-memory event log.
 type Trace struct {
 	mu     sync.Mutex
 	events []Event
@@ -65,11 +65,8 @@ type Trace struct {
 // NewTrace returns an empty trace.
 func NewTrace() *Trace { return &Trace{} }
 
-// Record appends one event. Safe on a nil trace.
+// Record appends one event.
 func (t *Trace) Record(e Event) {
-	if t == nil {
-		return
-	}
 	t.mu.Lock()
 	t.events = append(t.events, e)
 	t.mu.Unlock()
@@ -77,9 +74,6 @@ func (t *Trace) Record(e Event) {
 
 // Events returns a copy of the recorded events in order.
 func (t *Trace) Events() []Event {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return append([]Event(nil), t.events...)
